@@ -74,6 +74,13 @@ type benchReport struct {
 // that sharing engages (one generation answers the whole batch).
 const jsonBatch = 64
 
+// partitionedWorkers is the worker budget of the *_workers2 records. It is
+// fixed rather than GOMAXPROCS-derived: the gate runs at GOMAXPROCS=1, where
+// the default budget resolves to 1 and the partitioned operator paths
+// (group-by partition/combine, parallel join build, partitioned sort) would
+// otherwise have no gated number.
+const partitionedWorkers = 2
+
 func record(name, description, unit string, queriesPerOp int, r testing.BenchmarkResult) benchRecord {
 	ns := float64(r.NsPerOp())
 	ops := 0.0
@@ -178,18 +185,19 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	stmts := []struct {
 		name, desc string
 		columnar   bool // also measured on the columnar engine as <name>_columnar
+		workers2   bool // also measured at Workers=partitionedWorkers as <name>_workers2
 		sql        string
 		mkParams   func(i int) []types.Value
 	}{
 		{
-			"scan", "shared ClockScan: LIKE predicate batch over item", true,
+			"scan", "shared ClockScan: LIKE predicate batch over item", true, false,
 			`SELECT i_id, i_title FROM item WHERE i_title LIKE ?`,
 			func(i int) []types.Value {
 				return []types.Value{types.NewString(fmt.Sprintf("Title %02d%%", i%100))}
 			},
 		},
 		{
-			"join", "shared join: item ⋈ author with per-query range predicate", true,
+			"join", "shared join: item ⋈ author with per-query range predicate", true, false,
 			`SELECT item.i_id, author.a_lname FROM item, author
 			 WHERE item.i_a_id = author.a_id AND item.i_cost > ?`,
 			func(i int) []types.Value {
@@ -197,19 +205,19 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			},
 		},
 		{
-			"sort", "shared sort/Top-N: full item scan ORDER BY title LIMIT 50", false,
+			"sort", "shared sort/Top-N: full item scan ORDER BY title LIMIT 50", false, false,
 			`SELECT i_id, i_title FROM item ORDER BY i_title LIMIT 50`,
 			func(int) []types.Value { return nil },
 		},
 		{
-			"group", fmt.Sprintf("shared grouped aggregation: selective range predicate GROUP BY region over %d sales rows", salesRows), true,
+			"group", fmt.Sprintf("shared grouped aggregation: selective range predicate GROUP BY region over %d sales rows", salesRows), true, true,
 			`SELECT s_region, COUNT(*), SUM(s_qty) FROM sales WHERE s_val > ? GROUP BY s_region`,
 			func(i int) []types.Value {
 				return []types.Value{types.NewFloat(float64(i%8) + 85)}
 			},
 		},
 		{
-			"topn", fmt.Sprintf("shared grouped Top-N over %d sales rows: GROUP BY region ORDER BY aggregate LIMIT 5 (bounded per-query heaps)", salesRows), true,
+			"topn", fmt.Sprintf("shared grouped Top-N over %d sales rows: GROUP BY region ORDER BY aggregate LIMIT 5 (bounded per-query heaps)", salesRows), true, false,
 			`SELECT s_region, SUM(s_val) AS v FROM sales WHERE s_val > ?
 			 GROUP BY s_region ORDER BY v DESC, s_region LIMIT 5`,
 			func(i int) []types.Value {
@@ -248,6 +256,24 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 				fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
 	}
 
+	// The grouped aggregation again through the partitioned group-by: row
+	// scan stream → partition by key hash → per-bucket combine.
+	w2Eng := core.New(db, plan.New(db), core.Config{Workers: partitionedWorkers})
+	defer w2Eng.Close()
+	for _, sp := range stmts {
+		if !sp.workers2 {
+			continue
+		}
+		stmt, err := w2Eng.Prepare(sp.sql)
+		if err != nil {
+			return fmt.Errorf("prepare %s_workers2: %w", sp.name, err)
+		}
+		r := benchStatement(w2Eng, stmt, sp.mkParams, warmup, count)
+		report.Results = append(report.Results,
+			record(sp.name+"_workers2", fmt.Sprintf("%s (Workers=%d: partitioned aggregation)", sp.desc, partitionedWorkers),
+				fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
+	}
+
 	// TPC-W interaction mix on a fresh environment (its writes must not
 	// skew the per-operator data above), then the same mix on a sharded
 	// deployment — the scale-out trajectory entry.
@@ -270,6 +296,16 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		}
 		report.Results = append(report.Results, record(name, desc, "interaction", 1, r))
 	}
+	// The mix once more with the fixed partitioned-path worker budget.
+	w2Opts := opts
+	w2Opts.Workers = partitionedWorkers
+	r, err := benchMix(w2Opts, 1)
+	if err != nil {
+		return err
+	}
+	report.Results = append(report.Results, record("tpcw_mix_workers2",
+		fmt.Sprintf("TPC-W Shopping mix, concurrent sessions (Workers=%d: partitioned operator paths)", partitionedWorkers),
+		"interaction", 1, r))
 
 	// Incremental operator state: the same repeat-read hash join on a
 	// write-light mix with the rebuild path and with delta-maintained

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"shareddb/internal/baseline"
@@ -199,4 +200,57 @@ func TestDifferentialProfilesAgree(t *testing.T) {
 			t.Errorf("profiles disagree on %q", q.sql)
 		}
 	}
+}
+
+// TestDifferentialAdHocPrepareGrowsJoinStream: join out-streams carry only
+// the columns some statement demanded, and an ad-hoc Prepare after
+// generations have run may demand more. The layout only grows, so the
+// statement prepared first must keep reading the right columns, and the new
+// one — a three-way join, so the demand has to pass through the inner join's
+// stream into the outer join's — must see the columns it added.
+func TestDifferentialAdHocPrepareGrowsJoinStream(t *testing.T) {
+	db, closeDB := bookstore(t)
+	defer closeDB()
+	shared := newEngine(t, db)
+	defer shared.Close()
+	qat := baseline.New(db, baseline.SystemXLike)
+
+	const from = ` FROM order_line, item, author WHERE ol_i_id = i_id AND i_a_id = a_id AND ol_o_id > ?`
+	sqls := []string{
+		`SELECT ol_qty, a_lname` + from,
+		// prepared after the first statement has run:
+		`SELECT ol_id, i_title, i_price, a_lname` + from + ` ORDER BY i_price, ol_id`,
+		`SELECT i_subject, SUM(ol_qty), MIN(i_price)` + from + ` GROUP BY i_subject`,
+	}
+	var stmts []*plan.Statement
+	check := func(when string) {
+		t.Helper()
+		for _, s := range stmts {
+			bs, err := qat.Prepare(s.SQL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, lo := range []int64{-1, 10, 45} {
+				got := run(t, shared, s, types.NewInt(lo))
+				want, err := bs.Exec([]types.Value{types.NewInt(lo)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameRows(got.Rows, want.Rows) {
+					t.Fatalf("%s: %q ol_o_id > %d:\nshared   %v\nbaseline %v", when, s.SQL, lo, canon(got.Rows), canon(want.Rows))
+				}
+			}
+		}
+	}
+	stmts = append(stmts, mustPrepare(t, shared, sqls[0]))
+	check("first statement alone")
+	before := shared.Plan().Describe()
+	if strings.Contains(before, "item.4") {
+		t.Fatalf("i_price carried before any statement reads it:\n%s", before)
+	}
+	stmts = append(stmts, mustPrepare(t, shared, sqls[1]), mustPrepare(t, shared, sqls[2]))
+	if after := shared.Plan().Describe(); !strings.Contains(after, "item.4") || !strings.Contains(after, "item.3") {
+		t.Fatalf("ad-hoc statements did not extend the join streams:\n%s", after)
+	}
+	check("after the ad-hoc prepares")
 }

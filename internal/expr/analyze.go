@@ -222,47 +222,49 @@ func Columns(e Expr) map[int]bool {
 // projections and joins. Unmapped columns panic: the planner must only
 // remap predicates it proved moveable.
 func Remap(e Expr, mapping map[int]int) Expr {
-	if e == nil {
-		return nil
-	}
-	switch n := e.(type) {
-	case *ColRef:
-		idx, ok := mapping[n.Idx]
+	return MapColumns(e, func(old int) int {
+		idx, ok := mapping[old]
 		if !ok {
 			panic("expr: Remap with incomplete mapping")
 		}
-		return &ColRef{Idx: idx, Name: n.Name}
-	case *Const, *Param:
-		return e
+		return idx
+	})
+}
+
+// MapColumns returns a copy of e with every column index translated by f.
+// The shared plan uses it to rewrite expressions bound over a stream's
+// logical schema onto the stream's physical (column-pruned) row layout.
+func MapColumns(e Expr, f func(old int) int) Expr {
+	if e == nil {
+		return nil
+	}
+	mapAll := func(in []Expr) []Expr {
+		out := make([]Expr, len(in))
+		for i, k := range in {
+			out[i] = MapColumns(k, f)
+		}
+		return out
+	}
+	switch n := e.(type) {
+	case *ColRef:
+		return &ColRef{Idx: f(n.Idx), Name: n.Name}
 	case *Cmp:
-		return &Cmp{Op: n.Op, L: Remap(n.L, mapping), R: Remap(n.R, mapping)}
+		return &Cmp{Op: n.Op, L: MapColumns(n.L, f), R: MapColumns(n.R, f)}
 	case *And:
-		kids := make([]Expr, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = Remap(k, mapping)
-		}
-		return &And{Kids: kids}
+		return &And{Kids: mapAll(n.Kids)}
 	case *Or:
-		kids := make([]Expr, len(n.Kids))
-		for i, k := range n.Kids {
-			kids[i] = Remap(k, mapping)
-		}
-		return &Or{Kids: kids}
+		return &Or{Kids: mapAll(n.Kids)}
 	case *Not:
-		return &Not{Kid: Remap(n.Kid, mapping)}
+		return &Not{Kid: MapColumns(n.Kid, f)}
 	case *Arith:
-		return &Arith{Op: n.Op, L: Remap(n.L, mapping), R: Remap(n.R, mapping)}
+		return &Arith{Op: n.Op, L: MapColumns(n.L, f), R: MapColumns(n.R, f)}
 	case *IsNull:
-		return &IsNull{Kid: Remap(n.Kid, mapping), Negate: n.Negate}
+		return &IsNull{Kid: MapColumns(n.Kid, f), Negate: n.Negate}
 	case *In:
-		list := make([]Expr, len(n.List))
-		for i, k := range n.List {
-			list[i] = Remap(k, mapping)
-		}
-		return &In{L: Remap(n.L, mapping), List: list, Negate: n.Negate}
+		return &In{L: MapColumns(n.L, f), List: mapAll(n.List), Negate: n.Negate}
 	case *Like:
-		return &Like{L: Remap(n.L, mapping), Pattern: Remap(n.Pattern, mapping), Negate: n.Negate}
-	default:
+		return &Like{L: MapColumns(n.L, f), Pattern: MapColumns(n.Pattern, f), Negate: n.Negate}
+	default: // *Const, *Param
 		return e
 	}
 }

@@ -197,6 +197,7 @@ func TestJoinTableMatchesMapSemantics(t *testing.T) {
 func TestGroupTableInsertLookup(t *testing.T) {
 	var gt groupTable
 	gt.reset()
+	keyCols := []int{0} // entries below have one-column keys; a key doubles as the probing row
 	mk := func(vals ...types.Value) *groupEntry {
 		h := uint64(0)
 		for _, v := range vals {
@@ -211,13 +212,13 @@ func TestGroupTableInsertLookup(t *testing.T) {
 		{hash: 42, keyVals: []types.Value{types.NewString("x")}},
 	}
 	for _, ge := range entries {
-		if gt.lookup(ge.hash, ge.keyVals) != nil {
+		if gt.lookup(ge.hash, ge.keyVals, keyCols) != nil {
 			t.Fatal("phantom entry before insert")
 		}
 		gt.insert(ge)
 	}
 	for i, ge := range entries {
-		got := gt.lookup(ge.hash, ge.keyVals)
+		got := gt.lookup(ge.hash, ge.keyVals, keyCols)
 		if got != ge {
 			t.Errorf("lookup entry %d = %v, want %v", i, got, ge)
 		}

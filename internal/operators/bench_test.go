@@ -48,7 +48,7 @@ func BenchmarkAblation_JoinByKeyVsByQueryID(b *testing.B) {
 				op := &HashJoinOp{
 					InnerKeyCols: []int{0},
 					InnerStream:  1,
-					Outers:       map[int]JoinOuter{2: {KeyCols: []int{0}, OutStream: 3}},
+					Outers:       map[int]JoinOuter{2: {KeyCols: []int{0}, OutStream: 3, OutCols: allOutCols(2, 2)}},
 					ByQueryID:    byQID,
 				}
 				node := NewNode(0, "bench-join", op) // no consumers: emit is a no-op

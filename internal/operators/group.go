@@ -33,25 +33,24 @@ type GroupOp struct {
 
 	// st is the per-cycle state, owned by the operator and reused across
 	// cycles (a node runs one cycle at a time).
-	st          groupState
-	keyScratch  []types.Value
-	stepScratch []addStep
-	single      [1]queryset.QueryID
+	st     groupState
+	single [1]queryset.QueryID
 
-	// entryFree / stateFree recycle a finished cycle's group entries and
-	// per-(group, query) aggregate state slices (refilled in Finish), so the
-	// steady-state rebuild path allocates only for emitted rows once the
-	// free lists have warmed up to the workload's group count.
-	entryFree []*groupEntry
-	stateFree [][]aggState
+	// aggs are the cycle's aggregation contexts, reused across cycles: every
+	// serial path (Consume, the columnar feed, small generations) aggregates
+	// into aggs[0]; the partitioned path gives key-hash bucket i to aggs[i].
+	// Buckets are hash-disjoint, so Finish emits the tables one after the
+	// other — bucket order, first arrival within a bucket.
+	aggs []groupAgg
+	// part is the partition phase's scratch, part[chunk][bucket], reused
+	// across cycles.
+	part [][][]tupleRef
 
 	// columnar aggregation pushdown (Cycle.Col): the reusable scan buffers
 	// and client list for feeding the aggregation straight from the table's
-	// columnar mirror, plus the aggregate-argument scratch shared with the
-	// serial batch path.
+	// columnar mirror.
 	colBufs    storage.ColScanBuffers
 	colClients []storage.ScanClient
-	argScratch []types.Value
 
 	// inc is the persistent NodeState (Config.IncrementalState): the group
 	// table plus a per-group RowID-ordered multiset of contributing rows,
@@ -204,8 +203,27 @@ type groupIncRow struct {
 	qs   queryset.Set
 }
 
+// groupAgg is what one aggregating goroutine owns: a group table, the
+// per-row scratch, and free lists recycling a finished cycle's group entries
+// and per-(group, query) aggregate states (refilled in Finish), so the
+// steady-state rebuild path allocates only for emitted rows once the free
+// lists have warmed up to the workload's group count.
+type groupAgg struct {
+	table     groupTable
+	args      []types.Value // one row's evaluated aggregate arguments
+	steps     []addStep     // ... lowered to per-aggregate updates
+	entryFree []*groupEntry
+	stateFree [][]aggState
+}
+
+// tupleRef is one partitioned tuple: its group-key hash and its position in
+// the cycle's buffered batches.
+type tupleRef struct {
+	hash         uint64
+	batch, tuple int32
+}
+
 type groupState struct {
-	groups  groupTable
 	having  map[queryset.QueryID]expr.Expr
 	scalar  map[queryset.QueryID]bool
 	emitted map[queryset.QueryID]bool
@@ -219,7 +237,6 @@ type groupState struct {
 // Start initializes the cycle's hash table and per-query HAVING predicates.
 func (g *GroupOp) Start(c *Cycle) {
 	st := &g.st
-	st.groups.reset()
 	if st.having == nil {
 		st.having = map[queryset.QueryID]expr.Expr{}
 		st.scalar = map[queryset.QueryID]bool{}
@@ -242,7 +259,7 @@ func (g *GroupOp) Start(c *Cycle) {
 		g.startIncremental(c)
 	}
 	if c.Col != nil {
-		g.startColumnar(c, st)
+		g.startColumnar(c)
 	}
 }
 
@@ -253,72 +270,85 @@ func (g *GroupOp) Start(c *Cycle) {
 // worker count) and absorbRow runs serially on this goroutine, so the group
 // table's insertion order — and therefore Finish emission — is byte-identical
 // to the row path's serial rebuild.
-func (g *GroupOp) startColumnar(c *Cycle, st *groupState) {
+func (g *GroupOp) startColumnar(c *Cycle) {
 	cc := c.Col
 	cfg := g.incStream()
 	clients := g.colClients[:0]
 	for _, p := range cc.Preds {
 		clients = append(clients, storage.ScanClient{ID: p.QID, Pred: p.Pred})
 	}
-	if cap(g.argScratch) < len(g.Aggs) {
-		g.argScratch = make([]types.Value, len(g.Aggs))
-	}
-	args := g.argScratch[:len(g.Aggs)]
+	a := g.agg(0)
 	cc.Table.SharedScanColumnar(c.TS, clients, c.Workers, &g.colBufs, func(_ storage.RowID, row types.Row, qs queryset.Set) {
-		g.absorbRow(st, cfg, row, qs, args)
+		g.absorbRow(a, cfg, hashValues(row, cfg.GroupCols), row, qs)
 	})
 	clear(clients)
 	g.colClients = clients[:0]
 }
 
+// agg returns aggregation context i, growing the set up to it (callers size
+// it before fanning out: growth moves the slice).
+func (g *GroupOp) agg(i int) *groupAgg {
+	for len(g.aggs) <= i {
+		g.aggs = append(g.aggs, groupAgg{args: make([]types.Value, len(g.Aggs)), steps: make([]addStep, len(g.Aggs))})
+	}
+	return &g.aggs[i]
+}
+
+// appendKey appends row's key columns to dst.
+func appendKey(dst []types.Value, row types.Row, cols []int) []types.Value {
+	for _, c := range cols {
+		dst = append(dst, row[c])
+	}
+	return dst
+}
+
 // newEntry takes a group entry from the free list (reusing its key and
 // per-query backing arrays) or allocates one.
-func (g *GroupOp) newEntry(h uint64, keyVals []types.Value) *groupEntry {
-	if n := len(g.entryFree); n > 0 {
-		ge := g.entryFree[n-1]
-		g.entryFree[n-1] = nil
-		g.entryFree = g.entryFree[:n-1]
-		ge.hash = h
-		ge.keyVals = append(ge.keyVals[:0], keyVals...)
-		return ge
+func (a *groupAgg) newEntry(h uint64, row types.Row, cols []int) *groupEntry {
+	var ge *groupEntry
+	if n := len(a.entryFree); n > 0 {
+		ge = a.entryFree[n-1]
+		a.entryFree[n-1] = nil
+		a.entryFree = a.entryFree[:n-1]
+	} else {
+		ge = &groupEntry{}
 	}
-	return &groupEntry{hash: h, keyVals: append([]types.Value(nil), keyVals...)}
+	ge.hash = h
+	ge.keyVals = appendKey(ge.keyVals[:0], row, cols)
+	return ge
 }
 
-// newStates takes a cleared aggregate-state slice (len(g.Aggs)) from the
-// free list or allocates one.
-func (g *GroupOp) newStates() []aggState {
-	if n := len(g.stateFree); n > 0 {
-		s := g.stateFree[n-1]
-		g.stateFree[n-1] = nil
-		g.stateFree = g.stateFree[:n-1]
+// newStates takes a cleared aggregate-state slice (one state per aggregate)
+// from the free list or allocates one.
+func (a *groupAgg) newStates() []aggState {
+	if n := len(a.stateFree); n > 0 {
+		s := a.stateFree[n-1]
+		a.stateFree[n-1] = nil
+		a.stateFree = a.stateFree[:n-1]
 		return s
 	}
-	return make([]aggState, len(g.Aggs))
+	return make([]aggState, len(a.args))
 }
 
-// recycleGroups returns a drained cycle's rebuilt group entries and their
-// aggregate states to the operator free lists, dropping every value
-// reference so recycled rows are not pinned. Maintained (incremental)
-// entries live in g.inc, never in the cycle table, so everything here is
-// safe to reuse.
-func (g *GroupOp) recycleGroups(st *groupState) {
-	for _, ge := range st.groups.entries {
-		if ge.inc != nil {
-			continue
-		}
+// recycle returns a drained cycle's group entries and their aggregate
+// states to the free lists, dropping every value reference so recycled rows
+// are not pinned, and empties the table. Maintained (incremental) entries
+// live in g.inc, never here, so everything is safe to reuse.
+func (a *groupAgg) recycle() {
+	for _, ge := range a.table.entries {
 		for q, states := range ge.perQuery {
 			if states != nil {
 				clear(states)
-				g.stateFree = append(g.stateFree, states)
+				a.stateFree = append(a.stateFree, states)
 				ge.perQuery[q] = nil
 			}
 		}
 		ge.perQuery = ge.perQuery[:0]
 		clear(ge.keyVals)
 		ge.keyVals = ge.keyVals[:0]
-		g.entryFree = append(g.entryFree, ge)
+		a.entryFree = append(a.entryFree, ge)
 	}
+	a.table.reset()
 }
 
 // incStream returns the operator's single input stream configuration (the
@@ -390,11 +420,10 @@ func (g *GroupOp) startIncremental(c *Cycle) {
 // inserts carry table-maximal RowIDs); an out-of-order float value would
 // change accumulation order, so it marks the group for replay instead.
 func (g *GroupOp) incAddRow(cfg GroupStream, rid uint64, row types.Row, qs queryset.Set) {
-	keyVals, h := extractKeyHash(row, cfg.GroupCols, g.keyScratch)
-	g.keyScratch = keyVals
-	ge := g.inc.lookup(h, keyVals)
+	h := hashValues(row, cfg.GroupCols)
+	ge := g.inc.lookup(h, row, cfg.GroupCols)
 	if ge == nil {
-		ge = &groupEntry{hash: h, keyVals: append([]types.Value(nil), keyVals...), inc: &groupIncRows{}}
+		ge = &groupEntry{hash: h, keyVals: appendKey(nil, row, cfg.GroupCols), inc: &groupIncRows{}}
 		g.inc.insert(ge)
 	}
 	args := make([]types.Value, len(g.Aggs))
@@ -455,9 +484,7 @@ func (g *GroupOp) incApply(ge *groupEntry, args []types.Value, qs queryset.Set) 
 // over non-float values subtract exactly; anything else (MIN/MAX, DISTINCT,
 // float sums) marks the group dirty for replay from the multiset.
 func (g *GroupOp) incRemoveRow(cfg GroupStream, rid uint64, oldRow types.Row) {
-	keyVals, h := extractKeyHash(oldRow, cfg.GroupCols, g.keyScratch)
-	g.keyScratch = keyVals
-	ge := g.inc.lookup(h, keyVals)
+	ge := g.inc.lookup(hashValues(oldRow, cfg.GroupCols), oldRow, cfg.GroupCols)
 	if ge == nil || ge.inc == nil {
 		return // row never contributed (e.g. inserted before the state primed a narrower query set)
 	}
@@ -549,22 +576,16 @@ func (g *GroupOp) Consume(c *Cycle, b *Batch) {
 		st.pending = append(st.pending, b)
 		return
 	}
-	g.absorb(st, b)
+	g.absorb(b)
 }
 
 // absorb is the serial aggregation of one batch (the body of ProcessTuple).
-func (g *GroupOp) absorb(st *groupState, b *Batch) {
+func (g *GroupOp) absorb(b *Batch) {
 	cfg := g.Streams[b.Stream]
-	var argVals [8]types.Value // stack buffer for the common agg counts
-	var args []types.Value
-	if len(g.Aggs) > len(argVals) {
-		args = make([]types.Value, len(g.Aggs))
-	} else {
-		args = argVals[:len(g.Aggs)]
-	}
+	a := g.agg(0)
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
-		g.absorbRow(st, cfg, t.Row, t.QS, args)
+		g.absorbRow(a, cfg, hashValues(t.Row, cfg.GroupCols), t.Row, t.QS)
 	}
 }
 
@@ -591,13 +612,7 @@ const (
 
 // compileAddSteps lowers one row's evaluated aggregate arguments into the
 // per-agg update plan shared by every query subscribed to the row.
-func (g *GroupOp) compileAddSteps(args []types.Value) []addStep {
-	steps := g.stepScratch
-	if cap(steps) < len(g.Aggs) {
-		steps = make([]addStep, len(g.Aggs))
-		g.stepScratch = steps
-	}
-	steps = steps[:len(g.Aggs)]
+func (g *GroupOp) compileAddSteps(args []types.Value, steps []addStep) {
 	for i, def := range g.Aggs {
 		v := args[i]
 		switch {
@@ -618,23 +633,21 @@ func (g *GroupOp) compileAddSteps(args []types.Value) []addStep {
 			}
 		}
 	}
-	return steps
 }
 
-// absorbRow folds one routed row into the cycle's group table — the shared
-// per-tuple body of the serial batch path and the columnar scan feed. args
-// is caller scratch of len(g.Aggs); qs may be borrowed (it is read, never
-// retained).
-func (g *GroupOp) absorbRow(st *groupState, cfg GroupStream, row types.Row, qs queryset.Set, args []types.Value) {
-	keyVals, h := extractKeyHash(row, cfg.GroupCols, g.keyScratch)
-	g.keyScratch = keyVals
-	ge := st.groups.lookup(h, keyVals)
+// absorbRow folds one routed row into a's group table — the one aggregation
+// body of the serial batch path, the columnar scan feed and the partitioned
+// combine. h is the row's group-key hash (hashValues over cfg.GroupCols); qs
+// may be borrowed (it is read, never retained).
+func (g *GroupOp) absorbRow(a *groupAgg, cfg GroupStream, h uint64, row types.Row, qs queryset.Set) {
+	ge := a.table.lookup(h, row, cfg.GroupCols)
 	if ge == nil {
-		ge = g.newEntry(h, keyVals)
-		st.groups.insert(ge)
+		ge = a.newEntry(h, row, cfg.GroupCols)
+		a.table.insert(ge)
 	}
 	// evaluate aggregate arguments once per tuple, shared across
 	// subscribed queries
+	args, steps := a.args, a.steps
 	for i := range g.Aggs {
 		if i < len(cfg.AggArgs) && cfg.AggArgs[i] != nil {
 			args[i] = cfg.AggArgs[i].Eval(row, nil)
@@ -642,30 +655,30 @@ func (g *GroupOp) absorbRow(st *groupState, cfg GroupStream, row types.Row, qs q
 			args[i] = types.NewInt(1) // COUNT(*) marker
 		}
 	}
-	steps := g.compileAddSteps(args)
+	g.compileAddSteps(args, steps)
 	for _, qid := range qs.IDs() {
 		for int(qid) >= len(ge.perQuery) {
 			ge.perQuery = append(ge.perQuery, nil)
 		}
 		states := ge.perQuery[qid]
 		if states == nil {
-			states = g.newStates()
+			states = a.newStates()
 			ge.perQuery[qid] = states
 		}
 		for i := range steps {
-			a := &states[i]
+			st := &states[i]
 			switch steps[i].op {
 			case stepCount:
-				a.count++
+				st.count++
 			case stepSumInt:
-				a.count++
-				a.sumI += steps[i].i64
+				st.count++
+				st.sumI += steps[i].i64
 			case stepSumFloat:
-				a.count++
-				a.isFloat = true
-				a.sumF += steps[i].f64
+				st.count++
+				st.isFloat = true
+				st.sumF += steps[i].f64
 			case stepGeneric:
-				a.add(args[i], g.Aggs[i])
+				st.add(args[i], g.Aggs[i])
 			}
 		}
 	}
@@ -673,109 +686,78 @@ func (g *GroupOp) absorbRow(st *groupState, cfg GroupStream, row types.Row, qs q
 
 // aggregateParallel is the data-parallel grouping phase (paper §4.2) run
 // over the batches buffered by Consume when Workers > 1. It is a two-step
-// partitioned hash aggregation with a combine step:
+// partitioned hash aggregation:
 //
 //  1. Partition: the buffered batches are split into contiguous chunks, one
-//     per worker; each worker extracts every tuple's group key and aggregate
-//     arguments once and routes the tuple to one of `workers` key-hash
-//     buckets. Chunks are contiguous, so concatenating a bucket's entries in
-//     chunk order preserves the original tuple arrival order.
+//     per worker; each worker hashes every tuple's group key and files a
+//     (hash, batch, tuple) reference under one of `workers` key-hash buckets.
+//     Chunks are contiguous, so reading a bucket's references in chunk order
+//     preserves the original tuple arrival order.
 //  2. Combine: each bucket is owned by exactly one worker, which replays its
-//     entries (in arrival order) into a private hash table with the same
-//     per-(group, query) aggregate updates as the serial path. Because a
-//     group key hashes to exactly one bucket, the bucket tables are disjoint
-//     and merge into st.groups by plain insertion.
+//     references (in arrival order) through absorbRow into its own table.
+//     Because a group key hashes to exactly one bucket, the bucket tables
+//     are disjoint and need no merge.
 //
 // Keeping per-group arrival order makes the parallel path numerically
 // identical to serial execution (float sums accumulate in the same order),
 // and key-ownership avoids having to merge partial aggregate states — which
 // would be impossible for DISTINCT aggregates without re-shipping values.
-func (g *GroupOp) aggregateParallel(c *Cycle, st *groupState) {
+// Neither phase allocates per tuple: references go into scratch reused
+// across cycles, and the tuples stay in their (retained) batches.
+func (g *GroupOp) aggregateParallel(c *Cycle, pending []*Batch) {
 	total := 0
-	for _, b := range st.pending {
+	for _, b := range pending {
 		total += len(b.Tuples)
 	}
 	if total < minParallelAggLen {
-		// Small generation: the fork/join and per-tuple entry allocations
-		// cost more than they save — replay serially (identical semantics).
-		for _, b := range st.pending {
-			g.absorb(st, b)
+		// Small generation: two fork/joins cost more than they save — replay
+		// serially (identical semantics).
+		for _, b := range pending {
+			g.absorb(b)
 		}
-		clear(st.pending)
-		st.pending = st.pending[:0]
 		return
 	}
 	workers := c.Workers
-	type entry struct {
-		hash    uint64
-		keyVals []types.Value
-		args    []types.Value
-		qs      queryset.Set
-	}
-	chunkBounds := par.Split(len(st.pending), workers)
+	g.agg(workers - 1)
+	chunkBounds := par.Split(len(pending), workers)
 	nchunks := len(chunkBounds) - 1
-	buckets := make([][][]entry, nchunks) // [chunk][bucket] → entries
-	c.Pool.Do(workers, nchunks, func(ci int) {
-		bucketed := make([][]entry, workers)
-		for _, b := range st.pending[chunkBounds[ci]:chunkBounds[ci+1]] {
-			cfg, ok := g.Streams[b.Stream]
-			if !ok {
-				continue
-			}
-			for ti := range b.Tuples {
-				t := &b.Tuples[ti]
-				// nil dst: each buffered entry owns its key values.
-				keyVals, h := extractKeyHash(t.Row, cfg.GroupCols, nil)
-				args := make([]types.Value, len(g.Aggs))
-				for i := range g.Aggs {
-					if i < len(cfg.AggArgs) && cfg.AggArgs[i] != nil {
-						args[i] = cfg.AggArgs[i].Eval(t.Row, nil)
-					} else {
-						args[i] = types.NewInt(1) // COUNT(*) marker
-					}
-				}
-				bi := int(h % uint64(workers))
-				bucketed[bi] = append(bucketed[bi], entry{hash: h, keyVals: keyVals, args: args, qs: t.QS})
-			}
-		}
-		buckets[ci] = bucketed
-	})
-	locals := make([]groupTable, workers)
-	c.Pool.Do(workers, workers, func(bi int) {
-		m := &locals[bi]
-		for ci := 0; ci < nchunks; ci++ {
-			for _, e := range buckets[ci][bi] {
-				ge := m.lookup(e.hash, e.keyVals)
-				if ge == nil {
-					ge = &groupEntry{hash: e.hash, keyVals: e.keyVals}
-					m.insert(ge)
-				}
-				for _, qid := range e.qs.IDs() {
-					for int(qid) >= len(ge.perQuery) {
-						ge.perQuery = append(ge.perQuery, nil)
-					}
-					states := ge.perQuery[qid]
-					if states == nil {
-						states = make([]aggState, len(g.Aggs))
-						ge.perQuery[qid] = states
-					}
-					for i, def := range g.Aggs {
-						states[i].add(e.args[i], def)
-					}
-				}
-			}
-		}
-	})
-	// Buckets are hash-disjoint (a key lives in exactly one), so the local
-	// tables merge into the cycle table by plain insertion, bucket order —
-	// deterministic because bucket assignment and entry order are.
-	for bi := range locals {
-		for _, ge := range locals[bi].entries {
-			st.groups.insert(ge)
-		}
+	for len(g.part) < nchunks {
+		g.part = append(g.part, nil)
 	}
-	clear(st.pending)
-	st.pending = st.pending[:0]
+	c.Pool.Do(workers, nchunks, func(ci int) {
+		buckets := g.part[ci]
+		for len(buckets) < workers {
+			buckets = append(buckets, nil)
+		}
+		for bi := range buckets {
+			buckets[bi] = buckets[bi][:0]
+		}
+		for bi := chunkBounds[ci]; bi < chunkBounds[ci+1]; bi++ {
+			cols := g.Streams[pending[bi].Stream].GroupCols
+			for ti, t := range pending[bi].Tuples {
+				h := hashValues(t.Row, cols)
+				k := h % uint64(workers)
+				buckets[k] = append(buckets[k], tupleRef{hash: h, batch: int32(bi), tuple: int32(ti)})
+			}
+		}
+		g.part[ci] = buckets
+	})
+	c.Pool.Do(workers, workers, func(k int) {
+		a := &g.aggs[k]
+		for ci := 0; ci < nchunks; ci++ {
+			// A chunk's references ascend by batch: look the stream up once
+			// per batch, not per tuple.
+			cur, cfg := int32(-1), GroupStream{}
+			for _, r := range g.part[ci][k] {
+				b := pending[r.batch]
+				if r.batch != cur {
+					cur, cfg = r.batch, g.Streams[b.Stream]
+				}
+				t := &b.Tuples[r.tuple]
+				g.absorbRow(a, cfg, r.hash, t.Row, t.QS)
+			}
+		}
+	})
 }
 
 // Finish runs phase 2: per (group, query) HAVING evaluation and emission.
@@ -786,13 +768,18 @@ func (g *GroupOp) aggregateParallel(c *Cycle, st *groupState) {
 func (g *GroupOp) Finish(c *Cycle) {
 	st := c.opState.(*groupState)
 	if len(st.pending) > 0 {
-		g.aggregateParallel(c, st)
+		g.aggregateParallel(c, st.pending)
+		clear(st.pending)
+		st.pending = st.pending[:0]
 	}
 	if g.incActive {
 		g.emitIncremental(c, st)
 	}
-	for _, ge := range st.groups.entries {
-		g.emitGroup(c, st, ge, nil)
+	for i := range g.aggs {
+		for _, ge := range g.aggs[i].table.entries {
+			g.emitGroup(c, st, ge, nil)
+		}
+		g.aggs[i].recycle() // drop group state references between cycles
 	}
 	// scalar aggregates over empty input produce one row of defaults
 	for qid, isScalar := range st.scalar {
@@ -810,8 +797,6 @@ func (g *GroupOp) Finish(c *Cycle) {
 		g.single[0] = qid
 		c.Emit(g.OutStream, row, queryset.FromSorted(g.single[:1]))
 	}
-	g.recycleGroups(st)
-	st.groups.reset() // drop group state references between cycles
 	c.opState = nil
 	g.incActive = false
 }

@@ -40,22 +40,6 @@ func hashValues(row types.Row, cols []int) uint64 {
 	return hashFinish(h)
 }
 
-// extractKeyHash copies row's key columns into dst (reused if it has
-// capacity) and returns them with their hashValues-identical hash — the
-// one-pass extract+hash used by both the serial and the parallel group-by.
-func extractKeyHash(row types.Row, cols []int, dst []types.Value) ([]types.Value, uint64) {
-	if cap(dst) < len(cols) {
-		dst = make([]types.Value, len(cols))
-	}
-	dst = dst[:len(cols)]
-	h := uint64(hashOffset64)
-	for i, c := range cols {
-		dst[i] = row[c]
-		h = (h ^ dst[i].Hash()) * hashPrime64
-	}
-	return dst, hashFinish(h)
-}
-
 // rowsEqualOn reports whether two rows agree on their respective key
 // columns (with numeric coercion, same as the previous EncodeKey equality).
 func rowsEqualOn(a types.Row, acols []int, b types.Row, bcols []int) bool {
@@ -340,10 +324,10 @@ func (gt *groupTable) grow() {
 	}
 }
 
-// lookup finds the group whose key values equal keyVals (-1 = absent,
+// lookup finds the group whose key equals row's key columns (nil = absent;
 // returning the probe slot is unnecessary since insert re-probes after a
 // possible grow).
-func (gt *groupTable) lookup(h uint64, keyVals []types.Value) *groupEntry {
+func (gt *groupTable) lookup(h uint64, row types.Row, cols []int) *groupEntry {
 	if len(gt.slots) == 0 {
 		return nil
 	}
@@ -354,7 +338,7 @@ func (gt *groupTable) lookup(h uint64, keyVals []types.Value) *groupEntry {
 			return nil
 		}
 		ge := gt.entries[s-1]
-		if ge.hash == h && valsEqual(ge.keyVals, keyVals) {
+		if ge.hash == h && keyEquals(ge.keyVals, row, cols) {
 			return ge
 		}
 		i = (i + 1) & gt.mask
@@ -374,12 +358,10 @@ func (gt *groupTable) insert(ge *groupEntry) {
 	gt.entries = append(gt.entries, ge)
 }
 
-func valsEqual(a, b []types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
+// keyEquals reports whether a group's key values equal row's key columns.
+func keyEquals(keyVals []types.Value, row types.Row, cols []int) bool {
+	for i, c := range cols {
+		if !keyVals[i].Equal(row[c]) {
 			return false
 		}
 	}

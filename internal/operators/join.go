@@ -21,8 +21,34 @@ import (
 
 // JoinOuter configures one outer (probe-side) stream of a join.
 type JoinOuter struct {
-	KeyCols   []int // key columns in the outer stream's schema
-	OutStream int   // stream id of concat(outer, inner) results
+	KeyCols   []int // key columns in the outer stream's rows
+	OutStream int   // stream id of the join results
+
+	// OutCols is the physical layout of the out-stream's rows: only the
+	// columns some statement reads downstream (late materialisation). The
+	// plan appends to it at Prepare time and never reorders it, so indices
+	// handed to earlier statements stay valid.
+	OutCols []OutCol
+}
+
+// OutCol names one column of a join result row by the side it comes from.
+type OutCol struct {
+	Inner bool // false = the outer (probe) row, true = the inner row
+	Col   int  // column in that side's rows
+}
+
+// gather materialises one join result: the carried columns of the matched
+// pair, in out-stream order.
+func (o *JoinOuter) gather(outer, inner types.Row) types.Row {
+	row := make(types.Row, len(o.OutCols))
+	for i, c := range o.OutCols {
+		if c.Inner {
+			row[i] = inner[c.Col]
+		} else {
+			row[i] = outer[c.Col]
+		}
+	}
+	return row
 }
 
 // HashJoinOp is the shared hash join. The inner (build) side is the single
@@ -32,7 +58,7 @@ type JoinOuter struct {
 // (open addressing, collision chains verified by value comparison) instead
 // of boxed key strings, and probe-side query-set intersections go through a
 // reusable scratch buffer — the steady-state probe path allocates only its
-// output rows.
+// output rows, each len(OutCols) wide.
 //
 // ByQueryID selects the alternative "set-based" join of §3.3 that hashes the
 // build side on query_id instead of the key (Helmer & Moerkotte [16]); it
@@ -84,7 +110,9 @@ type JoinSpec struct{}
 // starts in the probe phase.
 func (j *HashJoinOp) Start(c *Cycle) {
 	j.build.reset(j.InnerKeyCols)
-	j.buildQID = map[queryset.QueryID][]Tuple{}
+	if j.ByQueryID {
+		j.buildQID = map[queryset.QueryID][]Tuple{}
+	}
 	clear(j.pending)
 	j.pending = j.pending[:0]
 	j.innerDone = false
@@ -334,7 +362,7 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 			qs := t.QS.IntersectInto(it.QS, j.qsScratch)
 			j.qsScratch = qs.IDs()
 			if !qs.Empty() {
-				c.Emit(cfg.OutStream, t.Row.Concat(it.Row), qs)
+				c.Emit(cfg.OutStream, cfg.gather(t.Row, it.Row), qs)
 			}
 		}
 	}
@@ -398,7 +426,7 @@ func (j *IndexJoinOp) Consume(c *Cycle, b *Batch) {
 			}, j.qsScratch)
 			j.qsScratch = qs.IDs()
 			if !qs.Empty() {
-				c.Emit(cfg.OutStream, t.Row.Concat(inner), qs)
+				c.Emit(cfg.OutStream, cfg.gather(t.Row, inner), qs)
 			}
 			return true
 		})

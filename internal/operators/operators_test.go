@@ -13,6 +13,19 @@ import (
 
 // --- test fixtures ---
 
+// allOutCols is the unpruned join layout concat(outer, inner) for
+// hand-built join operators (the plan compiler prunes; these tests do not).
+func allOutCols(outer, inner int) []OutCol {
+	cols := make([]OutCol, 0, outer+inner)
+	for i := 0; i < outer; i++ {
+		cols = append(cols, OutCol{Col: i})
+	}
+	for i := 0; i < inner; i++ {
+		cols = append(cols, OutCol{Inner: true, Col: i})
+	}
+	return cols
+}
+
 func newTestDB(t *testing.T) *storage.Database {
 	t.Helper()
 	db, err := storage.Open(storage.Options{})
@@ -223,7 +236,7 @@ func TestSharedHashJoin(t *testing.T) {
 	join := &HashJoinOp{
 		InnerKeyCols: []int{0}, // users.user_id
 		InnerStream:  1,
-		Outers:       map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3}}, // orders.o_user_id
+		Outers:       map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3, OutCols: allOutCols(3, 2)}}, // orders.o_user_id
 	}
 	jnode := rig.node("join", join)
 	ie := Connect(uscan, jnode)
@@ -294,7 +307,7 @@ func TestHashJoinByQueryIDMatchesByKey(t *testing.T) {
 		join := &HashJoinOp{
 			InnerKeyCols: []int{0},
 			InnerStream:  1,
-			Outers:       map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3}},
+			Outers:       map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3, OutCols: allOutCols(3, 2)}},
 			ByQueryID:    mode,
 		}
 		jnode := rig.node("join", join)
@@ -326,7 +339,7 @@ func TestIndexJoin(t *testing.T) {
 	join := &IndexJoinOp{
 		Table:  db.Table("users"),
 		Index:  db.Table("users").PrimaryKey(),
-		Outers: map[int]JoinOuter{1: {KeyCols: []int{1}, OutStream: 2}},
+		Outers: map[int]JoinOuter{1: {KeyCols: []int{1}, OutStream: 2, OutCols: allOutCols(3, 2)}},
 	}
 	jnode := rig.node("ixjoin", join)
 	oe := Connect(oscan, jnode)
@@ -651,7 +664,7 @@ func TestFigure2Topology(t *testing.T) {
 	// join1: orders ⋈ users (inner = users)
 	join1 := &HashJoinOp{
 		InnerKeyCols: []int{0}, InnerStream: 1,
-		Outers: map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3}},
+		Outers: map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3, OutCols: allOutCols(3, 2)}},
 	}
 	j1 := rig.node("join1", join1)
 	ie1 := Connect(uscan, j1)
@@ -665,8 +678,8 @@ func TestFigure2Topology(t *testing.T) {
 	join2 := &IndexJoinOp{
 		Table: db.Table("users"), Index: db.Table("users").PrimaryKey(),
 		Outers: map[int]JoinOuter{
-			3: {KeyCols: []int{3}, OutStream: 4},
-			2: {KeyCols: []int{1}, OutStream: 5},
+			3: {KeyCols: []int{3}, OutStream: 4, OutCols: allOutCols(5, 2)},
+			2: {KeyCols: []int{1}, OutStream: 5, OutCols: allOutCols(3, 2)},
 		},
 	}
 	j2 := rig.node("join2", join2)

@@ -1,7 +1,7 @@
 package operators
 
 import (
-	"sort"
+	"slices"
 
 	"shareddb/internal/par"
 )
@@ -24,23 +24,22 @@ const minParallelSortLen = 1024
 // to exercise the parallel paths with small inputs.
 var minParallelAggLen = 1024
 
-// stableSortTuples sorts tuples by less with the exact semantics of
-// sort.SliceStable. With workers > 1 and enough input it runs a partitioned
+// stableSortTuples sorts tuples by cmp with the exact semantics of
+// slices.SortStableFunc. With workers > 1 and enough input it runs a partitioned
 // sort: contiguous chunks are stable-sorted in parallel (on pool; nil = the
 // package default) and then k-way merged, breaking ties toward the lower
 // chunk index — which reproduces the serial stable order bit-for-bit.
-func stableSortTuples(tuples []sortedTuple, less func(a, b *sortedTuple) bool, workers int, pool *par.Pool) []sortedTuple {
+func stableSortTuples(tuples []sortedTuple, cmp func(a, b sortedTuple) int, workers int, pool *par.Pool) []sortedTuple {
 	n := len(tuples)
 	if workers <= 1 || n < minParallelSortLen {
-		sort.SliceStable(tuples, func(i, j int) bool { return less(&tuples[i], &tuples[j]) })
+		slices.SortStableFunc(tuples, cmp)
 		return tuples
 	}
 	bounds := par.Split(n, workers)
 	chunks := make([][]sortedTuple, len(bounds)-1)
 	pool.Do(workers, len(chunks), func(i int) {
-		c := tuples[bounds[i]:bounds[i+1]]
-		sort.SliceStable(c, func(a, b int) bool { return less(&c[a], &c[b]) })
-		chunks[i] = c
+		chunks[i] = tuples[bounds[i]:bounds[i+1]]
+		slices.SortStableFunc(chunks[i], cmp)
 	})
 	// K-way merge. Ties resolve to the lowest chunk index (only a strictly
 	// smaller head displaces the current best), so equal keys are emitted in
@@ -53,7 +52,7 @@ func stableSortTuples(tuples []sortedTuple, less func(a, b *sortedTuple) bool, w
 			if heads[ci] >= len(chunks[ci]) {
 				continue
 			}
-			if best < 0 || less(&chunks[ci][heads[ci]], &chunks[best][heads[best]]) {
+			if best < 0 || cmp(chunks[ci][heads[ci]], chunks[best][heads[best]]) < 0 {
 				best = ci
 			}
 		}

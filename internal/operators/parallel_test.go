@@ -114,13 +114,13 @@ func TestStableSortTuplesMatchesSliceStable(t *testing.T) {
 		return out
 	}
 	base := mk()
-	less := func(a, b *sortedTuple) bool { return a.keys[0].Compare(b.keys[0]) < 0 }
+	cmp := func(a, b sortedTuple) int { return a.keys[0].Compare(b.keys[0]) }
 
 	want := append([]sortedTuple(nil), base...)
-	sort.SliceStable(want, func(i, j int) bool { return less(&want[i], &want[j]) })
+	sort.SliceStable(want, func(i, j int) bool { return cmp(want[i], want[j]) < 0 })
 
-	for _, workers := range []int{2, 3, 4, 7} {
-		got := stableSortTuples(append([]sortedTuple(nil), base...), less, workers, nil)
+	for _, workers := range []int{1, 2, 3, 4, 7} {
+		got := stableSortTuples(append([]sortedTuple(nil), base...), cmp, workers, nil)
 		for i := range want {
 			if want[i].t.Row[1].AsInt() != got[i].t.Row[1].AsInt() {
 				t.Fatalf("workers=%d: position %d holds tuple %d, want %d (stability broken)",
@@ -263,7 +263,7 @@ func TestJoinParallelBuildMatchesSerial(t *testing.T) {
 		op := &HashJoinOp{
 			InnerKeyCols: []int{0},
 			InnerStream:  innerStream,
-			Outers:       map[int]JoinOuter{outerStream: {KeyCols: []int{0}, OutStream: outStream}},
+			Outers:       map[int]JoinOuter{outerStream: {KeyCols: []int{0}, OutStream: outStream, OutCols: allOutCols(2, 2)}},
 		}
 		node := NewNode(0, "join", op)
 		innerSrc := NewNode(10, "inner", &SinkOp{})
@@ -347,7 +347,7 @@ func TestJoinParallelBuildShrinkingWorkers(t *testing.T) {
 	op := &HashJoinOp{
 		InnerKeyCols: []int{0},
 		InnerStream:  innerStream,
-		Outers:       map[int]JoinOuter{outerStream: {KeyCols: []int{0}, OutStream: outStream}},
+		Outers:       map[int]JoinOuter{outerStream: {KeyCols: []int{0}, OutStream: outStream, OutCols: allOutCols(2, 2)}},
 	}
 	node := NewNode(0, "join", op)
 	innerSrc := NewNode(10, "inner", &SinkOp{})

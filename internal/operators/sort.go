@@ -1,7 +1,7 @@
 package operators
 
 import (
-	"sort"
+	"slices"
 
 	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
@@ -297,18 +297,18 @@ func (s *SortOp) Finish(c *Cycle) {
 		return
 	}
 	desc := st.desc
-	less := func(a, b *sortedTuple) bool {
+	cmp := func(a, b sortedTuple) int {
 		for i := range a.keys {
 			d := a.keys[i].Compare(b.keys[i])
 			if d == 0 {
 				continue
 			}
 			if i < len(desc) && desc[i] {
-				return d > 0
+				return -d
 			}
-			return d < 0
+			return d
 		}
-		return false
+		return 0
 	}
 
 	allSingleton := true
@@ -333,11 +333,11 @@ func (s *SortOp) Finish(c *Cycle) {
 			for q := range partitions {
 				qids = append(qids, q)
 			}
-			sort.Slice(qids, func(a, b int) bool { return qids[a] < qids[b] })
+			slices.Sort(qids)
 			parts := make([][]sortedTuple, len(qids))
 			c.Pool.Do(c.Workers, len(qids), func(i int) {
 				part := partitions[qids[i]]
-				sort.SliceStable(part, func(a, b int) bool { return less(&part[a], &part[b]) })
+				slices.SortStableFunc(part, cmp)
 				if lim := st.limit(qids[i]); lim > 0 && len(part) > lim {
 					part = part[:lim]
 				}
@@ -353,7 +353,7 @@ func (s *SortOp) Finish(c *Cycle) {
 			return
 		}
 		for q, part := range partitions {
-			sort.SliceStable(part, func(a, b int) bool { return less(&part[a], &part[b]) })
+			slices.SortStableFunc(part, cmp)
 			lim := st.limit(q)
 			if lim > 0 && len(part) > lim {
 				part = part[:lim]
@@ -367,7 +367,7 @@ func (s *SortOp) Finish(c *Cycle) {
 		return
 	}
 
-	st.tuples = stableSortTuples(st.tuples, less, c.Workers, c.Pool)
+	st.tuples = stableSortTuples(st.tuples, cmp, c.Workers, c.Pool)
 	counts := make([]int, len(st.limits))
 	remaining := 0
 	unlimited := false
@@ -425,7 +425,12 @@ func (s *SortOp) finishHeap(c *Cycle, st *sortState) {
 		}
 		// (keys, seq) is a strict total order, so an unstable sort is
 		// deterministic here.
-		sort.Slice(h.ents, func(a, b int) bool { return st.heapAfter(&h.ents[b], &h.ents[a]) })
+		slices.SortFunc(h.ents, func(a, b heapTuple) int {
+			if st.heapAfter(&a, &b) {
+				return 1
+			}
+			return -1
+		})
 		for i := range h.ents {
 			e := &h.ents[i]
 			c.Emit(s.Streams[e.stream].OutStream, e.t.Row, e.t.QS)

@@ -129,7 +129,10 @@ func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 	s.steps = c.steps
 	s.pathEdges = dedupEdges(append(c.edges, te))
 	s.terminalStream = c.stream.id
-	s.Project = proj.Exprs
+	s.Project = make([]expr.Expr, len(proj.Exprs))
+	for i, pe := range proj.Exprs {
+		s.Project[i] = c.stream.physicalExpr(pe)
+	}
 	s.OutSchema = proj.Out
 
 	// Fold metadata: a statement qualifies when it is exactly one shared
@@ -353,7 +356,7 @@ func (p *GlobalPlan) compileFilter(s *Statement, f *sql.Filter) (compiled, error
 		p.filterFor[c.node.ID] = fnode
 	}
 	e := p.edge(c.node, fnode)
-	pred := f.Pred
+	pred := c.stream.physicalExpr(f.Pred)
 	step := stepBinding{node: fnode, makeSpec: func(params []types.Value) interface{} {
 		return operators.FilterSpec{Pred: expr.Bind(pred, params)}
 	}}
@@ -405,7 +408,7 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 	}
 	if ref == nil {
 		op := &operators.HashJoinOp{
-			InnerKeyCols: j.RightKeys,
+			InnerKeyCols: right.stream.physicalCols(j.RightKeys),
 			InnerStream:  right.stream.id,
 			Outers:       map[int]operators.JoinOuter{},
 		}
@@ -417,10 +420,7 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 	}
 	outCfg, ok := ref.op.Outers[left.stream.id]
 	if !ok {
-		osi := p.allocStream(left.stream.schema.Concat(right.stream.schema),
-			append(append([]origin{}, left.stream.origins...), right.stream.origins...))
-		outCfg = operators.JoinOuter{KeyCols: j.LeftKeys, OutStream: osi.id}
-		ref.op.Outers[left.stream.id] = outCfg
+		outCfg = p.addJoinOuter(ref.op.Outers, left.stream, right.stream, j.LeftKeys)
 		ref.outerKeys[left.stream.id] = j.LeftKeys
 	}
 	ie := p.edge(right.node, ref.node)
@@ -475,6 +475,22 @@ func indexMatching(t *storage.Table, keys []int) *storage.Index {
 	return nil
 }
 
+// addJoinOuter registers outer as a probe-side stream of a join (outers is
+// the operator's Outers map) and allocates the out-stream. The out-stream's
+// logical schema is concat(outer, inner); physically it starts empty and
+// carries a column only once a statement demands it (streamInfo.physical).
+func (p *GlobalPlan) addJoinOuter(outers map[int]operators.JoinOuter, outer, inner *streamInfo, keys []int) operators.JoinOuter {
+	osi := p.allocStream(outer.schema.Concat(inner.schema),
+		append(append([]origin{}, outer.origins...), inner.origins...))
+	osi.join = &joinLayout{outer: outer, inner: inner, outers: outers, phys: make([]int, osi.schema.Len())}
+	for i := range osi.join.phys {
+		osi.join.phys[i] = -1
+	}
+	cfg := operators.JoinOuter{KeyCols: outer.physicalCols(keys), OutStream: osi.id}
+	outers[outer.id] = cfg
+	return cfg
+}
+
 func intsEqual(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -504,10 +520,9 @@ func (p *GlobalPlan) compileIndexJoin(s *Statement, left compiled, j *sql.Join, 
 	}
 	outCfg, exists := ref.op.Outers[left.stream.id]
 	if !exists {
-		osi := p.allocStream(left.stream.schema.Concat(rscan.Out),
-			append(append([]origin{}, left.stream.origins...), tableOrigins(table)...))
-		outCfg = operators.JoinOuter{KeyCols: j.LeftKeys, OutStream: osi.id}
-		ref.op.Outers[left.stream.id] = outCfg
+		// The inner side is the indexed table itself: stored rows, full width.
+		inner := &streamInfo{schema: rscan.Out, origins: tableOrigins(table)}
+		outCfg = p.addJoinOuter(ref.op.Outers, left.stream, inner, j.LeftKeys)
 		ref.outerKeys[left.stream.id] = j.LeftKeys
 	}
 	oe := p.edge(left.node, ref.node)
@@ -535,10 +550,8 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		sigParts = append(sigParts, c.stream.origins[col].String())
 	}
 	aggs := make([]operators.AggDef, len(g.Aggs))
-	aggArgs := make([]expr.Expr, len(g.Aggs))
 	for i, a := range g.Aggs {
 		aggs[i] = operators.AggDef{Kind: operators.AggKind(a.Func), Distinct: a.Distinct}
-		aggArgs[i] = a.Arg
 		sigParts = append(sigParts, fmt.Sprintf("%s|%v|%s", a.Func, a.Distinct,
 			originString(a.Arg, c.stream.origins, s.ID)))
 	}
@@ -564,7 +577,11 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		p.groupNodes[sig] = ref
 	}
 	if _, exists := ref.op.Streams[c.stream.id]; !exists {
-		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: g.GroupCols, AggArgs: aggArgs}
+		aggArgs := make([]expr.Expr, len(g.Aggs))
+		for i, a := range g.Aggs {
+			aggArgs[i] = c.stream.physicalExpr(a.Arg)
+		}
+		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: c.stream.physicalCols(g.GroupCols), AggArgs: aggArgs}
 	}
 	e := p.edge(c.node, ref.node)
 	// Incremental-state binding: the group-by's input is a direct shared
@@ -597,9 +614,7 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 // limits) whose keys have the same provenance signature.
 func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit int) (compiled, error) {
 	var sigParts []string
-	keys := make([]operators.SortKey, len(srt.Keys))
-	for i, k := range srt.Keys {
-		keys[i] = operators.SortKey{E: k.Expr, Desc: k.Desc}
+	for _, k := range srt.Keys {
 		sigParts = append(sigParts, fmt.Sprintf("%s|%v", originString(k.Expr, c.stream.origins, s.ID), k.Desc))
 	}
 	sig := "sort|" + strings.Join(sigParts, ",")
@@ -615,6 +630,10 @@ func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit 
 		// one query id — which is the precondition for the sort's bounded
 		// Top-N heap mode (grouped Top-N pushdown).
 		_, fromGroup := c.node.Op.(*operators.GroupOp)
+		keys := make([]operators.SortKey, len(srt.Keys))
+		for i, k := range srt.Keys {
+			keys[i] = operators.SortKey{E: c.stream.physicalExpr(k.Expr), Desc: k.Desc}
+		}
 		ref.op.Streams[c.stream.id] = operators.SortStream{Keys: keys, OutStream: c.stream.id, Singleton: fromGroup}
 	}
 	e := p.edge(c.node, ref.node)

@@ -10,6 +10,7 @@ package plan
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 
@@ -40,11 +41,83 @@ func (o origin) String() string {
 }
 
 // streamInfo describes one stream (homogeneous tuple flow) in the global
-// plan.
+// plan. schema and origins are the stream's logical layout — what the SQL
+// binder's column indices refer to. Base-table and group-by streams carry
+// exactly that layout; join out-streams carry only demanded columns (join).
 type streamInfo struct {
 	id      int
 	schema  *types.Schema
 	origins []origin
+	join    *joinLayout // nil: rows are laid out as schema
+}
+
+// joinLayout is the physical layout of a join out-stream (late
+// materialisation): join results carry a column only once some statement
+// binds an expression over it. The column list lives on the operator
+// (JoinOuter.OutCols) and is append-only — it grows at Prepare time, when
+// no generation is in flight, and never reorders, so indices handed to
+// earlier statements stay valid.
+type joinLayout struct {
+	outer, inner *streamInfo                 // the join's input streams
+	outers       map[int]operators.JoinOuter // the operator's Outers; entry [outer.id] holds OutCols
+	phys         []int                       // logical column → position in OutCols, -1 = not carried
+}
+
+// physical returns the position of logical column col in the stream's rows.
+// On a join out-stream a column not carried yet is appended to the layout,
+// which demands it from the input stream it comes from (recursively, when
+// that is a join out-stream too).
+func (si *streamInfo) physical(col int) int {
+	jl := si.join
+	if jl == nil {
+		return col
+	}
+	if jl.phys[col] < 0 {
+		oc := operators.OutCol{Inner: col >= jl.outer.schema.Len()}
+		if oc.Inner {
+			oc.Col = jl.inner.physical(col - jl.outer.schema.Len())
+		} else {
+			oc.Col = jl.outer.physical(col)
+		}
+		cfg := jl.outers[jl.outer.id]
+		jl.phys[col] = len(cfg.OutCols)
+		cfg.OutCols = append(cfg.OutCols, oc)
+		jl.outers[jl.outer.id] = cfg
+	}
+	return jl.phys[col]
+}
+
+// carried lists the origins of the columns a join out-stream carries, in
+// row order.
+func (si *streamInfo) carried() []string {
+	out := make([]string, len(si.join.outers[si.join.outer.id].OutCols))
+	for col, pos := range si.join.phys {
+		if pos >= 0 {
+			out[pos] = si.origins[col].String()
+		}
+	}
+	return out
+}
+
+// physicalCols maps a list of logical columns (join keys, group columns).
+func (si *streamInfo) physicalCols(cols []int) []int {
+	if si.join == nil {
+		return cols
+	}
+	out := make([]int, len(cols))
+	for i, c := range cols {
+		out[i] = si.physical(c)
+	}
+	return out
+}
+
+// physicalExpr rewrites an expression bound over the stream's logical
+// schema onto its physical rows, demanding every column it reads.
+func (si *streamInfo) physicalExpr(e expr.Expr) expr.Expr {
+	if si.join == nil {
+		return e
+	}
+	return expr.MapColumns(e, si.physical)
 }
 
 // GlobalPlan is the always-on operator DAG plus the registered statements.
@@ -313,7 +386,25 @@ func (p *GlobalPlan) Describe() string {
 	defer p.mu.Unlock()
 	var b strings.Builder
 	for _, n := range p.nodes {
-		fmt.Fprintf(&b, "node %d: %s →", n.ID, n.Name)
+		fmt.Fprintf(&b, "node %d: %s", n.ID, n.Name)
+		// Join nodes list the columns each out-stream carries (by origin, in
+		// row order), one bracket per outer stream.
+		var outers map[int]operators.JoinOuter
+		switch op := n.Op.(type) {
+		case *operators.HashJoinOp:
+			outers = op.Outers
+		case *operators.IndexJoinOp:
+			outers = op.Outers
+		}
+		ids := make([]int, 0, len(outers))
+		for id := range outers {
+			ids = append(ids, id)
+		}
+		sort.Ints(ids)
+		for _, id := range ids {
+			fmt.Fprintf(&b, " [%s]", strings.Join(p.streams[outers[id].OutStream].carried(), " "))
+		}
+		b.WriteString(" →")
 		for _, e := range n.Consumers {
 			fmt.Fprintf(&b, " %s", e.To.Name)
 		}

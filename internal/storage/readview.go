@@ -18,63 +18,36 @@ import (
 // baseline) stay correct while writes land concurrently.
 
 // IndexSeekAt seeks ix for key (equality, prefix semantics) and yields
-// every distinct visible row at snapshot ts whose visible version still
-// carries the sought key (entries for superseded versions linger in the
-// tree until GC). fn returning false stops the traversal. The table read
-// lock is held for the whole seek; fn must not call back into this table's
-// locking methods.
+// every visible row at snapshot ts whose visible version still carries the
+// sought key, once each. fn returning false stops the traversal. The table
+// read lock is held for the whole seek; fn must not call back into this
+// table's locking methods.
 func (t *Table) IndexSeekAt(ix *Index, key btree.Key, ts uint64, fn func(rid RowID, row types.Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var seen map[RowID]bool
-	ix.tree.SeekEQ(key, func(rid uint64) bool {
-		if seen[rid] {
-			return true
-		}
-		row, visible := t.visibleLocked(rid, ts)
-		if !visible || !indexKeyMatches(ix, row, key) {
-			return true
-		}
-		if seen == nil {
-			seen = map[RowID]bool{}
-		}
-		seen[rid] = true
-		return fn(rid, row)
-	})
+	t.IndexScanAt(ix, key, key, true, true, ts, fn)
 }
 
-// IndexScanAt scans ix over [lo, hi] and yields every distinct visible row
-// at snapshot ts whose visible version still carries the entry's key, under
-// the table read lock. fn returning false stops the traversal.
+// IndexScanAt scans ix over [lo, hi] and yields every visible row at
+// snapshot ts through the one entry that carries its visible version's key,
+// under the table read lock. Entries for superseded versions linger in the
+// tree until GC and are skipped; since the tree stores unique (full key,
+// rid) pairs and a version has exactly one full key, each row is yielded at
+// most once and no per-call dedup state is needed. fn returning false stops
+// the traversal.
 func (t *Table) IndexScanAt(ix *Index, lo, hi btree.Key, loIncl, hiIncl bool, ts uint64, fn func(rid RowID, row types.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	var seen map[RowID]bool
 	ix.tree.Scan(lo, hi, loIncl, hiIncl, func(key btree.Key, rid uint64) bool {
-		if seen[rid] {
-			return true
-		}
 		row, visible := t.visibleLocked(rid, ts)
 		if !visible || !indexKeyMatches(ix, row, key) {
-			// Stale entry for a superseded version: the entry carrying the
-			// visible version's key will handle this rid.
 			return true
 		}
-		if seen == nil {
-			seen = map[RowID]bool{}
-		}
-		seen[rid] = true
 		return fn(rid, row)
 	})
 }
 
-// indexKeyMatches reports whether row carries key under ix (prefix
-// semantics for short keys).
+// indexKeyMatches reports whether row carries the index entry key under ix.
 func indexKeyMatches(ix *Index, row types.Row, key btree.Key) bool {
 	for i := range key {
-		if i >= len(ix.Cols) {
-			break
-		}
 		if !row[ix.Cols[i]].Equal(key[i]) {
 			return false
 		}

@@ -1,11 +1,13 @@
 package tpcw
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"shareddb/internal/baseline"
 	"shareddb/internal/core"
+	"shareddb/internal/operators"
 	"shareddb/internal/storage"
 	"shareddb/internal/testutil"
 	"shareddb/internal/types"
@@ -164,47 +166,80 @@ func TestBuyConfirmConsistency(t *testing.T) {
 	}
 }
 
-// TestSharedVsBaselineInteractionResults compares read-only interaction
-// queries across engines on identical data.
-func TestSharedVsBaselineInteractionResults(t *testing.T) {
+// TestSharedVsBaselineEveryReadStatement runs every read statement of the
+// workload through the shared plan — whose join streams carry only the
+// columns some statement demanded — and through the query-at-a-time
+// baseline on identical, quiescent data, and compares full result
+// multisets. All statements are prepared into one plan, so every join
+// stream's layout is the union of what its statements demand. Workers 2
+// takes the partitioned group-by and join-build paths.
+func TestSharedVsBaselineEveryReadStatement(t *testing.T) {
 	db, _ := setupDB(t, smallScale())
 	defer db.Close()
-	shared, err := NewSharedSystem(db, core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shared.Close()
 	sx, err := NewBaselineSystem(db, baseline.SystemXLike)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	checks := []struct {
-		id     StmtID
-		params []types.Value
-	}{
-		{StGetName, []types.Value{iv(5)}},
-		{StGetBook, []types.Value{iv(17)}},
-		{StGetCustomer, []types.Value{sv("user000003")}},
-		{StDoSubjectSearch, []types.Value{sv("ARTS")}},
-		{StGetNewProducts, []types.Value{sv("HISTORY")}},
-		{StGetBestSellers, []types.Value{iv(0), sv("COOKING")}},
-		{StGetRelated, []types.Value{iv(9)}},
-		{StGetMaxOrderID, nil},
-		{StGetMostRecentOrderLines, []types.Value{iv(3)}},
+	// A cart with lines, so the cart statements read something.
+	for _, line := range [][]types.Value{{iv(7), iv(2), iv(11)}, {iv(7), iv(1), iv(12)}, {iv(8), iv(5), iv(11)}} {
+		if _, err := sx.Exec(StAddLine, line...); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, c := range checks {
-		a, err := shared.Query(c.id, c.params...)
+
+	params := map[StmtID][][]types.Value{
+		StGetName:                 {{iv(5)}, {iv(0)}},
+		StGetBook:                 {{iv(17)}},
+		StGetCustomer:             {{sv("user000003")}},
+		StDoSubjectSearch:         {{sv("ARTS")}, {sv("HISTORY")}},
+		StDoTitleSearch:           {{sv("%e%")}, {sv("Title 0001%")}},
+		StDoAuthorSearch:          {{sv("Lastname000%")}},
+		StGetNewProducts:          {{sv("HISTORY")}},
+		StGetMaxOrderID:           {nil},
+		StGetBestSellers:          {{iv(0), sv("COOKING")}, {iv(20), sv("ARTS")}},
+		StGetRelated:              {{iv(9)}},
+		StGetUserName:             {{iv(5)}},
+		StGetPassword:             {{sv("user000003")}},
+		StGetMostRecentOrderID:    {{iv(3)}},
+		StGetMostRecentOrder:      {{iv(3)}},
+		StGetMostRecentOrderLines: {{iv(3)}},
+		StGetCartLine:             {{iv(7), iv(11)}},
+		StGetCart:                 {{iv(7)}, {iv(8)}},
+		StGetCDiscount:            {{iv(5)}},
+		StGetCAddr:                {{iv(5)}},
+		StGetCountryID:            {{sv("Canada")}},
+		StGetStock:                {{iv(17)}},
+		StGetLatestOrderID:        {{iv(3)}},
+	}
+	defer operators.DisableAdaptiveWorkersForTest()()
+	for _, workers := range []int{1, 2} {
+		shared, err := NewSharedSystem(db, core.Config{Workers: workers})
 		if err != nil {
-			t.Fatalf("shared stmt %d: %v", c.id, err)
+			t.Fatal(err)
 		}
-		b, err := sx.Query(c.id, c.params...)
-		if err != nil {
-			t.Fatalf("baseline stmt %d: %v", c.id, err)
+		for id, sqlText := range StatementSQL() {
+			if !strings.HasPrefix(sqlText, "SELECT") {
+				continue
+			}
+			if len(params[StmtID(id)]) == 0 {
+				t.Errorf("read statement %d has no parameters in this test: %s", id, sqlText)
+			}
+			for _, ps := range params[StmtID(id)] {
+				got, err := shared.Query(StmtID(id), ps...)
+				if err != nil {
+					t.Fatalf("shared stmt %d: %v", id, err)
+				}
+				want, err := sx.Query(StmtID(id), ps...)
+				if err != nil {
+					t.Fatalf("baseline stmt %d: %v", id, err)
+				}
+				if !testutil.SameRows(got, want) {
+					t.Errorf("workers=%d stmt %d %v: shared %d rows, baseline %d rows\nshared   %v\nbaseline %v",
+						workers, id, ps, len(got), len(want), testutil.CanonRows(got), testutil.CanonRows(want))
+				}
+			}
 		}
-		if len(a) != len(b) {
-			t.Errorf("stmt %d: shared %d rows, baseline %d rows", c.id, len(a), len(b))
-		}
+		shared.Close()
 	}
 }
 
