@@ -1,6 +1,6 @@
 package shareddb_test
 
-// One benchmark per figure of the paper's evaluation (DESIGN.md §4), plus
+// One benchmark per figure of the paper's evaluation (§5), plus
 // the ablation benches for design choices (A1 lives in internal/queryset,
 // A3 in internal/operators, A4 in internal/storage; A2 and A5 are here).
 //
@@ -217,7 +217,7 @@ func BenchmarkFig11_LoadInteraction(b *testing.B) {
 	}
 }
 
-// Ablation A2 (DESIGN.md): the shared-sort trade-off of §3.5 — one sort of
+// Ablation A2: the shared-sort trade-off of §3.5 — one sort of
 // the union (f(o)) vs one sort per query (Σ f(ni)) at varying overlap.
 // With high overlap the shared sort wins although n·log n is super-linear.
 func BenchmarkAblation_SharedSortCrossover(b *testing.B) {
@@ -252,7 +252,7 @@ func BenchmarkAblation_SharedSortCrossover(b *testing.B) {
 	}
 }
 
-// Ablation A5 (DESIGN.md): heartbeat pacing — latency/throughput trade-off
+// Ablation A5: heartbeat pacing — latency/throughput trade-off
 // of the batch-oriented model (§3.5: "batching increases latency by a
 // factor of 2" worst-case).
 func BenchmarkAblation_BatchLatency(b *testing.B) {

@@ -178,10 +178,6 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		return err
 	}
 
-	gp := plan.New(db)
-	eng := core.New(db, gp, core.Config{Workers: opts.Workers})
-	defer eng.Close()
-
 	stmts := []struct {
 		name, desc string
 		columnar   bool // also measured on the columnar engine as <name>_columnar
@@ -225,53 +221,41 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			},
 		},
 	}
-	for _, sp := range stmts {
-		stmt, err := eng.Prepare(sp.sql)
-		if err != nil {
-			return fmt.Errorf("prepare %s: %w", sp.name, err)
+	// The per-operator records measure operator kernels, so every engine
+	// here rebuilds state each generation and never folds (a batch of 64
+	// would otherwise collapse to its distinct parameters); they differ in
+	// the scan and the worker budget only. The plain records scan the row
+	// store — the reference the <name>_columnar/<name> ns ratios are read
+	// against: the scan pair measures the stride kernels of the columnar
+	// mirror (the production scan), the group/topn pairs the aggregation
+	// pushdown (the GroupOp fed straight from the mirror, bypassing the scan
+	// stream). The _workers2 records run the row-scan grouped aggregation
+	// through the partitioned group-by: partition by key hash → per-bucket
+	// combine.
+	for _, v := range []struct {
+		suffix, note string
+		workers      int
+		rowScan      bool
+	}{
+		{"", "", opts.Workers, true},
+		{"_columnar", " (columnar shared scan)", opts.Workers, false},
+		{"_workers2", fmt.Sprintf(" (Workers=%d: partitioned aggregation)", partitionedWorkers), partitionedWorkers, true},
+	} {
+		eng := core.New(db, plan.New(db), core.Config{Workers: v.workers, RowScan: v.rowScan, RebuildState: true, NoFold: true})
+		for _, sp := range stmts {
+			if (v.suffix == "_columnar" && !sp.columnar) || (v.suffix == "_workers2" && !sp.workers2) {
+				continue
+			}
+			stmt, err := eng.Prepare(sp.sql)
+			if err != nil {
+				eng.Close()
+				return fmt.Errorf("prepare %s%s: %w", sp.name, v.suffix, err)
+			}
+			r := benchStatement(eng, stmt, sp.mkParams, warmup, count)
+			report.Results = append(report.Results,
+				record(sp.name+v.suffix, sp.desc+v.note, fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
 		}
-		r := benchStatement(eng, stmt, sp.mkParams, warmup, count)
-		report.Results = append(report.Results,
-			record(sp.name, sp.desc, fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
-	}
-
-	// The same batches against the columnar mirror: a second engine over the
-	// same loaded database with ColumnarScan on. The trajectory claims are
-	// the <name>_columnar/<name> ns ratios — the scan pair measures the
-	// stride kernels, the group/topn pairs measure the aggregation pushdown
-	// (the GroupOp fed straight from the mirror, bypassing the scan stream).
-	colEng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, ColumnarScan: true})
-	defer colEng.Close()
-	for _, sp := range stmts {
-		if !sp.columnar {
-			continue
-		}
-		stmt, err := colEng.Prepare(sp.sql)
-		if err != nil {
-			return fmt.Errorf("prepare %s_columnar: %w", sp.name, err)
-		}
-		r := benchStatement(colEng, stmt, sp.mkParams, warmup, count)
-		report.Results = append(report.Results,
-			record(sp.name+"_columnar", sp.desc+" (columnar shared scan)",
-				fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
-	}
-
-	// The grouped aggregation again through the partitioned group-by: row
-	// scan stream → partition by key hash → per-bucket combine.
-	w2Eng := core.New(db, plan.New(db), core.Config{Workers: partitionedWorkers})
-	defer w2Eng.Close()
-	for _, sp := range stmts {
-		if !sp.workers2 {
-			continue
-		}
-		stmt, err := w2Eng.Prepare(sp.sql)
-		if err != nil {
-			return fmt.Errorf("prepare %s_workers2: %w", sp.name, err)
-		}
-		r := benchStatement(w2Eng, stmt, sp.mkParams, warmup, count)
-		report.Results = append(report.Results,
-			record(sp.name+"_workers2", fmt.Sprintf("%s (Workers=%d: partitioned aggregation)", sp.desc, partitionedWorkers),
-				fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
+		eng.Close()
 	}
 
 	// TPC-W interaction mix on a fresh environment (its writes must not
@@ -308,10 +292,12 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		"interaction", 1, r))
 
 	// Incremental operator state: the same repeat-read hash join on a
-	// write-light mix with the rebuild path and with delta-maintained
-	// build-side state. The trajectory claim is the ns/op ratio (≥ 2x).
-	for _, inc := range []bool{false, true} {
-		rec, err := benchIncrementalJoin(opts, inc)
+	// write-light mix with the rebuild reference and with the production
+	// delta-maintained build-side state. The trajectory quantity is the
+	// ns/op ratio; both sides scan the columnar mirror, so it isolates the
+	// build-side maintenance.
+	for _, rebuild := range []bool{true, false} {
+		rec, err := benchIncrementalJoin(opts, rebuild)
 		if err != nil {
 			return err
 		}
@@ -341,12 +327,12 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		report.Results = append(report.Results, ovRec)
 	}
 
-	// Folding scenario: the same Zipfian-duplicate workload with folding
-	// off then on. The trajectory quantity is the ratio of client-visible
+	// Folding scenario: the same Zipfian-duplicate workload on the unfolded
+	// reference engine, then with folding. The trajectory quantity is the ratio of client-visible
 	// ops/sec at matching generations_per_sec — benchdiff excludes both
 	// records from the ns gate (wall-clock scenarios, not micro-ops).
-	for _, fold := range []bool{false, true} {
-		rec, err := benchFolding(opts, fold)
+	for _, noFold := range []bool{true, false} {
+		rec, err := benchFolding(opts, noFold)
 		if err != nil {
 			return err
 		}
@@ -354,16 +340,13 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	}
 
 	// Network fan-in scenario: the fold workload arriving over real
-	// loopback sockets, binary protocol (pipelined) then legacy text. The
-	// trajectory quantities are RPS, tail percentiles and shed rate —
-	// benchdiff excludes both records from the ns gate.
-	for _, text := range []bool{false, true} {
-		rec, err := benchLoad1k(opts, loadClients, loadPipeline, text)
-		if err != nil {
-			return err
-		}
-		report.Results = append(report.Results, rec)
+	// loopback sockets. The trajectory quantities are RPS, tail percentiles
+	// and shed rate — benchdiff excludes the record from the ns gate.
+	loadRec, err := benchLoad1k(opts, loadClients, loadPipeline)
+	if err != nil {
+		return err
 	}
+	report.Results = append(report.Results, loadRec)
 
 	out := json.NewEncoder(os.Stdout)
 	out.SetIndent("", "  ")
@@ -480,11 +463,11 @@ const (
 )
 
 // benchIncrementalJoin measures one repeat-read hash-join query on the
-// write-light mix, with the rebuild path (inc=false) or delta-maintained
-// build-side state (inc=true). The dimension side stays scan-evaluated in
+// write-light mix, with the rebuild reference (rebuild=true) or the
+// production delta-maintained build-side state. The dimension side stays scan-evaluated in
 // both runs; the fact-side scan + hash build is what incremental state
 // elides.
-func benchIncrementalJoin(opts experiments.Options, inc bool) (benchRecord, error) {
+func benchIncrementalJoin(opts experiments.Options, rebuild bool) (benchRecord, error) {
 	db, err := storage.Open(storage.Options{})
 	if err != nil {
 		return benchRecord{}, err
@@ -533,7 +516,7 @@ func benchIncrementalJoin(opts experiments.Options, inc bool) (benchRecord, erro
 	}
 
 	gp := plan.New(db)
-	eng := core.New(db, gp, core.Config{Workers: opts.Workers, IncrementalState: inc})
+	eng := core.New(db, gp, core.Config{Workers: opts.Workers, RebuildState: rebuild})
 	defer eng.Close()
 	// Per-query predicate on the fact scan keeps this a shared hash join
 	// with fact as the build side (an unpredicated inner would compile to
@@ -572,9 +555,9 @@ func benchIncrementalJoin(opts experiments.Options, inc bool) (benchRecord, erro
 			}
 		}
 	})
-	name, state := "incremental_join_rebuild", "rebuild-every-generation"
-	if inc {
-		name, state = "incremental_join", "delta-maintained build side"
+	name, state := "incremental_join", "delta-maintained build side"
+	if rebuild {
+		name, state = "incremental_join_rebuild", "rebuild-every-generation"
 	}
 	return record(name, fmt.Sprintf(
 		"repeat-read hash join (%d-row build side, %d-row probe, 1 point update per %d reads), %s",
@@ -602,7 +585,7 @@ func benchSubscribeBrowsing(opts experiments.Options) (benchRecord, error) {
 		return benchRecord{}, err
 	}
 	gp := plan.New(db)
-	eng := core.New(db, gp, core.Config{Workers: opts.Workers, IncrementalState: true})
+	eng := core.New(db, gp, core.Config{Workers: opts.Workers})
 	defer eng.Close()
 
 	read, err := eng.Prepare(`SELECT i_id, i_title, i_cost FROM item WHERE i_subject = ?`)
@@ -699,15 +682,16 @@ const (
 	foldWindow    = 1500 * time.Millisecond
 )
 
-// benchFolding runs the experiments.Folding scenario with folding off or
-// on and reports client-visible queries as the op.
-func benchFolding(opts experiments.Options, fold bool) (benchRecord, error) {
+// benchFolding runs the experiments.Folding scenario on the unfolded
+// reference engine (noFold) or the production one and reports
+// client-visible queries as the op.
+func benchFolding(opts experiments.Options, noFold bool) (benchRecord, error) {
 	fOpts := opts
 	fOpts.Shards = 1 // folding ratio is per engine; the router fold path has its own tests
 	fOpts.StatementQuota = foldQuota
 	fOpts.MaxInFlightGenerations = 1
 	fOpts.Heartbeat = foldHeartbeat
-	fOpts.FoldQueries = fold
+	fOpts.NoFold = noFold
 	res, err := experiments.Folding(fOpts, foldClients, foldDistinct, foldWindow)
 	if err != nil {
 		return benchRecord{}, err
@@ -717,9 +701,9 @@ func benchFolding(opts experiments.Options, fold bool) (benchRecord, error) {
 	if qps > 0 {
 		ns = math.Round(1e9 / qps)
 	}
-	name, state := "fold_zipf_off", "folding off"
-	if fold {
-		name, state = "fold_zipf_on", "folding on"
+	name, state := "fold_zipf_on", "folding on"
+	if noFold {
+		name, state = "fold_zipf_off", "folding off"
 	}
 	return benchRecord{
 		Name: name,

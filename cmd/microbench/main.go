@@ -6,7 +6,7 @@
 //	microbench -json       machine-readable scan/join/sort/TPC-W-mix baseline
 //	                       (the BENCH_*.json perf-trajectory artifact)
 //	microbench -load       network fan-in scenario: closed-loop clients over
-//	                       loopback sockets (binary protocol vs legacy text)
+//	                       loopback sockets
 //
 // See EXPERIMENTS.md for recorded outputs.
 package main
@@ -32,16 +32,14 @@ func main() {
 	heavyRates := flag.String("heavy", "0,5,10,25,50,100,200", "heavy query rates for figure 11")
 	window := flag.Duration("window", 2*time.Second, "measurement window per data point")
 	seed := flag.Int64("seed", 2012, "data generator seed")
-	workers := flag.Int("workers", 0, "SharedDB intra-operator worker pool per cycle (0 = GOMAXPROCS, 1 = serial)")
+	workers := flag.Int("workers", 0, "SharedDB intra-operator worker pool per cycle, per shard engine (0 = GOMAXPROCS, 1 = serial)")
 	shards := flag.Int("shards", 0, "SharedDB shard engines for the sharded TPC-W mix bench (0 = default 2, 1 = skip the sharded entry)")
-	columnar := flag.Bool("columnar", false, "scan the delta-maintained columnar mirror instead of the row store")
-	shardWorkers := flag.Int("shard-workers", 0, "workers per shard engine (0 = GOMAXPROCS/shards split)")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable scan/join/sort/TPC-W-mix benchmark baseline on stdout")
 	warmup := flag.Int("warmup", 1, "untimed warm-up batches per -json statement bench (free lists, columnar mirror, batch pool)")
 	count := flag.Int("count", 1, "timed runs per -json statement bench; the median ns/op is reported")
-	load := flag.Bool("load", false, "run the network fan-in scenario (Load1k) and print its table instead of a figure")
+	load := flag.Bool("load", false, "run the network fan-in scenario (Load1k) and print its record instead of a figure")
 	loadClients := flag.Int("load-clients", 1000, "concurrent network connections for the Load1k scenario (-load and -json)")
-	loadPipeline := flag.Int("load-pipeline", 2, "pipelined in-flight queries per Load1k connection (binary protocol)")
+	loadPipeline := flag.Int("load-pipeline", 2, "pipelined in-flight queries per Load1k connection")
 	flag.Parse()
 
 	opts := experiments.Options{
@@ -50,8 +48,6 @@ func main() {
 		Seed:          *seed,
 		Workers:       *workers,
 		Shards:        *shards,
-		ColumnarScan:  *columnar,
-		ShardWorkers:  *shardWorkers,
 	}
 
 	if *load {

@@ -3,16 +3,16 @@ package main
 // The network fan-in scenario: Load1k drives closed-loop clients over
 // real loopback sockets against the wire front end — the same Zipfian
 // title-search workload as the fold_zipf benches, but arriving the way
-// the paper's thousand queries arrive. The -json records (load_1k,
-// load_1k_text) pin the pipelined-binary vs legacy-text comparison;
-// benchdiff excludes both from the ns ratio gate (wall-clock scenarios).
+// the paper's thousand queries arrive. benchdiff excludes the -json record
+// (load_1k) from the ns ratio gate (a wall-clock scenario).
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 
 	"shareddb/internal/experiments"
-	"shareddb/internal/harness"
 )
 
 // Load scenario shape: the fold configuration of fold_zipf_on (quota'd,
@@ -24,7 +24,7 @@ const (
 )
 
 // loadOptions maps the bench configuration onto the scenario options.
-func loadOptions(opts experiments.Options, clients, pipeline int, text bool) experiments.LoadOptions {
+func loadOptions(opts experiments.Options, clients, pipeline int) experiments.LoadOptions {
 	return experiments.LoadOptions{
 		Clients:       clients,
 		Distinct:      foldDistinct,
@@ -32,21 +32,19 @@ func loadOptions(opts experiments.Options, clients, pipeline int, text bool) exp
 		PipelineDepth: pipeline,
 		Items:         loadItems,
 		Seed:          opts.Seed,
-		Text:          text,
 		Engine: experiments.Options{
 			Workers:                opts.Workers,
 			StatementQuota:         foldQuota,
 			MaxInFlightGenerations: 1,
 			Heartbeat:              foldHeartbeat,
-			FoldQueries:            true,
 			QueueDepthLimit:        loadQueueCap,
 		},
 	}
 }
 
 // benchLoad1k runs one Load1k pass and folds it into a bench record.
-func benchLoad1k(opts experiments.Options, clients, pipeline int, text bool) (benchRecord, error) {
-	res, err := experiments.Load1k(loadOptions(opts, clients, pipeline, text))
+func benchLoad1k(opts experiments.Options, clients, pipeline int) (benchRecord, error) {
+	res, err := experiments.Load1k(loadOptions(opts, clients, pipeline))
 	if err != nil {
 		return benchRecord{}, err
 	}
@@ -55,52 +53,26 @@ func benchLoad1k(opts experiments.Options, clients, pipeline int, text bool) (be
 	if rps > 0 {
 		ns = math.Round(1e9 / rps)
 	}
-	name := "load_1k"
-	proto := fmt.Sprintf("binary protocol, %d-deep pipelines", pipeline)
-	if text {
-		name = "load_1k_text"
-		proto = "legacy text protocol (ad-hoc SQL, no pipelining)"
-	}
-	genPerSec := 0.0
-	if res.Elapsed > 0 {
-		genPerSec = float64(res.Generations) / res.Elapsed.Seconds()
-	}
 	return benchRecord{
-		Name: name,
+		Name: "load_1k",
 		Description: fmt.Sprintf(
-			"%d closed-loop network clients over loopback, %s: Zipf title search over %d params, quota %d, heartbeat %v, queue cap %d",
-			clients, proto, foldDistinct, foldQuota, foldHeartbeat, loadQueueCap),
+			"%d closed-loop network clients over loopback, binary protocol, %d-deep pipelines: Zipf title search over %d params, quota %d, heartbeat %v, queue cap %d",
+			clients, pipeline, foldDistinct, foldQuota, foldHeartbeat, loadQueueCap),
 		Ops: int(res.Queries), Unit: "client query",
 		NsPerOp: ns, OpsPerSec: rps, QueriesPerX: 1,
 		P50Ns: float64(res.P50), P99Ns: float64(res.P99), P999Ns: float64(res.P999),
-		ShedRate: res.ShedRate(), GenPerSec: genPerSec, FoldHitRate: res.FoldHitRate(),
+		ShedRate: res.ShedRate(), GenPerSec: res.GenerationsPerSec(), FoldHitRate: res.FoldHitRate(),
 	}, nil
 }
 
-// runLoadScenario is the -load mode: both protocols at the requested
-// client count, printed as a comparison table.
+// runLoadScenario is the -load mode: the scenario at the requested client
+// count, printed as its bench record.
 func runLoadScenario(opts experiments.Options, clients, pipeline int) error {
-	t := &harness.Table{Header: []string{
-		"protocol", "clients", "queries", "RPS", "p50", "p99", "p999", "shed", "fold-hit", "gen/s"}}
-	for _, text := range []bool{false, true} {
-		res, err := experiments.Load1k(loadOptions(opts, clients, pipeline, text))
-		if err != nil {
-			return err
-		}
-		proto := "binary"
-		if text {
-			proto = "text"
-		}
-		genPerSec := 0.0
-		if res.Elapsed > 0 {
-			genPerSec = float64(res.Generations) / res.Elapsed.Seconds()
-		}
-		t.Add(proto, res.Clients, res.Queries, res.RPS(),
-			res.P50, res.P99, res.P999,
-			fmt.Sprintf("%.3f", res.ShedRate()), fmt.Sprintf("%.3f", res.FoldHitRate()),
-			genPerSec)
+	rec, err := benchLoad1k(opts, clients, pipeline)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("Network fan-in: %d closed-loop clients over loopback (window %v)\n%s",
-		clients, foldWindow, t)
-	return nil
+	out := json.NewEncoder(os.Stdout)
+	out.SetIndent("", "  ")
+	return out.Encode(rec)
 }

@@ -1,24 +1,21 @@
 // Command shareddb-server exposes a SharedDB instance over TCP.
 //
-//	shareddb-server -listen :5843 [-wal dir] [-fold] [-text]
+//	shareddb-server -listen :5843 [-wal dir] [-shards n] [-workers n]
 //
-// By default it speaks the binary wire protocol (internal/wire): length-
+// It speaks the binary wire protocol (internal/wire): length-
 // prefixed frames, prepared-statement handles with typed parameter
 // binding, streaming result cursors, and pipelined submission with
 // out-of-order completion — one connection keeps a window of queries in
 // flight, so duplicates land in the same generation and fold (README
 // "Network protocol" documents the frame layout and guarantees; the
-// `client` package is the Go client). Admission rejections travel as
+// `client` package is the Go client and cmd/shareddb-cli a line-oriented
+// shell over it). Admission rejections travel as
 // typed BUSY frames carrying the engine's RetryAfter hint.
 //
 // Every connected client's statements join the same always-on global
 // plan, so concurrent clients share work exactly as the paper describes.
 // The port default matches the paper's Figure 5 example ("Output Network,
 // TCP Port 5843").
-//
-// -text serves the legacy line protocol instead (one SQL statement per
-// line, tab-separated rows, SUB/UNSUB push frames). It is kept for one
-// release for existing clients; see the README migration notes.
 package main
 
 import (
@@ -35,25 +32,20 @@ func main() {
 	listen := flag.String("listen", ":5843", "listen address")
 	wal := flag.String("wal", "", "WAL directory (empty = no durability)")
 	pipeline := flag.Int("pipeline", 0, "max generations in flight (0 = engine default, 1 = serial; negative values are rejected)")
-	workers := flag.Int("workers", 0, "intra-operator worker pool per cycle (0 = GOMAXPROCS, 1 = serial)")
+	workers := flag.Int("workers", 0, "intra-operator worker pool per cycle, per shard engine (0 = GOMAXPROCS split across shards, 1 = serial)")
 	shards := flag.Int("shards", 0, "shard engines with hash-partitioned tables (0 or 1 = single engine)")
-	columnar := flag.Bool("columnar", false, "scan the delta-maintained columnar mirror instead of the row store")
-	shardWorkers := flag.Int("shard-workers", 0, "workers per shard engine (0 = GOMAXPROCS/shards split)")
 	replicate := flag.String("replicate", "", "comma-separated tables to replicate to every shard instead of partitioning")
 	partition := flag.String("partition", "", "partition-key overrides as table=col[+col...],... (default: primary key)")
 	maxDelay := flag.Duration("max-delay", 0, "per-generation latency SLO; enables SLO batch sizing and the slow-query breaker (0 = off, minimum 1ms)")
 	queueLimit := flag.Int("queue-limit", 0, "max submissions queued per engine before BUSY rejections (0 = unlimited)")
 	stmtQuota := flag.Int("stmt-quota", 0, "max activations of one statement per generation; excess shed to later generations (0 = unlimited)")
-	fold := flag.Bool("fold", false, "collapse identical concurrent reads into one activation with a shared fan-out")
-	foldSubsume := flag.Bool("fold-subsume", false, "also serve equality restrictions from covering full scans (implies -fold semantics; requires -fold)")
-	window := flag.Int("window", 0, "per-connection in-flight request window for the binary protocol (0 = default)")
-	text := flag.Bool("text", false, "serve the legacy line protocol instead of the binary wire protocol (kept for one release)")
+	foldSubsume := flag.Bool("fold-subsume", false, "also serve equality restrictions from covering full scans")
+	window := flag.Int("window", 0, "per-connection in-flight request window (0 = default)")
 	flag.Parse()
 
 	cfg := shareddb.Config{WALDir: *wal, MaxInFlightGenerations: *pipeline, Workers: *workers, Shards: *shards,
-		ColumnarScan: *columnar, ShardWorkers: *shardWorkers,
 		MaxGenerationDelay: *maxDelay, QueueDepthLimit: *queueLimit, StatementQuota: *stmtQuota,
-		FoldQueries: *fold, FoldSubsume: *foldSubsume}
+		FoldSubsume: *foldSubsume}
 	if *replicate != "" {
 		cfg.ReplicatedTables = strings.Split(*replicate, ",")
 	}
@@ -77,12 +69,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	proto := "binary"
-	if *text {
-		proto = "text"
-	}
-	log.Printf("shareddb-server listening on %s (%s protocol)", ln.Addr(), proto)
-	srv := server.New(db, server.Options{Window: *window, TextProtocol: *text})
+	log.Printf("shareddb-server listening on %s", ln.Addr())
+	srv := server.New(db, server.Options{Window: *window})
 	defer srv.Close()
 	if err := srv.Serve(ln); err != nil {
 		log.Fatal(err)

@@ -99,8 +99,7 @@ func TestContextCancelAbandonsWait(t *testing.T) {
 	db, err := Open(Config{
 		// A wide heartbeat holds submissions in the pending queue long
 		// enough to cancel one deterministically before dispatch.
-		Heartbeat:   300 * time.Millisecond,
-		FoldQueries: true,
+		Heartbeat: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,6 @@
 //     effective parallelism is capped at 12 workers, reproducing the "MySQL
 //     does not scale beyond twelve cores" observation (§5.4, citing
 //     Salomie et al.).
-//
-// These substitutions are documented in DESIGN.md §3.
 package baseline
 
 import (

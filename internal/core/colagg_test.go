@@ -1,12 +1,14 @@
 package core
 
-// Columnar-aggregation differential fuzz: the GroupOp pushdown (feeding
-// grouped/DISTINCT/Top-N statements straight from the columnar mirror,
-// bypassing the scan stream) must be bit-identical to the row path — same
-// values, not just float-close — under random schemas, interleaved write
-// deltas and both serial and parallel cycles. Two engines share one storage
-// database: one scans rows, one scans columns; every burst is submitted to
-// both and compared via types.EncodeKey (exact value encoding).
+// Columnar-aggregation differential fuzz: production (columnar scan,
+// maintained group state) and the GroupOp pushdown (grouped/DISTINCT/Top-N
+// statements fed straight from the columnar mirror, bypassing the scan
+// stream — what a group node runs when its state is rebuilt) must be
+// bit-identical to the row-scan reference — same values, not just
+// float-close — under random schemas, interleaved write deltas and both
+// serial and parallel cycles. Three engines share one storage database;
+// every burst is submitted to all of them and compared via types.EncodeKey
+// (exact value encoding), and the reference against internal/baseline.
 
 import (
 	"fmt"
@@ -15,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"shareddb/internal/baseline"
 	"shareddb/internal/expr"
 	"shareddb/internal/operators"
 	"shareddb/internal/plan"
@@ -162,16 +165,29 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(90 + workers)))
 			db, closeDB, dom := colaggTable(t, r)
 			defer closeDB()
-			rowEng := New(db, plan.New(db), Config{Workers: workers})
-			defer rowEng.Close()
-			colEng := New(db, plan.New(db), Config{Workers: workers, ColumnarScan: true})
-			defer colEng.Close()
-
-			rowStmts := make([]*plan.Statement, len(templates))
-			colStmts := make([]*plan.Statement, len(templates))
+			// engines[0] is the reference every other engine is compared to.
+			engines := []struct {
+				name string
+				eng  *Engine
+			}{
+				{"row path", New(db, plan.New(db), referenceConfig(workers))},
+				{"production", New(db, plan.New(db), Config{Workers: workers})},
+				{"pushdown", New(db, plan.New(db), Config{Workers: workers, RebuildState: true})},
+			}
+			stmts := make([][]*plan.Statement, len(engines))
+			for ei, e := range engines {
+				defer e.eng.Close()
+				for _, tpl := range templates {
+					stmts[ei] = append(stmts[ei], mustPrepare(t, e.eng, tpl.sql))
+				}
+			}
+			qat := baseline.New(db, baseline.SystemXLike)
+			oracle := make([]*baseline.Stmt, len(templates))
 			for i, tpl := range templates {
-				rowStmts[i] = mustPrepare(t, rowEng, tpl.sql)
-				colStmts[i] = mustPrepare(t, colEng, tpl.sql)
+				var err error
+				if oracle[i], err = qat.Prepare(tpl.sql); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			for round := 0; round < 4; round++ {
@@ -183,46 +199,59 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 				n := 8 + r.Intn(24)
 				idxs := make([]int, n)
 				params := make([][]types.Value, n)
-				rowRes := make([]*Result, n)
-				colRes := make([]*Result, n)
+				res := make([][]*Result, len(engines))
+				for ei := range res {
+					res[ei] = make([]*Result, n)
+				}
 				for i := 0; i < n; i++ {
 					idxs[i] = r.Intn(len(templates))
 					if mk := templates[idxs[i]].mkParam; mk != nil {
 						params[i] = mk(r, dom)
 					}
-					rowRes[i] = rowEng.Submit(rowStmts[idxs[i]], params[i])
-					colRes[i] = colEng.Submit(colStmts[idxs[i]], params[i])
+					for ei, e := range engines {
+						res[ei][i] = e.eng.Submit(stmts[ei][idxs[i]], params[i])
+					}
 				}
 				for i := 0; i < n; i++ {
 					tpl := templates[idxs[i]]
-					if err := rowRes[i].Wait(); err != nil {
-						t.Fatalf("round %d row-path %q: %v", round, tpl.sql, err)
+					encoded := make([][]string, len(engines))
+					for ei, e := range engines {
+						if err := res[ei][i].Wait(); err != nil {
+							t.Fatalf("round %d %s %q: %v", round, e.name, tpl.sql, err)
+						}
+						encoded[ei] = encodeRows(res[ei][i].Rows)
+						if !tpl.ordered {
+							// Group emission order is not part of the contract;
+							// the encoded values are compared exactly.
+							sort.Strings(encoded[ei])
+						}
 					}
-					if err := colRes[i].Wait(); err != nil {
-						t.Fatalf("round %d columnar %q: %v", round, tpl.sql, err)
+					base, err := oracle[idxs[i]].Exec(params[i])
+					if err != nil {
+						t.Fatal(err)
 					}
-					got := encodeRows(colRes[i].Rows)
-					want := encodeRows(rowRes[i].Rows)
-					if !tpl.ordered {
-						// Group emission order is not part of the contract;
-						// the encoded values are compared exactly.
-						sort.Strings(got)
-						sort.Strings(want)
+					if !sameRows(res[0][i].Rows, base.Rows) {
+						t.Fatalf("round %d %q params %v:\nrow path: %v\nbaseline: %v",
+							round, tpl.sql, params[i], canon(res[0][i].Rows), canon(base.Rows))
 					}
-					if len(got) != len(want) {
-						t.Fatalf("round %d %q params %v: columnar %d rows, row path %d rows",
-							round, tpl.sql, params[i], len(got), len(want))
-					}
-					for j := range got {
-						if got[j] != want[j] {
-							t.Fatalf("round %d %q params %v row %d:\ncolumnar: %q\nrow path: %q",
-								round, tpl.sql, params[i], j, got[j], want[j])
+					want := encoded[0]
+					for ei, got := range encoded[1:] {
+						name := engines[ei+1].name
+						if len(got) != len(want) {
+							t.Fatalf("round %d %q params %v: %s %d rows, row path %d rows",
+								round, tpl.sql, params[i], name, len(got), len(want))
+						}
+						for j := range got {
+							if got[j] != want[j] {
+								t.Fatalf("round %d %q params %v row %d:\n%s: %q\nrow path: %q",
+									round, tpl.sql, params[i], j, name, got[j], want[j])
+							}
 						}
 					}
 				}
 			}
-			if colEng.Plan().ColAggCycles() == 0 {
-				t.Fatal("columnar engine never ran an aggregation-pushdown cycle — the fuzz exercised nothing")
+			if _, _, colAgg := engines[2].eng.Plan().PathCycles(); colAgg == 0 {
+				t.Fatal("the rebuild-state engine never ran an aggregation-pushdown cycle — the fuzz exercised nothing")
 			}
 		})
 	}

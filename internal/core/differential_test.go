@@ -29,9 +29,16 @@ var (
 )
 
 func TestDifferentialSharedVsQueryAtATime(t *testing.T) {
+	// Production and the all-reference engine must both equal the baseline:
+	// production ≡ reference ≡ query-at-a-time.
+	t.Run("production", func(t *testing.T) { differentialSharedVsQueryAtATime(t, Config{}) })
+	t.Run("reference", func(t *testing.T) { differentialSharedVsQueryAtATime(t, referenceConfig(0)) })
+}
+
+func differentialSharedVsQueryAtATime(t *testing.T, cfg Config) {
 	db, closeDB := bookstore(t)
 	defer closeDB()
-	shared := newEngine(t, db)
+	shared := New(db, plan.New(db), cfg)
 	defer shared.Close()
 	qat := baseline.New(db, baseline.SystemXLike)
 

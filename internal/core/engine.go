@@ -74,26 +74,12 @@ type Config struct {
 	// to serial as a backstop). Per-query results are identical at any
 	// setting.
 	Workers int
-	// ColumnarScan switches shared table scans from the row-store ClockScan
-	// to the delta-maintained columnar mirror (typed flat vectors per
-	// column, vectorized predicate evaluation; storage.SharedScanColumnar).
-	// Emission is bit-identical to the row path — same rows, same order,
-	// same query sets — so only scan throughput changes. Disabled (false),
-	// the scan path is byte-identical to the row-store engine.
-	ColumnarScan bool
-	// ShardWorkers overrides the per-shard worker budget when this config
-	// is used to build a sharded system (internal/shard): each shard engine
-	// gets this many workers instead of the default GOMAXPROCS/shards
-	// split, letting deployments oversubscribe or isolate cores explicitly.
-	// 0 selects the split; negative values are rejected by Config.Validate.
-	// Single-engine deployments ignore it.
-	ShardWorkers int
 	// PoolAffinity, when non-nil, runs once on each of the engine's
 	// persistent worker goroutines at pool start (par.Pool) — the hook a
 	// deployment uses to pin workers to a CPU/NUMA range (e.g. with
 	// unix.SchedSetaffinity). The engine owns a pool of exactly Workers
-	// goroutines (per shard, on sharded builds — the ShardWorkers split
-	// decides the size), so affinity composes with explicit core isolation.
+	// goroutines (per shard, on sharded builds), so affinity composes with
+	// explicit core isolation.
 	PoolAffinity func(worker int)
 
 	// MaxGenerationDelay is the per-generation latency SLO (the paper's
@@ -121,36 +107,39 @@ type Config struct {
 	// requires MaxGenerationDelay > 0).
 	BreakerCooldown time.Duration
 
-	// FoldQueries enables result folding: a read submission identical to a
-	// pending one (same SQL text, bit-identical parameters) attaches to the
-	// pending request's result instead of occupying its own queue slot and
-	// query-set activation. Folded submissions are charged once against
-	// QueueDepthLimit/StatementQuota and the cost EWMA — by their lead.
-	// Writes and transaction commits never fold. Disabled (false), the
-	// submission path is byte-identical to the pre-folding engine.
-	FoldQueries bool
-	// FoldSubsume additionally lets a pending parameter-free simple scan
-	// serve equality-restriction duplicates of itself via residual filters,
-	// where expression analysis proves the scan's output covers the
-	// duplicate's predicate and projection. Requires FoldQueries.
+	// FoldSubsume lets a pending parameter-free simple scan serve
+	// equality-restriction duplicates of itself via residual filters, where
+	// expression analysis proves the scan's output covers the duplicate's
+	// predicate and projection. It extends result folding, which is always
+	// on: a read submission identical to a pending one (same SQL text,
+	// bit-identical parameters) attaches to the pending request's result
+	// instead of occupying its own queue slot and query-set activation,
+	// and is charged once — by its lead — against
+	// QueueDepthLimit/StatementQuota and the cost EWMA. Writes and
+	// transaction commits never fold.
 	FoldSubsume bool
-
-	// IncrementalState turns stateful operator inputs into maintained node
-	// state: hash-join build sides and group-by aggregate tables fed by a
-	// direct base-table scan persist across generations and are updated in
-	// place from each generation's write delta (exact, thanks to the
-	// generation barrier) instead of being rebuilt from the scan stream.
-	// Reuse requires the covering queries and parameters to repeat between
-	// generations (standing queries and repeated prepared reads); anything
-	// else reprimes from the table. Disabled (false), the dispatch path is
-	// byte-identical to the delta-free engine.
-	IncrementalState bool
 	// SubscriptionBuffer is the per-subscription update channel capacity
 	// (0 selects DefaultSubscriptionBuffer). A subscriber that falls more
 	// than a full buffer behind is marked lagged and receives a full resync
 	// as its next delivery; generations never block on slow subscribers.
 	// Negative values are rejected by Config.Validate.
 	SubscriptionBuffer int
+
+	// Reference switches. The zero value is the production path: shared
+	// scans read the columnar mirror, hash-join build sides and group-by
+	// tables persist across generations and are patched from each
+	// generation's write delta, and identical concurrent reads fold. Each
+	// switch selects the reference implementation the production path must
+	// stay bit-identical to; they exist for the differential suites and
+	// cmd/microbench's reference records and are deliberately not on
+	// shareddb.Config or any command-line flag.
+	//
+	// RowScan runs shared scans as row-store ClockScans. RebuildState
+	// rebuilds operator state from the scan stream every generation (no
+	// delta chain is kept). NoFold queues every read as its own activation.
+	RowScan      bool
+	RebuildState bool
+	NoFold       bool
 }
 
 // Engine drives generations over a storage database and a global plan.
@@ -191,8 +180,8 @@ type Engine struct {
 
 	// Fold state, guarded by mu. The indexes cover exactly the foldable
 	// requests currently in pending (the fold window); both are rebuilt
-	// from the shed remainder after every batch formation. nil when
-	// Config.FoldQueries is off.
+	// from the shed remainder after every batch formation. nil under
+	// Config.NoFold.
 	foldIdx    map[uint64][]*Request // fingerprint → pending fold leads
 	subsumeIdx map[string][]*Request // table → pending full-scan leads
 
@@ -208,9 +197,13 @@ type Engine struct {
 	// brought operator state up to, and whether that snapshot holds a GC
 	// pin (it must — delta classification reads row visibility at FromTS,
 	// so those versions may not be truncated between generations).
+	// incSeenTS is the storage snapshot those records account for;
+	// incBroken is set when storage is found ahead of it (see checkChain).
 	incFromTS  uint64
 	incTouched []storage.WALRecord
 	incPinned  bool
+	incSeenTS  uint64
+	incBroken  bool
 
 	// stats
 	generations uint64
@@ -286,14 +279,14 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 	e.workers = par.Resolve(cfg.Workers)
 	e.pool = par.NewPool(e.workers, cfg.PoolAffinity)
 	e.adm = newAdmission(cfg)
-	if cfg.FoldQueries {
+	if !cfg.NoFold {
 		e.foldIdx = make(map[uint64][]*Request)
 		if cfg.FoldSubsume {
 			e.subsumeIdx = make(map[string][]*Request)
 		}
 	}
 	gp.SetWorkers(e.workers)
-	gp.SetColumnar(cfg.ColumnarScan)
+	gp.SetColumnar(!cfg.RowScan)
 	gp.SetWorkerPool(e.pool)
 	if e.adm != nil && e.adm.maxDelay > 0 {
 		// The slow-query breaker is on: attribute operator cycle time to
@@ -441,8 +434,8 @@ func (e *Engine) Plan() *plan.GlobalPlan { return e.plan }
 // Submit enqueues a request for the next generation. With admission limits
 // configured the request may be rejected immediately: the Result completes
 // with a *OverloadError (errors.Is(err, ErrOverloaded)) without entering
-// the queue. With FoldQueries on, a read identical to a pending one
-// returns a result subscribed to the pending request instead of queueing.
+// the queue. A read identical to a pending one returns a result subscribed
+// to the pending request instead of queueing.
 func (e *Engine) Submit(stmt *plan.Statement, params []types.Value) *Result {
 	return e.submit(stmt, params, nil)
 }
@@ -789,6 +782,28 @@ func (e *Engine) loop() {
 	}
 }
 
+// noteWrites adds one write phase's physical records to the delta the next
+// read phase delivers to maintained operator state (dispatcher goroutine
+// only).
+func (e *Engine) noteWrites(commitTS uint64, recs []storage.WALRecord) {
+	if !e.cfg.RebuildState {
+		e.incSeenTS = commitTS
+		e.incTouched = append(e.incTouched, recs...)
+	}
+}
+
+// checkChain compares storage's snapshot now — before a write phase, or at
+// the read pin — with the one the delta chain accounts for. Storage ahead
+// of the chain means rows changed behind the engine's back (a bulk load
+// through DB.Storage, another engine on the same database): incTouched
+// knows nothing about them, so the next delta must not patch maintained
+// state.
+func (e *Engine) checkChain(now uint64) {
+	if now != e.incSeenTS {
+		e.incSeenTS, e.incBroken = now, true
+	}
+}
+
 // generationDone retires one generation from the pipeline.
 func (e *Engine) generationDone() {
 	e.mu.Lock()
@@ -889,16 +904,12 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 	// Stats()/InFlightGenerations(). For a write-only generation the last
 	// completion below also retires the generation before notifying.
 	hasReads := len(readReqs) > 0 || len(subs) > 0
+	if len(writeOps)+len(txs) > 0 {
+		e.checkChain(e.db.SnapshotTS())
+	}
 	if len(writeOps) > 0 {
-		var results []storage.OpResult
-		var commitTS uint64
-		if e.cfg.IncrementalState {
-			var recs []storage.WALRecord
-			results, commitTS, recs = e.db.ApplyOpsRecorded(writeOps)
-			e.incTouched = append(e.incTouched, recs...)
-		} else {
-			results, commitTS = e.db.ApplyOps(writeOps)
-		}
+		results, commitTS, recs := e.db.ApplyOpsRecorded(writeOps)
+		e.noteWrites(commitTS, recs)
 		e.mu.Lock()
 		e.writesRun += uint64(len(writeOps))
 		e.mu.Unlock()
@@ -913,15 +924,8 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 		}
 	}
 	if len(txs) > 0 {
-		var commitTS uint64
-		var errs []error
-		if e.cfg.IncrementalState {
-			var recs []storage.WALRecord
-			commitTS, errs, recs = e.db.CommitTxBatchRecorded(txs)
-			e.incTouched = append(e.incTouched, recs...)
-		} else {
-			commitTS, errs = e.db.CommitTxBatch(txs)
-		}
+		commitTS, errs, recs := e.db.CommitTxBatchRecorded(txs)
+		e.noteWrites(commitTS, recs)
 		e.mu.Lock()
 		e.writesRun += uint64(len(txs))
 		e.mu.Unlock()
@@ -957,11 +961,18 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 	// committed since the last delivered delta, classified at [incFromTS,
 	// ts]. The previous FromTS keeps a dedicated GC pin so the versions the
 	// classification reads are still there; the pin rolls forward to ts. A
-	// nil delta (IncrementalState off) keeps RunGeneration byte-identical
-	// to the delta-free engine.
+	// nil delta (Config.RebuildState) makes RunGeneration rebuild every
+	// node's state from its scan stream.
 	var delta *storage.Delta
-	if e.cfg.IncrementalState {
-		delta = e.db.BuildDelta(e.incFromTS, ts, e.incTouched)
+	if !e.cfg.RebuildState {
+		from := e.incFromTS
+		if e.checkChain(ts); e.incBroken {
+			// A delta from ts chains onto no node's state (each is stamped
+			// with an earlier snapshot), so every maintained node reprimes
+			// from its table.
+			from, e.incTouched, e.incBroken = ts, nil, false
+		}
+		delta = e.db.BuildDelta(from, ts, e.incTouched)
 		e.incTouched = nil
 		chain := e.db.PinCurrentSnapshot() // == ts: writes serialize on this goroutine
 		if e.incPinned {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -88,17 +87,17 @@ func bookstore(t testing.TB) (*storage.Database, func()) {
 	return db, func() { db.Close() }
 }
 
-// testColumnar reports whether engine-level suites should run with the
-// columnar shared scan, from SHAREDDB_TEST_COLUMNAR (unset/0 = row path) —
-// the CI matrix runs both, mirroring the SHAREDDB_TEST_SHARDS axis.
-func testColumnar() bool {
-	return os.Getenv("SHAREDDB_TEST_COLUMNAR") == "1"
+// referenceConfig is the all-reference engine — row-store scans, operator
+// state rebuilt every generation, no folding — that production (the zero
+// Config) must stay bit-identical to.
+func referenceConfig(workers int) Config {
+	return Config{Workers: workers, RowScan: true, RebuildState: true, NoFold: true}
 }
 
 func newEngine(t testing.TB, db *storage.Database) *Engine {
 	t.Helper()
 	gp := plan.New(db)
-	return New(db, gp, Config{ColumnarScan: testColumnar()})
+	return New(db, gp, Config{})
 }
 
 func mustPrepare(t testing.TB, e *Engine, sqlText string) *plan.Statement {
@@ -418,9 +417,11 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		t.Error(err)
 	}
 	st := e.Stats()
-	gens, queries, writes := st.Generations, st.QueriesRun, st.WritesRun
+	// Identical concurrent reads fold, so client reads are executed
+	// activations plus fan-out deliveries.
+	gens, queries, writes := st.Generations, st.QueriesRun+st.FoldedQueries, st.WritesRun
 	if queries != 300 || writes != 100 {
-		t.Errorf("stats: %d gens, %d queries, %d writes", gens, queries, writes)
+		t.Errorf("stats: %d gens, %d queries (%d folded), %d writes", gens, queries, st.FoldedQueries, writes)
 	}
 	if gens >= queries+writes {
 		t.Errorf("no batching happened: %d generations for %d requests", gens, queries+writes)

@@ -114,13 +114,6 @@ func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0, got %d (0 = GOMAXPROCS, 1 = serial)", c.Workers)
 	}
-	if c.ShardWorkers < 0 {
-		return fmt.Errorf("core: ShardWorkers must be >= 0, got %d (0 = GOMAXPROCS/shards)", c.ShardWorkers)
-	}
-	if c.IncrementalState && c.MaxInFlightGenerations < 0 {
-		return fmt.Errorf("core: IncrementalState requires MaxInFlightGenerations >= 1, got %d (the delta chain needs a real pipeline depth; 0 selects the default %d)",
-			c.MaxInFlightGenerations, DefaultMaxInFlightGenerations)
-	}
 	if c.MaxInFlightGenerations < 0 {
 		return fmt.Errorf("core: MaxInFlightGenerations must be >= 0, got %d (0 = engine default, 1 = serial)", c.MaxInFlightGenerations)
 	}
@@ -151,9 +144,6 @@ func (c Config) Validate() error {
 	}
 	if (c.BreakerStrikes > 0 || c.BreakerCooldown > 0) && c.MaxGenerationDelay == 0 {
 		return fmt.Errorf("core: breaker knobs require MaxGenerationDelay > 0 (the SLO the slow-query breaker enforces)")
-	}
-	if c.FoldSubsume && !c.FoldQueries {
-		return fmt.Errorf("core: FoldSubsume requires FoldQueries (subsumption extends the fold index)")
 	}
 	return nil
 }

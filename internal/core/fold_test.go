@@ -17,11 +17,10 @@ import (
 // — the fold window — so a burst of duplicates folds deterministically.
 const foldWindow = 500 * time.Millisecond
 
-// foldEngine builds an engine with folding on and a wide fold window.
+// foldEngine builds a production engine with a wide fold window.
 func foldEngine(t testing.TB, db *storage.Database, subsume bool) *Engine {
 	t.Helper()
 	return New(db, plan.New(db), Config{
-		FoldQueries: true,
 		FoldSubsume: subsume,
 		Heartbeat:   foldWindow,
 	})
@@ -143,7 +142,7 @@ func TestFoldStrictParamIdentity(t *testing.T) {
 func TestFoldDisabledRunsEveryQuery(t *testing.T) {
 	db, closeDB := bookstore(t)
 	defer closeDB()
-	e := New(db, plan.New(db), Config{Heartbeat: foldWindow})
+	e := New(db, plan.New(db), Config{NoFold: true, Heartbeat: foldWindow})
 	defer e.Close()
 	s := mustPrepare(t, e, `SELECT i_id, i_title FROM item WHERE i_subject = ?`)
 
@@ -354,16 +353,17 @@ func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 
 // TestDifferentialFoldDuplicateHeavy replays a duplicate-heavy randomized
 // workload — parameters drawn from tiny domains so most submissions have
-// in-flight twins — with folding on and off, asserting every client gets
-// exactly the query-at-a-time oracle's rows either way.
+// in-flight twins — through the unfolded reference engine, production and
+// production with subsumption, asserting every client gets exactly the
+// query-at-a-time oracle's rows each way.
 func TestDifferentialFoldDuplicateHeavy(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		cfg  Config
 	}{
-		{"off", Config{}},
-		{"on", Config{FoldQueries: true}},
-		{"on-subsume", Config{FoldQueries: true, FoldSubsume: true}},
+		{"off", Config{NoFold: true}},
+		{"on", Config{}},
+		{"on-subsume", Config{FoldSubsume: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			db, closeDB := bookstore(t)
@@ -432,7 +432,7 @@ func TestDifferentialFoldDuplicateHeavy(t *testing.T) {
 					}
 				}
 			}
-			if mode.cfg.FoldQueries {
+			if !mode.cfg.NoFold {
 				if e.Stats().FoldedQueries == 0 {
 					t.Fatal("duplicate-heavy sweep never folded — fold path untested")
 				}

@@ -6,39 +6,45 @@ import (
 	"testing"
 	"time"
 
+	"shareddb/internal/baseline"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
 
 // Incremental shared state and standing queries: the differential suites
-// here pin (a) Config.Validate's boundaries for the new knobs, (b) that the
+// here pin (a) Config.Validate's boundaries for the pipeline depth the
+// delta chain rides on and for the subscription buffer, (b) that the
 // delta-maintained operator state returns exactly what the
-// rebuild-every-generation path returns under interleaved write streams,
-// and (c) that subscription delta streams compose to the same result a
-// fresh per-generation query returns (the oracle).
+// rebuild-every-generation reference and the query-at-a-time baseline
+// return under interleaved write streams, and (c) that subscription delta
+// streams compose to the same result a fresh per-generation query returns
+// (the oracle).
 
 // --- Validate boundaries ---
 
 func TestValidateIncrementalConfig(t *testing.T) {
 	valid := []Config{
-		{IncrementalState: true},                            // 0 selects the default pipeline depth
-		{IncrementalState: true, MaxInFlightGenerations: 1}, // the boundary
-		{IncrementalState: true, MaxInFlightGenerations: 4},
-		{SubscriptionBuffer: 0},
+		{},                          // 0 selects the default pipeline depth
+		{MaxInFlightGenerations: 1}, // the boundary
+		{MaxInFlightGenerations: 4},
 		{SubscriptionBuffer: 1},
-		{IncrementalState: true, SubscriptionBuffer: 64},
+		{RebuildState: true, SubscriptionBuffer: 64},
 	}
 	for _, cfg := range valid {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
 		}
 	}
-	invalid := []Config{
-		{IncrementalState: true, MaxInFlightGenerations: -1},
-		{SubscriptionBuffer: -1},
-		{IncrementalState: true, SubscriptionBuffer: -5},
+	// One rule, one message: the same bad depth reads the same whatever the
+	// state switch says.
+	depthErr := Config{MaxInFlightGenerations: -1}.Validate()
+	if depthErr == nil {
+		t.Fatal("Validate(MaxInFlightGenerations: -1) = nil, want error")
 	}
-	for _, cfg := range invalid {
+	if err := (Config{MaxInFlightGenerations: -1, RebuildState: true}).Validate(); err == nil || err.Error() != depthErr.Error() {
+		t.Errorf("negative depth with RebuildState = %v, want the same error as without: %v", err, depthErr)
+	}
+	for _, cfg := range []Config{{SubscriptionBuffer: -1}, {RebuildState: true, SubscriptionBuffer: -5}} {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("Validate(%+v) = nil, want error", cfg)
 		}
@@ -49,8 +55,9 @@ func TestValidateIncrementalConfig(t *testing.T) {
 
 // TestIncrementalDifferentialSweep runs the same randomized repeat-read
 // workload with interleaved writes through two engines over identical data
-// — one rebuilding operator state every generation, one maintaining it from
-// write deltas — and requires identical per-query results. Reads repeat
+// — the reference one rebuilding operator state every generation, the
+// production one maintaining it from write deltas — and requires identical
+// per-query results, equal to the query-at-a-time baseline's. Reads repeat
 // with stable parameters (the state-reuse condition) and the writes hit the
 // join build side and every group-aggregate retraction path (SUM/COUNT/AVG
 // subtract; MIN/MAX and COUNT(DISTINCT) rebuild per key).
@@ -61,11 +68,12 @@ func TestIncrementalDifferentialSweep(t *testing.T) {
 			defer closeReb()
 			dbInc, closeInc := bookstore(t)
 			defer closeInc()
-			reb := New(dbReb, plan.New(dbReb), Config{Workers: workers})
+			reb := New(dbReb, plan.New(dbReb), referenceConfig(workers))
 			defer reb.Close()
-			inc := New(dbInc, plan.New(dbInc), Config{Workers: workers, IncrementalState: true})
+			inc := New(dbInc, plan.New(dbInc), Config{Workers: workers})
 			defer inc.Close()
 			engines := []*Engine{reb, inc}
+			qat := baseline.New(dbReb, baseline.SystemXLike)
 
 			subjects := []string{"ARTS", "SCIENCE", "HISTORY", "COOKING"}
 			reads := []struct {
@@ -132,6 +140,13 @@ func TestIncrementalDifferentialSweep(t *testing.T) {
 					}},
 			}
 
+			oracle := make([]*baseline.Stmt, len(reads))
+			for i, tpl := range reads {
+				var err error
+				if oracle[i], err = qat.Prepare(tpl.sql); err != nil {
+					t.Fatal(err)
+				}
+			}
 			readStmts := make([][]*plan.Statement, len(engines))
 			writeStmts := make([][]*plan.Statement, len(engines))
 			for ei, e := range engines {
@@ -170,6 +185,15 @@ func TestIncrementalDifferentialSweep(t *testing.T) {
 					}
 					got := run(t, inc, readStmts[1][ti], params...)
 					want := run(t, reb, readStmts[0][ti], params...)
+					base, err := oracle[ti].Exec(params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameRows(want.Rows, base.Rows) {
+						t.Fatalf("round %d repeat %d: %q params %v:\nrebuild (%d): %v\nbaseline (%d): %v",
+							round, j, reads[ti].sql, params,
+							len(want.Rows), canon(want.Rows), len(base.Rows), canon(base.Rows))
+					}
 					if !sameRows(got.Rows, want.Rows) {
 						t.Fatalf("round %d repeat %d: %q params %v:\nincremental (%d): %v\nrebuild (%d): %v",
 							round, j, reads[ti].sql, params,
@@ -239,13 +263,13 @@ func awaitState(t *testing.T, sub *Subscription, tracked []types.Row, want []typ
 // TestSubscriptionDeltasMatchOracle registers standing queries, drives a
 // random write stream, and after every write checks that the subscription's
 // delta stream converges the tracked result to exactly what a fresh query
-// of the same statement returns — with incremental state off and on.
+// of the same statement returns — on the rebuild reference and in production.
 func TestSubscriptionDeltasMatchOracle(t *testing.T) {
-	for _, incOn := range []bool{false, true} {
-		t.Run(fmt.Sprintf("incremental=%v", incOn), func(t *testing.T) {
+	for _, rebuild := range []bool{true, false} {
+		t.Run(fmt.Sprintf("rebuild=%v", rebuild), func(t *testing.T) {
 			db, closeDB := bookstore(t)
 			defer closeDB()
-			e := New(db, plan.New(db), Config{IncrementalState: incOn})
+			e := New(db, plan.New(db), Config{RebuildState: rebuild})
 			defer e.Close()
 
 			stmts := []struct {
@@ -351,7 +375,7 @@ func TestSubscriptionDeltasMatchOracle(t *testing.T) {
 func TestSubscriptionLagResync(t *testing.T) {
 	db, closeDB := bookstore(t)
 	defer closeDB()
-	e := New(db, plan.New(db), Config{SubscriptionBuffer: 1, IncrementalState: true})
+	e := New(db, plan.New(db), Config{SubscriptionBuffer: 1})
 	defer e.Close()
 
 	st := mustPrepare(t, e, "SELECT i_id, i_price FROM item WHERE i_subject = ?")

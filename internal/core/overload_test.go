@@ -72,7 +72,10 @@ func TestOverloadStressBoundedQueue(t *testing.T) {
 		Heartbeat:              500 * time.Microsecond,
 	})
 	defer e.Close()
-	s := mustPrepare(t, e, "SELECT i_id, i_title FROM item WHERE i_subject = ?")
+	// The second parameter is true for every row and distinct per
+	// submission: identical reads would fold into one queue slot instead of
+	// pressing on the cap.
+	s := mustPrepare(t, e, "SELECT i_id, i_title FROM item WHERE i_subject = ? AND i_id > ?")
 	subjects := []string{"ARTS", "SCIENCE", "HISTORY", "COOKING"}
 
 	// Depth sampler: QueueDepthLimit is an invariant, not a trend — any
@@ -105,7 +108,7 @@ func TestOverloadStressBoundedQueue(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				subj := subjects[(c+i)%len(subjects)]
-				res := e.Submit(s, []types.Value{types.NewString(subj)})
+				res := e.Submit(s, []types.Value{types.NewString(subj), types.NewInt(int64(-1 - c*iters - i))})
 				err := res.Wait()
 				switch {
 				case err == nil:
@@ -155,7 +158,7 @@ func TestOverloadStressBoundedQueue(t *testing.T) {
 	// residual backpressure (retry a few times while the tail drains).
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		err := e.Submit(s, []types.Value{types.NewString("ARTS")}).Wait()
+		err := e.Submit(s, []types.Value{types.NewString("ARTS"), types.NewInt(-1)}).Wait()
 		if err == nil {
 			break
 		}
@@ -218,17 +221,19 @@ func TestOverloadStatementQuotaSpreadsGenerations(t *testing.T) {
 		Heartbeat:      20 * time.Millisecond,
 	})
 	defer e.Close()
-	s := mustPrepare(t, e, "SELECT i_id FROM item WHERE i_subject = ?")
+	// The second parameter is true for every row and distinct per
+	// submission: identical reads would fold and spend one quota unit.
+	s := mustPrepare(t, e, "SELECT i_id FROM item WHERE i_subject = ? AND i_id > ?")
 
 	// Land one generation first so the burst below queues into one window.
-	if err := e.Submit(s, []types.Value{types.NewString("ARTS")}).Wait(); err != nil {
+	if err := e.Submit(s, []types.Value{types.NewString("ARTS"), types.NewInt(-1)}).Wait(); err != nil {
 		t.Fatal(err)
 	}
 	gensBefore := e.Stats().Generations
 	const burst = 10
 	results := make([]*Result, burst)
 	for i := range results {
-		results[i] = e.Submit(s, []types.Value{types.NewString("ARTS")})
+		results[i] = e.Submit(s, []types.Value{types.NewString("ARTS"), types.NewInt(int64(-2 - i))})
 	}
 	for i, r := range results {
 		if err := r.Wait(); err != nil {

@@ -5,7 +5,7 @@
 //
 // Absolute numbers differ from the paper (their testbed was a 48-core
 // Magny-Cours; think times and response limits are compressed by a common
-// factor, DESIGN.md §3) — the reproduced quantity is the *shape*: which
+// factor) — the reproduced quantity is the *shape*: which
 // system wins, by what ratio, and where the curves bend.
 package experiments
 
@@ -151,10 +151,8 @@ type Options struct {
 	PointDuration time.Duration // measurement window per data point
 	ThinkTime     time.Duration // mean EB think time (scaled-down 7 s)
 	Seed          int64
-	Workers       int  // SharedDB intra-operator workers (0 = GOMAXPROCS)
-	Shards        int  // SharedDB shard engines (0 or 1 = single engine)
-	ColumnarScan  bool // scan the columnar mirror instead of the row store
-	ShardWorkers  int  // per-shard worker override (0 = GOMAXPROCS/shards)
+	Workers       int // SharedDB intra-operator workers (0 = GOMAXPROCS; per shard on sharded runs)
+	Shards        int // SharedDB shard engines (0 or 1 = single engine)
 
 	// Admission-control knobs for overload scenarios (zero = disabled, the
 	// classic unbounded-queue engine). They apply to SharedDB only; the
@@ -163,11 +161,11 @@ type Options struct {
 	QueueDepthLimit    int           // submissions queued per engine before rejection
 	StatementQuota     int           // activations of one statement per generation
 
-	// Folding knobs (SharedDB only): collapse identical concurrent reads
-	// into one activation with a fan-out (FoldQueries), optionally serving
-	// equality restrictions from covering scans (FoldSubsume).
-	FoldQueries bool
-	FoldSubsume bool
+	// NoFold selects the unfolded reference engine (core.Config.NoFold) for
+	// the folding scenario's off-side record; SharedDB otherwise always
+	// collapses identical concurrent reads into one activation with a
+	// fan-out.
+	NoFold bool
 	// MaxInFlightGenerations pins the generation pipeline depth (0 = the
 	// engine default of 4). Folding scenarios run depth 1 so duplicates
 	// accumulate in the pending queue — the fold window — instead of being
@@ -175,8 +173,8 @@ type Options struct {
 	MaxInFlightGenerations int
 	// Heartbeat is the minimum spacing between generation starts (zero =
 	// redispatch immediately). Folding comparisons set it so the
-	// generation rate is cadence-bound and therefore identical with
-	// folding on or off — the constant-engine-work axis of the benchmark.
+	// generation rate is cadence-bound and therefore identical with and
+	// without folding — the constant-engine-work axis of the benchmark.
 	Heartbeat time.Duration
 }
 
@@ -185,13 +183,10 @@ type Options struct {
 func (o Options) coreConfig() core.Config {
 	return core.Config{
 		Workers:                o.Workers,
-		ColumnarScan:           o.ColumnarScan,
-		ShardWorkers:           o.ShardWorkers,
 		MaxGenerationDelay:     o.MaxGenerationDelay,
 		QueueDepthLimit:        o.QueueDepthLimit,
 		StatementQuota:         o.StatementQuota,
-		FoldQueries:            o.FoldQueries,
-		FoldSubsume:            o.FoldSubsume,
+		NoFold:                 o.NoFold,
 		MaxInFlightGenerations: o.MaxInFlightGenerations,
 		Heartbeat:              o.Heartbeat,
 	}
@@ -606,8 +601,8 @@ func (r *FoldingResult) FoldHitRate() float64 {
 // values), so the same query-with-same-parameters arrives dozens of times
 // per generation. Options.StatementQuota bounds how many activations of
 // the statement one generation admits — the engine-work rate — so with
-// folding OFF the excess is shed to later generations (clients wait),
-// while with folding ON the duplicates collapse into the quota'd leads and
+// Options.NoFold the excess is shed to later generations (clients wait),
+// while with folding the duplicates collapse into the quota'd leads and
 // the whole client population rides each generation. Client-visible
 // queries/sec multiplies; generations/sec — work per unit time — stays
 // constant.

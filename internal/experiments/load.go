@@ -3,20 +3,17 @@ package experiments
 // The network-load scenario: the paper's thousand concurrent queries
 // arriving the way they actually arrive — over a thousand sockets —
 // instead of as in-process goroutines. Load1k stands up the real wire
-// stack (internal/server in front of a folding engine, the public client
+// stack (internal/server in front of the engine, the public client
 // package per connection) and drives the same Zipfian title-search
 // workload as Folding, so the two results are directly comparable: the
 // acceptance bar is network folded-QPS within a small factor of the
 // in-process number, with bounded tail latency when admission is on.
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,11 +29,9 @@ type LoadOptions struct {
 	Clients       int           // concurrent network connections (0 = 1000)
 	Distinct      int           // Zipf parameter domain, as in Folding (0 = 8)
 	Window        time.Duration // measurement window (0 = 1.5s)
-	PipelineDepth int           // in-flight queries per connection, binary protocol only (0 = 1)
-	ServerWindow  int           // server-side per-connection window (0 = server default)
+	PipelineDepth int           // in-flight queries per connection (0 = 1)
 	Items         int           // item-table rows loaded before the run (0 = 500)
 	Seed          int64
-	Text          bool // drive the legacy text protocol instead of the binary one
 
 	// Engine carries the admission + folding knobs (the same fields the
 	// in-process scenarios use); Scale/ThinkTime/PointDuration are ignored.
@@ -69,8 +64,6 @@ func engineConfig(o Options) shareddb.Config {
 		MaxGenerationDelay:     o.MaxGenerationDelay,
 		QueueDepthLimit:        o.QueueDepthLimit,
 		StatementQuota:         o.StatementQuota,
-		FoldQueries:            o.FoldQueries,
-		FoldSubsume:            o.FoldSubsume,
 		MaxInFlightGenerations: o.MaxInFlightGenerations,
 		Heartbeat:              o.Heartbeat,
 	}
@@ -99,6 +92,14 @@ func (r *LoadResult) RPS() float64 {
 		return 0
 	}
 	return float64(r.Queries) / r.Elapsed.Seconds()
+}
+
+// GenerationsPerSec is the engine-work rate during the window.
+func (r *LoadResult) GenerationsPerSec() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Generations) / r.Elapsed.Seconds()
 }
 
 // ShedRate is the fraction of offers rejected with BUSY.
@@ -142,18 +143,14 @@ func Load1k(opts LoadOptions) (*LoadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := server.New(db, server.Options{
-		Window:       opts.ServerWindow,
-		TextProtocol: opts.Text,
-		Logf:         func(string, ...interface{}) {},
-	})
+	srv := server.New(db, server.Options{Logf: func(string, ...interface{}) {}})
 	go srv.Serve(ln)
 	defer srv.Close()
 	addr := ln.Addr().String()
 
 	// Connect every client before the clock starts; a dial limiter keeps
 	// the thundering herd off the accept backlog.
-	workers := make([]loadWorker, opts.Clients)
+	workers := make([]*loadWorker, opts.Clients)
 	dialLimit := make(chan struct{}, 64)
 	var dialWG sync.WaitGroup
 	var dialErr atomic.Value
@@ -163,13 +160,7 @@ func Load1k(opts LoadOptions) (*LoadResult, error) {
 			defer dialWG.Done()
 			dialLimit <- struct{}{}
 			defer func() { <-dialLimit }()
-			var w loadWorker
-			var err error
-			if opts.Text {
-				w, err = dialTextWorker(addr)
-			} else {
-				w, err = dialBinaryWorker(addr, opts.PipelineDepth)
-			}
+			w, err := dialLoadWorker(addr, opts.PipelineDepth)
 			if err != nil {
 				dialErr.Store(err)
 				return
@@ -185,7 +176,7 @@ func Load1k(opts LoadOptions) (*LoadResult, error) {
 				continue
 			}
 			closeWG.Add(1)
-			go func(w loadWorker) {
+			go func(w *loadWorker) {
 				defer closeWG.Done()
 				dialLimit <- struct{}{}
 				w.close()
@@ -206,13 +197,9 @@ func Load1k(opts LoadOptions) (*LoadResult, error) {
 	deadline := start.Add(opts.Window)
 	var wg sync.WaitGroup
 	for i, w := range workers {
-		lanes := 1
-		if !opts.Text {
-			lanes = opts.PipelineDepth
-		}
-		for lane := 0; lane < lanes; lane++ {
+		for lane := 0; lane < opts.PipelineDepth; lane++ {
 			wg.Add(1)
-			go func(w loadWorker, id int) {
+			go func(w *loadWorker, id int) {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(opts.Seed + int64(id)))
 				zipf := rand.NewZipf(rng, 1.2, 1, uint64(opts.Distinct-1))
@@ -233,7 +220,7 @@ func Load1k(opts LoadOptions) (*LoadResult, error) {
 						return
 					}
 				}
-			}(w, i*lanes+lane)
+			}(w, i*opts.PipelineDepth+lane)
 		}
 	}
 	wg.Wait()
@@ -284,21 +271,14 @@ func loadItems(db *shareddb.DB, items int) error {
 	return err
 }
 
-// loadWorker is one connection's query loop, protocol-agnostic: query
-// returns (0, nil) on success, (hint, nil) on a BUSY rejection, and a
-// non-nil error on anything else.
-type loadWorker interface {
-	query(title string) (retryAfter time.Duration, err error)
-	close()
-}
-
-// binaryWorker drives the wire protocol through the public client.
-type binaryWorker struct {
+// loadWorker is one connection's query loop, driving the wire protocol
+// through the public client.
+type loadWorker struct {
 	db   *client.DB
 	stmt *client.Stmt
 }
 
-func dialBinaryWorker(addr string, depth int) (loadWorker, error) {
+func dialLoadWorker(addr string, depth int) (*loadWorker, error) {
 	db, err := client.OpenConfig(client.Config{Addr: addr, Window: depth, DialTimeout: 30 * time.Second})
 	if err != nil {
 		return nil, err
@@ -308,10 +288,12 @@ func dialBinaryWorker(addr string, depth int) (loadWorker, error) {
 		db.Close()
 		return nil, err
 	}
-	return &binaryWorker{db: db, stmt: stmt}, nil
+	return &loadWorker{db: db, stmt: stmt}, nil
 }
 
-func (w *binaryWorker) query(title string) (time.Duration, error) {
+// query returns (0, nil) on success, (hint, nil) on a BUSY rejection, and a
+// non-nil error on anything else.
+func (w *loadWorker) query(title string) (retryAfter time.Duration, err error) {
 	rows, err := w.stmt.Query(title)
 	if err != nil {
 		var oe *client.OverloadError
@@ -328,54 +310,4 @@ func (w *binaryWorker) query(title string) (time.Duration, error) {
 	return 0, rows.Err()
 }
 
-func (w *binaryWorker) close() { w.db.Close() }
-
-// textWorker drives the legacy line protocol: the statement is re-sent as
-// ad-hoc SQL with the parameter inlined (the protocol has no binding), and
-// the response is consumed line by line to its OK/ERR/BUSY terminator.
-type textWorker struct {
-	nc net.Conn
-	rd *bufio.Reader
-}
-
-func dialTextWorker(addr string) (loadWorker, error) {
-	nc, err := net.DialTimeout("tcp", addr, 30*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	return &textWorker{nc: nc, rd: bufio.NewReader(nc)}, nil
-}
-
-func (w *textWorker) query(title string) (time.Duration, error) {
-	sqlText := strings.Replace(loadQuery, "?", "'"+title+"'", 1)
-	if _, err := fmt.Fprintf(w.nc, "%s\n", sqlText); err != nil {
-		return 0, err
-	}
-	for {
-		line, err := w.rd.ReadString('\n')
-		if err != nil {
-			return 0, err
-		}
-		line = strings.TrimRight(line, "\n")
-		switch {
-		case strings.HasPrefix(line, "OK "):
-			return 0, nil
-		case strings.HasPrefix(line, "BUSY "):
-			fields := strings.Fields(line)
-			ms := int64(1)
-			if len(fields) >= 2 {
-				if v, err := strconv.ParseInt(fields[1], 10, 64); err == nil && v > 0 {
-					ms = v
-				}
-			}
-			return time.Duration(ms) * time.Millisecond, nil
-		case strings.HasPrefix(line, "ERR"):
-			return 0, fmt.Errorf("text protocol: %s", line)
-		}
-	}
-}
-
-func (w *textWorker) close() {
-	fmt.Fprintln(w.nc, "QUIT")
-	w.nc.Close()
-}
+func (w *loadWorker) close() { w.db.Close() }

@@ -13,7 +13,6 @@ func foldLoadOptions() Options {
 		StatementQuota:         4,
 		MaxInFlightGenerations: 1,
 		Heartbeat:              2 * time.Millisecond,
-		FoldQueries:            true,
 	}
 }
 
@@ -44,25 +43,4 @@ func TestLoad1kBinary(t *testing.T) {
 	}
 	t.Logf("binary: %d queries, %.0f rps, p50 %v p99 %v p999 %v, fold hit %.2f",
 		res.Queries, res.RPS(), res.P50, res.P99, res.P999, res.FoldHitRate())
-}
-
-// TestLoad1kText drives the same closed loop through the legacy line
-// protocol (ad-hoc SQL, no pipelining) — the migration comparison point.
-func TestLoad1kText(t *testing.T) {
-	res, err := Load1k(LoadOptions{
-		Clients:  8,
-		Distinct: 4,
-		Window:   400 * time.Millisecond,
-		Items:    50,
-		Seed:     7,
-		Text:     true,
-		Engine:   foldLoadOptions(),
-	})
-	if err != nil {
-		t.Fatalf("Load1k text: %v", err)
-	}
-	if res.Queries == 0 {
-		t.Fatal("no queries completed")
-	}
-	t.Logf("text: %d queries, %.0f rps, p50 %v p99 %v", res.Queries, res.RPS(), res.P50, res.P99)
 }

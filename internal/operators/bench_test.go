@@ -8,7 +8,7 @@ import (
 	"shareddb/internal/types"
 )
 
-// Ablation A3 (DESIGN.md): the shared hash join's two build strategies
+// Ablation A3: the shared hash join's two build strategies
 // (§3.3) — hashing the build side on the join key vs hashing on query_id
 // (the set-based join of Helmer & Moerkotte). The query-id variant is
 // "only beneficial if these sets are small": with few subscribers per inner

@@ -52,7 +52,7 @@ type GroupOp struct {
 	colBufs    storage.ColScanBuffers
 	colClients []storage.ScanClient
 
-	// inc is the persistent NodeState (Config.IncrementalState): the group
+	// inc is the persistent NodeState (see state.go): the group
 	// table plus a per-group RowID-ordered multiset of contributing rows,
 	// maintained in place from generation write deltas. incActive marks
 	// cycles emitting from it; the rebuild path never touches it.

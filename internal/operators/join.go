@@ -89,7 +89,7 @@ type HashJoinOp struct {
 	qsScratch []queryset.QueryID // probe intersection scratch
 	single    [1]queryset.QueryID
 
-	// inc is the persistent build-side NodeState (Config.IncrementalState):
+	// inc is the persistent build-side NodeState (see state.go):
 	// a RowID-ordered build table owned by the node across generations,
 	// primed from a table scan and maintained in place from generation write
 	// deltas. incActive marks cycles probing against it; the rebuild path

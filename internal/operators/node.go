@@ -321,7 +321,7 @@ func DisableAdaptiveWorkersForTest() (restore func()) {
 // adaptive worker budget): unknown history (-1, first cycle) trusts the
 // budget; a previous cycle below adaptiveWorkerMinInput tuples stays
 // serial. Source nodes (no producers) size their own work against the
-// table instead (storage.SharedScanPartitioned's row-count clamp).
+// table instead (storage.SharedScanPooled's row-count clamp).
 func adaptWorkers(budget, prevInput int) int {
 	if budget > 1 && prevInput >= 0 && prevInput < adaptiveWorkerMinInput {
 		return 1

@@ -29,11 +29,12 @@ type ScanSpec struct {
 }
 
 // Start runs the shared scan for the cycle's queries. With a worker budget
-// above 1 the cycle runs the partition-parallel ClockScan: contiguous row
-// ranges are matched on separate workers and merged back in row order, so
-// downstream operators observe the same tuple sequence as the serial scan.
-// A columnar cycle (Cycle.Columnar) evaluates the same predicate index over
-// the table's columnar mirror instead; emission is bit-identical.
+// above 1 the cycle runs partition-parallel: contiguous row ranges are
+// matched on separate workers and merged back in row order, so downstream
+// operators observe the same tuple sequence as the serial scan. A columnar
+// cycle (Cycle.Columnar — every cycle the plan dispatches unless it was
+// switched to the reference scan) evaluates the predicate index over the
+// table's columnar mirror; the row-store ClockScan emits bit-identically.
 func (s *ScanOp) Start(c *Cycle) {
 	s.clients = s.clients[:0]
 	for _, t := range c.Tasks {

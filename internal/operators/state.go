@@ -7,10 +7,9 @@ import (
 	"shareddb/internal/types"
 )
 
-// Incremental node state (the "NodeState" lifecycle): with
-// Config.IncrementalState on, a stateful operator whose input is a direct
-// base-table scan stops rebuilding its hash table from the scan stream
-// every cycle. Instead the state becomes persistent, owned by the plan node
+// Incremental node state (the "NodeState" lifecycle): a stateful operator
+// whose input is a direct base-table scan does not rebuild its hash table
+// from the scan stream every cycle. Instead the state becomes persistent, owned by the plan node
 // across generations, and each cycle either primes it (one table scan at
 // the cycle's snapshot, performed by the operator itself so RowIDs are
 // known) or reuses it by applying the generation's write delta in place —

@@ -72,8 +72,12 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, delta *sto
 		return
 	}
 
-	incCycles, skipTask, skipEdge := p.decideIncremental(ts, acts, delta)
-	colCycles, skipTask, skipEdge := p.decideColumnarAgg(acts, incCycles, skipTask, skipEdge)
+	var cands map[*operators.Node]*incCand
+	if delta != nil || p.columnar {
+		cands = incCandidates(acts)
+	}
+	incCycles, skipTask, skipEdge := p.decideIncremental(ts, cands, delta)
+	colCycles, skipTask, skipEdge := p.decideColumnarAgg(cands, incCycles, skipTask, skipEdge)
 
 	tasks := map[*operators.Node][]operators.Task{}
 	edgeQ := map[*operators.Edge][]queryset.QueryID{}
@@ -139,6 +143,9 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, delta *sto
 		OnDone:          done,
 	}})
 	for n, nt := range tasks {
+		if _, isScan := n.Op.(*operators.ScanOp); isScan && p.columnar {
+			p.colScanCycles++
+		}
 		n.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
 			Gen: gen, TS: ts, Tasks: nt,
 			ActiveProducers: activeProducers(n),
@@ -155,41 +162,20 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, delta *sto
 
 // decideIncremental picks, per stateful node, whether this generation runs
 // on maintained state — and if so whether the state can be reused (delta
-// applied in place) or must be reprimed from the base table. A node
-// qualifies only when EVERY activation touching it this generation arrives
-// through an incremental binding on the same scan edge; partial coverage
-// falls back to the classic rebuild so shared-but-unbound queries still see
-// the full build input. Returns the per-node incremental activations plus
+// applied in place) or must be reprimed from the base table. cands are the
+// generation's incCandidates: a node qualifies only when EVERY activation
+// touching it arrives through an incremental binding on the same scan edge;
+// partial coverage falls back to the classic rebuild so shared-but-unbound
+// queries still see the full build input. Returns the per-node incremental activations plus
 // the scan tasks and edge memberships to suppress (the operator builds its
 // own input, so the covered queries must not also stream the scan).
 // Caller holds p.mu.
-func (p *GlobalPlan) decideIncremental(ts uint64, acts []Activation, delta *storage.Delta) (
+func (p *GlobalPlan) decideIncremental(ts uint64, cands map[*operators.Node]*incCand, delta *storage.Delta) (
 	incCycles map[*operators.Node]*operators.IncCycle,
 	skipTask map[*operators.Node]map[queryset.QueryID]bool,
 	skipEdge map[*operators.Edge]map[queryset.QueryID]bool,
 ) {
-	if delta == nil {
-		return nil, nil, nil
-	}
-	counts := map[*operators.Node]int{}
-	cands := map[*operators.Node]*incCand{}
-	for _, a := range acts {
-		for _, st := range a.Stmt.steps {
-			counts[st.node]++
-		}
-		for _, b := range a.Stmt.incs {
-			c := cands[b.node]
-			if c == nil {
-				c = &incCand{b: b, ok: true}
-				cands[b.node] = c
-			}
-			if c.b.scanEdge != b.scanEdge || c.b.table != b.table {
-				c.ok = false
-			}
-			c.acts = append(c.acts, incAct{qid: a.QID, stmt: a.Stmt.ID, params: a.Params, pred: b.pred})
-		}
-	}
-	if len(cands) == 0 {
+	if delta == nil || len(cands) == 0 {
 		return nil, nil, nil
 	}
 
@@ -197,23 +183,6 @@ func (p *GlobalPlan) decideIncremental(ts uint64, acts []Activation, delta *stor
 	skipTask = map[*operators.Node]map[queryset.QueryID]bool{}
 	skipEdge = map[*operators.Edge]map[queryset.QueryID]bool{}
 	for n, c := range cands {
-		if !c.ok || len(c.acts) != counts[n] {
-			continue
-		}
-		switch op := c.b.op.(type) {
-		case *operators.HashJoinOp:
-			if op.ByQueryID {
-				continue
-			}
-		case *operators.GroupOp:
-			if len(op.Streams) != 1 {
-				continue
-			}
-		default:
-			continue
-		}
-		sort.Slice(c.acts, func(i, j int) bool { return c.acts[i].qid < c.acts[j].qid })
-
 		// The state signature captures exactly what the maintained state
 		// depends on: which queries it routes (dense per-generation QIDs),
 		// which statements they instantiate, and their parameter bindings.
@@ -228,60 +197,30 @@ func (p *GlobalPlan) decideIncremental(ts uint64, acts []Activation, delta *stor
 		mode := operators.IncPrime
 		if st := p.inc[n]; st != nil && st.sig == sig && st.ts == delta.FromTS {
 			mode = operators.IncReuse
+			p.incReuseCycles++
 		}
 		if p.inc == nil {
 			p.inc = map[*operators.Node]*incNodeState{}
 		}
 		p.inc[n] = &incNodeState{sig: sig, ts: ts}
 
-		preds := make([]operators.IncPred, len(c.acts))
-		for i, a := range c.acts {
-			preds[i] = operators.IncPred{QID: a.qid, Pred: expr.Bind(a.pred, a.params)}
-		}
-		ic := &operators.IncCycle{Mode: mode, Table: c.b.table, Preds: preds}
+		ic := &operators.IncCycle{Mode: mode, Table: c.b.table, Preds: c.boundPreds()}
 		if mode == operators.IncReuse {
 			ic.Delta = delta.Table(c.b.table.Name())
 		}
 		incCycles[n] = ic
-
-		st := skipTask[c.b.scanNode]
-		if st == nil {
-			st = map[queryset.QueryID]bool{}
-			skipTask[c.b.scanNode] = st
-		}
-		se := skipEdge[c.b.scanEdge]
-		if se == nil {
-			se = map[queryset.QueryID]bool{}
-			skipEdge[c.b.scanEdge] = se
-		}
-		for _, a := range c.acts {
-			st[a.qid] = true
-			se[a.qid] = true
-		}
+		c.silenceScan(skipTask, skipEdge)
 	}
 	return incCycles, skipTask, skipEdge
 }
 
-// decideColumnarAgg picks, per eligible group-by node, whether this
-// generation's aggregation runs as a columnar pushdown: the node feeds
-// itself from the table's columnar mirror (operators.ColCycle) and the
-// scan→group stream is silenced for the covered queries — the aggregation
-// consumes typed vectors via the stride-kernel scan instead of materialized
-// row batches. Eligibility mirrors decideIncremental: every activation at
-// the node must arrive through its incremental binding (a direct base-table
-// ClockScan into a single-stream GroupOp), and nodes already claimed by
-// incremental state keep it (maintained state supersedes a re-scan). Only
-// active when the plan is in columnar mode. Caller holds p.mu.
-func (p *GlobalPlan) decideColumnarAgg(acts []Activation, incCycles map[*operators.Node]*operators.IncCycle,
-	skipTask map[*operators.Node]map[queryset.QueryID]bool,
-	skipEdge map[*operators.Edge]map[queryset.QueryID]bool,
-) (map[*operators.Node]*operators.ColCycle,
-	map[*operators.Node]map[queryset.QueryID]bool,
-	map[*operators.Edge]map[queryset.QueryID]bool,
-) {
-	if !p.columnar {
-		return nil, skipTask, skipEdge
-	}
+// incCandidates collects, per stateful node, the activations that reach it
+// through an incremental binding, keeping only the nodes a cycle may feed
+// from the table instead of the scan stream: EVERY activation at the node
+// arrives through a binding on the same scan edge and table, and the node is
+// a key-hashed hash join or a single-stream group-by. Each candidate's activations are
+// sorted by query id.
+func incCandidates(acts []Activation) map[*operators.Node]*incCand {
 	counts := map[*operators.Node]int{}
 	cands := map[*operators.Node]*incCand{}
 	for _, a := range acts {
@@ -289,9 +228,6 @@ func (p *GlobalPlan) decideColumnarAgg(acts []Activation, incCycles map[*operato
 			counts[st.node]++
 		}
 		for _, b := range a.Stmt.incs {
-			if _, isGroup := b.op.(*operators.GroupOp); !isGroup {
-				continue
-			}
 			c := cands[b.node]
 			if c == nil {
 				c = &incCand{b: b, ok: true}
@@ -303,30 +239,83 @@ func (p *GlobalPlan) decideColumnarAgg(acts []Activation, incCycles map[*operato
 			c.acts = append(c.acts, incAct{qid: a.QID, stmt: a.Stmt.ID, params: a.Params, pred: b.pred})
 		}
 	}
-	if len(cands) == 0 {
-		return nil, skipTask, skipEdge
-	}
-
-	var colCycles map[*operators.Node]*operators.ColCycle
 	for n, c := range cands {
-		if incCycles[n] != nil {
-			continue
+		eligible := c.ok && len(c.acts) == counts[n]
+		switch op := c.b.op.(type) {
+		case *operators.HashJoinOp:
+			eligible = eligible && !op.ByQueryID
+		case *operators.GroupOp:
+			eligible = eligible && len(op.Streams) == 1
+		default:
+			eligible = false
 		}
-		if !c.ok || len(c.acts) != counts[n] {
-			continue
-		}
-		if op := c.b.op.(*operators.GroupOp); len(op.Streams) != 1 {
+		if !eligible {
+			delete(cands, n)
 			continue
 		}
 		sort.Slice(c.acts, func(i, j int) bool { return c.acts[i].qid < c.acts[j].qid })
-		preds := make([]operators.IncPred, len(c.acts))
-		for i, a := range c.acts {
-			preds[i] = operators.IncPred{QID: a.qid, Pred: expr.Bind(a.pred, a.params)}
+	}
+	return cands
+}
+
+// boundPreds binds each covered activation's scan predicate to its
+// parameters.
+func (c *incCand) boundPreds() []operators.IncPred {
+	preds := make([]operators.IncPred, len(c.acts))
+	for i, a := range c.acts {
+		preds[i] = operators.IncPred{QID: a.qid, Pred: expr.Bind(a.pred, a.params)}
+	}
+	return preds
+}
+
+// silenceScan suppresses the covered queries' scan tasks and scan-edge
+// memberships: the operator builds its own input, so they must not also
+// stream the scan.
+func (c *incCand) silenceScan(skipTask map[*operators.Node]map[queryset.QueryID]bool, skipEdge map[*operators.Edge]map[queryset.QueryID]bool) {
+	st := skipTask[c.b.scanNode]
+	if st == nil {
+		st = map[queryset.QueryID]bool{}
+		skipTask[c.b.scanNode] = st
+	}
+	se := skipEdge[c.b.scanEdge]
+	if se == nil {
+		se = map[queryset.QueryID]bool{}
+		skipEdge[c.b.scanEdge] = se
+	}
+	for _, a := range c.acts {
+		st[a.qid] = true
+		se[a.qid] = true
+	}
+}
+
+// decideColumnarAgg picks, per eligible group-by node, whether this
+// generation's aggregation runs as a columnar pushdown: the node feeds
+// itself from the table's columnar mirror (operators.ColCycle) and the
+// scan→group stream is silenced for the covered queries — the aggregation
+// consumes typed vectors via the stride-kernel scan instead of materialized
+// row batches. Eligibility is decideIncremental's (the same incCandidates,
+// group-by nodes only), and nodes already claimed by incremental state keep
+// it (maintained state supersedes a re-scan). Only
+// active when the plan is in columnar mode. Caller holds p.mu.
+func (p *GlobalPlan) decideColumnarAgg(cands map[*operators.Node]*incCand, incCycles map[*operators.Node]*operators.IncCycle,
+	skipTask map[*operators.Node]map[queryset.QueryID]bool,
+	skipEdge map[*operators.Edge]map[queryset.QueryID]bool,
+) (map[*operators.Node]*operators.ColCycle,
+	map[*operators.Node]map[queryset.QueryID]bool,
+	map[*operators.Edge]map[queryset.QueryID]bool,
+) {
+	if !p.columnar {
+		return nil, skipTask, skipEdge
+	}
+	var colCycles map[*operators.Node]*operators.ColCycle
+	for n, c := range cands {
+		if _, isGroup := c.b.op.(*operators.GroupOp); !isGroup || incCycles[n] != nil {
+			continue
 		}
 		if colCycles == nil {
 			colCycles = map[*operators.Node]*operators.ColCycle{}
 		}
-		colCycles[n] = &operators.ColCycle{Table: c.b.table, Preds: preds}
+		colCycles[n] = &operators.ColCycle{Table: c.b.table, Preds: c.boundPreds()}
 		p.colAggCycles++
 
 		if skipTask == nil {
@@ -335,20 +324,7 @@ func (p *GlobalPlan) decideColumnarAgg(acts []Activation, incCycles map[*operato
 		if skipEdge == nil {
 			skipEdge = map[*operators.Edge]map[queryset.QueryID]bool{}
 		}
-		st := skipTask[c.b.scanNode]
-		if st == nil {
-			st = map[queryset.QueryID]bool{}
-			skipTask[c.b.scanNode] = st
-		}
-		se := skipEdge[c.b.scanEdge]
-		if se == nil {
-			se = map[queryset.QueryID]bool{}
-			skipEdge[c.b.scanEdge] = se
-		}
-		for _, a := range c.acts {
-			st[a.qid] = true
-			se[a.qid] = true
-		}
+		c.silenceScan(skipTask, skipEdge)
 	}
 	return colCycles, skipTask, skipEdge
 }

@@ -130,7 +130,7 @@ type GlobalPlan struct {
 	nextStream int
 	started    bool
 	workers    int  // per-cycle intra-operator parallelism (<=1 = serial)
-	columnar   bool // scan sources read the columnar mirror (SharedScanColumnar)
+	columnar   bool // scan sources read the columnar mirror (default); false = row-store reference scan
 	// pool is the plan-wide batch free list: every node's emitter draws
 	// from it and every node recycles consumed batches into it, so the
 	// steady-state generation cycle reuses the same buffers (README
@@ -147,9 +147,13 @@ type GlobalPlan struct {
 	// per-statement cost attribution feed (admission control).
 	costObserver func(gen uint64, tasks []operators.Task, activeNs int64)
 
-	// colAggCycles counts group-by node cycles dispatched as columnar
-	// aggregation pushdowns (tests assert the pushdown actually engaged).
-	colAggCycles uint64
+	// Path counters (tests assert each path actually engaged): scan node
+	// cycles dispatched on the columnar mirror, stateful node cycles that
+	// reused maintained state, and group-by node cycles dispatched as
+	// columnar aggregation pushdowns.
+	colScanCycles  uint64
+	incReuseCycles uint64
+	colAggCycles   uint64
 
 	streams map[int]*streamInfo
 
@@ -227,6 +231,7 @@ func New(db *storage.Database) *GlobalPlan {
 		filterFor:  map[int]*operators.Node{},
 		edges:      map[[2]int]*operators.Edge{},
 		nextStream: 1,
+		columnar:   true,
 		pool:       operators.NewBatchPool(),
 	}
 	p.SinkOp = &operators.SinkOp{}
@@ -315,8 +320,9 @@ func (p *GlobalPlan) Workers() int {
 	return p.workers
 }
 
-// SetColumnar switches scan sources between the row-store ClockScan and the
-// columnar mirror (storage.SharedScanColumnar). Takes effect from the next
+// SetColumnar switches scan sources between the columnar mirror
+// (storage.SharedScanColumnar, the default) and the row-store ClockScan the
+// mirror is differentially tested against. Takes effect from the next
 // generation; emission is bit-identical either way.
 func (p *GlobalPlan) SetColumnar(on bool) {
 	p.mu.Lock()
@@ -324,20 +330,16 @@ func (p *GlobalPlan) SetColumnar(on bool) {
 	p.columnar = on
 }
 
-// ColAggCycles reports how many group-by node cycles ran as columnar
-// aggregation pushdowns (fed straight from the columnar mirror instead of
-// the scan stream) since the plan was created.
-func (p *GlobalPlan) ColAggCycles() uint64 {
+// PathCycles reports how many node cycles the plan has dispatched on each
+// always-on path since it was created: scan cycles on the columnar mirror,
+// stateful (hash-join build, group-by) cycles that reused maintained state
+// — delta applied in place instead of a reprime or rebuild — and group-by
+// cycles run as columnar aggregation pushdowns (fed straight from the
+// mirror instead of the scan stream).
+func (p *GlobalPlan) PathCycles() (colScan, incReuse, colAgg uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.colAggCycles
-}
-
-// Columnar reports whether scan cycles read the columnar mirror.
-func (p *GlobalPlan) Columnar() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.columnar
+	return p.colScanCycles, p.incReuseCycles, p.colAggCycles
 }
 
 // Start launches every operator goroutine (idempotent).
@@ -446,8 +448,8 @@ type Statement struct {
 
 	// incs are the statement's incremental-state bindings: stateful nodes
 	// along its path (hash join, group-by) whose input is this statement's
-	// direct base-table scan, eligible for maintained NodeState when
-	// Config.IncrementalState is on. Set at compile time.
+	// direct base-table scan, eligible for maintained NodeState. Set at
+	// compile time.
 	incs []incBinding
 }
 

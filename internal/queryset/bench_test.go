@@ -4,7 +4,7 @@ import (
 	"testing"
 )
 
-// Ablation A1 (DESIGN.md): list vs bitmap representation of the query_id
+// Ablation A1: list vs bitmap representation of the query_id
 // set (§3.1: "we chose to use a list-based implementation because that
 // turned out to be the more space and time efficient option in all our
 // experiments"). For the sparse sets typical of shared plans (a handful of

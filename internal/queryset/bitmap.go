@@ -5,7 +5,7 @@ import "math/bits"
 // Bitmap is the alternative set representation considered (and rejected) by
 // the paper for the query_id attribute (§3.1: "In the literature, two data
 // structures have been proposed: (a) bitmaps and (b) lists"). It is kept so
-// the representation choice can be benchmarked (DESIGN.md ablation A1):
+// the representation choice can be benchmarked (bench_test.go, ablation A1):
 // bitmaps win when sets are dense relative to the id universe, lists win for
 // the sparse sets typical of shared plans.
 type Bitmap struct {

@@ -7,7 +7,7 @@
 // representation on the right of Figure 1). The paper evaluated bitmap and
 // list representations and chose sorted lists; Set is that list
 // implementation. A bitmap variant lives in bitmap.go for the ablation
-// benchmark (DESIGN.md A1).
+// benchmark (bench_test.go, ablation A1).
 //
 // QueryIDs are generation-scoped: each engine generation numbers its
 // queries densely from 1, which keeps sets small and lets operators use

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 
 	"shareddb"
@@ -208,9 +209,21 @@ func (c *conn) handleStmtCall(m wire.StmtCall, isQuery bool) {
 }
 
 // handleSQLCall is the ad-hoc path: DDL applies synchronously (it is not
-// generation-scheduled), everything else resolves through the registry and
-// submits like a handle call.
+// generation-scheduled), EXPLAIN PLAN renders the global operator DAG as a
+// one-column row set (one row per node; it never enters a generation),
+// everything else resolves through the registry and submits like a handle
+// call.
 func (c *conn) handleSQLCall(m wire.SQLCall, isQuery bool) {
+	if isQuery && isExplainPlan(m.SQL) {
+		var rows []types.Row
+		for _, l := range strings.Split(c.srv.db.DescribePlan(), "\n") {
+			if l != "" {
+				rows = append(rows, types.Row{types.NewString(l)})
+			}
+		}
+		c.out.send(rowFrames(m.ID, []string{"plan"}, rows))
+		return
+	}
 	if !isQuery {
 		ast, err := sql.Parse(m.SQL)
 		if err != nil {
@@ -233,6 +246,14 @@ func (c *conn) handleSQLCall(m wire.SQLCall, isQuery bool) {
 		return
 	}
 	c.submit(m.ID, st, m.Params, isQuery)
+}
+
+// isExplainPlan matches "EXPLAIN PLAN" in any case and spacing, without
+// allocating (it runs on every ad-hoc query).
+func isExplainPlan(sqlText string) bool {
+	t := strings.TrimSpace(sqlText)
+	return len(t) > 7 && strings.EqualFold(t[:7], "EXPLAIN") &&
+		t[7] <= ' ' && strings.EqualFold(strings.TrimSpace(t[7:]), "PLAN")
 }
 
 func (c *conn) submit(id uint64, st *plan.Statement, params []types.Value, isQuery bool) {
@@ -268,20 +289,19 @@ func (c *conn) await(id uint64, res *core.Result, isQuery bool) {
 		c.out.send(wire.ExecOK{ID: id, RowsAffected: uint64(res.RowsAffected)}.Append(nil))
 		return
 	}
-	// Stream the cursor. Header, batches and the terminal frame are
-	// encoded into one buffer and enqueued as a unit, so frames from
-	// concurrent waiters never interleave inside a response.
-	per := c.srv.opts.RowsPerBatch
-	frames := wire.RowsHeader{ID: id, Columns: schemaColumns(res.Schema)}.Append(nil)
-	for off := 0; off < len(res.Rows); off += per {
-		end := off + per
-		if end > len(res.Rows) {
-			end = len(res.Rows)
-		}
-		frames = wire.RowBatch{ID: id, Rows: res.Rows[off:end]}.Append(frames)
+	c.out.send(rowFrames(id, schemaColumns(res.Schema), res.Rows))
+}
+
+// rowFrames encodes one streamed cursor: header, batches of at most
+// rowsPerBatch rows and the terminal frame, in one buffer that is enqueued as a unit so
+// frames from concurrent waiters never interleave inside a response.
+func rowFrames(id uint64, columns []string, rows []types.Row) []byte {
+	frames := wire.RowsHeader{ID: id, Columns: columns}.Append(nil)
+	for off := 0; off < len(rows); off += rowsPerBatch {
+		end := min(off+rowsPerBatch, len(rows))
+		frames = wire.RowBatch{ID: id, Rows: rows[off:end]}.Append(frames)
 	}
-	frames = wire.RowsDone{ID: id, Total: uint64(len(res.Rows))}.Append(frames)
-	c.out.send(frames)
+	return wire.RowsDone{ID: id, Total: uint64(len(rows))}.Append(frames)
 }
 
 func (c *conn) handleSubscribe(m wire.SQLCall) {
@@ -352,8 +372,8 @@ func schemaColumns(s *types.Schema) []string {
 
 // statsFrame renders the engine counter snapshot. Names are the wire
 // contract (clients match by name; unknown names are ignored), mirroring
-// the text protocol's STATS rows minus the derived rate — clients compute
-// FoldHitRate from the counters.
+// shareddb.Stats minus the derived rate — clients compute FoldHitRate from
+// the counters.
 func statsFrame(id uint64, st shareddb.Stats) []byte {
 	return wire.StatsOK{ID: id, Fields: []wire.StatField{
 		{Name: "generations", Value: st.Generations},

@@ -11,9 +11,8 @@
 //   - The reader dispatches QUERY/EXEC frames straight into the engine's
 //     asynchronous Submit without waiting for results, bounded by a
 //     per-connection in-flight window. A full pipeline window therefore
-//     lands in the same pending queue — and with Config.FoldQueries,
-//     identical queries from one window (or a thousand windows) collapse
-//     into one activation.
+//     lands in the same pending queue, where identical queries from one
+//     window (or a thousand windows) fold into one activation.
 //   - Completions are written by short-lived waiter goroutines through a
 //     coalescing outbox: while one flush syscall is in flight, every other
 //     completion appends to the pending buffer and ships in the next
@@ -23,9 +22,6 @@
 //     text. Statement registration quiesces the generation pipeline, so a
 //     thousand clients preparing the same statement must pay that cost
 //     once, not a thousand times.
-//
-// The legacy line protocol remains available behind Options.TextProtocol
-// for one release (see text.go and the README migration notes).
 package server
 
 import (
@@ -45,12 +41,6 @@ type Options struct {
 	// terminal response. The reader stops reading when the window is
 	// full, back-pressuring the peer through TCP. 0 selects 64.
 	Window int
-	// RowsPerBatch caps rows per ROW_BATCH frame in streamed results.
-	// 0 selects 256.
-	RowsPerBatch int
-	// TextProtocol serves the legacy line protocol instead of the binary
-	// one (kept for one release; see README migration notes).
-	TextProtocol bool
 	// Logf receives accept-loop diagnostics; nil uses log.Printf.
 	Logf func(format string, args ...interface{})
 }
@@ -59,9 +49,8 @@ const (
 	// DefaultWindow is the per-connection in-flight window when
 	// Options.Window is zero.
 	DefaultWindow = 64
-	// DefaultRowsPerBatch is the streamed-cursor batch size when
-	// Options.RowsPerBatch is zero.
-	DefaultRowsPerBatch = 256
+	// rowsPerBatch caps rows per ROW_BATCH frame in streamed results.
+	rowsPerBatch = 256
 )
 
 // Server serves one DB over one or more listeners.
@@ -84,9 +73,6 @@ type Server struct {
 func New(db *shareddb.DB, opts Options) *Server {
 	if opts.Window <= 0 {
 		opts.Window = DefaultWindow
-	}
-	if opts.RowsPerBatch <= 0 {
-		opts.RowsPerBatch = DefaultRowsPerBatch
 	}
 	if opts.Logf == nil {
 		opts.Logf = log.Printf
@@ -136,15 +122,6 @@ func (s *Server) ServeConn(nc net.Conn) {
 	if s.closed {
 		s.mu.Unlock()
 		nc.Close()
-		return
-	}
-	if s.opts.TextProtocol {
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			serveText(s.db, nc)
-		}()
 		return
 	}
 	c := newConn(s, nc)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -61,7 +60,7 @@ func mustExec(db *shareddb.DB, sqlText string, args ...interface{}) {
 // what any individual caller sees.
 func TestPipelinedDifferential(t *testing.T) {
 	addr, _ := startServer(t,
-		shareddb.Config{FoldQueries: true, MaxInFlightGenerations: 1},
+		shareddb.Config{MaxInFlightGenerations: 1},
 		Options{Window: 8}, seedItems(40))
 
 	const q = `SELECT i_id, i_title, i_stock FROM item WHERE i_title LIKE ?`
@@ -135,7 +134,7 @@ func TestPipelinedDifferential(t *testing.T) {
 func TestSameGenerationFold(t *testing.T) {
 	const window = 16
 	addr, sdb := startServer(t,
-		shareddb.Config{FoldQueries: true, MaxInFlightGenerations: 1, Heartbeat: 2 * time.Millisecond},
+		shareddb.Config{MaxInFlightGenerations: 1, Heartbeat: 2 * time.Millisecond},
 		Options{Window: window}, seedItems(40))
 
 	db, err := client.OpenConfig(client.Config{Addr: addr, Window: window})
@@ -291,42 +290,36 @@ func TestSubscribePush(t *testing.T) {
 	}
 }
 
-// TestTextProtocolStillServes keeps the legacy line protocol working
-// behind Options.TextProtocol for its final release.
-func TestTextProtocolStillServes(t *testing.T) {
-	addr, _ := startServer(t, shareddb.Config{}, Options{TextProtocol: true}, seedItems(3))
-
-	nc, err := net.Dial("tcp", addr)
+// TestExplainPlanOverQuerySQL pins the plan dump's wire shape: EXPLAIN PLAN
+// sent as an ad-hoc query answers a one-column row set, one row per
+// operator node, without a new frame type.
+func TestExplainPlanOverQuerySQL(t *testing.T) {
+	addr, db := startServer(t, shareddb.Config{}, Options{}, seedItems(3))
+	cl, err := client.Open(addr)
 	if err != nil {
-		t.Fatalf("dial: %v", err)
+		t.Fatalf("client.Open: %v", err)
 	}
-	defer nc.Close()
-	rd := bufio.NewReader(nc)
-	send := func(line string) {
-		if _, err := fmt.Fprintf(nc, "%s\n", line); err != nil {
-			t.Fatalf("send %q: %v", line, err)
-		}
+	defer cl.Close()
+	if _, err := cl.Query(`SELECT i_id, i_title FROM item WHERE i_stock > ?`, 0); err != nil {
+		t.Fatalf("query: %v", err)
 	}
-	expectPrefix := func(prefix string) string {
-		t.Helper()
-		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-		for {
-			line, err := rd.ReadString('\n')
-			if err != nil {
-				t.Fatalf("waiting for %q: %v", prefix, err)
-			}
-			line = strings.TrimRight(line, "\n")
-			if strings.HasPrefix(line, prefix) {
-				return line
-			}
-		}
+	rows, err := cl.Query("explain  plan")
+	if err != nil {
+		t.Fatalf("EXPLAIN PLAN: %v", err)
 	}
-	send(`SELECT i_id, i_title FROM item`)
-	expectPrefix("OK 3 rows")
-	send("STATS")
-	expectPrefix("OK")
-	send("QUIT")
-	expectPrefix("BYE")
+	if cols := rows.Columns(); !reflect.DeepEqual(cols, []string{"plan"}) {
+		t.Fatalf("columns = %v, want [plan]", cols)
+	}
+	var lines []string
+	for _, row := range rows.All() {
+		lines = append(lines, row[0].AsString())
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatalf("rows: %v", err)
+	}
+	if got, want := strings.Join(lines, "\n")+"\n", db.DescribePlan(); got != want || len(lines) == 0 {
+		t.Fatalf("plan over the wire:\n%s\nDescribePlan:\n%s", got, want)
+	}
 }
 
 // TestQuitHandshake pins the orderly close: QUIT answers BYE and the

@@ -68,8 +68,10 @@ func TestShardBroadcastWriteAdmissionAllOrNothing(t *testing.T) {
 	r := admissionRouter(t, queueCap, time.Second)
 	// item partitions: this COUNT scatters to every shard, filling both
 	// queues per submission (a replicated-table read would round-robin to
-	// one shard and leave the other queue empty).
-	scatter := mustPrepareRouter(t, r, "SELECT COUNT(*) FROM item")
+	// one shard and leave the other queue empty). The parameter only keeps
+	// the submissions distinct: identical reads would fold at the router
+	// and occupy one slot between them.
+	scatter := mustPrepareRouter(t, r, "SELECT COUNT(*) FROM item WHERE i_id > ?")
 	// author replicates: the probe round-robins across shards, so two
 	// consecutive probes observe both replicas.
 	probe := mustPrepareRouter(t, r, "SELECT COUNT(*) FROM author WHERE a_lname = 'OVERLOAD'")
@@ -87,14 +89,16 @@ func TestShardBroadcastWriteAdmissionAllOrNothing(t *testing.T) {
 	}
 	// author replicates: this write broadcasts to every shard.
 	write := mustPrepareRouter(t, r, "UPDATE author SET a_lname = 'OVERLOAD' WHERE a_id = 3")
-	warm(t, r, scatter)
+	if err := r.Submit(scatter, []types.Value{types.NewInt(-1)}).Wait(); err != nil {
+		t.Fatalf("warm-up broadcast: %v", err)
+	}
 
 	// Fill both shard queues to the cap with scatter reads (each enqueues
 	// on every shard), then ask for the broadcast write: admission must
 	// reject it on the first full shard WITHOUT enqueueing it anywhere.
 	var queued []*core.Result
 	for i := 0; i < queueCap; i++ {
-		queued = append(queued, r.Submit(scatter, nil))
+		queued = append(queued, r.Submit(scatter, []types.Value{types.NewInt(int64(-2 - i))}))
 	}
 	err := r.Submit(write, nil).Wait()
 	if !errors.Is(err, core.ErrOverloaded) {

@@ -115,102 +115,109 @@ func sweepTemplates() []template {
 }
 
 // TestDifferentialShardedVsOracle runs the randomized workload through the
-// router at every configured shard count and asserts identical result
-// multisets against the per-query baseline oracle, with writes applied to
-// both sides between read bursts.
+// router at every configured shard count — production shard engines, then
+// all-reference ones (row scan, rebuilt state, no folding) — and asserts
+// identical result multisets against the per-query baseline oracle, with
+// writes applied to both sides between read bursts.
 func TestDifferentialShardedVsOracle(t *testing.T) {
 	for _, shards := range shardCounts(t) {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			router := newRouterEnv(t, shards, core.Config{})
-			oracle := newOracle(t)
+		for _, ref := range []bool{false, true} {
+			t.Run(fmt.Sprintf("shards=%d/reference=%v", shards, ref), func(t *testing.T) {
+				differentialShardedVsOracle(t, shards, core.Config{RowScan: ref, RebuildState: ref, NoFold: ref})
+			})
+		}
+	}
+}
 
-			templates := sweepTemplates()
-			routerStmts := make([]*plan.Statement, len(templates))
-			oracleStmts := make([]*baseline.Stmt, len(templates))
-			for i, tpl := range templates {
-				var err error
-				routerStmts[i], err = router.Prepare(tpl.sql)
-				if err != nil {
-					t.Fatalf("router prepare %q: %v", tpl.sql, err)
+func differentialShardedVsOracle(t *testing.T, shards int, cfg core.Config) {
+	router := newRouterEnv(t, shards, cfg)
+	oracle := newOracle(t)
+
+	templates := sweepTemplates()
+	routerStmts := make([]*plan.Statement, len(templates))
+	oracleStmts := make([]*baseline.Stmt, len(templates))
+	for i, tpl := range templates {
+		var err error
+		routerStmts[i], err = router.Prepare(tpl.sql)
+		if err != nil {
+			t.Fatalf("router prepare %q: %v", tpl.sql, err)
+		}
+		oracleStmts[i], err = oracle.Prepare(tpl.sql)
+		if err != nil {
+			t.Fatalf("oracle prepare %q: %v", tpl.sql, err)
+		}
+	}
+
+	var reads, writes []int
+	for i, tpl := range templates {
+		if tpl.write {
+			writes = append(writes, i)
+		} else {
+			reads = append(reads, i)
+		}
+	}
+
+	r := rand.New(rand.NewSource(int64(4000 + shards)))
+	nextItemID := int64(1000)
+	for round := 0; round < 12; round++ {
+		// Write phase: a few writes, mirrored on the oracle and
+		// applied serially (the router's cross-shard write ordering
+		// is per-statement).
+		for w := 0; w < 3; w++ {
+			ti := writes[r.Intn(len(writes))]
+			var params []types.Value
+			if templates[ti].mkParam == nil { // fresh-key insert
+				params = []types.Value{
+					types.NewInt(nextItemID),
+					types.NewString(fmt.Sprintf("Title %02d new %d", nextItemID%10, nextItemID)),
+					types.NewInt(nextItemID % 30),
+					types.NewString(fixtureSubjects[nextItemID%int64(len(fixtureSubjects))]),
+					types.NewFloat(float64(nextItemID%800) / 10),
 				}
-				oracleStmts[i], err = oracle.Prepare(tpl.sql)
-				if err != nil {
-					t.Fatalf("oracle prepare %q: %v", tpl.sql, err)
-				}
+				nextItemID++
+			} else {
+				params = templates[ti].mkParam(r)
 			}
-
-			var reads, writes []int
-			for i, tpl := range templates {
-				if tpl.write {
-					writes = append(writes, i)
-				} else {
-					reads = append(reads, i)
-				}
+			res := router.Submit(routerStmts[ti], params)
+			if err := res.Wait(); err != nil {
+				t.Fatalf("round %d router write %q: %v", round, templates[ti].sql, err)
 			}
-
-			r := rand.New(rand.NewSource(int64(4000 + shards)))
-			nextItemID := int64(1000)
-			for round := 0; round < 12; round++ {
-				// Write phase: a few writes, mirrored on the oracle and
-				// applied serially (the router's cross-shard write ordering
-				// is per-statement).
-				for w := 0; w < 3; w++ {
-					ti := writes[r.Intn(len(writes))]
-					var params []types.Value
-					if templates[ti].mkParam == nil { // fresh-key insert
-						params = []types.Value{
-							types.NewInt(nextItemID),
-							types.NewString(fmt.Sprintf("Title %02d new %d", nextItemID%10, nextItemID)),
-							types.NewInt(nextItemID % 30),
-							types.NewString(fixtureSubjects[nextItemID%int64(len(fixtureSubjects))]),
-							types.NewFloat(float64(nextItemID%800) / 10),
-						}
-						nextItemID++
-					} else {
-						params = templates[ti].mkParam(r)
-					}
-					res := router.Submit(routerStmts[ti], params)
-					if err := res.Wait(); err != nil {
-						t.Fatalf("round %d router write %q: %v", round, templates[ti].sql, err)
-					}
-					want, err := oracleStmts[ti].Exec(params)
-					if err != nil {
-						t.Fatalf("oracle write: %v", err)
-					}
-					if res.RowsAffected != want.RowsAffected {
-						t.Fatalf("round %d write %q: router affected %d, oracle %d",
-							round, templates[ti].sql, res.RowsAffected, want.RowsAffected)
-					}
-				}
-
-				// Read burst: concurrent submissions batch into generations
-				// on every shard.
-				n := 5 + r.Intn(25)
-				idxs := make([]int, n)
-				params := make([][]types.Value, n)
-				results := make([]*core.Result, n)
-				for i := 0; i < n; i++ {
-					idxs[i] = reads[r.Intn(len(reads))]
-					params[i] = templates[idxs[i]].mkParam(r)
-					results[i] = router.Submit(routerStmts[idxs[i]], params[i])
-				}
-				for i := 0; i < n; i++ {
-					if err := results[i].Wait(); err != nil {
-						t.Fatalf("round %d query %d (%s): %v", round, i, templates[idxs[i]].sql, err)
-					}
-					want, err := oracleStmts[idxs[i]].Exec(params[i])
-					if err != nil {
-						t.Fatalf("oracle exec: %v", err)
-					}
-					if !sameRows(results[i].Rows, want.Rows) {
-						t.Fatalf("round %d shards=%d: mismatch for %q params %v:\nrouter (%d rows): %v\noracle (%d rows): %v",
-							round, shards, templates[idxs[i]].sql, params[i],
-							len(results[i].Rows), canon(results[i].Rows),
-							len(want.Rows), canon(want.Rows))
-					}
-				}
+			want, err := oracleStmts[ti].Exec(params)
+			if err != nil {
+				t.Fatalf("oracle write: %v", err)
 			}
-		})
+			if res.RowsAffected != want.RowsAffected {
+				t.Fatalf("round %d write %q: router affected %d, oracle %d",
+					round, templates[ti].sql, res.RowsAffected, want.RowsAffected)
+			}
+		}
+
+		// Read burst: concurrent submissions batch into generations
+		// on every shard.
+		n := 5 + r.Intn(25)
+		idxs := make([]int, n)
+		params := make([][]types.Value, n)
+		results := make([]*core.Result, n)
+		for i := 0; i < n; i++ {
+			idxs[i] = reads[r.Intn(len(reads))]
+			params[i] = templates[idxs[i]].mkParam(r)
+			results[i] = router.Submit(routerStmts[idxs[i]], params[i])
+		}
+		for i := 0; i < n; i++ {
+			if err := results[i].Wait(); err != nil {
+				t.Fatalf("round %d query %d (%s): %v", round, i, templates[idxs[i]].sql, err)
+			}
+			want, err := oracleStmts[idxs[i]].Exec(params[i])
+			if err != nil {
+				t.Fatalf("oracle exec: %v", err)
+			}
+			if !sameRows(results[i].Rows, want.Rows) {
+				t.Fatalf("round %d shards=%d: mismatch for %q params %v:\nrouter (%d rows): %v\noracle (%d rows): %v",
+					round, shards, templates[idxs[i]].sql, params[i],
+					len(results[i].Rows), canon(results[i].Rows),
+					len(want.Rows), canon(want.Rows))
+			}
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 const routerFoldWindow = 400 * time.Millisecond
 
 func foldRouterCfg() core.Config {
-	return core.Config{FoldQueries: true, Heartbeat: routerFoldWindow}
+	return core.Config{Heartbeat: routerFoldWindow}
 }
 
 // warmRouter runs one broadcast read to completion so every shard engine's
@@ -180,7 +180,7 @@ func TestDifferentialFoldSharded(t *testing.T) {
 	for _, shards := range shardCounts(t) {
 		for _, fold := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/fold=%v", shards, fold), func(t *testing.T) {
-				router := newRouterEnv(t, shards, core.Config{FoldQueries: fold})
+				router := newRouterEnv(t, shards, core.Config{NoFold: !fold})
 				oracle := newOracle(t)
 
 				stmts := make([]*plan.Statement, len(templates))

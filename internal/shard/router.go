@@ -115,19 +115,19 @@ type Router struct {
 	// touch a single shard and need no ordering.
 	wmu sync.Mutex
 
-	// Router-level fold state (Config.FoldQueries): identical multi-shard
-	// reads fold BEFORE scatter, so a hundred identical broadcasts become
-	// one per-shard activation plus a fan-out. gathers indexes the pending
-	// leads by fingerprint; an entry leaves the index — closing its fold
+	// Router-level fold state: identical multi-shard reads fold BEFORE
+	// scatter, so a hundred identical broadcasts become one per-shard
+	// activation plus a fan-out. gathers indexes the pending leads by
+	// fingerprint (nil — no router folding — on a single shard and under
+	// core.Config.NoFold); an entry leaves the index — closing its fold
 	// window — when the FIRST shard drafts the lead into a generation (the
 	// engine's dispatch hook, which fires before any shard's snapshot
 	// pins; see Submit for the ordering argument). Point reads are not
 	// routed here: identical point reads land on the same shard and fold
 	// inside its engine.
-	foldQueries bool
-	gmu         sync.Mutex
-	gathers     map[uint64][]*gatherEntry
-	folded      uint64
+	gmu     sync.Mutex
+	gathers map[uint64][]*gatherEntry
+	folded  uint64
 }
 
 // gatherEntry is one pending multi-shard read lead: the identity to verify
@@ -167,18 +167,15 @@ func New(dbs []*storage.Database, cfg core.Config, placement Placement) (*Router
 		single:    len(dbs) == 1,
 		stmts:     map[*plan.Statement]*routedStmt{},
 	}
-	if cfg.FoldQueries && len(dbs) > 1 {
-		r.foldQueries = true
+	if !cfg.NoFold && len(dbs) > 1 {
 		r.gathers = map[uint64][]*gatherEntry{}
 	}
 	// Per-shard worker placement: by default every shard engine would
 	// resolve Workers=0 to all of GOMAXPROCS and the shards would contend
 	// for the same cores, so split the processor budget into disjoint
-	// per-shard shares. ShardWorkers overrides the share explicitly.
+	// per-shard shares. An explicit Workers applies per shard as given.
 	ecfg := cfg
-	if cfg.ShardWorkers > 0 {
-		ecfg.Workers = cfg.ShardWorkers
-	} else if cfg.Workers == 0 && len(dbs) > 1 {
+	if cfg.Workers == 0 && len(dbs) > 1 {
 		ecfg.Workers = max(1, runtime.GOMAXPROCS(0)/len(dbs))
 	}
 	for _, db := range dbs {
@@ -465,7 +462,7 @@ func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result
 		// reads would otherwise round-robin onto DIFFERENT shards and
 		// never meet in one engine's fold index — so the router folds
 		// them first, and only the lead is submitted.
-		if r.foldQueries {
+		if r.gathers != nil {
 			fp := core.FoldFingerprint(stmt.SQL, params)
 			if sub := r.tryRouterFold(fp, stmt.SQL, params); sub != nil {
 				return sub
@@ -507,7 +504,7 @@ func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result
 	// for every subscriber.
 	var foldFP uint64
 	var gather *gatherEntry
-	if r.foldQueries && sp.Write == nil {
+	if r.gathers != nil && sp.Write == nil {
 		foldFP = core.FoldFingerprint(stmt.SQL, params)
 		if sub := r.tryRouterFold(foldFP, stmt.SQL, params); sub != nil {
 			return sub

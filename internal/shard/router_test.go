@@ -34,12 +34,6 @@ func shardCounts(t testing.TB) []int {
 	return out
 }
 
-// testColumnar reports whether the shard suites should run the columnar
-// shared scan (SHAREDDB_TEST_COLUMNAR=1), the second CI matrix axis.
-func testColumnar() bool {
-	return os.Getenv("SHAREDDB_TEST_COLUMNAR") == "1"
-}
-
 // mkSchema creates the miniature bookstore schema used across the shard
 // tests (the same shape as the core engine's test fixture).
 func mkSchema(t testing.TB, db *storage.Database) {
@@ -128,7 +122,6 @@ func fixtureOps() []storage.WriteOp {
 // newRouterEnv builds an n-shard router over freshly loaded fixture data.
 func newRouterEnv(t testing.TB, n int, cfg core.Config) *Router {
 	t.Helper()
-	cfg.ColumnarScan = cfg.ColumnarScan || testColumnar()
 	dbs := make([]*storage.Database, n)
 	for i := range dbs {
 		db, err := storage.Open(storage.Options{Shard: storage.ShardInfo{Index: i, Count: n}})

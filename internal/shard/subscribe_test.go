@@ -63,7 +63,7 @@ func awaitSubState(t *testing.T, sub *core.Subscription, tracked []types.Row, wa
 func TestShardedSubscription(t *testing.T) {
 	for _, n := range shardCounts(t) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			r := newRouterEnv(t, n, core.Config{Workers: 2, IncrementalState: true})
+			r := newRouterEnv(t, n, core.Config{Workers: 2})
 
 			scatter, err := r.Prepare("SELECT i_id, i_title, i_price FROM item WHERE i_subject = ?")
 			if err != nil {

@@ -23,7 +23,7 @@ func TestTinyTableScanSpawnsNoWorkers(t *testing.T) {
 		run  func(workers int, emit func(RowID, types.Row, queryset.Set))
 	}{
 		{"partitioned", func(w int, emit func(RowID, types.Row, queryset.Set)) {
-			tab.SharedScanPartitioned(ts, clients, w, emit)
+			tab.SharedScanPooled(ts, clients, w, nil, emit)
 		}},
 		{"pooled", func(w int, emit func(RowID, types.Row, queryset.Set)) {
 			var bufs ScanBuffers
@@ -52,7 +52,7 @@ func TestLargeTableScanForksWorkers(t *testing.T) {
 	ts := db.SnapshotTS()
 	clients := []ScanClient{{ID: 1, Pred: nil}}
 	before := par.Forks()
-	tab.SharedScanPartitioned(ts, clients, 4, func(RowID, types.Row, queryset.Set) {})
+	tab.SharedScanPooled(ts, clients, 4, nil, func(RowID, types.Row, queryset.Set) {})
 	if forked := par.Forks() - before; forked == 0 {
 		t.Error("64-row scan above the clamp forked no workers")
 	}

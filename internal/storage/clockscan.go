@@ -155,39 +155,6 @@ func (pi *predIndex) match(row types.Row, buf []queryset.QueryID) []queryset.Que
 	return buf
 }
 
-// SharedScan executes one ClockScan cycle: a single pass over the rows
-// visible at snapshot ts answering every client at once. emit receives each
-// row that at least one client wants, together with the interested query-id
-// set (the data-query model). Emitted sets are fresh; callers may retain
-// them.
-func (t *Table) SharedScan(ts uint64, clients []ScanClient, emit func(rid RowID, row types.Row, qs queryset.Set)) {
-	t.sharedScan(ts, clients, 1, nil, emit)
-}
-
-// SharedScanPartitioned is the partition-parallel ClockScan (Crescando runs
-// one scan thread per core over a partition of the table; paper §4.4). The
-// table's row slots are split into `workers` contiguous ranges, every worker
-// runs the same shared predicate index over its own range, and the
-// per-partition hits are then emitted in partition order — which, because
-// partitions are contiguous and ordered, is exactly the RowID order the
-// serial scan produces. workers <= 1 (or a table below minParallelScanRows)
-// falls back to the serial SharedScan, so Workers=1 engines are
-// byte-identical to the pre-parallel engine. Emitted sets are fresh.
-func (t *Table) SharedScanPartitioned(ts uint64, clients []ScanClient, workers int, emit func(rid RowID, row types.Row, qs queryset.Set)) {
-	t.sharedScan(ts, clients, workers, nil, emit)
-}
-
-// SharedScanPooled is the zero-allocation ClockScan cycle used by the
-// always-on scan operator: identical visit and emission order to
-// SharedScan/SharedScanPartitioned, but every emitted query set is borrowed
-// from bufs — valid only during the emit callback — instead of freshly
-// allocated, and the partition hit buffers are drawn from bufs and reused
-// across generations. Callers that retain a set must copy it (the operator
-// emitter copies into its batch arena).
-func (t *Table) SharedScanPooled(ts uint64, clients []ScanClient, workers int, bufs *ScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
-	t.sharedScan(ts, clients, workers, bufs, emit)
-}
-
 // minParallelScanRows is the table size below which a partitioned scan
 // runs serial regardless of the worker budget (the adaptive worker budget's
 // source-node heuristic: a cycle over a tiny table never forks). A var so
@@ -220,18 +187,34 @@ type partScratch struct {
 	ids   []queryset.QueryID
 }
 
-// sharedScan is the one ClockScan body behind the three public entry
-// points. bufs == nil is the unpooled contract: a private ScanBuffers is
-// used and never reset afterwards, so emitted sets (arena-backed in the
-// parallel regime, freshly copied in the serial one) stay valid
-// indefinitely. With caller-owned bufs the sets are borrowed until the next
-// cycle reuses the buffers.
+// SharedScanPooled executes one ClockScan cycle: a single pass over the rows
+// visible at snapshot ts answering every client at once. emit receives each
+// row that at least one client wants, together with the interested query-id
+// set (the data-query model), in RowID order.
+//
+// With workers > 1 it runs partition-parallel (Crescando runs one scan
+// thread per core over a partition of the table; paper §4.4): the table's
+// row slots are split into `workers` contiguous ranges, every worker runs
+// the same shared predicate index over its own range, and the per-partition
+// hits are then emitted in partition order — which, because partitions are
+// contiguous and ordered, is exactly the RowID order the serial scan
+// produces. workers <= 1 (or a table below minParallelScanRows) scans
+// serially.
+//
+// With caller-owned bufs (the always-on scan operator) the cycle allocates
+// nothing per row: every emitted query set is borrowed from bufs — valid
+// only during the emit callback — and the partition hit buffers are reused
+// across generations; callers that retain a set must copy it (the operator
+// emitter copies into its batch arena). bufs == nil is the unpooled
+// contract: a private ScanBuffers is used and never reset afterwards, so
+// emitted sets (arena-backed in the parallel regime, freshly copied in the
+// serial one) stay valid indefinitely.
 //
 // In the parallel regime the table read lock is held across the whole pass
 // (writers of later generations block, readers proceed); emission happens
 // after the lock is released — version rows are immutable, so handing them
 // out lock-free is safe.
-func (t *Table) sharedScan(ts uint64, clients []ScanClient, workers int, bufs *ScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
+func (t *Table) SharedScanPooled(ts uint64, clients []ScanClient, workers int, bufs *ScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
 	if len(clients) == 0 {
 		return
 	}
@@ -302,27 +285,4 @@ func (t *Table) sharedScan(ts uint64, clients []ScanClient, workers int, bufs *S
 			bufs.parts[w].hits = bufs.parts[w].hits[:0]
 		}
 	}
-}
-
-// SharedScanNaive answers the same question without the predicate index:
-// every client's predicate is evaluated against every record. Kept for the
-// ablation benchmark (DESIGN.md A4) quantifying the value of query-data
-// joins.
-func (t *Table) SharedScanNaive(ts uint64, clients []ScanClient, emit func(rid RowID, row types.Row, qs queryset.Set)) {
-	if len(clients) == 0 {
-		return
-	}
-	var buf []queryset.QueryID
-	t.ScanVisible(ts, func(rid RowID, row types.Row) bool {
-		buf = buf[:0]
-		for _, c := range clients {
-			if expr.TruthyEval(c.Pred, row, nil) {
-				buf = append(buf, c.ID)
-			}
-		}
-		if len(buf) > 0 {
-			emit(rid, row, queryset.Of(buf...))
-		}
-		return true
-	})
 }

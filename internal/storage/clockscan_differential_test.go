@@ -159,9 +159,9 @@ func TestClockScanDifferentialFuzz(t *testing.T) {
 				}
 			}
 			if workers == 0 {
-				tab.SharedScan(ts, clients, emit)
+				tab.SharedScanPooled(ts, clients, 1, nil, emit)
 			} else {
-				tab.SharedScanPartitioned(ts, clients, workers, emit)
+				tab.SharedScanPooled(ts, clients, workers, nil, emit)
 			}
 			for _, c := range clients {
 				w, g := want[c.ID], got[c.ID]
@@ -216,7 +216,7 @@ func TestClockScanRangeProbeUnboundedLowerBounds(t *testing.T) {
 		{ID: 5, Pred: ge(300)},           // bounded Lo=300
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScan(ts, clients, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScanPooled(ts, clients, 1, nil, func(_ RowID, row types.Row, qs queryset.Set) {
 		acct := row[3].AsInt()
 		for _, id := range qs.IDs() {
 			counts[id]++

@@ -31,9 +31,9 @@ func collectScan(tab *Table, ts uint64, clients []ScanClient, workers int) []emi
 		out = append(out, emission{rid: rid, qs: qs.String()})
 	}
 	if workers == 0 {
-		tab.SharedScan(ts, clients, emit)
+		tab.SharedScanPooled(ts, clients, 1, nil, emit)
 	} else {
-		tab.SharedScanPartitioned(ts, clients, workers, emit)
+		tab.SharedScanPooled(ts, clients, workers, nil, emit)
 	}
 	return out
 }
@@ -82,7 +82,7 @@ func TestSharedScanPartitionedEdgeCases(t *testing.T) {
 		t.Errorf("empty table emitted %v", got)
 	}
 	// no clients
-	tab.SharedScanPartitioned(ts, nil, 4, func(RowID, types.Row, queryset.Set) {
+	tab.SharedScanPooled(ts, nil, 4, nil, func(RowID, types.Row, queryset.Set) {
 		t.Error("emit called with no clients")
 	})
 
@@ -172,7 +172,7 @@ func BenchmarkSharedScanPartitioned(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				tab.SharedScanPartitioned(ts, clients, workers, func(RowID, types.Row, queryset.Set) {})
+				tab.SharedScanPooled(ts, clients, workers, nil, func(RowID, types.Row, queryset.Set) {})
 			}
 		})
 	}

@@ -36,7 +36,7 @@ func TestSharedScanEqualityQueries(t *testing.T) {
 	}
 	got := map[queryset.QueryID]int{}
 	rowsEmitted := 0
-	tab.SharedScan(ts, clients, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScanPooled(ts, clients, 1, nil, func(_ RowID, row types.Row, qs queryset.Set) {
 		rowsEmitted++
 		for _, id := range qs.IDs() {
 			got[id]++
@@ -69,7 +69,7 @@ func TestSharedScanRangeQueries(t *testing.T) {
 		{ID: 2, Pred: &expr.And{Kids: []expr.Expr{gt("account", 100), lt("account", 300)}}},
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScan(ts, clients, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScanPooled(ts, clients, 1, nil, func(_ RowID, row types.Row, qs queryset.Set) {
 		for _, id := range qs.IDs() {
 			counts[id]++
 			acct := row[3].AsInt()
@@ -99,7 +99,7 @@ func TestSharedScanRestQueries(t *testing.T) {
 		{ID: 3, Pred: nil}, // full table
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScan(ts, clients, func(_ RowID, _ types.Row, qs queryset.Set) {
+	tab.SharedScanPooled(ts, clients, 1, nil, func(_ RowID, _ types.Row, qs queryset.Set) {
 		for _, id := range qs.IDs() {
 			counts[id]++
 		}
@@ -118,13 +118,33 @@ func TestSharedScanRestQueries(t *testing.T) {
 func TestSharedScanNoClients(t *testing.T) {
 	db, tab := seedUsers(t, 10)
 	called := false
-	tab.SharedScan(db.SnapshotTS(), nil, func(RowID, types.Row, queryset.Set) { called = true })
+	tab.SharedScanPooled(db.SnapshotTS(), nil, 1, nil, func(RowID, types.Row, queryset.Set) { called = true })
 	if called {
 		t.Error("emit called with no clients")
 	}
 }
 
-// Property: SharedScan (predicate-indexed) and SharedScanNaive (per-query
+// sharedScanNaive answers a scan cycle without the predicate index: every
+// client's predicate is evaluated against every record. It is the oracle of
+// the property test below and the ablation side of BenchmarkSharedScanNaive
+// (the value of query-data joins).
+func sharedScanNaive(t *Table, ts uint64, clients []ScanClient, emit func(rid RowID, row types.Row, qs queryset.Set)) {
+	var buf []queryset.QueryID
+	t.ScanVisible(ts, func(rid RowID, row types.Row) bool {
+		buf = buf[:0]
+		for _, c := range clients {
+			if expr.TruthyEval(c.Pred, row, nil) {
+				buf = append(buf, c.ID)
+			}
+		}
+		if len(buf) > 0 {
+			emit(rid, row, queryset.Of(buf...))
+		}
+		return true
+	})
+}
+
+// Property: the predicate-indexed ClockScan and sharedScanNaive (per-query
 // evaluation) produce identical per-query result sets for random workloads.
 // This is the correctness core of the ClockScan query-data join.
 func TestSharedScanMatchesNaiveProperty(t *testing.T) {
@@ -170,8 +190,12 @@ func TestSharedScanMatchesNaiveProperty(t *testing.T) {
 			})
 			return out
 		}
-		indexed := collect(tab.SharedScan)
-		naive := collect(tab.SharedScanNaive)
+		indexed := collect(func(ts uint64, clients []ScanClient, emit func(RowID, types.Row, queryset.Set)) {
+			tab.SharedScanPooled(ts, clients, 1, nil, emit)
+		})
+		naive := collect(func(ts uint64, clients []ScanClient, emit func(RowID, types.Row, queryset.Set)) {
+			sharedScanNaive(tab, ts, clients, emit)
+		})
 		if len(indexed) != len(naive) {
 			t.Fatalf("trial %d: query coverage differs: %d vs %d", trial, len(indexed), len(naive))
 		}
@@ -200,7 +224,7 @@ func TestSharedProbeEquality(t *testing.T) {
 	}
 	emitted := 0
 	got := map[queryset.QueryID]int64{}
-	tab.SharedProbe(ts, pk, clients, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedProbePooled(ts, pk, clients, nil, func(_ RowID, row types.Row, qs queryset.Set) {
 		emitted++
 		for _, id := range qs.IDs() {
 			got[id] = row[0].AsInt()
@@ -225,7 +249,7 @@ func TestSharedProbeRange(t *testing.T) {
 		{ID: 1, Lo: []types.Value{types.NewInt(10)}, Hi: []types.Value{types.NewInt(14)}, LoIncl: true, HiIncl: true},
 	}
 	var ids []int64
-	tab.SharedProbe(ts, pk, clients, func(_ RowID, row types.Row, _ queryset.Set) {
+	tab.SharedProbePooled(ts, pk, clients, nil, func(_ RowID, row types.Row, _ queryset.Set) {
 		ids = append(ids, row[0].AsInt())
 	})
 	if len(ids) != 5 {
@@ -243,7 +267,7 @@ func TestSharedProbeResidual(t *testing.T) {
 		{ID: 2, Key: []types.Value{types.NewString("CH")}},
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedProbe(ts, ix, clients, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedProbePooled(ts, ix, clients, nil, func(_ RowID, row types.Row, qs queryset.Set) {
 		for _, id := range qs.IDs() {
 			counts[id]++
 			if id == 1 && row[3].AsInt() <= 500 {
@@ -274,7 +298,7 @@ func TestSharedProbeStaleEntriesAfterUpdate(t *testing.T) {
 	ix := tab.IndexByName("users_country")
 
 	var oldKeyIDs []int64
-	tab.SharedProbe(ts, ix, []ProbeClient{{ID: 1, Key: []types.Value{types.NewString(oldCountry)}}},
+	tab.SharedProbePooled(ts, ix, []ProbeClient{{ID: 1, Key: []types.Value{types.NewString(oldCountry)}}}, nil,
 		func(_ RowID, row types.Row, _ queryset.Set) { oldKeyIDs = append(oldKeyIDs, row[0].AsInt()) })
 	for _, id := range oldKeyIDs {
 		if id == 3 {
@@ -282,7 +306,7 @@ func TestSharedProbeStaleEntriesAfterUpdate(t *testing.T) {
 		}
 	}
 	var newKeyIDs []int64
-	tab.SharedProbe(ts, ix, []ProbeClient{{ID: 1, Key: []types.Value{types.NewString("ZZ")}}},
+	tab.SharedProbePooled(ts, ix, []ProbeClient{{ID: 1, Key: []types.Value{types.NewString("ZZ")}}}, nil,
 		func(_ RowID, row types.Row, _ queryset.Set) { newKeyIDs = append(newKeyIDs, row[0].AsInt()) })
 	if len(newKeyIDs) != 1 || newKeyIDs[0] != 3 {
 		t.Errorf("new key probe = %v", newKeyIDs)
@@ -318,9 +342,9 @@ func benchScan(b *testing.B, indexed bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if indexed {
-			tab.SharedScan(ts, clients, func(RowID, types.Row, queryset.Set) {})
+			tab.SharedScanPooled(ts, clients, 1, nil, func(RowID, types.Row, queryset.Set) {})
 		} else {
-			tab.SharedScanNaive(ts, clients, func(RowID, types.Row, queryset.Set) {})
+			sharedScanNaive(tab, ts, clients, func(RowID, types.Row, queryset.Set) {})
 		}
 	}
 }

@@ -459,7 +459,7 @@ type ColScanBuffers struct {
 
 // SharedScanColumnar executes one columnar ClockScan cycle at snapshot ts.
 // See the file comment for the contract; emission is bit-identical to
-// sharedScan at any worker count.
+// SharedScanPooled at any worker count.
 func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int, bufs *ColScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
 	if len(clients) == 0 {
 		return

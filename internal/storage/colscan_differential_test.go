@@ -78,7 +78,7 @@ func collectColumnar(tab *Table, ts uint64, clients []ScanClient, workers int, b
 
 func collectRow(tab *Table, ts uint64, clients []ScanClient) []colEmission {
 	var out []colEmission
-	tab.SharedScan(ts, clients, func(rid RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScanPooled(ts, clients, 1, nil, func(rid RowID, row types.Row, qs queryset.Set) {
 		out = append(out, colEmission{rid: rid, qs: qs.String(), rp: &row[0]})
 	})
 	return out

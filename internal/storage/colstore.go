@@ -8,8 +8,8 @@ import (
 	"shareddb/internal/types"
 )
 
-// This file implements the per-table columnar read mirror behind
-// Config.ColumnarScan: typed flat vectors (int64 / float64 / string with a
+// This file implements the per-table columnar read mirror every shared
+// scan reads: typed flat vectors (int64 / float64 / string with a
 // validity bitmap) over the rows visible at one snapshot, maintained in
 // place from the table's write stream. The mirror trades the row path's
 // version-chain walk (pointer chase + interface dispatch per row per cycle)

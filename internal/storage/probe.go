@@ -30,34 +30,26 @@ type ProbeClient struct {
 	Residual expr.Expr // additional bound predicate over the table schema
 }
 
-// SharedProbe executes one probe cycle against ix at snapshot ts. Equal keys
-// across clients are deduplicated so each distinct key is traversed once.
-// emit receives each visible matching row with its interested-query set.
-//
-// Traversals run through the locked helpers (IndexSeekAt / IndexScanAt):
-// pipelined generations let later generations' writes land while this
-// probe cycle runs, so trees and version chains cannot be walked lock-free.
-// Visibility is at the fixed snapshot ts, so per-traversal locking is
-// equivalent to holding the lock for the whole cycle.
-func (t *Table) SharedProbe(ts uint64, ix *Index, clients []ProbeClient, emit func(rid RowID, row types.Row, qs queryset.Set)) {
-	t.sharedProbe(ts, ix, clients, nil, emit)
-}
-
 // ProbeBuffers is the reusable per-cycle scratch of a pooled shared probe
 // (one instance per probe operator node, reused across generations).
 type ProbeBuffers struct {
 	ids []queryset.QueryID
 }
 
-// SharedProbePooled is SharedProbe with borrowed query sets: emitted sets
-// live in bufs and are valid only during the emit callback, so the
-// steady-state probe cycle allocates no per-row id slices. Callers that
-// retain a set must copy it.
+// SharedProbePooled executes one probe cycle against ix at snapshot ts. Equal
+// keys across clients are deduplicated so each distinct key is traversed
+// once. emit receives each visible matching row with its interested-query
+// set. With caller-owned bufs the emitted sets live in bufs and are valid
+// only during the emit callback, so the steady-state probe cycle allocates
+// no per-row id slices (callers that retain a set must copy it); with
+// bufs == nil every emitted set is freshly allocated.
+//
+// Traversals run through the locked helpers (IndexSeekAt / IndexScanAt):
+// pipelined generations let later generations' writes land while this
+// probe cycle runs, so trees and version chains cannot be walked lock-free.
+// Visibility is at the fixed snapshot ts, so per-traversal locking is
+// equivalent to holding the lock for the whole cycle.
 func (t *Table) SharedProbePooled(ts uint64, ix *Index, clients []ProbeClient, bufs *ProbeBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
-	t.sharedProbe(ts, ix, clients, bufs, emit)
-}
-
-func (t *Table) sharedProbe(ts uint64, ix *Index, clients []ProbeClient, bufs *ProbeBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
 	if len(clients) == 0 {
 		return
 	}

@@ -63,7 +63,7 @@ type DriverConfig struct {
 	// ThinkTime is the mean of the exponential think-time distribution.
 	// The spec uses 7s; runs here scale it down together with the
 	// response-time limits (TimeScale) to keep experiments laptop-sized
-	// while preserving offered-load ratios (DESIGN.md §3).
+	// while preserving offered-load ratios.
 	ThinkTime time.Duration
 	Mix       Mix
 	// Only restricts the workload to a single interaction (paper Figure 9);

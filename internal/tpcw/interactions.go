@@ -467,7 +467,7 @@ func (s *Session) adminRequest() error {
 
 // adminConfirm updates an item's price/image and recomputes its related
 // item from the current best sellers of its subject (simplified from the
-// reference's 5-way related computation; DESIGN.md §3).
+// reference's 5-way related computation).
 func (s *Session) adminConfirm() error {
 	item := s.randItem()
 	rows, err := s.Sys.Query(StGetMaxOrderID)

@@ -5,11 +5,10 @@
 // measuring WIPS (web interactions per second) under the per-interaction
 // response-time limits.
 //
-// Substitutions from the reference implementation are minimal and
-// documented in DESIGN.md: no web tier or images (the paper also bypassed
-// them), scalar subqueries split into two statements (MAX(o_id) is fetched
-// separately, preserving "analysis of the latest 3,333 orders"), and
-// related-items use a single related column.
+// Substitutions from the reference implementation are minimal: no web tier
+// or images (the paper also bypassed them), scalar subqueries split into two
+// statements (MAX(o_id) is fetched separately, preserving "analysis of the
+// latest 3,333 orders"), and related-items use a single related column.
 package tpcw
 
 import (

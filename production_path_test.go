@@ -1,0 +1,193 @@
+package shareddb
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"shareddb/internal/plan"
+	"shareddb/internal/storage"
+	"shareddb/internal/types"
+)
+
+// plans returns every global plan behind db (one per shard engine).
+func plans(db *DB) []*plan.GlobalPlan {
+	if db.router == nil {
+		return []*plan.GlobalPlan{db.plan}
+	}
+	var out []*plan.GlobalPlan
+	for _, e := range db.router.Engines() {
+		out = append(out, e.Plan())
+	}
+	return out
+}
+
+// TestZeroConfigIsProductionPath pins that Open(Config{}) — and the same
+// through the shard router — runs the paths the repository benchmark
+// measures, not a reference configuration: shared scans read the columnar
+// mirror, a repeated group read across write generations reuses maintained
+// operator state, and concurrent identical reads fold (before scatter, on
+// the sharded deployment).
+func TestZeroConfigIsProductionPath(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, err := Open(Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if _, err := db.Exec(`CREATE TABLE item (i_id INT, i_subject VARCHAR, i_price FLOAT, PRIMARY KEY (i_id))`); err != nil {
+				t.Fatal(err)
+			}
+			const items = 64
+			for i := 0; i < items; i++ {
+				if _, err := db.Exec(`INSERT INTO item VALUES (?, ?, ?)`, i, fmt.Sprintf("S%d", i%4), 1.0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			group, err := db.Prepare(`SELECT i_subject, COUNT(*), SUM(i_price) FROM item GROUP BY i_subject`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan, err := db.Prepare(`SELECT i_id FROM item WHERE i_price > ?`)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The same group read, one per generation, with a write between
+			// each pair: after the first (prime) every generation can patch
+			// the group table from the write delta.
+			for round := 0; round < 6; round++ {
+				if _, err := db.Exec(`UPDATE item SET i_price = ? WHERE i_id = ?`, float64(round+2), round); err != nil {
+					t.Fatal(err)
+				}
+				rows, err := group.Query()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rows.Len() != 4 {
+					t.Fatalf("round %d: %d groups, want 4", round, rows.Len())
+				}
+				total := 0.0
+				for rows.Next() {
+					var subject string
+					var n int
+					var sum float64
+					if err := rows.Scan(&subject, &n, &sum); err != nil {
+						t.Fatal(err)
+					}
+					if n != items/4 {
+						t.Fatalf("round %d: group %s has %d rows, want %d", round, subject, n, items/4)
+					}
+					total += sum
+				}
+				// items rows at 1.0, rows 0..round repriced to 2.0..round+2.
+				want := float64(items)
+				for r := 0; r <= round; r++ {
+					want += float64(r + 1)
+				}
+				if total != want {
+					t.Fatalf("round %d: SUM(i_price) over all groups = %v, want %v", round, total, want)
+				}
+			}
+
+			// Bursts of identical concurrent reads until one folds.
+			deadline := time.Now().Add(10 * time.Second)
+			for db.Stats().FoldedQueries == 0 && time.Now().Before(deadline) {
+				var wg sync.WaitGroup
+				for i := 0; i < 16; i++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						rows, err := scan.Query(1.5)
+						if err != nil {
+							t.Error(err)
+						} else if rows.Len() != 6 {
+							t.Errorf("scan returned %d rows, want 6", rows.Len())
+						}
+					}()
+				}
+				wg.Wait()
+			}
+
+			st := db.Stats()
+			if st.FoldedQueries == 0 {
+				t.Error("identical concurrent reads never folded")
+			}
+			var colScans, incReuses uint64
+			for _, gp := range plans(db) {
+				colScan, incReuse, _ := gp.PathCycles()
+				colScans += colScan
+				incReuses += incReuse
+			}
+			if colScans == 0 {
+				t.Error("no scan cycle read the columnar mirror")
+			}
+			if incReuses == 0 {
+				t.Error("the repeated group read never reused maintained state")
+			}
+		})
+	}
+}
+
+// TestWritesBehindTheEngineReprimeState pins the fallback for storage that
+// changes without passing through a generation's write phase (a bulk load
+// through DB.Storage): maintained operator state must notice and reprime,
+// never serve the stale aggregate.
+func TestWritesBehindTheEngineReprimeState(t *testing.T) {
+	db, err := Open(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Exec(`CREATE TABLE kv (k INT, g INT, PRIMARY KEY (k))`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := db.Exec(`INSERT INTO kv VALUES (?, ?)`, i, i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt, err := db.Prepare(`SELECT g, COUNT(*) FROM kv GROUP BY g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func() int {
+		t.Helper()
+		rows, err := stmt.Query()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for rows.Next() {
+			var g, n int
+			if err := rows.Scan(&g, &n); err != nil {
+				t.Fatal(err)
+			}
+			total += n
+		}
+		return total
+	}
+	// Prime, then reuse: the state is live when the bulk load lands.
+	for i := 0; i < 3; i++ {
+		if got := count(); got != 8 {
+			t.Fatalf("COUNT before the bulk load = %d, want 8", got)
+		}
+	}
+	if _, incReuse, _ := db.plan.PathCycles(); incReuse == 0 {
+		t.Fatal("the repeated group read never reused maintained state — nothing to go stale")
+	}
+	results, _ := db.Storage().ApplyOps([]storage.WriteOp{
+		{Table: "kv", Kind: storage.WInsert, Row: types.Row{types.NewInt(100), types.NewInt(0)}},
+		{Table: "kv", Kind: storage.WInsert, Row: types.Row{types.NewInt(101), types.NewInt(1)}},
+	})
+	for _, res := range results {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if got := count(); got != 10 {
+		t.Fatalf("COUNT after a bulk load behind the engine = %d, want 10", got)
+	}
+}

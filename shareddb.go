@@ -76,26 +76,16 @@ type Config struct {
 	// data-parallel Finish phases on up to this many workers. 0 selects
 	// GOMAXPROCS (one worker per core); 1 runs strictly serial; negative
 	// values are rejected by Open. Per-query results are identical at any
-	// setting.
+	// setting. On sharded deployments the budget is per shard engine: 0
+	// gives every shard a disjoint GOMAXPROCS/Shards share so shards do not
+	// contend for the same cores, an explicit value gives each shard
+	// exactly that many workers.
 	Workers int
-	// ColumnarScan switches shared table scans from the row-store ClockScan
-	// to a delta-maintained columnar mirror: typed flat vectors per column
-	// with a validity bitmap, kept up to date from each generation's write
-	// delta and scanned with vectorized predicate evaluation (equality
-	// probes hash whole column chunks, ranges compare typed slices without
-	// boxing). Results are bit-identical to the row path — same rows, same
-	// order, same per-query assignment — only scan throughput changes. Off
-	// (false), the scan path is byte-identical to the row-store engine. See
-	// README "Columnar execution".
+	// Deprecated: ignored, always on. Shared table scans always read the
+	// delta-maintained columnar mirror and fall back to the row-store
+	// ClockScan on their own (README "Fallbacks"). The field is still
+	// declared only because the frozen repository benchmark reads it.
 	ColumnarScan bool
-	// ShardWorkers overrides the per-shard worker budget on sharded
-	// deployments: by default each shard engine receives a disjoint
-	// GOMAXPROCS/Shards share of the machine so shards do not contend for
-	// the same cores; a positive value gives every shard exactly that many
-	// workers instead (oversubscribing or isolating cores explicitly).
-	// 0 selects the split; negative values are rejected by Open. Ignored
-	// when Shards <= 1.
-	ShardWorkers int
 	// MaxGenerationDelay is the per-generation latency SLO (the paper's
 	// response-time limit). When set, batch formation caps each generation
 	// at the size predicted — from observed cycle times — to finish within
@@ -123,19 +113,15 @@ type Config struct {
 	// before a half-open probe is admitted (0 selects 8×MaxGenerationDelay;
 	// requires MaxGenerationDelay).
 	BreakerCooldown time.Duration
-	// FoldQueries enables result folding: concurrent reads with identical
-	// SQL text and bit-identical parameters that land in the same
-	// generation collapse to one engine activation whose result fans out
-	// to every caller. Folded reads are charged once against
-	// QueueDepthLimit/StatementQuota; writes and transaction operations
-	// never fold. See README "Result folding" for the fingerprint rules
-	// and the consistency argument. Off (false) keeps the submission path
-	// byte-identical to pre-folding behavior.
+	// Deprecated: ignored, always on. Concurrent reads with identical SQL
+	// text and bit-identical parameters that land in the same generation
+	// always collapse to one engine activation (README "Result folding").
+	// The field is still declared only because the frozen repository
+	// benchmark reads it.
 	FoldQueries bool
 	// FoldSubsume additionally lets a pending parameter-free simple scan
 	// serve equality-restriction duplicates of itself through residual
-	// filters when expression analysis proves covering. Requires
-	// FoldQueries; rejected by Open otherwise.
+	// filters when expression analysis proves covering.
 	FoldSubsume bool
 	// Shards splits the database into that many shard engines, each
 	// owning a hash partition (on primary key) of every table with its
@@ -161,16 +147,6 @@ type Config struct {
 	WALDir string
 	// SyncWAL fsyncs the log on every commit batch.
 	SyncWAL bool
-	// IncrementalState keeps hash-join build sides and group-by aggregate
-	// tables as persistent operator state maintained from each generation's
-	// write delta, instead of rebuilding them from their input scan every
-	// generation. State is reused when the covering queries and parameters
-	// repeat between generations (standing queries, repeated prepared
-	// reads); anything else reprimes from the base table. Off (false), the
-	// execution path is byte-identical to rebuild-every-generation.
-	// Requires MaxInFlightGenerations >= 1 (0 selects the default depth);
-	// rejected by Open otherwise.
-	IncrementalState bool
 	// SubscriptionBuffer is the per-subscription update channel capacity
 	// for DB.Subscribe (0 selects the default of 16; negative values are
 	// rejected by Open). A subscriber that falls a full buffer behind is
@@ -197,16 +173,12 @@ func (c Config) coreConfig() core.Config {
 		MaxBatch:               c.MaxBatch,
 		MaxInFlightGenerations: c.MaxInFlightGenerations,
 		Workers:                c.Workers,
-		ColumnarScan:           c.ColumnarScan,
-		ShardWorkers:           c.ShardWorkers,
 		MaxGenerationDelay:     c.MaxGenerationDelay,
 		QueueDepthLimit:        c.QueueDepthLimit,
 		StatementQuota:         c.StatementQuota,
 		BreakerStrikes:         c.BreakerStrikes,
 		BreakerCooldown:        c.BreakerCooldown,
-		FoldQueries:            c.FoldQueries,
 		FoldSubsume:            c.FoldSubsume,
-		IncrementalState:       c.IncrementalState,
 		SubscriptionBuffer:     c.SubscriptionBuffer,
 	}
 }
@@ -325,9 +297,8 @@ type Stats struct {
 	// commits.
 	WritesApplied uint64
 	// FoldedQueries counts reads answered by fan-out from an identical
-	// concurrent duplicate (Config.FoldQueries); SubsumedQueries is the
-	// subset served through a subsumption residual filter
-	// (Config.FoldSubsume).
+	// concurrent duplicate; SubsumedQueries is the subset served through a
+	// subsumption residual filter (Config.FoldSubsume).
 	FoldedQueries   uint64
 	SubsumedQueries uint64
 	// InFlightGenerations is the pipeline gauge: generations dispatched
@@ -492,10 +463,9 @@ func (db *DB) Query(sqlText string, args ...interface{}) (*Rows, error) {
 // The statement becomes a permanent member of every subsequent generation's
 // query set: the first delivery on the subscription's Updates channel is the
 // full result at the next generation's snapshot, and each later generation
-// that changes the result delivers the Added/Removed rows. With
-// Config.IncrementalState the standing query's shared join and group state
-// is maintained in place from each generation's write delta instead of
-// being rebuilt.
+// that changes the result delivers the Added/Removed rows. The standing
+// query's shared join and group state is maintained in place from each
+// generation's write delta instead of being rebuilt.
 //
 // Cancelling ctx closes the subscription, as does Subscription.Close;
 // either way the engine drops it at the next batch formation without
@@ -533,8 +503,8 @@ func (db *DB) Subscribe(ctx context.Context, stmt *Stmt, args ...interface{}) (*
 // Close only releases the reference, because there is no cursor to fail or
 // connection to return.
 //
-// Rows are read-only. With Config.FoldQueries, callers that issued
-// identical queries receive results backed by the same row storage —
+// Rows are read-only. Callers that issued identical concurrent queries
+// receive results backed by the same row storage (result folding) —
 // mutating a row through Row or All would corrupt another caller's result.
 type Rows struct {
 	schema *types.Schema

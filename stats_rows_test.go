@@ -38,7 +38,7 @@ func TestRowsDatabaseSQLShape(t *testing.T) {
 }
 
 func TestDBStatsCounters(t *testing.T) {
-	db, err := Open(Config{FoldQueries: true})
+	db, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +83,9 @@ func TestFoldHitRateZeroReads(t *testing.T) {
 }
 
 // TestFoldConfigThroughPublicAPI drives duplicate queries through DB with
-// folding enabled and checks the public counters see the collapse.
+// subsumption enabled and checks the public counters see the collapse.
 func TestFoldConfigThroughPublicAPI(t *testing.T) {
-	db, err := Open(Config{FoldQueries: true, FoldSubsume: true})
+	db, err := Open(Config{FoldSubsume: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,13 +131,4 @@ func TestFoldConfigThroughPublicAPI(t *testing.T) {
 		}
 	}
 	t.Fatal("no fold observed across 20 concurrent duplicate bursts")
-}
-
-func TestFoldSubsumeRequiresFoldQueries(t *testing.T) {
-	if err := (Config{FoldSubsume: true}).Validate(); err == nil {
-		t.Fatal("FoldSubsume without FoldQueries validated")
-	}
-	if _, err := Open(Config{FoldSubsume: true}); err == nil {
-		t.Fatal("Open accepted FoldSubsume without FoldQueries")
-	}
 }
