@@ -258,6 +258,12 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		eng.Close()
 	}
 
+	ixRecs, err := benchIndexPath(db, opts, warmup, count)
+	if err != nil {
+		return err
+	}
+	report.Results = append(report.Results, ixRecs...)
+
 	// TPC-W interaction mix on a fresh environment (its writes must not
 	// skew the per-operator data above), then the same mix on a sharded
 	// deployment — the scale-out trajectory entry.
@@ -351,6 +357,63 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	out := json.NewEncoder(os.Stdout)
 	out.SetIndent("", "  ")
 	return out.Encode(report)
+}
+
+// benchIndexPath measures the index access path on the per-operator
+// fixture: one B-tree point seek through the storage layer, a shared index
+// nested-loop join, and a scalar MAX answered from the index edge. The two
+// statement records run on the kernel engine configuration (columnar scan,
+// state rebuilt each generation, no folding — a batch stays 64 activations).
+func benchIndexPath(db *storage.Database, opts experiments.Options, warmup, count int) ([]benchRecord, error) {
+	sales := db.Table("sales")
+	pk, ts := sales.PrimaryKey(), db.SnapshotTS()
+	key := make([]types.Value, 1)
+	found := 0
+	hit := func(storage.RowID, types.Row) bool { found++; return true }
+	seek := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			// a fixed odd stride visits the keys in a scattered order
+			key[0] = types.NewInt(int64(uint64(i) * 2654435761 % salesRows))
+			sales.IndexSeekAt(pk, key, ts, hit)
+		}
+		if found != b.N {
+			b.Fatalf("%d of %d seeks found their row", found, b.N)
+		}
+		found = 0
+	})
+	recs := []benchRecord{record("index_seek",
+		fmt.Sprintf("storage index point seek at a snapshot: scattered keys on the %d-row INT primary key of sales", salesRows),
+		"seek", 1, seek)}
+
+	eng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, RebuildState: true, NoFold: true})
+	defer eng.Close()
+	for _, sp := range []struct {
+		name, desc, sql string
+		mkParams        func(i int) []types.Value
+	}{
+		{
+			"index_join", "shared index nested-loop join: order_line (per-query range predicate, ~2k outer tuples a batch) ⋈ix item primary key",
+			`SELECT order_line.ol_id, item.i_title FROM order_line, item
+			 WHERE order_line.ol_i_id = item.i_id AND order_line.ol_discount > ?`,
+			func(i int) []types.Value {
+				return []types.Value{types.NewFloat(float64(i%8)/100 + 0.10)}
+			},
+		},
+		{
+			"minmax_edge", fmt.Sprintf("scalar MAX over the primary key of the %d-row sales table (index-edge probe)", salesRows),
+			`SELECT MAX(s_id) FROM sales`,
+			func(int) []types.Value { return nil },
+		},
+	} {
+		stmt, err := eng.Prepare(sp.sql)
+		if err != nil {
+			return nil, fmt.Errorf("prepare %s: %w", sp.name, err)
+		}
+		r := benchStatement(eng, stmt, sp.mkParams, warmup, count)
+		recs = append(recs, record(sp.name, sp.desc, fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
+	}
+	return recs, nil
 }
 
 // Sales fixture shape for the group/topn benches: a fact table large

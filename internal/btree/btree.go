@@ -5,15 +5,15 @@
 //
 // The tree maps composite keys (one types.Value per indexed column) to row
 // identifiers. Duplicate keys are allowed (non-unique indexes); the
-// (key, rowID) pair is the unit of storage. Leaves are chained for fast
-// range scans.
+// (key, rowID) pair is the unit of storage. Leaves are chained in both
+// directions for ascending and descending range scans.
 //
 // Deletion removes entries from leaves without rebalancing: the tree never
-// shrinks in height. This is a deliberate simplification — the workloads the
-// engine targets are insert-heavy (TPC-W) and the MVCC storage layer retires
-// whole index generations on checkpoint, at which point the index is rebuilt
-// compactly. Correctness is unaffected and verified by property tests
-// against a reference implementation.
+// shrinks in height and a leaf may end up empty. This is a deliberate
+// simplification — the workloads the engine targets are insert-heavy (TPC-W)
+// and the MVCC storage layer retires whole index generations on checkpoint,
+// at which point the index is rebuilt compactly. Correctness is unaffected
+// and verified by property tests against a reference implementation.
 package btree
 
 import (
@@ -43,42 +43,92 @@ func CompareKeys(a, b Key) int {
 	return 0
 }
 
-// compareFull orders (key, rid) pairs totally: lexicographic key order with
-// the row id as a tie-break. Full keys inside the tree always have the same
+// entry is one (key, rid) pair as stored in a node. The first key column's
+// integer payload is cached beside the rid, so the common index shape — a
+// leading INT or TIMESTAMP column — orders two entries without loading
+// either key's backing array; every other shape falls through to
+// CompareKeys. The layout is the same for every tree.
+type entry struct {
+	key  Key
+	rid  uint64
+	word int64 // key[0].Int when fast
+	fast bool  // key[0] is INT, BOOL or TIME: orders against other fast entries by word
+}
+
+// makeEntry wraps key (not copied) with its cached leading word. Scan bounds
+// and probe keys are wrapped the same way, with rid unused.
+func makeEntry(key Key, rid uint64) entry {
+	e := entry{key: key, rid: rid}
+	if len(key) > 0 {
+		switch key[0].K {
+		case types.KindInt, types.KindBool, types.KindTime:
+			e.word, e.fast = key[0].Int, true
+		}
+	}
+	return e
+}
+
+// compareKey is CompareKeys(a.key, b.key): two integer-kinded leading values
+// compare exactly as Value.Compare orders them (by Int, no float coercion),
+// and the remaining columns keep the prefix semantics.
+func (a *entry) compareKey(b *entry) int {
+	if a.fast && b.fast {
+		switch {
+		case a.word < b.word:
+			return -1
+		case a.word > b.word:
+			return 1
+		}
+		return CompareKeys(a.key[1:], b.key[1:])
+	}
+	return CompareKeys(a.key, b.key)
+}
+
+// before reports whether e sorts before bound by key alone (prefix
+// semantics), or at it when incl; after is its mirror image.
+func (e *entry) before(bound *entry, incl bool) bool {
+	d := e.compareKey(bound)
+	return d < 0 || (d == 0 && incl)
+}
+
+func (e *entry) after(bound *entry, incl bool) bool {
+	d := e.compareKey(bound)
+	return d > 0 || (d == 0 && incl)
+}
+
+// compare orders (key, rid) pairs totally: lexicographic key order with the
+// row id as a tie-break. Full keys inside the tree always have the same
 // length, so prefix semantics never apply here.
-func compareFull(ak Key, ar uint64, bk Key, br uint64) int {
-	if d := CompareKeys(ak, bk); d != 0 {
+func (a *entry) compare(b *entry) int {
+	if d := a.compareKey(b); d != 0 {
 		return d
 	}
 	switch {
-	case ar < br:
+	case a.rid < b.rid:
 		return -1
-	case ar > br:
+	case a.rid > b.rid:
 		return 1
 	default:
 		return 0
 	}
 }
 
-type entry struct {
-	key Key
-	rid uint64
-}
-
 type node struct {
-	// Internal nodes: len(children) == len(keys)+1; keys[i] is the smallest
-	// full entry of the subtree children[i+1].
-	// Leaves: children == nil; entries sorted by (key, rid); next links the
-	// leaf chain.
-	keys     []entry
-	children []*node
-	next     *node
-	leaf     bool
+	// Internal nodes: len(children) == len(keys)+1; keys[i] is a lower bound
+	// of the subtree children[i+1] (its smallest entry when the split made
+	// it) and an upper bound of children[i].
+	// Leaves: children == nil; entries sorted by (key, rid); next and prev
+	// link the leaf chain in both directions.
+	keys       []entry
+	children   []*node
+	next, prev *node
+	leaf       bool
 }
 
-// Tree is a B+tree index. It is not safe for concurrent mutation; the
-// storage manager serializes writers per batch cycle and readers run against
-// quiesced trees between cycles.
+// Tree is a B+tree index. It is not safe for concurrent use on its own: the
+// storage manager mutates it under the owning table's write lock and every
+// reader traverses it under that table's read lock (generations pipeline, so
+// reads and later generations' writes overlap in time).
 type Tree struct {
 	root *node
 	size int
@@ -97,7 +147,7 @@ func (t *Tree) Len() int { return t.size }
 func (t *Tree) Insert(key Key, rid uint64) bool {
 	k := make(Key, len(key))
 	copy(k, key)
-	inserted, split, sepEntry, right := t.insert(t.root, entry{key: k, rid: rid})
+	inserted, split, sepEntry, right := t.insert(t.root, makeEntry(k, rid))
 	if split {
 		newRoot := &node{
 			keys:     []entry{sepEntry},
@@ -114,8 +164,8 @@ func (t *Tree) Insert(key Key, rid uint64) bool {
 // insert returns (inserted, didSplit, separator, rightSibling).
 func (t *Tree) insert(n *node, e entry) (bool, bool, entry, *node) {
 	if n.leaf {
-		i := n.lowerBound(e.key, e.rid)
-		if i < len(n.keys) && compareFull(n.keys[i].key, n.keys[i].rid, e.key, e.rid) == 0 {
+		i := n.lowerBound(&e)
+		if i < len(n.keys) && n.keys[i].compare(&e) == 0 {
 			return false, false, entry{}, nil
 		}
 		n.keys = append(n.keys, entry{})
@@ -127,7 +177,7 @@ func (t *Tree) insert(n *node, e entry) (bool, bool, entry, *node) {
 		}
 		return true, false, entry{}, nil
 	}
-	ci := n.childIndex(e.key, e.rid)
+	ci := n.childIndex(&e)
 	inserted, split, sep, right := t.insert(n.children[ci], e)
 	if split {
 		n.keys = append(n.keys, entry{})
@@ -144,13 +194,12 @@ func (t *Tree) insert(n *node, e entry) (bool, bool, entry, *node) {
 	return inserted, false, entry{}, nil
 }
 
-// lowerBound returns the first position in a leaf whose (key,rid) >= the
-// given pair.
-func (n *node) lowerBound(key Key, rid uint64) int {
+// lowerBound returns the first position in a leaf whose (key, rid) >= e.
+func (n *node) lowerBound(e *entry) int {
 	lo, hi := 0, len(n.keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareFull(n.keys[mid].key, n.keys[mid].rid, key, rid) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if n.keys[mid].compare(e) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -159,12 +208,12 @@ func (n *node) lowerBound(key Key, rid uint64) int {
 	return lo
 }
 
-// childIndex picks the subtree for the given (key, rid) in an internal node.
-func (n *node) childIndex(key Key, rid uint64) int {
+// childIndex picks the subtree for the (key, rid) pair e in an internal node.
+func (n *node) childIndex(e *entry) int {
 	lo, hi := 0, len(n.keys)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if compareFull(key, rid, n.keys[mid].key, n.keys[mid].rid) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if e.compare(&n.keys[mid]) < 0 {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -175,9 +224,12 @@ func (n *node) childIndex(key Key, rid uint64) int {
 
 func (n *node) splitLeaf() (entry, *node) {
 	mid := len(n.keys) / 2
-	right := &node{leaf: true, next: n.next}
+	right := &node{leaf: true, next: n.next, prev: n}
 	right.keys = append(right.keys, n.keys[mid:]...)
 	n.keys = n.keys[:mid:mid]
+	if n.next != nil {
+		n.next.prev = right
+	}
 	n.next = right
 	return right.keys[0], right
 }
@@ -195,15 +247,17 @@ func (n *node) splitInternal() (entry, *node) {
 
 // Delete removes the (key, rid) pair, reporting whether it was present.
 func (t *Tree) Delete(key Key, rid uint64) bool {
+	e := makeEntry(key, rid)
 	n := t.root
 	for !n.leaf {
-		n = n.children[n.childIndex(key, rid)]
+		n = n.children[n.childIndex(&e)]
 	}
-	i := n.lowerBound(key, rid)
-	if i >= len(n.keys) || compareFull(n.keys[i].key, n.keys[i].rid, key, rid) != 0 {
+	i := n.lowerBound(&e)
+	if i >= len(n.keys) || n.keys[i].compare(&e) != 0 {
 		return false
 	}
 	copy(n.keys[i:], n.keys[i+1:])
+	n.keys[len(n.keys)-1] = entry{}
 	n.keys = n.keys[:len(n.keys)-1]
 	t.size--
 	return true
@@ -216,57 +270,104 @@ func (t *Tree) SeekEQ(key Key, fn func(rid uint64) bool) {
 	t.Scan(key, key, true, true, func(_ Key, rid uint64) bool { return fn(rid) })
 }
 
-// Lookup returns all row ids matching key (prefix semantics).
-func (t *Tree) Lookup(key Key) []uint64 {
-	var out []uint64
-	t.SeekEQ(key, func(rid uint64) bool {
-		out = append(out, rid)
-		return true
-	})
-	return out
+// search returns the first position in n whose key is >= bound, or > bound
+// with afterEqual, comparing keys only (prefix semantics, no rid). In a leaf
+// that is where a range starting (or, read backwards, ending) at the bound
+// begins; in an internal node it is the child to descend into for that
+// position: every separator left of it lies on the near side of the bound,
+// and so does the whole subtree under each of them.
+func (n *node) search(bound *entry, afterEqual bool) int {
+	lo, hi := 0, len(n.keys)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if n.keys[mid].before(bound, afterEqual) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// seek binary-searches its way to the leaf position search describes. The
+// position may be len(leaf.keys): deletes never rebalance, so the entry the
+// bound points at can sit at the head of a later leaf.
+func (t *Tree) seek(bound *entry, afterEqual bool) (*node, int) {
+	n := t.root
+	for !n.leaf {
+		n = n.children[n.search(bound, afterEqual)]
+	}
+	return n, n.search(bound, afterEqual)
 }
 
 // Scan iterates entries in key order over [lo, hi] with per-bound
 // inclusiveness; nil bounds are unbounded. Prefix semantics apply to both
 // bounds. Iteration stops early if fn returns false.
+//
+// The start is binary-searched and lo is not looked at again; hi is tested
+// once per leaf — when a leaf's last entry is inside the bound, so are all
+// before it — and per entry only in the leaf where the range ends.
 func (t *Tree) Scan(lo, hi Key, loIncl, hiIncl bool, fn func(key Key, rid uint64) bool) {
-	n := t.root
+	var n *node
+	i := 0
 	if lo == nil {
-		for !n.leaf {
-			n = n.children[0]
+		for n = t.root; !n.leaf; n = n.children[0] {
 		}
 	} else {
-		for !n.leaf {
-			// Descend to the leftmost leaf that can contain entries with
-			// key >= lo: treat lo as having rid 0 (smallest).
-			n = n.children[n.childIndex(lo, 0)]
-		}
+		b := makeEntry(lo, 0)
+		n, i = t.seek(&b, !loIncl)
 	}
-	for n != nil {
-		for _, e := range n.keys {
-			if lo != nil {
-				d := CompareKeys(e.key, lo)
-				if d < 0 || (d == 0 && !loIncl) {
-					continue
-				}
-			}
-			if hi != nil {
-				d := CompareKeys(e.key, hi)
-				if d > 0 || (d == 0 && !hiIncl) {
-					return
-				}
+	end := makeEntry(hi, 0)
+	for ; n != nil; n, i = n.next, 0 {
+		ents := n.keys[i:]
+		if len(ents) == 0 {
+			continue
+		}
+		whole := hi == nil || ents[len(ents)-1].before(&end, hiIncl)
+		for j := range ents {
+			e := &ents[j]
+			if !whole && !e.before(&end, hiIncl) {
+				return
 			}
 			if !fn(e.key, e.rid) {
 				return
 			}
 		}
-		n = n.next
 	}
 }
 
-// Ascend iterates all entries in key order.
-func (t *Tree) Ascend(fn func(key Key, rid uint64) bool) {
-	t.Scan(nil, nil, true, true, fn)
+// Descend iterates the same range as Scan in descending key order: from the
+// last entry inside hi back to the first entry inside lo.
+func (t *Tree) Descend(lo, hi Key, loIncl, hiIncl bool, fn func(key Key, rid uint64) bool) {
+	var n *node
+	var i int
+	if hi == nil {
+		for n = t.root; !n.leaf; n = n.children[len(n.children)-1] {
+		}
+		i = len(n.keys)
+	} else {
+		b := makeEntry(hi, 0)
+		n, i = t.seek(&b, hiIncl)
+	}
+	end := makeEntry(lo, 0)
+	for n != nil {
+		ents := n.keys[:i]
+		if len(ents) > 0 {
+			whole := lo == nil || ents[0].after(&end, loIncl)
+			for j := len(ents) - 1; j >= 0; j-- {
+				e := &ents[j]
+				if !whole && !e.after(&end, loIncl) {
+					return
+				}
+				if !fn(e.key, e.rid) {
+					return
+				}
+			}
+		}
+		if n = n.prev; n != nil {
+			i = len(n.keys)
+		}
+	}
 }
 
 // Height returns the tree height (1 for a lone leaf); used in tests.

@@ -250,7 +250,7 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 					}
 				}
 			}
-			if _, _, colAgg := engines[2].eng.Plan().PathCycles(); colAgg == 0 {
+			if engines[2].eng.Plan().PathCycles().ColAgg == 0 {
 				t.Fatal("the rebuild-state engine never ran an aggregation-pushdown cycle — the fuzz exercised nothing")
 			}
 		})

@@ -399,10 +399,10 @@ func (j *IndexJoinOp) Start(c *Cycle) {
 	})
 }
 
-// Consume probes the index for every outer tuple. Each probe runs under the
-// inner table's read lock (storage.IndexSeekAt): with pipelined
-// generations, later generations' writes land while this cycle runs, so
-// the tree and version chains cannot be traversed lock-free.
+// Consume probes the index for every outer tuple, in batch order. The inner
+// table's read lock is held across the batch: with pipelined generations,
+// later generations' writes land while this cycle runs, so the tree and
+// version chains cannot be traversed lock-free.
 func (j *IndexJoinOp) Consume(c *Cycle, b *Batch) {
 	cfg, ok := j.Outers[b.Stream]
 	if !ok {
@@ -412,24 +412,28 @@ func (j *IndexJoinOp) Consume(c *Cycle, b *Batch) {
 		j.keyBuf = make([]types.Value, len(cfg.KeyCols))
 	}
 	key := j.keyBuf[:len(cfg.KeyCols)]
+	var t *Tuple
+	var inner types.Row
+	keep := func(q queryset.QueryID) bool {
+		return int(q) < len(j.residuals) && expr.TruthyEval(j.residuals[q], inner, nil)
+	}
+	match := func(_ storage.RowID, row types.Row) bool {
+		inner = row
+		qs := t.QS.RetainInto(keep, j.qsScratch)
+		j.qsScratch = qs.IDs()
+		if !qs.Empty() {
+			c.Emit(cfg.OutStream, cfg.gather(t.Row, inner), qs)
+		}
+		return true
+	}
+	l := j.Table.RLock()
+	defer l.Unlock()
 	for ti := range b.Tuples {
-		t := &b.Tuples[ti]
+		t = &b.Tuples[ti]
 		for i, col := range cfg.KeyCols {
 			key[i] = t.Row[col]
 		}
-		j.Table.IndexSeekAt(j.Index, key, c.TS, func(_ storage.RowID, inner types.Row) bool {
-			qs := t.QS.RetainInto(func(q queryset.QueryID) bool {
-				if int(q) >= len(j.residuals) {
-					return false
-				}
-				return expr.TruthyEval(j.residuals[q], inner, nil)
-			}, j.qsScratch)
-			j.qsScratch = qs.IDs()
-			if !qs.Empty() {
-				c.Emit(cfg.OutStream, cfg.gather(t.Row, inner), qs)
-			}
-			return true
-		})
+		l.IndexSeekAt(j.Index, key, c.TS, match)
 	}
 }
 

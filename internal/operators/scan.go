@@ -73,12 +73,14 @@ type ProbeOp struct {
 
 // ProbeSpec is the per-query activation of an index probe. Key (equality,
 // prefix semantics) or Lo/Hi (range) select the entries; Residual filters
-// fetched rows.
+// fetched rows. With Edge set the probe yields only the row a scalar MIN or
+// MAX over the index column after Key would select (storage.ProbeClient).
 type ProbeSpec struct {
 	Key      btree.Key
 	Lo, Hi   btree.Key
 	LoIncl   bool
 	HiIncl   bool
+	Edge     storage.EdgeKind
 	Residual expr.Expr
 }
 
@@ -91,7 +93,7 @@ func (p *ProbeOp) Start(c *Cycle) {
 		p.clients = append(p.clients, storage.ProbeClient{
 			ID: t.Query, Key: spec.Key,
 			Lo: spec.Lo, Hi: spec.Hi, LoIncl: spec.LoIncl, HiIncl: spec.HiIncl,
-			Residual: spec.Residual,
+			Edge: spec.Edge, Residual: spec.Residual,
 		})
 	}
 	p.Table.SharedProbePooled(c.TS, p.Index, p.clients, &p.bufs, func(_ storage.RowID, row types.Row, qs queryset.Set) {

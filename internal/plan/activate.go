@@ -143,8 +143,15 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, delta *sto
 		OnDone:          done,
 	}})
 	for n, nt := range tasks {
-		if _, isScan := n.Op.(*operators.ScanOp); isScan && p.columnar {
-			p.colScanCycles++
+		switch n.Op.(type) {
+		case *operators.ScanOp:
+			if p.columnar {
+				p.paths.ColScan++
+			}
+		case *operators.ProbeOp:
+			if p.probeNodes[n.Name].edge {
+				p.paths.IndexEdge++
+			}
 		}
 		n.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
 			Gen: gen, TS: ts, Tasks: nt,
@@ -197,7 +204,7 @@ func (p *GlobalPlan) decideIncremental(ts uint64, cands map[*operators.Node]*inc
 		mode := operators.IncPrime
 		if st := p.inc[n]; st != nil && st.sig == sig && st.ts == delta.FromTS {
 			mode = operators.IncReuse
-			p.incReuseCycles++
+			p.paths.IncReuse++
 		}
 		if p.inc == nil {
 			p.inc = map[*operators.Node]*incNodeState{}
@@ -316,7 +323,7 @@ func (p *GlobalPlan) decideColumnarAgg(cands map[*operators.Node]*incCand, incCy
 			colCycles = map[*operators.Node]*operators.ColCycle{}
 		}
 		colCycles[n] = &operators.ColCycle{Table: c.b.table, Preds: c.boundPreds()}
-		p.colAggCycles++
+		p.paths.ColAgg++
 
 		if skipTask == nil {
 			skipTask = map[*operators.Node]map[queryset.QueryID]bool{}

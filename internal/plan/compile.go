@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"shareddb/internal/btree"
@@ -284,13 +285,9 @@ func (p *GlobalPlan) compileScan(scan *sql.Scan) (compiled, error) {
 			}
 		}
 		res := expr.AndOf(residual)
-		src := p.getProbe(table, bestIx)
+		src := p.getProbe(table, bestIx, storage.EdgeNone)
 		step := stepBinding{node: src.node, makeSpec: func(params []types.Value) interface{} {
-			key := make(btree.Key, len(keyExprs))
-			for i, ke := range keyExprs {
-				key[i] = ke.Eval(nil, params)
-			}
-			return operators.ProbeSpec{Key: key, Residual: expr.Bind(res, params)}
+			return operators.ProbeSpec{Key: evalKey(keyExprs, params), Residual: expr.Bind(res, params)}
 		}}
 		return compiled{node: src.node, stream: p.streams[src.stream], steps: []stepBinding{step}}, nil
 	}
@@ -312,6 +309,15 @@ func (p *GlobalPlan) compileScan(scan *sql.Scan) (compiled, error) {
 		foldTable: scan.Table, foldPred: pred}, nil
 }
 
+// evalKey binds a probe key's operands (constants or parameters).
+func evalKey(keyExprs []expr.Expr, params []types.Value) btree.Key {
+	key := make(btree.Key, len(keyExprs))
+	for i, ke := range keyExprs {
+		key[i] = ke.Eval(nil, params)
+	}
+	return key
+}
+
 func tableOrigins(t *storage.Table) []origin {
 	out := make([]origin, t.Schema().Len())
 	for i := range out {
@@ -331,16 +337,82 @@ func (p *GlobalPlan) getScan(t *storage.Table) *sourceRef {
 	return ref
 }
 
-func (p *GlobalPlan) getProbe(t *storage.Table, ix *storage.Index) *sourceRef {
-	key := t.Name() + "/" + ix.Name
-	if ref, ok := p.probeNodes[key]; ok {
+// getProbe returns the shared probe node of one index. Index-edge look-ups
+// get a node of their own per edge, named apart ("probe(t/ix) [max]"), so
+// the plan shows which MIN/MAX statements never reach a scan.
+func (p *GlobalPlan) getProbe(t *storage.Table, ix *storage.Index, edge storage.EdgeKind) *sourceRef {
+	name := "probe(" + t.Name() + "/" + ix.Name + ")"
+	switch edge {
+	case storage.EdgeMin:
+		name += " [min]"
+	case storage.EdgeMax:
+		name += " [max]"
+	}
+	if ref, ok := p.probeNodes[name]; ok {
 		return ref
 	}
 	si := p.allocStream(t.Schema(), tableOrigins(t))
-	node := p.addNode("probe("+key+")", &operators.ProbeOp{Table: t, Index: ix, OutStream: si.id})
-	ref := &sourceRef{node: node, stream: si.id}
-	p.probeNodes[key] = ref
+	node := p.addNode(name, &operators.ProbeOp{Table: t, Index: ix, OutStream: si.id})
+	ref := &sourceRef{node: node, stream: si.id, edge: edge != storage.EdgeNone}
+	p.probeNodes[name] = ref
 	return ref
+}
+
+// compileIndexEdge is the index-edge rule: a scalar MIN(c) or MAX(c) — no
+// GROUP BY, no other aggregate — over a base table whose predicate is empty
+// or only pins, by equality, the index columns in front of c, reads its
+// input from that edge of the index instead of a scan: one row, the extreme
+// visible one (storage.Locked.IndexEdgeAt), feeding the same shared group
+// node a scan would. ok is false when the shape does not match.
+func (p *GlobalPlan) compileIndexEdge(g *sql.Group) (c compiled, ok bool) {
+	scan, isScan := g.In.(*sql.Scan)
+	if !isScan || len(g.GroupCols) != 0 || len(g.Aggs) != 1 || g.Aggs[0].Distinct {
+		return compiled{}, false
+	}
+	var edge storage.EdgeKind
+	switch g.Aggs[0].Func {
+	case sql.AggMin:
+		edge = storage.EdgeMin
+	case sql.AggMax:
+		edge = storage.EdgeMax
+	default:
+		return compiled{}, false
+	}
+	arg, isCol := g.Aggs[0].Arg.(*expr.ColRef)
+	table := p.db.Table(scan.Table)
+	if !isCol || table == nil {
+		return compiled{}, false
+	}
+	eqOperands := map[int]expr.Expr{}
+	for _, conj := range expr.Conjuncts(scan.Pred) {
+		col, operand, isEq := matchEqOperand(conj)
+		if _, dup := eqOperands[col]; !isEq || dup {
+			return compiled{}, false
+		}
+		eqOperands[col] = operand
+	}
+	n := len(eqOperands)
+	for _, ix := range table.Indexes() {
+		if len(ix.Cols) <= n || ix.Cols[n] != arg.Idx {
+			continue
+		}
+		keyExprs := make([]expr.Expr, n)
+		for i := range keyExprs {
+			keyExprs[i] = eqOperands[ix.Cols[i]]
+		}
+		if slices.Contains(keyExprs, nil) {
+			continue
+		}
+		src := p.getProbe(table, ix, edge)
+		pred := scan.Pred
+		step := stepBinding{node: src.node, makeSpec: func(params []types.Value) interface{} {
+			// The whole predicate rides along as the residual: an equality
+			// on NULL selects nothing, though the index holds NULL keys.
+			return operators.ProbeSpec{Key: evalKey(keyExprs, params), Edge: edge, Residual: expr.Bind(pred, params)}
+		}}
+		return compiled{node: src.node, stream: p.streams[src.stream], steps: []stepBinding{step}}, true
+	}
+	return compiled{}, false
 }
 
 // compileFilter routes the subtree through the shared filter node attached
@@ -541,9 +613,12 @@ func (p *GlobalPlan) compileIndexJoin(s *Statement, left compiled, j *sql.Join, 
 // compileGroup merges group-bys whose group keys and aggregates have the
 // same provenance signature.
 func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) {
-	c, err := p.compile(s, g.In)
-	if err != nil {
-		return compiled{}, err
+	c, edge := p.compileIndexEdge(g)
+	if !edge {
+		var err error
+		if c, err = p.compile(s, g.In); err != nil {
+			return compiled{}, err
+		}
 	}
 	var sigParts []string
 	for _, col := range g.GroupCols {

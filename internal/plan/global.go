@@ -147,13 +147,9 @@ type GlobalPlan struct {
 	// per-statement cost attribution feed (admission control).
 	costObserver func(gen uint64, tasks []operators.Task, activeNs int64)
 
-	// Path counters (tests assert each path actually engaged): scan node
-	// cycles dispatched on the columnar mirror, stateful node cycles that
-	// reused maintained state, and group-by node cycles dispatched as
-	// columnar aggregation pushdowns.
-	colScanCycles  uint64
-	incReuseCycles uint64
-	colAggCycles   uint64
+	// paths counts node cycles per always-on path (tests assert each path
+	// actually engaged).
+	paths PathCounts
 
 	streams map[int]*streamInfo
 
@@ -191,6 +187,7 @@ type incNodeState struct {
 type sourceRef struct {
 	node   *operators.Node
 	stream int
+	edge   bool // an index-edge probe node (probes only)
 }
 
 type joinRef struct {
@@ -330,16 +327,20 @@ func (p *GlobalPlan) SetColumnar(on bool) {
 	p.columnar = on
 }
 
-// PathCycles reports how many node cycles the plan has dispatched on each
-// always-on path since it was created: scan cycles on the columnar mirror,
-// stateful (hash-join build, group-by) cycles that reused maintained state
-// — delta applied in place instead of a reprime or rebuild — and group-by
-// cycles run as columnar aggregation pushdowns (fed straight from the
-// mirror instead of the scan stream).
-func (p *GlobalPlan) PathCycles() (colScan, incReuse, colAgg uint64) {
+// PathCounts is how many node cycles a plan has dispatched on each always-on
+// path since it was created.
+type PathCounts struct {
+	ColScan   uint64 // scan cycles on the columnar mirror
+	IncReuse  uint64 // stateful (hash-join build, group-by) cycles that reused maintained state: delta applied in place instead of a reprime or rebuild
+	ColAgg    uint64 // group-by cycles run as columnar aggregation pushdowns (fed straight from the mirror instead of the scan stream)
+	IndexEdge uint64 // index-edge probe cycles: a scalar MIN/MAX answered from one end of an index instead of a scan
+}
+
+// PathCycles reports the plan's per-path cycle counts.
+func (p *GlobalPlan) PathCycles() PathCounts {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.colScanCycles, p.incReuseCycles, p.colAggCycles
+	return p.paths
 }
 
 // Start launches every operator goroutine (idempotent).

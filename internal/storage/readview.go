@@ -2,20 +2,32 @@ package storage
 
 import (
 	"shareddb/internal/btree"
+	"shareddb/internal/expr"
 	"shareddb/internal/types"
 )
 
 // Locked index look-ups.
 //
-// Before generation pipelining, shared operators resolved row visibility
-// through a lock-free ReadView: the engine's generation barrier guaranteed
-// no write ran while the operator dataflow executed. With up to
-// Config.MaxInFlightGenerations read phases overlapping later generations'
-// write phases, that guarantee is gone — B-tree traversals and version
-// chains must be protected against concurrent mutation. These helpers hold
-// the table read lock across one traversal and resolve visibility at a
-// fixed snapshot, so callers (shared index joins, the query-at-a-time
-// baseline) stay correct while writes land concurrently.
+// With up to Config.MaxInFlightGenerations read phases overlapping later
+// generations' write phases, B-tree traversals and version chains must be
+// protected against concurrent mutation. A Locked holds the table read lock
+// for as long as its caller needs it — one outer batch of an index join,
+// one shared probe cycle — and resolves every look-up at a fixed snapshot,
+// so callers stay correct while writes land concurrently and pay for the
+// lock once per batch, not once per key.
+
+// Locked is a table whose read lock the caller holds. Its callbacks must
+// not call back into the table's locking methods.
+type Locked struct{ t *Table }
+
+// RLock takes the table read lock; the caller must Unlock the result.
+func (t *Table) RLock() Locked {
+	t.mu.RLock()
+	return Locked{t}
+}
+
+// Unlock releases the read lock taken by RLock.
+func (l Locked) Unlock() { l.t.mu.RUnlock() }
 
 // IndexSeekAt seeks ix for key (equality, prefix semantics) and yields
 // every visible row at snapshot ts whose visible version still carries the
@@ -26,23 +38,48 @@ func (t *Table) IndexSeekAt(ix *Index, key btree.Key, ts uint64, fn func(rid Row
 	t.IndexScanAt(ix, key, key, true, true, ts, fn)
 }
 
-// IndexScanAt scans ix over [lo, hi] and yields every visible row at
-// snapshot ts through the one entry that carries its visible version's key,
-// under the table read lock. Entries for superseded versions linger in the
-// tree until GC and are skipped; since the tree stores unique (full key,
-// rid) pairs and a version has exactly one full key, each row is yielded at
-// most once and no per-call dedup state is needed. fn returning false stops
-// the traversal.
+// IndexScanAt is Locked.IndexScanAt under a read lock of its own.
 func (t *Table) IndexScanAt(ix *Index, lo, hi btree.Key, loIncl, hiIncl bool, ts uint64, fn func(rid RowID, row types.Row) bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+	l := t.RLock()
+	defer l.Unlock()
+	l.IndexScanAt(ix, lo, hi, loIncl, hiIncl, ts, fn)
+}
+
+// IndexSeekAt is the equality form of IndexScanAt (prefix semantics).
+func (l Locked) IndexSeekAt(ix *Index, key btree.Key, ts uint64, fn func(rid RowID, row types.Row) bool) {
+	l.IndexScanAt(ix, key, key, true, true, ts, fn)
+}
+
+// IndexScanAt scans ix over [lo, hi] and yields every visible row at
+// snapshot ts through the one entry that carries its visible version's key.
+// Entries for superseded versions linger in the tree until GC and are
+// skipped; since the tree stores unique (full key, rid) pairs and a version
+// has exactly one full key, each row is yielded at most once and no
+// per-call dedup state is needed. fn returning false stops the traversal.
+func (l Locked) IndexScanAt(ix *Index, lo, hi btree.Key, loIncl, hiIncl bool, ts uint64, fn func(rid RowID, row types.Row) bool) {
 	ix.tree.Scan(lo, hi, loIncl, hiIncl, func(key btree.Key, rid uint64) bool {
-		row, visible := t.visibleLocked(rid, ts)
-		if !visible || !indexKeyMatches(ix, row, key) {
-			return true
-		}
-		return fn(rid, row)
+		row, ok := l.t.entryRow(ix, key, rid, ts)
+		return !ok || fn(rid, row)
 	})
+}
+
+// entryRow resolves one index entry at snapshot ts: the row version visible
+// there, provided it is the version the entry was made for. A slot with a
+// single version needs no key comparison — an entry exists only for keys a
+// version of its slot carries (GC deletes stale entries together with the
+// versions that owned them), so with one version it is that version's.
+// Caller holds mu.
+func (t *Table) entryRow(ix *Index, key btree.Key, rid RowID, ts uint64) (types.Row, bool) {
+	head := t.slots[rid]
+	if head.older == nil {
+		return head.row, head.beginTS <= ts && ts < head.endTS
+	}
+	for v := head; v != nil; v = v.older {
+		if v.beginTS <= ts && ts < v.endTS {
+			return v.row, indexKeyMatches(ix, v.row, key)
+		}
+	}
+	return nil, false
 }
 
 // indexKeyMatches reports whether row carries the index entry key under ix.
@@ -53,4 +90,40 @@ func indexKeyMatches(ix *Index, row types.Row, key btree.Key) bool {
 		}
 	}
 	return true
+}
+
+// IndexEdgeAt returns the row a scalar MIN (max false) or MAX (max true)
+// over column ix.Cols[len(prefix)] selects among the rows whose leading
+// index columns equal prefix: it walks inward from that edge of the index
+// past entries that are invisible at ts, deleted, stale (left behind by a
+// key update), rejected by residual or — for MIN, where they sort first —
+// NULL, and stops at the first value that has a qualifying row. Among
+// several rows carrying that value it returns the one with the smallest row
+// id, the row a scan in row-id order would have kept. ok is false when no
+// row qualifies.
+func (l Locked) IndexEdgeAt(ix *Index, prefix btree.Key, max bool, ts uint64, residual expr.Expr) (rid RowID, row types.Row, ok bool) {
+	if len(prefix) == 0 {
+		prefix = nil // unbounded, not "every key shares the empty prefix"
+	}
+	var best types.Value
+	visit := func(key btree.Key, r uint64) bool {
+		v := key[len(prefix)]
+		if ok && v.Compare(best) != 0 {
+			return false
+		}
+		if v.IsNull() {
+			return !max // NULL sorts first: MIN walks past the run, MAX has run out of values
+		}
+		cand, visible := l.t.entryRow(ix, key, r, ts)
+		if visible && expr.TruthyEval(residual, cand, nil) && (!ok || r < rid) {
+			rid, row, best, ok = r, cand, v, true
+		}
+		return true
+	}
+	if max {
+		ix.tree.Descend(prefix, prefix, true, true, visit)
+	} else {
+		ix.tree.Scan(prefix, prefix, true, true, visit)
+	}
+	return rid, row, ok
 }

@@ -57,8 +57,7 @@ func TestWALRecovery(t *testing.T) {
 		t.Errorf("recovered row = %v", row)
 	}
 	// index probes work after recovery
-	rids := tab2.PrimaryKey().Tree().Lookup([]types.Value{types.NewInt(1)})
-	if len(rids) == 0 {
+	if ids := seekIDs(tab2, tab2.PrimaryKey(), []types.Value{types.NewInt(1)}, ts); len(ids) == 0 {
 		t.Error("pk index empty after recovery")
 	}
 	db2.Close()

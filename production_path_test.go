@@ -27,8 +27,9 @@ func plans(db *DB) []*plan.GlobalPlan {
 // through the shard router — runs the paths the repository benchmark
 // measures, not a reference configuration: shared scans read the columnar
 // mirror, a repeated group read across write generations reuses maintained
-// operator state, and concurrent identical reads fold (before scatter, on
-// the sharded deployment).
+// operator state, a scalar MAX over the primary key is answered from the
+// index edge, and concurrent identical reads fold (before scatter, on the
+// sharded deployment).
 func TestZeroConfigIsProductionPath(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -53,6 +54,11 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			scan, err := db.Prepare(`SELECT i_id FROM item WHERE i_price > ?`)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if rows, err := db.Query(`SELECT MAX(i_id) FROM item`); err != nil {
+				t.Fatal(err)
+			} else if all := rows.All(); len(all) != 1 || all[0][0].AsInt() != items-1 {
+				t.Fatalf("MAX(i_id) = %v, want %d", all, items-1)
 			}
 
 			// The same group read, one per generation, with a write between
@@ -115,17 +121,21 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			if st.FoldedQueries == 0 {
 				t.Error("identical concurrent reads never folded")
 			}
-			var colScans, incReuses uint64
+			var paths plan.PathCounts
 			for _, gp := range plans(db) {
-				colScan, incReuse, _ := gp.PathCycles()
-				colScans += colScan
-				incReuses += incReuse
+				pc := gp.PathCycles()
+				paths.ColScan += pc.ColScan
+				paths.IncReuse += pc.IncReuse
+				paths.IndexEdge += pc.IndexEdge
 			}
-			if colScans == 0 {
+			if paths.ColScan == 0 {
 				t.Error("no scan cycle read the columnar mirror")
 			}
-			if incReuses == 0 {
+			if paths.IncReuse == 0 {
 				t.Error("the repeated group read never reused maintained state")
+			}
+			if paths.IndexEdge == 0 {
+				t.Error("MAX over the primary key never took the index-edge probe")
 			}
 		})
 	}
@@ -175,7 +185,7 @@ func TestWritesBehindTheEngineReprimeState(t *testing.T) {
 			t.Fatalf("COUNT before the bulk load = %d, want 8", got)
 		}
 	}
-	if _, incReuse, _ := db.plan.PathCycles(); incReuse == 0 {
+	if db.plan.PathCycles().IncReuse == 0 {
 		t.Fatal("the repeated group read never reused maintained state — nothing to go stale")
 	}
 	results, _ := db.Storage().ApplyOps([]storage.WriteOp{
