@@ -148,7 +148,7 @@ func benchStatement(e *core.Engine, s *plan.Statement, mkParams func(i int) []ty
 
 // runJSONBench produces the benchmark report on stdout. warmup and count
 // shape the per-statement benches (see benchStatement); the scenario
-// benches (mix, incremental, subscribe, overload, fold) measure wall-clock
+// benches (mix, subscribe, overload, fold) measure wall-clock
 // protocols and run once regardless.
 func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipeline int) error {
 	var report benchReport
@@ -221,15 +221,14 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			},
 		},
 	}
-	// The per-operator records measure operator kernels, so every engine
-	// here rebuilds state each generation and never folds (a batch of 64
-	// would otherwise collapse to its distinct parameters); they differ in
-	// the scan and the worker budget only. The plain records scan the row
-	// store — the reference the <name>_columnar/<name> ns ratios are read
-	// against: the scan pair measures the stride kernels of the columnar
-	// mirror (the production scan), the group/topn pairs the aggregation
-	// pushdown (the GroupOp fed straight from the mirror, bypassing the scan
-	// stream). The _workers2 records run the row-scan grouped aggregation
+	// The per-operator records measure operator kernels, so no engine here
+	// folds (a batch of 64 would otherwise collapse to its distinct
+	// parameters); they differ in the scan and the worker budget only. The
+	// plain records scan the row store — the reference the
+	// <name>_columnar/<name> ns ratios are read against: the scan pair
+	// measures the stride kernels of the columnar mirror (the production
+	// scan), the group/topn pairs the production aggregation pushdown (the
+	// GroupOp fed straight from the mirror, bypassing the scan stream). The _workers2 records run the row-scan grouped aggregation
 	// through the partitioned group-by: partition by key hash → per-bucket
 	// combine.
 	for _, v := range []struct {
@@ -241,7 +240,7 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		{"_columnar", " (columnar shared scan)", opts.Workers, false},
 		{"_workers2", fmt.Sprintf(" (Workers=%d: partitioned aggregation)", partitionedWorkers), partitionedWorkers, true},
 	} {
-		eng := core.New(db, plan.New(db), core.Config{Workers: v.workers, RowScan: v.rowScan, RebuildState: true, NoFold: true})
+		eng := core.New(db, plan.New(db), core.Config{Workers: v.workers, RowScan: v.rowScan, NoFold: true})
 		for _, sp := range stmts {
 			if (v.suffix == "_columnar" && !sp.columnar) || (v.suffix == "_workers2" && !sp.workers2) {
 				continue
@@ -296,19 +295,6 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	report.Results = append(report.Results, record("tpcw_mix_workers2",
 		fmt.Sprintf("TPC-W Shopping mix, concurrent sessions (Workers=%d: partitioned operator paths)", partitionedWorkers),
 		"interaction", 1, r))
-
-	// Incremental operator state: the same repeat-read hash join on a
-	// write-light mix with the rebuild reference and with the production
-	// delta-maintained build-side state. The trajectory quantity is the
-	// ns/op ratio; both sides scan the columnar mirror, so it isolates the
-	// build-side maintenance.
-	for _, rebuild := range []bool{true, false} {
-		rec, err := benchIncrementalJoin(opts, rebuild)
-		if err != nil {
-			return err
-		}
-		report.Results = append(report.Results, rec)
-	}
 
 	// Standing-query feed: 64 subscribers on a TPC-W browsing query while a
 	// writer updates items — updates delivered per second, end to end.
@@ -386,7 +372,7 @@ func benchIndexPath(db *storage.Database, opts experiments.Options, warmup, coun
 		fmt.Sprintf("storage index point seek at a snapshot: scattered keys on the %d-row INT primary key of sales", salesRows),
 		"seek", 1, seek)}
 
-	eng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, RebuildState: true, NoFold: true})
+	eng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, NoFold: true})
 	defer eng.Close()
 	for _, sp := range []struct {
 		name, desc, sql string
@@ -512,120 +498,6 @@ func benchOverload(opts experiments.Options, backoff bool) (benchRecord, error) 
 		NsPerOp: ns, OpsPerSec: ops, QueriesPerX: 1,
 		P50Ns: float64(res.P50), P99Ns: float64(res.P99), ShedRate: res.ShedRate(),
 	}, nil
-}
-
-// Incremental-join scenario shape: a fact table large enough that
-// rebuilding the join build side dominates a generation, a small dimension
-// probe side, reads repeating the same statement + parameters back to back
-// (the state-reuse condition) with a point update every incWriteEvery
-// reads — the write-light repeat-read mix the incremental state targets.
-const (
-	incFactRows   = 16384
-	incDimRows    = 128
-	incWriteEvery = 8
-)
-
-// benchIncrementalJoin measures one repeat-read hash-join query on the
-// write-light mix, with the rebuild reference (rebuild=true) or the
-// production delta-maintained build-side state. The dimension side stays scan-evaluated in
-// both runs; the fact-side scan + hash build is what incremental state
-// elides.
-func benchIncrementalJoin(opts experiments.Options, rebuild bool) (benchRecord, error) {
-	db, err := storage.Open(storage.Options{})
-	if err != nil {
-		return benchRecord{}, err
-	}
-	defer db.Close()
-	fact, err := db.CreateTable("fact", types.NewSchema(
-		types.Column{Qualifier: "fact", Name: "f_id", Kind: types.KindInt},
-		types.Column{Qualifier: "fact", Name: "f_key", Kind: types.KindInt},
-		types.Column{Qualifier: "fact", Name: "f_val", Kind: types.KindFloat},
-	))
-	if err != nil {
-		return benchRecord{}, err
-	}
-	if _, err := fact.SetPrimaryKey("f_id"); err != nil {
-		return benchRecord{}, err
-	}
-	dim, err := db.CreateTable("dim", types.NewSchema(
-		types.Column{Qualifier: "dim", Name: "d_id", Kind: types.KindInt},
-		types.Column{Qualifier: "dim", Name: "d_key", Kind: types.KindInt},
-	))
-	if err != nil {
-		return benchRecord{}, err
-	}
-	if _, err := dim.SetPrimaryKey("d_id"); err != nil {
-		return benchRecord{}, err
-	}
-	var ops []storage.WriteOp
-	for i := 0; i < incFactRows; i++ {
-		ops = append(ops, storage.WriteOp{Kind: storage.WInsert, Table: "fact", Row: types.Row{
-			types.NewInt(int64(i)), types.NewInt(int64(i % incDimRows)), types.NewFloat(float64(i % 100)),
-		}})
-	}
-	for i := 0; i < incDimRows; i++ {
-		ops = append(ops, storage.WriteOp{Kind: storage.WInsert, Table: "dim", Row: types.Row{
-			types.NewInt(int64(i)), types.NewInt(int64(i)),
-		}})
-	}
-	for start := 0; start < len(ops); start += 4096 {
-		end := min(start+4096, len(ops))
-		results, _ := db.ApplyOps(ops[start:end])
-		for _, r := range results {
-			if r.Err != nil {
-				return benchRecord{}, r.Err
-			}
-		}
-	}
-
-	gp := plan.New(db)
-	eng := core.New(db, gp, core.Config{Workers: opts.Workers, RebuildState: rebuild})
-	defer eng.Close()
-	// Per-query predicate on the fact scan keeps this a shared hash join
-	// with fact as the build side (an unpredicated inner would compile to
-	// an index nested-loop join on the primary key).
-	read, err := eng.Prepare(`SELECT dim.d_id, fact.f_val FROM dim, fact
-		WHERE dim.d_key = fact.f_key AND fact.f_val > ?`)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	write, err := eng.Prepare(`UPDATE fact SET f_val = ? WHERE f_id = ?`)
-	if err != nil {
-		return benchRecord{}, err
-	}
-	// Selective predicate: the result stays small, so the generation's cost
-	// is the build-side work the incremental state elides, not shared
-	// result materialization.
-	params := []types.Value{types.NewFloat(98.5)}
-	warm := eng.Submit(read, params)
-	warm.Wait()
-	if warm.Err != nil {
-		return benchRecord{}, warm.Err
-	}
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if i%incWriteEvery == incWriteEvery-1 {
-				res := eng.Submit(write, []types.Value{
-					types.NewFloat(float64(i % 100)), types.NewInt(int64(i % incFactRows))})
-				if res.Wait(); res.Err != nil {
-					b.Fatal(res.Err)
-				}
-			}
-			res := eng.Submit(read, params)
-			if res.Wait(); res.Err != nil {
-				b.Fatal(res.Err)
-			}
-		}
-	})
-	name, state := "incremental_join", "delta-maintained build side"
-	if rebuild {
-		name, state = "incremental_join_rebuild", "rebuild-every-generation"
-	}
-	return record(name, fmt.Sprintf(
-		"repeat-read hash join (%d-row build side, %d-row probe, 1 point update per %d reads), %s",
-		incFactRows, incDimRows, incWriteEvery, state),
-		"query", 1, r), nil
 }
 
 // Subscribe scenario shape: a 64-subscriber browsing feed (one standing

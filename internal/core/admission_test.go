@@ -274,9 +274,13 @@ func TestWriteOnlyGenerationsFeedCostEWMA(t *testing.T) {
 
 // --- Validate ---
 
-func TestValidateAdmissionConfig(t *testing.T) {
+func TestValidateConfig(t *testing.T) {
 	valid := []Config{
-		{},
+		{}, // 0 selects the default pipeline depth
+		{MaxInFlightGenerations: 1},
+		{MaxInFlightGenerations: 4},
+		{SubscriptionBuffer: 1},
+		{SubscriptionBuffer: 64},
 		{MaxGenerationDelay: time.Millisecond},
 		{MaxGenerationDelay: 50 * time.Millisecond, QueueDepthLimit: 10, StatementQuota: 5,
 			BreakerStrikes: 2, BreakerCooldown: time.Second},
@@ -288,6 +292,9 @@ func TestValidateAdmissionConfig(t *testing.T) {
 		}
 	}
 	invalid := []Config{
+		{MaxInFlightGenerations: -1},
+		{SubscriptionBuffer: -1},
+		{SubscriptionBuffer: -5},
 		{MaxGenerationDelay: -time.Millisecond},
 		{MaxGenerationDelay: 500 * time.Microsecond}, // below timer resolution
 		{MaxGenerationDelay: time.Nanosecond},

@@ -1,14 +1,15 @@
 package core
 
-// Columnar-aggregation differential fuzz: production (columnar scan,
-// maintained group state) and the GroupOp pushdown (grouped/DISTINCT/Top-N
-// statements fed straight from the columnar mirror, bypassing the scan
-// stream — what a group node runs when its state is rebuilt) must be
+// Columnar-aggregation differentials: production (columnar scan, and the
+// GroupOp pushdown — grouped/DISTINCT/Top-N statements over a direct scan
+// fed straight from the columnar mirror, bypassing the scan stream) must be
 // bit-identical to the row-scan reference — same values, not just
-// float-close — under random schemas, interleaved write deltas and both
-// serial and parallel cycles. Three engines share one storage database;
-// every burst is submitted to all of them and compared via types.EncodeKey
-// (exact value encoding), and the reference against internal/baseline.
+// float-close — under random schemas, interleaved writes and both serial
+// and parallel cycles. The fuzz shares one storage database between the two
+// engines (writes land behind them); every burst is submitted to both and
+// compared via types.EncodeKey (exact value encoding), and the reference
+// against internal/baseline. The sweep gives each engine its own database
+// and sends the write stream through the engines.
 
 import (
 	"fmt"
@@ -172,7 +173,6 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 			}{
 				{"row path", New(db, plan.New(db), referenceConfig(workers))},
 				{"production", New(db, plan.New(db), Config{Workers: workers})},
-				{"pushdown", New(db, plan.New(db), Config{Workers: workers, RebuildState: true})},
 			}
 			stmts := make([][]*plan.Statement, len(engines))
 			for ei, e := range engines {
@@ -250,8 +250,171 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 					}
 				}
 			}
-			if engines[2].eng.Plan().PathCycles().ColAgg == 0 {
-				t.Fatal("the rebuild-state engine never ran an aggregation-pushdown cycle — the fuzz exercised nothing")
+			if engines[1].eng.Plan().PathCycles().ColAgg == 0 {
+				t.Fatal("production never ran an aggregation-pushdown cycle — the fuzz exercised nothing")
+			}
+		})
+	}
+}
+
+// TestUnderWritesDifferentialSweep runs the same randomized repeat-read
+// workload with interleaved writes through two engines over identical data
+// — the {RowScan, NoFold} reference and production — and requires identical
+// per-query results, equal to the query-at-a-time baseline's. It is the
+// under-writes differential for the aggregation pushdown: the grouped reads
+// sit on a direct item scan, so production answers them from the column
+// mirror while inserts, updates and deletes (through the engine, so the
+// mirror's pending log carries them) hit the join build side and every
+// aggregate kind (SUM/COUNT/AVG, MIN/MAX, COUNT(DISTINCT)).
+func TestUnderWritesDifferentialSweep(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			dbRef, closeRef := bookstore(t)
+			defer closeRef()
+			dbProd, closeProd := bookstore(t)
+			defer closeProd()
+			ref := New(dbRef, plan.New(dbRef), referenceConfig(workers))
+			defer ref.Close()
+			prod := New(dbProd, plan.New(dbProd), Config{Workers: workers})
+			defer prod.Close()
+			engines := []*Engine{ref, prod}
+			qat := baseline.New(dbRef, baseline.SystemXLike)
+
+			subjects := []string{"ARTS", "SCIENCE", "HISTORY", "COOKING"}
+			reads := []struct {
+				sql     string
+				ordered bool
+				mk      func(r *rand.Rand) []types.Value
+			}{
+				// Hash join with the item scan as build side (the per-query
+				// predicate on the right keeps it off the index-join path).
+				{"SELECT a_lname, i_title FROM author, item WHERE a_id = i_a_id AND i_price > ?", false,
+					func(r *rand.Rand) []types.Value { return []types.Value{types.NewFloat(float64(r.Intn(90)))} }},
+				// Every aggregate kind over a direct item scan (the pushdown).
+				{"SELECT i_subject, COUNT(*), SUM(i_price), AVG(i_price) FROM item GROUP BY i_subject", false,
+					func(*rand.Rand) []types.Value { return nil }},
+				{"SELECT i_subject, MIN(i_price), MAX(i_price) FROM item GROUP BY i_subject", false,
+					func(*rand.Rand) []types.Value { return nil }},
+				{"SELECT i_subject, COUNT(DISTINCT i_a_id) FROM item GROUP BY i_subject", false,
+					func(*rand.Rand) []types.Value { return nil }},
+				// Ordered with a full tie-break: row order must match too.
+				{"SELECT i_id, i_price FROM item WHERE i_subject = ? ORDER BY i_price DESC, i_id LIMIT 8", true,
+					func(r *rand.Rand) []types.Value {
+						return []types.Value{types.NewString(subjects[r.Intn(len(subjects))])}
+					}},
+				// Plain shared scan (no stateful operator).
+				{"SELECT i_id, i_title FROM item WHERE i_subject = ?", false,
+					func(r *rand.Rand) []types.Value {
+						return []types.Value{types.NewString(subjects[r.Intn(len(subjects))])}
+					}},
+			}
+			writes := []struct {
+				sql string
+				mk  func(r *rand.Rand, nextID *int64) []types.Value
+			}{
+				{"INSERT INTO item VALUES (?, ?, ?, ?, ?)",
+					func(r *rand.Rand, nextID *int64) []types.Value {
+						id := *nextID
+						*nextID++
+						return []types.Value{types.NewInt(id),
+							types.NewString(fmt.Sprintf("New %03d", id)),
+							types.NewInt(int64(r.Intn(20))),
+							types.NewString(subjects[r.Intn(len(subjects))]),
+							types.NewFloat(float64(r.Intn(10000)) / 100)}
+					}},
+				{"UPDATE item SET i_price = ? WHERE i_id = ?",
+					func(r *rand.Rand, _ *int64) []types.Value {
+						return []types.Value{types.NewFloat(float64(r.Intn(10000)) / 100),
+							types.NewInt(int64(r.Intn(100)))}
+					}},
+				{"UPDATE item SET i_subject = ? WHERE i_id = ?",
+					func(r *rand.Rand, _ *int64) []types.Value {
+						return []types.Value{types.NewString(subjects[r.Intn(len(subjects))]),
+							types.NewInt(int64(r.Intn(100)))}
+					}},
+				{"DELETE FROM item WHERE i_id = ?",
+					func(r *rand.Rand, _ *int64) []types.Value {
+						return []types.Value{types.NewInt(int64(r.Intn(100)))}
+					}},
+				{"INSERT INTO author VALUES (?, ?)",
+					func(r *rand.Rand, nextID *int64) []types.Value {
+						id := *nextID
+						*nextID++
+						return []types.Value{types.NewInt(id), types.NewString(fmt.Sprintf("Auth%03d", id))}
+					}},
+			}
+
+			oracle := make([]*baseline.Stmt, len(reads))
+			for i, tpl := range reads {
+				var err error
+				if oracle[i], err = qat.Prepare(tpl.sql); err != nil {
+					t.Fatal(err)
+				}
+			}
+			readStmts := make([][]*plan.Statement, len(engines))
+			writeStmts := make([][]*plan.Statement, len(engines))
+			for ei, e := range engines {
+				for _, tpl := range reads {
+					readStmts[ei] = append(readStmts[ei], mustPrepare(t, e, tpl.sql))
+				}
+				for _, tpl := range writes {
+					writeStmts[ei] = append(writeStmts[ei], mustPrepare(t, e, tpl.sql))
+				}
+			}
+
+			r := rand.New(rand.NewSource(int64(20260807 + workers)))
+			nextID := int64(1000)
+			doWrite := func() {
+				wi := r.Intn(len(writes))
+				params := writes[wi].mk(r, &nextID)
+				for ei, e := range engines {
+					res := e.Submit(writeStmts[ei][wi], params)
+					if err := res.Wait(); err != nil {
+						t.Fatalf("write %q on engine %d: %v", writes[wi].sql, ei, err)
+					}
+				}
+			}
+			for round := 0; round < 30; round++ {
+				if r.Intn(2) == 0 {
+					doWrite()
+				}
+				ti := r.Intn(len(reads))
+				params := reads[ti].mk(r)
+				// Repeats with identical parameters, sometimes with a write
+				// in the middle: the mirror must serve the new snapshot.
+				repeats := 1 + r.Intn(3)
+				for j := 0; j < repeats; j++ {
+					if j > 0 && r.Intn(3) == 0 {
+						doWrite()
+					}
+					got := run(t, prod, readStmts[1][ti], params...)
+					want := run(t, ref, readStmts[0][ti], params...)
+					base, err := oracle[ti].Exec(params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sameRows(want.Rows, base.Rows) {
+						t.Fatalf("round %d repeat %d: %q params %v:\nreference (%d): %v\nbaseline (%d): %v",
+							round, j, reads[ti].sql, params,
+							len(want.Rows), canon(want.Rows), len(base.Rows), canon(base.Rows))
+					}
+					if !sameRows(got.Rows, want.Rows) {
+						t.Fatalf("round %d repeat %d: %q params %v:\nproduction (%d): %v\nreference (%d): %v",
+							round, j, reads[ti].sql, params,
+							len(got.Rows), canon(got.Rows), len(want.Rows), canon(want.Rows))
+					}
+					if reads[ti].ordered {
+						for i := range got.Rows {
+							if types.EncodeKey(got.Rows[i]...) != types.EncodeKey(want.Rows[i]...) {
+								t.Fatalf("round %d: ordered row %d differs: %v vs %v",
+									round, i, got.Rows[i], want.Rows[i])
+							}
+						}
+					}
+				}
+			}
+			if prod.Plan().PathCycles().ColAgg == 0 {
+				t.Fatal("production never ran an aggregation-pushdown cycle — the grouped reads exercised nothing")
 			}
 		})
 	}

@@ -126,20 +126,18 @@ type Config struct {
 	SubscriptionBuffer int
 
 	// Reference switches. The zero value is the production path: shared
-	// scans read the columnar mirror, hash-join build sides and group-by
-	// tables persist across generations and are patched from each
-	// generation's write delta, and identical concurrent reads fold. Each
-	// switch selects the reference implementation the production path must
-	// stay bit-identical to; they exist for the differential suites and
-	// cmd/microbench's reference records and are deliberately not on
-	// shareddb.Config or any command-line flag.
+	// scans and direct-scan group-bys read the columnar mirror, and
+	// identical concurrent reads fold. Each switch selects the reference
+	// implementation the production path must stay bit-identical to; they
+	// exist for the differential suites and cmd/microbench's reference
+	// records and are deliberately not on shareddb.Config or any
+	// command-line flag.
 	//
-	// RowScan runs shared scans as row-store ClockScans. RebuildState
-	// rebuilds operator state from the scan stream every generation (no
-	// delta chain is kept). NoFold queues every read as its own activation.
-	RowScan      bool
-	RebuildState bool
-	NoFold       bool
+	// RowScan runs shared scans as row-store ClockScans and feeds every
+	// group-by from its scan stream. NoFold queues every read as its own
+	// activation.
+	RowScan bool
+	NoFold  bool
 }
 
 // Engine drives generations over a storage database and a global plan.
@@ -190,20 +188,6 @@ type Engine struct {
 	// full result.
 	subs     []*Subscription
 	subsKick bool
-
-	// Incremental-state delta chain, touched only on the dispatcher
-	// goroutine (write phases serialize there): the write records
-	// accumulated since the last delivered delta, the snapshot that delta
-	// brought operator state up to, and whether that snapshot holds a GC
-	// pin (it must — delta classification reads row visibility at FromTS,
-	// so those versions may not be truncated between generations).
-	// incSeenTS is the storage snapshot those records account for;
-	// incBroken is set when storage is found ahead of it (see checkChain).
-	incFromTS  uint64
-	incTouched []storage.WALRecord
-	incPinned  bool
-	incSeenTS  uint64
-	incBroken  bool
 
 	// stats
 	generations uint64
@@ -330,12 +314,6 @@ func (e *Engine) Close() {
 	e.mu.Unlock()
 	for _, s := range subs {
 		s.Close()
-	}
-	// The loop has exited and all generations drained, so the dispatcher-
-	// goroutine delta-chain fields are quiescent: release the chain pin.
-	if e.incPinned {
-		e.db.UnpinSnapshot(e.incFromTS)
-		e.incPinned = false
 	}
 	e.plan.Stop()
 	e.pool.Close()
@@ -782,28 +760,6 @@ func (e *Engine) loop() {
 	}
 }
 
-// noteWrites adds one write phase's physical records to the delta the next
-// read phase delivers to maintained operator state (dispatcher goroutine
-// only).
-func (e *Engine) noteWrites(commitTS uint64, recs []storage.WALRecord) {
-	if !e.cfg.RebuildState {
-		e.incSeenTS = commitTS
-		e.incTouched = append(e.incTouched, recs...)
-	}
-}
-
-// checkChain compares storage's snapshot now — before a write phase, or at
-// the read pin — with the one the delta chain accounts for. Storage ahead
-// of the chain means rows changed behind the engine's back (a bulk load
-// through DB.Storage, another engine on the same database): incTouched
-// knows nothing about them, so the next delta must not patch maintained
-// state.
-func (e *Engine) checkChain(now uint64) {
-	if now != e.incSeenTS {
-		e.incSeenTS, e.incBroken = now, true
-	}
-}
-
 // generationDone retires one generation from the pipeline.
 func (e *Engine) generationDone() {
 	e.mu.Lock()
@@ -904,12 +860,8 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 	// Stats()/InFlightGenerations(). For a write-only generation the last
 	// completion below also retires the generation before notifying.
 	hasReads := len(readReqs) > 0 || len(subs) > 0
-	if len(writeOps)+len(txs) > 0 {
-		e.checkChain(e.db.SnapshotTS())
-	}
 	if len(writeOps) > 0 {
-		results, commitTS, recs := e.db.ApplyOpsRecorded(writeOps)
-		e.noteWrites(commitTS, recs)
+		results, commitTS := e.db.ApplyOps(writeOps)
 		e.mu.Lock()
 		e.writesRun += uint64(len(writeOps))
 		e.mu.Unlock()
@@ -924,8 +876,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 		}
 	}
 	if len(txs) > 0 {
-		commitTS, errs, recs := e.db.CommitTxBatchRecorded(txs)
-		e.noteWrites(commitTS, recs)
+		commitTS, errs := e.db.CommitTxBatch(txs)
 		e.mu.Lock()
 		e.writesRun += uint64(len(txs))
 		e.mu.Unlock()
@@ -957,29 +908,6 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 		return
 	}
 	ts := e.db.PinCurrentSnapshot()
-	// The generation's write delta for incremental node state: everything
-	// committed since the last delivered delta, classified at [incFromTS,
-	// ts]. The previous FromTS keeps a dedicated GC pin so the versions the
-	// classification reads are still there; the pin rolls forward to ts. A
-	// nil delta (Config.RebuildState) makes RunGeneration rebuild every
-	// node's state from its scan stream.
-	var delta *storage.Delta
-	if !e.cfg.RebuildState {
-		from := e.incFromTS
-		if e.checkChain(ts); e.incBroken {
-			// A delta from ts chains onto no node's state (each is stamped
-			// with an earlier snapshot), so every maintained node reprimes
-			// from its table.
-			from, e.incTouched, e.incBroken = ts, nil, false
-		}
-		delta = e.db.BuildDelta(from, ts, e.incTouched)
-		e.incTouched = nil
-		chain := e.db.PinCurrentSnapshot() // == ts: writes serialize on this goroutine
-		if e.incPinned {
-			e.db.UnpinSnapshot(e.incFromTS)
-		}
-		e.incFromTS, e.incPinned = chain, true
-	}
 	// The breaker blames generations, not operators: collect the distinct
 	// read statements so the completion callback can strike (or reset)
 	// each one against the observed cycle time. Distinctness is by SQL
@@ -996,9 +924,8 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 		}
 	}
 	// Standing queries take the leading dense query ids (1..len(subs), in
-	// registration order — stable while the subscription set is stable, so
-	// incremental node state keyed on them can be reused), then the batch's
-	// reads. With no subscriptions the numbering is unchanged.
+	// registration order), then the batch's reads. With no subscriptions the
+	// numbering is unchanged.
 	nsubs := len(subs)
 	acts := make([]plan.Activation, 0, nsubs+len(readReqs))
 	subCols := make([]*subCollector, nsubs)
@@ -1031,7 +958,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 		e.costMu.Unlock()
 	}
 
-	e.plan.RunGeneration(gen, ts, acts, delta,
+	e.plan.RunGeneration(gen, ts, acts, nil,
 		func(stream int, t operators.Tuple) {
 			// Sink callback: runs on the sink goroutine only (one sink cycle
 			// at a time, even with generations in flight), so per-request

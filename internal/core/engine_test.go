@@ -87,11 +87,11 @@ func bookstore(t testing.TB) (*storage.Database, func()) {
 	return db, func() { db.Close() }
 }
 
-// referenceConfig is the all-reference engine — row-store scans, operator
-// state rebuilt every generation, no folding — that production (the zero
+// referenceConfig is the all-reference engine — row-store scans, every
+// group-by fed from its scan stream, no folding — that production (the zero
 // Config) must stay bit-identical to.
 func referenceConfig(workers int) Config {
-	return Config{Workers: workers, RowScan: true, RebuildState: true, NoFold: true}
+	return Config{Workers: workers, RowScan: true, NoFold: true}
 }
 
 func newEngine(t testing.TB, db *storage.Database) *Engine {

@@ -201,11 +201,19 @@ func TestIndexEdgePinnedSnapshotUnderWrites(t *testing.T) {
 	next := int64(2001)
 	deadline := time.Now().Add(20 * time.Second)
 	for round := 0; ; round++ {
+		// The writer inserts for as long as the readers read, so the two
+		// race whatever their relative speed.
 		var wg sync.WaitGroup
-		wg.Add(1)
+		readersDone := make(chan struct{})
+		writerDone := make(chan struct{})
 		go func() {
-			defer wg.Done()
-			for i := 0; i < 40; i++ {
+			defer close(writerDone)
+			for {
+				select {
+				case <-readersDone:
+					return
+				default:
+				}
 				env.exec("insert", types.NewInt(next), types.NewInt(next%4), types.NewInt(next), types.Null)
 				next++
 			}
@@ -234,6 +242,8 @@ func TestIndexEdgePinnedSnapshotUnderWrites(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
+		close(readersDone)
+		<-writerDone
 		if t.Failed() {
 			t.FailNow()
 		}

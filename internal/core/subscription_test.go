@@ -6,214 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"shareddb/internal/baseline"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
 
-// Incremental shared state and standing queries: the differential suites
-// here pin (a) Config.Validate's boundaries for the pipeline depth the
-// delta chain rides on and for the subscription buffer, (b) that the
-// delta-maintained operator state returns exactly what the
-// rebuild-every-generation reference and the query-at-a-time baseline
-// return under interleaved write streams, and (c) that subscription delta
-// streams compose to the same result a fresh per-generation query returns
-// (the oracle).
-
-// --- Validate boundaries ---
-
-func TestValidateIncrementalConfig(t *testing.T) {
-	valid := []Config{
-		{},                          // 0 selects the default pipeline depth
-		{MaxInFlightGenerations: 1}, // the boundary
-		{MaxInFlightGenerations: 4},
-		{SubscriptionBuffer: 1},
-		{RebuildState: true, SubscriptionBuffer: 64},
-	}
-	for _, cfg := range valid {
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
-		}
-	}
-	// One rule, one message: the same bad depth reads the same whatever the
-	// state switch says.
-	depthErr := Config{MaxInFlightGenerations: -1}.Validate()
-	if depthErr == nil {
-		t.Fatal("Validate(MaxInFlightGenerations: -1) = nil, want error")
-	}
-	if err := (Config{MaxInFlightGenerations: -1, RebuildState: true}).Validate(); err == nil || err.Error() != depthErr.Error() {
-		t.Errorf("negative depth with RebuildState = %v, want the same error as without: %v", err, depthErr)
-	}
-	for _, cfg := range []Config{{SubscriptionBuffer: -1}, {RebuildState: true, SubscriptionBuffer: -5}} {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("Validate(%+v) = nil, want error", cfg)
-		}
-	}
-}
-
-// --- incremental vs rebuild differential sweep ---
-
-// TestIncrementalDifferentialSweep runs the same randomized repeat-read
-// workload with interleaved writes through two engines over identical data
-// — the reference one rebuilding operator state every generation, the
-// production one maintaining it from write deltas — and requires identical
-// per-query results, equal to the query-at-a-time baseline's. Reads repeat
-// with stable parameters (the state-reuse condition) and the writes hit the
-// join build side and every group-aggregate retraction path (SUM/COUNT/AVG
-// subtract; MIN/MAX and COUNT(DISTINCT) rebuild per key).
-func TestIncrementalDifferentialSweep(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dbReb, closeReb := bookstore(t)
-			defer closeReb()
-			dbInc, closeInc := bookstore(t)
-			defer closeInc()
-			reb := New(dbReb, plan.New(dbReb), referenceConfig(workers))
-			defer reb.Close()
-			inc := New(dbInc, plan.New(dbInc), Config{Workers: workers})
-			defer inc.Close()
-			engines := []*Engine{reb, inc}
-			qat := baseline.New(dbReb, baseline.SystemXLike)
-
-			subjects := []string{"ARTS", "SCIENCE", "HISTORY", "COOKING"}
-			reads := []struct {
-				sql     string
-				ordered bool
-				mk      func(r *rand.Rand) []types.Value
-			}{
-				// Hash join with the item scan as build side (the per-query
-				// predicate on the right keeps it off the index-join path).
-				{"SELECT a_lname, i_title FROM author, item WHERE a_id = i_a_id AND i_price > ?", false,
-					func(r *rand.Rand) []types.Value { return []types.Value{types.NewFloat(float64(r.Intn(90)))} }},
-				// Subtractable aggregates.
-				{"SELECT i_subject, COUNT(*), SUM(i_price), AVG(i_price) FROM item GROUP BY i_subject", false,
-					func(*rand.Rand) []types.Value { return nil }},
-				// Non-subtractable: per-key rebuild on retraction.
-				{"SELECT i_subject, MIN(i_price), MAX(i_price) FROM item GROUP BY i_subject", false,
-					func(*rand.Rand) []types.Value { return nil }},
-				{"SELECT i_subject, COUNT(DISTINCT i_a_id) FROM item GROUP BY i_subject", false,
-					func(*rand.Rand) []types.Value { return nil }},
-				// Ordered with a full tie-break: row order must match too.
-				{"SELECT i_id, i_price FROM item WHERE i_subject = ? ORDER BY i_price DESC, i_id LIMIT 8", true,
-					func(r *rand.Rand) []types.Value {
-						return []types.Value{types.NewString(subjects[r.Intn(len(subjects))])}
-					}},
-				// Plain shared scan (no stateful operator: the no-binding path).
-				{"SELECT i_id, i_title FROM item WHERE i_subject = ?", false,
-					func(r *rand.Rand) []types.Value {
-						return []types.Value{types.NewString(subjects[r.Intn(len(subjects))])}
-					}},
-			}
-			writes := []struct {
-				sql string
-				mk  func(r *rand.Rand, nextID *int64) []types.Value
-			}{
-				{"INSERT INTO item VALUES (?, ?, ?, ?, ?)",
-					func(r *rand.Rand, nextID *int64) []types.Value {
-						id := *nextID
-						*nextID++
-						return []types.Value{types.NewInt(id),
-							types.NewString(fmt.Sprintf("New %03d", id)),
-							types.NewInt(int64(r.Intn(20))),
-							types.NewString(subjects[r.Intn(len(subjects))]),
-							types.NewFloat(float64(r.Intn(10000)) / 100)}
-					}},
-				{"UPDATE item SET i_price = ? WHERE i_id = ?",
-					func(r *rand.Rand, _ *int64) []types.Value {
-						return []types.Value{types.NewFloat(float64(r.Intn(10000)) / 100),
-							types.NewInt(int64(r.Intn(100)))}
-					}},
-				{"UPDATE item SET i_subject = ? WHERE i_id = ?",
-					func(r *rand.Rand, _ *int64) []types.Value {
-						return []types.Value{types.NewString(subjects[r.Intn(len(subjects))]),
-							types.NewInt(int64(r.Intn(100)))}
-					}},
-				{"DELETE FROM item WHERE i_id = ?",
-					func(r *rand.Rand, _ *int64) []types.Value {
-						return []types.Value{types.NewInt(int64(r.Intn(100)))}
-					}},
-				{"INSERT INTO author VALUES (?, ?)",
-					func(r *rand.Rand, nextID *int64) []types.Value {
-						id := *nextID
-						*nextID++
-						return []types.Value{types.NewInt(id), types.NewString(fmt.Sprintf("Auth%03d", id))}
-					}},
-			}
-
-			oracle := make([]*baseline.Stmt, len(reads))
-			for i, tpl := range reads {
-				var err error
-				if oracle[i], err = qat.Prepare(tpl.sql); err != nil {
-					t.Fatal(err)
-				}
-			}
-			readStmts := make([][]*plan.Statement, len(engines))
-			writeStmts := make([][]*plan.Statement, len(engines))
-			for ei, e := range engines {
-				for _, tpl := range reads {
-					readStmts[ei] = append(readStmts[ei], mustPrepare(t, e, tpl.sql))
-				}
-				for _, tpl := range writes {
-					writeStmts[ei] = append(writeStmts[ei], mustPrepare(t, e, tpl.sql))
-				}
-			}
-
-			r := rand.New(rand.NewSource(int64(20260807 + workers)))
-			nextID := int64(1000)
-			doWrite := func() {
-				wi := r.Intn(len(writes))
-				params := writes[wi].mk(r, &nextID)
-				for ei, e := range engines {
-					res := e.Submit(writeStmts[ei][wi], params)
-					if err := res.Wait(); err != nil {
-						t.Fatalf("write %q on engine %d: %v", writes[wi].sql, ei, err)
-					}
-				}
-			}
-			for round := 0; round < 30; round++ {
-				if r.Intn(2) == 0 {
-					doWrite()
-				}
-				ti := r.Intn(len(reads))
-				params := reads[ti].mk(r)
-				// Repeats with identical parameters are where state reuse
-				// engages; a write in the middle forces a delta application.
-				repeats := 1 + r.Intn(3)
-				for j := 0; j < repeats; j++ {
-					if j > 0 && r.Intn(3) == 0 {
-						doWrite()
-					}
-					got := run(t, inc, readStmts[1][ti], params...)
-					want := run(t, reb, readStmts[0][ti], params...)
-					base, err := oracle[ti].Exec(params)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !sameRows(want.Rows, base.Rows) {
-						t.Fatalf("round %d repeat %d: %q params %v:\nrebuild (%d): %v\nbaseline (%d): %v",
-							round, j, reads[ti].sql, params,
-							len(want.Rows), canon(want.Rows), len(base.Rows), canon(base.Rows))
-					}
-					if !sameRows(got.Rows, want.Rows) {
-						t.Fatalf("round %d repeat %d: %q params %v:\nincremental (%d): %v\nrebuild (%d): %v",
-							round, j, reads[ti].sql, params,
-							len(got.Rows), canon(got.Rows), len(want.Rows), canon(want.Rows))
-					}
-					if reads[ti].ordered {
-						for i := range got.Rows {
-							if types.EncodeKey(got.Rows[i]...) != types.EncodeKey(want.Rows[i]...) {
-								t.Fatalf("round %d: ordered row %d differs: %v vs %v",
-									round, i, got.Rows[i], want.Rows[i])
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// --- subscription delta stream vs per-generation oracle ---
+// Standing queries: subscription delta streams must compose to the same
+// result a fresh per-generation query returns (the oracle), a lagged
+// subscriber must resync, and Subscribe rejects writes.
 
 // applyUpdate folds one delivered update into the subscriber's tracked
 // result, failing the test if a removal names a row the tracked state does
@@ -263,13 +62,16 @@ func awaitState(t *testing.T, sub *Subscription, tracked []types.Row, want []typ
 // TestSubscriptionDeltasMatchOracle registers standing queries, drives a
 // random write stream, and after every write checks that the subscription's
 // delta stream converges the tracked result to exactly what a fresh query
-// of the same statement returns — on the rebuild reference and in production.
+// of the same statement returns — on the reference engine and in production.
 func TestSubscriptionDeltasMatchOracle(t *testing.T) {
-	for _, rebuild := range []bool{true, false} {
-		t.Run(fmt.Sprintf("rebuild=%v", rebuild), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"reference", referenceConfig(0)}, {"production", Config{}}} {
+		t.Run(tc.name, func(t *testing.T) {
 			db, closeDB := bookstore(t)
 			defer closeDB()
-			e := New(db, plan.New(db), Config{RebuildState: rebuild})
+			e := New(db, plan.New(db), tc.cfg)
 			defer e.Close()
 
 			stmts := []struct {

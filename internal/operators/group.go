@@ -1,8 +1,6 @@
 package operators
 
 import (
-	"sort"
-
 	"shareddb/internal/expr"
 	"shareddb/internal/par"
 	"shareddb/internal/queryset"
@@ -51,14 +49,6 @@ type GroupOp struct {
 	// columnar mirror.
 	colBufs    storage.ColScanBuffers
 	colClients []storage.ScanClient
-
-	// inc is the persistent NodeState (see state.go): the group
-	// table plus a per-group RowID-ordered multiset of contributing rows,
-	// maintained in place from generation write deltas. incActive marks
-	// cycles emitting from it; the rebuild path never touches it.
-	inc        groupTable
-	incScratch []queryset.QueryID
-	incActive  bool
 }
 
 // GroupStream configures extraction for one input stream.
@@ -118,10 +108,9 @@ func (a *aggState) add(v types.Value, def AggDef) {
 		}
 		a.distinct[k] = struct{}{}
 	}
-	// Each kind maintains only the fields its result() reads (and that
-	// incRemoveRow subtracts: count/sumI, for COUNT/SUM/AVG only): COUNT
-	// skips the sums and extrema, SUM/AVG skip the extrema, MIN/MAX skip
-	// the counters. This runs once per (row, query) on the absorb hot path.
+	// Each kind maintains only the fields its result() reads: COUNT skips
+	// the sums and extrema, SUM/AVG skip the extrema, MIN/MAX skip the
+	// counters. This runs once per (row, query) on the absorb hot path.
 	switch def.Kind {
 	case AggCount:
 		a.count++
@@ -178,36 +167,13 @@ type groupEntry struct {
 	// (nil for queries without state); aggStates for one query are stored
 	// contiguously.
 	perQuery [][]aggState
-	// inc carries the incremental bookkeeping (nil on the rebuild path):
-	// the group's contributing rows as a RowID-ordered multiset, so
-	// retractions that cannot subtract exactly (MIN/MAX, DISTINCT, float
-	// sums) replay the group from it.
-	inc *groupIncRows
-}
-
-// groupIncRows is one maintained group's row multiset plus per-query live
-// tuple counts (a query's aggregate row exists iff it has >= 1 live tuple,
-// mirroring the rebuild path where perQuery state exists iff a routed
-// tuple arrived — including all-NULL tuples that leave count at 0).
-type groupIncRows struct {
-	rows   []groupIncRow // sorted by RowID ascending
-	tuples []int64       // dense per-query live tuple count
-	dirty  bool          // retraction could not subtract; replay from rows
-}
-
-// groupIncRow is one maintained contributing row: its evaluated aggregate
-// arguments and the covered queries it routes to.
-type groupIncRow struct {
-	rid  uint64
-	args []types.Value
-	qs   queryset.Set
 }
 
 // groupAgg is what one aggregating goroutine owns: a group table, the
 // per-row scratch, and free lists recycling a finished cycle's group entries
 // and per-(group, query) aggregate states (refilled in Finish), so the
-// steady-state rebuild path allocates only for emitted rows once the free
-// lists have warmed up to the workload's group count.
+// steady state allocates only for emitted rows once the free lists have
+// warmed up to the workload's group count.
 type groupAgg struct {
 	table     groupTable
 	args      []types.Value // one row's evaluated aggregate arguments
@@ -254,13 +220,29 @@ func (g *GroupOp) Start(c *Cycle) {
 		}
 	}
 	c.opState = st
-	g.incActive = false
-	if c.Inc != nil {
-		g.startIncremental(c)
-	}
 	if c.Col != nil {
 		g.startColumnar(c)
 	}
+}
+
+// ColPred is one covered query's bound scan predicate (nil = every row).
+type ColPred struct {
+	QID  queryset.QueryID
+	Pred expr.Expr
+}
+
+// ColCycle is the columnar-aggregation activation attached to a CycleStart
+// (the aggregation pushdown of the columnar data path): the group-by node
+// feeds itself from the table's columnar mirror (storage.SharedScanColumnar)
+// instead of consuming the scan→group stream, which the plan silences for
+// the covered queries. Preds are sorted by QID ascending, one bound scan
+// predicate per covered query — exactly the clients the shared scan node
+// would have served. The scan emits in RowID order and the operator absorbs
+// serially in that order, so the resulting aggregate state (and Finish
+// emission) is byte-identical to the row path.
+type ColCycle struct {
+	Table *storage.Table
+	Preds []ColPred
 }
 
 // startColumnar runs the aggregation pushdown: the covered queries' bound
@@ -269,10 +251,10 @@ func (g *GroupOp) Start(c *Cycle) {
 // no Batch materialization. The scan emits in ascending RowID order (at any
 // worker count) and absorbRow runs serially on this goroutine, so the group
 // table's insertion order — and therefore Finish emission — is byte-identical
-// to the row path's serial rebuild.
+// to the row path's serial aggregation.
 func (g *GroupOp) startColumnar(c *Cycle) {
 	cc := c.Col
-	cfg := g.incStream()
+	cfg := g.onlyStream()
 	clients := g.colClients[:0]
 	for _, p := range cc.Preds {
 		clients = append(clients, storage.ScanClient{ID: p.QID, Pred: p.Pred})
@@ -332,8 +314,7 @@ func (a *groupAgg) newStates() []aggState {
 
 // recycle returns a drained cycle's group entries and their aggregate
 // states to the free lists, dropping every value reference so recycled rows
-// are not pinned, and empties the table. Maintained (incremental) entries
-// live in g.inc, never here, so everything is safe to reuse.
+// are not pinned, and empties the table.
 func (a *groupAgg) recycle() {
 	for _, ge := range a.table.entries {
 		for q, states := range ge.perQuery {
@@ -351,214 +332,13 @@ func (a *groupAgg) recycle() {
 	a.table.reset()
 }
 
-// incStream returns the operator's single input stream configuration (the
-// plan only grants incremental activations to single-stream group nodes).
-func (g *GroupOp) incStream() GroupStream {
+// onlyStream returns the operator's single input stream configuration (the
+// plan only grants the aggregation pushdown to single-stream group nodes).
+func (g *GroupOp) onlyStream() GroupStream {
 	for _, cfg := range g.Streams {
 		return cfg
 	}
 	return GroupStream{}
-}
-
-// startIncremental brings the persistent group state up to the cycle's
-// snapshot: prime replays a base-table scan in RowID order (exactly the
-// serial rebuild's arrival order), reuse applies the generation delta with
-// retractable-aggregate fast paths (COUNT/SUM/AVG over non-float values
-// subtract in place) and per-group replay from the maintained multiset for
-// everything else (MIN/MAX, DISTINCT, float accumulation order).
-func (g *GroupOp) startIncremental(c *Cycle) {
-	ic := c.Inc
-	cfg := g.incStream()
-	switch ic.Mode {
-	case IncPrime:
-		g.inc.reset()
-		scratch := g.incScratch
-		ic.Table.ScanVisible(c.TS, func(rid storage.RowID, row types.Row) bool {
-			var qs queryset.Set
-			qs, scratch = evalIncPreds(ic.Preds, row, scratch)
-			if !qs.Empty() {
-				g.incAddRow(cfg, rid, row, qs)
-			}
-			return true
-		})
-		g.incScratch = scratch
-	case IncReuse:
-		if td := ic.Delta; td != nil {
-			scratch := g.incScratch
-			var qs queryset.Set
-			for _, dr := range td.Deleted {
-				qs, scratch = evalIncPreds(ic.Preds, dr.Row, scratch)
-				if !qs.Empty() {
-					g.incRemoveRow(cfg, dr.RID, dr.Row)
-				}
-			}
-			for _, ur := range td.Updated {
-				qs, scratch = evalIncPreds(ic.Preds, ur.Old, scratch)
-				if !qs.Empty() {
-					g.incRemoveRow(cfg, ur.RID, ur.Old)
-				}
-				qs, scratch = evalIncPreds(ic.Preds, ur.New, scratch)
-				if !qs.Empty() {
-					g.incAddRow(cfg, ur.RID, ur.New, qs)
-				}
-			}
-			for _, dr := range td.Inserted {
-				qs, scratch = evalIncPreds(ic.Preds, dr.Row, scratch)
-				if !qs.Empty() {
-					g.incAddRow(cfg, dr.RID, dr.Row, qs)
-				}
-			}
-			g.incScratch = scratch
-			g.incReplayDirty()
-		}
-	}
-	g.incActive = true
-}
-
-// incAddRow routes one table row into its maintained group. Additions are
-// exact for every aggregate kind when appended in rebuild order (fresh
-// inserts carry table-maximal RowIDs); an out-of-order float value would
-// change accumulation order, so it marks the group for replay instead.
-func (g *GroupOp) incAddRow(cfg GroupStream, rid uint64, row types.Row, qs queryset.Set) {
-	h := hashValues(row, cfg.GroupCols)
-	ge := g.inc.lookup(h, row, cfg.GroupCols)
-	if ge == nil {
-		ge = &groupEntry{hash: h, keyVals: appendKey(nil, row, cfg.GroupCols), inc: &groupIncRows{}}
-		g.inc.insert(ge)
-	}
-	args := make([]types.Value, len(g.Aggs))
-	for i := range g.Aggs {
-		if i < len(cfg.AggArgs) && cfg.AggArgs[i] != nil {
-			args[i] = cfg.AggArgs[i].Eval(row, nil)
-		} else {
-			args[i] = types.NewInt(1) // COUNT(*) marker
-		}
-	}
-	r := groupIncRow{rid: rid, args: args, qs: qs}
-	rows := ge.inc.rows
-	if n := len(rows); n == 0 || rows[n-1].rid < rid {
-		ge.inc.rows = append(rows, r)
-	} else {
-		// Re-inserted update: keep the multiset RowID-ordered, and replay
-		// unless the insertion is order-independent (no float values).
-		i := sort.Search(n, func(i int) bool { return rows[i].rid >= rid })
-		ge.inc.rows = append(rows, groupIncRow{})
-		copy(ge.inc.rows[i+1:], ge.inc.rows[i:])
-		ge.inc.rows[i] = r
-		for _, v := range args {
-			if !v.IsNull() && v.Kind() == types.KindFloat {
-				ge.inc.dirty = true
-				break
-			}
-		}
-	}
-	if ge.inc.dirty {
-		return // replay recomputes states and counts from rows
-	}
-	g.incApply(ge, args, qs)
-}
-
-// incApply folds one row's arguments into a group's per-query states and
-// live-tuple counts (the state half of absorb's inner loop).
-func (g *GroupOp) incApply(ge *groupEntry, args []types.Value, qs queryset.Set) {
-	for _, qid := range qs.IDs() {
-		for int(qid) >= len(ge.perQuery) {
-			ge.perQuery = append(ge.perQuery, nil)
-		}
-		for int(qid) >= len(ge.inc.tuples) {
-			ge.inc.tuples = append(ge.inc.tuples, 0)
-		}
-		states := ge.perQuery[qid]
-		if states == nil {
-			states = make([]aggState, len(g.Aggs))
-			ge.perQuery[qid] = states
-		}
-		for i, def := range g.Aggs {
-			states[i].add(args[i], def)
-		}
-		ge.inc.tuples[qid]++
-	}
-}
-
-// incRemoveRow retracts one row from its maintained group. COUNT/SUM/AVG
-// over non-float values subtract exactly; anything else (MIN/MAX, DISTINCT,
-// float sums) marks the group dirty for replay from the multiset.
-func (g *GroupOp) incRemoveRow(cfg GroupStream, rid uint64, oldRow types.Row) {
-	ge := g.inc.lookup(hashValues(oldRow, cfg.GroupCols), oldRow, cfg.GroupCols)
-	if ge == nil || ge.inc == nil {
-		return // row never contributed (e.g. inserted before the state primed a narrower query set)
-	}
-	rows := ge.inc.rows
-	i := sort.Search(len(rows), func(i int) bool { return rows[i].rid >= rid })
-	if i >= len(rows) || rows[i].rid != rid {
-		return
-	}
-	r := rows[i]
-	ge.inc.rows = append(rows[:i], rows[i+1:]...)
-	if ge.inc.dirty {
-		return
-	}
-	if !g.incSubtractable(r.args) {
-		ge.inc.dirty = true
-		return
-	}
-	for _, qid := range r.qs.IDs() {
-		states := ge.perQuery[qid]
-		for ai, v := range r.args {
-			if v.IsNull() {
-				continue // add skipped NULLs; so does the retraction
-			}
-			states[ai].count--
-			switch v.Kind() {
-			case types.KindInt, types.KindBool, types.KindTime:
-				states[ai].sumI -= v.Int
-			}
-			// min/max go stale, but COUNT/SUM/AVG results never read them.
-		}
-		ge.inc.tuples[qid]--
-		if ge.inc.tuples[qid] == 0 {
-			ge.perQuery[qid] = nil // rebuild would have no state for this query
-		}
-	}
-}
-
-// incSubtractable reports whether a retraction with these argument values
-// subtracts exactly: every aggregate must be COUNT/SUM/AVG without
-// DISTINCT, over non-float (exact integer) values.
-func (g *GroupOp) incSubtractable(args []types.Value) bool {
-	for i, def := range g.Aggs {
-		switch def.Kind {
-		case AggCount, AggSum, AggAvg:
-		default:
-			return false
-		}
-		if def.Distinct {
-			return false
-		}
-		if v := args[i]; !v.IsNull() && v.Kind() == types.KindFloat {
-			return false
-		}
-	}
-	return true
-}
-
-// incReplayDirty rebuilds every dirty group's per-query states from its
-// RowID-ordered multiset — exactly the serial rebuild's arrival order, so
-// the replayed states are byte-identical to a from-scratch cycle.
-func (g *GroupOp) incReplayDirty() {
-	for _, ge := range g.inc.entries {
-		if ge.inc == nil || !ge.inc.dirty {
-			continue
-		}
-		for q := range ge.perQuery {
-			ge.perQuery[q] = nil
-		}
-		clear(ge.inc.tuples)
-		ge.inc.dirty = false
-		for _, r := range ge.inc.rows {
-			g.incApply(ge, r.args, r.qs)
-		}
-	}
 }
 
 // Consume hashes each tuple into its group once and updates the aggregate
@@ -772,12 +552,9 @@ func (g *GroupOp) Finish(c *Cycle) {
 		clear(st.pending)
 		st.pending = st.pending[:0]
 	}
-	if g.incActive {
-		g.emitIncremental(c, st)
-	}
 	for i := range g.aggs {
 		for _, ge := range g.aggs[i].table.entries {
-			g.emitGroup(c, st, ge, nil)
+			g.emitGroup(c, st, ge)
 		}
 		g.aggs[i].recycle() // drop group state references between cycles
 	}
@@ -798,19 +575,13 @@ func (g *GroupOp) Finish(c *Cycle) {
 		c.Emit(g.OutStream, row, queryset.FromSorted(g.single[:1]))
 	}
 	c.opState = nil
-	g.incActive = false
 }
 
 // emitGroup emits one group's per-query aggregate rows (ascending query
-// id). tuples, when non-nil, is the incremental path's live-count filter: a
-// query emits iff it still has >= 1 live tuple in the group (the rebuild
-// path's "state exists" condition).
-func (g *GroupOp) emitGroup(c *Cycle, st *groupState, ge *groupEntry, tuples []int64) {
+// id).
+func (g *GroupOp) emitGroup(c *Cycle, st *groupState, ge *groupEntry) {
 	for q, states := range ge.perQuery {
 		if states == nil {
-			continue
-		}
-		if tuples != nil && (q >= len(tuples) || tuples[q] == 0) {
 			continue
 		}
 		qid := queryset.QueryID(q)
@@ -825,21 +596,5 @@ func (g *GroupOp) emitGroup(c *Cycle, st *groupState, ge *groupEntry, tuples []i
 		st.emitted[qid] = true
 		g.single[0] = qid
 		c.Emit(g.OutStream, row, queryset.FromSorted(g.single[:1]))
-	}
-}
-
-// emitIncremental emits the maintained groups in ascending minimum-RowID
-// order — the first-arrival order a serial rebuild's insertion-ordered
-// table produces — so incremental output is byte-identical to a rebuild.
-func (g *GroupOp) emitIncremental(c *Cycle, st *groupState) {
-	live := make([]*groupEntry, 0, len(g.inc.entries))
-	for _, ge := range g.inc.entries {
-		if ge.inc != nil && len(ge.inc.rows) > 0 {
-			live = append(live, ge)
-		}
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].inc.rows[0].rid < live[j].inc.rows[0].rid })
-	for _, ge := range live {
-		g.emitGroup(c, st, ge, ge.inc.tuples)
 	}
 }

@@ -62,7 +62,7 @@ func TestGroupColumnarZeroAllocSteadyState(t *testing.T) {
 	cmp := func(o expr.CmpOp, col int, v int64) expr.Expr {
 		return &expr.Cmp{Op: o, L: &expr.ColRef{Idx: col}, R: &expr.Const{Val: types.NewInt(v)}}
 	}
-	col := &ColCycle{Table: tab, Preds: []IncPred{
+	col := &ColCycle{Table: tab, Preds: []ColPred{
 		{QID: 1, Pred: cmp(expr.GE, 2, 0)},
 		{QID: 2, Pred: cmp(expr.LT, 2, 512)},
 		{QID: 3, Pred: cmp(expr.LE, 1, 7)},

@@ -60,19 +60,17 @@ type joinTable struct {
 	mask    uint64
 	buckets []joinBucket
 	entries []joinEntry
-	dead    int // unlinked entries awaiting compaction (incremental path)
 }
 
 type joinBucket struct {
 	hash       uint64
 	row        types.Row // representative row for collision verification
-	head, tail int32     // entry chain in arrival order (-1 when emptied)
+	head, tail int32     // entry chain in arrival order
 }
 
 type joinEntry struct {
 	t    Tuple
-	rid  uint64 // RowID (incremental maintenance only; 0 on rebuild path)
-	next int32  // -1 = end of chain
+	next int32 // -1 = end of chain
 }
 
 // reset prepares the table for a new cycle, keeping its backing arrays but
@@ -85,7 +83,6 @@ func (jt *joinTable) reset(keyCols []int) {
 	jt.buckets = jt.buckets[:0]
 	clear(jt.entries)
 	jt.entries = jt.entries[:0]
-	jt.dead = 0
 }
 
 func (jt *joinTable) len() int { return len(jt.entries) }
@@ -156,136 +153,6 @@ func (jt *joinTable) lookup(h uint64, outer types.Row, outerCols []int) int32 {
 		}
 		i = (i + 1) & jt.mask
 	}
-}
-
-// bucketFor returns the bucket holding key-equal rows of row (nil when the
-// key was never inserted). Unlike lookup it also finds emptied buckets, so
-// incremental re-insertion can reuse them.
-func (jt *joinTable) bucketFor(h uint64, row types.Row, cols []int) *joinBucket {
-	if len(jt.slots) == 0 {
-		return nil
-	}
-	i := h & jt.mask
-	for {
-		s := jt.slots[i]
-		if s == 0 {
-			return nil
-		}
-		b := &jt.buckets[s-1]
-		if b.hash == h && rowsEqualOn(row, cols, b.row, jt.keyCols) {
-			return b
-		}
-		i = (i + 1) & jt.mask
-	}
-}
-
-// insertRID adds a build-side tuple keeping each key's chain sorted by
-// RowID ascending — the arrival order of a serial scan-fed build — so probe
-// emission over a maintained table is byte-identical to a rebuild. The
-// common case (fresh inserts carry the table-maximal RowID) appends at the
-// tail.
-func (jt *joinTable) insertRID(h uint64, t Tuple, rid uint64) {
-	if len(jt.slots) == 0 || len(jt.buckets)*2 >= len(jt.slots) {
-		jt.grow()
-	}
-	ei := int32(len(jt.entries))
-	jt.entries = append(jt.entries, joinEntry{t: t, rid: rid, next: -1})
-	i := h & jt.mask
-	for {
-		s := jt.slots[i]
-		if s == 0 {
-			jt.slots[i] = int32(len(jt.buckets)) + 1
-			jt.buckets = append(jt.buckets, joinBucket{hash: h, row: t.Row, head: ei, tail: ei})
-			return
-		}
-		b := &jt.buckets[s-1]
-		if b.hash == h && rowsEqualOn(t.Row, jt.keyCols, b.row, jt.keyCols) {
-			switch {
-			case b.head < 0: // emptied bucket: restart the chain
-				b.row = t.Row
-				b.head, b.tail = ei, ei
-			case jt.entries[b.tail].rid < rid: // append (fresh insert)
-				jt.entries[b.tail].next = ei
-				b.tail = ei
-			case jt.entries[b.head].rid > rid: // new head
-				jt.entries[ei].next = b.head
-				b.head = ei
-			default: // ordered insert mid-chain (re-inserted update)
-				prev := b.head
-				for jt.entries[prev].next >= 0 && jt.entries[jt.entries[prev].next].rid < rid {
-					prev = jt.entries[prev].next
-				}
-				jt.entries[ei].next = jt.entries[prev].next
-				jt.entries[prev].next = ei
-				if jt.entries[ei].next < 0 {
-					b.tail = ei
-				}
-			}
-			return
-		}
-		i = (i + 1) & jt.mask
-	}
-}
-
-// removeRID unlinks the entry with the given RowID from the chain of
-// oldRow's key. Reports whether an entry was removed. Unlinked entries stay
-// as holes in the entry array (chains skip them; grow rebuilds from buckets,
-// unaffected) until compaction reclaims them.
-func (jt *joinTable) removeRID(h uint64, oldRow types.Row, rid uint64) bool {
-	b := jt.bucketFor(h, oldRow, jt.keyCols)
-	if b == nil {
-		return false
-	}
-	prev := int32(-1)
-	for ei := b.head; ei >= 0; ei = jt.entries[ei].next {
-		if jt.entries[ei].rid != rid {
-			prev = ei
-			continue
-		}
-		next := jt.entries[ei].next
-		if prev < 0 {
-			b.head = next
-		} else {
-			jt.entries[prev].next = next
-		}
-		if b.tail == ei {
-			b.tail = prev
-		}
-		// Drop the tuple references so retired version rows are not pinned
-		// by the hole.
-		jt.entries[ei] = joinEntry{next: -1}
-		jt.dead++
-		if jt.dead > 64 && jt.dead*2 > len(jt.entries) {
-			jt.compact()
-		}
-		return true
-	}
-	return false
-}
-
-// compact rebuilds the entry array without holes, preserving every chain's
-// order. Bucket indices are stable, so the slot array needs no rebuild.
-func (jt *joinTable) compact() {
-	newEntries := make([]joinEntry, 0, len(jt.entries)-jt.dead)
-	for bi := range jt.buckets {
-		b := &jt.buckets[bi]
-		head, tail := int32(-1), int32(-1)
-		for ei := b.head; ei >= 0; ei = jt.entries[ei].next {
-			ni := int32(len(newEntries))
-			e := jt.entries[ei]
-			e.next = -1
-			newEntries = append(newEntries, e)
-			if head < 0 {
-				head = ni
-			} else {
-				newEntries[tail].next = ni
-			}
-			tail = ni
-		}
-		b.head, b.tail = head, tail
-	}
-	jt.entries = newEntries
-	jt.dead = 0
 }
 
 // groupTable is the shared group-by's hash table: insertion-ordered entries

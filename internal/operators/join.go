@@ -88,15 +88,6 @@ type HashJoinOp struct {
 
 	qsScratch []queryset.QueryID // probe intersection scratch
 	single    [1]queryset.QueryID
-
-	// inc is the persistent build-side NodeState (see state.go):
-	// a RowID-ordered build table owned by the node across generations,
-	// primed from a table scan and maintained in place from generation write
-	// deltas. incActive marks cycles probing against it; the rebuild path
-	// never touches it.
-	inc        joinTable
-	incScratch []queryset.QueryID
-	incActive  bool
 }
 
 // JoinSpec is the per-query activation of a join. Shared hash joins need no
@@ -104,10 +95,7 @@ type HashJoinOp struct {
 // uniformly.
 type JoinSpec struct{}
 
-// Start resets the cycle state. With an incremental activation the inner
-// side is served from the maintained NodeState instead of the (silenced)
-// inner edge: the state is primed or delta-maintained here, and the cycle
-// starts in the probe phase.
+// Start resets the cycle state.
 func (j *HashJoinOp) Start(c *Cycle) {
 	j.build.reset(j.InnerKeyCols)
 	if j.ByQueryID {
@@ -118,63 +106,6 @@ func (j *HashJoinOp) Start(c *Cycle) {
 	j.innerDone = false
 	j.innerPending = j.innerPending[:0]
 	j.shardsActive = false
-	j.incActive = false
-	if c.Inc != nil && !j.ByQueryID {
-		j.startIncremental(c)
-	}
-}
-
-// startIncremental brings the persistent build table up to the cycle's
-// snapshot. Prime scans the base table in RowID order (the same order the
-// shared ClockScan feeds a rebuild); reuse applies the generation delta:
-// retract old versions, insert new ones, keeping per-key chains RowID-
-// ordered so probe emission is byte-identical to a rebuild.
-func (j *HashJoinOp) startIncremental(c *Cycle) {
-	ic := c.Inc
-	switch ic.Mode {
-	case IncPrime:
-		j.inc.reset(j.InnerKeyCols)
-		scratch := j.incScratch
-		ic.Table.ScanVisible(c.TS, func(rid storage.RowID, row types.Row) bool {
-			var qs queryset.Set
-			qs, scratch = evalIncPreds(ic.Preds, row, scratch)
-			if !qs.Empty() {
-				j.inc.insertRID(hashValues(row, j.InnerKeyCols), Tuple{Row: row, QS: qs}, rid)
-			}
-			return true
-		})
-		j.incScratch = scratch
-	case IncReuse:
-		if td := ic.Delta; td != nil {
-			scratch := j.incScratch
-			var qs queryset.Set
-			for _, dr := range td.Deleted {
-				qs, scratch = evalIncPreds(ic.Preds, dr.Row, scratch)
-				if !qs.Empty() {
-					j.inc.removeRID(hashValues(dr.Row, j.InnerKeyCols), dr.Row, dr.RID)
-				}
-			}
-			for _, ur := range td.Updated {
-				qs, scratch = evalIncPreds(ic.Preds, ur.Old, scratch)
-				if !qs.Empty() {
-					j.inc.removeRID(hashValues(ur.Old, j.InnerKeyCols), ur.Old, ur.RID)
-				}
-				qs, scratch = evalIncPreds(ic.Preds, ur.New, scratch)
-				if !qs.Empty() {
-					j.inc.insertRID(hashValues(ur.New, j.InnerKeyCols), Tuple{Row: ur.New, QS: qs}, ur.RID)
-				}
-			}
-			for _, dr := range td.Inserted {
-				qs, scratch = evalIncPreds(ic.Preds, dr.Row, scratch)
-				if !qs.Empty() {
-					j.inc.insertRID(hashValues(dr.Row, j.InnerKeyCols), Tuple{Row: dr.Row, QS: qs}, dr.RID)
-				}
-			}
-			j.incScratch = scratch
-		}
-	}
-	j.incActive = true
-	j.innerDone = true // probes run immediately against the maintained table
 }
 
 // Consume builds from inner batches and probes (or buffers) outer batches.
@@ -297,12 +228,9 @@ func (j *HashJoinOp) buildParallel(c *Cycle) {
 	j.innerPending = j.innerPending[:0]
 }
 
-// table returns the build table responsible for key hash h under any build
-// regime (maintained NodeState, parallel shards, or the serial cycle table).
+// table returns the build table responsible for key hash h under either
+// build regime (parallel shards or the serial cycle table).
 func (j *HashJoinOp) table(h uint64) *joinTable {
-	if j.incActive {
-		return &j.inc
-	}
 	if j.shardsActive {
 		return &j.buildShards[int(h%uint64(len(j.buildShards)))]
 	}

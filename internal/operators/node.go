@@ -124,17 +124,10 @@ type CycleStart struct {
 	Columnar        bool   // scan sources read the columnar mirror this cycle
 	OnDone          func() // optional completion callback (used by sinks)
 
-	// Inc, when non-nil, switches the node's stateful operator to the
-	// incremental path for this cycle: instead of rebuilding from its
-	// producer stream (which the plan silences for the covered queries), the
-	// operator primes or reuses persistent NodeState from the table and the
-	// generation's write delta. Nil keeps the classic rebuild cycle.
-	Inc *IncCycle
-
 	// Col, when non-nil, switches a group-by node to the columnar
 	// aggregation pushdown for this cycle: the operator feeds itself from
 	// the table's columnar mirror in Start instead of consuming the scan
-	// stream (silenced by the plan, like Inc). See ColCycle.
+	// stream (which the plan silences for the covered queries). See ColCycle.
 	Col *ColCycle
 
 	// Pool, when non-nil, is the engine-owned worker pool the cycle's
@@ -171,10 +164,6 @@ type Cycle struct {
 	// contract is that Workers=1 output is byte-identical to the engine
 	// before intra-operator parallelism existed.
 	Workers int
-
-	// Inc is the incremental-state activation for this cycle (nil = classic
-	// rebuild). See IncCycle.
-	Inc *IncCycle
 
 	// Col is the columnar-aggregation activation for this cycle (nil = the
 	// node consumes its producer stream as usual). See ColCycle.
@@ -342,7 +331,7 @@ func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (
 		workers = adaptWorkers(workers, n.prevInput)
 	}
 	n.em.reset(n, cs.Gen)
-	c := &Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: workers, Inc: cs.Inc, Col: cs.Col, Pool: cs.Pool, Columnar: cs.Columnar, node: n, em: &n.em}
+	c := &Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: workers, Col: cs.Col, Pool: cs.Pool, Columnar: cs.Columnar, node: n, em: &n.em}
 	ids := make([]queryset.QueryID, len(cs.Tasks))
 	for i, t := range cs.Tasks {
 		ids[i] = t.Query

@@ -1,9 +1,7 @@
 package plan
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"shareddb/internal/expr"
 	"shareddb/internal/operators"
@@ -20,20 +18,13 @@ type Activation struct {
 	Params []types.Value
 }
 
-// incAct is one activation covered by a node's incremental-state candidacy.
-type incAct struct {
-	qid    queryset.QueryID
-	stmt   int
-	params []types.Value
-	pred   expr.Expr // unbound scan predicate from the activation's binding
-}
-
-// incCand accumulates the activations that reach one stateful node through
-// its incremental binding this generation.
-type incCand struct {
-	b    incBinding
-	acts []incAct
-	ok   bool // false when bindings disagree on the scan edge/table
+// pushdownCand accumulates the activations that reach one group node
+// through its pushdown binding this generation.
+type pushdownCand struct {
+	b       pushdownBinding
+	preds   []operators.ColPred // one bound scan predicate per covered activation
+	reached int                 // activations with a step at the node, covered or not
+	ok      bool                // false when bindings disagree on the scan edge/table
 }
 
 // RunGeneration executes one heartbeat of the global plan (paper §3.2):
@@ -43,14 +34,13 @@ type incCand struct {
 // tuple reaching the sink; onDone fires when the generation has fully
 // drained.
 //
-// delta, when non-nil, turns on incremental node state for this generation:
-// it is the accumulated write delta since the previous incremental
-// generation, with delta.ToTS == ts (the generation barrier makes it exact).
-// Eligible stateful nodes (hash-join build sides and group-by aggregate
-// tables fed by a direct base-table scan, when every activation at the node
-// is so bound) skip their scan input and instead prime from the table or
-// reuse their maintained state by applying the delta in place. A nil delta
-// is byte-identical to the pre-incremental engine.
+// In columnar mode, a single-stream group-by that every activation reaches
+// through one direct base-table scan skips its scan input and aggregates
+// straight from the table's columnar mirror (decideColumnarAgg); every other
+// stateful node builds its state from its input stream each cycle.
+//
+// The fourth parameter is ignored: bench/layers.go, which only a
+// benchmark-typed PR may change, still passes a nil write delta there.
 //
 // RunGeneration returns immediately; completion is signaled via onDone.
 // Generations pipeline: the caller may start generation N+1 while earlier
@@ -59,11 +49,8 @@ type incCand struct {
 // order, and messages carry their generation tag so overlapping generations
 // never observe each other's tuples. Generations must be dispatched in
 // increasing gen order, and plan mutation (Prepare) still requires all
-// generations to have drained. The prime/reuse decision below is likewise
-// safe under pipelining: it runs at dispatch time in generation order, and
-// each node applies the resulting state mutations cycle-by-cycle in that
-// same order.
-func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, delta *storage.Delta, onTuple func(stream int, t operators.Tuple), onDone func()) {
+// generations to have drained.
+func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage.Delta, onTuple func(stream int, t operators.Tuple), onDone func()) {
 	p.mu.Lock()
 
 	if len(acts) == 0 {
@@ -72,12 +59,7 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, delta *sto
 		return
 	}
 
-	var cands map[*operators.Node]*incCand
-	if delta != nil || p.columnar {
-		cands = incCandidates(acts)
-	}
-	incCycles, skipTask, skipEdge := p.decideIncremental(ts, cands, delta)
-	colCycles, skipTask, skipEdge := p.decideColumnarAgg(cands, incCycles, skipTask, skipEdge)
+	colCycles, skipTask, skipEdge := p.decideColumnarAgg(acts)
 
 	tasks := map[*operators.Node][]operators.Task{}
 	edgeQ := map[*operators.Edge][]queryset.QueryID{}
@@ -160,178 +142,77 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, delta *sto
 			Columnar:        p.columnar,
 			Pool:            p.workerPool,
 			CostObserve:     costObserve,
-			Inc:             incCycles[n],
 			Col:             colCycles[n],
 		}})
 	}
 	p.mu.Unlock()
 }
 
-// decideIncremental picks, per stateful node, whether this generation runs
-// on maintained state — and if so whether the state can be reused (delta
-// applied in place) or must be reprimed from the base table. cands are the
-// generation's incCandidates: a node qualifies only when EVERY activation
-// touching it arrives through an incremental binding on the same scan edge;
-// partial coverage falls back to the classic rebuild so shared-but-unbound
-// queries still see the full build input. Returns the per-node incremental activations plus
-// the scan tasks and edge memberships to suppress (the operator builds its
-// own input, so the covered queries must not also stream the scan).
+// decideColumnarAgg picks the group-by nodes whose aggregation runs as a
+// columnar pushdown this generation: the node feeds itself from the table's
+// columnar mirror (operators.ColCycle) — typed vectors via the stride-kernel
+// scan instead of materialized row batches. A node qualifies only when it has
+// a single input stream and EVERY activation touching it arrives through a
+// pushdown binding on the same scan edge and table; partial coverage keeps
+// the scan stream so shared-but-unbound queries still see the full input.
+// Returns the per-node activations plus the scan tasks and edge memberships
+// to suppress (the operator reads its own input, so the covered queries must
+// not also stream the scan). Only active when the plan is in columnar mode.
 // Caller holds p.mu.
-func (p *GlobalPlan) decideIncremental(ts uint64, cands map[*operators.Node]*incCand, delta *storage.Delta) (
-	incCycles map[*operators.Node]*operators.IncCycle,
+func (p *GlobalPlan) decideColumnarAgg(acts []Activation) (
+	colCycles map[*operators.Node]*operators.ColCycle,
 	skipTask map[*operators.Node]map[queryset.QueryID]bool,
 	skipEdge map[*operators.Edge]map[queryset.QueryID]bool,
 ) {
-	if delta == nil || len(cands) == 0 {
+	if !p.columnar {
 		return nil, nil, nil
 	}
-
-	incCycles = map[*operators.Node]*operators.IncCycle{}
-	skipTask = map[*operators.Node]map[queryset.QueryID]bool{}
-	skipEdge = map[*operators.Edge]map[queryset.QueryID]bool{}
-	for n, c := range cands {
-		// The state signature captures exactly what the maintained state
-		// depends on: which queries it routes (dense per-generation QIDs),
-		// which statements they instantiate, and their parameter bindings.
-		// Matching signature + chained snapshot ⇒ the delta alone brings the
-		// state to this generation.
-		var sb strings.Builder
-		for _, a := range c.acts {
-			fmt.Fprintf(&sb, "%d|%d|%s;", a.qid, a.stmt, types.EncodeKey(a.params...))
-		}
-		sig := sb.String()
-
-		mode := operators.IncPrime
-		if st := p.inc[n]; st != nil && st.sig == sig && st.ts == delta.FromTS {
-			mode = operators.IncReuse
-			p.paths.IncReuse++
-		}
-		if p.inc == nil {
-			p.inc = map[*operators.Node]*incNodeState{}
-		}
-		p.inc[n] = &incNodeState{sig: sig, ts: ts}
-
-		ic := &operators.IncCycle{Mode: mode, Table: c.b.table, Preds: c.boundPreds()}
-		if mode == operators.IncReuse {
-			ic.Delta = delta.Table(c.b.table.Name())
-		}
-		incCycles[n] = ic
-		c.silenceScan(skipTask, skipEdge)
-	}
-	return incCycles, skipTask, skipEdge
-}
-
-// incCandidates collects, per stateful node, the activations that reach it
-// through an incremental binding, keeping only the nodes a cycle may feed
-// from the table instead of the scan stream: EVERY activation at the node
-// arrives through a binding on the same scan edge and table, and the node is
-// a key-hashed hash join or a single-stream group-by. Each candidate's activations are
-// sorted by query id.
-func incCandidates(acts []Activation) map[*operators.Node]*incCand {
-	counts := map[*operators.Node]int{}
-	cands := map[*operators.Node]*incCand{}
+	cands := map[*operators.Node]*pushdownCand{}
 	for _, a := range acts {
-		for _, st := range a.Stmt.steps {
-			counts[st.node]++
-		}
-		for _, b := range a.Stmt.incs {
+		for _, b := range a.Stmt.pushdowns {
 			c := cands[b.node]
 			if c == nil {
-				c = &incCand{b: b, ok: true}
+				c = &pushdownCand{b: b, ok: true}
 				cands[b.node] = c
 			}
 			if c.b.scanEdge != b.scanEdge || c.b.table != b.table {
 				c.ok = false
 			}
-			c.acts = append(c.acts, incAct{qid: a.QID, stmt: a.Stmt.ID, params: a.Params, pred: b.pred})
+			c.preds = append(c.preds, operators.ColPred{QID: a.QID, Pred: expr.Bind(b.pred, a.Params)})
+		}
+	}
+	if len(cands) == 0 {
+		return nil, nil, nil
+	}
+	for _, a := range acts {
+		for _, st := range a.Stmt.steps {
+			if c := cands[st.node]; c != nil {
+				c.reached++
+			}
 		}
 	}
 	for n, c := range cands {
-		eligible := c.ok && len(c.acts) == counts[n]
-		switch op := c.b.op.(type) {
-		case *operators.HashJoinOp:
-			eligible = eligible && !op.ByQueryID
-		case *operators.GroupOp:
-			eligible = eligible && len(op.Streams) == 1
-		default:
-			eligible = false
-		}
-		if !eligible {
-			delete(cands, n)
-			continue
-		}
-		sort.Slice(c.acts, func(i, j int) bool { return c.acts[i].qid < c.acts[j].qid })
-	}
-	return cands
-}
-
-// boundPreds binds each covered activation's scan predicate to its
-// parameters.
-func (c *incCand) boundPreds() []operators.IncPred {
-	preds := make([]operators.IncPred, len(c.acts))
-	for i, a := range c.acts {
-		preds[i] = operators.IncPred{QID: a.qid, Pred: expr.Bind(a.pred, a.params)}
-	}
-	return preds
-}
-
-// silenceScan suppresses the covered queries' scan tasks and scan-edge
-// memberships: the operator builds its own input, so they must not also
-// stream the scan.
-func (c *incCand) silenceScan(skipTask map[*operators.Node]map[queryset.QueryID]bool, skipEdge map[*operators.Edge]map[queryset.QueryID]bool) {
-	st := skipTask[c.b.scanNode]
-	if st == nil {
-		st = map[queryset.QueryID]bool{}
-		skipTask[c.b.scanNode] = st
-	}
-	se := skipEdge[c.b.scanEdge]
-	if se == nil {
-		se = map[queryset.QueryID]bool{}
-		skipEdge[c.b.scanEdge] = se
-	}
-	for _, a := range c.acts {
-		st[a.qid] = true
-		se[a.qid] = true
-	}
-}
-
-// decideColumnarAgg picks, per eligible group-by node, whether this
-// generation's aggregation runs as a columnar pushdown: the node feeds
-// itself from the table's columnar mirror (operators.ColCycle) and the
-// scan→group stream is silenced for the covered queries — the aggregation
-// consumes typed vectors via the stride-kernel scan instead of materialized
-// row batches. Eligibility is decideIncremental's (the same incCandidates,
-// group-by nodes only), and nodes already claimed by incremental state keep
-// it (maintained state supersedes a re-scan). Only
-// active when the plan is in columnar mode. Caller holds p.mu.
-func (p *GlobalPlan) decideColumnarAgg(cands map[*operators.Node]*incCand, incCycles map[*operators.Node]*operators.IncCycle,
-	skipTask map[*operators.Node]map[queryset.QueryID]bool,
-	skipEdge map[*operators.Edge]map[queryset.QueryID]bool,
-) (map[*operators.Node]*operators.ColCycle,
-	map[*operators.Node]map[queryset.QueryID]bool,
-	map[*operators.Edge]map[queryset.QueryID]bool,
-) {
-	if !p.columnar {
-		return nil, skipTask, skipEdge
-	}
-	var colCycles map[*operators.Node]*operators.ColCycle
-	for n, c := range cands {
-		if _, isGroup := c.b.op.(*operators.GroupOp); !isGroup || incCycles[n] != nil {
+		if !c.ok || len(c.preds) != c.reached || len(c.b.op.Streams) != 1 {
 			continue
 		}
 		if colCycles == nil {
 			colCycles = map[*operators.Node]*operators.ColCycle{}
-		}
-		colCycles[n] = &operators.ColCycle{Table: c.b.table, Preds: c.boundPreds()}
-		p.paths.ColAgg++
-
-		if skipTask == nil {
 			skipTask = map[*operators.Node]map[queryset.QueryID]bool{}
-		}
-		if skipEdge == nil {
 			skipEdge = map[*operators.Edge]map[queryset.QueryID]bool{}
 		}
-		c.silenceScan(skipTask, skipEdge)
+		sort.Slice(c.preds, func(i, j int) bool { return c.preds[i].QID < c.preds[j].QID })
+		colCycles[n] = &operators.ColCycle{Table: c.b.table, Preds: c.preds}
+		// One scan node may feed several group nodes, each over its own edge.
+		st, se := skipTask[c.b.scanNode], map[queryset.QueryID]bool{}
+		if st == nil {
+			st = map[queryset.QueryID]bool{}
+			skipTask[c.b.scanNode] = st
+		}
+		skipEdge[c.b.scanEdge] = se
+		for _, pr := range c.preds {
+			st[pr.QID], se[pr.QID] = true, true
+		}
+		p.paths.ColAgg++
 	}
 	return colCycles, skipTask, skipEdge
 }

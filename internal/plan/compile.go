@@ -500,20 +500,6 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 	step := stepBinding{node: ref.node, makeSpec: func([]types.Value) interface{} {
 		return operators.JoinSpec{}
 	}}
-	// Incremental-state binding: the build side is a direct shared ClockScan,
-	// so the join's hash table can be maintained as persistent NodeState
-	// (primed from the table, updated from generation write deltas) instead
-	// of rebuilt from the scan stream every cycle.
-	if right.foldTable != "" && len(right.steps) == 1 {
-		s.incs = append(s.incs, incBinding{
-			node:     ref.node,
-			op:       ref.op,
-			scanNode: right.node,
-			scanEdge: ie,
-			table:    p.db.Table(right.foldTable),
-			pred:     right.foldPred,
-		})
-	}
 	return compiled{
 		node:   ref.node,
 		stream: p.streams[outCfg.OutStream],
@@ -659,11 +645,10 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: c.stream.physicalCols(g.GroupCols), AggArgs: aggArgs}
 	}
 	e := p.edge(c.node, ref.node)
-	// Incremental-state binding: the group-by's input is a direct shared
-	// ClockScan, so its aggregate table can be maintained as persistent
-	// NodeState across generations.
+	// Aggregation-pushdown binding: the group-by's input is a direct shared
+	// ClockScan, so the node can aggregate from the column mirror itself.
 	if c.foldTable != "" && len(c.steps) == 1 {
-		s.incs = append(s.incs, incBinding{
+		s.pushdowns = append(s.pushdowns, pushdownBinding{
 			node:     ref.node,
 			op:       ref.op,
 			scanNode: c.node,

@@ -167,21 +167,6 @@ type GlobalPlan struct {
 	SinkOp *operators.SinkOp
 
 	stmts []*Statement
-
-	// inc tracks each stateful node's persistent NodeState version: the
-	// signature of the covered activations it was built for and the storage
-	// snapshot it is current as of. RunGeneration reuses state only when the
-	// signature matches and the generation delta chains exactly onto the
-	// state's snapshot; otherwise the node reprimes. Nil until an
-	// incremental generation runs.
-	inc map[*operators.Node]*incNodeState
-}
-
-// incNodeState is the plan-side version stamp of one node's maintained
-// state.
-type incNodeState struct {
-	sig string // QID-sorted (qid, stmt, params) fingerprint of covered activations
-	ts  uint64 // snapshot the state is current as of
 }
 
 type sourceRef struct {
@@ -331,7 +316,6 @@ func (p *GlobalPlan) SetColumnar(on bool) {
 // path since it was created.
 type PathCounts struct {
 	ColScan   uint64 // scan cycles on the columnar mirror
-	IncReuse  uint64 // stateful (hash-join build, group-by) cycles that reused maintained state: delta applied in place instead of a reprime or rebuild
 	ColAgg    uint64 // group-by cycles run as columnar aggregation pushdowns (fed straight from the mirror instead of the scan stream)
 	IndexEdge uint64 // index-edge probe cycles: a scalar MIN/MAX answered from one end of an index instead of a scan
 }
@@ -447,19 +431,20 @@ type Statement struct {
 	// write side
 	Write *sql.WritePlan
 
-	// incs are the statement's incremental-state bindings: stateful nodes
-	// along its path (hash join, group-by) whose input is this statement's
-	// direct base-table scan, eligible for maintained NodeState. Set at
-	// compile time.
-	incs []incBinding
+	// pushdowns are the statement's aggregation-pushdown bindings: group-by
+	// nodes along its path whose input is this statement's direct
+	// base-table scan, eligible to aggregate straight from the column
+	// mirror. Set at compile time.
+	pushdowns []pushdownBinding
 }
 
-// incBinding marks one (statement, stateful node) pair whose scan step can
-// be replaced by maintained state: the scan node/edge to silence, the base
-// table to prime from, and the statement's unbound scan predicate.
-type incBinding struct {
-	node     *operators.Node    // the stateful operator's node
-	op       operators.Operator // *HashJoinOp or *GroupOp (eligibility checks)
+// pushdownBinding marks one (statement, group-by node) pair whose scan step
+// the group node can replace by reading the column mirror itself: the scan
+// node/edge to silence, the base table to read, and the statement's unbound
+// scan predicate.
+type pushdownBinding struct {
+	node     *operators.Node    // the group-by's node
+	op       *operators.GroupOp // (single-stream eligibility check)
 	scanNode *operators.Node    // the feeding shared ClockScan
 	scanEdge *operators.Edge    // scanNode → node edge
 	table    *storage.Table

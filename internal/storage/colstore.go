@@ -16,16 +16,15 @@ import (
 // for cache-linear vector passes; SharedScanColumnar (colscan.go) evaluates
 // the ClockScan predicate index column-at-a-time over it.
 //
-// Maintenance mirrors the incremental-state design of PR 7: writers append
-// (rid, commitTS) records to a pending log under the table lock, and the
-// scan synchronizes the mirror to its snapshot by draining the pending
-// prefix with ts <= snapshot — appending inserts, tombstoning deletes via
-// the live bitmap, patching updates in place — classified exactly like
-// BuildDelta, by visibility at the snapshot boundary. Chain mismatch
-// (a snapshot older than the mirror, like core.decideIncremental's
-// signature/ts check) or a pending backlog larger than the mirror falls
-// back to a rebuild from ScanVisible. Compaction rewrites the vectors when
-// the dead fraction crosses colCompactDeadFraction.
+// Maintenance is incremental: writers append (rid, commitTS) records to a
+// pending log under the table lock, and the scan synchronizes the mirror to
+// its snapshot by draining the pending prefix with ts <= snapshot —
+// appending inserts, tombstoning deletes via the live bitmap, patching
+// updates in place — classified by visibility at the snapshot boundary.
+// Chain mismatch (a snapshot older than the mirror) or a pending backlog
+// larger than the mirror falls back to a rebuild from ScanVisible.
+// Compaction rewrites the vectors when the dead fraction crosses
+// colCompactDeadFraction.
 
 // colRep selects the physical representation of one column vector.
 type colRep uint8
@@ -200,12 +199,17 @@ const (
 )
 
 // columnarMirror returns the table's mirror, attaching (and thereby
-// activating pending-log capture in the mutation funnel) on first use.
+// activating pending-log capture in the mutation funnel) on first use. The
+// log starts empty, so writes up to lastWriteTS are in no log: seeding the
+// drained frontier with it makes a first build at an older snapshot (a
+// pipelined generation scanning a table storage has already moved past)
+// rebuild again on the next forward pin instead of applying an incomplete
+// log.
 func (t *Table) columnarMirror() *colMirror {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.colm == nil {
-		t.colm = &colMirror{}
+		t.colm = &colMirror{maxSynced: t.lastWriteTS}
 	}
 	return t.colm
 }
@@ -213,6 +217,7 @@ func (t *Table) columnarMirror() *colMirror {
 // recordWrite appends one write-stream record. Caller holds t.mu for
 // writing (the insertLocked/updateLocked/deleteLocked funnel).
 func (t *Table) recordWrite(rid RowID, ts uint64) {
+	t.lastWriteTS = ts
 	if t.colm != nil {
 		t.colm.pending = append(t.colm.pending, colPending{rid: rid, ts: ts})
 	}
@@ -260,8 +265,7 @@ func (m *colMirror) syncLocked(t *Table, ts uint64) {
 	case !m.built, ts < m.asOf, m.asOf != m.maxSynced:
 		// Chain mismatch: the mirror is ahead of (or does not cover) this
 		// snapshot, or sits behind the drained frontier — reprime from a
-		// full scan, exactly like core.decideIncremental falling back to
-		// IncPrime.
+		// full scan.
 		m.rebuildLocked(t, ts)
 		return
 	case len(m.drain) > colRebuildMinPending && len(m.drain) > len(m.rids):
@@ -289,11 +293,11 @@ func (m *colMirror) syncLocked(t *Table, ts uint64) {
 }
 
 // applyLocked applies the drained write records: each touched rid is
-// classified by membership in the mirror and visibility at ts (BuildDelta's
-// boundary comparison) into append / tombstone / patch / no-op. Clears
-// m.built on an append ordering violation (defensive; RowIDs invisible at
-// the mirror's snapshot cannot become visible later, so appends always
-// carry rids beyond the current tail). Caller holds mu exclusively.
+// classified by membership in the mirror and visibility at ts into append /
+// tombstone / patch / no-op. Clears m.built on an append ordering violation
+// (defensive; RowIDs invisible at the mirror's snapshot cannot become
+// visible later, so appends always carry rids beyond the current tail).
+// Caller holds mu exclusively.
 func (m *colMirror) applyLocked(t *Table, ts uint64) {
 	slices.SortFunc(m.drain, func(a, b colPending) int {
 		switch {

@@ -6,31 +6,25 @@ import (
 	"shareddb/internal/types"
 )
 
-// Delta is the net effect of one engine generation's write phase: for each
-// touched table, which logical rows appeared, vanished or changed between
-// the snapshot published before the batch (FromTS) and the snapshot
-// published after it (ToTS). The generation barrier makes the delta exact —
-// no writes of any other generation fall inside (FromTS, ToTS].
+// Delta is the net effect of a window of writes: for each touched table,
+// which logical rows appeared, vanished or changed between the snapshot
+// published before the first batch (FromTS) and the snapshot published after
+// the last (ToTS).
 //
-// Rows are reported at the boundary snapshots, so intra-batch churn
-// collapses: a row inserted and deleted within the same generation appears
-// in no list, and a row updated twice appears once with the first old row
-// and the last new row.
+// Rows are reported at the boundary snapshots, so churn inside the window
+// collapses: a row inserted and deleted within it appears in no list, and a
+// row updated twice appears once with the first old row and the last new
+// row.
+//
+// Nothing in the engine consumes a Delta (operators build their
+// state per cycle; the column mirror keeps its own pending log). The type,
+// BuildDelta and ApplyOpsRecorded stay because the repository benchmark's
+// storage.delta_us_per_write probe (bench/layers.go) times them; they go
+// when a benchmark-typed PR drops that probe.
 type Delta struct {
 	FromTS uint64
 	ToTS   uint64
 	Tables map[string]*TableDelta
-}
-
-// Empty reports whether the delta carries no changes.
-func (d *Delta) Empty() bool { return d == nil || len(d.Tables) == 0 }
-
-// Table returns the named table's delta, or nil when untouched.
-func (d *Delta) Table(name string) *TableDelta {
-	if d == nil {
-		return nil
-	}
-	return d.Tables[name]
 }
 
 // TableDelta is one table's slice of a Delta. Each list is sorted by RowID
@@ -54,13 +48,13 @@ type UpdatedRow struct {
 	New types.Row // version visible at ToTS
 }
 
-// BuildDelta classifies the rows touched by a batch of recorded writes into
-// an exact generation delta. recs is the physical write log of the batch
-// (as returned by ApplyOpsRecorded / CommitTxBatchRecorded — possibly
-// accumulated across several write-only generations); fromTS is the
-// snapshot published before the first of those batches and toTS the
-// snapshot published after the last (typically the generation's pinned read
-// snapshot, which shields the versions involved from GC).
+// BuildDelta classifies the rows touched by recorded writes into an exact
+// Delta. Its one remaining caller is the benchmark probe named on Delta.
+// recs is the physical write log (as returned by ApplyOpsRecorded —
+// possibly accumulated across several batches); fromTS is the snapshot
+// published before the first of those batches and toTS the snapshot
+// published after the last (pinned by the caller, which shields the
+// versions involved from GC).
 //
 // Each touched (table, rid) is classified once by comparing its visibility
 // at the two boundary snapshots, so the same rid recorded several times —
@@ -81,7 +75,7 @@ func (db *Database) BuildDelta(fromTS, toTS uint64, recs []WALRecord) *Delta {
 		if tt == nil {
 			t := db.Table(rec.Table)
 			if t == nil {
-				continue // table dropped since the write; nothing to maintain
+				continue // table dropped since the write
 			}
 			tt = &tableTouches{t: t}
 			touched[rec.Table] = tt
@@ -127,15 +121,9 @@ func (db *Database) BuildDelta(fromTS, toTS uint64, recs []WALRecord) *Delta {
 }
 
 // ApplyOpsRecorded is ApplyOps additionally returning the batch's physical
-// write records (table, RowID, kind per applied mutation) so the caller can
-// build an exact generation Delta. The records alias the same slice handed
-// to the WAL; callers must treat them as read-only.
+// write records (table, RowID, kind per applied mutation) for BuildDelta.
+// The records alias the same slice handed to the WAL; callers must treat
+// them as read-only.
 func (db *Database) ApplyOpsRecorded(ops []WriteOp) ([]OpResult, uint64, []WALRecord) {
 	return db.applyOps(ops)
-}
-
-// CommitTxBatchRecorded is CommitTxBatch additionally returning the batch's
-// physical write records for delta construction.
-func (db *Database) CommitTxBatchRecorded(txs []*Tx) (uint64, []error, []WALRecord) {
-	return db.commitTxBatch(txs)
 }

@@ -74,6 +74,9 @@ type Table struct {
 	// locking contract (the log is guarded by mu, the mirror by its own
 	// lock, so writers never block on scans).
 	colm *colMirror
+	// lastWriteTS is the commit timestamp of the newest mutation (guarded
+	// by mu): what a mirror attached now has not been told about.
+	lastWriteTS uint64
 }
 
 // NewTable creates an empty table.

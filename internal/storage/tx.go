@@ -73,11 +73,6 @@ func (tx *Tx) Commit() error {
 // generation apply together and a single new snapshot is published. The
 // returned slice has one error (nil on success) per transaction.
 func (db *Database) CommitTxBatch(txs []*Tx) (uint64, []error) {
-	ts, errs, _ := db.commitTxBatch(txs)
-	return ts, errs
-}
-
-func (db *Database) commitTxBatch(txs []*Tx) (uint64, []error, []WALRecord) {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 
@@ -105,7 +100,7 @@ func (db *Database) commitTxBatch(txs []*Tx) (uint64, []error, []WALRecord) {
 		}
 	}
 	db.publish(ts)
-	return ts, errs, logRecs
+	return ts, errs
 }
 
 // commitOneLocked validates and applies one transaction at timestamp ts.

@@ -26,10 +26,10 @@ func plans(db *DB) []*plan.GlobalPlan {
 // TestZeroConfigIsProductionPath pins that Open(Config{}) — and the same
 // through the shard router — runs the paths the repository benchmark
 // measures, not a reference configuration: shared scans read the columnar
-// mirror, a repeated group read across write generations reuses maintained
-// operator state, a scalar MAX over the primary key is answered from the
-// index edge, and concurrent identical reads fold (before scatter, on the
-// sharded deployment).
+// mirror, a GROUP BY over a direct base-table scan aggregates straight from
+// it (the pushdown) across write generations, a scalar MAX over the primary
+// key is answered from the index edge, and concurrent identical reads fold
+// (before scatter, on the sharded deployment).
 func TestZeroConfigIsProductionPath(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -62,8 +62,7 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			}
 
 			// The same group read, one per generation, with a write between
-			// each pair: after the first (prime) every generation can patch
-			// the group table from the write delta.
+			// each pair: every generation's pushdown must see the new row.
 			for round := 0; round < 6; round++ {
 				if _, err := db.Exec(`UPDATE item SET i_price = ? WHERE i_id = ?`, float64(round+2), round); err != nil {
 					t.Fatal(err)
@@ -125,14 +124,14 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			for _, gp := range plans(db) {
 				pc := gp.PathCycles()
 				paths.ColScan += pc.ColScan
-				paths.IncReuse += pc.IncReuse
+				paths.ColAgg += pc.ColAgg
 				paths.IndexEdge += pc.IndexEdge
 			}
 			if paths.ColScan == 0 {
 				t.Error("no scan cycle read the columnar mirror")
 			}
-			if paths.IncReuse == 0 {
-				t.Error("the repeated group read never reused maintained state")
+			if paths.ColAgg == 0 {
+				t.Error("the direct-scan GROUP BY never ran as an aggregation pushdown")
 			}
 			if paths.IndexEdge == 0 {
 				t.Error("MAX over the primary key never took the index-edge probe")
@@ -141,11 +140,11 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 	}
 }
 
-// TestWritesBehindTheEngineReprimeState pins the fallback for storage that
-// changes without passing through a generation's write phase (a bulk load
-// through DB.Storage): maintained operator state must notice and reprime,
-// never serve the stale aggregate.
-func TestWritesBehindTheEngineReprimeState(t *testing.T) {
+// TestWritesBehindTheEngineAreRead pins that storage changed without passing
+// through a generation's write phase (a bulk load through DB.Storage) is
+// visible to the next read: the column mirror's pending log carries every
+// write, whoever made it, so the pushdown never serves a stale aggregate.
+func TestWritesBehindTheEngineAreRead(t *testing.T) {
 	db, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,14 +178,11 @@ func TestWritesBehindTheEngineReprimeState(t *testing.T) {
 		}
 		return total
 	}
-	// Prime, then reuse: the state is live when the bulk load lands.
+	// The mirror is built and synced when the bulk load lands.
 	for i := 0; i < 3; i++ {
 		if got := count(); got != 8 {
 			t.Fatalf("COUNT before the bulk load = %d, want 8", got)
 		}
-	}
-	if db.plan.PathCycles().IncReuse == 0 {
-		t.Fatal("the repeated group read never reused maintained state — nothing to go stale")
 	}
 	results, _ := db.Storage().ApplyOps([]storage.WriteOp{
 		{Table: "kv", Kind: storage.WInsert, Row: types.Row{types.NewInt(100), types.NewInt(0)}},

@@ -463,9 +463,7 @@ func (db *DB) Query(sqlText string, args ...interface{}) (*Rows, error) {
 // The statement becomes a permanent member of every subsequent generation's
 // query set: the first delivery on the subscription's Updates channel is the
 // full result at the next generation's snapshot, and each later generation
-// that changes the result delivers the Added/Removed rows. The standing
-// query's shared join and group state is maintained in place from each
-// generation's write delta instead of being rebuilt.
+// that changes the result delivers the Added/Removed rows.
 //
 // Cancelling ctx closes the subscription, as does Subscription.Close;
 // either way the engine drops it at the next batch formation without
