@@ -2,7 +2,7 @@ package shareddb_test
 
 // One benchmark per figure of the paper's evaluation (§5), plus
 // the ablation benches for design choices (A1 lives in internal/queryset,
-// A3 in internal/operators, A4 in internal/storage; A2 and A5 are here).
+// A4 in internal/storage; A2 and A5 are here).
 //
 // These are smoke-scale versions: the full paper-shaped sweeps are produced
 // by `go run ./cmd/tpcw` and `go run ./cmd/microbench` (see EXPERIMENTS.md).

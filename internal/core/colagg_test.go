@@ -267,6 +267,7 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 // mirror's pending log carries them) hit the join build side and every
 // aggregate kind (SUM/COUNT/AVG, MIN/MAX, COUNT(DISTINCT)).
 func TestUnderWritesDifferentialSweep(t *testing.T) {
+	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			dbRef, closeRef := bookstore(t)
@@ -426,7 +427,7 @@ func TestUnderWritesDifferentialSweep(t *testing.T) {
 // that burned the cycles, and a below-average share is positive evidence of
 // innocence (its breaker entry is reset, not advanced).
 func TestBreakerSparesLightStatement(t *testing.T) {
-	db, closeDB := bigTable(t, 6000)
+	db, closeDB := bigTable(t, 20000)
 	defer closeDB()
 	const (
 		heavySQL = "SELECT b_id FROM big WHERE b_pad LIKE '%x%' ORDER BY b_val"

@@ -239,7 +239,31 @@ type Result struct {
 	abandoned atomic.Bool
 
 	distinctSeen map[string]bool
+	slab         rowSlab // backs Rows while the sink assembles them
 }
+
+// rowSlab backs the rows of one result while the sink assembles it: rows are
+// cut from value slabs that double in size — one row first, so a point
+// lookup allocates exactly its row, 1024 rows at most — so a result of r rows
+// costs about log₂r allocations instead of r and at most twice its bytes. A
+// slab is garbage once every row cut from it is.
+type rowSlab struct {
+	free []types.Value
+	rows int // rows in the slab allocated last
+}
+
+// next returns the n-value row the next keep hands out, for the caller to
+// fill; without a keep the same memory is returned again (a row DISTINCT
+// rejected).
+func (s *rowSlab) next(n int) types.Row {
+	if len(s.free) < n {
+		s.rows = min(max(1, 2*s.rows), 1024)
+		s.free = make([]types.Value, n*s.rows)
+	}
+	return s.free[:n:n]
+}
+
+func (s *rowSlab) keep(n int) { s.free = s.free[n:] }
 
 // Wait blocks until the result is ready and returns its error.
 func (r *Result) Wait() error {
@@ -964,7 +988,9 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 			// at a time, even with generations in flight), so per-request
 			// state needs no locking. Routing applies each query's own
 			// projection, DISTINCT and LIMIT (the per-query tail of the
-			// shared plan).
+			// shared plan). The projection copies every delivered value out
+			// of t.Row, which belongs to the generation's row arena and dies
+			// when the generation drains, into the result's own slab.
 			for _, qid := range t.QS.IDs() {
 				if int(qid) <= nsubs {
 					sc := subCols[qid-1]
@@ -972,7 +998,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 					if stmt.SinkLimit >= 0 && len(sc.rows) >= stmt.SinkLimit {
 						continue
 					}
-					row := make(types.Row, len(stmt.Project))
+					row := sc.slab.next(len(stmt.Project))
 					for i, pe := range stmt.Project {
 						row[i] = pe.Eval(t.Row, sc.sub.params)
 					}
@@ -986,6 +1012,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 						}
 						sc.distinctSeen[k] = true
 					}
+					sc.slab.keep(len(row))
 					sc.rows = append(sc.rows, row)
 					continue
 				}
@@ -997,7 +1024,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 				if r.Stmt.SinkLimit >= 0 && len(res.Rows) >= r.Stmt.SinkLimit {
 					continue
 				}
-				row := make(types.Row, len(r.Stmt.Project))
+				row := res.slab.next(len(r.Stmt.Project))
 				for i, pe := range r.Stmt.Project {
 					row[i] = pe.Eval(t.Row, r.Params)
 				}
@@ -1011,6 +1038,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 					}
 					res.distinctSeen[k] = true
 				}
+				res.slab.keep(len(row))
 				res.Rows = append(res.Rows, row)
 			}
 		},
@@ -1047,6 +1075,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 			e.generationDone()
 			for _, r := range readReqs {
 				r.Result.distinctSeen = nil
+				r.Result.slab = rowSlab{}
 				close(r.Result.done)
 				if r.fold != nil {
 					// Fan the lead's materialized result out to every

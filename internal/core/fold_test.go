@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shareddb/internal/baseline"
+	"shareddb/internal/operators"
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -17,9 +18,12 @@ import (
 // — the fold window — so a burst of duplicates folds deterministically.
 const foldWindow = 500 * time.Millisecond
 
-// foldEngine builds a production engine with a wide fold window.
+// foldEngine builds a production engine with a wide fold window. Released
+// arena rows are poisoned: a lead's rows fan out to subscribers that read
+// them long after the lead's generation drained.
 func foldEngine(t testing.TB, db *storage.Database, subsume bool) *Engine {
 	t.Helper()
+	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	return New(db, plan.New(db), Config{
 		FoldSubsume: subsume,
 		Heartbeat:   foldWindow,
@@ -357,6 +361,7 @@ func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 // production with subsumption, asserting every client gets exactly the
 // query-at-a-time oracle's rows each way.
 func TestDifferentialFoldDuplicateHeavy(t *testing.T) {
+	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	for _, mode := range []struct {
 		name string
 		cfg  Config

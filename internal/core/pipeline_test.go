@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"shareddb/internal/baseline"
+	"shareddb/internal/operators"
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -120,6 +121,9 @@ func TestSerialModeNoOverlap(t *testing.T) {
 // generation bleed, stale-snapshot read, or write misordering shows up as a
 // result mismatch.
 func TestPipelinedDifferentialMixedLoad(t *testing.T) {
+	// A row read after its generation drained is a wrong answer here, not a
+	// silent alias of a later generation's row.
+	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	db, closeDB := bookstore(t)
 	defer closeDB()
 	// Grow the item table so scan cycles take long enough that the

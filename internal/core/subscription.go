@@ -201,6 +201,7 @@ type subCollector struct {
 	sub          *Subscription
 	rows         []types.Row
 	distinctSeen map[string]bool
+	slab         rowSlab
 }
 
 // Subscribe registers stmt as a standing query. The subscription joins

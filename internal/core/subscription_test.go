@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"shareddb/internal/operators"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
@@ -64,6 +65,7 @@ func awaitState(t *testing.T, sub *Subscription, tracked []types.Row, want []typ
 // delta stream converges the tracked result to exactly what a fresh query
 // of the same statement returns — on the reference engine and in production.
 func TestSubscriptionDeltasMatchOracle(t *testing.T) {
+	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	for _, tc := range []struct {
 		name string
 		cfg  Config

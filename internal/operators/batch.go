@@ -76,6 +76,16 @@ type emitter struct {
 	edgeQueries []queryset.Set
 	// buffered batches per consumer edge index, keyed by stream
 	bufs []map[int]*Batch
+	// last caches, per consumer edge, the bufs entry of the stream emitted
+	// last: an operator emits runs of one stream, so the per-tuple path
+	// skips the map.
+	last []openBatch
+}
+
+// openBatch is one cached bufs entry (b == nil: no batch open for stream).
+type openBatch struct {
+	stream int
+	b      *Batch
 }
 
 // reset prepares the node's reusable emitter for a new cycle.
@@ -84,6 +94,7 @@ func (e *emitter) reset(n *Node, gen uint64) {
 	e.gen = gen
 	for len(e.bufs) < len(n.Consumers) {
 		e.bufs = append(e.bufs, map[int]*Batch{})
+		e.last = append(e.last, openBatch{})
 	}
 	e.edgeQueries = e.edgeQueries[:0]
 	for _, edge := range n.Consumers {
@@ -101,13 +112,17 @@ func (e *emitter) emit(stream int, row types.Row, qs queryset.Set) {
 		if eq.Empty() {
 			continue
 		}
-		b := e.bufs[i][stream]
+		last := &e.last[i]
+		if last.stream != stream {
+			*last = openBatch{stream: stream, b: e.bufs[i][stream]}
+		}
+		b := last.b
 		if b == nil {
 			if !qs.Intersects(eq) {
 				continue
 			}
 			b = e.node.pool.Get(stream)
-			e.bufs[i][stream] = b
+			e.bufs[i][stream], last.b = b, b
 		}
 		sub := b.arena.Intersect(qs, eq)
 		if sub.Empty() {
@@ -116,7 +131,7 @@ func (e *emitter) emit(stream int, row types.Row, qs queryset.Set) {
 		b.Tuples = append(b.Tuples, Tuple{Row: row, QS: sub})
 		if len(b.Tuples) >= batchSize {
 			edge.To.inbox.Push(Message{Gen: e.gen, Edge: edge, Batch: b})
-			e.bufs[i][stream] = nil
+			e.bufs[i][stream], last.b = nil, nil
 		}
 	}
 }
@@ -140,6 +155,7 @@ func (e *emitter) flushEOS() {
 				delete(e.bufs[i], s)
 			}
 		}
+		e.last[i].b = nil
 		edge.To.inbox.Push(Message{Gen: e.gen, Edge: edge, EOS: true})
 	}
 }

@@ -1,6 +1,7 @@
 package operators
 
 import (
+	"slices"
 	"sync"
 
 	"shareddb/internal/expr"
@@ -18,6 +19,7 @@ import (
 // allocates nothing in steady state.
 type FilterOp struct {
 	qsScratch []queryset.QueryID
+	preds     []expr.Expr // the cycle's predicates, dense by generation-scoped query id
 }
 
 // FilterSpec is the per-query activation: the bound predicate over the
@@ -26,29 +28,24 @@ type FilterSpec struct {
 	Pred expr.Expr
 }
 
-type filterState struct {
-	preds []expr.Expr // dense, indexed by generation-scoped query id
-}
-
 // Start indexes the cycle's predicates by query.
 func (f *FilterOp) Start(c *Cycle) {
-	c.opState = &filterState{preds: denseExprs(c.Tasks, func(spec interface{}) expr.Expr {
+	f.preds = denseExprs(f.preds, c.Tasks, func(spec interface{}) expr.Expr {
 		s, _ := spec.(FilterSpec)
 		return s.Pred
-	})}
+	})
 }
 
 // Consume narrows each tuple's query set to the queries whose predicate it
 // satisfies.
 func (f *FilterOp) Consume(c *Cycle, b *Batch) {
-	st := c.opState.(*filterState)
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
 		qs := t.QS.RetainInto(func(q queryset.QueryID) bool {
-			if int(q) >= len(st.preds) {
+			if int(q) >= len(f.preds) {
 				return true // query not registered here: pass through
 			}
-			return expr.TruthyEval(st.preds[q], t.Row, nil)
+			return expr.TruthyEval(f.preds[q], t.Row, nil)
 		}, f.qsScratch)
 		f.qsScratch = qs.IDs()
 		if !qs.Empty() {
@@ -58,7 +55,7 @@ func (f *FilterOp) Consume(c *Cycle, b *Batch) {
 }
 
 // Finish releases cycle state.
-func (f *FilterOp) Finish(c *Cycle) { c.opState = nil }
+func (f *FilterOp) Finish(*Cycle) { clear(f.preds) }
 
 // SinkOp terminates the dataflow: it hands result tuples to the engine,
 // which applies per-query projection and delivers rows to waiting clients.
@@ -105,19 +102,33 @@ func (s *SinkOp) Finish(c *Cycle) {
 	s.mu.Unlock()
 }
 
-// denseExprs builds a dense query-id-indexed slice from per-task specs.
+// denseExprs builds a dense query-id-indexed slice from per-task specs,
+// reusing dst's backing array (the operator keeps it across cycles).
 // Generation-scoped query ids are small consecutive integers, so slice
 // indexing replaces map lookups on the per-tuple hot path.
-func denseExprs(tasks []Task, get func(spec interface{}) expr.Expr) []expr.Expr {
+func denseExprs(dst []expr.Expr, tasks []Task, get func(spec interface{}) expr.Expr) []expr.Expr {
+	out := zeroed(dst, maxQuery(tasks)+1)
+	for _, t := range tasks {
+		out[t.Query] = get(t.Spec)
+	}
+	return out
+}
+
+// maxQuery returns the largest query id among tasks (0 when there are none):
+// the dense per-query slices of a cycle are sized to it.
+func maxQuery(tasks []Task) int {
 	maxID := queryset.QueryID(0)
 	for _, t := range tasks {
 		if t.Query > maxID {
 			maxID = t.Query
 		}
 	}
-	out := make([]expr.Expr, maxID+1)
-	for _, t := range tasks {
-		out[t.Query] = get(t.Spec)
-	}
-	return out
+	return int(maxID)
+}
+
+// zeroed returns s zeroed at length n, reusing its backing array.
+func zeroed[T any](s []T, n int) []T {
+	s = slices.Grow(s[:0], n)[:n]
+	clear(s)
+	return s
 }

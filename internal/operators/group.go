@@ -2,7 +2,6 @@ package operators
 
 import (
 	"shareddb/internal/expr"
-	"shareddb/internal/par"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -468,11 +467,10 @@ func (g *GroupOp) absorbRow(a *groupAgg, cfg GroupStream, h uint64, row types.Ro
 // over the batches buffered by Consume when Workers > 1. It is a two-step
 // partitioned hash aggregation:
 //
-//  1. Partition: the buffered batches are split into contiguous chunks, one
-//     per worker; each worker hashes every tuple's group key and files a
-//     (hash, batch, tuple) reference under one of `workers` key-hash buckets.
-//     Chunks are contiguous, so reading a bucket's references in chunk order
-//     preserves the original tuple arrival order.
+//  1. Partition (partitionByKeyHash): workers file a (hash, batch, tuple)
+//     reference for every buffered tuple under one of `workers` key-hash
+//     buckets; reading a bucket's references in chunk order preserves the
+//     original tuple arrival order.
 //  2. Combine: each bucket is owned by exactly one worker, which replays its
 //     references (in arrival order) through absorbRow into its own table.
 //     Because a group key hashes to exactly one bucket, the bucket tables
@@ -499,29 +497,8 @@ func (g *GroupOp) aggregateParallel(c *Cycle, pending []*Batch) {
 	}
 	workers := c.Workers
 	g.agg(workers - 1)
-	chunkBounds := par.Split(len(pending), workers)
-	nchunks := len(chunkBounds) - 1
-	for len(g.part) < nchunks {
-		g.part = append(g.part, nil)
-	}
-	c.Pool.Do(workers, nchunks, func(ci int) {
-		buckets := g.part[ci]
-		for len(buckets) < workers {
-			buckets = append(buckets, nil)
-		}
-		for bi := range buckets {
-			buckets[bi] = buckets[bi][:0]
-		}
-		for bi := chunkBounds[ci]; bi < chunkBounds[ci+1]; bi++ {
-			cols := g.Streams[pending[bi].Stream].GroupCols
-			for ti, t := range pending[bi].Tuples {
-				h := hashValues(t.Row, cols)
-				k := h % uint64(workers)
-				buckets[k] = append(buckets[k], tupleRef{hash: h, batch: int32(bi), tuple: int32(ti)})
-			}
-		}
-		g.part[ci] = buckets
-	})
+	var nchunks int
+	g.part, nchunks = partitionByKeyHash(c, pending, g.part, func(stream int) []int { return g.Streams[stream].GroupCols })
 	c.Pool.Do(workers, workers, func(k int) {
 		a := &g.aggs[k]
 		for ci := 0; ci < nchunks; ci++ {
@@ -563,8 +540,8 @@ func (g *GroupOp) Finish(c *Cycle) {
 		if !isScalar || st.emitted[qid] {
 			continue
 		}
-		row := make(types.Row, len(g.Aggs))
-		empty := &aggState{}
+		row := c.NewRow(len(g.Aggs))
+		var empty aggState
 		for i, def := range g.Aggs {
 			row[i] = empty.result(def)
 		}
@@ -585,10 +562,10 @@ func (g *GroupOp) emitGroup(c *Cycle, st *groupState, ge *groupEntry) {
 			continue
 		}
 		qid := queryset.QueryID(q)
-		row := make(types.Row, 0, len(ge.keyVals)+len(g.Aggs))
-		row = append(row, ge.keyVals...)
+		row := c.NewRow(len(ge.keyVals) + len(g.Aggs))
+		n := copy(row, ge.keyVals)
 		for i, def := range g.Aggs {
-			row = append(row, states[i].result(def))
+			row[n+i] = states[i].result(def)
 		}
 		if h := st.having[qid]; h != nil && !expr.TruthyEval(h, row, nil) {
 			continue

@@ -104,7 +104,6 @@ func TestGroupColumnarZeroAllocSteadyState(t *testing.T) {
 	cycle := func() {
 		em.reset(node, 1)
 		c := &Cycle{Gen: 1, TS: ts, Tasks: tasks, Workers: 4, Col: col, node: node, em: &em}
-		c.all = qs
 		op.Start(c)
 		op.Finish(c)
 		c.em.flushEOS()

@@ -2,7 +2,6 @@ package operators
 
 import (
 	"shareddb/internal/expr"
-	"shareddb/internal/par"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -37,10 +36,10 @@ type OutCol struct {
 	Col   int  // column in that side's rows
 }
 
-// gather materialises one join result: the carried columns of the matched
-// pair, in out-stream order.
-func (o *JoinOuter) gather(outer, inner types.Row) types.Row {
-	row := make(types.Row, len(o.OutCols))
+// gather materialises one join result in the generation's row arena: the
+// carried columns of the matched pair, in out-stream order.
+func (o *JoinOuter) gather(c *Cycle, outer, inner types.Row) types.Row {
+	row := c.NewRow(len(o.OutCols))
 	for i, c := range o.OutCols {
 		if c.Inner {
 			row[i] = inner[c.Col]
@@ -56,38 +55,32 @@ func (o *JoinOuter) gather(outer, inner types.Row) types.Row {
 //
 // The build table is keyed by a precomputed 64-bit hash of the key columns
 // (open addressing, collision chains verified by value comparison) instead
-// of boxed key strings, and probe-side query-set intersections go through a
-// reusable scratch buffer — the steady-state probe path allocates only its
-// output rows, each len(OutCols) wide.
-//
-// ByQueryID selects the alternative "set-based" join of §3.3 that hashes the
-// build side on query_id instead of the key (Helmer & Moerkotte [16]); it
-// pays off when per-query inner sets are tiny and is exercised by ablation
-// benchmark A3.
+// of boxed key strings, probe-side query-set intersections go through a
+// reusable scratch buffer, and result rows come from the generation's row
+// arena — the steady-state probe path allocates nothing.
 type HashJoinOp struct {
 	InnerKeyCols []int // key columns in the inner stream's schema
 	InnerStream  int
 	Outers       map[int]JoinOuter // by outer stream id
-	ByQueryID    bool
 
 	innerEdge *Edge // producer edge delivering the build side (set by the plan)
 
 	// per-cycle state, reused across cycles (a node runs one cycle at a
 	// time)
-	build     joinTable                    // serial build table
-	buildQID  map[queryset.QueryID][]Tuple // query id → inner tuples
-	pending   []*Batch                     // outer batches buffered until build completes
+	build     joinTable // serial build table
+	pending   []*Batch  // outer batches buffered until build completes
 	innerDone bool
 
 	// parallel build state (Workers > 1): inner batches are buffered as they
 	// stream in and the hash table is built in parallel at inner EOS, as
-	// key-hash shards so probes stay lock-free lookups.
+	// key-hash shards so probes stay lock-free lookups. part is the partition
+	// phase's scratch, part[chunk][shard], reused across cycles.
 	innerPending []*Batch
 	buildShards  []joinTable
 	shardsActive bool
+	part         [][][]tupleRef
 
 	qsScratch []queryset.QueryID // probe intersection scratch
-	single    [1]queryset.QueryID
 }
 
 // JoinSpec is the per-query activation of a join. Shared hash joins need no
@@ -98,9 +91,6 @@ type JoinSpec struct{}
 // Start resets the cycle state.
 func (j *HashJoinOp) Start(c *Cycle) {
 	j.build.reset(j.InnerKeyCols)
-	if j.ByQueryID {
-		j.buildQID = map[queryset.QueryID][]Tuple{}
-	}
 	clear(j.pending)
 	j.pending = j.pending[:0]
 	j.innerDone = false
@@ -116,20 +106,14 @@ func (j *HashJoinOp) Start(c *Cycle) {
 func (j *HashJoinOp) Consume(c *Cycle, b *Batch) {
 	if b.Stream == j.InnerStream {
 		c.Retain(b)
-		if c.Workers > 1 && !j.ByQueryID {
+		if c.Workers > 1 {
 			// Parallel regime: buffer; the build happens in parallel at
 			// inner EOS (buildParallel).
 			j.innerPending = append(j.innerPending, b)
 			return
 		}
 		for _, t := range b.Tuples {
-			if j.ByQueryID {
-				for _, qid := range t.QS.IDs() {
-					j.buildQID[qid] = append(j.buildQID[qid], t)
-				}
-			} else {
-				j.build.insert(hashValues(t.Row, j.InnerKeyCols), t)
-			}
+			j.build.insert(hashValues(t.Row, j.InnerKeyCols), t)
 		}
 		return
 	}
@@ -188,24 +172,9 @@ func (j *HashJoinOp) buildParallel(c *Cycle) {
 		return
 	}
 	workers := c.Workers
-	type entry struct {
-		h uint64
-		t Tuple
-	}
-	chunkBounds := par.Split(len(j.innerPending), workers)
-	nchunks := len(chunkBounds) - 1
-	routed := make([][][]entry, nchunks) // [chunk][shard] → entries
-	c.Pool.Do(workers, nchunks, func(ci int) {
-		shards := make([][]entry, workers)
-		for _, b := range j.innerPending[chunkBounds[ci]:chunkBounds[ci+1]] {
-			for _, t := range b.Tuples {
-				h := hashValues(t.Row, j.InnerKeyCols)
-				s := int(h % uint64(workers))
-				shards[s] = append(shards[s], entry{h: h, t: t})
-			}
-		}
-		routed[ci] = shards
-	})
+	pending := j.innerPending
+	var nchunks int
+	j.part, nchunks = partitionByKeyHash(c, pending, j.part, func(int) []int { return j.InnerKeyCols })
 	// Size the shard slice to exactly `workers`: probes select a shard by
 	// h % len(buildShards), which must be the same modulus the routing
 	// above used (a stale larger slice from a previous bigger budget would
@@ -219,8 +188,8 @@ func (j *HashJoinOp) buildParallel(c *Cycle) {
 	c.Pool.Do(workers, workers, func(si int) {
 		shards[si].reset(j.InnerKeyCols)
 		for ci := 0; ci < nchunks; ci++ {
-			for _, e := range routed[ci][si] {
-				shards[si].insert(e.h, e.t)
+			for _, r := range j.part[ci][si] {
+				shards[si].insert(r.hash, pending[r.batch].Tuples[r.tuple])
 			}
 		}
 	})
@@ -256,7 +225,6 @@ func (j *HashJoinOp) Finish(c *Cycle) {
 	clear(j.pending)
 	j.pending = j.pending[:0]
 	j.build.reset(j.InnerKeyCols)
-	j.buildQID = nil
 	for i := range j.buildShards {
 		j.buildShards[i].reset(j.InnerKeyCols)
 	}
@@ -272,17 +240,6 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 	}
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
-		if j.ByQueryID {
-			for _, qid := range t.QS.IDs() {
-				for _, it := range j.buildQID[qid] {
-					if rowsEqualOn(t.Row, cfg.KeyCols, it.Row, j.InnerKeyCols) {
-						j.single[0] = qid
-						c.Emit(cfg.OutStream, t.Row.Concat(it.Row), queryset.FromSorted(j.single[:1]))
-					}
-				}
-			}
-			continue
-		}
 		h := hashValues(t.Row, cfg.KeyCols)
 		tab := j.table(h)
 		for ei := tab.lookup(h, t.Row, cfg.KeyCols); ei >= 0; ei = tab.entries[ei].next {
@@ -290,7 +247,7 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 			qs := t.QS.IntersectInto(it.QS, j.qsScratch)
 			j.qsScratch = qs.IDs()
 			if !qs.Empty() {
-				c.Emit(cfg.OutStream, cfg.gather(t.Row, it.Row), qs)
+				c.Emit(cfg.OutStream, cfg.gather(c, t.Row, it.Row), qs)
 			}
 		}
 	}
@@ -321,7 +278,7 @@ type IndexJoinSpec struct {
 
 // Start collects the per-query inner residuals.
 func (j *IndexJoinOp) Start(c *Cycle) {
-	j.residuals = denseExprs(c.Tasks, func(spec interface{}) expr.Expr {
+	j.residuals = denseExprs(j.residuals, c.Tasks, func(spec interface{}) expr.Expr {
 		s, _ := spec.(IndexJoinSpec)
 		return s.InnerResidual
 	})
@@ -350,7 +307,7 @@ func (j *IndexJoinOp) Consume(c *Cycle, b *Batch) {
 		qs := t.QS.RetainInto(keep, j.qsScratch)
 		j.qsScratch = qs.IDs()
 		if !qs.Empty() {
-			c.Emit(cfg.OutStream, cfg.gather(t.Row, inner), qs)
+			c.Emit(cfg.OutStream, cfg.gather(c, t.Row, inner), qs)
 		}
 		return true
 	}
@@ -367,5 +324,5 @@ func (j *IndexJoinOp) Consume(c *Cycle, b *Batch) {
 
 // Finish releases cycle state.
 func (j *IndexJoinOp) Finish(*Cycle) {
-	j.residuals = nil
+	clear(j.residuals)
 }

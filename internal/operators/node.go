@@ -32,8 +32,10 @@ type Node struct {
 	// pool recycles batch buffers across this node's cycles; shared per
 	// global plan (nil = allocate, for hand-built test nodes).
 	pool *BatchPool
-	// em is the node's reusable emitter (one cycle at a time per node).
-	em emitter
+	// em and cycle are the node's reusable emitter and cycle context (one
+	// cycle at a time per node).
+	em    emitter
+	cycle Cycle
 	// prevInput is the tuple count consumed by the previous cycle, feeding
 	// the adaptive worker budget (-1 until a cycle has run).
 	prevInput int
@@ -134,6 +136,10 @@ type CycleStart struct {
 	// data-parallel phases run on (nil = the package-level default pool).
 	Pool *par.Pool
 
+	// Rows is the generation's row arena: Cycle.NewRow draws the rows this
+	// cycle builds from it (nil = allocate them, for hand-built test nodes).
+	Rows *RowArena
+
 	// CostObserve, when non-nil, receives the cycle's operator-active
 	// nanoseconds (time inside Start/Consume/EdgeEOS/Finish, excluding inbox
 	// waits) once the cycle drains — the engine's per-statement cost
@@ -180,7 +186,11 @@ type Cycle struct {
 
 	node *Node
 	em   *emitter
-	all  queryset.Set // cached union of task query ids
+
+	// rows is the generation's arena and rowChunk the unused tail of the
+	// chunk this cycle is filling (see NewRow).
+	rows     *RowArena
+	rowChunk []types.Value
 
 	// opState carries operator-private per-cycle state (a node executes at
 	// most one cycle at a time, so a single slot suffices).
@@ -208,9 +218,6 @@ func (c *Cycle) Retain(b *Batch) {
 	b.retained = true
 	c.retained = append(c.retained, b)
 }
-
-// Queries returns the set of query ids active at this node this cycle.
-func (c *Cycle) Queries() queryset.Set { return c.all }
 
 // Operator is the behavior of a shared operator, mirroring Algorithm 1:
 // Start activates the cycle's queries, Consume is ProcessTuple over one
@@ -331,12 +338,8 @@ func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (
 		workers = adaptWorkers(workers, n.prevInput)
 	}
 	n.em.reset(n, cs.Gen)
-	c := &Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: workers, Col: cs.Col, Pool: cs.Pool, Columnar: cs.Columnar, node: n, em: &n.em}
-	ids := make([]queryset.QueryID, len(cs.Tasks))
-	for i, t := range cs.Tasks {
-		ids[i] = t.Query
-	}
-	c.all = queryset.Of(ids...)
+	c := &n.cycle
+	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: workers, Col: cs.Col, Pool: cs.Pool, Columnar: cs.Columnar, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
 
 	// activeNs accumulates operator-busy time for the engine's per-statement
 	// cost attribution; timing only runs when someone is observing.
@@ -412,7 +415,7 @@ func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (
 	for _, b := range c.retained {
 		n.pool.Put(b)
 	}
-	c.retained = nil
+	clear(c.retained)
 	n.prevInput = consumed
 	if cs.OnDone != nil {
 		cs.OnDone()

@@ -298,40 +298,6 @@ func TestSharedHashJoin(t *testing.T) {
 	}
 }
 
-func TestHashJoinByQueryIDMatchesByKey(t *testing.T) {
-	db := newTestDB(t)
-	for _, mode := range []bool{false, true} {
-		rig := newRig(t)
-		uscan := rig.node("scan(users)", &ScanOp{Table: db.Table("users"), OutStream: 1})
-		oscan := rig.node("scan(orders)", &ScanOp{Table: db.Table("orders"), OutStream: 2})
-		join := &HashJoinOp{
-			InnerKeyCols: []int{0},
-			InnerStream:  1,
-			Outers:       map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3, OutCols: allOutCols(3, 2)}},
-			ByQueryID:    mode,
-		}
-		jnode := rig.node("join", join)
-		ie := Connect(uscan, jnode)
-		join.SetInnerEdge(ie)
-		oe := Connect(oscan, jnode)
-		se := Connect(jnode, rig.sink)
-		rig.start()
-
-		res := rig.runGen(1, db.SnapshotTS(),
-			map[*Node][]Task{
-				uscan: {{Query: 1, Spec: ScanSpec{Pred: eqExpr(0, types.NewInt(3))}}},
-				oscan: {{Query: 1, Spec: ScanSpec{}}},
-				jnode: {{Query: 1, Spec: JoinSpec{}}},
-			},
-			map[*Edge][]queryset.QueryID{ie: {1}, oe: {1}, se: {1}},
-		)
-		if len(res[1]) != 3 { // orders 3, 13, 23
-			t.Errorf("mode=%v: %d rows, want 3", mode, len(res[1]))
-		}
-		rig.stop()
-	}
-}
-
 func TestIndexJoin(t *testing.T) {
 	db := newTestDB(t)
 	rig := newRig(t)

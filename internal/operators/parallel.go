@@ -24,44 +24,74 @@ const minParallelSortLen = 1024
 // to exercise the parallel paths with small inputs.
 var minParallelAggLen = 1024
 
-// stableSortTuples sorts tuples by cmp with the exact semantics of
-// slices.SortStableFunc. With workers > 1 and enough input it runs a partitioned
-// sort: contiguous chunks are stable-sorted in parallel (on pool; nil = the
-// package default) and then k-way merged, breaking ties toward the lower
-// chunk index — which reproduces the serial stable order bit-for-bit.
-func stableSortTuples(tuples []sortedTuple, cmp func(a, b sortedTuple) int, workers int, pool *par.Pool) []sortedTuple {
-	n := len(tuples)
+// sortIndexPerm sorts perm — indices into the shared sort's buffer — by cmp,
+// which must be a strict total order (the sort's (keys, arrival index)
+// order), so the result is the stable sort order whichever way it is
+// computed. With workers > 1 and enough input, contiguous chunks are sorted
+// in parallel (on pool; nil = the package default) and k-way merged into
+// scratch. Returns the sorted permutation and the slice to keep as the next
+// call's scratch.
+func sortIndexPerm(perm, scratch []int32, cmp func(a, b int32) int, workers int, pool *par.Pool) (sorted, nextScratch []int32) {
+	n := len(perm)
 	if workers <= 1 || n < minParallelSortLen {
-		slices.SortStableFunc(tuples, cmp)
-		return tuples
+		slices.SortFunc(perm, cmp)
+		return perm, scratch
 	}
 	bounds := par.Split(n, workers)
-	chunks := make([][]sortedTuple, len(bounds)-1)
-	pool.Do(workers, len(chunks), func(i int) {
-		chunks[i] = tuples[bounds[i]:bounds[i+1]]
-		slices.SortStableFunc(chunks[i], cmp)
+	pool.Do(workers, len(bounds)-1, func(i int) {
+		slices.SortFunc(perm[bounds[i]:bounds[i+1]], cmp)
 	})
-	// K-way merge. Ties resolve to the lowest chunk index (only a strictly
-	// smaller head displaces the current best), so equal keys are emitted in
-	// original arrival order — the stability contract.
-	out := make([]sortedTuple, 0, n)
-	heads := make([]int, len(chunks))
+	// K-way merge: bounds[ci] advances through chunk ci up to its end.
+	ends := slices.Clone(bounds[1:])
+	out := scratch[:0]
 	for len(out) < n {
 		best := -1
-		for ci := range chunks {
-			if heads[ci] >= len(chunks[ci]) {
-				continue
-			}
-			if best < 0 || cmp(chunks[ci][heads[ci]], chunks[best][heads[best]]) < 0 {
+		for ci, end := range ends {
+			if bounds[ci] < end && (best < 0 || cmp(perm[bounds[ci]], perm[bounds[best]]) < 0) {
 				best = ci
 			}
 		}
-		out = append(out, chunks[best][heads[best]])
-		heads[best]++
+		out = append(out, perm[bounds[best]])
+		bounds[best]++
 	}
-	return out
+	return out, perm
 }
 
-// Partitioning by key hash (h % parts on the precomputed 64-bit key hash,
-// see hashtab.go) means each group/build bucket is owned by exactly one
-// worker and no cross-worker combine of per-key state is ever needed.
+// partitionByKeyHash is the partition step shared by the group-by's
+// partitioned aggregation and the join's parallel build: the buffered batches
+// are split into contiguous chunks, one per worker; each worker hashes every
+// tuple's key columns (cols(stream)) and files a (hash, batch, tuple)
+// reference under one of c.Workers key-hash buckets in part[chunk][bucket].
+// Chunks are contiguous, so reading a bucket's references in chunk order
+// preserves tuple arrival order, and a key hashes to exactly one bucket, so
+// each bucket is owned by one worker and no cross-worker combine of per-key
+// state is ever needed. References carry no pointers: part is scratch the
+// operator keeps across cycles without pinning rows. Returns the (possibly
+// grown) scratch and the chunk count.
+func partitionByKeyHash(c *Cycle, pending []*Batch, part [][][]tupleRef, cols func(stream int) []int) ([][][]tupleRef, int) {
+	workers := c.Workers
+	chunkBounds := par.Split(len(pending), workers)
+	nchunks := len(chunkBounds) - 1
+	for len(part) < nchunks {
+		part = append(part, nil)
+	}
+	c.Pool.Do(workers, nchunks, func(ci int) {
+		buckets := part[ci]
+		for len(buckets) < workers {
+			buckets = append(buckets, nil)
+		}
+		for bi := range buckets {
+			buckets[bi] = buckets[bi][:0]
+		}
+		for bi := chunkBounds[ci]; bi < chunkBounds[ci+1]; bi++ {
+			keyCols := cols(pending[bi].Stream)
+			for ti, t := range pending[bi].Tuples {
+				h := hashValues(t.Row, keyCols)
+				k := h % uint64(workers)
+				buckets[k] = append(buckets[k], tupleRef{hash: h, batch: int32(bi), tuple: int32(ti)})
+			}
+		}
+		part[ci] = buckets
+	})
+	return part, nchunks
+}

@@ -35,7 +35,6 @@ func driveOp(op Operator, tasks []Task, workers int, drive func(c *Cycle)) map[q
 		}
 	})
 	c := &Cycle{Gen: 1, Tasks: tasks, Workers: workers, node: node, em: newEmitter(node, 1)}
-	c.all = queryset.Of(ids...)
 	op.Start(c)
 	drive(c)
 	op.Finish(c)
@@ -96,35 +95,38 @@ func compareMultiset(t *testing.T, label string, serial, parallel map[queryset.Q
 	}
 }
 
-// stableSortTuples with workers > 1 must reproduce sort.SliceStable
-// bit-for-bit, including the order of equal keys (stability).
-func TestStableSortTuplesMatchesSliceStable(t *testing.T) {
+// sortIndexPerm with workers > 1 must reproduce the stable sort order
+// bit-for-bit, including the order of equal keys (arrival index tiebreak).
+func TestSortIndexPermMatchesSliceStable(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	n := 3 * minParallelSortLen
-	mk := func() []sortedTuple {
-		out := make([]sortedTuple, n)
-		for i := range out {
-			key := types.NewInt(int64(r.Intn(40))) // heavy duplication → stability matters
-			out[i] = sortedTuple{
-				stream: 1,
-				t:      Tuple{Row: types.Row{key, types.NewInt(int64(i))}, QS: queryset.Single(1)},
-				keys:   []types.Value{key},
-			}
-		}
-		return out
+	keys := make([]int, n)
+	for i := range keys {
+		keys[i] = r.Intn(40) // heavy duplication → stability matters
 	}
-	base := mk()
-	cmp := func(a, b sortedTuple) int { return a.keys[0].Compare(b.keys[0]) }
+	cmp := func(a, b int32) int {
+		if d := keys[a] - keys[b]; d != 0 {
+			return d
+		}
+		return int(a - b)
+	}
+	want := make([]int32, n)
+	for i := range want {
+		want[i] = int32(i)
+	}
+	sort.SliceStable(want, func(i, j int) bool { return keys[want[i]] < keys[want[j]] })
 
-	want := append([]sortedTuple(nil), base...)
-	sort.SliceStable(want, func(i, j int) bool { return cmp(want[i], want[j]) < 0 })
-
+	var scratch []int32
 	for _, workers := range []int{1, 2, 3, 4, 7} {
-		got := stableSortTuples(append([]sortedTuple(nil), base...), cmp, workers, nil)
+		perm := make([]int32, n)
+		for i := range perm {
+			perm[i] = int32(i)
+		}
+		var got []int32
+		got, scratch = sortIndexPerm(perm, scratch, cmp, workers, nil)
 		for i := range want {
-			if want[i].t.Row[1].AsInt() != got[i].t.Row[1].AsInt() {
-				t.Fatalf("workers=%d: position %d holds tuple %d, want %d (stability broken)",
-					workers, i, got[i].t.Row[1].AsInt(), want[i].t.Row[1].AsInt())
+			if want[i] != got[i] {
+				t.Fatalf("workers=%d: position %d holds tuple %d, want %d (stability broken)", workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -142,8 +144,8 @@ func TestSortFinishParallelMatchesSerial(t *testing.T) {
 		{Query: 2, Spec: SortSpec{Limit: 17}},
 		{Query: 3, Spec: SortSpec{Limit: 3}},
 	}
-	// Shared regime: overlapping query sets, enough tuples for the parallel
-	// sort path.
+	// Overlapping query sets and an unlimited query: the shared-sort regime,
+	// with enough tuples for the parallel sort path.
 	mkShared := func() []*Batch {
 		var batches []*Batch
 		for b := 0; b < 4; b++ {
@@ -174,24 +176,6 @@ func TestSortFinishParallelMatchesSerial(t *testing.T) {
 	for _, workers := range []int{2, 4} {
 		parallel := driveOp(op(), tasks, workers, feed(sharedBatches))
 		compareExact(t, fmt.Sprintf("shared sort workers=%d", workers), serial, parallel)
-	}
-
-	// Partitioned regime: disjoint singleton query sets.
-	mkSingleton := func() []*Batch {
-		batch := &Batch{Stream: 1}
-		for i := 0; i < 2000; i++ {
-			batch.Tuples = append(batch.Tuples, Tuple{
-				Row: types.Row{types.NewInt(int64(r.Intn(500)))},
-				QS:  queryset.Single(queryset.QueryID(1 + i%3)),
-			})
-		}
-		return []*Batch{batch}
-	}
-	singletonBatches := mkSingleton()
-	serial = driveOp(op(), tasks, 1, feed(singletonBatches))
-	for _, workers := range []int{2, 4} {
-		parallel := driveOp(op(), tasks, workers, feed(singletonBatches))
-		compareExact(t, fmt.Sprintf("partitioned sort workers=%d", workers), serial, parallel)
 	}
 }
 

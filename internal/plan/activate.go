@@ -34,6 +34,12 @@ type pushdownCand struct {
 // tuple reaching the sink; onDone fires when the generation has fully
 // drained.
 //
+// Tuple.Row is valid only during onTuple: rows built by operators (join
+// results, group-by output) live in the generation's row arena, whose chunks
+// are cleared and handed to later generations as soon as this one has
+// drained. A caller that keeps a row copies its values, as the engine's
+// projection does.
+//
 // In columnar mode, a single-stream group-by that every activation reaches
 // through one direct base-table scan skips its scan input and aggregates
 // straight from the table's columnar mirror (decideColumnarAgg); every other
@@ -106,13 +112,17 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		costObserve = func(tasks []operators.Task, activeNs int64) { ob(gen, tasks, activeNs) }
 	}
 	p.SinkOp.SetHandler(gen, onTuple)
+	rows := p.rowPool.NewArena()
 	// The sink is the last node to finish a generation (every active node's
 	// EOS must reach it), so by the time its cycle completes every emitter
-	// has snapshotted this generation's edge sets and they can be dropped.
+	// has snapshotted this generation's edge sets and they can be dropped,
+	// and every operator has finished with the rows it built: the arena's
+	// chunks go back to the pool for the generations behind this one.
 	done := func() {
 		for _, e := range activated {
 			e.ClearQueries(gen)
 		}
+		rows.Release()
 		onDone()
 	}
 	p.sink.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
@@ -143,6 +153,7 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 			Pool:            p.workerPool,
 			CostObserve:     costObserve,
 			Col:             colCycles[n],
+			Rows:            rows,
 		}})
 	}
 	p.mu.Unlock()

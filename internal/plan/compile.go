@@ -686,15 +686,11 @@ func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit 
 		p.sortNodes[sig] = ref
 	}
 	if _, exists := ref.op.Streams[c.stream.id]; !exists {
-		// Group-by output is per-(group, query) — every tuple carries exactly
-		// one query id — which is the precondition for the sort's bounded
-		// Top-N heap mode (grouped Top-N pushdown).
-		_, fromGroup := c.node.Op.(*operators.GroupOp)
 		keys := make([]operators.SortKey, len(srt.Keys))
 		for i, k := range srt.Keys {
 			keys[i] = operators.SortKey{E: c.stream.physicalExpr(k.Expr), Desc: k.Desc}
 		}
-		ref.op.Streams[c.stream.id] = operators.SortStream{Keys: keys, OutStream: c.stream.id, Singleton: fromGroup}
+		ref.op.Streams[c.stream.id] = operators.SortStream{Keys: keys, OutStream: c.stream.id}
 	}
 	e := p.edge(c.node, ref.node)
 	lim := limit

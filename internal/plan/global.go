@@ -136,6 +136,9 @@ type GlobalPlan struct {
 	// steady-state generation cycle reuses the same buffers (README
 	// "Memory discipline").
 	pool *operators.BatchPool
+	// rowPool is the plan-wide free list behind the per-generation row
+	// arenas RunGeneration hands to every cycle.
+	rowPool *operators.RowPool
 
 	// workerPool, when set, is the engine-owned persistent worker pool every
 	// cycle's data-parallel phases run on (nil = the par package's default
@@ -215,6 +218,7 @@ func New(db *storage.Database) *GlobalPlan {
 		nextStream: 1,
 		columnar:   true,
 		pool:       operators.NewBatchPool(),
+		rowPool:    operators.NewRowPool(),
 	}
 	p.SinkOp = &operators.SinkOp{}
 	p.sink = operators.NewNode(p.allocNodeID(), "output", p.SinkOp)

@@ -7,6 +7,7 @@ import (
 
 	"shareddb/internal/baseline"
 	"shareddb/internal/core"
+	"shareddb/internal/operators"
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
 	"shareddb/internal/testutil"
@@ -120,10 +121,11 @@ func sweepTemplates() []template {
 // identical result multisets against the per-query baseline oracle, with
 // writes applied to both sides between read bursts.
 func TestDifferentialShardedVsOracle(t *testing.T) {
+	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	for _, shards := range shardCounts(t) {
 		for _, ref := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/reference=%v", shards, ref), func(t *testing.T) {
-				differentialShardedVsOracle(t, shards, core.Config{RowScan: ref, NoFold: ref})
+				differentialShardedVsOracle(t, shards, core.Config{RowScan: ref, NoFold: ref, MaxInFlightGenerations: 4})
 			})
 		}
 	}

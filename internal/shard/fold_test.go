@@ -8,6 +8,7 @@ import (
 
 	"shareddb/internal/baseline"
 	"shareddb/internal/core"
+	"shareddb/internal/operators"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
@@ -152,6 +153,7 @@ func TestFoldRouteAnyDuplicates(t *testing.T) {
 // shard count, asserting each client's rows match the query-at-a-time
 // oracle bit-for-bit either way.
 func TestDifferentialFoldSharded(t *testing.T) {
+	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	templates := []struct {
 		sql     string
 		mkParam func(r *rand.Rand) []types.Value
