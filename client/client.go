@@ -120,9 +120,7 @@ func (db *DB) QueryContext(ctx context.Context, sqlText string, args ...interfac
 		return nil, err
 	}
 	return retryBusy(ctx, db, func() (*Rows, error) {
-		return db.c.startQuery(ctx, func(id uint64) []byte {
-			return wire.SQLCall{ID: id, SQL: sqlText, Params: params}.Append(nil, wire.TQuerySQL)
-		})
+		return db.c.startQuery(ctx, request{typ: wire.TQuerySQL, sql: sqlText, params: params})
 	})
 }
 
@@ -139,9 +137,7 @@ func (db *DB) ExecContext(ctx context.Context, sqlText string, args ...interface
 		return Result{}, err
 	}
 	return retryBusy(ctx, db, func() (Result, error) {
-		return db.c.exec(ctx, func(id uint64) []byte {
-			return wire.SQLCall{ID: id, SQL: sqlText, Params: params}.Append(nil, wire.TExecSQL)
-		})
+		return db.c.exec(ctx, request{typ: wire.TExecSQL, sql: sqlText, params: params})
 	})
 }
 
@@ -227,9 +223,7 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...interface{}) (*Rows, er
 		return nil, err
 	}
 	return retryBusy(ctx, s.db, func() (*Rows, error) {
-		return s.db.c.startQuery(ctx, func(id uint64) []byte {
-			return wire.StmtCall{ID: id, Stmt: s.handle, Params: params}.Append(nil, wire.TQuery)
-		})
+		return s.db.c.startQuery(ctx, request{typ: wire.TQuery, stmt: s.handle, params: params})
 	})
 }
 
@@ -246,9 +240,7 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...interface{}) (Result, er
 		return Result{}, err
 	}
 	return retryBusy(ctx, s.db, func() (Result, error) {
-		return s.db.c.exec(ctx, func(id uint64) []byte {
-			return wire.StmtCall{ID: id, Stmt: s.handle, Params: params}.Append(nil, wire.TExec)
-		})
+		return s.db.c.exec(ctx, request{typ: wire.TExec, stmt: s.handle, params: params})
 	})
 }
 

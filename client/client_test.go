@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -359,6 +361,7 @@ func TestRowsCloseDrainsCursor(t *testing.T) {
 // TestSubscriptionCloseIdempotent guards the teardown paths: Close twice,
 // then connection loss, must neither panic nor deadlock.
 func TestSubscriptionCloseIdempotent(t *testing.T) {
+	unsubSeen := make(chan struct{})
 	c := fakeServer(t, Config{}, func(nc net.Conn) {
 		typ, payload := readReq(t, nc)
 		if typ != wire.TSubscribe {
@@ -372,7 +375,10 @@ func TestSubscriptionCloseIdempotent(t *testing.T) {
 		buf = wire.SubPush{Sub: 1, Gen: 1, Full: true, Rows: oneRow(1)}.Append(buf)
 		nc.Write(buf)
 		// Consume the UNSUB that Close sends, then hold the conn open.
-		readReq(t, nc)
+		if typ, _ := readReq(t, nc); typ != wire.TUnsubscribe {
+			t.Errorf("fake server: got %v, want UNSUBSCRIBE", typ)
+		}
+		close(unsubSeen)
 	})
 	sub, err := c.subscribe(context.Background(), `SELECT k FROM kv`, nil, 4)
 	if err != nil {
@@ -397,5 +403,106 @@ func TestSubscriptionCloseIdempotent(t *testing.T) {
 		t.Fatal("updates channel not closed")
 	}
 	<-sub.Done()
+	// Close's UNSUB is written by the outbox's flusher, not by Close.
+	<-unsubSeen
 	c.fail(errors.New("synthetic loss")) // must not re-enter the closed subscription
+}
+
+// readCounter counts the reads that returned data.
+type readCounter struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *readCounter) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+// TestBurstDeliveredWithOneWakeup is the client half of the burst
+// accounting, on a real loopback socket: 64 responses (three frames each)
+// that arrive as one segment cost the demultiplexer one read, and each
+// caller one wake-up — by the time a caller sees its result header, the rest
+// of its response is already queued behind it.
+func TestBurstDeliveredWithOneWakeup(t *testing.T) {
+	const n = 64
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // the scripted server: collect n queries, answer them in one write
+		nc, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		rd := wire.NewReader(nc)
+		if typ, _, err := rd.Next(); err != nil || typ != wire.THello {
+			return
+		}
+		nc.Write(wire.HelloOK{Version: wire.Version, Window: n}.Append(nil))
+		var replies []byte
+		for i := 0; i < n; i++ {
+			typ, payload, err := rd.Next()
+			if err != nil || typ != wire.TQuery {
+				t.Errorf("scripted server: frame %v, err %v", typ, err)
+				return
+			}
+			q, err := wire.DecodeStmtCall(payload)
+			if err != nil {
+				t.Errorf("scripted server: %v", err)
+				return
+			}
+			replies = wire.RowsHeader{ID: q.ID, Columns: []string{"k"}}.Append(replies)
+			replies = wire.RowBatch{ID: q.ID, Rows: []types.Row{{q.Params[0]}}}.Append(replies)
+			replies = wire.RowsDone{ID: q.ID, Total: 1}.Append(replies)
+		}
+		nc.Write(replies)
+		io.Copy(io.Discard, nc)
+	}()
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &readCounter{Conn: nc}
+	c, err := handshake(counted, Config{Window: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.close()
+	counted.reads.Store(0)
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rows, err := c.startQuery(context.Background(),
+				request{typ: wire.TQuery, stmt: 1, params: []types.Value{types.NewInt(int64(i))}})
+			if err != nil {
+				t.Errorf("query %d: %v", i, err)
+				return
+			}
+			cl := rows.cl
+			cl.mu.Lock()
+			queued, done := len(cl.queue)-cl.head, cl.done
+			cl.mu.Unlock()
+			if queued != 2 || !done {
+				t.Errorf("query %d woke with %d frames queued behind its header (complete: %v), want its batch and terminal frame",
+					i, queued, done)
+			}
+			if all := rows.All(); rows.Err() != nil || len(all) != 1 || all[0][0].AsInt() != int64(i) {
+				t.Errorf("query %d returned %v (err %v)", i, all, rows.Err())
+			}
+		}(i)
+	}
+	wg.Wait()
+	if r := counted.reads.Load(); r > 2 {
+		t.Errorf("the client read the %d responses in %d reads, want at most 2", n, r)
+	}
 }

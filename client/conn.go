@@ -13,16 +13,17 @@ import (
 
 // conn is the single multiplexed connection behind a DB.
 //
-// Concurrency shape: callers serialize frame writes through wmu and park
-// on per-call queues; one reader goroutine demultiplexes every inbound
-// frame by request id. The window semaphore bounds how many Query/Exec
-// calls are in flight; prepare/stats/ping/subscribe ride outside the
-// window (they are not generation work).
+// Concurrency shape: callers queue their requests on the coalescing outbox
+// (whose flusher encodes and writes everything queued while the previous
+// write was in flight) and park on per-call queues; one reader goroutine
+// demultiplexes every inbound frame by request id. The window semaphore
+// bounds how many Query/Exec calls are in flight; prepare/stats/ping/
+// subscribe ride outside the window (they are not generation work).
 type conn struct {
 	cfg Config
 	nc  net.Conn
-
-	wmu sync.Mutex // serializes frame writes
+	rd  *wire.Reader // owned by the reader goroutine after the handshake
+	out *wire.Outbox
 
 	// sem is the in-flight window: buffered sends acquire, the reader
 	// releases as terminal frames arrive.
@@ -37,27 +38,54 @@ type conn struct {
 	readerDone chan struct{}
 }
 
+// request is what a call asks of the server; the outbox's flusher encodes it
+// (call.AppendFrames) straight into the buffer it writes.
+type request struct {
+	typ    wire.Type
+	stmt   uint64 // QUERY / EXEC
+	sql    string // PREPARE / QUERY_SQL / EXEC_SQL / SUBSCRIBE
+	params []types.Value
+}
+
 // call is one pending request: the demultiplexer appends decoded response
-// frames to queue; the caller pops them. notify has capacity 1 — a
-// delivery always leaves either a queued frame or a pending notification,
-// so a waiting caller never misses a wake-up.
+// frames to queue — all the frames of the response that one read delivered
+// at a time — and the caller pops them. notify has capacity 1 — a delivery
+// always leaves either a queued frame or a pending notification, so a
+// waiting caller never misses a wake-up.
 type call struct {
 	id       uint64
+	req      request
 	windowed bool
 	sub      *Subscription // subscribe calls: registered by the reader on SUB_OK
 
 	mu      sync.Mutex
 	queue   []interface{}
+	head    int // queue[:head] is consumed
 	notify  chan struct{}
 	done    bool
 	err     error
 	discard bool // abandoned: drop frames, keep consuming to the terminal
 }
 
-func (cl *call) deliver(msg interface{}, terminal bool) {
+// AppendFrames encodes the call's request frame (wire.Encoder).
+func (cl *call) AppendFrames(dst []byte) []byte {
+	switch cl.req.typ {
+	case wire.TQuery, wire.TExec:
+		return wire.StmtCall{ID: cl.id, Stmt: cl.req.stmt, Params: cl.req.params}.Append(dst, cl.req.typ)
+	case wire.TPrepare:
+		return wire.Prepare{ID: cl.id, SQL: cl.req.sql}.Append(dst)
+	case wire.TStats, wire.TPing:
+		return wire.Simple{ID: cl.id}.Append(dst, cl.req.typ)
+	default: // QUERY_SQL, EXEC_SQL, SUBSCRIBE
+		return wire.SQLCall{ID: cl.id, SQL: cl.req.sql, Params: cl.req.params}.Append(dst, cl.req.typ)
+	}
+}
+
+// deliver hands the caller a run of response frames with one wake-up.
+func (cl *call) deliver(msgs []interface{}, terminal bool) {
 	cl.mu.Lock()
 	if !cl.discard {
-		cl.queue = append(cl.queue, msg)
+		cl.queue = append(cl.queue, msgs...)
 	}
 	if terminal {
 		cl.done = true
@@ -86,9 +114,12 @@ func (cl *call) fail(err error) {
 func (cl *call) next(ctx context.Context) (interface{}, error) {
 	for {
 		cl.mu.Lock()
-		if len(cl.queue) > 0 {
-			m := cl.queue[0]
-			cl.queue = cl.queue[1:]
+		if cl.head < len(cl.queue) {
+			m := cl.queue[cl.head]
+			cl.queue[cl.head] = nil
+			if cl.head++; cl.head == len(cl.queue) {
+				cl.queue, cl.head = cl.queue[:0], 0
+			}
 			cl.mu.Unlock()
 			return m, nil
 		}
@@ -114,7 +145,7 @@ func (cl *call) next(ctx context.Context) (interface{}, error) {
 func (cl *call) abandon() {
 	cl.mu.Lock()
 	cl.discard = true
-	cl.queue = nil
+	cl.queue, cl.head = nil, 0
 	cl.mu.Unlock()
 }
 
@@ -139,7 +170,8 @@ func handshake(nc net.Conn, cfg Config) (*conn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
 	}
-	typ, payload, _, err := wire.ReadFrame(nc, nil)
+	rd := wire.NewReader(nc)
+	typ, payload, err := rd.Next()
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: handshake: %w", err)
@@ -167,6 +199,8 @@ func handshake(nc net.Conn, cfg Config) (*conn, error) {
 	c := &conn{
 		cfg:        cfg,
 		nc:         nc,
+		rd:         rd,
+		out:        wire.NewOutbox(nc),
 		sem:        make(chan struct{}, cfg.Window),
 		calls:      map[uint64]*call{},
 		subs:       map[uint64]*Subscription{},
@@ -177,82 +211,108 @@ func handshake(nc net.Conn, cfg Config) (*conn, error) {
 }
 
 // readLoop is the demultiplexer: every inbound frame routes to its
-// pending call (by request id) or subscription (by subscription id). A
-// read or protocol error fails every pending call — which is how a
-// connection lost mid-cursor surfaces from Rows.Err.
+// pending call (by request id) or subscription (by subscription id). The
+// server writes a response's frames contiguously, so the frames of one
+// response that a single read delivered reach their call as one group — one
+// table lookup, one wake-up — instead of frame by frame. A read or protocol
+// error fails every pending call — which is how a connection lost
+// mid-cursor surfaces from Rows.Err.
 func (c *conn) readLoop() {
 	defer close(c.readerDone)
-	var buf []byte
+	var g group
 	for {
-		typ, payload, b, err := wire.ReadFrame(c.nc, buf)
+		typ, payload, err := c.rd.Next()
+		if err == nil {
+			err = c.route(&g, typ, payload)
+		}
 		if err != nil {
+			c.deliver(&g)
 			c.fail(err)
 			return
 		}
-		buf = b
-		if err := c.route(typ, payload); err != nil {
-			c.fail(err)
-			return
+		if !c.rd.Buffered() {
+			c.deliver(&g)
 		}
 	}
 }
 
-func (c *conn) route(typ wire.Type, payload []byte) error {
+// group is a run of consecutive response frames for one request id,
+// collected from the current read burst.
+type group struct {
+	id       uint64
+	msgs     []interface{}
+	terminal bool
+}
+
+// add appends one response frame, first delivering the group collected so
+// far when it belongs to another request; a terminal frame closes the group.
+func (c *conn) add(g *group, id uint64, msg interface{}, terminal bool) {
+	if len(g.msgs) > 0 && g.id != id {
+		c.deliver(g)
+	}
+	g.id, g.terminal = id, terminal
+	g.msgs = append(g.msgs, msg)
+	if terminal {
+		c.deliver(g)
+	}
+}
+
+func (c *conn) route(g *group, typ wire.Type, payload []byte) error {
 	switch typ {
 	case wire.TPrepareOK:
 		m, err := wire.DecodePrepareOK(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, true)
+		c.add(g, m.ID, m, true)
 	case wire.TRowsHeader:
 		m, err := wire.DecodeRowsHeader(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, false)
+		c.add(g, m.ID, m, false)
 	case wire.TRowBatch:
 		m, err := wire.DecodeRowBatch(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, false)
+		c.add(g, m.ID, m, false)
 	case wire.TRowsDone:
 		m, err := wire.DecodeRowsDone(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, true)
+		c.add(g, m.ID, m, true)
 	case wire.TExecOK:
 		m, err := wire.DecodeExecOK(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, true)
+		c.add(g, m.ID, m, true)
 	case wire.TErr:
 		m, err := wire.DecodeError(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, true)
+		c.add(g, m.ID, m, true)
 	case wire.TBusy:
 		m, err := wire.DecodeBusy(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, true)
+		c.add(g, m.ID, m, true)
 	case wire.TStatsOK:
 		m, err := wire.DecodeStatsOK(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, true)
+		c.add(g, m.ID, m, true)
 	case wire.TPong:
 		m, err := wire.DecodeSimple(payload)
 		if err != nil {
 			return err
 		}
-		c.deliver(m.ID, m, true)
+		c.add(g, m.ID, m, true)
 	case wire.TSubOK:
 		m, err := wire.DecodeSubOK(payload)
 		if err != nil {
@@ -266,7 +326,7 @@ func (c *conn) route(typ wire.Type, payload []byte) error {
 			c.subs[m.Sub] = cl.sub
 		}
 		c.mu.Unlock()
-		c.deliver(m.ID, m, true)
+		c.add(g, m.ID, m, true)
 	case wire.TSubPush:
 		m, err := wire.DecodeSubPush(payload)
 		if err != nil {
@@ -291,22 +351,28 @@ func (c *conn) route(typ wire.Type, payload []byte) error {
 	return nil
 }
 
-// deliver hands a response frame to its pending call. Terminal frames
-// retire the request id and release the call's window slot.
-func (c *conn) deliver(id uint64, msg interface{}, terminal bool) {
+// deliver hands a group of response frames to its pending call and empties
+// the group. A terminal frame retires the request id and releases the
+// call's window slot.
+func (c *conn) deliver(g *group) {
+	if len(g.msgs) == 0 {
+		return
+	}
 	c.mu.Lock()
-	cl := c.calls[id]
-	if terminal {
-		delete(c.calls, id)
+	cl := c.calls[g.id]
+	if g.terminal {
+		delete(c.calls, g.id)
 	}
 	c.mu.Unlock()
-	if cl == nil {
-		return // response for an id we never issued; tolerated like an unknown stat
+	// A response for an id we never issued is tolerated like an unknown stat.
+	if cl != nil {
+		if g.terminal && cl.windowed {
+			<-c.sem
+		}
+		cl.deliver(g.msgs, g.terminal)
 	}
-	if terminal && cl.windowed {
-		<-c.sem
-	}
-	cl.deliver(msg, terminal)
+	clear(g.msgs)
+	g.msgs = g.msgs[:0]
 }
 
 // fail tears the connection down: every pending call and subscription
@@ -362,7 +428,7 @@ func (c *conn) acquire(ctx context.Context) error {
 	}
 }
 
-func (c *conn) newCall(windowed bool, sub *Subscription) (*call, error) {
+func (c *conn) newCall(req request, windowed bool, sub *Subscription) (*call, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.err != nil {
@@ -372,26 +438,16 @@ func (c *conn) newCall(windowed bool, sub *Subscription) (*call, error) {
 		return nil, ErrClosed
 	}
 	c.nextID++
-	cl := &call{id: c.nextID, windowed: windowed, sub: sub, notify: make(chan struct{}, 1)}
+	cl := &call{id: c.nextID, req: req, windowed: windowed, sub: sub, notify: make(chan struct{}, 1)}
 	c.calls[cl.id] = cl
 	return cl, nil
 }
 
-func (c *conn) send(frame []byte) error {
-	c.wmu.Lock()
-	_, err := c.nc.Write(frame)
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(err) // the reader may not notice a half-dead socket; fail eagerly
-		return c.errNow()
-	}
-	return nil
-}
-
-// roundTrip issues one request and returns its first response frame with
-// BUSY/ERR already translated. Cancellation abandons the call — the
-// demultiplexer still drains it to the terminal frame.
-func (c *conn) roundTrip(ctx context.Context, windowed bool, sub *Subscription, encode func(id uint64) []byte) (interface{}, error) {
+// start registers a call for req and queues its request frame, taking a
+// window slot first for windowed calls. Once it returns a call, the reader
+// owns retiring it (and its slot): on the terminal frame, or when the
+// connection fails.
+func (c *conn) start(ctx context.Context, req request, windowed bool, sub *Subscription) (*call, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -400,36 +456,63 @@ func (c *conn) roundTrip(ctx context.Context, windowed bool, sub *Subscription, 
 			return nil, err
 		}
 	}
-	cl, err := c.newCall(windowed, sub)
+	cl, err := c.newCall(req, windowed, sub)
 	if err != nil {
 		if windowed {
 			<-c.sem
 		}
 		return nil, err
 	}
-	if err := c.send(encode(cl.id)); err != nil {
-		return nil, err // fail() already retired the call and its slot
+	if !c.out.Enqueue(cl) {
+		// The connection is closing or its writer failed; the reader is
+		// about to fail every registered call, this one included.
+		return nil, c.closedErr()
+	}
+	return cl, nil
+}
+
+// closedErr is the error of a connection known to be going down.
+func (c *conn) closedErr() error {
+	if err := c.errNow(); err != nil {
+		return err
+	}
+	return ErrClosed
+}
+
+// sendNoReply queues a frame the server does not answer.
+func (c *conn) sendNoReply(frame []byte) error {
+	if !c.out.Send(frame) {
+		return c.closedErr()
+	}
+	return nil
+}
+
+// roundTrip issues one request and returns its call and first response
+// frame with BUSY/ERR already translated. Cancellation abandons the call —
+// the demultiplexer still drains it to the terminal frame.
+func (c *conn) roundTrip(ctx context.Context, req request, windowed bool, sub *Subscription) (*call, interface{}, error) {
+	cl, err := c.start(ctx, req, windowed, sub)
+	if err != nil {
+		return nil, nil, err
 	}
 	m, err := cl.next(ctx)
 	if err != nil {
 		if ctx.Err() != nil {
 			cl.abandon()
 		}
-		return nil, err
+		return nil, nil, err
 	}
 	switch m := m.(type) {
 	case wire.Error:
-		return nil, &ServerError{Code: m.Code, Msg: m.Msg}
+		return nil, nil, &ServerError{Code: m.Code, Msg: m.Msg}
 	case wire.Busy:
-		return nil, &OverloadError{Reason: m.Reason, RetryAfter: time.Duration(m.RetryAfterNs)}
+		return nil, nil, &OverloadError{Reason: m.Reason, RetryAfter: time.Duration(m.RetryAfterNs)}
 	}
-	return m, nil
+	return cl, m, nil
 }
 
 func (c *conn) prepare(ctx context.Context, sqlText string) (wire.PrepareOK, error) {
-	m, err := c.roundTrip(ctx, false, nil, func(id uint64) []byte {
-		return wire.Prepare{ID: id, SQL: sqlText}.Append(nil)
-	})
+	_, m, err := c.roundTrip(ctx, request{typ: wire.TPrepare, sql: sqlText}, false, nil)
 	if err != nil {
 		return wire.PrepareOK{}, err
 	}
@@ -441,8 +524,8 @@ func (c *conn) prepare(ctx context.Context, sqlText string) (wire.PrepareOK, err
 }
 
 // exec issues a windowed request whose response is a single EXEC_OK.
-func (c *conn) exec(ctx context.Context, encode func(id uint64) []byte) (Result, error) {
-	m, err := c.roundTrip(ctx, true, nil, encode)
+func (c *conn) exec(ctx context.Context, req request) (Result, error) {
+	_, m, err := c.roundTrip(ctx, req, true, nil)
 	if err != nil {
 		return Result{}, err
 	}
@@ -456,44 +539,20 @@ func (c *conn) exec(ctx context.Context, encode func(id uint64) []byte) (Result,
 // startQuery issues a windowed read and returns its cursor once the
 // result header arrives. The window slot stays held until the cursor's
 // terminal frame — a streaming result is in-flight work.
-func (c *conn) startQuery(ctx context.Context, encode func(id uint64) []byte) (*Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.acquire(ctx); err != nil {
-		return nil, err
-	}
-	cl, err := c.newCall(true, nil)
+func (c *conn) startQuery(ctx context.Context, req request) (*Rows, error) {
+	cl, m, err := c.roundTrip(ctx, req, true, nil)
 	if err != nil {
-		<-c.sem
 		return nil, err
 	}
-	if err := c.send(encode(cl.id)); err != nil {
-		return nil, err
-	}
-	m, err := cl.next(ctx)
-	if err != nil {
-		if ctx.Err() != nil {
-			cl.abandon()
-		}
-		return nil, err
-	}
-	switch m := m.(type) {
-	case wire.RowsHeader:
-		return &Rows{cl: cl, cols: m.Columns, pos: -1}, nil
-	case wire.Error:
-		return nil, &ServerError{Code: m.Code, Msg: m.Msg}
-	case wire.Busy:
-		return nil, &OverloadError{Reason: m.Reason, RetryAfter: time.Duration(m.RetryAfterNs)}
+	if h, isHeader := m.(wire.RowsHeader); isHeader {
+		return &Rows{cl: cl, cols: h.Columns, pos: -1}, nil
 	}
 	cl.abandon()
 	return nil, fmt.Errorf("client: unexpected QUERY response %T", m)
 }
 
 func (c *conn) stats(ctx context.Context) (Stats, error) {
-	m, err := c.roundTrip(ctx, false, nil, func(id uint64) []byte {
-		return wire.Simple{ID: id}.Append(nil, wire.TStats)
-	})
+	_, m, err := c.roundTrip(ctx, request{typ: wire.TStats}, false, nil)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -505,9 +564,7 @@ func (c *conn) stats(ctx context.Context) (Stats, error) {
 }
 
 func (c *conn) ping(ctx context.Context) error {
-	m, err := c.roundTrip(ctx, false, nil, func(id uint64) []byte {
-		return wire.Simple{ID: id}.Append(nil, wire.TPing)
-	})
+	_, m, err := c.roundTrip(ctx, request{typ: wire.TPing}, false, nil)
 	if err != nil {
 		return err
 	}
@@ -523,9 +580,7 @@ func (c *conn) ping(ctx context.Context) error {
 // before this goroutine even observes the ack.
 func (c *conn) subscribe(ctx context.Context, sqlText string, params []types.Value, bufCap int) (*Subscription, error) {
 	sub := &Subscription{c: c, ch: make(chan SubscriptionUpdate, bufCap), done: make(chan struct{})}
-	m, err := c.roundTrip(ctx, false, sub, func(id uint64) []byte {
-		return wire.SQLCall{ID: id, SQL: sqlText, Params: params}.Append(nil, wire.TSubscribe)
-	})
+	_, m, err := c.roundTrip(ctx, request{typ: wire.TSubscribe, sql: sqlText, params: params}, false, sub)
 	if err != nil {
 		return nil, err
 	}
@@ -538,10 +593,11 @@ func (c *conn) subscribe(ctx context.Context, sqlText string, params []types.Val
 func (c *conn) closeStmt(handle uint64) error {
 	// CLOSE_STMT has no reply: handles are session-local names and the
 	// server forgets them silently.
-	return c.send(wire.Ref{Ref: handle}.Append(nil, wire.TCloseStmt))
+	return c.sendNoReply(wire.Ref{Ref: handle}.Append(nil, wire.TCloseStmt))
 }
 
-// close is the orderly shutdown: best-effort QUIT, then tear down.
+// close is the orderly shutdown: a QUIT behind whatever is already queued,
+// then the socket closes once the flusher has written it.
 func (c *conn) close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -551,10 +607,8 @@ func (c *conn) close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.wmu.Lock()
-	c.nc.Write(wire.AppendEmpty(nil, wire.TQuit))
-	c.wmu.Unlock()
-	c.nc.Close()
+	c.out.Send(wire.AppendEmpty(nil, wire.TQuit))
+	c.out.CloseWhenDrained()
 	<-c.readerDone
 	return nil
 }

@@ -91,7 +91,9 @@ func (r *Rows) Row() types.Row {
 func (r *Rows) All() []types.Row {
 	var out []types.Row
 	for r.Next() {
-		out = append(out, r.Row())
+		// Take the rest of the batch in one append.
+		out = append(out, r.batch[r.pos:]...)
+		r.pos = len(r.batch) - 1
 	}
 	return out
 }
@@ -207,7 +209,7 @@ func (s *Subscription) Close() error {
 		s.c.mu.Unlock()
 		// Fire-and-forget: the server also reaps subscriptions when the
 		// connection ends, so a lost UNSUB only delays cleanup.
-		s.c.send(wire.Ref{Ref: s.id}.Append(nil, wire.TUnsubscribe))
+		s.c.sendNoReply(wire.Ref{Ref: s.id}.Append(nil, wire.TUnsubscribe))
 	})
 	return nil
 }

@@ -24,7 +24,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -237,6 +236,8 @@ type Result struct {
 	// waiter whose queued request should vacate at the next batch formation.
 	fold      *Fanout
 	abandoned atomic.Bool
+	// hook, when set (NewHookedResult), is called once by complete.
+	hook CompletionHook
 
 	distinctSeen map[string]bool
 	slab         rowSlab // backs Rows while the sink assembles them
@@ -379,8 +380,7 @@ func (e *Engine) observeCost(gen uint64, tasks []operators.Task, activeNs int64)
 
 func failRequests(reqs []*Request) {
 	for _, r := range reqs {
-		r.Result.Err = errors.New("core: engine closed")
-		close(r.Result.done)
+		r.Result.complete(errEngineClosed)
 		if r.fold != nil {
 			r.fold.complete(r.Result)
 		}
@@ -439,30 +439,74 @@ func (e *Engine) Plan() *plan.GlobalPlan { return e.plan }
 // the queue. A read identical to a pending one returns a result subscribed
 // to the pending request instead of queueing.
 func (e *Engine) Submit(stmt *plan.Statement, params []types.Value) *Result {
-	return e.submit(stmt, params, nil)
+	return e.SubmitHooked(Call{Stmt: stmt, Params: params}, nil)
 }
 
-// SubmitHooked is Submit with a dispatch hook: fn runs on the dispatcher
-// goroutine right after the generation containing the request forms —
-// before the generation's writes apply or its read snapshot pins. When the
-// submission folds into a pending lead the hook transfers to the lead, so
-// it still fires when the generation that answers this submission
-// dispatches. The shard router uses the hook to close its cross-shard fold
-// window at the earliest shard's batch formation.
-func (e *Engine) SubmitHooked(stmt *plan.Statement, params []types.Value, fn func()) *Result {
-	return e.submit(stmt, params, fn)
-}
-
-func (e *Engine) submit(stmt *plan.Statement, params []types.Value, hook func()) *Result {
-	req := &Request{Stmt: stmt, Params: params, Result: &Result{done: make(chan struct{})}}
-	if e.foldIdx != nil && stmt != nil && !stmt.IsWrite() {
-		req.foldable = true
-		req.fp = FoldFingerprint(stmt.SQL, params)
-	}
-	if hook != nil {
-		req.hooks = append(req.hooks, hook)
+// SubmitHooked submits one call with an optional dispatch hook: fn runs on
+// the dispatcher goroutine right after the generation containing the
+// request forms — before the generation's writes apply or its read snapshot
+// pins. When the submission folds into a pending lead the hook transfers to
+// the lead, so it still fires when the generation that answers this
+// submission dispatches. The shard router uses the hook to close its
+// cross-shard fold window at the earliest shard's batch formation.
+func (e *Engine) SubmitHooked(c Call, fn func()) *Result {
+	req := &Request{}
+	e.initRequest(req, c)
+	if fn != nil {
+		req.hooks = append(req.hooks, fn)
 	}
 	return e.enqueue(req, false)
+}
+
+// SubmitBatch enqueues a burst under one lock acquisition and one dispatcher
+// wake-up. The calls enter the queue — and the fold index — in order, so a
+// burst's duplicates fold against each other, and the dispatcher, which
+// cannot form a batch while the lock is held, drafts the whole burst into
+// one generation.
+func (e *Engine) SubmitBatch(calls []Call) {
+	// One slab for the burst's queue entries: a burst's requests are drafted
+	// together, so they die together.
+	reqs := make([]Request, len(calls))
+	for i := range calls {
+		e.initRequest(&reqs[i], calls[i])
+		calls[i].Result = reqs[i].Result
+	}
+	// Rejections complete after the lock is released: completion runs the
+	// caller's hook.
+	type rejection struct {
+		res *Result
+		err error
+	}
+	var rejected []rejection
+	queued := false
+	e.mu.Lock()
+	for i := range reqs {
+		q, err := e.enqueueLocked(&reqs[i], false)
+		if err != nil {
+			rejected = append(rejected, rejection{reqs[i].Result, err})
+		}
+		queued = queued || q
+	}
+	if queued {
+		e.cond.Broadcast()
+	}
+	e.mu.Unlock()
+	for _, r := range rejected {
+		r.res.complete(r.err)
+	}
+}
+
+// initRequest fills in the queue entry for one statement call, computing
+// the fold fingerprint of a foldable read outside the engine lock.
+func (e *Engine) initRequest(req *Request, c Call) {
+	if c.Result == nil {
+		c.Result = NewPendingResult()
+	}
+	req.Stmt, req.Params, req.Result = c.Stmt, c.Params, c.Result
+	if e.foldIdx != nil && c.Stmt != nil && !c.Stmt.IsWrite() {
+		req.foldable = true
+		req.fp = FoldFingerprint(c.Stmt.SQL, c.Params)
+	}
 }
 
 // SubmitReserved is Submit for a request whose admission was already
@@ -471,7 +515,7 @@ func (e *Engine) submit(stmt *plan.Statement, params []types.Value, hook func())
 // Reserved submissions never fold — the router reserves only for writes,
 // whose per-shard application must be real on every shard.
 func (e *Engine) SubmitReserved(stmt *plan.Statement, params []types.Value) *Result {
-	req := &Request{Stmt: stmt, Params: params, Result: &Result{done: make(chan struct{})}}
+	req := &Request{Stmt: stmt, Params: params, Result: NewPendingResult()}
 	return e.enqueue(req, true)
 }
 
@@ -485,7 +529,7 @@ func (e *Engine) AdmitReserve(stmt *plan.Statement) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.stopped {
-		return errors.New("core: engine closed")
+		return errEngineClosed
 	}
 	if e.adm != nil {
 		if err := e.adm.admit(stmt, len(e.pending)+e.reserved); err != nil {
@@ -550,7 +594,7 @@ func (e *Engine) SubmitTx(tx Tx) *Result {
 		res.Complete(errNotStorageTx)
 		return res
 	}
-	req := &Request{Tx: stx, Result: &Result{done: make(chan struct{})}}
+	req := &Request{Tx: stx, Result: NewPendingResult()}
 	return e.enqueue(req, false)
 }
 
@@ -564,53 +608,57 @@ func (e *Engine) SubmitTxReserved(tx Tx) *Result {
 		res.Complete(errNotStorageTx)
 		return res
 	}
-	req := &Request{Tx: stx, Result: &Result{done: make(chan struct{})}}
+	req := &Request{Tx: stx, Result: NewPendingResult()}
 	return e.enqueue(req, true)
 }
 
-// enqueue admits (or, for the reserved path, consumes the reservation of)
-// one request and appends it to the pending queue. Foldable requests first
-// try to collapse into a pending duplicate — a fold hit returns the
-// subscriber's result without touching admission or the queue (the lead
-// already paid for both).
+// enqueue is enqueueLocked for one request: lock, enqueue, wake the
+// dispatcher, and complete a rejection once the lock is released.
 func (e *Engine) enqueue(req *Request, reserved bool) *Result {
 	e.mu.Lock()
+	queued, err := e.enqueueLocked(req, reserved)
+	if queued {
+		e.cond.Broadcast()
+	}
+	e.mu.Unlock()
+	if err != nil {
+		req.Result.complete(err)
+	}
+	return req.Result
+}
+
+// enqueueLocked admits (or, for the reserved path, consumes the reservation
+// of) one request and appends it to the pending queue (e.mu held). Foldable
+// requests first try to collapse into a pending duplicate — a fold hit
+// neither queues nor touches admission (the lead already paid for both). A
+// non-nil error is a rejection: the caller completes req.Result with it
+// after releasing e.mu.
+func (e *Engine) enqueueLocked(req *Request, reserved bool) (queued bool, err error) {
 	if reserved && e.reserved > 0 {
 		e.reserved--
 	}
 	if e.stopped {
-		e.mu.Unlock()
-		req.Result.Err = errors.New("core: engine closed")
-		close(req.Result.done)
-		return req.Result
+		return false, errEngineClosed
 	}
-	if req.foldable {
-		if res := e.tryFold(req); res != nil {
-			e.mu.Unlock()
-			return res
-		}
+	if req.foldable && e.tryFold(req) {
+		return false, nil
 	}
 	if !reserved && e.adm != nil {
 		if err := e.adm.admit(req.Stmt, len(e.pending)+e.reserved); err != nil {
-			e.mu.Unlock()
-			req.Result.Err = err
-			close(req.Result.done)
-			return req.Result
+			return false, err
 		}
 	}
 	e.pending = append(e.pending, req)
 	if req.foldable {
 		e.indexFoldLead(req)
 	}
-	e.cond.Broadcast()
-	e.mu.Unlock()
-	return req.Result
+	return true, nil
 }
 
 // tryFold collapses req into a pending identical (or, with FoldSubsume,
-// subsuming) lead. Called with e.mu held; returns the subscriber's result
-// on a hit, nil when req must queue as its own lead.
-func (e *Engine) tryFold(req *Request) *Result {
+// subsuming) lead, subscribing req.Result to it. Called with e.mu held; false
+// means req must queue as its own lead.
+func (e *Engine) tryFold(req *Request) bool {
 	for _, lead := range e.foldIdx[req.fp] {
 		if lead.Stmt.SQL != req.Stmt.SQL || !IdenticalParams(lead.Params, req.Params) {
 			continue
@@ -623,7 +671,7 @@ func (e *Engine) tryFold(req *Request) *Result {
 		}
 		lead.hooks = append(lead.hooks, req.hooks...)
 		e.folded++
-		return req.Result
+		return true
 	}
 	if e.subsumeIdx != nil && req.Stmt.FoldTable != "" && req.Stmt.FoldPred != nil {
 		for _, lead := range e.subsumeIdx[req.Stmt.FoldTable] {
@@ -640,10 +688,10 @@ func (e *Engine) tryFold(req *Request) *Result {
 			lead.hooks = append(lead.hooks, req.hooks...)
 			e.folded++
 			e.subsumed++
-			return req.Result
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // indexFoldLead registers a newly queued foldable request as a fold target
@@ -695,23 +743,14 @@ func (e *Engine) loop() {
 		// Cancelled submissions (Result.Abandon via the context API) vacate
 		// the queue here, before formation: they were never dispatched, so
 		// dropping them frees their queue-depth slot without touching any
-		// generation. A lead that acquired fold subscribers still runs —
-		// the subscribers need its result.
+		// generation. A lead with fold subscribers left still runs — they
+		// need its result.
 		var dropped []*Request
 		for _, r := range e.pending {
-			if r.Result.abandoned.Load() && r.fold == nil {
-				dropped = append(dropped, r)
+			if r.Result.abandoned.Load() {
+				dropped = e.vacateAbandonedLocked()
+				break
 			}
-		}
-		if dropped != nil {
-			kept := e.pending[:0]
-			for _, r := range e.pending {
-				if r.Result.abandoned.Load() && r.fold == nil {
-					continue
-				}
-				kept = append(kept, r)
-			}
-			e.pending = kept
 		}
 		batch := e.pending
 		if e.adm != nil {
@@ -752,8 +791,7 @@ func (e *Engine) loop() {
 		e.mu.Unlock()
 
 		for _, r := range dropped {
-			r.Result.Err = errRequestAbandoned
-			close(r.Result.done)
+			r.Result.complete(errRequestAbandoned)
 		}
 		// Dispatch hooks fire after formation but before any of the
 		// generation's effects (write apply, snapshot pin) — the shard
@@ -782,6 +820,25 @@ func (e *Engine) loop() {
 			runtime.Gosched()
 		}
 	}
+}
+
+// vacateAbandonedLocked removes the abandoned requests from the pending
+// queue and returns them (e.mu held). A lead whose fold group still has
+// subscribers stays: they need its result. The group is judged once per
+// request — a subscriber may detach concurrently, and a request must end up
+// in exactly one of the two lists.
+func (e *Engine) vacateAbandonedLocked() (dropped []*Request) {
+	kept := e.pending[:0]
+	for _, r := range e.pending {
+		if r.Result.abandoned.Load() && (r.fold == nil || r.fold.empty()) {
+			dropped = append(dropped, r)
+		} else {
+			kept = append(kept, r)
+		}
+	}
+	clear(e.pending[len(kept):])
+	e.pending = kept
+	return dropped
 }
 
 // generationDone retires one generation from the pipeline.
@@ -820,7 +877,7 @@ func (e *Engine) prepare(sqlText string, ast sql.Statement) (*plan.Statement, er
 		e.preparers--
 		e.cond.Broadcast()
 		e.mu.Unlock()
-		return nil, errors.New("core: engine closed")
+		return nil, errEngineClosed
 	}
 	e.mu.Unlock()
 	var stmt *plan.Statement
@@ -868,8 +925,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 		case r.Stmt != nil && r.Stmt.IsWrite():
 			op, err := bindWrite(r.Stmt.Write, r.Params)
 			if err != nil {
-				r.Result.Err = err
-				close(r.Result.done)
+				r.Result.complete(err)
 				continue
 			}
 			writeReqs = append(writeReqs, r)
@@ -894,9 +950,8 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 		}
 		for i, res := range results {
 			writeReqs[i].Result.RowsAffected = res.RowsAffected
-			writeReqs[i].Result.Err = res.Err
 			writeReqs[i].Result.SnapshotTS = commitTS
-			close(writeReqs[i].Result.done)
+			writeReqs[i].Result.complete(res.Err)
 		}
 	}
 	if len(txs) > 0 {
@@ -908,9 +963,8 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 			e.generationDone()
 		}
 		for i, err := range errs {
-			txReqs[i].Result.Err = err
 			txReqs[i].Result.SnapshotTS = commitTS
-			close(txReqs[i].Result.done)
+			txReqs[i].Result.complete(err)
 		}
 	}
 
@@ -1076,7 +1130,7 @@ func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscr
 			for _, r := range readReqs {
 				r.Result.distinctSeen = nil
 				r.Result.slab = rowSlab{}
-				close(r.Result.done)
+				r.Result.complete(nil)
 				if r.fold != nil {
 					// Fan the lead's materialized result out to every
 					// folded subscriber at the same snapshot.

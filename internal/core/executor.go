@@ -27,6 +27,12 @@ type Executor interface {
 	// Prepare's pipeline quiesce. Always nil when admission is disabled.
 	AdmitStatement(sqlText string) error
 	Submit(stmt *plan.Statement, params []types.Value) *Result
+	// SubmitBatch submits a burst of calls as one unit of admission work:
+	// the single-node engine enqueues them under one lock acquisition and
+	// wakes its dispatcher once, so the burst folds against itself and lands
+	// in one generation. Each call's Result is filled in when nil. Every
+	// call is otherwise treated exactly as Submit would treat it.
+	SubmitBatch(calls []Call)
 	// Subscribe registers stmt as a standing query: an initial full result
 	// followed by per-generation added/removed deltas on the returned
 	// subscription's Updates channel. The sharded backend merges per-shard
@@ -95,15 +101,48 @@ type EngineStats struct {
 // BeginTx opens a snapshot-isolated transaction on the engine's database.
 func (e *Engine) BeginTx() Tx { return e.db.Begin() }
 
+// Call is one element of a SubmitBatch burst.
+type Call struct {
+	Stmt   *plan.Statement
+	Params []types.Value
+	// Result is the pending result the call completes. A caller that wants
+	// a completion hook passes one built with NewHookedResult; nil makes
+	// SubmitBatch allocate a plain one and store it here.
+	Result *Result
+}
+
+// CompletionHook receives a Result the moment it completes, on whichever
+// goroutine completed it (the sink for generation results, the dispatcher
+// for writes, the submitter for rejections). It must not block and must not
+// call back into the executor.
+type CompletionHook interface {
+	Completed(r *Result)
+}
+
 // NewPendingResult returns an unfinished Result for callers that assemble
 // results outside an engine generation (the shard router's scatter-gather
 // path). Complete the result exactly once with Complete.
 func NewPendingResult() *Result { return &Result{done: make(chan struct{})} }
 
+// NewHookedResult returns an unfinished Result whose completion — by
+// whichever path: a generation, a fold fan-out, an admission rejection, an
+// abandoned wait — calls hook exactly once, after the Result's fields are
+// final. A caller with a hook needs no goroutine parked in Wait.
+func NewHookedResult(hook CompletionHook) *Result {
+	return &Result{done: make(chan struct{}), hook: hook}
+}
+
 // Complete finishes a pending result, releasing its waiters.
-func (r *Result) Complete(err error) {
+func (r *Result) Complete(err error) { r.complete(err) }
+
+// complete is the one place a Result finishes: every engine, fold and router
+// path funnels through it, so the hook fires exactly once per result.
+func (r *Result) complete(err error) {
 	r.Err = err
 	close(r.done)
+	if r.hook != nil {
+		r.hook.Completed(r)
+	}
 }
 
 // Validate rejects configurations that previously defaulted silently:
@@ -151,6 +190,10 @@ func (c Config) Validate() error {
 // errNotStorageTx is returned when a foreign Tx implementation reaches the
 // single-node engine.
 var errNotStorageTx = errors.New("core: SubmitTx requires a transaction from this engine's BeginTx")
+
+// errEngineClosed completes submissions that reach a closed engine and the
+// requests still queued when it closes.
+var errEngineClosed = errors.New("core: engine closed")
 
 // errRequestAbandoned completes results whose waiter cancelled before the
 // request was drafted into a generation (nobody is usually waiting — it

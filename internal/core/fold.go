@@ -153,6 +153,13 @@ func (f *Fanout) detach(res *Result) bool {
 	return false
 }
 
+// empty reports whether the group has no subscribers left to serve.
+func (f *Fanout) empty() bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.subs) == 0
+}
+
 // Complete fans the lead's outcome out to every subscriber and seals the
 // group against further attaches. Identical-fold subscribers share the
 // lead's row slice (results are materialized and read-only by contract —
@@ -168,7 +175,6 @@ func (f *Fanout) complete(lead *Result) {
 	f.mu.Unlock()
 	for _, s := range subs {
 		res := s.res
-		res.Err = lead.Err
 		res.SnapshotTS = lead.SnapshotTS
 		if lead.Err == nil {
 			if s.tr == nil {
@@ -179,7 +185,7 @@ func (f *Fanout) complete(lead *Result) {
 				res.Rows = s.tr.apply(lead.Rows)
 			}
 		}
-		close(res.done)
+		res.complete(lead.Err)
 	}
 }
 
@@ -193,8 +199,7 @@ func (f *Fanout) complete(lead *Result) {
 // true when the result was completed here (fold-subscriber case).
 func (r *Result) Abandon(err error) bool {
 	if f := r.fold; f != nil && f.detach(r) {
-		r.Err = err
-		close(r.done)
+		r.complete(err)
 		return true
 	}
 	r.abandoned.Store(true)

@@ -226,7 +226,7 @@ func (e *Engine) Subscribe(stmt *plan.Statement, params []types.Value) (*Subscri
 	e.mu.Lock()
 	if e.stopped {
 		e.mu.Unlock()
-		return nil, errors.New("core: engine closed")
+		return nil, errEngineClosed
 	}
 	e.subs = append(e.subs, s)
 	e.subsKick = true

@@ -6,7 +6,7 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"shareddb"
 	"shareddb/internal/core"
@@ -18,112 +18,191 @@ import (
 
 // conn is one binary-protocol session.
 //
-// Concurrency shape: the reader goroutine owns all dispatch and the
-// handle/subscription tables below; waiter and pusher goroutines only
-// touch the engine result they wait on and the outbox. The sole
-// reader-vs-waiter shared state is the window semaphore.
+// Concurrency shape: the reader goroutine owns all dispatch, the burst under
+// construction and the handle/subscription tables below. A request's reply
+// slot is handed from the reader (acquire, fill in) to the engine (the
+// completion hook enqueues it on the outbox) to the outbox's flusher
+// (encode, release); the free channel is the only state all three share.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	out *outbox
+	rd  *wire.Reader
+	out *wire.Outbox
 
-	// sem is the in-flight window: acquired by the reader before each
-	// QUERY/EXEC submission, released by the waiter after the terminal
-	// frame is enqueued. A full window parks the reader — TCP back-
-	// pressure is the flow control.
-	sem chan struct{}
+	// free is the in-flight window: it holds the reply slots no request
+	// occupies. The reader takes one per QUERY/EXEC; the flusher returns it
+	// once the response is encoded. With the whole window in flight an
+	// empty channel parks the reader — TCP back-pressure is the flow
+	// control. slots is every slot made so far: they are made on demand, so
+	// a connection's memory follows the depth it pipelines to, not the
+	// window it may use.
+	free  chan *reply
+	slots []*reply
 
 	// Reader-owned session state (no locks).
-	stmts    map[uint64]*plan.Statement
+	burst    []core.Call // decoded from the current read burst, not yet submitted
+	stmts    map[uint64]*stmtHandle
 	nextStmt uint64
 	subs     map[uint64]*core.Subscription
 	nextSub  uint64
+}
+
+// stmtHandle is a registry statement plus what every reply to it repeats.
+type stmtHandle struct {
+	st   *plan.Statement
+	cols []string // result column names
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
 	return &conn{
 		srv:   s,
 		nc:    nc,
-		out:   newOutbox(nc),
-		sem:   make(chan struct{}, s.opts.Window),
-		stmts: map[uint64]*plan.Statement{},
+		rd:    wire.NewReader(nc),
+		out:   wire.NewOutbox(nc),
+		free:  make(chan *reply, s.opts.Window),
+		stmts: map[uint64]*stmtHandle{},
 		subs:  map[uint64]*core.Subscription{},
 	}
 }
 
+// reply is one slot of the in-flight window: what a submitted request needs
+// to become response frames. It is the request's completion hook and the
+// outbox message that encodes the response, so a request in flight costs no
+// goroutine and no allocation beyond its engine result.
+type reply struct {
+	c     *conn
+	id    uint64
+	cols  []string
+	query bool // QUERY (row cursor) or EXEC (affected count)
+	// res is the request's pending result while the slot is occupied; the
+	// reader reads it at teardown to abandon what the peer will never see.
+	res atomic.Pointer[core.Result]
+}
+
+// Completed is the engine's completion hook: it runs on whichever goroutine
+// finished the result and only queues the slot for the flusher.
+func (r *reply) Completed(*core.Result) {
+	if !r.c.out.Enqueue(r) {
+		r.release() // connection gone: nothing to encode
+	}
+}
+
+// AppendFrames encodes the response on the outbox's flusher, straight into
+// the buffer the next write sends, and frees the window slot. Responses are
+// encoded in engine-completion order, not request order — that is the
+// protocol's out-of-order completion.
+func (r *reply) AppendFrames(dst []byte) []byte {
+	res := r.res.Load()
+	switch {
+	case res.Err != nil:
+		dst = appendFailure(dst, r.id, res.Err)
+	case r.query:
+		dst = appendCursor(dst, r.id, r.cols, res.Rows)
+	default:
+		dst = wire.ExecOK{ID: r.id, RowsAffected: uint64(res.RowsAffected)}.Append(dst)
+	}
+	r.release()
+	return dst
+}
+
+func (r *reply) release() {
+	r.res.Store(nil)
+	r.c.free <- r
+}
+
 // readLoop is the connection's lifetime: handshake, then frame dispatch
-// until the peer goes away, misbehaves, or says QUIT. Malformed input is
-// answered with a BAD_REQUEST error frame and the connection is closed —
-// deliberately without any recover(): the fuzz suite's no-panic property
-// is only meaningful if a panic would actually crash the test.
+// until the peer goes away, misbehaves, or says QUIT. A read burst — every
+// frame one read syscall delivered — is the unit of work: its QUERY/EXEC
+// frames collect into c.burst and enter the engine with one SubmitBatch
+// when the buffer runs dry. Malformed input is answered with a BAD_REQUEST
+// error frame and the connection is closed — deliberately without any
+// recover(): the fuzz suite's no-panic property is only meaningful if a
+// panic would actually crash the test.
 func (c *conn) readLoop() {
 	defer c.teardown()
 
-	var buf []byte
-	typ, payload, buf, err := wire.ReadFrame(c.nc, buf)
+	typ, payload, err := c.rd.Next()
 	if err != nil {
-		c.protocolError(0, err)
+		c.protocolError(err)
 		return
 	}
 	if typ != wire.THello {
-		c.protocolError(0, fmt.Errorf("first frame must be HELLO, got %v", typ))
+		c.protocolError(fmt.Errorf("first frame must be HELLO, got %v", typ))
 		return
 	}
 	hello, err := wire.DecodeHello(payload)
 	if err != nil {
-		c.protocolError(0, err)
+		c.protocolError(err)
 		return
 	}
 	if hello.Version != wire.Version {
-		c.out.send(wire.Error{Code: wire.CodeVersion,
+		c.finish(wire.Error{Code: wire.CodeVersion,
 			Msg: fmt.Sprintf("protocol version %d not supported (server speaks %d)", hello.Version, wire.Version)}.Append(nil))
-		c.out.closeWhenDrained()
 		return
 	}
-	c.out.send(wire.HelloOK{Version: wire.Version, Window: uint64(c.srv.opts.Window)}.Append(nil))
+	c.out.Send(wire.HelloOK{Version: wire.Version, Window: uint64(c.srv.opts.Window)}.Append(nil))
 
 	for {
-		typ, payload, buf, err = wire.ReadFrame(c.nc, buf)
+		typ, payload, err = c.rd.Next()
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				c.protocolError(0, err)
+				c.protocolError(err)
 			}
 			return
 		}
 		if !c.dispatch(typ, payload) {
 			return
 		}
+		if !c.rd.Buffered() {
+			c.flush()
+		}
 	}
 }
 
-// dispatch handles one frame; false ends the session.
+// flush submits the burst collected so far as one batch.
+func (c *conn) flush() {
+	if len(c.burst) == 0 {
+		return
+	}
+	c.srv.exec.SubmitBatch(c.burst)
+	clear(c.burst)
+	c.burst = c.burst[:0]
+}
+
+// dispatch handles one frame; false ends the session. QUERY/EXEC frames only
+// join the burst; every other frame first submits the burst collected so
+// far, so frames take effect in the order the peer sent them and nothing
+// waits unsubmitted behind a PREPARE's pipeline quiesce.
 func (c *conn) dispatch(typ wire.Type, payload []byte) bool {
+	if typ != wire.TQuery && typ != wire.TExec {
+		c.flush()
+	}
 	switch typ {
 	case wire.TPrepare:
 		m, err := wire.DecodePrepare(payload)
 		if err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
 		c.handlePrepare(m)
 	case wire.TQuery, wire.TExec:
 		m, err := wire.DecodeStmtCall(payload)
 		if err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
 		c.handleStmtCall(m, typ == wire.TQuery)
 	case wire.TQuerySQL, wire.TExecSQL:
 		m, err := wire.DecodeSQLCall(payload)
 		if err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
 		c.handleSQLCall(m, typ == wire.TQuerySQL)
 	case wire.TCloseStmt:
 		m, err := wire.DecodeRef(payload)
 		if err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
 		// Handles are session-local names for registry statements; closing
@@ -132,80 +211,77 @@ func (c *conn) dispatch(typ wire.Type, payload []byte) bool {
 	case wire.TSubscribe:
 		m, err := wire.DecodeSQLCall(payload)
 		if err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
 		c.handleSubscribe(m)
 	case wire.TUnsubscribe:
 		m, err := wire.DecodeRef(payload)
 		if err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
 		sub, ok := c.subs[m.Ref]
 		if !ok {
-			c.out.send(wire.Error{ID: m.ID, Code: wire.CodeUnknownSub,
+			c.out.Send(wire.Error{ID: m.ID, Code: wire.CodeUnknownSub,
 				Msg: fmt.Sprintf("no subscription %d", m.Ref)}.Append(nil))
 			return true
 		}
 		sub.Close()
 		delete(c.subs, m.Ref)
-		c.out.send(wire.ExecOK{ID: m.ID}.Append(nil))
+		c.out.Send(wire.ExecOK{ID: m.ID}.Append(nil))
 	case wire.TStats:
 		m, err := wire.DecodeSimple(payload)
 		if err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
-		c.out.send(statsFrame(m.ID, c.srv.db.Stats()))
+		c.out.Send(statsFrame(m.ID, c.srv.db.Stats()))
 	case wire.TPing:
 		m, err := wire.DecodeSimple(payload)
 		if err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
-		c.out.send(wire.Simple{ID: m.ID}.Append(nil, wire.TPong))
+		c.out.Send(wire.Simple{ID: m.ID}.Append(nil, wire.TPong))
 	case wire.TQuit:
 		if err := wire.DecodeEmpty(payload); err != nil {
-			c.protocolError(0, err)
+			c.protocolError(err)
 			return false
 		}
-		c.out.send(wire.AppendEmpty(nil, wire.TBye))
-		c.out.closeWhenDrained()
+		c.finish(wire.AppendEmpty(nil, wire.TBye))
 		return false
 	default:
-		c.protocolError(0, fmt.Errorf("unexpected frame %v", typ))
+		c.protocolError(fmt.Errorf("unexpected frame %v", typ))
 		return false
 	}
 	return true
 }
 
 func (c *conn) handlePrepare(m wire.Prepare) {
-	st, err := c.srv.prepare(m.SQL)
+	h, err := c.srv.prepare(m.SQL)
 	if err != nil {
 		c.fail(m.ID, err)
 		return
 	}
 	c.nextStmt++
-	h := c.nextStmt
-	c.stmts[h] = st
-	c.out.send(wire.PrepareOK{ID: m.ID, Stmt: h, NumParams: uint64(st.NumParams),
-		IsWrite: st.IsWrite(), Columns: schemaColumns(st.OutSchema)}.Append(nil))
+	c.stmts[c.nextStmt] = h
+	c.out.Send(wire.PrepareOK{ID: m.ID, Stmt: c.nextStmt, NumParams: uint64(h.st.NumParams),
+		IsWrite: h.st.IsWrite(), Columns: h.cols}.Append(nil))
 }
 
-// handleStmtCall is the pipelined hot path: resolve the handle, submit
-// asynchronously, hand the pending result to a waiter goroutine, and go
-// straight back to reading. A window of identical queries is therefore
-// pending in the engine simultaneously — which is what lets the fold index
-// collapse them into one activation.
+// handleStmtCall is the pipelined hot path: resolve the handle, add the call
+// to the burst, and go straight back to decoding. A window of identical
+// queries therefore enters the engine in one SubmitBatch — which is what
+// lets the fold index collapse them into one activation.
 func (c *conn) handleStmtCall(m wire.StmtCall, isQuery bool) {
-	st, ok := c.stmts[m.Stmt]
+	h, ok := c.stmts[m.Stmt]
 	if !ok {
-		c.out.send(wire.Error{ID: m.ID, Code: wire.CodeUnknownStmt,
+		c.out.Send(wire.Error{ID: m.ID, Code: wire.CodeUnknownStmt,
 			Msg: fmt.Sprintf("no prepared statement %d", m.Stmt)}.Append(nil))
 		return
 	}
-	c.submit(m.ID, st, m.Params, isQuery)
+	c.submit(m.ID, h, m.Params, isQuery)
 }
 
 // handleSQLCall is the ad-hoc path: DDL applies synchronously (it is not
@@ -221,7 +297,7 @@ func (c *conn) handleSQLCall(m wire.SQLCall, isQuery bool) {
 				rows = append(rows, types.Row{types.NewString(l)})
 			}
 		}
-		c.out.send(rowFrames(m.ID, []string{"plan"}, rows))
+		c.out.Send(appendCursor(nil, m.ID, []string{"plan"}, rows))
 		return
 	}
 	if !isQuery {
@@ -236,16 +312,16 @@ func (c *conn) handleSQLCall(m wire.SQLCall, isQuery bool) {
 				c.fail(m.ID, err)
 				return
 			}
-			c.out.send(wire.ExecOK{ID: m.ID}.Append(nil))
+			c.out.Send(wire.ExecOK{ID: m.ID}.Append(nil))
 			return
 		}
 	}
-	st, err := c.srv.prepare(m.SQL)
+	h, err := c.srv.prepare(m.SQL)
 	if err != nil {
 		c.fail(m.ID, err)
 		return
 	}
-	c.submit(m.ID, st, m.Params, isQuery)
+	c.submit(m.ID, h, m.Params, isQuery)
 }
 
 // isExplainPlan matches "EXPLAIN PLAN" in any case and spacing, without
@@ -256,61 +332,64 @@ func isExplainPlan(sqlText string) bool {
 		t[7] <= ' ' && strings.EqualFold(strings.TrimSpace(t[7:]), "PLAN")
 }
 
-func (c *conn) submit(id uint64, st *plan.Statement, params []types.Value, isQuery bool) {
-	if isQuery && st.IsWrite() {
-		c.out.send(wire.Error{ID: id, Code: wire.CodeBadRequest,
+// submit validates one call, takes a window slot for it and adds it to the
+// burst.
+func (c *conn) submit(id uint64, h *stmtHandle, params []types.Value, isQuery bool) {
+	if isQuery && h.st.IsWrite() {
+		c.out.Send(wire.Error{ID: id, Code: wire.CodeBadRequest,
 			Msg: "QUERY on a write statement"}.Append(nil))
 		return
 	}
-	if len(params) != st.NumParams {
-		c.out.send(wire.Error{ID: id, Code: wire.CodeBadRequest,
-			Msg: fmt.Sprintf("statement wants %d params, got %d", st.NumParams, len(params))}.Append(nil))
+	if len(params) != h.st.NumParams {
+		c.out.Send(wire.Error{ID: id, Code: wire.CodeBadRequest,
+			Msg: fmt.Sprintf("statement wants %d params, got %d", h.st.NumParams, len(params))}.Append(nil))
 		return
 	}
-	c.sem <- struct{}{} // acquire window slot; parks the reader when full
-	res := c.srv.exec.Submit(st, params)
-	c.srv.wg.Add(1)
-	go func() {
-		defer c.srv.wg.Done()
-		defer func() { <-c.sem }()
-		c.await(id, res, isQuery)
-	}()
+	r := c.acquire()
+	r.id, r.cols, r.query = id, h.cols, isQuery
+	res := core.NewHookedResult(r)
+	r.res.Store(res)
+	c.burst = append(c.burst, core.Call{Stmt: h.st, Params: params, Result: res})
 }
 
-// await is the waiter: it blocks on the engine result and enqueues the
-// response frames. Waiters finish in engine-completion order, not request
-// order — that is the protocol's out-of-order completion.
-func (c *conn) await(id uint64, res *core.Result, isQuery bool) {
-	if err := res.Wait(); err != nil {
-		c.fail(id, err)
-		return
+// acquire takes a window slot: a free one, else a new one while the window
+// has room. With the whole window in flight it submits the burst collected
+// so far — only submitted requests ever free a slot — and parks until the
+// flusher releases one.
+func (c *conn) acquire() *reply {
+	select {
+	case r := <-c.free:
+		return r
+	default:
 	}
-	if !isQuery {
-		c.out.send(wire.ExecOK{ID: id, RowsAffected: uint64(res.RowsAffected)}.Append(nil))
-		return
+	if len(c.slots) < cap(c.free) {
+		r := &reply{c: c}
+		c.slots = append(c.slots, r)
+		return r
 	}
-	c.out.send(rowFrames(id, schemaColumns(res.Schema), res.Rows))
+	c.flush()
+	return <-c.free
 }
 
-// rowFrames encodes one streamed cursor: header, batches of at most
-// rowsPerBatch rows and the terminal frame, in one buffer that is enqueued as a unit so
-// frames from concurrent waiters never interleave inside a response.
-func rowFrames(id uint64, columns []string, rows []types.Row) []byte {
-	frames := wire.RowsHeader{ID: id, Columns: columns}.Append(nil)
+// appendCursor encodes one streamed result: header, batches of at most
+// rowsPerBatch rows and the terminal frame, contiguously, so frames of
+// different responses never interleave.
+func appendCursor(dst []byte, id uint64, columns []string, rows []types.Row) []byte {
+	dst = wire.RowsHeader{ID: id, Columns: columns}.Append(dst)
 	for off := 0; off < len(rows); off += rowsPerBatch {
 		end := min(off+rowsPerBatch, len(rows))
-		frames = wire.RowBatch{ID: id, Rows: rows[off:end]}.Append(frames)
+		dst = wire.RowBatch{ID: id, Rows: rows[off:end]}.Append(dst)
 	}
-	return wire.RowsDone{ID: id, Total: uint64(len(rows))}.Append(frames)
+	return wire.RowsDone{ID: id, Total: uint64(len(rows))}.Append(dst)
 }
 
 func (c *conn) handleSubscribe(m wire.SQLCall) {
-	st, err := c.srv.prepare(m.SQL)
+	h, err := c.srv.prepare(m.SQL)
 	if err != nil {
 		c.fail(m.ID, err)
 		return
 	}
-	sub, err := c.srv.exec.Subscribe(st, m.Params)
+	sub, err := c.srv.exec.Subscribe(h.st, m.Params)
 	if err != nil {
 		c.fail(m.ID, err)
 		return
@@ -318,45 +397,73 @@ func (c *conn) handleSubscribe(m wire.SQLCall) {
 	c.nextSub++
 	id := c.nextSub
 	c.subs[id] = sub
-	c.out.send(wire.SubOK{ID: m.ID, Sub: id}.Append(nil))
+	c.out.Send(wire.SubOK{ID: m.ID, Sub: id}.Append(nil))
 	c.srv.wg.Add(1)
 	go func() {
 		defer c.srv.wg.Done()
 		for u := range sub.Updates() {
-			c.out.send(wire.SubPush{Sub: id, Gen: u.Gen, Full: u.Full,
+			c.out.Send(wire.SubPush{Sub: id, Gen: u.Gen, Full: u.Full,
 				Rows: u.Rows, Added: u.Added, Removed: u.Removed}.Append(nil))
 		}
 	}()
 }
 
-// fail translates an engine error: admission rejections become BUSY frames
-// carrying the RetryAfter hint, everything else an INTERNAL error frame.
+// fail answers a request the engine never saw with its error.
 func (c *conn) fail(id uint64, err error) {
+	c.out.Send(appendFailure(nil, id, err))
+}
+
+// appendFailure translates an engine error: admission rejections become BUSY
+// frames carrying the RetryAfter hint, everything else an INTERNAL error
+// frame.
+func appendFailure(dst []byte, id uint64, err error) []byte {
 	var oe *shareddb.OverloadError
 	if errors.As(err, &oe) {
 		retry := oe.RetryAfter
 		if retry <= 0 {
 			retry = 1
 		}
-		c.out.send(wire.Busy{ID: id, RetryAfterNs: uint64(retry), Reason: oe.Reason}.Append(nil))
-		return
+		return wire.Busy{ID: id, RetryAfterNs: uint64(retry), Reason: oe.Reason}.Append(dst)
 	}
-	c.out.send(wire.Error{ID: id, Code: wire.CodeInternal, Msg: err.Error()}.Append(nil))
+	return wire.Error{ID: id, Code: wire.CodeInternal, Msg: err.Error()}.Append(dst)
 }
 
 // protocolError reports malformed input and ends the session.
-func (c *conn) protocolError(id uint64, err error) {
-	c.out.send(wire.Error{ID: id, Code: wire.CodeBadRequest, Msg: err.Error()}.Append(nil))
-	c.out.closeWhenDrained()
+func (c *conn) protocolError(err error) {
+	c.finish(wire.Error{Code: wire.CodeBadRequest, Msg: err.Error()}.Append(nil))
 }
 
-// teardown closes the session's standing queries and the socket. Waiters
-// still in flight drain into the dead outbox harmlessly.
+// finish ends the session in order: everything decoded before the final
+// frame is submitted and answered first — the reader collects every slot it
+// ever made, which the flusher frees only after encoding the slot's
+// response — then last goes out and the connection closes behind it.
+func (c *conn) finish(last []byte) {
+	c.flush()
+	for range c.slots {
+		<-c.free
+	}
+	c.out.Send(last)
+	c.out.CloseWhenDrained()
+}
+
+// errPeerGone abandons the requests of a connection that went away.
+var errPeerGone = errors.New("server: connection closed")
+
+// teardown closes the session's standing queries and the socket, and
+// abandons whatever is still in flight: nobody will read those responses,
+// so requests still queued vacate at the next batch formation instead of
+// costing a generation their activations (a lead other connections folded
+// into still runs). After an orderly finish nothing is in flight.
 func (c *conn) teardown() {
+	for _, r := range c.slots {
+		if res := r.res.Load(); res != nil {
+			res.Abandon(errPeerGone)
+		}
+	}
 	for _, sub := range c.subs {
 		sub.Close()
 	}
-	c.out.closeWhenDrained()
+	c.out.CloseWhenDrained()
 }
 
 func schemaColumns(s *types.Schema) []string {
@@ -389,87 +496,4 @@ func statsFrame(id uint64, st shareddb.Stats) []byte {
 		{Name: "subscriptions_active", Value: uint64(st.SubscriptionsActive)},
 		{Name: "subscription_updates", Value: st.SubscriptionUpdates},
 	}}.Append(nil)
-}
-
-// outbox is the connection's coalescing write path. Senders append
-// complete frames under the lock; the first sender finding no flusher
-// running starts one. While a flush syscall is in flight every other
-// completion lands in the pending buffer and ships in the next syscall —
-// under fan-in load, response writes amortize across completions instead
-// of costing one syscall each.
-type outbox struct {
-	nc net.Conn
-
-	mu       sync.Mutex
-	queue    []byte
-	spare    []byte // recycled flush buffer
-	flushing bool
-	closing  bool // close nc once the queue drains
-	err      error
-}
-
-func newOutbox(nc net.Conn) *outbox { return &outbox{nc: nc} }
-
-// send enqueues one or more complete frames for writing.
-func (o *outbox) send(frames []byte) {
-	o.mu.Lock()
-	if o.err != nil || o.closing {
-		o.mu.Unlock()
-		return
-	}
-	o.queue = append(o.queue, frames...)
-	if !o.flushing {
-		o.flushing = true
-		go o.flushLoop()
-	}
-	o.mu.Unlock()
-}
-
-// closeWhenDrained closes the socket after everything already enqueued has
-// been written (or immediately when the outbox is idle or dead). Frames
-// sent after this are dropped.
-func (o *outbox) closeWhenDrained() {
-	o.mu.Lock()
-	if o.closing {
-		o.mu.Unlock()
-		return
-	}
-	o.closing = true
-	idle := !o.flushing
-	o.mu.Unlock()
-	if idle {
-		o.nc.Close()
-	}
-}
-
-func (o *outbox) flushLoop() {
-	for {
-		o.mu.Lock()
-		if len(o.queue) == 0 || o.err != nil {
-			closing := o.closing
-			o.flushing = false
-			o.mu.Unlock()
-			if closing {
-				o.nc.Close()
-			}
-			return
-		}
-		buf := o.queue
-		o.queue = o.spare[:0]
-		o.mu.Unlock()
-
-		_, err := o.nc.Write(buf)
-
-		o.mu.Lock()
-		o.spare = buf[:0]
-		if err != nil && o.err == nil {
-			o.err = err
-			o.queue = nil
-		}
-		o.mu.Unlock()
-		if err != nil {
-			// The peer is gone; unblock the reader too.
-			o.nc.Close()
-		}
-	}
 }

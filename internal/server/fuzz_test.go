@@ -57,21 +57,45 @@ func serverSeeds() [][]byte {
 		withHello(wire.StmtCall{ID: 6, Stmt: 999, Params: seedRow()}.Append(nil, wire.TQuery)),
 		withHello(wire.Ref{ID: 7, Ref: 999}.Append(nil, wire.TUnsubscribe)),
 		withHello(wire.Ref{ID: 8, Ref: 1}.Append(nil, wire.TCloseStmt)),
+		// Bursts: a prepared handle queried past the window of 4, control
+		// frames between the queries, and a valid prefix ahead of garbage.
+		withHello(burstSeed(6, nil)),
+		withHello(burstSeed(3, wire.AppendEmpty(nil, wire.TQuit))),
+		withHello(burstSeed(2, []byte{0x00, 0x00, 0x00, 0x00})),
+		withHello(burstSeed(5, wire.SQLCall{ID: 40, SQL: "SELECT id FROM fz WHERE id > ?",
+			Params: []types.Value{types.NewInt(0)}}.Append(nil, wire.TSubscribe))),
 		withHello([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF}),
 		{0x00, 0x00, 0x00, 0x00},
 		{0xde, 0xad, 0xbe, 0xef},
 	}
 }
 
-// FuzzServerBytes feeds arbitrary byte streams to a live connection: the
+// burstSeed is PREPARE, then n pipelined queries on the handle with a
+// CLOSE_STMT of another handle and a PING between them, then tail.
+func burstSeed(n int, tail []byte) []byte {
+	b := wire.Prepare{ID: 1, SQL: "SELECT id, s FROM fz WHERE id = ?"}.Append(nil)
+	for i := 0; i < n; i++ {
+		b = wire.StmtCall{ID: uint64(10 + i), Stmt: 1, Params: []types.Value{types.NewInt(int64(i % 3))}}.Append(b, wire.TQuery)
+		if i == 1 {
+			b = wire.Ref{Ref: 7}.Append(b, wire.TCloseStmt)
+			b = wire.Simple{ID: 30}.Append(b, wire.TPing)
+		}
+	}
+	return append(b, tail...)
+}
+
+// FuzzServerBytes feeds arbitrary byte streams to a live connection, in two
+// writes split at a fuzzed position (net.Pipe hands the server each write
+// as one read, so the split lands frames and bursts across reads): the
 // server must never panic and must always release the connection (the
 // reader returning closes it). net.Pipe is synchronous, so a drain
 // goroutine consumes whatever the server writes back.
 func FuzzServerBytes(f *testing.F) {
-	for _, seed := range serverSeeds() {
-		f.Add(seed)
+	for i, seed := range serverSeeds() {
+		f.Add(seed, uint16(0))
+		f.Add(seed, uint16(7*i+5))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, split uint16) {
 		srv := fuzzTarget(t)
 		cli, srvEnd := net.Pipe()
 		srv.ServeConn(srvEnd)
@@ -80,7 +104,12 @@ func FuzzServerBytes(f *testing.F) {
 			defer close(done)
 			io.Copy(io.Discard, cli) // unblock the server's flusher
 		}()
-		cli.Write(data) // error (server closed early) is a valid outcome
+		cut := 0
+		if len(data) > 0 {
+			cut = int(split) % len(data)
+		}
+		cli.Write(data[:cut]) // error (server closed early) is a valid outcome
+		cli.Write(data[cut:])
 		cli.Close()
 		<-done
 	})

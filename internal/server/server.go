@@ -3,21 +3,40 @@
 // engine submissions.
 //
 // The design goal is massive fan-in — the paper's thousand concurrent
-// queries arriving over a thousand sockets:
+// queries arriving over a thousand sockets — and the socket is run the way
+// the engine is: whatever queued while the last unit of work was in flight
+// is the next unit of work.
 //
-//   - Each connection costs one parked reader goroutine while idle (the
-//     runtime netpoller holds the socket; no per-connection write or timer
-//     goroutines exist until there is work to do).
-//   - The reader dispatches QUERY/EXEC frames straight into the engine's
-//     asynchronous Submit without waiting for results, bounded by a
-//     per-connection in-flight window. A full pipeline window therefore
-//     lands in the same pending queue, where identical queries from one
-//     window (or a thousand windows) fold into one activation.
-//   - Completions are written by short-lived waiter goroutines through a
-//     coalescing outbox: while one flush syscall is in flight, every other
-//     completion appends to the pending buffer and ships in the next
-//     syscall, so response writes amortize exactly like the engine's
-//     shared execution amortizes query work.
+//   - A read burst is the unit of work. The reader goroutine reads through
+//     a buffered frame reader (wire.Reader), so one read syscall delivers
+//     every frame the peer had pipelined. It decodes all of them, takes a
+//     window slot for each QUERY/EXEC, and hands the lot to the engine with
+//     one SubmitBatch: one engine-lock acquisition, one dispatcher wake-up.
+//     The burst's identical queries fold against each other and the whole
+//     burst lands in one generation. A burst of one (a connection with one
+//     request outstanding) is the same path with n = 1.
+//   - Completion costs no goroutine. Each submitted request carries a
+//     pre-allocated window slot as its result's completion hook; whichever
+//     engine goroutine finishes the result queues the slot on the
+//     connection's outbox. Responses therefore leave in engine-completion
+//     order, not request order.
+//   - One flush per burst of completions. The outbox's single flusher
+//     encodes every response that completed while its previous write was in
+//     flight straight into the buffer the next write sends, and frees each
+//     slot as it is encoded: a generation's worth of answers is one write
+//     syscall.
+//   - The window is the flow control. A connection with every slot in
+//     flight first submits what it has decoded, then stops reading until the
+//     flusher frees a slot — TCP back-pressure reaches the peer without a
+//     reject.
+//   - An idle connection costs one parked reader goroutine and a 4 KiB read
+//     buffer (the reader grows it to the largest frame it meets and decays
+//     it when bursts shrink) — 8.6 KB of heap and stack in all, measured
+//     over 1000 idle loopback connections with both socket ends in the
+//     process. Window slots are made as the pipelining depth needs them;
+//     no write or timer goroutine exists until there is something to
+//     write. A connection that goes away abandons what it still has queued,
+//     so dead clients cost no generation their activations.
 //   - Prepared statements live in a server-wide registry keyed by SQL
 //     text. Statement registration quiesces the generation pipeline, so a
 //     thousand clients preparing the same statement must pay that cost
@@ -31,7 +50,6 @@ import (
 
 	"shareddb"
 	"shareddb/internal/core"
-	"shareddb/internal/plan"
 )
 
 // Options tunes the front end.
@@ -60,12 +78,12 @@ type Server struct {
 	opts Options
 
 	mu     sync.Mutex
-	stmts  map[string]*plan.Statement // shared registry, keyed by SQL text
+	stmts  map[string]*stmtHandle // shared registry, keyed by SQL text
 	conns  map[*conn]struct{}
 	lns    map[net.Listener]struct{}
 	closed bool
 
-	wg sync.WaitGroup // readers, waiters, pushers, flushers
+	wg sync.WaitGroup // readers and subscription pushers
 }
 
 // New builds a Server around an open DB. The caller keeps ownership of the
@@ -81,7 +99,7 @@ func New(db *shareddb.DB, opts Options) *Server {
 		db:    db,
 		exec:  db.Engine(),
 		opts:  opts,
-		stmts: map[string]*plan.Statement{},
+		stmts: map[string]*stmtHandle{},
 		conns: map[*conn]struct{}{},
 		lns:   map[net.Listener]struct{}{},
 	}
@@ -164,12 +182,12 @@ func (s *Server) Close() error {
 // statement from stalling the engine a thousand times. The breaker peek
 // (AdmitStatement) runs before registration exactly like the in-process
 // ad-hoc path.
-func (s *Server) prepare(sqlText string) (*plan.Statement, error) {
+func (s *Server) prepare(sqlText string) (*stmtHandle, error) {
 	s.mu.Lock()
-	st, ok := s.stmts[sqlText]
+	h, ok := s.stmts[sqlText]
 	s.mu.Unlock()
 	if ok {
-		return st, nil
+		return h, nil
 	}
 	if err := s.exec.AdmitStatement(sqlText); err != nil {
 		return nil, err
@@ -179,13 +197,13 @@ func (s *Server) prepare(sqlText string) (*plan.Statement, error) {
 		return nil, err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	// Two racers both prepared: keep the first registration (both handles
 	// are valid; keeping one makes handle identity stable).
 	if prior, ok := s.stmts[sqlText]; ok {
-		st = prior
-	} else {
-		s.stmts[sqlText] = st
+		return prior, nil
 	}
-	s.mu.Unlock()
-	return st, nil
+	h = &stmtHandle{st: st, cols: schemaColumns(st.OutSchema)}
+	s.stmts[sqlText] = h
+	return h, nil
 }

@@ -56,17 +56,37 @@ func mustExec(db *shareddb.DB, sqlText string, args ...interface{}) {
 // TestPipelinedDifferential pins the protocol's core correctness claim:
 // N queries pipelined on ONE connection return bit-identical rows to the
 // same N queries issued over N sequential, separate connections. Out-of-
-// order completion, window scheduling and fold fan-out must never change
-// what any individual caller sees.
+// order completion, window scheduling, burst submission and fold fan-out
+// must never change what any individual caller sees — including when a
+// whole-table scan shares its bursts with point reads, and when a statement
+// quota sheds part of every burst to a later generation so the burst's
+// answers come back out of order.
 func TestPipelinedDifferential(t *testing.T) {
-	addr, _ := startServer(t,
-		shareddb.Config{MaxInFlightGenerations: 1},
-		Options{Window: 8}, seedItems(40))
+	for name, cfg := range map[string]shareddb.Config{
+		"serial generations":   {MaxInFlightGenerations: 1},
+		"quota sheds the scan": {MaxInFlightGenerations: 1, StatementQuota: 2},
+	} {
+		t.Run(name, func(t *testing.T) { pipelinedDifferential(t, cfg) })
+	}
+}
 
-	const q = `SELECT i_id, i_title, i_stock FROM item WHERE i_title LIKE ?`
-	params := make([]string, 24)
-	for i := range params {
-		params[i] = fmt.Sprintf("Title %02d%%", i%6)
+func pipelinedDifferential(t *testing.T, cfg shareddb.Config) {
+	addr, _ := startServer(t, cfg, Options{Window: 8}, seedItems(40))
+
+	const scan = `SELECT i_id, i_title, i_stock FROM item WHERE i_title LIKE ?`
+	type query struct {
+		sql   string
+		param interface{}
+	}
+	var queries []query
+	for i := 0; i < 24; i++ {
+		queries = append(queries, query{scan, fmt.Sprintf("Title %02d%%", i%6)})
+		if i%3 == 0 {
+			queries = append(queries, query{pointSQL, i})
+		}
+		if i%8 == 0 {
+			queries = append(queries, query{scan, "Title%"}) // the slow one: every row
+		}
 	}
 
 	// Pipelined: one connection, all queries in flight concurrently.
@@ -75,25 +95,27 @@ func TestPipelinedDifferential(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	defer db.Close()
-	stmt, err := db.Prepare(q)
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
+	stmts := map[string]*client.Stmt{}
+	for _, text := range []string{scan, pointSQL} {
+		if stmts[text], err = db.Prepare(text); err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
 	}
-	pipelined := make([][]types.Row, len(params))
+	pipelined := make([][]types.Row, len(queries))
 	var wg sync.WaitGroup
-	errs := make([]error, len(params))
-	for i, p := range params {
+	errs := make([]error, len(queries))
+	for i, q := range queries {
 		wg.Add(1)
-		go func(i int, p string) {
+		go func(i int, q query) {
 			defer wg.Done()
-			rows, err := stmt.Query(p)
+			rows, err := stmts[q.sql].Query(q.param)
 			if err != nil {
 				errs[i] = err
 				return
 			}
 			pipelined[i] = rows.All()
 			errs[i] = rows.Err()
-		}(i, p)
+		}(i, q)
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -103,12 +125,12 @@ func TestPipelinedDifferential(t *testing.T) {
 	}
 
 	// Sequential: a fresh connection per query.
-	for i, p := range params {
+	for i, q := range queries {
 		one, err := client.Open(addr)
 		if err != nil {
 			t.Fatalf("sequential open %d: %v", i, err)
 		}
-		rows, err := one.Query(q, p)
+		rows, err := one.Query(q.sql, q.param)
 		if err != nil {
 			one.Close()
 			t.Fatalf("sequential query %d: %v", i, err)
@@ -119,9 +141,9 @@ func TestPipelinedDifferential(t *testing.T) {
 			t.Fatalf("sequential rows %d: %v", i, err)
 		}
 		one.Close()
-		if !reflect.DeepEqual(got, pipelined[i]) {
-			t.Fatalf("query %d (%q): pipelined and sequential results differ\npipelined: %v\nsequential: %v",
-				i, p, pipelined[i], got)
+		if len(got) == 0 || !reflect.DeepEqual(got, pipelined[i]) {
+			t.Fatalf("query %d (%v): pipelined and sequential results differ\npipelined: %v\nsequential: %v",
+				i, q.param, pipelined[i], got)
 		}
 	}
 }
@@ -195,15 +217,17 @@ func TestMalformedInput(t *testing.T) {
 	oversized := make([]byte, 4)
 	binary.LittleEndian.PutUint32(oversized, wire.MaxFrame+1)
 	cases := map[string][]byte{
-		"raw garbage":         {0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03},
-		"zero length frame":   {0, 0, 0, 0},
-		"oversized frame":     oversized,
-		"bad first frame":     wire.Simple{ID: 1}.Append(nil, wire.TPing),
-		"bogus frame type":    {2, 0, 0, 0, 0x7F, 0x00},
-		"truncated hello":     wire.Hello{Version: wire.Version, Window: 4}.Append(nil)[:5],
-		"trailing payload":    append(wire.Hello{Version: wire.Version, Window: 4}.Append(nil), 9, 0, 0, 0, byte(wire.TPing), 1, 0xFF, 0xFF, 0xFF, 0xFF),
-		"server-only frame":   append(wire.Hello{Version: wire.Version, Window: 4}.Append(nil), wire.ExecOK{ID: 1}.Append(nil)...),
-		"wrong hello version": wire.Hello{Version: 99, Window: 4}.Append(nil),
+		"raw garbage":                  {0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03},
+		"zero length frame":            {0, 0, 0, 0},
+		"oversized frame":              oversized,
+		"bad first frame":              wire.Simple{ID: 1}.Append(nil, wire.TPing),
+		"bogus frame type":             {2, 0, 0, 0, 0x7F, 0x00},
+		"truncated hello":              wire.Hello{Version: wire.Version, Window: 4}.Append(nil)[:5],
+		"trailing payload":             append(wire.Hello{Version: wire.Version, Window: 4}.Append(nil), 9, 0, 0, 0, byte(wire.TPing), 1, 0xFF, 0xFF, 0xFF, 0xFF),
+		"server-only frame":            append(wire.Hello{Version: wire.Version, Window: 4}.Append(nil), wire.ExecOK{ID: 1}.Append(nil)...),
+		"wrong hello version":          wire.Hello{Version: 99, Window: 4}.Append(nil),
+		"burst then zero length frame": append(helloPrepareAndQueries(6), 0, 0, 0, 0),
+		"burst then bogus frame type":  append(helloPrepareAndQueries(3), 2, 0, 0, 0, 0x7F, 0x00),
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -236,6 +260,14 @@ func TestMalformedInput(t *testing.T) {
 	if err := db.Ping(context.Background()); err != nil {
 		t.Fatalf("ping after malformed input: %v", err)
 	}
+}
+
+// helloPrepareAndQueries is a well-formed session opening: HELLO, PREPARE of
+// a point read (handle 1), then n pipelined queries on it.
+func helloPrepareAndQueries(n int) []byte {
+	b := wire.Hello{Version: wire.Version, Window: 4}.Append(nil)
+	b = wire.Prepare{ID: 1, SQL: pointSQL}.Append(b)
+	return append(b, pointQueries(1, 10, seq(n)...)...)
 }
 
 // TestSubscribePush drives the standing-query path end to end: SUB_OK,

@@ -385,24 +385,30 @@ func (r *Router) shardFor(keyExprs []expr.Expr, params []types.Value) int {
 	return r.part.ShardOf(keys...)
 }
 
-func failedResult(err error) *core.Result {
-	res := core.NewPendingResult()
+// fail completes res (a fresh result when nil) with err.
+func fail(res *core.Result, err error) *core.Result {
+	if res == nil {
+		res = core.NewPendingResult()
+	}
 	res.Complete(err)
 	return res
 }
 
 // tryRouterFold attaches a new submission to a pending identical
-// multi-shard read, returning the subscriber's result on a hit. The
-// fingerprint is a prefilter — identity is verified by exact SQL text and
-// bit-identical parameters, like the engine's fold index.
-func (r *Router) tryRouterFold(fp uint64, sqlText string, params []types.Value) *core.Result {
+// multi-shard read, returning the subscriber's result (res, or a fresh one
+// when res is nil) on a hit. The fingerprint is a prefilter — identity is
+// verified by exact SQL text and bit-identical parameters, like the engine's
+// fold index.
+func (r *Router) tryRouterFold(fp uint64, sqlText string, params []types.Value, res *core.Result) *core.Result {
 	r.gmu.Lock()
 	defer r.gmu.Unlock()
 	for _, g := range r.gathers[fp] {
 		if g.sql != sqlText || !core.IdenticalParams(g.params, params) {
 			continue
 		}
-		res := core.NewPendingResult()
+		if res == nil {
+			res = core.NewPendingResult()
+		}
 		if g.fan.Attach(res) {
 			r.folded++
 			return res
@@ -441,20 +447,38 @@ func (r *Router) dropGather(fp uint64, g *gatherEntry) {
 // the owning shard engine; broadcast statements scatter to every shard and
 // gather through the statement's merge spec.
 func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result {
+	return r.submit(stmt, params, nil)
+}
+
+// SubmitBatch hands a burst to the engine whole when there is one shard;
+// otherwise each call routes exactly as Submit routes it.
+func (r *Router) SubmitBatch(calls []core.Call) {
 	if r.single {
-		return r.engines[0].Submit(stmt, params)
+		r.engines[0].SubmitBatch(calls)
+		return
+	}
+	for i := range calls {
+		c := &calls[i]
+		c.Result = r.submit(c.Stmt, c.Params, c.Result)
+	}
+}
+
+// submit routes one activation, completing res (a fresh result when nil).
+func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Result) *core.Result {
+	if r.single {
+		return r.engines[0].SubmitHooked(core.Call{Stmt: stmt, Params: params, Result: res}, nil)
 	}
 	r.mu.RLock()
 	rs := r.stmts[stmt]
 	r.mu.RUnlock()
 	if rs == nil {
-		return failedResult(errors.New("shard: statement was not prepared on this router"))
+		return fail(res, errors.New("shard: statement was not prepared on this router"))
 	}
 	sp := rs.sp
 	switch sp.Route {
 	case sql.RoutePoint:
 		s := r.shardFor(sp.KeyExprs, params)
-		return r.engines[s].Submit(rs.perShard[s], params)
+		return r.engines[s].SubmitHooked(core.Call{Stmt: rs.perShard[s], Params: params, Result: res}, nil)
 	case sql.RouteAny:
 		// Replicated-only read: every shard holds the data; round-robin
 		// spreads the load (this is where replicated reads scale linearly
@@ -464,13 +488,13 @@ func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result
 		// them first, and only the lead is submitted.
 		if r.gathers != nil {
 			fp := core.FoldFingerprint(stmt.SQL, params)
-			if sub := r.tryRouterFold(fp, stmt.SQL, params); sub != nil {
+			if sub := r.tryRouterFold(fp, stmt.SQL, params, res); sub != nil {
 				return sub
 			}
 			g := &gatherEntry{sql: stmt.SQL, params: params, fan: core.NewFanout()}
 			r.addGather(fp, g)
 			s := int(r.rr.Add(1) % uint64(len(r.engines)))
-			lead := r.engines[s].SubmitHooked(rs.perShard[s], params,
+			lead := r.engines[s].SubmitHooked(core.Call{Stmt: rs.perShard[s], Params: params, Result: res},
 				func() { r.dropGather(fp, g) })
 			go func() {
 				<-lead.Done()
@@ -480,7 +504,7 @@ func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result
 			return lead
 		}
 		s := int(r.rr.Add(1) % uint64(len(r.engines)))
-		return r.engines[s].Submit(rs.perShard[s], params)
+		return r.engines[s].SubmitHooked(core.Call{Stmt: rs.perShard[s], Params: params, Result: res}, nil)
 	}
 	// Scatter to all shards. Writes enqueue under wmu so every shard sees
 	// concurrent broadcast writes in the same arrival order — and admit
@@ -506,7 +530,7 @@ func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result
 	var gather *gatherEntry
 	if r.gathers != nil && sp.Write == nil {
 		foldFP = core.FoldFingerprint(stmt.SQL, params)
-		if sub := r.tryRouterFold(foldFP, stmt.SQL, params); sub != nil {
+		if sub := r.tryRouterFold(foldFP, stmt.SQL, params, res); sub != nil {
 			return sub
 		}
 		gather = &gatherEntry{sql: stmt.SQL, params: params, fan: core.NewFanout()}
@@ -521,7 +545,7 @@ func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result
 					r.engines[j].AdmitRelease()
 				}
 				r.wmu.Unlock()
-				return failedResult(err)
+				return fail(res, err)
 			}
 		}
 		for i, e := range r.engines {
@@ -531,14 +555,16 @@ func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result
 	} else if gather != nil {
 		hook := func() { r.dropGather(foldFP, gather) }
 		for i, e := range r.engines {
-			subs[i] = e.SubmitHooked(rs.perShard[i], params, hook)
+			subs[i] = e.SubmitHooked(core.Call{Stmt: rs.perShard[i], Params: params}, hook)
 		}
 	} else {
 		for i, e := range r.engines {
 			subs[i] = e.Submit(rs.perShard[i], params)
 		}
 	}
-	res := core.NewPendingResult()
+	if res == nil {
+		res = core.NewPendingResult()
+	}
 	res.Schema = sp.OutSchema
 	go func() {
 		// Partial-admission merge for scatter reads: a shard rejecting with
@@ -755,11 +781,11 @@ func (r *Router) SubmitTx(tx core.Tx) *core.Result {
 	}
 	t, ok := tx.(*Tx)
 	if !ok || t.r != r {
-		return failedResult(errors.New("shard: SubmitTx requires a transaction from this router's BeginTx"))
+		return fail(nil, errors.New("shard: SubmitTx requires a transaction from this router's BeginTx"))
 	}
 	if t.err != nil {
 		t.Rollback()
-		return failedResult(t.err)
+		return fail(nil, t.err)
 	}
 	// Reserve a queue slot on every dirty shard before any shard enqueues:
 	// a commit rejected for overload on one shard must reject everywhere,
@@ -775,7 +801,7 @@ func (r *Router) SubmitTx(tx core.Tx) *core.Result {
 				}
 				r.wmu.Unlock()
 				t.Rollback()
-				return failedResult(err)
+				return fail(nil, err)
 			}
 			reserved = append(reserved, i)
 		}

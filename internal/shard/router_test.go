@@ -5,11 +5,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"shareddb/internal/baseline"
 	"shareddb/internal/core"
 	"shareddb/internal/expr"
+	"shareddb/internal/plan"
 	"shareddb/internal/storage"
 	"shareddb/internal/testutil"
 	"shareddb/internal/types"
@@ -453,5 +455,84 @@ func TestKeyHashCoercion(t *testing.T) {
 		if a != b {
 			t.Fatalf("INT %d routes to %d, FLOAT to %d", i, a, b)
 		}
+	}
+}
+
+// batchHook counts a hooked result's completions and announces each (the
+// hook runs after the result's waiters are released).
+type batchHook struct {
+	fired atomic.Int32
+	rang  chan struct{}
+}
+
+func (h *batchHook) Completed(*core.Result) {
+	h.fired.Add(1)
+	h.rang <- struct{}{}
+}
+
+// TestSubmitBatchRoutesEachCall: a burst through the router answers every
+// call exactly as Submit answers it — whichever way the call routes (point,
+// replicated-any, scatter, scatter duplicate folded before the scatter,
+// broadcast write, unprepared statement) — and completes the caller's own
+// hooked result, once.
+func TestSubmitBatchRoutesEachCall(t *testing.T) {
+	for _, shards := range shardCounts(t) {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			r := newRouterEnv(t, shards, core.Config{Workers: 1})
+			prep := func(sqlText string) *plan.Statement {
+				t.Helper()
+				s, err := r.Prepare(sqlText)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			point := prep("SELECT i_title FROM item WHERE i_id = ?")
+			anyShard := prep("SELECT a_lname FROM author WHERE a_id = ?")
+			scatter := prep("SELECT i_id FROM item WHERE i_subject = ?")
+			write := prep("UPDATE item SET i_price = ? WHERE i_subject = ?")
+
+			type want struct {
+				rows, affected int
+				failed         bool
+			}
+			calls := []core.Call{
+				{Stmt: point, Params: []types.Value{types.NewInt(7)}},
+				{Stmt: anyShard, Params: []types.Value{types.NewInt(3)}},
+				{Stmt: scatter, Params: []types.Value{types.NewString("ARTS")}},
+				{Stmt: scatter, Params: []types.Value{types.NewString("ARTS")}},
+				{Stmt: write, Params: []types.Value{types.NewFloat(1), types.NewString("COOKING")}},
+			}
+			wants := []want{{rows: 1}, {rows: 1}, {rows: 30}, {rows: 30}, {affected: 30}}
+			if shards > 1 { // a handle this router never prepared fails in the router
+				calls = append(calls, core.Call{Stmt: &plan.Statement{SQL: "SELECT 1"}})
+				wants = append(wants, want{failed: true})
+			}
+			hooks := make([]*batchHook, len(calls))
+			own := make([]*core.Result, len(calls))
+			for i := range calls {
+				hooks[i] = &batchHook{rang: make(chan struct{}, 4)}
+				own[i] = core.NewHookedResult(hooks[i])
+				calls[i].Result = own[i]
+			}
+			r.SubmitBatch(calls)
+			for i, c := range calls {
+				if c.Result != own[i] {
+					t.Fatalf("call %d: the router substituted the caller's result", i)
+				}
+				err := c.Result.Wait()
+				if (err != nil) != wants[i].failed {
+					t.Fatalf("call %d: err %v, want failure %v", i, err, wants[i].failed)
+				}
+				if len(c.Result.Rows) != wants[i].rows || c.Result.RowsAffected != wants[i].affected {
+					t.Fatalf("call %d: %d rows, %d affected, want %d and %d",
+						i, len(c.Result.Rows), c.Result.RowsAffected, wants[i].rows, wants[i].affected)
+				}
+				<-hooks[i].rang
+				if n := hooks[i].fired.Load(); n != 1 {
+					t.Fatalf("call %d: hook fired %d times, want 1", i, n)
+				}
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"reflect"
 	"testing"
 
 	"shareddb/internal/types"
@@ -99,8 +100,10 @@ func TestFuzzSeedsDecode(t *testing.T) {
 }
 
 // FuzzDecode feeds arbitrary byte streams through the full read-and-decode
-// loop. The property is purely defensive: no input may panic, and framing
-// errors must be deterministic (the same stream fails the same way twice).
+// loop. The property is defensive — no input may panic, and framing errors
+// must be deterministic (the same stream fails the same way twice) — and
+// differential: the buffered Reader, fed the stream in two reads split at a
+// fuzzed boundary, must yield exactly the frames ReadFrame does.
 func FuzzDecode(f *testing.F) {
 	for _, frame := range seedFrames() {
 		f.Add(frame)
@@ -132,6 +135,16 @@ func FuzzDecode(f *testing.F) {
 		err2 := run()
 		if err1 == io.EOF && err2 != io.EOF {
 			t.Fatalf("nondeterministic framing: first EOF, then %v", err2)
+		}
+		cut := 0
+		if len(data) > 0 {
+			cut = int(data[0]) % len(data)
+		}
+		want, wantErr := drainReadFrame(data)
+		got, err := drain(NewReader(&chunkReader{chunks: [][]byte{data[:cut], data[cut:]}}).Next)
+		if !reflect.DeepEqual(got, want) || err != wantErr {
+			t.Fatalf("split at %d: Reader read %d frames (err %v), ReadFrame %d (err %v)",
+				cut, len(got), err, len(want), wantErr)
 		}
 	})
 }

@@ -26,6 +26,11 @@
 //     engine's RetryAfter hint so well-behaved clients back off exactly as
 //     the in-process TPC-W driver does.
 //
+// Both ends move frames in bursts rather than one at a time: they read
+// through Reader (one read syscall delivers every frame in flight, and the
+// caller learns when the burst ends) and write through Outbox (everything
+// queued while a write is in flight leaves in the next one).
+//
 // Integers are uvarints unless noted; strings and values use the storage
 // codec (internal/types). The protocol is versioned by the HELLO exchange;
 // the frame catalog is pinned by the api/wire.txt golden (cmd/apisnapshot
@@ -347,22 +352,10 @@ func (d *dec) values() []types.Value {
 	return out
 }
 
-func (d *dec) row() types.Row {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(d.remaining()) {
-		d.fail(io.ErrUnexpectedEOF)
-		return nil
-	}
-	row := make(types.Row, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		row = append(row, d.value())
-	}
-	return row
-}
-
+// rows decodes a row list, cutting every row from one value slab: the slab
+// is sized for the rows still to come at the width of the row in hand (row
+// sets are rectangular), clamped like every count against the bytes actually
+// present, and re-cut only if a later row turns out wider.
 func (d *dec) rows() []types.Row {
 	n := d.uvarint()
 	if d.err != nil {
@@ -376,8 +369,25 @@ func (d *dec) rows() []types.Row {
 		return nil
 	}
 	out := make([]types.Row, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, d.row())
+	var slab []types.Value
+	for i := uint64(0); i < n; i++ {
+		w := d.uvarint()
+		if d.err != nil {
+			break
+		}
+		if w > uint64(d.remaining()) {
+			d.fail(io.ErrUnexpectedEOF)
+			break
+		}
+		if slab == nil || uint64(len(slab)) < w {
+			slab = make([]types.Value, min(w*(n-i), uint64(d.remaining())))
+		}
+		row := types.Row(slab[:w:w])
+		slab = slab[w:]
+		for j := range row {
+			row[j] = d.value()
+		}
+		out = append(out, row)
 	}
 	return out
 }
