@@ -74,13 +74,6 @@ type benchReport struct {
 // that sharing engages (one generation answers the whole batch).
 const jsonBatch = 64
 
-// partitionedWorkers is the worker budget of the *_workers2 records. It is
-// fixed rather than GOMAXPROCS-derived: the gate runs at GOMAXPROCS=1, where
-// the default budget resolves to 1 and the partitioned operator paths
-// (group-by partition/combine, parallel join build, partitioned sort) would
-// otherwise have no gated number.
-const partitionedWorkers = 2
-
 func record(name, description, unit string, queriesPerOp int, r testing.BenchmarkResult) benchRecord {
 	ns := float64(r.NsPerOp())
 	ops := 0.0
@@ -181,19 +174,18 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	stmts := []struct {
 		name, desc string
 		columnar   bool // also measured on the columnar engine as <name>_columnar
-		workers2   bool // also measured at Workers=partitionedWorkers as <name>_workers2
 		sql        string
 		mkParams   func(i int) []types.Value
 	}{
 		{
-			"scan", "shared ClockScan: LIKE predicate batch over item", true, false,
+			"scan", "shared ClockScan: LIKE predicate batch over item", true,
 			`SELECT i_id, i_title FROM item WHERE i_title LIKE ?`,
 			func(i int) []types.Value {
 				return []types.Value{types.NewString(fmt.Sprintf("Title %02d%%", i%100))}
 			},
 		},
 		{
-			"join", "shared join: item ⋈ author with per-query range predicate", true, false,
+			"join", "shared join: item ⋈ author with per-query range predicate", true,
 			`SELECT item.i_id, author.a_lname FROM item, author
 			 WHERE item.i_a_id = author.a_id AND item.i_cost > ?`,
 			func(i int) []types.Value {
@@ -201,19 +193,19 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			},
 		},
 		{
-			"sort", "shared sort/Top-N: full item scan ORDER BY title LIMIT 50", false, false,
+			"sort", "shared sort/Top-N: full item scan ORDER BY title LIMIT 50", false,
 			`SELECT i_id, i_title FROM item ORDER BY i_title LIMIT 50`,
 			func(int) []types.Value { return nil },
 		},
 		{
-			"group", fmt.Sprintf("shared grouped aggregation: selective range predicate GROUP BY region over %d sales rows", salesRows), true, true,
+			"group", fmt.Sprintf("shared grouped aggregation: selective range predicate GROUP BY region over %d sales rows", salesRows), true,
 			`SELECT s_region, COUNT(*), SUM(s_qty) FROM sales WHERE s_val > ? GROUP BY s_region`,
 			func(i int) []types.Value {
 				return []types.Value{types.NewFloat(float64(i%8) + 85)}
 			},
 		},
 		{
-			"topn", fmt.Sprintf("shared grouped Top-N over %d sales rows: GROUP BY region ORDER BY aggregate LIMIT 5 (bounded per-query heaps)", salesRows), true, false,
+			"topn", fmt.Sprintf("shared grouped Top-N over %d sales rows: GROUP BY region ORDER BY aggregate LIMIT 5 (bounded per-query heaps)", salesRows), true,
 			`SELECT s_region, SUM(s_val) AS v FROM sales WHERE s_val > ?
 			 GROUP BY s_region ORDER BY v DESC, s_region LIMIT 5`,
 			func(i int) []types.Value {
@@ -223,26 +215,22 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	}
 	// The per-operator records measure operator kernels, so no engine here
 	// folds (a batch of 64 would otherwise collapse to its distinct
-	// parameters); they differ in the scan and the worker budget only. The
+	// parameters); they differ in the scan only. The
 	// plain records scan the row store — the reference the
 	// <name>_columnar/<name> ns ratios are read against: the scan pair
 	// measures the stride kernels of the columnar mirror (the production
 	// scan), the group/topn pairs the production aggregation pushdown (the
-	// GroupOp fed straight from the mirror, bypassing the scan stream). The _workers2 records run the row-scan grouped aggregation
-	// through the partitioned group-by: partition by key hash → per-bucket
-	// combine.
+	// GroupOp fed straight from the mirror, bypassing the scan stream).
 	for _, v := range []struct {
 		suffix, note string
-		workers      int
 		rowScan      bool
 	}{
-		{"", "", opts.Workers, true},
-		{"_columnar", " (columnar shared scan)", opts.Workers, false},
-		{"_workers2", fmt.Sprintf(" (Workers=%d: partitioned aggregation)", partitionedWorkers), partitionedWorkers, true},
+		{"", "", true},
+		{"_columnar", " (columnar shared scan)", false},
 	} {
-		eng := core.New(db, plan.New(db), core.Config{Workers: v.workers, RowScan: v.rowScan, NoFold: true})
+		eng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, RowScan: v.rowScan, NoFold: true})
 		for _, sp := range stmts {
-			if (v.suffix == "_columnar" && !sp.columnar) || (v.suffix == "_workers2" && !sp.workers2) {
+			if v.suffix == "_columnar" && !sp.columnar {
 				continue
 			}
 			stmt, err := eng.Prepare(sp.sql)
@@ -285,17 +273,6 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		}
 		report.Results = append(report.Results, record(name, desc, "interaction", 1, r))
 	}
-	// The mix once more with the fixed partitioned-path worker budget.
-	w2Opts := opts
-	w2Opts.Workers = partitionedWorkers
-	r, err := benchMix(w2Opts, 1)
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, record("tpcw_mix_workers2",
-		fmt.Sprintf("TPC-W Shopping mix, concurrent sessions (Workers=%d: partitioned operator paths)", partitionedWorkers),
-		"interaction", 1, r))
-
 	// Standing-query feed: 64 subscribers on a TPC-W browsing query while a
 	// writer updates items — updates delivered per second, end to end.
 	subRec, err := benchSubscribeBrowsing(opts)

@@ -32,7 +32,7 @@ func main() {
 	listen := flag.String("listen", ":5843", "listen address")
 	wal := flag.String("wal", "", "WAL directory (empty = no durability)")
 	pipeline := flag.Int("pipeline", 0, "max generations in flight (0 = engine default, 1 = serial; negative values are rejected)")
-	workers := flag.Int("workers", 0, "intra-operator worker pool per cycle, per shard engine (0 = GOMAXPROCS split across shards, 1 = serial)")
+	workers := flag.Int("workers", 0, "scan workers per cycle, per shard engine (0 = GOMAXPROCS split across shards, 1 = serial)")
 	shards := flag.Int("shards", 0, "shard engines with hash-partitioned tables (0 or 1 = single engine)")
 	replicate := flag.String("replicate", "", "comma-separated tables to replicate to every shard instead of partitioning")
 	partition := flag.String("partition", "", "partition-key overrides as table=col[+col...],... (default: primary key)")

@@ -131,8 +131,6 @@ func encodeRows(rows []types.Row) []string {
 }
 
 func TestColumnarAggDifferentialFuzz(t *testing.T) {
-	defer operators.DisableAdaptiveWorkersForTest()()
-
 	type template struct {
 		sql     string
 		ordered bool

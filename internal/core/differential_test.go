@@ -8,6 +8,7 @@ import (
 
 	"shareddb/internal/baseline"
 	"shareddb/internal/plan"
+	"shareddb/internal/storage"
 	"shareddb/internal/testutil"
 	"shareddb/internal/types"
 )
@@ -260,4 +261,76 @@ func TestDifferentialAdHocPrepareGrowsJoinStream(t *testing.T) {
 		t.Fatalf("ad-hoc statements did not extend the join streams:\n%s", after)
 	}
 	check("after the ad-hoc prepares")
+}
+
+// TestDifferentialUnorderedGroupOrderWorkers pins the row ORDER of an
+// unordered GROUP BY over a shared hash join at Workers 2: groups come out in
+// first-arrival order, exactly as the query-at-a-time engine emits them,
+// whatever the worker budget. Every generation joins at least 1024 tuples,
+// so the fact scan goes partition-parallel, and each query runs in two
+// generations.
+func TestDifferentialUnorderedGroupOrderWorkers(t *testing.T) {
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fact, err := db.CreateTable("fact", types.NewSchema(
+		types.Column{Qualifier: "fact", Name: "f_id", Kind: types.KindInt},
+		types.Column{Qualifier: "fact", Name: "f_k", Kind: types.KindInt},
+		types.Column{Qualifier: "fact", Name: "f_v", Kind: types.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact.SetPrimaryKey("f_id")
+	// No index on d_id: the join stays a shared hash join with fact probing.
+	if _, err := db.CreateTable("dim", types.NewSchema(
+		types.Column{Qualifier: "dim", Name: "d_id", Kind: types.KindInt},
+		types.Column{Qualifier: "dim", Name: "d_name", Kind: types.KindString},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	const facts, dims = 1500, 40
+	var ops []storage.WriteOp
+	for i := int64(0); i < dims; i++ {
+		ops = append(ops, storage.WriteOp{Table: "dim", Kind: storage.WInsert,
+			Row: types.Row{types.NewInt(i), types.NewString(fmt.Sprintf("D%02d", i))}})
+	}
+	for i := int64(0); i < facts; i++ {
+		ops = append(ops, storage.WriteOp{Table: "fact", Kind: storage.WInsert,
+			Row: types.Row{types.NewInt(i), types.NewInt(i * 7919 % dims), types.NewInt(i)}})
+	}
+	results, _ := db.ApplyOps(ops)
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+
+	shared := New(db, plan.New(db), Config{Workers: 2, MaxInFlightGenerations: 1})
+	defer shared.Close()
+	const sqlText = "SELECT d_name, COUNT(*), SUM(f_v) FROM fact, dim WHERE f_k = d_id AND f_v > ? GROUP BY d_name"
+	ss := mustPrepare(t, shared, sqlText)
+	bs, err := baseline.New(db, baseline.SystemXLike).Prepare(sqlText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 0; gen < 2; gen++ {
+		for _, lo := range []int64{-1, 200} {
+			got := run(t, shared, ss, types.NewInt(lo))
+			want, err := bs.Exec([]types.Value{types.NewInt(lo)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Rows) != len(want.Rows) {
+				t.Fatalf("generation %d, f_v > %d: %d rows, baseline %d", gen, lo, len(got.Rows), len(want.Rows))
+			}
+			for i := range got.Rows {
+				if types.EncodeKey(got.Rows[i]...) != types.EncodeKey(want.Rows[i]...) {
+					t.Fatalf("generation %d, f_v > %d, row %d: shared %v, baseline %v", gen, lo, i, got.Rows[i], want.Rows[i])
+				}
+			}
+		}
+	}
 }

@@ -62,24 +62,16 @@ type Config struct {
 	// apply in generation order regardless of this setting; only read
 	// phases overlap.
 	MaxInFlightGenerations int
-	// Workers is the intra-operator parallelism budget per generation
-	// cycle: the partitioned ClockScan splits each table scan into that
-	// many contiguous row ranges, and the blocking shared operators run
-	// data-parallel Finish phases (partitioned sort + k-way merge,
-	// partitioned hash aggregation, parallel join build). 0 selects
-	// GOMAXPROCS (one worker per core, the paper's Crescando setup);
-	// 1 is strictly serial and byte-identical to the pre-parallel engine
+	// Workers is the scan parallelism budget per generation cycle: the
+	// partitioned ClockScan (row or columnar, including the columnar
+	// aggregation feed) splits each table scan into that many contiguous
+	// row ranges; joins, sorts and group-bys always run one Finish on
+	// their node's goroutine. 0 selects GOMAXPROCS (one worker per core,
+	// the paper's Crescando setup); 1 is a strictly serial scan
 	// (negative values are rejected by Config.Validate; New clamps them
 	// to serial as a backstop). Per-query results are identical at any
 	// setting.
 	Workers int
-	// PoolAffinity, when non-nil, runs once on each of the engine's
-	// persistent worker goroutines at pool start (par.Pool) — the hook a
-	// deployment uses to pin workers to a CPU/NUMA range (e.g. with
-	// unix.SchedSetaffinity). The engine owns a pool of exactly Workers
-	// goroutines (per shard, on sharded builds), so affinity composes with
-	// explicit core isolation.
-	PoolAffinity func(worker int)
 
 	// MaxGenerationDelay is the per-generation latency SLO (the paper's
 	// response-time limit): batch formation caps each generation at the
@@ -152,7 +144,6 @@ type Engine struct {
 	gen     uint64
 
 	workers int        // resolved Config.Workers (immutable after New)
-	pool    *par.Pool  // engine-owned persistent worker pool (closed on Close)
 	adm     *admission // admission controller; nil when every limit is zero
 
 	// Cost attribution (nil unless the SLO breaker is on): per-generation
@@ -286,7 +277,6 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 		e.maxInFlight = 1
 	}
 	e.workers = par.Resolve(cfg.Workers)
-	e.pool = par.NewPool(e.workers, cfg.PoolAffinity)
 	e.adm = newAdmission(cfg)
 	if !cfg.NoFold {
 		e.foldIdx = make(map[uint64][]*Request)
@@ -296,7 +286,6 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 	}
 	gp.SetWorkers(e.workers)
 	gp.SetColumnar(!cfg.RowScan)
-	gp.SetWorkerPool(e.pool)
 	if e.adm != nil && e.adm.maxDelay > 0 {
 		// The slow-query breaker is on: attribute operator cycle time to
 		// statements so blame lands on the plan that burned the cycles.
@@ -309,7 +298,7 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 	return e
 }
 
-// Workers reports the resolved intra-operator parallelism budget.
+// Workers reports the resolved scan parallelism budget.
 func (e *Engine) Workers() int { return e.workers }
 
 // Close stops the heartbeat loop, waits for in-flight generations to drain
@@ -341,7 +330,6 @@ func (e *Engine) Close() {
 		s.Close()
 	}
 	e.plan.Stop()
-	e.pool.Close()
 }
 
 // genCostRec accumulates one generation's attributed operator time: each

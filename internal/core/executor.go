@@ -45,7 +45,7 @@ type Executor interface {
 	// Stats reports the typed counter snapshot (summed across shards for
 	// the sharded backend — the in-flight gauges sum per-shard values).
 	Stats() EngineStats
-	// Workers reports the resolved intra-operator parallelism budget (per
+	// Workers reports the resolved scan parallelism budget (per
 	// shard for the sharded backend).
 	Workers() int
 	Close()

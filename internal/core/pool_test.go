@@ -12,8 +12,8 @@ import (
 
 // Engine-level checks of the memory-discipline machinery: the plan-wide
 // batch pool must actually recycle across generations on both the serial
-// and the parallel worker paths, and the adaptive worker budget must keep
-// tiny steady-state generations from forking goroutines.
+// and the parallel scan paths, and the scan clamp must keep generations over
+// tiny tables from forking goroutines.
 
 func TestBatchPoolReuseAcrossGenerations(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -42,19 +42,18 @@ func TestBatchPoolReuseAcrossGenerations(t *testing.T) {
 	}
 }
 
-// TestTinyGenerationsStaySerial pins the adaptive worker budget end to end:
-// once a node has seen one tiny cycle, later tiny cycles run serial — no
-// worker goroutines are forked anywhere in the plan — even under a large
-// configured budget.
+// TestTinyGenerationsStaySerial pins the scan clamp end to end: scans are
+// the only data-parallel phase, and a table below the partitioned scan's
+// minimum size is scanned serially — so generations over tiny tables fork no
+// worker goroutines anywhere in the plan, even under a large configured
+// budget.
 func TestTinyGenerationsStaySerial(t *testing.T) {
 	db, closeDB := bookstore(t) // 100-row item table: every cycle is tiny
 	defer closeDB()
 	gp := plan.New(db)
 	e := New(db, gp, Config{Workers: 8, MaxInFlightGenerations: 1})
 	defer e.Close()
-	// Group output has singleton query sets, so a multi-query sort cycle is
-	// exactly the shape that would fork per-query partition sorts without
-	// the adaptive clamp.
+	// A scan → group → sort plan: every blocking operator runs, none forks.
 	s := mustPrepare(t, e, "SELECT i_subject, COUNT(*) FROM item GROUP BY i_subject ORDER BY i_subject")
 
 	wave := func() {
@@ -71,16 +70,11 @@ func TestTinyGenerationsStaySerial(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	// Warm-up generations: first cycles have no input-size history and may
-	// fork under the configured budget.
-	for i := 0; i < 3; i++ {
-		wave()
-	}
 	before := par.Forks()
 	for i := 0; i < 10; i++ {
 		wave()
 	}
 	if forked := par.Forks() - before; forked != 0 {
-		t.Errorf("steady-state tiny generations forked %d workers, want 0", forked)
+		t.Errorf("generations over a 100-row table forked %d workers, want 0", forked)
 	}
 }

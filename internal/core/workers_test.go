@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"shareddb/internal/operators"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
@@ -37,9 +36,9 @@ func TestWorkersResolution(t *testing.T) {
 }
 
 // workloadStatements is the query mix used for the serial/parallel
-// differential: it covers every parallelized operator — partitioned scan
-// (range + equality + LIKE/rest predicates), parallel join build, partitioned
-// hash aggregation, partitioned sort with Top-N.
+// differential: partitioned scans (range + equality + LIKE/rest predicates)
+// feeding every blocking operator — hash join, hash aggregation, sort with
+// Top-N.
 func workloadStatements() []string {
 	return []string{
 		"SELECT i_id, i_title FROM item WHERE i_id = ?",
@@ -49,9 +48,9 @@ func workloadStatements() []string {
 		"SELECT i_id, i_price FROM item WHERE i_subject = ? ORDER BY i_price DESC LIMIT 5",
 		"SELECT i_subject, COUNT(*), AVG(i_price) FROM item GROUP BY i_subject",
 		// the tiebreak key makes the Top-N cut deterministic: with ORDER BY
-		// val alone, SQL permits any valid top-10 among tied vals (and the
-		// engine's group emission order is hash-map order), so a serial-vs-
-		// parallel comparison would be comparing two answers SQL both allows
+		// val alone, SQL permits any valid top-10 among tied vals, so a
+		// serial-vs-parallel comparison would be comparing two answers SQL
+		// both allows
 		`SELECT i_id, i_title, SUM(ol_qty) AS val FROM order_line, item, author
 			WHERE ol_i_id = i_id AND i_a_id = a_id AND ol_o_id > ?
 			GROUP BY i_id, i_title ORDER BY val DESC, i_id LIMIT 10`,
@@ -119,9 +118,6 @@ func runWorkload(t *testing.T, workers int) map[string][][]string {
 }
 
 func TestWorkersSerialParallelIdentical(t *testing.T) {
-	// Keep the test-sized fixture on the parallel operator paths: the
-	// adaptive budget would otherwise serialize every cycle after the first.
-	t.Cleanup(operators.DisableAdaptiveWorkersForTest())
 	serial := runWorkload(t, 1)
 	for _, workers := range []int{2, 4} {
 		parallel := runWorkload(t, workers)
@@ -152,9 +148,6 @@ func TestWorkersSerialParallelIdentical(t *testing.T) {
 // each generation reads its own pinned snapshot regardless of how many
 // workers scan it.
 func TestWorkersWithPipelinedWrites(t *testing.T) {
-	// Keep the test-sized fixture on the parallel operator paths: the
-	// adaptive budget would otherwise serialize every cycle after the first.
-	t.Cleanup(operators.DisableAdaptiveWorkersForTest())
 	db, closeDB := bookstore(t)
 	defer closeDB()
 	gp := plan.New(db)

@@ -55,7 +55,7 @@ type Env struct {
 
 // NewEnv loads a fresh database and attaches the requested system. Each
 // system gets its own copy so that one run's updates cannot skew another's.
-// workers is SharedDB's intra-operator parallelism budget (0 = GOMAXPROCS);
+// workers is SharedDB's scan parallelism budget (0 = GOMAXPROCS);
 // the query-at-a-time baselines ignore it (their parallelism is one core
 // per query by construction).
 func NewEnv(kind SystemKind, scale tpcw.Scale, seed int64, workers int) (*Env, error) {
@@ -151,7 +151,7 @@ type Options struct {
 	PointDuration time.Duration // measurement window per data point
 	ThinkTime     time.Duration // mean EB think time (scaled-down 7 s)
 	Seed          int64
-	Workers       int // SharedDB intra-operator workers (0 = GOMAXPROCS; per shard on sharded runs)
+	Workers       int // SharedDB scan workers (0 = GOMAXPROCS; per shard on sharded runs)
 	Shards        int // SharedDB shard engines (0 or 1 = single engine)
 
 	// Admission-control knobs for overload scenarios (zero = disabled, the

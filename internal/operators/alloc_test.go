@@ -117,26 +117,6 @@ func TestBatchPoolZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestAdaptWorkers pins the adaptive worker budget heuristic: tiny previous
-// cycles force serial execution, unknown history trusts the budget.
-func TestAdaptWorkers(t *testing.T) {
-	cases := []struct {
-		budget, prev, want int
-	}{
-		{4, -1, 4},   // first cycle: no history, trust the budget
-		{4, 10, 1},   // 10-row cycle: stay serial
-		{4, 0, 1},    // empty cycle: stay serial
-		{4, 5000, 4}, // big cycle: full budget
-		{1, 5000, 1}, // serial budget stays serial
-		{1, 10, 1},
-	}
-	for _, c := range cases {
-		if got := adaptWorkers(c.budget, c.prev); got != c.want {
-			t.Errorf("adaptWorkers(%d, %d) = %d, want %d", c.budget, c.prev, got, c.want)
-		}
-	}
-}
-
 // TestJoinTableMatchesMapSemantics drives the open-addressed build table
 // against a reference map build over coercion-prone keys.
 func TestJoinTableMatchesMapSemantics(t *testing.T) {

@@ -33,15 +33,10 @@ type GroupOp struct {
 	st     groupState
 	single [1]queryset.QueryID
 
-	// aggs are the cycle's aggregation contexts, reused across cycles: every
-	// serial path (Consume, the columnar feed, small generations) aggregates
-	// into aggs[0]; the partitioned path gives key-hash bucket i to aggs[i].
-	// Buckets are hash-disjoint, so Finish emits the tables one after the
-	// other — bucket order, first arrival within a bucket.
-	aggs []groupAgg
-	// part is the partition phase's scratch, part[chunk][bucket], reused
-	// across cycles.
-	part [][][]tupleRef
+	// agg is the cycle's aggregation context (group table, scratch and free
+	// lists), reused across cycles; Consume and the columnar feed both
+	// aggregate into it.
+	agg groupAgg
 
 	// columnar aggregation pushdown (Cycle.Col): the reusable scan buffers
 	// and client list for feeding the aggregation straight from the table's
@@ -168,8 +163,8 @@ type groupEntry struct {
 	perQuery [][]aggState
 }
 
-// groupAgg is what one aggregating goroutine owns: a group table, the
-// per-row scratch, and free lists recycling a finished cycle's group entries
+// groupAgg is the aggregation context: a group table, the per-row scratch,
+// and free lists recycling a finished cycle's group entries
 // and per-(group, query) aggregate states (refilled in Finish), so the
 // steady state allocates only for emitted rows once the free lists have
 // warmed up to the workload's group count.
@@ -181,22 +176,10 @@ type groupAgg struct {
 	stateFree [][]aggState
 }
 
-// tupleRef is one partitioned tuple: its group-key hash and its position in
-// the cycle's buffered batches.
-type tupleRef struct {
-	hash         uint64
-	batch, tuple int32
-}
-
 type groupState struct {
 	having  map[queryset.QueryID]expr.Expr
 	scalar  map[queryset.QueryID]bool
 	emitted map[queryset.QueryID]bool
-
-	// pending buffers the cycle's input batches when the Finish phase will
-	// aggregate them in parallel (Workers > 1). In serial mode tuples are
-	// aggregated incrementally in Consume and pending stays nil.
-	pending []*Batch
 }
 
 // Start initializes the cycle's hash table and per-query HAVING predicates.
@@ -217,6 +200,9 @@ func (g *GroupOp) Start(c *Cycle) {
 		if spec.Scalar {
 			st.scalar[t.Query] = true
 		}
+	}
+	if g.agg.args == nil {
+		g.agg.args, g.agg.steps = make([]types.Value, len(g.Aggs)), make([]addStep, len(g.Aggs))
 	}
 	c.opState = st
 	if c.Col != nil {
@@ -250,7 +236,7 @@ type ColCycle struct {
 // no Batch materialization. The scan emits in ascending RowID order (at any
 // worker count) and absorbRow runs serially on this goroutine, so the group
 // table's insertion order — and therefore Finish emission — is byte-identical
-// to the row path's serial aggregation.
+// to the row path's aggregation.
 func (g *GroupOp) startColumnar(c *Cycle) {
 	cc := c.Col
 	cfg := g.onlyStream()
@@ -258,21 +244,11 @@ func (g *GroupOp) startColumnar(c *Cycle) {
 	for _, p := range cc.Preds {
 		clients = append(clients, storage.ScanClient{ID: p.QID, Pred: p.Pred})
 	}
-	a := g.agg(0)
 	cc.Table.SharedScanColumnar(c.TS, clients, c.Workers, &g.colBufs, func(_ storage.RowID, row types.Row, qs queryset.Set) {
-		g.absorbRow(a, cfg, hashValues(row, cfg.GroupCols), row, qs)
+		g.absorbRow(cfg, row, qs)
 	})
 	clear(clients)
 	g.colClients = clients[:0]
-}
-
-// agg returns aggregation context i, growing the set up to it (callers size
-// it before fanning out: growth moves the slice).
-func (g *GroupOp) agg(i int) *groupAgg {
-	for len(g.aggs) <= i {
-		g.aggs = append(g.aggs, groupAgg{args: make([]types.Value, len(g.Aggs)), steps: make([]addStep, len(g.Aggs))})
-	}
-	return &g.aggs[i]
 }
 
 // appendKey appends row's key columns to dst.
@@ -341,30 +317,15 @@ func (g *GroupOp) onlyStream() GroupStream {
 }
 
 // Consume hashes each tuple into its group once and updates the aggregate
-// state of every subscribed query. With a worker budget above 1 the batch is
-// only buffered (and retained: the deferred aggregation reads its tuples in
-// Finish): the partitioned hash aggregation runs there, where the whole
-// input is known and can be split across workers.
+// state of every subscribed query (the body of ProcessTuple).
 func (g *GroupOp) Consume(c *Cycle, b *Batch) {
-	if _, ok := g.Streams[b.Stream]; !ok {
+	cfg, ok := g.Streams[b.Stream]
+	if !ok {
 		return
 	}
-	st := c.opState.(*groupState)
-	if c.Workers > 1 {
-		c.Retain(b)
-		st.pending = append(st.pending, b)
-		return
-	}
-	g.absorb(b)
-}
-
-// absorb is the serial aggregation of one batch (the body of ProcessTuple).
-func (g *GroupOp) absorb(b *Batch) {
-	cfg := g.Streams[b.Stream]
-	a := g.agg(0)
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
-		g.absorbRow(a, cfg, hashValues(t.Row, cfg.GroupCols), t.Row, t.QS)
+		g.absorbRow(cfg, t.Row, t.QS)
 	}
 }
 
@@ -414,11 +375,12 @@ func (g *GroupOp) compileAddSteps(args []types.Value, steps []addStep) {
 	}
 }
 
-// absorbRow folds one routed row into a's group table — the one aggregation
-// body of the serial batch path, the columnar scan feed and the partitioned
-// combine. h is the row's group-key hash (hashValues over cfg.GroupCols); qs
-// may be borrowed (it is read, never retained).
-func (g *GroupOp) absorbRow(a *groupAgg, cfg GroupStream, h uint64, row types.Row, qs queryset.Set) {
+// absorbRow folds one routed row into the group table — the one aggregation
+// body of the batch path and the columnar scan feed. qs may be borrowed (it
+// is read, never retained).
+func (g *GroupOp) absorbRow(cfg GroupStream, row types.Row, qs queryset.Set) {
+	a := &g.agg
+	h := hashValues(row, cfg.GroupCols)
 	ge := a.table.lookup(h, row, cfg.GroupCols)
 	if ge == nil {
 		ge = a.newEntry(h, row, cfg.GroupCols)
@@ -463,78 +425,15 @@ func (g *GroupOp) absorbRow(a *groupAgg, cfg GroupStream, h uint64, row types.Ro
 	}
 }
 
-// aggregateParallel is the data-parallel grouping phase (paper §4.2) run
-// over the batches buffered by Consume when Workers > 1. It is a two-step
-// partitioned hash aggregation:
-//
-//  1. Partition (partitionByKeyHash): workers file a (hash, batch, tuple)
-//     reference for every buffered tuple under one of `workers` key-hash
-//     buckets; reading a bucket's references in chunk order preserves the
-//     original tuple arrival order.
-//  2. Combine: each bucket is owned by exactly one worker, which replays its
-//     references (in arrival order) through absorbRow into its own table.
-//     Because a group key hashes to exactly one bucket, the bucket tables
-//     are disjoint and need no merge.
-//
-// Keeping per-group arrival order makes the parallel path numerically
-// identical to serial execution (float sums accumulate in the same order),
-// and key-ownership avoids having to merge partial aggregate states — which
-// would be impossible for DISTINCT aggregates without re-shipping values.
-// Neither phase allocates per tuple: references go into scratch reused
-// across cycles, and the tuples stay in their (retained) batches.
-func (g *GroupOp) aggregateParallel(c *Cycle, pending []*Batch) {
-	total := 0
-	for _, b := range pending {
-		total += len(b.Tuples)
-	}
-	if total < minParallelAggLen {
-		// Small generation: two fork/joins cost more than they save — replay
-		// serially (identical semantics).
-		for _, b := range pending {
-			g.absorb(b)
-		}
-		return
-	}
-	workers := c.Workers
-	g.agg(workers - 1)
-	var nchunks int
-	g.part, nchunks = partitionByKeyHash(c, pending, g.part, func(stream int) []int { return g.Streams[stream].GroupCols })
-	c.Pool.Do(workers, workers, func(k int) {
-		a := &g.aggs[k]
-		for ci := 0; ci < nchunks; ci++ {
-			// A chunk's references ascend by batch: look the stream up once
-			// per batch, not per tuple.
-			cur, cfg := int32(-1), GroupStream{}
-			for _, r := range g.part[ci][k] {
-				b := pending[r.batch]
-				if r.batch != cur {
-					cur, cfg = r.batch, g.Streams[b.Stream]
-				}
-				t := &b.Tuples[r.tuple]
-				g.absorbRow(a, cfg, r.hash, t.Row, t.QS)
-			}
-		}
-	})
-}
-
 // Finish runs phase 2: per (group, query) HAVING evaluation and emission.
-// When Consume buffered input for parallel execution, the partitioned
-// aggregation runs first; emission itself stays on the cycle goroutine.
 // Groups emit in first-arrival order (the insertion order of the unboxed
 // table), making output deterministic across runs.
 func (g *GroupOp) Finish(c *Cycle) {
 	st := c.opState.(*groupState)
-	if len(st.pending) > 0 {
-		g.aggregateParallel(c, st.pending)
-		clear(st.pending)
-		st.pending = st.pending[:0]
+	for _, ge := range g.agg.table.entries {
+		g.emitGroup(c, st, ge)
 	}
-	for i := range g.aggs {
-		for _, ge := range g.aggs[i].table.entries {
-			g.emitGroup(c, st, ge)
-		}
-		g.aggs[i].recycle() // drop group state references between cycles
-	}
+	g.agg.recycle() // drop group state references between cycles
 	// scalar aggregates over empty input produce one row of defaults
 	for qid, isScalar := range st.scalar {
 		if !isScalar || st.emitted[qid] {

@@ -12,18 +12,8 @@ import (
 // SQL aggregate edge-case semantics (satellite audit): aggregates over empty
 // groups and over all-NULL inputs must produce SQL's answers — COUNT is 0,
 // SUM/AVG/MIN/MAX are NULL, never a zero value. NULL inputs are skipped, not
-// aggregated as zeros. Each case runs through the serial path and the
-// data-parallel path (Workers > 1), which must agree.
-
-// lowerParallelAggThreshold forces the parallel aggregation/build path even
-// for tiny inputs (which would otherwise take the small-input serial
-// fallback), so these tests cover both code paths at workers > 1.
-func lowerParallelAggThreshold(t *testing.T) {
-	t.Helper()
-	old := minParallelAggLen
-	minParallelAggLen = 1
-	t.Cleanup(func() { minParallelAggLen = old })
-}
+// aggregated as zeros. Each case runs at a worker budget of 1 and of 4,
+// which must agree.
 
 func runScalarAgg(t *testing.T, def AggDef, inputs []types.Value, workers int) types.Value {
 	t.Helper()
@@ -53,7 +43,6 @@ func runScalarAgg(t *testing.T, def AggDef, inputs []types.Value, workers int) t
 }
 
 func TestAggregateEdgeCaseSemantics(t *testing.T) {
-	lowerParallelAggThreshold(t)
 	i := func(v int64) types.Value { return types.NewInt(v) }
 	f := func(v float64) types.Value { return types.NewFloat(v) }
 	null := types.Null
@@ -129,7 +118,6 @@ func TestGroupedAggregateEmptyInputEmitsNothing(t *testing.T) {
 // A query subscribed to none of a group's tuples must not receive that
 // group, even though other queries materialized it.
 func TestGroupPerQuerySubscriptionIsolation(t *testing.T) {
-	lowerParallelAggThreshold(t)
 	for _, workers := range []int{1, 4} {
 		op := &GroupOp{
 			Streams:   map[int]GroupStream{1: {GroupCols: []int{0}, AggArgs: []expr.Expr{&expr.ColRef{Idx: 1}}}},

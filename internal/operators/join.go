@@ -67,18 +67,9 @@ type HashJoinOp struct {
 
 	// per-cycle state, reused across cycles (a node runs one cycle at a
 	// time)
-	build     joinTable // serial build table
+	build     joinTable // build table
 	pending   []*Batch  // outer batches buffered until build completes
 	innerDone bool
-
-	// parallel build state (Workers > 1): inner batches are buffered as they
-	// stream in and the hash table is built in parallel at inner EOS, as
-	// key-hash shards so probes stay lock-free lookups. part is the partition
-	// phase's scratch, part[chunk][shard], reused across cycles.
-	innerPending []*Batch
-	buildShards  []joinTable
-	shardsActive bool
-	part         [][][]tupleRef
 
 	qsScratch []queryset.QueryID // probe intersection scratch
 }
@@ -94,8 +85,6 @@ func (j *HashJoinOp) Start(c *Cycle) {
 	clear(j.pending)
 	j.pending = j.pending[:0]
 	j.innerDone = false
-	j.innerPending = j.innerPending[:0]
-	j.shardsActive = false
 }
 
 // Consume builds from inner batches and probes (or buffers) outer batches.
@@ -106,12 +95,6 @@ func (j *HashJoinOp) Start(c *Cycle) {
 func (j *HashJoinOp) Consume(c *Cycle, b *Batch) {
 	if b.Stream == j.InnerStream {
 		c.Retain(b)
-		if c.Workers > 1 {
-			// Parallel regime: buffer; the build happens in parallel at
-			// inner EOS (buildParallel).
-			j.innerPending = append(j.innerPending, b)
-			return
-		}
 		for _, t := range b.Tuples {
 			j.build.insert(hashValues(t.Row, j.InnerKeyCols), t)
 		}
@@ -136,74 +119,11 @@ func (j *HashJoinOp) EdgeEOS(c *Cycle, e *Edge) {
 		return
 	}
 	j.innerDone = true
-	j.buildParallel(c)
 	for _, b := range j.pending {
 		j.probeBatch(c, b)
 	}
 	clear(j.pending)
 	j.pending = j.pending[:0]
-}
-
-// buildParallel turns the buffered inner batches into key-hash shards, in
-// parallel (the parallel join build of paper §4.2). Like the group-by's
-// partitioned aggregation, it is a two-step partition/build: workers first
-// hash keys over contiguous chunks of the buffered batches and route
-// tuples to their key-hash shard; then each shard is built by a single
-// worker, appending tuples in chunk order — so every key's match list holds
-// tuples in the same arrival order the serial build produces, and probe
-// emission order is unchanged. No-op when nothing was buffered.
-func (j *HashJoinOp) buildParallel(c *Cycle) {
-	if len(j.innerPending) == 0 {
-		return
-	}
-	total := 0
-	for _, b := range j.innerPending {
-		total += len(b.Tuples)
-	}
-	if total < minParallelAggLen {
-		// Small build side: a serial build into the ordinary table beats the
-		// partition/build fork/join (identical semantics either way).
-		for _, b := range j.innerPending {
-			for _, t := range b.Tuples {
-				j.build.insert(hashValues(t.Row, j.InnerKeyCols), t)
-			}
-		}
-		j.innerPending = j.innerPending[:0]
-		return
-	}
-	workers := c.Workers
-	pending := j.innerPending
-	var nchunks int
-	j.part, nchunks = partitionByKeyHash(c, pending, j.part, func(int) []int { return j.InnerKeyCols })
-	// Size the shard slice to exactly `workers`: probes select a shard by
-	// h % len(buildShards), which must be the same modulus the routing
-	// above used (a stale larger slice from a previous bigger budget would
-	// silently drop matches).
-	if cap(j.buildShards) < workers {
-		j.buildShards = append(j.buildShards[:cap(j.buildShards)],
-			make([]joinTable, workers-cap(j.buildShards))...)
-	}
-	j.buildShards = j.buildShards[:workers]
-	shards := j.buildShards
-	c.Pool.Do(workers, workers, func(si int) {
-		shards[si].reset(j.InnerKeyCols)
-		for ci := 0; ci < nchunks; ci++ {
-			for _, r := range j.part[ci][si] {
-				shards[si].insert(r.hash, pending[r.batch].Tuples[r.tuple])
-			}
-		}
-	})
-	j.shardsActive = true
-	j.innerPending = j.innerPending[:0]
-}
-
-// table returns the build table responsible for key hash h under either
-// build regime (parallel shards or the serial cycle table).
-func (j *HashJoinOp) table(h uint64) *joinTable {
-	if j.shardsActive {
-		return &j.buildShards[int(h%uint64(len(j.buildShards)))]
-	}
-	return &j.build
 }
 
 // SetInnerEdge marks which producer edge carries the build side; called by
@@ -218,19 +138,12 @@ var _ Operator = (*HashJoinOp)(nil)
 // idle this generation) and releases cycle state (dropping tuple
 // references so the retained batches can recycle without pinned rows).
 func (j *HashJoinOp) Finish(c *Cycle) {
-	j.buildParallel(c) // inner batches with no EOS seen yet (defensive)
 	for _, b := range j.pending {
 		j.probeBatch(c, b)
 	}
 	clear(j.pending)
 	j.pending = j.pending[:0]
 	j.build.reset(j.InnerKeyCols)
-	for i := range j.buildShards {
-		j.buildShards[i].reset(j.InnerKeyCols)
-	}
-	j.shardsActive = false
-	clear(j.innerPending)
-	j.innerPending = j.innerPending[:0]
 }
 
 func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
@@ -241,7 +154,7 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
 		h := hashValues(t.Row, cfg.KeyCols)
-		tab := j.table(h)
+		tab := &j.build
 		for ei := tab.lookup(h, t.Row, cfg.KeyCols); ei >= 0; ei = tab.entries[ei].next {
 			it := &tab.entries[ei].t
 			qs := t.QS.IntersectInto(it.QS, j.qsScratch)

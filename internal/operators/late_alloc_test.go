@@ -10,9 +10,8 @@ import (
 	"shareddb/internal/types"
 )
 
-// Allocation gates for the join → group path. They set Cycle.Workers = 2
-// explicitly: the engine derives its worker budget from GOMAXPROCS, so a
-// single-core run never reaches the partitioned paths these pin.
+// Allocation gates for the join → sort → group path: a warmed cycle of each
+// blocking operator allocates nothing.
 
 // groupFixture is a four-aggregate group-by over groupFixtureGroups groups:
 // query 1 subscribes to every tuple, queries 2 and 3 split them by parity.
@@ -45,42 +44,6 @@ func groupFixture() (op *GroupOp, tasks []Task, mkBatches func(nTuples int) []*B
 	return op, tasks, mkBatches
 }
 
-// TestGroupPartitionZeroAllocPerTuple pins the partitioned group-by
-// (partition + combine at >= minParallelAggLen tuples): once the partition
-// scratch and the per-bucket free lists are warm, a cycle allocates a fixed
-// amount of fork/join plumbing — nothing per input tuple, so doubling the
-// input does not move the count, and nothing per emitted row.
-func TestGroupPartitionZeroAllocPerTuple(t *testing.T) {
-	if testutil.RaceEnabled {
-		t.Skip("allocation counts differ under -race")
-	}
-	op, tasks, mkBatches := groupFixture()
-	h := newAllocHarness(op, queryset.Of(1, 2, 3))
-	feed := func(batches []*Batch) func(c *Cycle) {
-		return func(c *Cycle) {
-			for _, b := range batches {
-				op.Consume(c, b)
-			}
-		}
-	}
-	small, large := mkBatches(4*minParallelAggLen), mkBatches(8*minParallelAggLen)
-	h.steadyStateAllocs(tasks, 0, 2, feed(large)) // warm the scratch to the larger shape
-	allocsSmall := h.steadyStateAllocs(tasks, 0, 2, feed(small))
-	allocsLarge := h.steadyStateAllocs(tasks, 0, 2, feed(large))
-	if h.rows != 2*groupFixtureGroups {
-		t.Fatalf("fixture emits %d rows per cycle, want %d", h.rows, 2*groupFixtureGroups)
-	}
-	if allocsLarge > 16 {
-		t.Errorf("partitioned group cycle allocates %.0f for %d tuples and %d emitted rows — per-tuple or per-row allocation crept back in",
-			allocsLarge, 8*minParallelAggLen, h.rows)
-	}
-	// The slack covers the cycle's retained-batch list growing with the
-	// batch count; a per-tuple allocation would add thousands.
-	if allocsLarge > allocsSmall+2 {
-		t.Errorf("doubling the input moved allocations %.0f → %.0f, want 0 per tuple", allocsSmall, allocsLarge)
-	}
-}
-
 // allocHarness runs one operator's cycles the way a node does — emitter,
 // batch pool, a generation arena released after every cycle — with a sink
 // that reads every delivered row, and reports what a warmed cycle allocates.
@@ -111,10 +74,10 @@ func newAllocHarness(op Operator, edgeQueries queryset.Set) *allocHarness {
 }
 
 // cycle runs Start, drive, Finish and drains the sink.
-func (h *allocHarness) cycle(tasks []Task, ts uint64, workers int, drive func(c *Cycle)) {
+func (h *allocHarness) cycle(tasks []Task, ts uint64, drive func(c *Cycle)) {
 	h.em.reset(h.node, 1)
 	arena := h.rowPool.NewArena()
-	h.c = Cycle{Gen: 1, TS: ts, Tasks: tasks, Workers: workers, node: h.node, em: &h.em, rows: arena, retained: h.c.retained[:0]}
+	h.c = Cycle{Gen: 1, TS: ts, Tasks: tasks, node: h.node, em: &h.em, rows: arena, retained: h.c.retained[:0]}
 	c := &h.c
 	h.rows = 0
 	h.op.Start(c)
@@ -134,11 +97,11 @@ func (h *allocHarness) cycle(tasks []Task, ts uint64, workers int, drive func(c 
 }
 
 // steadyStateAllocs warms the harness and returns one cycle's allocations.
-func (h *allocHarness) steadyStateAllocs(tasks []Task, ts uint64, workers int, drive func(c *Cycle)) float64 {
+func (h *allocHarness) steadyStateAllocs(tasks []Task, ts uint64, drive func(c *Cycle)) float64 {
 	for i := 0; i < 3; i++ {
-		h.cycle(tasks, ts, workers, drive)
+		h.cycle(tasks, ts, drive)
 	}
-	return testing.AllocsPerRun(20, func() { h.cycle(tasks, ts, workers, drive) })
+	return testing.AllocsPerRun(20, func() { h.cycle(tasks, ts, drive) })
 }
 
 // joinFixture is users(user_id, country) × 10 as the inner side and
@@ -182,7 +145,7 @@ func TestJoinProbeZeroAllocBeyondOutputRows(t *testing.T) {
 		Outers: map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3, OutCols: outCols}}}
 	hj.SetInnerEdge(&Edge{})
 	h := newAllocHarness(hj, queryset.Of(2))
-	allocs := h.steadyStateAllocs([]Task{{Query: 2, Spec: JoinSpec{}}}, db.SnapshotTS(), 2, func(c *Cycle) {
+	allocs := h.steadyStateAllocs([]Task{{Query: 2, Spec: JoinSpec{}}}, db.SnapshotTS(), func(c *Cycle) {
 		hj.Consume(c, outer) // buffered until the build side is complete
 		hj.Consume(c, inner)
 		hj.EdgeEOS(c, hj.innerEdge)
@@ -203,7 +166,7 @@ func TestIndexJoinZeroAllocSteadyState(t *testing.T) {
 	ij := &IndexJoinOp{Table: db.Table("users"), Index: db.Table("users").PrimaryKey(),
 		Outers: map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3, OutCols: outCols}}}
 	h := newAllocHarness(ij, queryset.Of(2))
-	allocs := h.steadyStateAllocs([]Task{{Query: 2, Spec: IndexJoinSpec{}}}, db.SnapshotTS(), 2, func(c *Cycle) {
+	allocs := h.steadyStateAllocs([]Task{{Query: 2, Spec: IndexJoinSpec{}}}, db.SnapshotTS(), func(c *Cycle) {
 		ij.Consume(c, outer)
 	})
 	checkJoinRows(t, h, outer, outCols)
@@ -247,7 +210,7 @@ func TestSortTopNZeroAllocSteadyState(t *testing.T) {
 	} {
 		op := &SortOp{Streams: map[int]SortStream{1: {Keys: []SortKey{{E: &expr.ColRef{Idx: 0}, Desc: true}}, OutStream: 1}}}
 		h := newAllocHarness(op, queryset.Of(all...))
-		allocs := h.steadyStateAllocs(tasks, 0, 2, func(c *Cycle) { op.Consume(c, tc.batch) })
+		allocs := h.steadyStateAllocs(tasks, 0, func(c *Cycle) { op.Consume(c, tc.batch) })
 		if h.rows != tc.rows {
 			t.Fatalf("%s: delivered %d tuples, want %d", tc.name, h.rows, tc.rows)
 		}
@@ -268,7 +231,7 @@ func TestGroupEmitZeroAllocSteadyState(t *testing.T) {
 	tasks = append(tasks, Task{Query: 4, Spec: GroupSpec{Scalar: true}}) // no input: one row of defaults
 	batches := mkBatches(2 * batchSize)
 	h := newAllocHarness(op, queryset.Of(1, 2, 3, 4))
-	allocs := h.steadyStateAllocs(tasks, 0, 1, func(c *Cycle) {
+	allocs := h.steadyStateAllocs(tasks, 0, func(c *Cycle) {
 		for _, b := range batches {
 			op.Consume(c, b)
 		}

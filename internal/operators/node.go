@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"shareddb/internal/par"
 	"shareddb/internal/queryset"
 	"shareddb/internal/types"
 )
@@ -36,9 +35,6 @@ type Node struct {
 	// cycle at a time per node).
 	em    emitter
 	cycle Cycle
-	// prevInput is the tuple count consumed by the previous cycle, feeding
-	// the adaptive worker budget (-1 until a cycle has run).
-	prevInput int
 }
 
 // Edge connects a producer node to a consumer node. Query routing state is
@@ -84,7 +80,7 @@ func (e *Edge) ClearQueries(gen uint64) {
 
 // NewNode creates a node with the given operator behavior.
 func NewNode(id int, name string, op Operator) *Node {
-	return &Node{ID: id, Name: name, Op: op, inbox: NewSyncedQueue(), prevInput: -1}
+	return &Node{ID: id, Name: name, Op: op, inbox: NewSyncedQueue()}
 }
 
 // SetPool attaches the plan-wide batch free list. Must be set before Start;
@@ -122,7 +118,7 @@ type CycleStart struct {
 	TS              uint64 // storage snapshot for this generation
 	Tasks           []Task // per-query activations at this node
 	ActiveProducers int    // producer edges that will send EOS this cycle
-	Workers         int    // intra-operator parallelism budget (<=1 = serial)
+	Workers         int    // scan parallelism budget (<=1 = serial)
 	Columnar        bool   // scan sources read the columnar mirror this cycle
 	OnDone          func() // optional completion callback (used by sinks)
 
@@ -131,10 +127,6 @@ type CycleStart struct {
 	// the table's columnar mirror in Start instead of consuming the scan
 	// stream (which the plan silences for the covered queries). See ColCycle.
 	Col *ColCycle
-
-	// Pool, when non-nil, is the engine-owned worker pool the cycle's
-	// data-parallel phases run on (nil = the package-level default pool).
-	Pool *par.Pool
 
 	// Rows is the generation's row arena: Cycle.NewRow draws the rows this
 	// cycle builds from it (nil = allocate them, for hand-built test nodes).
@@ -163,21 +155,15 @@ type Cycle struct {
 	TS    uint64
 	Tasks []Task
 
-	// Workers is the worker-pool budget for this cycle: blocking operators
-	// may fan their Finish phase (partitioned sort, partitioned aggregation,
-	// join build) out to up to this many goroutines, and scan sources split
-	// the table across it. <= 1 means strictly serial execution — the
-	// contract is that Workers=1 output is byte-identical to the engine
-	// before intra-operator parallelism existed.
+	// Workers is the scan parallelism budget for this cycle: scan sources
+	// (and the columnar aggregation feed) split the table's row slots
+	// across up to this many goroutines. <= 1 means a strictly serial scan;
+	// emission order is the same at any value.
 	Workers int
 
 	// Col is the columnar-aggregation activation for this cycle (nil = the
 	// node consumes its producer stream as usual). See ColCycle.
 	Col *ColCycle
-
-	// Pool runs the cycle's data-parallel phases (nil-safe: a nil pool is
-	// the package default). Operators call c.Pool.Do(c.Workers, n, fn).
-	Pool *par.Pool
 
 	// Columnar switches scan sources to the columnar mirror
 	// (storage.SharedScanColumnar) for this cycle. Emission is bit-identical
@@ -296,50 +282,14 @@ func (n *Node) run() {
 	}
 }
 
-// adaptiveWorkerMinInput is the previous-cycle input size below which a
-// node's cycle runs strictly serial regardless of the configured worker
-// budget: tiny cycles pay fork/join overhead (and the parallel operators'
-// batch buffering) for nothing. A var so tests can lower it.
-var adaptiveWorkerMinInput = 1024
-
-// DisableAdaptiveWorkersForTest removes the tiny-cycle serial clamp and
-// returns a restore func. Engine-level differential tests use it so their
-// test-sized fixtures still exercise the parallel operator paths instead of
-// being adaptively serialized after the first generation.
-func DisableAdaptiveWorkersForTest() (restore func()) {
-	old := adaptiveWorkerMinInput
-	adaptiveWorkerMinInput = 0
-	return func() { adaptiveWorkerMinInput = old }
-}
-
-// adaptWorkers picks the effective per-cycle parallelism from the worker
-// budget and the node's previous-generation input size (the ROADMAP's
-// adaptive worker budget): unknown history (-1, first cycle) trusts the
-// budget; a previous cycle below adaptiveWorkerMinInput tuples stays
-// serial. Source nodes (no producers) size their own work against the
-// table instead (storage.SharedScanPooled's row-count clamp).
-func adaptWorkers(budget, prevInput int) int {
-	if budget > 1 && prevInput >= 0 && prevInput < adaptiveWorkerMinInput {
-		return 1
-	}
-	return budget
-}
-
 // runCycle executes one generation at this node (the body of Algorithm 1's
 // outer while-loop). It consumes stashed early-arrival messages first and
 // returns messages and cycle starts belonging to future generations; ok is
 // false when the inbox closed mid-cycle (shutdown).
 func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (future []Message, nextStarts []*CycleStart, ok bool) {
-	workers := cs.Workers
-	// A columnar-aggregation cycle builds its own input in Start (like a
-	// source node), so the previous cycle's silenced stream input must not
-	// adaptively serialize it.
-	if len(n.Producers) > 0 && cs.Col == nil {
-		workers = adaptWorkers(workers, n.prevInput)
-	}
 	n.em.reset(n, cs.Gen)
 	c := &n.cycle
-	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: workers, Col: cs.Col, Pool: cs.Pool, Columnar: cs.Columnar, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
+	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: cs.Workers, Col: cs.Col, Columnar: cs.Columnar, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
 
 	// activeNs accumulates operator-busy time for the engine's per-statement
 	// cost attribution; timing only runs when someone is observing.
@@ -357,7 +307,6 @@ func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (
 
 	run(func() { n.Op.Start(c) })
 	remaining := cs.ActiveProducers
-	consumed := 0
 
 	handle := func(msg Message) {
 		if msg.Gen != cs.Gen {
@@ -374,7 +323,6 @@ func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (
 			return
 		}
 		if msg.Batch != nil {
-			consumed += len(msg.Batch.Tuples)
 			run(func() { n.Op.Consume(c, msg.Batch) })
 			// Recycle the batch unless the operator kept references into it
 			// (c.Retain); retained batches are released after Finish.
@@ -416,7 +364,6 @@ func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (
 		n.pool.Put(b)
 	}
 	clear(c.retained)
-	n.prevInput = consumed
 	if cs.OnDone != nil {
 		cs.OnDone()
 	}

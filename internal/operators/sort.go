@@ -44,7 +44,7 @@ type SortOp struct {
 
 	// cycle state, reused across cycles (one cycle at a time per node)
 	st        sortState
-	cmp       func(a, b int32) int // s.compare, bound once: a fresh method value per Finish would escape into the parallel sort
+	cmp       func(a, b int32) int // s.compare, bound once: a fresh method value per Finish would escape into the sort
 	qsScratch []queryset.QueryID   // shared-sort routing scratch
 	single    [1]queryset.QueryID
 }
@@ -85,9 +85,9 @@ type sortState struct {
 	allLimited bool  // every active query carries a LIMIT
 	cands      []int // buffered candidates per query (nᵢ), dense like limits
 
-	perm, merged []int32   // shared sort: the index permutation and its merge scratch
-	counts       []int     // shared sort: rows routed so far, dense by query id
-	heaps        [][]int32 // selection: per-query bounded max-heaps of buffer indices
+	perm   []int32   // shared sort: the index permutation
+	counts []int     // shared sort: rows routed so far, dense by query id
+	heaps  [][]int32 // selection: per-query bounded max-heaps of buffer indices
 }
 
 // Start initializes the sort buffer and per-query limits.
@@ -285,14 +285,16 @@ func (s *SortOp) finishSelection(c *Cycle) {
 
 // finishSharedSort is the shared sort of Figure 4: one sort of the index
 // permutation for all queries, then per-query routing in order with Top-N
-// counters.
+// counters. cmp is a strict total order (keys, then arrival index), so the
+// unstable sort yields the stable order.
 func (s *SortOp) finishSharedSort(c *Cycle) {
 	st := &s.st
 	perm := st.perm[:0]
 	for i := range st.buf {
 		perm = append(perm, int32(i))
 	}
-	st.perm, st.merged = sortIndexPerm(perm, st.merged, s.cmp, c.Workers, c.Pool)
+	slices.SortFunc(perm, s.cmp)
+	st.perm = perm
 
 	st.counts = zeroed(st.counts, len(st.limits))
 	counts := st.counts

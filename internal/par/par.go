@@ -1,7 +1,6 @@
-// Package par is the engine's worker-pool execution layer: a minimal
-// data-parallel fork/join primitive shared by the storage manager (the
-// partitioned ClockScan of Crescando, paper §4.4) and the blocking shared
-// operators (the data-parallel Finish phases of §4.2). The paper pins worker
+// Package par is the engine's data-parallel fork/join primitive, used by the
+// storage manager's partition-parallel scans (the partitioned ClockScan of
+// Crescando, paper §4.4, and its columnar counterpart). The paper pins worker
 // threads to cores; here the degree of parallelism is a per-cycle worker
 // count resolved from Config.Workers, and pooled goroutines stand in for
 // pinned threads.
@@ -13,9 +12,8 @@
 // engine byte-identical to serial execution.
 //
 // Helpers are persistent: instead of spawning workers-1 goroutines per Do
-// call, work is dispatched as tickets to a Pool of long-lived worker
-// goroutines (a process-wide default pool, or a caller-owned Pool with a
-// per-worker affinity hook — the seed for NUMA pinning of shard engines).
+// call, work is dispatched as tickets to one process-wide pool of long-lived
+// worker goroutines.
 package par
 
 import (
@@ -59,78 +57,47 @@ func (j *job) run() {
 	}
 }
 
-// Pool is a fixed set of persistent worker goroutines that execute Do
-// tickets. The zero Pool is not usable; a nil *Pool is — its Do falls back
-// to the package-level default pool, so plumbing an optional pool through
-// call sites needs no nil checks.
-type Pool struct {
+// pool is a fixed set of persistent worker goroutines that execute Do
+// tickets. A nil *pool is usable: its do falls back to the process-wide
+// default pool.
+type pool struct {
 	tickets chan *job
 	size    int
-	closed  atomic.Bool
-	workers sync.WaitGroup
 }
 
-// NewPool starts size persistent worker goroutines. If affinity is non-nil
-// it is called once on each worker goroutine before it starts accepting
-// tickets, with the worker's index in [0, size) — the hook point for CPU /
-// NUMA pinning of a shard engine's workers (e.g. locking the OS thread and
-// setting a scheduler affinity mask). size is clamped to at least 1.
-func NewPool(size int, affinity func(worker int)) *Pool {
+// newPool starts size persistent worker goroutines (at least 1). They live
+// as long as the process.
+func newPool(size int) *pool {
 	if size < 1 {
 		size = 1
 	}
-	p := &Pool{tickets: make(chan *job, size), size: size}
-	p.workers.Add(size)
+	p := &pool{tickets: make(chan *job, size), size: size}
 	for w := 0; w < size; w++ {
-		go func(w int) {
-			defer p.workers.Done()
-			if affinity != nil {
-				affinity(w)
-			}
+		go func() {
 			for j := range p.tickets {
 				j.run()
 			}
-		}(w)
+		}()
 	}
 	return p
 }
 
-// Size reports the number of persistent workers in the pool.
-func (p *Pool) Size() int {
-	if p == nil {
-		return 0
-	}
-	return p.size
-}
-
-// Close shuts the pool's workers down and waits for them to exit. Close must
-// not be called concurrently with Do on the same pool; after Close, Do runs
-// serially on the caller. Closing a nil pool is a no-op (the default pool is
-// process-lived).
-func (p *Pool) Close() {
-	if p == nil || !p.closed.CompareAndSwap(false, true) {
-		return
-	}
-	close(p.tickets)
-	p.workers.Wait()
-}
-
-// Do runs fn(i) for every i in [0, n), using up to `workers` goroutines
+// do runs fn(i) for every i in [0, n), using up to `workers` goroutines
 // (the calling goroutine plus at most workers-1 pool workers), and returns
 // once all invocations have completed. Tasks are claimed from a shared
 // atomic counter, so callers that want deterministic work assignment should
 // make fn(i) own partition i outright and write only to i-indexed state.
 // With workers <= 1 (or n <= 1) the calls happen sequentially in index order
-// on the caller's goroutine. On a nil pool, Do delegates to the package
-// default pool.
-func (p *Pool) Do(workers, n int, fn func(i int)) {
+// on the caller's goroutine. On a nil pool, do delegates to the default
+// pool.
+func (p *pool) do(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 || (p != nil && p.closed.Load()) {
+	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
@@ -160,31 +127,31 @@ func (p *Pool) Do(workers, n int, fn func(i int)) {
 	j.items.Wait()
 }
 
-// Do runs fn over [0, n) on the process-wide default pool; see (*Pool).Do
+// Do runs fn over [0, n) on the process-wide default pool; see (*pool).do
 // for the contract. The default pool is sized to the machine's CPU count and
 // created lazily on first parallel use.
 func Do(workers, n int, fn func(i int)) {
-	var p *Pool
-	p.Do(workers, n, fn)
+	var p *pool
+	p.do(workers, n, fn)
 }
 
 var (
 	defaultOnce sync.Once
-	defPool     *Pool
+	defPool     *pool
 )
 
 // defaultPool lazily creates the shared process-wide pool. It is sized to
 // runtime.NumCPU rather than GOMAXPROCS so that later GOMAXPROCS changes
 // (e.g. go test -cpu 1,4 re-running in one process) still find enough
 // helpers; idle workers cost only a blocked channel receive.
-func defaultPool() *Pool {
-	defaultOnce.Do(func() { defPool = NewPool(runtime.NumCPU(), nil) })
+func defaultPool() *pool {
+	defaultOnce.Do(func() { defPool = newPool(runtime.NumCPU()) })
 	return defPool
 }
 
 // forkCount counts work tickets dispatched to pool workers since process
-// start — the pooled analogue of "worker goroutines spawned". The adaptive
-// worker budget's tests use it to pin that tiny cycles never fork.
+// start — the pooled analogue of "worker goroutines spawned". The scan
+// clamp's tests use it to pin that scans of tiny tables never fork.
 var forkCount atomic.Int64
 
 // Forks reports the total work tickets dispatched to pool workers so far.

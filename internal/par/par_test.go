@@ -83,12 +83,11 @@ func TestSplit(t *testing.T) {
 }
 
 func TestPoolCoversEveryIndexOnce(t *testing.T) {
-	p := NewPool(3, nil)
-	defer p.Close()
+	p := newPool(3)
 	for _, workers := range []int{1, 2, 4, 16} {
 		for _, n := range []int{0, 1, 3, 100} {
 			hits := make([]atomic.Int32, n)
-			p.Do(workers, n, func(i int) { hits[i].Add(1) })
+			p.do(workers, n, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
 					t.Errorf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
@@ -98,53 +97,22 @@ func TestPoolCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestPoolAffinityHookRunsPerWorker(t *testing.T) {
-	var seen [4]atomic.Int32
-	p := NewPool(4, func(w int) { seen[w].Add(1) })
-	p.Do(4, 64, func(int) {})
-	p.Close()
-	for w := range seen {
-		if got := seen[w].Load(); got != 1 {
-			t.Errorf("affinity hook for worker %d ran %d times, want 1", w, got)
-		}
-	}
-}
-
-func TestPoolSerialAfterClose(t *testing.T) {
-	p := NewPool(2, nil)
-	p.Close()
-	var order []int
-	p.Do(4, 5, func(i int) { order = append(order, i) })
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("closed-pool Do out of order: %v", order)
-		}
-	}
-	if len(order) != 5 {
-		t.Fatalf("closed-pool Do ran %d of 5 items", len(order))
-	}
-}
-
 func TestNilPoolDelegatesToDefault(t *testing.T) {
-	var p *Pool
+	var p *pool
 	hits := make([]atomic.Int32, 50)
-	p.Do(4, 50, func(i int) { hits[i].Add(1) })
+	p.do(4, 50, func(i int) { hits[i].Add(1) })
 	for i := range hits {
 		if got := hits[i].Load(); got != 1 {
 			t.Errorf("nil-pool Do: index %d ran %d times", i, got)
 		}
 	}
-	if p.Size() != 0 {
-		t.Errorf("nil pool Size = %d, want 0", p.Size())
-	}
 }
 
 func TestPoolNestedDoDoesNotDeadlock(t *testing.T) {
-	p := NewPool(2, nil)
-	defer p.Close()
+	p := newPool(2)
 	var total atomic.Int32
-	p.Do(4, 8, func(i int) {
-		p.Do(4, 8, func(j int) { total.Add(1) })
+	p.do(4, 8, func(i int) {
+		p.do(4, 8, func(j int) { total.Add(1) })
 	})
 	if got := total.Load(); got != 64 {
 		t.Fatalf("nested Do ran %d inner items, want 64", got)

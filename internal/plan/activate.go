@@ -130,7 +130,6 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		ActiveProducers: activeProducers(p.sink),
 		Workers:         workers,
 		Columnar:        p.columnar,
-		Pool:            p.workerPool,
 		CostObserve:     costObserve,
 		OnDone:          done,
 	}})
@@ -150,7 +149,6 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 			ActiveProducers: activeProducers(n),
 			Workers:         workers,
 			Columnar:        p.columnar,
-			Pool:            p.workerPool,
 			CostObserve:     costObserve,
 			Col:             colCycles[n],
 			Rows:            rows,

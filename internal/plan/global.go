@@ -16,7 +16,6 @@ import (
 
 	"shareddb/internal/expr"
 	"shareddb/internal/operators"
-	"shareddb/internal/par"
 	"shareddb/internal/sql"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -129,7 +128,7 @@ type GlobalPlan struct {
 	nextNodeID int
 	nextStream int
 	started    bool
-	workers    int  // per-cycle intra-operator parallelism (<=1 = serial)
+	workers    int  // per-cycle scan parallelism (<=1 = serial)
 	columnar   bool // scan sources read the columnar mirror (default); false = row-store reference scan
 	// pool is the plan-wide batch free list: every node's emitter draws
 	// from it and every node recycles consumed batches into it, so the
@@ -139,11 +138,6 @@ type GlobalPlan struct {
 	// rowPool is the plan-wide free list behind the per-generation row
 	// arenas RunGeneration hands to every cycle.
 	rowPool *operators.RowPool
-
-	// workerPool, when set, is the engine-owned persistent worker pool every
-	// cycle's data-parallel phases run on (nil = the par package's default
-	// pool). Owned by the engine: the plan never closes it.
-	workerPool *par.Pool
 
 	// costObserver, when set, receives every node cycle's operator-active
 	// time with the generation and the cycle's tasks — the engine's
@@ -264,9 +258,9 @@ func (p *GlobalPlan) edge(from, to *operators.Node) *operators.Edge {
 	return e
 }
 
-// SetWorkers sets the worker-pool budget handed to every operator cycle
-// (partitioned scans and data-parallel Finish phases). Values below 1 clamp
-// to 1 (strictly serial — byte-identical to the pre-parallel engine).
+// SetWorkers sets the scan parallelism budget handed to every operator
+// cycle (only partitioned scans read it). Values below 1 clamp to 1
+// (strictly serial scans).
 func (p *GlobalPlan) SetWorkers(n int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -274,15 +268,6 @@ func (p *GlobalPlan) SetWorkers(n int) {
 		n = 1
 	}
 	p.workers = n
-}
-
-// SetWorkerPool attaches an engine-owned persistent worker pool; cycles run
-// their data-parallel phases on it instead of the package default. The pool
-// stays owned (and eventually closed) by the caller.
-func (p *GlobalPlan) SetWorkerPool(wp *par.Pool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.workerPool = wp
 }
 
 // SetCostObserver installs the engine's per-cycle cost attribution hook:

@@ -189,7 +189,7 @@ func New(dbs []*storage.Database, cfg core.Config, placement Placement) (*Router
 // Shards returns the shard count.
 func (r *Router) Shards() int { return len(r.dbs) }
 
-// Workers reports the per-shard intra-operator parallelism budget.
+// Workers reports the per-shard scan parallelism budget.
 func (r *Router) Workers() int { return r.engines[0].Workers() }
 
 // ValidateTable checks the placement overrides against a (typically newly

@@ -8,9 +8,8 @@ import (
 	"shareddb/internal/types"
 )
 
-// The adaptive worker budget's source-node heuristic: a scan cycle over a
-// tiny table must not fork worker goroutines, whatever the configured
-// budget (ROADMAP "Adaptive worker budget").
+// The scan clamp: a scan cycle over a tiny table must not fork worker
+// goroutines, whatever the configured budget.
 func TestTinyTableScanSpawnsNoWorkers(t *testing.T) {
 	db, tab := seedUsers(t, 10)
 	ts := db.SnapshotTS()

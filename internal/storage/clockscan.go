@@ -156,9 +156,8 @@ func (pi *predIndex) match(row types.Row, buf []queryset.QueryID) []queryset.Que
 }
 
 // minParallelScanRows is the table size below which a partitioned scan
-// runs serial regardless of the worker budget (the adaptive worker budget's
-// source-node heuristic: a cycle over a tiny table never forks). A var so
-// tests can lower it.
+// runs serial regardless of the worker budget: a cycle over a tiny table
+// never forks. A var so tests can lower it.
 var minParallelScanRows = 1024
 
 // scanHit is one row emitted by a scan partition, buffered so that

@@ -12,8 +12,8 @@ import (
 // CanonRows renders rows as a sorted multiset fingerprint for differential
 // comparisons. Floats are rounded to 6 decimals — the rounding width is
 // load-bearing: it absorbs the float-association differences between
-// serial, worker-partitioned and cross-shard partial-sum aggregation, and
-// every differential suite must use the same width.
+// serial and cross-shard partial-sum aggregation, and every differential
+// suite must use the same width.
 func CanonRows(rows []types.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {

@@ -7,7 +7,6 @@ import (
 
 	"shareddb/internal/baseline"
 	"shareddb/internal/core"
-	"shareddb/internal/operators"
 	"shareddb/internal/storage"
 	"shareddb/internal/testutil"
 	"shareddb/internal/types"
@@ -211,7 +210,6 @@ func TestSharedVsBaselineEveryReadStatement(t *testing.T) {
 		StGetStock:                {{iv(17)}},
 		StGetLatestOrderID:        {{iv(3)}},
 	}
-	defer operators.DisableAdaptiveWorkersForTest()()
 	for _, workers := range []int{1, 2} {
 		shared, err := NewSharedSystem(db, core.Config{Workers: workers})
 		if err != nil {

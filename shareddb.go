@@ -20,11 +20,11 @@
 // pipelining never changes results — set MaxInFlightGenerations to 1 for
 // strictly serial generations.
 //
-// Within a generation, Config.Workers (default GOMAXPROCS) sets the
-// intra-operator worker pool: table scans run as partition-parallel
-// ClockScans and the blocking operators (sort, group-by, join build) run
-// data-parallel Finish phases. Workers = 1 is strictly serial; per-query
-// results are identical at any setting.
+// Within a generation, Config.Workers (default GOMAXPROCS) sizes the shared
+// table scans, which run as partition-parallel ClockScans; joins, sorts and
+// group-bys each run once per generation on their own operator goroutine.
+// Workers = 1 scans serially; per-query results are identical at any
+// setting.
 //
 // Basic usage:
 //
@@ -70,11 +70,10 @@ type Config struct {
 	// apply in generation order; only read phases overlap, each at its
 	// own snapshot.
 	MaxInFlightGenerations int
-	// Workers is the intra-operator parallelism budget: each generation's
-	// shared table scans run as partition-parallel ClockScans and the
-	// blocking shared operators (sort, group-by, join build) run
-	// data-parallel Finish phases on up to this many workers. 0 selects
-	// GOMAXPROCS (one worker per core); 1 runs strictly serial; negative
+	// Workers is the scan parallelism budget: each generation's shared
+	// table scans run as partition-parallel ClockScans on up to this many
+	// workers. 0 selects GOMAXPROCS (one worker per core); 1 scans
+	// strictly serially; negative
 	// values are rejected by Open. Per-query results are identical at any
 	// setting. On sharded deployments the budget is per shard engine: 0
 	// gives every shard a disjoint GOMAXPROCS/Shards share so shards do not
