@@ -313,7 +313,6 @@ type Stats struct {
 	QueriesRun          uint64
 	WritesApplied       uint64
 	FoldedQueries       uint64
-	SubsumedQueries     uint64
 	InFlightGenerations int
 	QueueDepth          int
 	Shed                uint64
@@ -347,8 +346,6 @@ func statsFromFields(fields []wire.StatField) Stats {
 			st.WritesApplied = f.Value
 		case "folded_queries":
 			st.FoldedQueries = f.Value
-		case "subsumed_queries":
-			st.SubsumedQueries = f.Value
 		case "in_flight_generations":
 			st.InFlightGenerations = int(f.Value)
 		case "queue_depth":

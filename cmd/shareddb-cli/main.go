@@ -92,11 +92,11 @@ func stats(out io.Writer, db *client.DB) {
 		fail(out, err)
 		return
 	}
-	fmt.Fprintf(out, "generations\t%d\nqueries_run\t%d\nwrites_applied\t%d\nfolded_queries\t%d\nsubsumed_queries\t%d\nfold_hit_rate\t%.4f\n",
-		st.Generations, st.QueriesRun, st.WritesApplied, st.FoldedQueries, st.SubsumedQueries, st.FoldHitRate())
+	fmt.Fprintf(out, "generations\t%d\nqueries_run\t%d\nwrites_applied\t%d\nfolded_queries\t%d\nfold_hit_rate\t%.4f\n",
+		st.Generations, st.QueriesRun, st.WritesApplied, st.FoldedQueries, st.FoldHitRate())
 	fmt.Fprintf(out, "in_flight_generations\t%d\nqueue_depth\t%d\nshed\t%d\nrejected\t%d\nbreaker_trips\t%d\nsubscriptions_active\t%d\nsubscription_updates\t%d\n",
 		st.InFlightGenerations, st.QueueDepth, st.Shed, st.Rejected, st.BreakerTrips, st.SubscriptionsActive, st.SubscriptionUpdates)
-	fmt.Fprintln(out, "OK 13")
+	fmt.Fprintln(out, "OK 12")
 }
 
 // fail prints the error response: BUSY with the server's retry hint for

@@ -39,13 +39,11 @@ func main() {
 	maxDelay := flag.Duration("max-delay", 0, "per-generation latency SLO; enables SLO batch sizing and the slow-query breaker (0 = off, minimum 1ms)")
 	queueLimit := flag.Int("queue-limit", 0, "max submissions queued per engine before BUSY rejections (0 = unlimited)")
 	stmtQuota := flag.Int("stmt-quota", 0, "max activations of one statement per generation; excess shed to later generations (0 = unlimited)")
-	foldSubsume := flag.Bool("fold-subsume", false, "also serve equality restrictions from covering full scans")
 	window := flag.Int("window", 0, "per-connection in-flight request window (0 = default)")
 	flag.Parse()
 
 	cfg := shareddb.Config{WALDir: *wal, MaxInFlightGenerations: *pipeline, Workers: *workers, Shards: *shards,
-		MaxGenerationDelay: *maxDelay, QueueDepthLimit: *queueLimit, StatementQuota: *stmtQuota,
-		FoldSubsume: *foldSubsume}
+		MaxGenerationDelay: *maxDelay, QueueDepthLimit: *queueLimit, StatementQuota: *stmtQuota}
 	if *replicate != "" {
 		cfg.ReplicatedTables = strings.Split(*replicate, ",")
 	}

@@ -59,10 +59,10 @@
 // no per-statement history the cap falls back to the uniform EWMA estimate.
 //
 // All admission state is guarded by the engine mutex: every method on
-// admission must be called with Engine.mu held. With every knob at its
-// zero value newAdmission returns nil and the engine's dispatch path is
-// byte-identical to the pre-admission engine (pinned by the differential
-// suite).
+// admission must be called with Engine.mu held. The engine always has a
+// controller; with every knob at its zero value it passes everything
+// through — every submission is admitted and every batch is the whole
+// queue, MaxBatch aside.
 package core
 
 import (
@@ -183,11 +183,11 @@ type admission struct {
 	trips    uint64
 }
 
-// newAdmission resolves the admission knobs; it returns nil — admission
-// fully disabled, the engine hot path unchanged — when every limit is at
-// its zero value. Negative values (rejected by Config.Validate on the
-// public path) are clamped to "disabled" as a backstop, mirroring how New
-// clamps Workers and MaxInFlightGenerations.
+// newAdmission resolves the admission knobs. Negative values (rejected by
+// Config.Validate on the public path) are clamped to "disabled" as a
+// backstop, mirroring how New clamps Workers and MaxInFlightGenerations.
+// State a limit needs is allocated only when that limit is on: the breaker
+// and cost maps with the SLO, the quota scratch with the quota.
 func newAdmission(cfg Config) *admission {
 	maxDelay := cfg.MaxGenerationDelay
 	if maxDelay < 0 {
@@ -201,9 +201,6 @@ func newAdmission(cfg Config) *admission {
 	if quota < 0 {
 		quota = 0
 	}
-	if maxDelay == 0 && queueLimit == 0 && quota == 0 {
-		return nil
-	}
 	strikes := cfg.BreakerStrikes
 	if strikes <= 0 {
 		strikes = DefaultBreakerStrikes
@@ -212,17 +209,22 @@ func newAdmission(cfg Config) *admission {
 	if cooldown <= 0 {
 		cooldown = defaultCooldownFactor * maxDelay
 	}
-	return &admission{
-		maxDelay:     maxDelay,
-		queueLimit:   queueLimit,
-		quota:        quota,
-		strikes:      strikes,
-		cooldown:     cooldown,
-		now:          time.Now,
-		breakers:     map[string]*breaker{},
-		stmtCost:     map[string]*costRing{},
-		quotaScratch: map[string]int{},
+	a := &admission{
+		maxDelay:   maxDelay,
+		queueLimit: queueLimit,
+		quota:      quota,
+		strikes:    strikes,
+		cooldown:   cooldown,
+		now:        time.Now,
 	}
+	if maxDelay > 0 {
+		a.breakers = map[string]*breaker{}
+		a.stmtCost = map[string]*costRing{}
+	}
+	if quota > 0 {
+		a.quotaScratch = map[string]int{}
+	}
+	return a
 }
 
 // costRingSamples is how many recent generations of attributed cost each
@@ -307,23 +309,12 @@ func (a *admission) checkBreaker(stmt *plan.Statement) error {
 	if b == nil || b.state == breakerClosed {
 		return nil
 	}
-	if b.state == breakerOpen {
-		if wait := b.openedAt.Add(a.cooldown).Sub(a.now()); wait > 0 {
-			return &OverloadError{
-				Reason:     fmt.Sprintf("statement quarantined by slow-query breaker (%d consecutive generations over the %v SLO)", b.strikes, a.maxDelay),
-				RetryAfter: wait,
-			}
-		}
-		b.state = breakerHalfOpen
-		b.probing = false
+	if err := a.breakerReject(b); err != nil {
+		return err
 	}
-	if b.probing {
-		return &OverloadError{
-			Reason:     "statement breaker half-open: probe already in flight",
-			RetryAfter: a.maxDelay,
-		}
-	}
-	b.probing = true
+	// Open past its cooldown, or half-open with the probe slot free: this
+	// submission is the half-open probe.
+	b.state, b.probing = breakerHalfOpen, true
 	return nil
 }
 
@@ -334,10 +325,16 @@ func (a *admission) checkBreaker(stmt *plan.Statement) error {
 // pipeline, so a quarantined statement's retry loop must fail fast here
 // instead of repeatedly stalling every other client's traffic.
 func (a *admission) peekBreaker(sqlText string) error {
-	b := a.breakers[sqlText]
-	if b == nil || b.state == breakerClosed {
-		return nil
+	if b := a.breakers[sqlText]; b != nil {
+		return a.breakerReject(b)
 	}
+	return nil
+}
+
+// breakerReject is the rejection breaker b hands a submission right now, or
+// nil: an open breaker rejects until its cooldown elapses, a half-open one
+// while its probe is in flight.
+func (a *admission) breakerReject(b *breaker) error {
 	if b.state == breakerOpen {
 		if wait := b.openedAt.Add(a.cooldown).Sub(a.now()); wait > 0 {
 			return &OverloadError{
@@ -345,7 +342,7 @@ func (a *admission) peekBreaker(sqlText string) error {
 				RetryAfter: wait,
 			}
 		}
-		return nil // cooldown elapsed: the real submission may probe
+		return nil
 	}
 	if b.probing {
 		return &OverloadError{
@@ -411,16 +408,16 @@ func (a *admission) sloLimit(pending []*Request) int {
 
 // formBatch partitions the pending queue into the batch this generation
 // admits and the remainder shed to the next one, preserving arrival order
-// in both. maxBatch is Config.MaxBatch (applied here so the admission and
-// legacy caps compose). The batch compacts in place over pending's backing
-// array; rest is freshly allocated (it becomes the new pending queue).
+// in both. maxBatch is Config.MaxBatch, which applies nowhere else. The
+// batch compacts in place over pending's backing array; rest is freshly
+// allocated (it becomes the new pending queue).
 func (a *admission) formBatch(pending []*Request, maxBatch int) (batch, rest []*Request) {
 	limit := len(pending)
 	if maxBatch > 0 && maxBatch < limit {
 		limit = maxBatch
 	}
-	// Only admission-driven deferrals count as shed: a MaxBatch trim is
-	// the legacy cap and was never reported before admission existed.
+	// Only admission-driven deferrals count as shed: a MaxBatch trim is a
+	// fixed size cap, not a response to load.
 	sloLimited := false
 	if c := a.sloLimit(pending); c > 0 && c < limit {
 		limit = c
@@ -470,12 +467,6 @@ func (a *admission) formBatch(pending []*Request, maxBatch int) (batch, rest []*
 // map per unique ad-hoc SQL text forever. SLO-met generations delete their
 // statements' entries, so a healthy workload stays far below the cap.
 const maxBreakers = 4096
-
-// recordGeneration is recordGenerationCosts without attribution (kept for
-// call sites and tests that predate per-statement costing).
-func (a *admission) recordGeneration(stmts []*plan.Statement, d time.Duration, batchSize int) {
-	a.recordGenerationCosts(stmts, d, batchSize, nil)
-}
 
 // recordGenerationCosts feeds one completed generation back into the
 // controller: the cost EWMA that sizes future batches, the per-statement

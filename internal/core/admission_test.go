@@ -14,17 +14,31 @@ import (
 
 // --- controller unit tests (engine mutex not required: single goroutine) ---
 
+// TestAdmissionDisabledIsNil: with every limit at zero the controller holds
+// no breaker, cost or quota state (nil maps) and passes everything through.
 func TestAdmissionDisabledIsNil(t *testing.T) {
-	if a := newAdmission(Config{}); a != nil {
-		t.Fatalf("zero-value admission config must disable the controller, got %+v", a)
-	}
+	s := &plan.Statement{ID: 1, SQL: "SELECT a"}
 	// Negative values are clamped to disabled (Validate rejects them on the
 	// public path; New must not blow up on raw internal use).
-	if a := newAdmission(Config{MaxGenerationDelay: -1, QueueDepthLimit: -2, StatementQuota: -3}); a != nil {
-		t.Fatalf("negative limits must clamp to disabled, got %+v", a)
+	for _, cfg := range []Config{{}, {MaxGenerationDelay: -1, QueueDepthLimit: -2, StatementQuota: -3}} {
+		a := newAdmission(cfg)
+		if a.breakers != nil || a.stmtCost != nil || a.quotaScratch != nil {
+			t.Fatalf("disabled controller allocated state: %+v", a)
+		}
+		if err := a.admit(s, 1<<20); err != nil {
+			t.Fatalf("disabled controller rejected: %v", err)
+		}
+		a.recordGenerationCosts([]*plan.Statement{s}, time.Hour, 1, nil)
+		pending := mkReqs(s, s, s)
+		if batch, rest := a.formBatch(pending, 0); len(batch) != 3 || rest != nil || a.shed != 0 {
+			t.Fatalf("disabled controller formed %d / shed %d, want the whole queue", len(batch), len(rest))
+		}
+		if err := a.peekBreaker(s.SQL); err != nil {
+			t.Fatalf("disabled controller's breaker rejected: %v", err)
+		}
 	}
-	if a := newAdmission(Config{QueueDepthLimit: 5}); a == nil {
-		t.Fatal("a single non-zero limit must enable the controller")
+	if a := newAdmission(Config{QueueDepthLimit: 1}); a.admit(s, 1) == nil {
+		t.Fatal("a single non-zero limit must take effect")
 	}
 }
 
@@ -135,7 +149,7 @@ func TestFormBatchSLOCapAndMaxBatchCompose(t *testing.T) {
 	}
 
 	// 4ms per request observed → a 10ms SLO admits 2 per generation.
-	a.recordGeneration(nil, 4*time.Millisecond, 1)
+	a.recordGenerationCosts(nil, 4*time.Millisecond, 1, nil)
 	if c := a.sloCap(); c != 2 {
 		t.Fatalf("sloCap = %d, want 2 (10ms SLO / 4ms cost)", c)
 	}
@@ -176,19 +190,19 @@ func TestBreakerTripHalfOpenResetCycle(t *testing.T) {
 	slow, fast := 20*time.Millisecond, 2*time.Millisecond
 
 	// One strike: still closed.
-	a.recordGeneration([]*plan.Statement{s}, slow, 1)
+	a.recordGenerationCosts([]*plan.Statement{s}, slow, 1, nil)
 	if err := a.admit(s, 0); err != nil {
 		t.Fatalf("one strike of two must stay closed: %v", err)
 	}
 	// An SLO-met generation resets the strike count.
-	a.recordGeneration([]*plan.Statement{s}, fast, 1)
-	a.recordGeneration([]*plan.Statement{s}, slow, 1)
+	a.recordGenerationCosts([]*plan.Statement{s}, fast, 1, nil)
+	a.recordGenerationCosts([]*plan.Statement{s}, slow, 1, nil)
 	if err := a.admit(s, 0); err != nil {
 		t.Fatalf("strikes must reset after a fast generation: %v", err)
 	}
 
 	// Two consecutive strikes: trips.
-	a.recordGeneration([]*plan.Statement{s}, slow, 1)
+	a.recordGenerationCosts([]*plan.Statement{s}, slow, 1, nil)
 	err := a.admit(s, 0)
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("tripped breaker must reject, got %v", err)
@@ -226,7 +240,7 @@ func TestBreakerTripHalfOpenResetCycle(t *testing.T) {
 	}
 
 	// Failed probe: re-trips for another full cooldown.
-	a.recordGeneration([]*plan.Statement{s}, slow, 1)
+	a.recordGenerationCosts([]*plan.Statement{s}, slow, 1, nil)
 	if a.trips != 2 {
 		t.Fatalf("failed probe must count a trip, got %d", a.trips)
 	}
@@ -239,7 +253,7 @@ func TestBreakerTripHalfOpenResetCycle(t *testing.T) {
 	if err := a.admit(s, 0); err != nil {
 		t.Fatalf("second probe must admit: %v", err)
 	}
-	a.recordGeneration([]*plan.Statement{s}, fast, 1)
+	a.recordGenerationCosts([]*plan.Statement{s}, fast, 1, nil)
 	if _, quarantined := a.breakers[s.SQL]; quarantined {
 		t.Fatal("successful probe must fully reset (delete) the breaker")
 	}
@@ -331,9 +345,6 @@ func TestAdmissionNonBindingDifferential(t *testing.T) {
 		StatementQuota:     1 << 20,
 	})
 	defer e.Close()
-	if e.adm == nil {
-		t.Fatal("admission must be enabled for this test")
-	}
 	qat := baseline.New(db, baseline.SystemXLike)
 
 	templates := []struct {

@@ -96,6 +96,15 @@ func differentialSharedVsQueryAtATime(t *testing.T, cfg Config) {
 			func(r *rand.Rand) []types.Value { return []types.Value{types.NewInt(int64(r.Intn(60)))} }},
 	}
 
+	// The DISTINCT … LIMIT template is also a standing query, so it shares
+	// every generation with its identical requests. Over the unchanging data
+	// its first full delivery must equal the baseline and no later generation
+	// may deliver a delta.
+	const distinctLimit = "SELECT DISTINCT i_subject FROM item WHERE i_price < ? LIMIT 3"
+	templates = append(templates, template{distinctLimit,
+		func(r *rand.Rand) []types.Value { return []types.Value{types.NewFloat(r.Float64() * 120)} }})
+	standingParams := []types.Value{types.NewFloat(60)}
+
 	sharedStmts := make([]*plan.Statement, len(templates))
 	qatStmts := make([]*baseline.Stmt, len(templates))
 	for i, tpl := range templates {
@@ -106,6 +115,11 @@ func differentialSharedVsQueryAtATime(t *testing.T, cfg Config) {
 			t.Fatalf("baseline prepare %q: %v", tpl.sql, err)
 		}
 	}
+	standing, err := shared.Subscribe(sharedStmts[len(templates)-1], standingParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standing.Close()
 
 	r := rand.New(rand.NewSource(2026))
 	for round := 0; round < 15; round++ {
@@ -134,6 +148,19 @@ func differentialSharedVsQueryAtATime(t *testing.T, cfg Config) {
 					len(want.Rows), canon(want.Rows))
 			}
 		}
+	}
+
+	want, err := qatStmts[len(templates)-1].Exec(standingParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if u := <-standing.Updates(); !u.Full || !sameRows(u.Rows, want.Rows) {
+		t.Fatalf("standing %q: first delivery %+v, baseline %v", distinctLimit, u, canon(want.Rows))
+	}
+	select {
+	case u := <-standing.Updates():
+		t.Fatalf("standing %q changed over unchanging data: %+v", distinctLimit, u)
+	default:
 	}
 }
 

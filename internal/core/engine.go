@@ -6,10 +6,19 @@
 // queued. When the current batch ... has been processed, then the queues
 // are emptied in order to form the next batch."
 //
-// Each generation: (1) the batch's updates are applied in arrival order and
-// a new snapshot is published (Crescando semantics), (2) the batch's reads
-// run together through the always-on global plan at that snapshot, (3)
-// results are routed back to the waiting clients.
+// A generation is a value (generation.go) that moves through five stages:
+//
+//   - form: drain the queue into a batch under admission control, vacate
+//     abandoned submissions, close the fold window over the batch and take
+//     on the live standing queries;
+//   - write: apply the batch's updates in arrival order and publish a new
+//     snapshot (Crescando semantics), then commit its transactions;
+//   - pin: pin that snapshot for the batch's reads and lay out their
+//     activations, with the standing queries', by dense query id;
+//   - run/sink: run the activations together through the always-on global
+//     plan, routing each result tuple to its query's collector;
+//   - retire: feed the cycle back into admission, publish the counters and
+//     free the pipeline slot — then the results complete.
 //
 // Generations pipeline (§3.1, §4): the throughput claim — work per
 // generation bounded by data size, not query count — only pays off while
@@ -98,17 +107,6 @@ type Config struct {
 	// requires MaxGenerationDelay > 0).
 	BreakerCooldown time.Duration
 
-	// FoldSubsume lets a pending parameter-free simple scan serve
-	// equality-restriction duplicates of itself via residual filters, where
-	// expression analysis proves the scan's output covers the duplicate's
-	// predicate and projection. It extends result folding, which is always
-	// on: a read submission identical to a pending one (same SQL text,
-	// bit-identical parameters) attaches to the pending request's result
-	// instead of occupying its own queue slot and query-set activation,
-	// and is charged once — by its lead — against
-	// QueueDepthLimit/StatementQuota and the cost EWMA. Writes and
-	// transaction commits never fold.
-	FoldSubsume bool
 	// SubscriptionBuffer is the per-subscription update channel capacity
 	// (0 selects DefaultSubscriptionBuffer). A subscriber that falls more
 	// than a full buffer behind is marked lagged and receives a full resync
@@ -126,7 +124,12 @@ type Config struct {
 	//
 	// RowScan runs shared scans as row-store ClockScans and feeds every
 	// group-by from its scan stream. NoFold queues every read as its own
-	// activation.
+	// activation; without it, a read submission identical to a pending one
+	// (same SQL text, bit-identical parameters) attaches to the pending
+	// request's result instead of occupying its own queue slot and
+	// activation, and is charged once — by its lead — against
+	// QueueDepthLimit/StatementQuota and the cost EWMA. Writes and
+	// transaction commits never fold.
 	RowScan bool
 	NoFold  bool
 }
@@ -144,11 +147,11 @@ type Engine struct {
 	gen     uint64
 
 	workers int        // resolved Config.Workers (immutable after New)
-	adm     *admission // admission controller; nil when every limit is zero
+	adm     *admission // admission controller; passes everything through when every limit is zero
 
 	// Cost attribution (nil unless the SLO breaker is on): per-generation
 	// records filled by the plan's cost observer from operator goroutines,
-	// consumed by the generation's completion callback. Guarded by costMu —
+	// consumed by the generation's retire stage. Guarded by costMu —
 	// deliberately separate from mu, which the observer must never touch
 	// (operator goroutines report while the dispatcher holds mu elsewhere).
 	costMu   sync.Mutex
@@ -166,12 +169,11 @@ type Engine struct {
 	preparers    int // Prepare calls waiting for / holding plan quiescence
 	loopDone     chan struct{}
 
-	// Fold state, guarded by mu. The indexes cover exactly the foldable
-	// requests currently in pending (the fold window); both are rebuilt
-	// from the shed remainder after every batch formation. nil under
-	// Config.NoFold.
-	foldIdx    map[uint64][]*Request // fingerprint → pending fold leads
-	subsumeIdx map[string][]*Request // table → pending full-scan leads
+	// Fold state, guarded by mu: fingerprint → pending fold leads. The index
+	// covers exactly the foldable requests currently in pending (the fold
+	// window) and is rebuilt from the shed remainder after every batch
+	// formation. nil under Config.NoFold.
+	foldIdx map[uint64][]*Request
 
 	// Standing queries, guarded by mu. subsKick forces a generation even
 	// with an empty request queue so a fresh subscription gets its initial
@@ -184,7 +186,6 @@ type Engine struct {
 	queriesRun  uint64
 	writesRun   uint64
 	folded      uint64 // submissions folded into a pending duplicate
-	subsumed    uint64 // of those, served through a subsumption transform
 	subUpdates  uint64 // subscription updates handed to subscribers
 }
 
@@ -229,33 +230,7 @@ type Result struct {
 	abandoned atomic.Bool
 	// hook, when set (NewHookedResult), is called once by complete.
 	hook CompletionHook
-
-	distinctSeen map[string]bool
-	slab         rowSlab // backs Rows while the sink assembles them
 }
-
-// rowSlab backs the rows of one result while the sink assembles it: rows are
-// cut from value slabs that double in size — one row first, so a point
-// lookup allocates exactly its row, 1024 rows at most — so a result of r rows
-// costs about log₂r allocations instead of r and at most twice its bytes. A
-// slab is garbage once every row cut from it is.
-type rowSlab struct {
-	free []types.Value
-	rows int // rows in the slab allocated last
-}
-
-// next returns the n-value row the next keep hands out, for the caller to
-// fill; without a keep the same memory is returned again (a row DISTINCT
-// rejected).
-func (s *rowSlab) next(n int) types.Row {
-	if len(s.free) < n {
-		s.rows = min(max(1, 2*s.rows), 1024)
-		s.free = make([]types.Value, n*s.rows)
-	}
-	return s.free[:n:n]
-}
-
-func (s *rowSlab) keep(n int) { s.free = s.free[n:] }
 
 // Wait blocks until the result is ready and returns its error.
 func (r *Result) Wait() error {
@@ -280,13 +255,10 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 	e.adm = newAdmission(cfg)
 	if !cfg.NoFold {
 		e.foldIdx = make(map[uint64][]*Request)
-		if cfg.FoldSubsume {
-			e.subsumeIdx = make(map[string][]*Request)
-		}
 	}
 	gp.SetWorkers(e.workers)
 	gp.SetColumnar(!cfg.RowScan)
-	if e.adm != nil && e.adm.maxDelay > 0 {
+	if e.adm.maxDelay > 0 {
 		// The slow-query breaker is on: attribute operator cycle time to
 		// statements so blame lands on the plan that burned the cycles.
 		e.genCosts = make(map[uint64]*genCostRec)
@@ -366,6 +338,24 @@ func (e *Engine) observeCost(gen uint64, tasks []operators.Task, activeNs int64)
 	e.costMu.Unlock()
 }
 
+// takeCosts removes and returns generation gen's attributed operator time
+// per statement SQL (nil with the SLO off, or when the generation ran no
+// reads). Every node reports before its EOS propagates downstream and the
+// sink has received every EOS before retire asks, so the record is final.
+func (e *Engine) takeCosts(gen uint64) map[string]int64 {
+	if e.genCosts == nil {
+		return nil
+	}
+	e.costMu.Lock()
+	defer e.costMu.Unlock()
+	rec := e.genCosts[gen]
+	if rec == nil {
+		return nil
+	}
+	delete(e.genCosts, gen)
+	return rec.ns
+}
+
 func failRequests(reqs []*Request) {
 	for _, r := range reqs {
 		r.Result.complete(errEngineClosed)
@@ -385,24 +375,28 @@ func (e *Engine) Stats() EngineStats {
 			active++
 		}
 	}
-	s := EngineStats{
+	return EngineStats{
 		Generations:         e.generations,
 		QueriesRun:          e.queriesRun,
 		WritesRun:           e.writesRun,
 		FoldedQueries:       e.folded,
-		SubsumedQueries:     e.subsumed,
 		SubscriptionsActive: active,
 		SubscriptionUpdates: e.subUpdates,
 		InFlight:            e.inFlight,
 		PeakInFlight:        e.peakInFlight,
-		Admission:           AdmissionStats{QueueDepth: len(e.pending) + e.reserved},
+		Admission:           e.admissionStatsLocked(),
 	}
-	if e.adm != nil {
-		s.Admission.Shed = e.adm.shed
-		s.Admission.Rejected = e.adm.rejected
-		s.Admission.BreakerTrips = e.adm.trips
+}
+
+// admissionStatsLocked snapshots the admission counters and the live queue
+// depth, router reservations included (e.mu held).
+func (e *Engine) admissionStatsLocked() AdmissionStats {
+	return AdmissionStats{
+		Shed:         e.adm.shed,
+		Rejected:     e.adm.rejected,
+		BreakerTrips: e.adm.trips,
+		QueueDepth:   len(e.pending) + e.reserved,
 	}
-	return s
 }
 
 // InFlightGenerations reports the pipeline gauge: how many generations are
@@ -519,10 +513,8 @@ func (e *Engine) AdmitReserve(stmt *plan.Statement) error {
 	if e.stopped {
 		return errEngineClosed
 	}
-	if e.adm != nil {
-		if err := e.adm.admit(stmt, len(e.pending)+e.reserved); err != nil {
-			return err
-		}
+	if err := e.adm.admit(stmt, len(e.pending)+e.reserved); err != nil {
+		return err
 	}
 	e.reserved++
 	return nil
@@ -548,9 +540,6 @@ func (e *Engine) AdmitRelease() {
 func (e *Engine) AdmitStatement(sqlText string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.adm == nil {
-		return nil
-	}
 	if err := e.adm.peekBreaker(sqlText); err != nil {
 		e.adm.rejected++
 		return err
@@ -563,13 +552,7 @@ func (e *Engine) AdmitStatement(sqlText string) error {
 func (e *Engine) AdmissionStats() AdmissionStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	s := AdmissionStats{QueueDepth: len(e.pending) + e.reserved}
-	if e.adm != nil {
-		s.Shed = e.adm.shed
-		s.Rejected = e.adm.rejected
-		s.BreakerTrips = e.adm.trips
-	}
-	return s
+	return e.admissionStatsLocked()
 }
 
 // SubmitTx enqueues a transaction commit for the next generation. The
@@ -631,21 +614,21 @@ func (e *Engine) enqueueLocked(req *Request, reserved bool) (queued bool, err er
 	if req.foldable && e.tryFold(req) {
 		return false, nil
 	}
-	if !reserved && e.adm != nil {
+	if !reserved {
 		if err := e.adm.admit(req.Stmt, len(e.pending)+e.reserved); err != nil {
 			return false, err
 		}
 	}
 	e.pending = append(e.pending, req)
 	if req.foldable {
-		e.indexFoldLead(req)
+		e.foldIdx[req.fp] = append(e.foldIdx[req.fp], req)
 	}
 	return true, nil
 }
 
-// tryFold collapses req into a pending identical (or, with FoldSubsume,
-// subsuming) lead, subscribing req.Result to it. Called with e.mu held; false
-// means req must queue as its own lead.
+// tryFold collapses req into a pending identical lead, subscribing
+// req.Result to it. Called with e.mu held; false means req must queue as its
+// own lead.
 func (e *Engine) tryFold(req *Request) bool {
 	for _, lead := range e.foldIdx[req.fp] {
 		if lead.Stmt.SQL != req.Stmt.SQL || !IdenticalParams(lead.Params, req.Params) {
@@ -654,144 +637,35 @@ func (e *Engine) tryFold(req *Request) bool {
 		if lead.fold == nil {
 			lead.fold = &Fanout{}
 		}
-		if !lead.fold.attach(req.Result, nil) {
+		if !lead.fold.Attach(req.Result) {
 			continue
 		}
 		lead.hooks = append(lead.hooks, req.hooks...)
 		e.folded++
 		return true
 	}
-	if e.subsumeIdx != nil && req.Stmt.FoldTable != "" && req.Stmt.FoldPred != nil {
-		for _, lead := range e.subsumeIdx[req.Stmt.FoldTable] {
-			tr := buildFoldTransform(lead.Stmt, req.Stmt, req.Params)
-			if tr == nil {
-				continue
-			}
-			if lead.fold == nil {
-				lead.fold = &Fanout{}
-			}
-			if !lead.fold.attach(req.Result, tr) {
-				continue
-			}
-			lead.hooks = append(lead.hooks, req.hooks...)
-			e.folded++
-			e.subsumed++
-			return true
-		}
-	}
 	return false
 }
 
-// indexFoldLead registers a newly queued foldable request as a fold target
-// (e.mu held). Parameter-free simple scans additionally become subsumption
-// leads.
-func (e *Engine) indexFoldLead(req *Request) {
-	e.foldIdx[req.fp] = append(e.foldIdx[req.fp], req)
-	if e.subsumeIdx != nil && req.Stmt.FoldTable != "" && req.Stmt.FoldPred == nil {
-		e.subsumeIdx[req.Stmt.FoldTable] = append(e.subsumeIdx[req.Stmt.FoldTable], req)
-	}
-}
-
-// loop is the heartbeat dispatcher: drain the queue, apply the generation's
-// writes in order, launch its read phase, and — unlike the serial engine —
-// move straight on to the next generation while up to maxInFlight read
-// phases overlap in the always-on plan.
+// loop is the heartbeat dispatcher: wait for work and pace, form the next
+// generation and dispatch it, then move straight on while up to maxInFlight
+// read phases overlap in the always-on plan.
 func (e *Engine) loop() {
 	defer close(e.loopDone)
-	lastStart := time.Time{}
+	var lastStart time.Time
 	for {
 		e.mu.Lock()
-		for {
-			for !e.stopped && ((len(e.pending) == 0 && !e.subsKick) || e.inFlight >= e.maxInFlight || e.preparers > 0) {
-				e.cond.Wait()
-			}
-			if e.stopped {
-				break
-			}
-			// Heartbeat pacing: give late arrivals a chance to join the
-			// batch. The admission check reruns after the sleep — a Prepare
-			// or a full pipeline that arose meanwhile must hold dispatch.
-			if e.cfg.Heartbeat > 0 {
-				if wait := e.cfg.Heartbeat - time.Since(lastStart); wait > 0 {
-					e.mu.Unlock()
-					time.Sleep(wait)
-					e.mu.Lock()
-					continue
-				}
-			}
-			break
-		}
-		if e.stopped {
+		if !e.awaitDispatchLocked(lastStart) {
 			pending := e.pending
 			e.pending = nil
 			e.mu.Unlock()
 			failRequests(pending)
 			return
 		}
-		// Cancelled submissions (Result.Abandon via the context API) vacate
-		// the queue here, before formation: they were never dispatched, so
-		// dropping them frees their queue-depth slot without touching any
-		// generation. A lead with fold subscribers left still runs — they
-		// need its result.
-		var dropped []*Request
-		for _, r := range e.pending {
-			if r.Result.abandoned.Load() {
-				dropped = e.vacateAbandonedLocked()
-				break
-			}
-		}
-		batch := e.pending
-		if e.adm != nil {
-			// Admission-controlled batch formation: per-statement quotas
-			// and the SLO-predicted size cap shed excess back to the queue
-			// (arrival order preserved); MaxBatch composes inside.
-			batch, e.pending = e.adm.formBatch(batch, e.cfg.MaxBatch)
-		} else if e.cfg.MaxBatch > 0 && len(batch) > e.cfg.MaxBatch {
-			e.pending = batch[e.cfg.MaxBatch:]
-			batch = batch[:e.cfg.MaxBatch]
-		} else {
-			e.pending = nil
-		}
-		// The fold window closes at batch formation: a drafted request's
-		// snapshot is about to pin, so it stops accepting subscribers.
-		// Shed requests stay foldable — a subscriber attached to a shed
-		// lead simply rides to the lead's later generation.
-		if e.foldIdx != nil {
-			clear(e.foldIdx)
-			if e.subsumeIdx != nil {
-				clear(e.subsumeIdx)
-			}
-			for _, r := range e.pending {
-				if r.foldable {
-					e.indexFoldLead(r)
-				}
-			}
-		}
-		e.subsKick = false
-		subs := e.activeSubsLocked()
-		e.gen++
-		gen := e.gen
-		e.generations++
-		e.inFlight++
-		if e.inFlight > e.peakInFlight {
-			e.peakInFlight = e.inFlight
-		}
+		g := e.formLocked()
 		e.mu.Unlock()
-
-		for _, r := range dropped {
-			r.Result.complete(errRequestAbandoned)
-		}
-		// Dispatch hooks fire after formation but before any of the
-		// generation's effects (write apply, snapshot pin) — the shard
-		// router's fold-window close point.
-		for _, r := range batch {
-			for _, h := range r.hooks {
-				h()
-			}
-			r.hooks = nil
-		}
-		lastStart = time.Now()
-		e.dispatchGeneration(gen, batch, subs)
+		g.dispatch()
+		lastStart = g.start
 		// Pipeline fairness: when read phases are in flight, yield the
 		// processor before forming the next generation so operator
 		// goroutines get scheduled promptly. This is load-bearing on
@@ -808,6 +682,73 @@ func (e *Engine) loop() {
 			runtime.Gosched()
 		}
 	}
+}
+
+// awaitDispatchLocked blocks (e.mu held) until a generation may form: work
+// is queued or a new subscription kicked, the pipeline has a free slot, no
+// Prepare is waiting, and the heartbeat since lastStart has elapsed — pacing
+// gives late arrivals a chance to join the batch. The sleep releases the
+// lock, so the conditions are checked again after it: a Prepare or a full
+// pipeline that arose meanwhile must hold dispatch. False means the engine
+// stopped.
+func (e *Engine) awaitDispatchLocked(lastStart time.Time) bool {
+	for {
+		for !e.stopped && ((len(e.pending) == 0 && !e.subsKick) || e.inFlight >= e.maxInFlight || e.preparers > 0) {
+			e.cond.Wait()
+		}
+		if e.stopped {
+			return false
+		}
+		if e.cfg.Heartbeat <= 0 {
+			return true
+		}
+		wait := e.cfg.Heartbeat - time.Since(lastStart)
+		if wait <= 0 {
+			return true
+		}
+		e.mu.Unlock()
+		time.Sleep(wait)
+		e.mu.Lock()
+	}
+}
+
+// formLocked is the form stage (e.mu held): it drafts the next generation
+// from the pending queue and admits it to the pipeline.
+func (e *Engine) formLocked() *generation {
+	g := &generation{e: e}
+	// Cancelled submissions (Result.Abandon via the context API) vacate the
+	// queue before formation: they were never dispatched, so dropping them
+	// frees their queue-depth slot without touching any generation. A lead
+	// with fold subscribers left still runs — they need its result.
+	for _, r := range e.pending {
+		if r.Result.abandoned.Load() {
+			g.dropped = e.vacateAbandonedLocked()
+			break
+		}
+	}
+	// Per-statement quotas, the SLO-predicted size cap and MaxBatch shed the
+	// excess back to the queue, arrival order preserved.
+	g.batch, e.pending = e.adm.formBatch(e.pending, e.cfg.MaxBatch)
+	// The fold window closes at batch formation: a drafted request's
+	// snapshot is about to pin, so it stops accepting subscribers. Shed
+	// requests stay foldable — a subscriber attached to a shed lead simply
+	// rides to the lead's later generation.
+	if e.foldIdx != nil {
+		clear(e.foldIdx)
+		for _, r := range e.pending {
+			if r.foldable {
+				e.foldIdx[r.fp] = append(e.foldIdx[r.fp], r)
+			}
+		}
+	}
+	e.subsKick = false
+	g.subs = e.activeSubsLocked()
+	e.gen++
+	g.id = e.gen
+	e.generations++
+	e.inFlight++
+	e.peakInFlight = max(e.peakInFlight, e.inFlight)
+	return g
 }
 
 // vacateAbandonedLocked removes the abandoned requests from the pending
@@ -829,7 +770,8 @@ func (e *Engine) vacateAbandonedLocked() (dropped []*Request) {
 	return dropped
 }
 
-// generationDone retires one generation from the pipeline.
+// generationDone frees a generation's pipeline slot and wakes the dispatcher
+// and any waiting Prepare (generation.retire is its one caller).
 func (e *Engine) generationDone() {
 	e.mu.Lock()
 	e.inFlight--
@@ -880,253 +822,6 @@ func (e *Engine) prepare(sqlText string, ast sql.Statement) (*plan.Statement, er
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	return stmt, err
-}
-
-// dispatchGeneration runs one batch of queries and updates. The write phase
-// executes synchronously on the dispatcher goroutine — generation order IS
-// write order. The read phase is launched into the plan and completes
-// asynchronously; generationDone retires the generation. subs are the
-// generation's standing queries: they activate with the leading dense query
-// ids (stable across generations while the subscription set is stable) and
-// force a read phase even for write-only batches.
-func (e *Engine) dispatchGeneration(gen uint64, batch []*Request, subs []*Subscription) {
-	// Admission feedback needs the generation's cycle time (dispatch start
-	// to read-phase completion); only measured when admission is on.
-	var admStart time.Time
-	if e.adm != nil {
-		admStart = time.Now()
-	}
-	// Phase 1: writes, in arrival order. Standalone write statements apply
-	// with Crescando semantics (later ops see earlier ones); transaction
-	// commits follow with snapshot-isolation validation.
-	var writeReqs []*Request
-	var writeOps []storage.WriteOp
-	var txReqs []*Request
-	var txs []*storage.Tx
-	var readReqs []*Request
-
-	for _, r := range batch {
-		switch {
-		case r.Tx != nil:
-			txReqs = append(txReqs, r)
-			txs = append(txs, r.Tx)
-		case r.Stmt != nil && r.Stmt.IsWrite():
-			op, err := bindWrite(r.Stmt.Write, r.Params)
-			if err != nil {
-				r.Result.complete(err)
-				continue
-			}
-			writeReqs = append(writeReqs, r)
-			writeOps = append(writeOps, op)
-		default:
-			readReqs = append(readReqs, r)
-		}
-	}
-
-	// Stats and pipeline bookkeeping update BEFORE the done channels close:
-	// a client returning from Result.Wait must observe its own work in
-	// Stats()/InFlightGenerations(). For a write-only generation the last
-	// completion below also retires the generation before notifying.
-	hasReads := len(readReqs) > 0 || len(subs) > 0
-	if len(writeOps) > 0 {
-		results, commitTS := e.db.ApplyOps(writeOps)
-		e.mu.Lock()
-		e.writesRun += uint64(len(writeOps))
-		e.mu.Unlock()
-		if !hasReads && len(txs) == 0 {
-			e.generationDone()
-		}
-		for i, res := range results {
-			writeReqs[i].Result.RowsAffected = res.RowsAffected
-			writeReqs[i].Result.SnapshotTS = commitTS
-			writeReqs[i].Result.complete(res.Err)
-		}
-	}
-	if len(txs) > 0 {
-		commitTS, errs := e.db.CommitTxBatch(txs)
-		e.mu.Lock()
-		e.writesRun += uint64(len(txs))
-		e.mu.Unlock()
-		if !hasReads {
-			e.generationDone()
-		}
-		for i, err := range errs {
-			txReqs[i].Result.SnapshotTS = commitTS
-			txReqs[i].Result.complete(err)
-		}
-	}
-
-	// Phase 2: reads at the post-write snapshot. Query ids are generation-
-	// scoped (small dense ints); isolation between overlapping generations
-	// comes from generation-tagged routing, not from the id space.
-	if !hasReads {
-		if len(writeOps) == 0 && len(txs) == 0 {
-			e.generationDone()
-		}
-		// Write-only generations feed the cost EWMA too (no statements —
-		// the breaker only judges read plans): without this, a pure-write
-		// burst would leave costNs at zero and the SLO batch cap blind.
-		if e.adm != nil {
-			e.mu.Lock()
-			e.adm.recordGeneration(nil, time.Since(admStart), len(batch))
-			e.mu.Unlock()
-		}
-		return
-	}
-	ts := e.db.PinCurrentSnapshot()
-	// The breaker blames generations, not operators: collect the distinct
-	// read statements so the completion callback can strike (or reset)
-	// each one against the observed cycle time. Distinctness is by SQL
-	// text — the breaker's identity — so two ad-hoc prepares of the same
-	// statement in one generation strike once, not twice.
-	var admStmts []*plan.Statement
-	if e.adm != nil {
-		seen := make(map[string]bool, len(readReqs))
-		for _, r := range readReqs {
-			if !seen[r.Stmt.SQL] {
-				seen[r.Stmt.SQL] = true
-				admStmts = append(admStmts, r.Stmt)
-			}
-		}
-	}
-	// Standing queries take the leading dense query ids (1..len(subs), in
-	// registration order), then the batch's reads. With no subscriptions the
-	// numbering is unchanged.
-	nsubs := len(subs)
-	acts := make([]plan.Activation, 0, nsubs+len(readReqs))
-	subCols := make([]*subCollector, nsubs)
-	for i, s := range subs {
-		acts = append(acts, plan.Activation{QID: queryset.QueryID(i + 1), Stmt: s.stmt, Params: s.params})
-		subCols[i] = &subCollector{sub: s}
-	}
-	byQID := make(map[queryset.QueryID]*Request, len(readReqs))
-	for i, r := range readReqs {
-		qid := queryset.QueryID(nsubs + i + 1) // generation-scoped ids keep sets small
-		acts = append(acts, plan.Activation{QID: qid, Stmt: r.Stmt, Params: r.Params})
-		byQID[qid] = r
-		r.Result.Schema = r.Stmt.OutSchema
-		r.Result.SnapshotTS = ts
-	}
-	// Register the generation's cost-attribution record (qid → statement
-	// SQL) before any operator can start reporting. Standing queries are
-	// attributed too: their share belongs to them, not to whichever batch
-	// statement happened to co-run.
-	if e.genCosts != nil {
-		qidSQL := make(map[queryset.QueryID]string, nsubs+len(readReqs))
-		for i, s := range subs {
-			qidSQL[queryset.QueryID(i+1)] = s.stmt.SQL
-		}
-		for qid, r := range byQID {
-			qidSQL[qid] = r.Stmt.SQL
-		}
-		e.costMu.Lock()
-		e.genCosts[gen] = &genCostRec{qidSQL: qidSQL, ns: make(map[string]int64)}
-		e.costMu.Unlock()
-	}
-
-	e.plan.RunGeneration(gen, ts, acts, nil,
-		func(stream int, t operators.Tuple) {
-			// Sink callback: runs on the sink goroutine only (one sink cycle
-			// at a time, even with generations in flight), so per-request
-			// state needs no locking. Routing applies each query's own
-			// projection, DISTINCT and LIMIT (the per-query tail of the
-			// shared plan). The projection copies every delivered value out
-			// of t.Row, which belongs to the generation's row arena and dies
-			// when the generation drains, into the result's own slab.
-			for _, qid := range t.QS.IDs() {
-				if int(qid) <= nsubs {
-					sc := subCols[qid-1]
-					stmt := sc.sub.stmt
-					if stmt.SinkLimit >= 0 && len(sc.rows) >= stmt.SinkLimit {
-						continue
-					}
-					row := sc.slab.next(len(stmt.Project))
-					for i, pe := range stmt.Project {
-						row[i] = pe.Eval(t.Row, sc.sub.params)
-					}
-					if stmt.Distinct {
-						if sc.distinctSeen == nil {
-							sc.distinctSeen = map[string]bool{}
-						}
-						k := types.EncodeKey(row...)
-						if sc.distinctSeen[k] {
-							continue
-						}
-						sc.distinctSeen[k] = true
-					}
-					sc.slab.keep(len(row))
-					sc.rows = append(sc.rows, row)
-					continue
-				}
-				r := byQID[qid]
-				if r == nil {
-					continue
-				}
-				res := r.Result
-				if r.Stmt.SinkLimit >= 0 && len(res.Rows) >= r.Stmt.SinkLimit {
-					continue
-				}
-				row := res.slab.next(len(r.Stmt.Project))
-				for i, pe := range r.Stmt.Project {
-					row[i] = pe.Eval(t.Row, r.Params)
-				}
-				if r.Stmt.Distinct {
-					if res.distinctSeen == nil {
-						res.distinctSeen = map[string]bool{}
-					}
-					k := types.EncodeKey(row...)
-					if res.distinctSeen[k] {
-						continue
-					}
-					res.distinctSeen[k] = true
-				}
-				res.slab.keep(len(row))
-				res.Rows = append(res.Rows, row)
-			}
-		},
-		func() {
-			e.db.UnpinSnapshot(ts)
-			// Subscription deliveries happen on the sink goroutine in
-			// generation order (the per-subscription diff state depends on
-			// it); a full subscriber channel marks it lagged, never blocks.
-			var delivered uint64
-			for _, sc := range subCols {
-				if sc.sub.deliver(gen, ts, sc.rows) {
-					delivered++
-				}
-			}
-			// Every node reported its cost before its EOS propagated, and
-			// this callback runs after the sink received every EOS — the
-			// record is final; take it out of the live map.
-			var costs map[string]int64
-			if e.genCosts != nil {
-				e.costMu.Lock()
-				if rec := e.genCosts[gen]; rec != nil {
-					costs = rec.ns
-					delete(e.genCosts, gen)
-				}
-				e.costMu.Unlock()
-			}
-			e.mu.Lock()
-			e.queriesRun += uint64(len(readReqs))
-			e.subUpdates += delivered
-			if e.adm != nil {
-				e.adm.recordGenerationCosts(admStmts, time.Since(admStart), len(batch), costs)
-			}
-			e.mu.Unlock()
-			e.generationDone()
-			for _, r := range readReqs {
-				r.Result.distinctSeen = nil
-				r.Result.slab = rowSlab{}
-				r.Result.complete(nil)
-				if r.fold != nil {
-					// Fan the lead's materialized result out to every
-					// folded subscriber at the same snapshot.
-					r.fold.complete(r.Result)
-				}
-			}
-		},
-	)
 }
 
 // bindWrite turns a bound write plan plus parameters into a storage op:

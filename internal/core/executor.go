@@ -78,11 +78,8 @@ type EngineStats struct {
 	// WritesRun counts applied write operations and transaction commits.
 	WritesRun uint64
 	// FoldedQueries counts read submissions served by fan-out from an
-	// identical (or subsuming) pending duplicate instead of executing.
+	// identical pending duplicate instead of executing.
 	FoldedQueries uint64
-	// SubsumedQueries is the subset of FoldedQueries served through a
-	// subsumption residual transform rather than an identical fingerprint.
-	SubsumedQueries uint64
 	// SubscriptionsActive is the gauge of open standing queries (summed
 	// across shards for the sharded backend).
 	SubscriptionsActive int

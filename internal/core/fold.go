@@ -12,21 +12,12 @@
 // a prefilter: Value.Hash is coercion-consistent (INT 1 and FLOAT 1.0
 // hash alike) but those parameters can project different output values,
 // so the authoritative check compares parameter bit patterns exactly.
-//
-// Subsumption-lite (Config.FoldSubsume) additionally lets a parameter-free
-// simple scan serve its equality-restriction duplicates: when
-// internal/expr analysis proves the lead's output covers every column the
-// subscriber's predicate and projection touch, the subscriber's rows are a
-// residual filter plus column projection over the lead's rows — same scan
-// order, same snapshot, bit-identical to a private activation.
 package core
 
 import (
 	"math"
 	"sync"
 
-	"shareddb/internal/expr"
-	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
 
@@ -75,43 +66,12 @@ func IdenticalParams(a, b []types.Value) bool {
 	return true
 }
 
-// foldTransform rewrites a lead's result rows into a subsumed subscriber's
-// result: a residual filter (the subscriber's bound predicate, remapped to
-// the lead's output columns) followed by a projection by lead-output index.
-type foldTransform struct {
-	residual expr.Expr // nil = no residual (predicate fully satisfied)
-	project  []int     // subscriber output i = lead output project[i]
-	schema   *types.Schema
-}
-
-func (t *foldTransform) apply(rows []types.Row) []types.Row {
-	var out []types.Row
-	for _, r := range rows {
-		if t.residual != nil && !t.residual.Eval(r, nil).AsBool() {
-			continue
-		}
-		nr := make(types.Row, len(t.project))
-		for i, idx := range t.project {
-			nr[i] = r[idx]
-		}
-		out = append(out, nr)
-	}
-	return out
-}
-
-// foldSub is one fan-out subscriber: a pending result plus the transform
-// (nil for identical-fingerprint folds, which share the lead's rows).
-type foldSub struct {
-	res *Result
-	tr  *foldTransform
-}
-
 // Fanout is the subscriber group attached to a fold lead. The engine
 // creates one lazily when the first duplicate folds in; the shard router
 // creates one per pending cross-shard gather via NewFanout.
 type Fanout struct {
 	mu   sync.Mutex
-	subs []foldSub
+	subs []*Result
 	done bool
 }
 
@@ -123,15 +83,13 @@ func NewFanout() *Fanout { return &Fanout{} }
 // Attach subscribes res to the group. It fails (returns false) when the
 // group has already completed — the caller must then fall back to a fresh
 // submission.
-func (f *Fanout) Attach(res *Result) bool { return f.attach(res, nil) }
-
-func (f *Fanout) attach(res *Result, tr *foldTransform) bool {
+func (f *Fanout) Attach(res *Result) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.done {
 		return false
 	}
-	f.subs = append(f.subs, foldSub{res: res, tr: tr})
+	f.subs = append(f.subs, res)
 	res.fold = f
 	return true
 }
@@ -145,7 +103,7 @@ func (f *Fanout) detach(res *Result) bool {
 		return false
 	}
 	for i, s := range f.subs {
-		if s.res == res {
+		if s == res {
 			f.subs = append(f.subs[:i], f.subs[i+1:]...)
 			return true
 		}
@@ -161,10 +119,9 @@ func (f *Fanout) empty() bool {
 }
 
 // Complete fans the lead's outcome out to every subscriber and seals the
-// group against further attaches. Identical-fold subscribers share the
-// lead's row slice (results are materialized and read-only by contract —
-// see Rows in the public API); subsumed subscribers get freshly built
-// filtered/projected rows.
+// group against further attaches. Subscribers share the lead's row slice
+// (results are materialized and read-only by contract — see Rows in the
+// public API).
 func (f *Fanout) Complete(lead *Result) { f.complete(lead) }
 
 func (f *Fanout) complete(lead *Result) {
@@ -173,17 +130,11 @@ func (f *Fanout) complete(lead *Result) {
 	subs := f.subs
 	f.subs = nil
 	f.mu.Unlock()
-	for _, s := range subs {
-		res := s.res
+	for _, res := range subs {
 		res.SnapshotTS = lead.SnapshotTS
 		if lead.Err == nil {
-			if s.tr == nil {
-				res.Schema = lead.Schema
-				res.Rows = lead.Rows
-			} else {
-				res.Schema = s.tr.schema
-				res.Rows = s.tr.apply(lead.Rows)
-			}
+			res.Schema = lead.Schema
+			res.Rows = lead.Rows
 		}
 		res.complete(lead.Err)
 	}
@@ -204,51 +155,4 @@ func (r *Result) Abandon(err error) bool {
 	}
 	r.abandoned.Store(true)
 	return false
-}
-
-// buildFoldTransform proves that lead — a parameter-free simple scan —
-// covers sub with the given parameters, and builds the residual transform.
-// Requirements (nil on any failure):
-//   - both statements carry fold metadata for the same table (single
-//     shared ClockScan, pure column projection, no DISTINCT/ORDER/LIMIT),
-//     so both would emit rows in the same clock-scan order;
-//   - every column sub projects appears in lead's output;
-//   - every conjunct of sub's bound predicate is a provable equality
-//     restriction (expr.EqualityMatch) on a column lead outputs.
-func buildFoldTransform(lead, sub *plan.Statement, params []types.Value) *foldTransform {
-	if lead.FoldTable == "" || lead.FoldPred != nil || lead.FoldTable != sub.FoldTable {
-		return nil
-	}
-	out := make(map[int]int, len(lead.FoldCols))
-	for i, c := range lead.FoldCols {
-		if _, dup := out[c]; !dup {
-			out[c] = i
-		}
-	}
-	project := make([]int, len(sub.FoldCols))
-	for i, c := range sub.FoldCols {
-		idx, ok := out[c]
-		if !ok {
-			return nil
-		}
-		project[i] = idx
-	}
-	bound := expr.Bind(sub.FoldPred, params)
-	mapping := make(map[int]int)
-	for _, conj := range expr.Conjuncts(bound) {
-		col, _, ok := expr.EqualityMatch(conj)
-		if !ok {
-			return nil
-		}
-		idx, covered := out[col]
-		if !covered {
-			return nil
-		}
-		mapping[col] = idx
-	}
-	return &foldTransform{
-		residual: expr.Remap(bound, mapping),
-		project:  project,
-		schema:   sub.OutSchema,
-	}
 }

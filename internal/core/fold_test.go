@@ -21,13 +21,10 @@ const foldWindow = 500 * time.Millisecond
 // foldEngine builds a production engine with a wide fold window. Released
 // arena rows are poisoned: a lead's rows fan out to subscribers that read
 // them long after the lead's generation drained.
-func foldEngine(t testing.TB, db *storage.Database, subsume bool) *Engine {
+func foldEngine(t testing.TB, db *storage.Database) *Engine {
 	t.Helper()
 	t.Cleanup(operators.PoisonReleasedRowsForTest())
-	return New(db, plan.New(db), Config{
-		FoldSubsume: subsume,
-		Heartbeat:   foldWindow,
-	})
+	return New(db, plan.New(db), Config{Heartbeat: foldWindow})
 }
 
 // burst submits n copies of (s, params) back-to-back and waits for all.
@@ -72,7 +69,7 @@ func sameResult(t *testing.T, a, b *Result) {
 func TestFoldCollapsesDuplicates(t *testing.T) {
 	db, closeDB := bookstore(t)
 	defer closeDB()
-	e := foldEngine(t, db, false)
+	e := foldEngine(t, db)
 	defer e.Close()
 	s := mustPrepare(t, e, `SELECT i_id, i_title FROM item WHERE i_subject = ?`)
 
@@ -105,7 +102,7 @@ func TestFoldCollapsesDuplicates(t *testing.T) {
 func TestFoldStrictParamIdentity(t *testing.T) {
 	db, closeDB := bookstore(t)
 	defer closeDB()
-	e := foldEngine(t, db, false)
+	e := foldEngine(t, db)
 	defer e.Close()
 	// i_price is FLOAT: the comparison coerces, so INT 10 and FLOAT 10.0
 	// return the same rows — but they are distinct fold keys (projection
@@ -158,96 +155,11 @@ func TestFoldDisabledRunsEveryQuery(t *testing.T) {
 		sameResult(t, results[0], r)
 	}
 	st := e.Stats()
-	if st.FoldedQueries != 0 || st.SubsumedQueries != 0 {
-		t.Fatalf("folding disabled but stats count %d folded / %d subsumed",
-			st.FoldedQueries, st.SubsumedQueries)
+	if st.FoldedQueries != 0 {
+		t.Fatalf("folding disabled but stats count %d folded", st.FoldedQueries)
 	}
 	if got := st.QueriesRun - before.QueriesRun; got != dup {
 		t.Fatalf("engine ran %d activations, want %d (every duplicate executes)", got, dup)
-	}
-}
-
-func TestFoldSubsumesEqualityRestriction(t *testing.T) {
-	db, closeDB := bookstore(t)
-	defer closeDB()
-	e := foldEngine(t, db, true)
-	defer e.Close()
-	// Lead: parameter-free full scan. Sub: equality on i_a_id (no index,
-	// so it compiles to the same ClockScan path) projecting a subset of
-	// the lead's columns — servable from the lead's rows by a residual
-	// filter plus projection.
-	lead := mustPrepare(t, e, `SELECT i_id, i_title, i_a_id FROM item`)
-	sub := mustPrepare(t, e, `SELECT i_id, i_title FROM item WHERE i_a_id = ?`)
-
-	// Standalone answers, each in its own generation.
-	wantSub := run(t, e, sub, types.NewInt(7))
-	before := e.Stats()
-
-	leadRes := e.Submit(lead, nil)
-	subRes := e.Submit(sub, []types.Value{types.NewInt(7)})
-	if err := leadRes.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if err := subRes.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	st := e.Stats()
-	if got := st.SubsumedQueries - before.SubsumedQueries; got != 1 {
-		t.Fatalf("subsumed %d queries, want 1", got)
-	}
-	if got := st.QueriesRun - before.QueriesRun; got != 1 {
-		t.Fatalf("engine ran %d activations, want 1 (the covering scan)", got)
-	}
-	// The subsumed answer must match the standalone run row-for-row — the
-	// residual filter preserves the shared scan's clock order.
-	if len(subRes.Rows) != len(wantSub.Rows) {
-		t.Fatalf("subsumed result has %d rows, standalone %d", len(subRes.Rows), len(wantSub.Rows))
-	}
-	for i := range subRes.Rows {
-		for j := range subRes.Rows[i] {
-			if !subRes.Rows[i][j].Equal(wantSub.Rows[i][j]) {
-				t.Fatalf("row %d col %d: subsumed %v, standalone %v",
-					i, j, subRes.Rows[i][j], wantSub.Rows[i][j])
-			}
-		}
-	}
-	if subRes.SnapshotTS != leadRes.SnapshotTS {
-		t.Fatalf("subsumed read at snapshot %d, lead at %d", subRes.SnapshotTS, leadRes.SnapshotTS)
-	}
-}
-
-func TestFoldSubsumeRequiresCoverage(t *testing.T) {
-	db, closeDB := bookstore(t)
-	defer closeDB()
-	e := foldEngine(t, db, true)
-	defer e.Close()
-	lead := mustPrepare(t, e, `SELECT i_id, i_title, i_a_id FROM item`)
-	// i_price is not in the lead's projection: not coverable.
-	sub := mustPrepare(t, e, `SELECT i_price FROM item WHERE i_a_id = ?`)
-	// ORDER BY disqualifies fold metadata entirely (no shared-scan order).
-	ordered := mustPrepare(t, e, `SELECT i_id FROM item WHERE i_a_id = ? ORDER BY i_id`)
-
-	run(t, e, lead)
-	before := e.Stats()
-
-	leadRes := e.Submit(lead, nil)
-	subRes := e.Submit(sub, []types.Value{types.NewInt(7)})
-	ordRes := e.Submit(ordered, []types.Value{types.NewInt(7)})
-	for _, r := range []*Result{leadRes, subRes, ordRes} {
-		if err := r.Wait(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := e.Stats()
-	if got := st.SubsumedQueries - before.SubsumedQueries; got != 0 {
-		t.Fatalf("subsumed %d queries, want 0 (uncovered column / ordered sink)", got)
-	}
-	if got := st.QueriesRun - before.QueriesRun; got != 3 {
-		t.Fatalf("engine ran %d activations, want 3", got)
-	}
-	if len(subRes.Rows) == 0 || len(ordRes.Rows) == 0 {
-		t.Fatal("non-subsumable queries returned no rows")
 	}
 }
 
@@ -261,7 +173,7 @@ func TestFoldSubsumeRequiresCoverage(t *testing.T) {
 func TestFoldWriteOrdering(t *testing.T) {
 	db, closeDB := bookstore(t)
 	defer closeDB()
-	e := foldEngine(t, db, false)
+	e := foldEngine(t, db)
 	defer e.Close()
 	read := mustPrepare(t, e, `SELECT i_id FROM item WHERE i_id > ?`)
 	ins := mustPrepare(t, e, `INSERT INTO item VALUES (?, ?, ?, ?, ?)`)
@@ -357,9 +269,9 @@ func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 
 // TestDifferentialFoldDuplicateHeavy replays a duplicate-heavy randomized
 // workload — parameters drawn from tiny domains so most submissions have
-// in-flight twins — through the unfolded reference engine, production and
-// production with subsumption, asserting every client gets exactly the
-// query-at-a-time oracle's rows each way.
+// in-flight twins — through the unfolded reference engine and production,
+// asserting every client gets exactly the query-at-a-time oracle's rows each
+// way.
 func TestDifferentialFoldDuplicateHeavy(t *testing.T) {
 	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	for _, mode := range []struct {
@@ -368,7 +280,6 @@ func TestDifferentialFoldDuplicateHeavy(t *testing.T) {
 	}{
 		{"off", Config{NoFold: true}},
 		{"on", Config{}},
-		{"on-subsume", Config{FoldSubsume: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			db, closeDB := bookstore(t)
@@ -386,9 +297,9 @@ func TestDifferentialFoldDuplicateHeavy(t *testing.T) {
 					func(r *rand.Rand) []types.Value {
 						return []types.Value{types.NewString(subjects[r.Intn(len(subjects))])}
 					}},
-				{"SELECT i_id, i_title, i_a_id FROM item", // subsumption lead
+				{"SELECT i_id, i_title, i_a_id FROM item",
 					func(r *rand.Rand) []types.Value { return nil }},
-				{"SELECT i_id, i_title FROM item WHERE i_a_id = ?", // subsumption candidate
+				{"SELECT i_id, i_title FROM item WHERE i_a_id = ?",
 					func(r *rand.Rand) []types.Value { return []types.Value{types.NewInt(int64(r.Intn(4)))} }},
 				{"SELECT i_title, a_lname FROM item, author WHERE i_a_id = a_id AND i_subject = ?",
 					func(r *rand.Rand) []types.Value {

@@ -1,0 +1,277 @@
+package core
+
+import (
+	"time"
+
+	"shareddb/internal/operators"
+	"shareddb/internal/plan"
+	"shareddb/internal/queryset"
+	"shareddb/internal/storage"
+	"shareddb/internal/types"
+)
+
+// generation is one heartbeat's batch on its way through the engine. It
+// moves through its stages in order — form (Engine.formLocked), write, pin,
+// run/sink, retire — and each stage is one method. Stages up to the launch
+// of the read phase run on the dispatcher goroutine; the sink stage and
+// retire run on the sink goroutine once the plan has drained.
+type generation struct {
+	e       *Engine
+	id      uint64
+	batch   []*Request      // drafted requests, arrival order
+	subs    []*Subscription // standing queries active this generation
+	dropped []*Request      // abandoned submissions vacated at formation
+	start   time.Time       // dispatch start; admission's cycle time runs from here
+
+	written []*Request // bound and applied writes and commits, outcomes recorded
+	reads   []*Request
+	ts      uint64 // the pinned read snapshot
+
+	// cols[qid-1] collects the result of the activation with dense query id
+	// qid: the standing queries first, then the batch's reads.
+	cols []collector
+	// admStmts are the distinct read statements the breaker strikes or
+	// resets for this generation (collected only with the SLO on).
+	admStmts []*plan.Statement
+}
+
+// dispatch runs the generation on the dispatcher goroutine up to the launch
+// of its read phase, which completes asynchronously: write phases apply in
+// generation order while up to maxInFlight read phases overlap. A
+// generation with neither reads nor standing queries retires right after
+// its write stage.
+func (g *generation) dispatch() {
+	for _, r := range g.dropped {
+		r.Result.complete(errRequestAbandoned)
+	}
+	// Dispatch hooks fire after formation but before any of the generation's
+	// effects (write apply, snapshot pin) — the shard router's fold-window
+	// close point.
+	for _, r := range g.batch {
+		for _, h := range r.hooks {
+			h()
+		}
+		r.hooks = nil
+	}
+	g.start = time.Now()
+	g.write()
+	if len(g.reads) == 0 && len(g.subs) == 0 {
+		g.retire(0)
+		g.completeWrites()
+		return
+	}
+	g.completeWrites()
+	acts := g.pin()
+	g.e.plan.RunGeneration(g.id, g.ts, acts, nil, g.sink, g.sinkDone)
+}
+
+// write is the write stage. The batch's standalone writes apply in arrival
+// order with Crescando semantics (later ops see earlier ones), then its
+// transaction commits follow with snapshot-isolation validation. Outcomes
+// are recorded on the results and the writes counted; the results complete
+// in completeWrites, after the count is visible. Reads are set aside for
+// pin.
+func (g *generation) write() {
+	var ops []storage.WriteOp
+	var applied, commits []*Request
+	var txs []*storage.Tx
+	for _, r := range g.batch {
+		switch {
+		case r.Tx != nil:
+			commits = append(commits, r)
+			txs = append(txs, r.Tx)
+		case r.Stmt != nil && r.Stmt.IsWrite():
+			op, err := bindWrite(r.Stmt.Write, r.Params)
+			if err != nil {
+				r.Result.Err = err
+				g.written = append(g.written, r)
+				continue
+			}
+			applied = append(applied, r)
+			ops = append(ops, op)
+		default:
+			g.reads = append(g.reads, r)
+		}
+	}
+	if len(ops) > 0 {
+		results, commitTS := g.e.db.ApplyOps(ops)
+		for i, res := range results {
+			r := applied[i].Result
+			r.RowsAffected, r.SnapshotTS, r.Err = res.RowsAffected, commitTS, res.Err
+		}
+	}
+	if len(txs) > 0 {
+		commitTS, errs := g.e.db.CommitTxBatch(txs)
+		for i, err := range errs {
+			commits[i].Result.SnapshotTS, commits[i].Result.Err = commitTS, err
+		}
+	}
+	g.written = append(append(g.written, applied...), commits...)
+	if n := len(ops) + len(txs); n > 0 {
+		g.e.mu.Lock()
+		g.e.writesRun += uint64(n)
+		g.e.mu.Unlock()
+	}
+}
+
+func (g *generation) completeWrites() {
+	for _, r := range g.written {
+		r.Result.complete(r.Result.Err)
+	}
+}
+
+// pin is the pin stage: take the post-write snapshot the generation's reads
+// run at and lay out one activation and one collector per dense,
+// generation-scoped query id — standing queries first (1..len(subs), in
+// registration order, so their ids are stable while the subscription set
+// is), then the batch's reads. Isolation between overlapping generations
+// comes from generation-tagged routing, not from the id space.
+func (g *generation) pin() []plan.Activation {
+	g.ts = g.e.db.PinCurrentSnapshot()
+	acts := make([]plan.Activation, 0, len(g.subs)+len(g.reads))
+	for _, s := range g.subs {
+		acts = append(acts, plan.Activation{QID: queryset.QueryID(len(acts) + 1), Stmt: s.stmt, Params: s.params})
+	}
+	for _, r := range g.reads {
+		acts = append(acts, plan.Activation{QID: queryset.QueryID(len(acts) + 1), Stmt: r.Stmt, Params: r.Params})
+	}
+	g.cols = make([]collector, len(acts))
+	for i, a := range acts {
+		g.cols[i] = collector{stmt: a.Stmt, params: a.Params}
+	}
+	if g.e.genCosts != nil {
+		g.attribute(acts)
+	}
+	return acts
+}
+
+// attribute registers the generation's cost-attribution record (query id →
+// statement SQL) before any operator can report, and collects the distinct
+// read statements for the breaker. Standing queries are attributed too:
+// their share belongs to them, not to whichever batch statement co-ran.
+// Distinctness is by SQL text — the breaker's identity — so two ad-hoc
+// prepares of one statement in one generation strike once, not twice.
+func (g *generation) attribute(acts []plan.Activation) {
+	rec := &genCostRec{qidSQL: make(map[queryset.QueryID]string, len(acts)), ns: make(map[string]int64)}
+	seen := make(map[string]bool, len(g.reads))
+	for i, a := range acts {
+		rec.qidSQL[a.QID] = a.Stmt.SQL
+		if i >= len(g.subs) && !seen[a.Stmt.SQL] {
+			seen[a.Stmt.SQL] = true
+			g.admStmts = append(g.admStmts, a.Stmt)
+		}
+	}
+	g.e.costMu.Lock()
+	g.e.genCosts[g.id] = rec
+	g.e.costMu.Unlock()
+}
+
+// sink is the run stage's tuple callback: it routes one sink tuple to the
+// collector of every query in its query set. It runs on the sink goroutine
+// only — one sink cycle at a time, even with generations in flight — so
+// collectors need no locking.
+func (g *generation) sink(_ int, t operators.Tuple) {
+	for _, qid := range t.QS.IDs() {
+		g.cols[qid-1].add(t.Row)
+	}
+}
+
+// sinkDone ends the sink stage once the plan has drained the generation:
+// release the snapshot, hand the standing queries their results, retire,
+// and then complete the reads and fan each one out to its fold subscribers.
+func (g *generation) sinkDone() {
+	g.e.db.UnpinSnapshot(g.ts)
+	// Subscription deliveries happen on the sink goroutine in generation
+	// order (the per-subscription diff state depends on it); a full
+	// subscriber channel marks it lagged, never blocks.
+	var delivered uint64
+	for i, s := range g.subs {
+		if s.deliver(g.id, g.ts, g.cols[i].rows) {
+			delivered++
+		}
+	}
+	g.retire(delivered)
+	for i, r := range g.reads {
+		res := r.Result
+		res.Rows, res.Schema, res.SnapshotTS = g.cols[len(g.subs)+i].rows, r.Stmt.OutSchema, g.ts
+		res.complete(nil)
+		if r.fold != nil {
+			r.fold.complete(res)
+		}
+	}
+}
+
+// retire is the last stage and the only way a generation leaves the
+// pipeline: it feeds the cycle back into admission, publishes the read and
+// subscription counters and frees the in-flight slot — before the results
+// it retires complete, so a client returning from Result.Wait observes its
+// own work in Stats and InFlightGenerations.
+func (g *generation) retire(delivered uint64) {
+	e := g.e
+	costs := e.takeCosts(g.id)
+	e.mu.Lock()
+	e.queriesRun += uint64(len(g.reads))
+	e.subUpdates += delivered
+	e.adm.recordGenerationCosts(g.admStmts, time.Since(g.start), len(g.batch), costs)
+	e.mu.Unlock()
+	e.generationDone()
+}
+
+// collector assembles one activation's result during its generation's sink
+// cycle, applying the query's own projection, DISTINCT and LIMIT — the
+// per-query tail of the shared plan. The projection copies every delivered
+// value out of the tuple's row, which belongs to the generation's row arena
+// and dies when the generation drains, into the collector's slab.
+type collector struct {
+	stmt   *plan.Statement
+	params []types.Value
+	rows   []types.Row
+	seen   map[string]bool // DISTINCT keys kept so far
+	slab   rowSlab
+}
+
+func (c *collector) add(in types.Row) {
+	s := c.stmt
+	if s.SinkLimit >= 0 && len(c.rows) >= s.SinkLimit {
+		return
+	}
+	row := c.slab.next(len(s.Project))
+	for i, pe := range s.Project {
+		row[i] = pe.Eval(in, c.params)
+	}
+	if s.Distinct {
+		k := types.EncodeKey(row...)
+		if c.seen[k] {
+			return
+		}
+		if c.seen == nil {
+			c.seen = map[string]bool{}
+		}
+		c.seen[k] = true
+	}
+	c.slab.keep(len(row))
+	c.rows = append(c.rows, row)
+}
+
+// rowSlab backs the rows of one result while the sink assembles it: rows are
+// cut from value slabs that double in size — one row first, so a point
+// lookup allocates exactly its row, 1024 rows at most — so a result of r rows
+// costs about log₂r allocations instead of r and at most twice its bytes. A
+// slab is garbage once every row cut from it is.
+type rowSlab struct {
+	free []types.Value
+	rows int // rows in the slab allocated last
+}
+
+// next returns the n-value row the next keep hands out, for the caller to
+// fill; without a keep the same memory is returned again (a row DISTINCT
+// rejected).
+func (s *rowSlab) next(n int) types.Row {
+	if len(s.free) < n {
+		s.rows = min(max(1, 2*s.rows), 1024)
+		s.free = make([]types.Value, n*s.rows)
+	}
+	return s.free[:n:n]
+}
+
+func (s *rowSlab) keep(n int) { s.free = s.free[n:] }

@@ -195,15 +195,6 @@ func (s *Subscription) Lagged() bool {
 	return s.lagged
 }
 
-// subCollector gathers one subscription's projected rows during one
-// generation's sink cycle.
-type subCollector struct {
-	sub          *Subscription
-	rows         []types.Row
-	distinctSeen map[string]bool
-	slab         rowSlab
-}
-
 // Subscribe registers stmt as a standing query. The subscription joins
 // every subsequent generation's query set; the first delivery is the full
 // result at that generation's snapshot (a generation is kicked off for it
@@ -236,9 +227,7 @@ func (e *Engine) Subscribe(stmt *plan.Statement, params []types.Value) (*Subscri
 }
 
 // activeSubsLocked prunes closed subscriptions and snapshots the live ones
-// for one generation. Caller holds e.mu. Returns nil when there are none,
-// so the subscription-free dispatch path stays byte-identical (query ids
-// start at 1 for the batch's reads).
+// for one generation (nil when there are none). Caller holds e.mu.
 func (e *Engine) activeSubsLocked() []*Subscription {
 	if len(e.subs) == 0 {
 		return nil

@@ -73,10 +73,11 @@ type compiled struct {
 	steps  []stepBinding
 	edges  []*operators.Edge
 
-	// Fold provenance: set only by compileScan's shared-ClockScan branch
+	// Scan provenance: set only by compileScan's shared-ClockScan branch
 	// (and deliberately NOT propagated through filters, joins, groups or
-	// sorts), so a non-empty foldTable at the plan root means "this whole
-	// statement is one clock scan of foldTable under foldPred".
+	// sorts), so a non-empty foldTable means "this subtree is one clock scan
+	// of foldTable under foldPred" — what compileGroup's columnar pushdown
+	// requires of its input.
 	foldTable string
 	foldPred  expr.Expr
 }
@@ -135,29 +136,6 @@ func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 		s.Project[i] = c.stream.physicalExpr(pe)
 	}
 	s.OutSchema = proj.Out
-
-	// Fold metadata: a statement qualifies when it is exactly one shared
-	// ClockScan with a pure column projection and no DISTINCT/ORDER/LIMIT
-	// — then its result is the scanned rows, in clock order, filtered by
-	// the scan predicate and narrowed to FoldCols, which is the contract
-	// core's subsumption-lite folding builds residual transforms against.
-	if c.foldTable != "" && len(c.steps) == 1 && !s.Distinct && s.SinkLimit < 0 {
-		cols := make([]int, 0, len(proj.Exprs))
-		pure := true
-		for _, pe := range proj.Exprs {
-			cr, ok := pe.(*expr.ColRef)
-			if !ok {
-				pure = false
-				break
-			}
-			cols = append(cols, cr.Idx)
-		}
-		if pure {
-			s.FoldTable = c.foldTable
-			s.FoldPred = c.foldPred
-			s.FoldCols = cols
-		}
-	}
 	return nil
 }
 

@@ -405,18 +405,6 @@ type Statement struct {
 	Distinct       bool
 	SinkLimit      int // -1 none; applied at result assembly
 
-	// Fold metadata, set when the statement is exactly one shared
-	// ClockScan with a pure column projection and no DISTINCT/ORDER/LIMIT
-	// — the shape core's subsumption-lite folding can serve from (or as) a
-	// covering scan. Index-probe paths never qualify: they emit rows in
-	// index order, not clock-scan order, so substituting one for the other
-	// would reorder results. FoldTable is the scanned table, FoldPred the
-	// scan's unbound predicate (nil = full scan), FoldCols the projected
-	// table-column indices in output order.
-	FoldTable string
-	FoldPred  expr.Expr
-	FoldCols  []int
-
 	// write side
 	Write *sql.WritePlan
 

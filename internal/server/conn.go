@@ -487,7 +487,6 @@ func statsFrame(id uint64, st shareddb.Stats) []byte {
 		{Name: "queries_run", Value: st.QueriesRun},
 		{Name: "writes_applied", Value: st.WritesApplied},
 		{Name: "folded_queries", Value: st.FoldedQueries},
-		{Name: "subsumed_queries", Value: st.SubsumedQueries},
 		{Name: "in_flight_generations", Value: uint64(st.InFlightGenerations)},
 		{Name: "queue_depth", Value: uint64(st.QueueDepth)},
 		{Name: "shed", Value: st.Shed},

@@ -280,7 +280,6 @@ func (r *Router) Stats() core.EngineStats {
 		out.QueriesRun += s.QueriesRun
 		out.WritesRun += s.WritesRun
 		out.FoldedQueries += s.FoldedQueries
-		out.SubsumedQueries += s.SubsumedQueries
 		out.SubscriptionsActive += s.SubscriptionsActive
 		out.SubscriptionUpdates += s.SubscriptionUpdates
 		out.InFlight += s.InFlight

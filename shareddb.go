@@ -118,10 +118,6 @@ type Config struct {
 	// The field is still declared only because the frozen repository
 	// benchmark reads it.
 	FoldQueries bool
-	// FoldSubsume additionally lets a pending parameter-free simple scan
-	// serve equality-restriction duplicates of itself through residual
-	// filters when expression analysis proves covering.
-	FoldSubsume bool
 	// Shards splits the database into that many shard engines, each
 	// owning a hash partition (on primary key) of every table with its
 	// own always-on global plan and generation loop. A scatter-gather
@@ -177,7 +173,6 @@ func (c Config) coreConfig() core.Config {
 		StatementQuota:         c.StatementQuota,
 		BreakerStrikes:         c.BreakerStrikes,
 		BreakerCooldown:        c.BreakerCooldown,
-		FoldSubsume:            c.FoldSubsume,
 		SubscriptionBuffer:     c.SubscriptionBuffer,
 	}
 }
@@ -296,10 +291,8 @@ type Stats struct {
 	// commits.
 	WritesApplied uint64
 	// FoldedQueries counts reads answered by fan-out from an identical
-	// concurrent duplicate; SubsumedQueries is the subset served through a
-	// subsumption residual filter (Config.FoldSubsume).
-	FoldedQueries   uint64
-	SubsumedQueries uint64
+	// concurrent duplicate.
+	FoldedQueries uint64
 	// InFlightGenerations is the pipeline gauge: generations dispatched
 	// but not yet complete (summed across shards).
 	InFlightGenerations int
@@ -339,7 +332,6 @@ func (db *DB) Stats() Stats {
 		QueriesRun:          es.QueriesRun,
 		WritesApplied:       es.WritesRun,
 		FoldedQueries:       es.FoldedQueries,
-		SubsumedQueries:     es.SubsumedQueries,
 		InFlightGenerations: es.InFlight,
 		QueueDepth:          es.Admission.QueueDepth,
 		Shed:                es.Admission.Shed,

@@ -82,10 +82,10 @@ func TestFoldHitRateZeroReads(t *testing.T) {
 	}
 }
 
-// TestFoldConfigThroughPublicAPI drives duplicate queries through DB with
-// subsumption enabled and checks the public counters see the collapse.
+// TestFoldConfigThroughPublicAPI drives duplicate queries through DB and
+// checks the public counters see the collapse.
 func TestFoldConfigThroughPublicAPI(t *testing.T) {
-	db, err := Open(Config{FoldSubsume: true})
+	db, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
