@@ -599,7 +599,7 @@ const (
 // client-visible queries as the op.
 func benchFolding(opts experiments.Options, noFold bool) (benchRecord, error) {
 	fOpts := opts
-	fOpts.Shards = 1 // folding ratio is per engine; the router fold path has its own tests
+	fOpts.Shards = 1 // folding ratio is per engine; sharded folding has its own tests
 	fOpts.StatementQuota = foldQuota
 	fOpts.MaxInFlightGenerations = 1
 	fOpts.Heartbeat = foldHeartbeat

@@ -26,9 +26,10 @@
 // SLO (the paper's ad-hoc query risk: one expensive plan joining the shared
 // cycle drags every co-batched query over its deadline). Every generation
 // that exceeds MaxGenerationDelay gives each read statement it contained a
-// strike; BreakerStrikes consecutive strikes trip the statement's breaker
-// (submissions reject with ErrOverloaded). After BreakerCooldown the
-// breaker goes half-open and admits exactly one probe activation: if the
+// strike; DefaultBreakerStrikes consecutive strikes trip the statement's
+// breaker (submissions reject with ErrOverloaded). After a cooldown of
+// defaultCooldownFactor × the SLO the breaker goes half-open and admits
+// exactly one probe activation: if the
 // probe's generation meets the SLO the breaker resets, if it blows the SLO
 // the breaker re-trips for another cooldown. Blame is generation-grained —
 // a light query repeatedly co-batched with a heavy one collects strikes
@@ -62,7 +63,7 @@
 // admission must be called with Engine.mu held. The engine always has a
 // controller; with every knob at its zero value it passes everything
 // through — every submission is admitted and every batch is the whole
-// queue, MaxBatch aside.
+// queue.
 package core
 
 import (
@@ -109,11 +110,11 @@ const (
 	// values under this floor.
 	MinGenerationDelay = time.Millisecond
 	// DefaultBreakerStrikes is the consecutive over-SLO generations that
-	// quarantine a statement when Config.BreakerStrikes is zero.
+	// quarantine a statement.
 	DefaultBreakerStrikes = 3
-	// defaultCooldownFactor sizes the default breaker cooldown as a
-	// multiple of the SLO: long enough for a queue sized by the SLO to
-	// drain, short enough that a transiently slow plan is re-probed soon.
+	// defaultCooldownFactor sizes the breaker cooldown as a multiple of
+	// the SLO: long enough for a queue sized by the SLO to drain, short
+	// enough that a transiently slow plan is re-probed soon.
 	defaultCooldownFactor = 8
 	// costAlpha is the EWMA weight of the newest per-request cost sample.
 	costAlpha = 0.3
@@ -201,20 +202,12 @@ func newAdmission(cfg Config) *admission {
 	if quota < 0 {
 		quota = 0
 	}
-	strikes := cfg.BreakerStrikes
-	if strikes <= 0 {
-		strikes = DefaultBreakerStrikes
-	}
-	cooldown := cfg.BreakerCooldown
-	if cooldown <= 0 {
-		cooldown = defaultCooldownFactor * maxDelay
-	}
 	a := &admission{
 		maxDelay:   maxDelay,
 		queueLimit: queueLimit,
 		quota:      quota,
-		strikes:    strikes,
-		cooldown:   cooldown,
+		strikes:    DefaultBreakerStrikes,
+		cooldown:   defaultCooldownFactor * maxDelay,
 		now:        time.Now,
 	}
 	if maxDelay > 0 {
@@ -408,20 +401,12 @@ func (a *admission) sloLimit(pending []*Request) int {
 
 // formBatch partitions the pending queue into the batch this generation
 // admits and the remainder shed to the next one, preserving arrival order
-// in both. maxBatch is Config.MaxBatch, which applies nowhere else. The
-// batch compacts in place over pending's backing array; rest is freshly
-// allocated (it becomes the new pending queue).
-func (a *admission) formBatch(pending []*Request, maxBatch int) (batch, rest []*Request) {
+// in both. The batch compacts in place over pending's backing array; rest is
+// freshly allocated (it becomes the new pending queue).
+func (a *admission) formBatch(pending []*Request) (batch, rest []*Request) {
 	limit := len(pending)
-	if maxBatch > 0 && maxBatch < limit {
-		limit = maxBatch
-	}
-	// Only admission-driven deferrals count as shed: a MaxBatch trim is a
-	// fixed size cap, not a response to load.
-	sloLimited := false
 	if c := a.sloLimit(pending); c > 0 && c < limit {
 		limit = c
-		sloLimited = true
 	}
 	if limit == len(pending) && a.quota == 0 {
 		return pending, nil
@@ -437,15 +422,13 @@ func (a *admission) formBatch(pending []*Request, maxBatch int) (batch, rest []*
 		// engine forms generation windows independently, a reordered
 		// broadcast-write stream would apply in different orders on
 		// different shards and diverge replicated copies; the positional
-		// caps above (MaxBatch, SLO) only ever defer a strict suffix, so
+		// SLO cap above only ever defers a strict suffix, so
 		// relative order — and cross-shard write order — is preserved.
 		quotaEligible := a.quota > 0 && r.Stmt != nil && !r.Stmt.IsWrite()
 		switch {
 		case len(batch) >= limit:
 			rest = append(rest, r)
-			if sloLimited {
-				a.shed++
-			}
+			a.shed++
 		case quotaEligible && counts[r.Stmt.SQL] >= a.quota:
 			rest = append(rest, r)
 			a.shed++

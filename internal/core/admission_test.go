@@ -30,7 +30,7 @@ func TestAdmissionDisabledIsNil(t *testing.T) {
 		}
 		a.recordGenerationCosts([]*plan.Statement{s}, time.Hour, 1, nil)
 		pending := mkReqs(s, s, s)
-		if batch, rest := a.formBatch(pending, 0); len(batch) != 3 || rest != nil || a.shed != 0 {
+		if batch, rest := a.formBatch(pending); len(batch) != 3 || rest != nil || a.shed != 0 {
 			t.Fatalf("disabled controller formed %d / shed %d, want the whole queue", len(batch), len(rest))
 		}
 		if err := a.peekBreaker(s.SQL); err != nil {
@@ -90,7 +90,7 @@ func TestFormBatchQuotaExactlyAtBoundary(t *testing.T) {
 
 	// Exactly at the quota: everything admits, nothing sheds.
 	pending := mkReqs(sa, sa, sb)
-	batch, rest := a.formBatch(pending, 0)
+	batch, rest := a.formBatch(pending)
 	if len(batch) != 3 || len(rest) != 0 || a.shed != 0 {
 		t.Fatalf("at-boundary batch: got %d admitted, %d shed (counter %d), want 3/0/0",
 			len(batch), len(rest), a.shed)
@@ -100,7 +100,7 @@ func TestFormBatchQuotaExactlyAtBoundary(t *testing.T) {
 	// in both partitions.
 	pending = mkReqs(sa, sa, sa, sb)
 	third := pending[2]
-	batch, rest = a.formBatch(pending, 0)
+	batch, rest = a.formBatch(pending)
 	if len(batch) != 3 || len(rest) != 1 {
 		t.Fatalf("over-quota: got %d admitted, %d shed, want 3/1", len(batch), len(rest))
 	}
@@ -116,7 +116,7 @@ func TestFormBatchQuotaExactlyAtBoundary(t *testing.T) {
 
 	// Quota scratch is cleared between calls: the same statement admits
 	// again next generation.
-	batch, rest = a.formBatch(mkReqs(sa, sa), 0)
+	batch, rest = a.formBatch(mkReqs(sa, sa))
 	if len(batch) != 2 || len(rest) != 0 {
 		t.Fatalf("fresh generation must re-admit up to quota, got %d/%d", len(batch), len(rest))
 	}
@@ -124,7 +124,7 @@ func TestFormBatchQuotaExactlyAtBoundary(t *testing.T) {
 	// A distinct handle with the same SQL (the ad-hoc path re-preparing)
 	// shares sa's quota bucket.
 	saAdhoc := &plan.Statement{ID: 9, SQL: "SELECT a"}
-	batch, rest = a.formBatch(mkReqs(sa, saAdhoc, saAdhoc), 0)
+	batch, rest = a.formBatch(mkReqs(sa, saAdhoc, saAdhoc))
 	if len(batch) != 2 || len(rest) != 1 {
 		t.Fatalf("same-SQL handles must share the quota, got %d/%d", len(batch), len(rest))
 	}
@@ -132,18 +132,18 @@ func TestFormBatchQuotaExactlyAtBoundary(t *testing.T) {
 	// Writes are exempt: quota shedding is non-positional and would
 	// reorder the write stream (divergent replicated copies on shards).
 	wr := &plan.Statement{ID: 3, SQL: "UPDATE t", Write: &sql.WritePlan{}}
-	batch, rest = a.formBatch(mkReqs(wr, wr, wr, wr), 0)
+	batch, rest = a.formBatch(mkReqs(wr, wr, wr, wr))
 	if len(batch) != 4 || len(rest) != 0 {
 		t.Fatalf("writes must bypass the quota, got %d admitted / %d shed", len(batch), len(rest))
 	}
 }
 
-func TestFormBatchSLOCapAndMaxBatchCompose(t *testing.T) {
+func TestFormBatchSLOCapFloorsAtOne(t *testing.T) {
 	a := newAdmission(Config{MaxGenerationDelay: 10 * time.Millisecond})
 	s := &plan.Statement{ID: 1}
 
 	// No cost history: the SLO cannot size the batch yet, everything admits.
-	batch, rest := a.formBatch(mkReqs(s, s, s, s), 0)
+	batch, rest := a.formBatch(mkReqs(s, s, s, s))
 	if len(batch) != 4 || rest != nil {
 		t.Fatalf("no-history SLO must not cap, got %d/%d", len(batch), len(rest))
 	}
@@ -153,7 +153,7 @@ func TestFormBatchSLOCapAndMaxBatchCompose(t *testing.T) {
 	if c := a.sloCap(); c != 2 {
 		t.Fatalf("sloCap = %d, want 2 (10ms SLO / 4ms cost)", c)
 	}
-	batch, rest = a.formBatch(mkReqs(s, s, s, s), 0)
+	batch, rest = a.formBatch(mkReqs(s, s, s, s))
 	if len(batch) != 2 || len(rest) != 2 {
 		t.Fatalf("SLO cap: got %d admitted, %d shed, want 2/2", len(batch), len(rest))
 	}
@@ -161,29 +161,23 @@ func TestFormBatchSLOCapAndMaxBatchCompose(t *testing.T) {
 		t.Fatalf("SLO deferrals must count as shed, got %d want 2", a.shed)
 	}
 
-	// MaxBatch below the SLO cap wins; a cost spike cannot starve the
-	// engine — the cap floors at one request per generation. The MaxBatch
-	// trim is the legacy cap: it must NOT count as shed.
-	shedBefore := a.shed
-	batch, _ = a.formBatch(mkReqs(s, s, s), 1)
-	if len(batch) != 1 {
-		t.Fatalf("MaxBatch=1 must cap at 1, got %d", len(batch))
-	}
-	if a.shed != shedBefore {
-		t.Fatalf("MaxBatch overflow counted as shed (%d -> %d)", shedBefore, a.shed)
-	}
+	// A cost spike cannot starve the engine — the cap floors at one
+	// request per generation.
 	a.costNs = float64(time.Second)
 	if c := a.sloCap(); c != 1 {
 		t.Fatalf("sloCap with cost >> SLO = %d, want floor of 1", c)
 	}
+	if batch, _ = a.formBatch(mkReqs(s, s, s)); len(batch) != 1 {
+		t.Fatalf("cost >> SLO must still admit 1 per generation, got %d", len(batch))
+	}
 }
 
 func TestBreakerTripHalfOpenResetCycle(t *testing.T) {
-	a := newAdmission(Config{
-		MaxGenerationDelay: 10 * time.Millisecond,
-		BreakerStrikes:     2,
-		BreakerCooldown:    100 * time.Millisecond,
-	})
+	a := newAdmission(Config{MaxGenerationDelay: 10 * time.Millisecond})
+	if a.strikes != DefaultBreakerStrikes || a.cooldown != 80*time.Millisecond {
+		t.Fatalf("breaker rule = %d strikes / %v cooldown, want %d / 8×SLO", a.strikes, a.cooldown, DefaultBreakerStrikes)
+	}
+	a.strikes, a.cooldown = 2, 100*time.Millisecond
 	clock := time.Unix(0, 0)
 	a.now = func() time.Time { return clock }
 	s := &plan.Statement{ID: 7, SQL: "SELECT slow"}
@@ -296,8 +290,7 @@ func TestValidateConfig(t *testing.T) {
 		{SubscriptionBuffer: 1},
 		{SubscriptionBuffer: 64},
 		{MaxGenerationDelay: time.Millisecond},
-		{MaxGenerationDelay: 50 * time.Millisecond, QueueDepthLimit: 10, StatementQuota: 5,
-			BreakerStrikes: 2, BreakerCooldown: time.Second},
+		{MaxGenerationDelay: 50 * time.Millisecond, QueueDepthLimit: 10, StatementQuota: 5},
 		{QueueDepthLimit: 1},
 	}
 	for _, cfg := range valid {
@@ -314,12 +307,8 @@ func TestValidateConfig(t *testing.T) {
 		{MaxGenerationDelay: time.Nanosecond},
 		{QueueDepthLimit: -1},
 		{StatementQuota: -1},
-		{BreakerStrikes: -1, MaxGenerationDelay: time.Millisecond},
-		{BreakerCooldown: -time.Second, MaxGenerationDelay: time.Millisecond},
-		{BreakerStrikes: 3},                 // breaker without an SLO
-		{BreakerCooldown: time.Second},      // breaker without an SLO
-		{StatementQuota: -7, Workers: 2},    // negative quota with other knobs fine
-		{QueueDepthLimit: -3, MaxBatch: 10}, // negative depth with other knobs fine
+		{StatementQuota: -7, Workers: 2},                 // negative quota with other knobs fine
+		{QueueDepthLimit: -3, MaxInFlightGenerations: 2}, // negative depth with other knobs fine
 	}
 	for _, cfg := range invalid {
 		if err := cfg.Validate(); err == nil {
@@ -443,17 +432,18 @@ func TestAdmitReserveRelease(t *testing.T) {
 
 // TestBreakerQuarantinesSlowStatement drives the breaker end to end on a
 // real engine: a statement whose generations reliably blow a 1ms SLO trips
-// after BreakerStrikes cycles, rejects while open, and admits a half-open
-// probe after the cooldown.
+// after two strikes, rejects while open, and admits a half-open probe after
+// the cooldown.
 func TestBreakerQuarantinesSlowStatement(t *testing.T) {
 	db, closeDB := bigTable(t, 60000)
 	defer closeDB()
 	e := New(db, plan.New(db), Config{
 		MaxGenerationDelay: MinGenerationDelay, // 1ms: the scan+sort below cannot meet it
-		BreakerStrikes:     2,
-		BreakerCooldown:    50 * time.Millisecond,
 	})
 	defer e.Close()
+	e.mu.Lock()
+	e.adm.strikes, e.adm.cooldown = 2, 50*time.Millisecond
+	e.mu.Unlock()
 
 	heavy := mustPrepare(t, e, "SELECT b_id FROM big WHERE b_pad LIKE '%x%' ORDER BY b_val")
 	for i := 0; i < 2; i++ {

@@ -433,12 +433,13 @@ func TestBreakerSparesLightStatement(t *testing.T) {
 	)
 	e := New(db, plan.New(db), Config{
 		MaxGenerationDelay:     2 * time.Millisecond,
-		BreakerStrikes:         2,
-		BreakerCooldown:        time.Minute, // no half-open probes during the test
 		MaxInFlightGenerations: 1,
 		Heartbeat:              500 * time.Microsecond,
 	})
 	defer e.Close()
+	e.mu.Lock()
+	e.adm.strikes, e.adm.cooldown = 2, time.Minute // no half-open probes during the test
+	e.mu.Unlock()
 	heavy := mustPrepare(t, e, heavySQL)
 	light := mustPrepare(t, e, lightSQL)
 

@@ -60,9 +60,6 @@ type Config struct {
 	// (the paper's default: "for OLTP workloads, these heartbeats can be
 	// frequent, in the order of one second or even less").
 	Heartbeat time.Duration
-	// MaxBatch caps the number of requests drained into one generation
-	// (0 = unlimited).
-	MaxBatch int
 	// MaxInFlightGenerations bounds how many generations may execute
 	// concurrently. 1 restores strictly serial generations (the classic
 	// generation barrier); 0 selects DefaultMaxInFlightGenerations.
@@ -86,7 +83,9 @@ type Config struct {
 	// response-time limit): batch formation caps each generation at the
 	// size predicted — from an EWMA of observed per-request cycle cost —
 	// to finish within it, and the slow-query circuit breaker quarantines
-	// statements whose generations repeatedly exceed it. 0 disables both;
+	// statements whose generations repeatedly exceed it
+	// (DefaultBreakerStrikes consecutive strikes, then a cooldown of 8×
+	// the SLO before a half-open probe). 0 disables both;
 	// non-zero values below MinGenerationDelay are rejected by
 	// Config.Validate (the timer cannot enforce them).
 	MaxGenerationDelay time.Duration
@@ -98,14 +97,6 @@ type Config struct {
 	// single generation admits; excess activations are shed — they stay
 	// queued, in arrival order, for a later generation. 0 = unlimited.
 	StatementQuota int
-	// BreakerStrikes is how many consecutive over-SLO generations
-	// containing a statement trip its slow-query breaker (0 selects
-	// DefaultBreakerStrikes; requires MaxGenerationDelay > 0).
-	BreakerStrikes int
-	// BreakerCooldown is how long a tripped statement stays quarantined
-	// before a half-open probe is admitted (0 selects 8×MaxGenerationDelay;
-	// requires MaxGenerationDelay > 0).
-	BreakerCooldown time.Duration
 
 	// SubscriptionBuffer is the per-subscription update channel capacity
 	// (0 selects DefaultSubscriptionBuffer). A subscriber that falls more
@@ -199,13 +190,10 @@ type Request struct {
 
 	// Fold state: fp is the fold fingerprint (computed once at Submit when
 	// foldable), fold the fan-out group duplicates have attached to (nil
-	// until the first fold), hooks the dispatch hooks to fire when this
-	// request's generation forms (SubmitHooked; folded requests transfer
-	// their hooks to the lead).
+	// until the first fold).
 	fp       uint64
 	foldable bool
-	fold     *Fanout
-	hooks    []func()
+	fold     *fanout
 }
 
 // Result is the client-visible outcome of a request. Wait blocks until the
@@ -224,9 +212,10 @@ type Result struct {
 	SnapshotTS uint64
 
 	// fold is set on results subscribed to a fan-out group (they complete
-	// via Fanout.Complete, not a generation); abandoned marks a cancelled
-	// waiter whose queued request should vacate at the next batch formation.
-	fold      *Fanout
+	// via their lead's fan-out, not a generation); abandoned marks a
+	// cancelled waiter whose queued request should vacate at the next batch
+	// formation.
+	fold      *fanout
 	abandoned atomic.Bool
 	// hook, when set (NewHookedResult), is called once by complete.
 	hook CompletionHook
@@ -421,22 +410,14 @@ func (e *Engine) Plan() *plan.GlobalPlan { return e.plan }
 // the queue. A read identical to a pending one returns a result subscribed
 // to the pending request instead of queueing.
 func (e *Engine) Submit(stmt *plan.Statement, params []types.Value) *Result {
-	return e.SubmitHooked(Call{Stmt: stmt, Params: params}, nil)
+	return e.SubmitCall(Call{Stmt: stmt, Params: params})
 }
 
-// SubmitHooked submits one call with an optional dispatch hook: fn runs on
-// the dispatcher goroutine right after the generation containing the
-// request forms — before the generation's writes apply or its read snapshot
-// pins. When the submission folds into a pending lead the hook transfers to
-// the lead, so it still fires when the generation that answers this
-// submission dispatches. The shard router uses the hook to close its
-// cross-shard fold window at the earliest shard's batch formation.
-func (e *Engine) SubmitHooked(c Call, fn func()) *Result {
+// SubmitCall is Submit completing the call's own Result when it carries one
+// (the shard router passes its caller's result down to the owning shard).
+func (e *Engine) SubmitCall(c Call) *Result {
 	req := &Request{}
 	e.initRequest(req, c)
-	if fn != nil {
-		req.hooks = append(req.hooks, fn)
-	}
 	return e.enqueue(req, false)
 }
 
@@ -487,7 +468,7 @@ func (e *Engine) initRequest(req *Request, c Call) {
 	req.Stmt, req.Params, req.Result = c.Stmt, c.Params, c.Result
 	if e.foldIdx != nil && c.Stmt != nil && !c.Stmt.IsWrite() {
 		req.foldable = true
-		req.fp = FoldFingerprint(c.Stmt.SQL, c.Params)
+		req.fp = foldFingerprint(c.Stmt.SQL, c.Params)
 	}
 }
 
@@ -631,16 +612,15 @@ func (e *Engine) enqueueLocked(req *Request, reserved bool) (queued bool, err er
 // own lead.
 func (e *Engine) tryFold(req *Request) bool {
 	for _, lead := range e.foldIdx[req.fp] {
-		if lead.Stmt.SQL != req.Stmt.SQL || !IdenticalParams(lead.Params, req.Params) {
+		if lead.Stmt.SQL != req.Stmt.SQL || !identicalParams(lead.Params, req.Params) {
 			continue
 		}
 		if lead.fold == nil {
-			lead.fold = &Fanout{}
+			lead.fold = &fanout{}
 		}
-		if !lead.fold.Attach(req.Result) {
+		if !lead.fold.attach(req.Result) {
 			continue
 		}
-		lead.hooks = append(lead.hooks, req.hooks...)
 		e.folded++
 		return true
 	}
@@ -726,9 +706,9 @@ func (e *Engine) formLocked() *generation {
 			break
 		}
 	}
-	// Per-statement quotas, the SLO-predicted size cap and MaxBatch shed the
-	// excess back to the queue, arrival order preserved.
-	g.batch, e.pending = e.adm.formBatch(e.pending, e.cfg.MaxBatch)
+	// Per-statement quotas and the SLO-predicted size cap shed the excess
+	// back to the queue, arrival order preserved.
+	g.batch, e.pending = e.adm.formBatch(e.pending)
 	// The fold window closes at batch formation: a drafted request's
 	// snapshot is about to pin, so it stops accepting subscribers. Shed
 	// requests stay foldable — a subscriber attached to a shed lead simply

@@ -78,7 +78,9 @@ type EngineStats struct {
 	// WritesRun counts applied write operations and transaction commits.
 	WritesRun uint64
 	// FoldedQueries counts read submissions served by fan-out from an
-	// identical pending duplicate instead of executing.
+	// identical pending duplicate instead of executing. It counts in the
+	// unit QueriesRun counts: on the sharded backend that is per-shard
+	// activations, so one client scatter read folded on N shards counts N.
 	FoldedQueries uint64
 	// SubscriptionsActive is the gauge of open standing queries (summed
 	// across shards for the sharded backend).
@@ -144,8 +146,8 @@ func (r *Result) complete(err error) {
 
 // Validate rejects configurations that previously defaulted silently:
 // negative Workers and negative MaxInFlightGenerations (zero still means
-// "engine default" for both), negative admission limits, an SLO the timer
-// cannot enforce, and breaker knobs without the SLO that drives them.
+// "engine default" for both), negative admission limits, and an SLO the
+// timer cannot enforce.
 func (c Config) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("core: Workers must be >= 0, got %d (0 = GOMAXPROCS, 1 = serial)", c.Workers)
@@ -155,9 +157,6 @@ func (c Config) Validate() error {
 	}
 	if c.SubscriptionBuffer < 0 {
 		return fmt.Errorf("core: SubscriptionBuffer must be >= 0, got %d (0 = default %d)", c.SubscriptionBuffer, DefaultSubscriptionBuffer)
-	}
-	if c.MaxBatch < 0 {
-		return fmt.Errorf("core: MaxBatch must be >= 0, got %d (0 = unlimited)", c.MaxBatch)
 	}
 	if c.MaxGenerationDelay < 0 {
 		return fmt.Errorf("core: MaxGenerationDelay must be >= 0, got %v (0 = no latency SLO)", c.MaxGenerationDelay)
@@ -171,15 +170,6 @@ func (c Config) Validate() error {
 	}
 	if c.StatementQuota < 0 {
 		return fmt.Errorf("core: StatementQuota must be >= 0, got %d (0 = unlimited)", c.StatementQuota)
-	}
-	if c.BreakerStrikes < 0 {
-		return fmt.Errorf("core: BreakerStrikes must be >= 0, got %d (0 = default %d)", c.BreakerStrikes, DefaultBreakerStrikes)
-	}
-	if c.BreakerCooldown < 0 {
-		return fmt.Errorf("core: BreakerCooldown must be >= 0, got %v (0 = 8x MaxGenerationDelay)", c.BreakerCooldown)
-	}
-	if (c.BreakerStrikes > 0 || c.BreakerCooldown > 0) && c.MaxGenerationDelay == 0 {
-		return fmt.Errorf("core: breaker knobs require MaxGenerationDelay > 0 (the SLO the slow-query breaker enforces)")
 	}
 	return nil
 }

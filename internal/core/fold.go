@@ -28,11 +28,11 @@ const (
 	foldFNVPrime64  = 1099511628211
 )
 
-// FoldFingerprint hashes a statement's identity (its SQL text) together
+// foldFingerprint hashes a statement's identity (its SQL text) together
 // with its bound parameters into the fold-index key. Collisions are
 // harmless — fold candidates are verified by exact SQL and parameter
 // comparison — the fingerprint only bounds the search.
-func FoldFingerprint(sqlText string, params []types.Value) uint64 {
+func foldFingerprint(sqlText string, params []types.Value) uint64 {
 	h := uint64(foldFNVOffset64)
 	for i := 0; i < len(sqlText); i++ {
 		h ^= uint64(sqlText[i])
@@ -48,12 +48,12 @@ func FoldFingerprint(sqlText string, params []types.Value) uint64 {
 	return h
 }
 
-// IdenticalParams reports whether two parameter lists are identical bit
+// identicalParams reports whether two parameter lists are identical bit
 // for bit. This is deliberately stricter than types.Value.Equal: Equal
 // coerces numerics (INT 1 equals FLOAT 1.0) and would also let -0.0 fold
 // into 0.0, but a projected parameter renders those differently — folding
 // must never change a single output byte.
-func IdenticalParams(a, b []types.Value) bool {
+func identicalParams(a, b []types.Value) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -66,24 +66,18 @@ func IdenticalParams(a, b []types.Value) bool {
 	return true
 }
 
-// Fanout is the subscriber group attached to a fold lead. The engine
-// creates one lazily when the first duplicate folds in; the shard router
-// creates one per pending cross-shard gather via NewFanout.
-type Fanout struct {
+// fanout is the subscriber group attached to a fold lead. The engine
+// creates one lazily when the first duplicate folds in.
+type fanout struct {
 	mu   sync.Mutex
 	subs []*Result
 	done bool
 }
 
-// NewFanout returns an empty fan-out group for callers that drive
-// completion outside an engine generation (the shard router's
-// fold-before-scatter path).
-func NewFanout() *Fanout { return &Fanout{} }
-
-// Attach subscribes res to the group. It fails (returns false) when the
+// attach subscribes res to the group. It fails (returns false) when the
 // group has already completed — the caller must then fall back to a fresh
 // submission.
-func (f *Fanout) Attach(res *Result) bool {
+func (f *fanout) attach(res *Result) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.done {
@@ -96,7 +90,7 @@ func (f *Fanout) Attach(res *Result) bool {
 
 // detach removes res from the group before completion; true means the
 // caller now owns the result (the fanout will never touch it again).
-func (f *Fanout) detach(res *Result) bool {
+func (f *fanout) detach(res *Result) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.done {
@@ -112,19 +106,17 @@ func (f *Fanout) detach(res *Result) bool {
 }
 
 // empty reports whether the group has no subscribers left to serve.
-func (f *Fanout) empty() bool {
+func (f *fanout) empty() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return len(f.subs) == 0
 }
 
-// Complete fans the lead's outcome out to every subscriber and seals the
+// complete fans the lead's outcome out to every subscriber and seals the
 // group against further attaches. Subscribers share the lead's row slice
 // (results are materialized and read-only by contract — see Rows in the
 // public API).
-func (f *Fanout) Complete(lead *Result) { f.complete(lead) }
-
-func (f *Fanout) complete(lead *Result) {
+func (f *fanout) complete(lead *Result) {
 	f.mu.Lock()
 	f.done = true
 	subs := f.subs

@@ -225,10 +225,10 @@ func TestFoldWriteOrdering(t *testing.T) {
 
 func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 	cancelErr := errors.New("ctx cancelled")
-	fan := NewFanout()
+	fan := &fanout{}
 	lead := NewPendingResult()
 	s1, s2 := NewPendingResult(), NewPendingResult()
-	if !fan.Attach(s1) || !fan.Attach(s2) {
+	if !fan.attach(s1) || !fan.attach(s2) {
 		t.Fatal("attach to open fan-out failed")
 	}
 
@@ -250,7 +250,7 @@ func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 	lead.Rows = []types.Row{{types.NewInt(42)}}
 	lead.SnapshotTS = 7
 	lead.Complete(nil)
-	fan.Complete(lead)
+	fan.complete(lead)
 	if err := s2.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,8 @@ func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 	}
 
 	// The window is closed: no more subscribers.
-	if fan.Attach(NewPendingResult()) {
-		t.Fatal("Attach succeeded after Complete")
+	if fan.attach(NewPendingResult()) {
+		t.Fatal("attach succeeded after complete")
 	}
 }
 

@@ -44,15 +44,6 @@ func (g *generation) dispatch() {
 	for _, r := range g.dropped {
 		r.Result.complete(errRequestAbandoned)
 	}
-	// Dispatch hooks fire after formation but before any of the generation's
-	// effects (write apply, snapshot pin) — the shard router's fold-window
-	// close point.
-	for _, r := range g.batch {
-		for _, h := range r.hooks {
-			h()
-		}
-		r.hooks = nil
-	}
 	g.start = time.Now()
 	g.write()
 	if len(g.reads) == 0 && len(g.subs) == 0 {

@@ -69,8 +69,8 @@ func TestShardBroadcastWriteAdmissionAllOrNothing(t *testing.T) {
 	// item partitions: this COUNT scatters to every shard, filling both
 	// queues per submission (a replicated-table read would round-robin to
 	// one shard and leave the other queue empty). The parameter only keeps
-	// the submissions distinct: identical reads would fold at the router
-	// and occupy one slot between them.
+	// the submissions distinct: identical reads would fold in each shard
+	// engine and occupy one slot per shard between them.
 	scatter := mustPrepareRouter(t, r, "SELECT COUNT(*) FROM item WHERE i_id > ?")
 	// author replicates: the probe round-robins across shards, so two
 	// consecutive probes observe both replicas.

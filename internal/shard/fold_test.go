@@ -13,11 +13,11 @@ import (
 	"shareddb/internal/types"
 )
 
-// Router folding tests: duplicates must collapse BEFORE scatter (one
-// scatter-gather serves every subscriber) and before the round-robin
-// cursor can spread RouteAny duplicates across shards. The wide heartbeat
-// opens a deterministic fold window on every shard engine, exactly like
-// the core fold tests.
+// Sharded folding tests: the router does not fold, so duplicates collapse
+// inside each shard engine — every per-shard part of a scatter read, and
+// every RouteAny read that round-robins onto the same shard. The wide
+// heartbeat opens a deterministic fold window on every shard engine,
+// exactly like the core fold tests.
 const routerFoldWindow = 400 * time.Millisecond
 
 func foldRouterCfg() core.Config {
@@ -72,7 +72,7 @@ func TestFoldScatterDuplicates(t *testing.T) {
 					t.Fatalf("duplicate %d: %d rows vs oracle %d:\n%v\n%v",
 						i, len(res.Rows), len(want.Rows), canon(res.Rows), canon(want.Rows))
 				}
-				// Folded subscribers share the lead's gather verbatim:
+				// Every duplicate merges the same folded per-shard rows:
 				// identical order, not just identical multiset.
 				for j := range res.Rows {
 					for k := range res.Rows[j] {
@@ -82,27 +82,36 @@ func TestFoldScatterDuplicates(t *testing.T) {
 					}
 				}
 			}
-			// At shards=1 the engine folds; above that the router folds
-			// before scatter. Either way the duplicates cost one execution.
+			// Each shard engine runs its part once and folds the other
+			// dup-1 parts: both counters count per-shard activations.
 			st := router.Stats()
-			if got := st.FoldedQueries - before.FoldedQueries; got != dup-1 {
-				t.Fatalf("folded %d, want %d", got, dup-1)
+			folded := st.FoldedQueries - before.FoldedQueries
+			run := st.QueriesRun - before.QueriesRun
+			if want := uint64(shards * (dup - 1)); folded != want {
+				t.Fatalf("folded %d, want %d (dup-1 per shard)", folded, want)
 			}
-			if got := st.QueriesRun - before.QueriesRun; got != uint64(shards) {
-				t.Fatalf("engines ran %d activations, want %d (one per shard)", got, shards)
+			if run != uint64(shards) {
+				t.Fatalf("engines ran %d activations, want %d (one per shard)", run, shards)
+			}
+			// shareddb.Stats.FoldHitRate over the deltas (the public
+			// package imports this one, so the test cannot call it).
+			rate := float64(folded) / float64(folded+run)
+			if want := float64(dup-1) / dup; rate != want {
+				t.Fatalf("fold hit rate %v, want %v", rate, want)
 			}
 		})
 	}
 }
 
-func TestFoldRouteAnyDuplicates(t *testing.T) {
+// TestFoldRouteAnyDuplicatesFoldPerShard: RouteAny reads round-robin, so
+// duplicates spread over the shards and fold only with the ones that land
+// on the same shard.
+func TestFoldRouteAnyDuplicatesFoldPerShard(t *testing.T) {
 	const shards = 3
 	router := newRouterEnv(t, shards, foldRouterCfg())
 	oracle := newOracle(t)
 
-	// author is replicated: this read is RouteAny, which round-robins —
-	// without router folding, duplicates would land on different shards
-	// and never meet in one engine's fold index.
+	// author is replicated: this read is RouteAny.
 	const sqlText = `SELECT a_lname FROM author WHERE a_id = ?`
 	stmt, err := router.Prepare(sqlText)
 	if err != nil {
@@ -139,12 +148,14 @@ func TestFoldRouteAnyDuplicates(t *testing.T) {
 			t.Fatalf("duplicate %d mismatch: %v vs %v", i, canon(res.Rows), canon(want.Rows))
 		}
 	}
+	// 6 duplicates round-robin 2 onto each of 3 shards: each shard runs one
+	// and folds one.
 	st := router.Stats()
-	if got := st.FoldedQueries - before.FoldedQueries; got != dup-1 {
-		t.Fatalf("folded %d, want %d", got, dup-1)
+	if got := st.FoldedQueries - before.FoldedQueries; got != dup-shards {
+		t.Fatalf("folded %d, want %d (one per shard)", got, dup-shards)
 	}
-	if got := st.QueriesRun - before.QueriesRun; got != 1 {
-		t.Fatalf("engines ran %d activations, want 1 (one shard answers the whole group)", got)
+	if got := st.QueriesRun - before.QueriesRun; got != shards {
+		t.Fatalf("engines ran %d activations, want %d (one per shard)", got, shards)
 	}
 }
 

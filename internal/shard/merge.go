@@ -24,8 +24,9 @@ import (
 
 // MergeResults recombines per-shard result sets according to spec.
 // shardRows[i] is shard i's rows in that shard's emission order (sorted for
-// ordered statements). The returned rows may alias the input rows (the
-// per-shard results are owned by the merged request).
+// ordered statements). The returned rows may alias the input rows, but
+// neither shardRows nor any row in it is modified: identical reads fold on
+// each shard, so several gathers can merge the same per-shard rows at once.
 func MergeResults(shardRows [][]types.Row, spec *sql.MergeSpec, params []types.Value) []types.Row {
 	switch spec.Kind {
 	case sql.MergeOrdered:

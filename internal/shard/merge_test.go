@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"testing"
 
 	"shareddb/internal/expr"
@@ -319,5 +320,87 @@ func TestMergeGroupedHavingSortLimit(t *testing.T) {
 	}
 	if len(got[0]) != 1 {
 		t.Fatalf("projection not applied: %v", got[0])
+	}
+}
+
+// copyShardRows deep-copies per-shard rows: fresh outer, shard and row
+// slices.
+func copyShardRows(in [][]types.Row) [][]types.Row {
+	out := make([][]types.Row, len(in))
+	for s, rows := range in {
+		out[s] = make([]types.Row, len(rows))
+		for i, r := range rows {
+			out[s][i] = append(types.Row(nil), r...)
+		}
+	}
+	return out
+}
+
+// TestMergeLeavesInputUntouched: identical scatter reads fold on every
+// shard, so their gathers merge the very same per-shard rows, possibly at
+// the same time. Every merge kind must therefore treat shardRows as
+// read-only: merging twice gives the same output, and the input still
+// equals a copy taken before the first merge.
+func TestMergeLeavesInputUntouched(t *testing.T) {
+	cases := []struct {
+		name   string
+		shards [][]types.Row
+		spec   *sql.MergeSpec
+	}{
+		{
+			name: "concat distinct limit",
+			shards: [][]types.Row{
+				{{iv(1)}, {iv(2)}, {iv(2)}},
+				{{iv(2)}, {iv(3)}},
+			},
+			spec: &sql.MergeSpec{Kind: sql.MergeConcat, Limit: 2, Distinct: true},
+		},
+		{
+			name: "ordered strip distinct",
+			shards: [][]types.Row{
+				{{sv("a"), iv(1)}, {sv("a"), iv(2)}, {sv("c"), iv(6)}},
+				{{sv("b"), iv(3)}, {sv("a"), iv(4)}},
+			},
+			spec: &sql.MergeSpec{Kind: sql.MergeOrdered, Limit: -1, Distinct: true,
+				SortCols: []int{1}, SortDesc: []bool{false}, Strip: 1},
+		},
+		{
+			name: "grouped having order limit project",
+			shards: [][]types.Row{
+				{{sv("a"), iv(2)}, {sv("b"), iv(1)}, {sv("c"), iv(4)}},
+				{{sv("a"), iv(2)}, {sv("b"), iv(1)}, {sv("d"), iv(3)}},
+			},
+			spec: &sql.MergeSpec{
+				Kind:      sql.MergeGrouped,
+				Limit:     2,
+				GroupCols: 1,
+				Aggs: []sql.AggMerge{
+					{Func: sql.AggCount, ArgPos: -1, SumPos: -1, CountPos: 1, MinPos: -1, MaxPos: -1},
+				},
+				Having: &expr.Cmp{Op: expr.GT, L: &expr.ColRef{Idx: 1}, R: &expr.Const{Val: iv(2)}},
+				SortKeys: []sql.SortKey{
+					{Expr: &expr.ColRef{Idx: 1}, Desc: true},
+					{Expr: &expr.ColRef{Idx: 0}},
+				},
+				Project: []expr.Expr{&expr.ColRef{Idx: 0}},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := copyShardRows(tc.shards)
+			first := MergeResults(tc.shards, tc.spec, nil)
+			firstCopy := copyShardRows([][]types.Row{first})[0]
+			second := MergeResults(tc.shards, tc.spec, nil)
+			if !reflect.DeepEqual(tc.shards, before) {
+				t.Fatalf("merge modified its input:\n got %v\nwant %v", tc.shards, before)
+			}
+			if !reflect.DeepEqual(first, firstCopy) {
+				t.Fatalf("second merge modified the first output:\n got %v\nwant %v", first, firstCopy)
+			}
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("merges of the same input differ:\n%v\n%v", first, second)
+			}
+		})
 	}
 }

@@ -114,28 +114,6 @@ type Router struct {
 	// every shard see broadcast writes in one global order; point writes
 	// touch a single shard and need no ordering.
 	wmu sync.Mutex
-
-	// Router-level fold state: identical multi-shard reads fold BEFORE
-	// scatter, so a hundred identical broadcasts become one per-shard
-	// activation plus a fan-out. gathers indexes the pending leads by
-	// fingerprint (nil — no router folding — on a single shard and under
-	// core.Config.NoFold); an entry leaves the index — closing its fold
-	// window — when the FIRST shard drafts the lead into a generation (the
-	// engine's dispatch hook, which fires before any shard's snapshot
-	// pins; see Submit for the ordering argument). Point reads are not
-	// routed here: identical point reads land on the same shard and fold
-	// inside its engine.
-	gmu     sync.Mutex
-	gathers map[uint64][]*gatherEntry
-	folded  uint64
-}
-
-// gatherEntry is one pending multi-shard read lead: the identity to verify
-// fingerprint matches against, plus the fan-out group subscribers attach to.
-type gatherEntry struct {
-	sql    string
-	params []types.Value
-	fan    *core.Fanout
 }
 
 var _ core.Executor = (*Router)(nil)
@@ -166,9 +144,6 @@ func New(dbs []*storage.Database, cfg core.Config, placement Placement) (*Router
 		placement: placement,
 		single:    len(dbs) == 1,
 		stmts:     map[*plan.Statement]*routedStmt{},
-	}
-	if !cfg.NoFold && len(dbs) > 1 {
-		r.gathers = map[uint64][]*gatherEntry{}
 	}
 	// Per-shard worker placement: by default every shard engine would
 	// resolve Workers=0 to all of GOMAXPROCS and the shards would contend
@@ -269,9 +244,10 @@ func (r *Router) AdmissionStats() core.AdmissionStats {
 	return out
 }
 
-// Stats sums the shard engines' counters. FoldedQueries additionally
-// includes reads folded at the router (before scatter); the in-flight
-// gauges are sums of per-shard values.
+// Stats sums the shard engines' counters; the in-flight gauges are sums of
+// per-shard values. QueriesRun and FoldedQueries count per-shard
+// activations: the router does not fold, each shard engine folds the parts
+// of reads that reach it, so one client scatter read counts once per shard.
 func (r *Router) Stats() core.EngineStats {
 	var out core.EngineStats
 	for _, e := range r.engines {
@@ -289,9 +265,6 @@ func (r *Router) Stats() core.EngineStats {
 		out.Admission.BreakerTrips += s.Admission.BreakerTrips
 		out.Admission.QueueDepth += s.Admission.QueueDepth
 	}
-	r.gmu.Lock()
-	out.FoldedQueries += r.folded
-	r.gmu.Unlock()
 	return out
 }
 
@@ -393,55 +366,6 @@ func fail(res *core.Result, err error) *core.Result {
 	return res
 }
 
-// tryRouterFold attaches a new submission to a pending identical
-// multi-shard read, returning the subscriber's result (res, or a fresh one
-// when res is nil) on a hit. The fingerprint is a prefilter — identity is
-// verified by exact SQL text and bit-identical parameters, like the engine's
-// fold index.
-func (r *Router) tryRouterFold(fp uint64, sqlText string, params []types.Value, res *core.Result) *core.Result {
-	r.gmu.Lock()
-	defer r.gmu.Unlock()
-	for _, g := range r.gathers[fp] {
-		if g.sql != sqlText || !core.IdenticalParams(g.params, params) {
-			continue
-		}
-		if res == nil {
-			res = core.NewPendingResult()
-		}
-		if g.fan.Attach(res) {
-			r.folded++
-			return res
-		}
-	}
-	return nil
-}
-
-// addGather opens a fold window for a new multi-shard read lead.
-func (r *Router) addGather(fp uint64, g *gatherEntry) {
-	r.gmu.Lock()
-	r.gathers[fp] = append(r.gathers[fp], g)
-	r.gmu.Unlock()
-}
-
-// dropGather closes a fold window (idempotent — per-shard dispatch hooks
-// and the gather's own completion both call it).
-func (r *Router) dropGather(fp uint64, g *gatherEntry) {
-	r.gmu.Lock()
-	list := r.gathers[fp]
-	for i, x := range list {
-		if x == g {
-			list = append(list[:i], list[i+1:]...)
-			if len(list) == 0 {
-				delete(r.gathers, fp)
-			} else {
-				r.gathers[fp] = list
-			}
-			break
-		}
-	}
-	r.gmu.Unlock()
-}
-
 // Submit routes one statement activation. Point statements pass through to
 // the owning shard engine; broadcast statements scatter to every shard and
 // gather through the statement's merge spec.
@@ -465,7 +389,7 @@ func (r *Router) SubmitBatch(calls []core.Call) {
 // submit routes one activation, completing res (a fresh result when nil).
 func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Result) *core.Result {
 	if r.single {
-		return r.engines[0].SubmitHooked(core.Call{Stmt: stmt, Params: params, Result: res}, nil)
+		return r.engines[0].SubmitCall(core.Call{Stmt: stmt, Params: params, Result: res})
 	}
 	r.mu.RLock()
 	rs := r.stmts[stmt]
@@ -477,33 +401,14 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 	switch sp.Route {
 	case sql.RoutePoint:
 		s := r.shardFor(sp.KeyExprs, params)
-		return r.engines[s].SubmitHooked(core.Call{Stmt: rs.perShard[s], Params: params, Result: res}, nil)
+		return r.engines[s].SubmitCall(core.Call{Stmt: rs.perShard[s], Params: params, Result: res})
 	case sql.RouteAny:
 		// Replicated-only read: every shard holds the data; round-robin
 		// spreads the load (this is where replicated reads scale linearly
-		// with the shard count). With folding on, identical concurrent
-		// reads would otherwise round-robin onto DIFFERENT shards and
-		// never meet in one engine's fold index — so the router folds
-		// them first, and only the lead is submitted.
-		if r.gathers != nil {
-			fp := core.FoldFingerprint(stmt.SQL, params)
-			if sub := r.tryRouterFold(fp, stmt.SQL, params, res); sub != nil {
-				return sub
-			}
-			g := &gatherEntry{sql: stmt.SQL, params: params, fan: core.NewFanout()}
-			r.addGather(fp, g)
-			s := int(r.rr.Add(1) % uint64(len(r.engines)))
-			lead := r.engines[s].SubmitHooked(core.Call{Stmt: rs.perShard[s], Params: params, Result: res},
-				func() { r.dropGather(fp, g) })
-			go func() {
-				<-lead.Done()
-				r.dropGather(fp, g) // rejected submissions never fire the hook
-				g.fan.Complete(lead)
-			}()
-			return lead
-		}
+		// with the shard count). Identical reads that land on the same
+		// shard fold in its engine.
 		s := int(r.rr.Add(1) % uint64(len(r.engines)))
-		return r.engines[s].SubmitHooked(core.Call{Stmt: rs.perShard[s], Params: params, Result: res}, nil)
+		return r.engines[s].SubmitCall(core.Call{Stmt: rs.perShard[s], Params: params, Result: res})
 	}
 	// Scatter to all shards. Writes enqueue under wmu so every shard sees
 	// concurrent broadcast writes in the same arrival order — and admit
@@ -511,30 +416,11 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 	// by the rest would diverge replicated copies permanently, so every
 	// shard's queue slot is reserved before any shard enqueues.
 	//
-	// Scatter reads fold before the scatter: a submission identical to a
-	// pending gather subscribes to it instead of fanning out again. The
-	// fold window must close before any shard pins the lead's snapshot,
-	// or a subscriber could observe a snapshot older than a write its
-	// client already saw commit. The window is closed by the engines'
-	// dispatch hooks: each shard fires the hook after drafting the lead
-	// into a generation but before that generation's writes apply or its
-	// snapshot pins, and the hook drops the gather under gmu. An Attach
-	// that wins gmu against the first-firing hook therefore happens
-	// before EVERY shard's dispatch — and since each shard's write phases
-	// serialize in generation order, any write completed before the
-	// attach belongs to a generation ≤ the lead's on that shard, whose
-	// post-write snapshot includes it. Monotonic read-your-writes holds
-	// for every subscriber.
-	var foldFP uint64
-	var gather *gatherEntry
-	if r.gathers != nil && sp.Write == nil {
-		foldFP = core.FoldFingerprint(stmt.SQL, params)
-		if sub := r.tryRouterFold(foldFP, stmt.SQL, params, res); sub != nil {
-			return sub
-		}
-		gather = &gatherEntry{sql: stmt.SQL, params: params, fan: core.NewFanout()}
-		r.addGather(foldFP, gather)
-	}
+	// Reads are ordinary per-shard submissions: identical scatter reads
+	// fold inside each shard engine, whose fold window closes at that
+	// shard's batch formation, so every per-shard part sees each write
+	// completed before it was submitted. Each client read still gathers
+	// and merges on its own.
 	subs := make([]*core.Result, len(r.engines))
 	if sp.Write != nil {
 		r.wmu.Lock()
@@ -551,11 +437,6 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 			subs[i] = e.SubmitReserved(rs.perShard[i], params)
 		}
 		r.wmu.Unlock()
-	} else if gather != nil {
-		hook := func() { r.dropGather(foldFP, gather) }
-		for i, e := range r.engines {
-			subs[i] = e.SubmitHooked(core.Call{Stmt: rs.perShard[i], Params: params}, hook)
-		}
 	} else {
 		for i, e := range r.engines {
 			subs[i] = e.Submit(rs.perShard[i], params)
@@ -596,17 +477,8 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 		if firstErr == nil && overload != nil {
 			firstErr = overload
 		}
-		// Close the fold window (idempotent; load-bearing when a shard
-		// rejected the submission outright, so no dispatch hook ever
-		// fired) before completing, then fan out to the subscribers.
-		if gather != nil {
-			r.dropGather(foldFP, gather)
-		}
 		if firstErr != nil {
 			res.Complete(firstErr)
-			if gather != nil {
-				gather.fan.Complete(res)
-			}
 			return
 		}
 		switch {
@@ -620,9 +492,6 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 			res.Rows = MergeResults(shardRows, sp.Merge, params)
 		}
 		res.Complete(nil)
-		if gather != nil {
-			gather.fan.Complete(res)
-		}
 	}()
 	return res
 }

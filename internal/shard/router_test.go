@@ -472,9 +472,9 @@ func (h *batchHook) Completed(*core.Result) {
 
 // TestSubmitBatchRoutesEachCall: a burst through the router answers every
 // call exactly as Submit answers it — whichever way the call routes (point,
-// replicated-any, scatter, scatter duplicate folded before the scatter,
-// broadcast write, unprepared statement) — and completes the caller's own
-// hooked result, once.
+// replicated-any, scatter, a scatter duplicate whose per-shard parts may
+// fold inside the shard engines, broadcast write, unprepared statement) —
+// and completes the caller's own hooked result, once.
 func TestSubmitBatchRoutesEachCall(t *testing.T) {
 	for _, shards := range shardCounts(t) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -29,7 +29,7 @@ func plans(db *DB) []*plan.GlobalPlan {
 // mirror, a GROUP BY over a direct base-table scan aggregates straight from
 // it (the pushdown) across write generations, a scalar MAX over the primary
 // key is answered from the index edge, and concurrent identical reads fold
-// (before scatter, on the sharded deployment).
+// (inside each shard engine, on the sharded deployment).
 func TestZeroConfigIsProductionPath(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -61,8 +61,6 @@ type Config struct {
 	// (paper §3.2). Zero runs back-to-back generations: lowest latency,
 	// batches form naturally from concurrent arrivals.
 	Heartbeat time.Duration
-	// MaxBatch caps requests per generation (0 = unlimited).
-	MaxBatch int
 	// MaxInFlightGenerations bounds how many generations execute
 	// concurrently in the always-on plan (the generation pipeline). 0
 	// selects the engine default (4); 1 restores strictly serial
@@ -89,9 +87,10 @@ type Config struct {
 	// response-time limit). When set, batch formation caps each generation
 	// at the size predicted — from observed cycle times — to finish within
 	// it, and the slow-query circuit breaker quarantines statements whose
-	// generations repeatedly exceed it (submissions of a quarantined
-	// statement are rejected with ErrOverloaded until a cooldown probe
-	// meets the SLO again). 0 disables both; non-zero values below 1ms are
+	// generations repeatedly exceed it: 3 consecutive over-SLO generations
+	// quarantine a statement, whose submissions are then rejected with
+	// ErrOverloaded until a probe after a cooldown of 8×MaxGenerationDelay
+	// meets the SLO again. 0 disables both; non-zero values below 1ms are
 	// rejected by Open (the generation timer cannot enforce them).
 	MaxGenerationDelay time.Duration
 	// QueueDepthLimit caps how many submissions may wait for a generation
@@ -104,14 +103,6 @@ type Config struct {
 	// in arrival order (they wait longer, but one statement's burst cannot
 	// monopolize a cycle). 0 = unlimited.
 	StatementQuota int
-	// BreakerStrikes is the number of consecutive over-SLO generations
-	// containing a statement that trips its slow-query breaker (0 selects
-	// the default of 3; requires MaxGenerationDelay).
-	BreakerStrikes int
-	// BreakerCooldown is how long a quarantined statement stays rejected
-	// before a half-open probe is admitted (0 selects 8×MaxGenerationDelay;
-	// requires MaxGenerationDelay).
-	BreakerCooldown time.Duration
 	// Deprecated: ignored, always on. Concurrent reads with identical SQL
 	// text and bit-identical parameters that land in the same generation
 	// always collapse to one engine activation (README "Result folding").
@@ -153,8 +144,8 @@ type Config struct {
 // Validate rejects configurations that previously defaulted silently.
 // Negative Workers, MaxInFlightGenerations and Shards are errors (zero
 // keeps selecting each knob's documented default), as are negative
-// admission limits, a non-zero MaxGenerationDelay below the 1ms timer
-// resolution, and breaker knobs without the SLO that drives them.
+// admission limits and a non-zero MaxGenerationDelay below the 1ms timer
+// resolution.
 func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("shareddb: Shards must be >= 0, got %d (0 or 1 = single engine)", c.Shards)
@@ -165,14 +156,11 @@ func (c Config) Validate() error {
 func (c Config) coreConfig() core.Config {
 	return core.Config{
 		Heartbeat:              c.Heartbeat,
-		MaxBatch:               c.MaxBatch,
 		MaxInFlightGenerations: c.MaxInFlightGenerations,
 		Workers:                c.Workers,
 		MaxGenerationDelay:     c.MaxGenerationDelay,
 		QueueDepthLimit:        c.QueueDepthLimit,
 		StatementQuota:         c.StatementQuota,
-		BreakerStrikes:         c.BreakerStrikes,
-		BreakerCooldown:        c.BreakerCooldown,
 		SubscriptionBuffer:     c.SubscriptionBuffer,
 	}
 }
@@ -291,7 +279,9 @@ type Stats struct {
 	// commits.
 	WritesApplied uint64
 	// FoldedQueries counts reads answered by fan-out from an identical
-	// concurrent duplicate.
+	// concurrent duplicate, in the unit QueriesRun counts: on a sharded
+	// deployment each shard folds its own part of a read, so one scatter
+	// read folded on N shards counts N.
 	FoldedQueries uint64
 	// InFlightGenerations is the pipeline gauge: generations dispatched
 	// but not yet complete (summed across shards).
@@ -314,7 +304,7 @@ type Stats struct {
 	SubscriptionUpdates uint64
 }
 
-// FoldHitRate is the fraction of client-visible reads served by folding:
+// FoldHitRate is the fraction of read activations served by folding:
 // FoldedQueries / (QueriesRun + FoldedQueries). Zero when no reads ran.
 func (s Stats) FoldHitRate() float64 {
 	total := s.QueriesRun + s.FoldedQueries

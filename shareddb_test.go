@@ -291,7 +291,7 @@ func TestDurabilityThroughPublicAPI(t *testing.T) {
 }
 
 func TestHeartbeatConfig(t *testing.T) {
-	db, err := Open(Config{Heartbeat: 5 * time.Millisecond, MaxBatch: 100})
+	db, err := Open(Config{Heartbeat: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +371,10 @@ func TestConfigValidation(t *testing.T) {
 		{Workers: -1},
 		{MaxInFlightGenerations: -2},
 		{Shards: -1},
-		{MaxBatch: -5},
 		{MaxGenerationDelay: -time.Millisecond},
 		{MaxGenerationDelay: 200 * time.Microsecond}, // non-zero but below timer resolution
 		{QueueDepthLimit: -1},
 		{StatementQuota: -3},
-		{BreakerStrikes: -1, MaxGenerationDelay: time.Millisecond},
-		{BreakerCooldown: -time.Second, MaxGenerationDelay: time.Millisecond},
-		{BreakerStrikes: 3}, // breaker without the SLO that drives it
 	}
 	for _, cfg := range cases {
 		if db, err := Open(cfg); err == nil {
