@@ -117,6 +117,9 @@ func (e *Engine) execJoin(j *sql.Join, params []types.Value, ts uint64) ([]types
 				innerPred := expr.Bind(rscan.Pred, params)
 				var out []types.Row
 				for _, lrow := range left {
+					if nullKey(lrow, j.LeftKeys) {
+						continue
+					}
 					key := make(btree.Key, len(j.LeftKeys))
 					for i, c := range j.LeftKeys {
 						key[i] = lrow[c]
@@ -145,13 +148,13 @@ func (e *Engine) execJoin(j *sql.Join, params []types.Value, ts uint64) ([]types
 		// nested loop (also handles cross joins with residuals)
 		var out []types.Row
 		for _, lrow := range left {
+			if nullKey(lrow, j.LeftKeys) {
+				continue
+			}
 			for _, rrow := range right {
-				match := true
-				for i := range j.LeftKeys {
-					if !lrow[j.LeftKeys[i]].Equal(rrow[j.RightKeys[i]]) {
-						match = false
-						break
-					}
+				match := !nullKey(rrow, j.RightKeys)
+				for i := 0; match && i < len(j.LeftKeys); i++ {
+					match = lrow[j.LeftKeys[i]].Equal(rrow[j.RightKeys[i]])
 				}
 				if !match {
 					continue
@@ -168,6 +171,9 @@ func (e *Engine) execJoin(j *sql.Join, params []types.Value, ts uint64) ([]types
 	// hash join: build on the smaller right side
 	build := make(map[string][]types.Row, len(right))
 	for _, rrow := range right {
+		if nullKey(rrow, j.RightKeys) {
+			continue
+		}
 		vals := make([]types.Value, len(j.RightKeys))
 		for i, c := range j.RightKeys {
 			vals[i] = rrow[c]
@@ -177,6 +183,9 @@ func (e *Engine) execJoin(j *sql.Join, params []types.Value, ts uint64) ([]types
 	}
 	var out []types.Row
 	for _, lrow := range left {
+		if nullKey(lrow, j.LeftKeys) {
+			continue
+		}
 		vals := make([]types.Value, len(j.LeftKeys))
 		for i, c := range j.LeftKeys {
 			vals[i] = lrow[c]
@@ -189,6 +198,17 @@ func (e *Engine) execJoin(j *sql.Join, params []types.Value, ts uint64) ([]types
 		}
 	}
 	return out, nil
+}
+
+// nullKey reports whether any of row's join key columns is NULL: an equi-join
+// never matches such a row (NULL = x is unknown), in any of the three paths.
+func nullKey(row types.Row, cols []int) bool {
+	for _, c := range cols {
+		if row[c].IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 func indexWithLeading(t *storage.Table, keys []int) *storage.Index {
@@ -267,7 +287,7 @@ func (e *Engine) execGroup(g *sql.Group, params []types.Value, ts uint64) ([]typ
 			acc.count++
 			if v.Kind() == types.KindFloat {
 				acc.isFloat = true
-				acc.sumF += v.Float
+				acc.sumF += v.AsFloat()
 			} else {
 				acc.sumI += v.Int
 			}

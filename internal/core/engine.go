@@ -35,6 +35,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -612,7 +613,9 @@ func (e *Engine) enqueueLocked(req *Request, reserved bool) (queued bool, err er
 // own lead.
 func (e *Engine) tryFold(req *Request) bool {
 	for _, lead := range e.foldIdx[req.fp] {
-		if lead.Stmt.SQL != req.Stmt.SQL || !identicalParams(lead.Params, req.Params) {
+		// Value == is bit identity, stricter than Value.Equal: INT 1 and
+		// FLOAT 1.0, or -0.0 and 0.0, project differently and must not fold.
+		if lead.Stmt.SQL != req.Stmt.SQL || !slices.Equal(lead.Params, req.Params) {
 			continue
 		}
 		if lead.fold == nil {

@@ -15,7 +15,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 
 	"shareddb/internal/types"
@@ -46,24 +45,6 @@ func foldFingerprint(sqlText string, params []types.Value) uint64 {
 		}
 	}
 	return h
-}
-
-// identicalParams reports whether two parameter lists are identical bit
-// for bit. This is deliberately stricter than types.Value.Equal: Equal
-// coerces numerics (INT 1 equals FLOAT 1.0) and would also let -0.0 fold
-// into 0.0, but a projected parameter renders those differently — folding
-// must never change a single output byte.
-func identicalParams(a, b []types.Value) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].K != b[i].K || a[i].Int != b[i].Int || a[i].Str != b[i].Str ||
-			math.Float64bits(a[i].Float) != math.Float64bits(b[i].Float) {
-			return false
-		}
-	}
-	return true
 }
 
 // fanout is the subscriber group attached to a fold lead. The engine

@@ -113,7 +113,7 @@ func (a *aggState) add(v types.Value, def AggDef) {
 		switch v.Kind() {
 		case types.KindFloat:
 			a.isFloat = true
-			a.sumF += v.Float
+			a.sumF += v.AsFloat()
 		case types.KindInt, types.KindBool, types.KindTime:
 			a.sumI += v.Int
 		}
@@ -365,7 +365,7 @@ func (g *GroupOp) compileAddSteps(args []types.Value, steps []addStep) {
 		default: // AggSum, AggAvg
 			switch v.Kind() {
 			case types.KindFloat:
-				steps[i] = addStep{op: stepSumFloat, f64: v.Float}
+				steps[i] = addStep{op: stepSumFloat, f64: v.AsFloat()}
 			case types.KindInt, types.KindBool, types.KindTime:
 				steps[i] = addStep{op: stepSumInt, i64: v.Int}
 			default:

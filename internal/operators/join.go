@@ -1,6 +1,8 @@
 package operators
 
 import (
+	"slices"
+
 	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
@@ -50,6 +52,17 @@ func (o *JoinOuter) gather(c *Cycle, outer, inner types.Row) types.Row {
 	return row
 }
 
+// hasNullKey reports whether any of row's key columns is NULL: such a tuple
+// joins nothing, since NULL = x is never true.
+func hasNullKey(row types.Row, cols []int) bool {
+	for _, c := range cols {
+		if row[c].K == types.KindNull {
+			return true
+		}
+	}
+	return false
+}
+
 // HashJoinOp is the shared hash join. The inner (build) side is the single
 // producer edge InnerEdge; all other producer edges are outer streams.
 //
@@ -87,7 +100,8 @@ func (j *HashJoinOp) Start(c *Cycle) {
 	j.innerDone = false
 }
 
-// Consume builds from inner batches and probes (or buffers) outer batches.
+// Consume builds from inner batches and probes (or buffers) outer batches;
+// a tuple with a NULL key column on either side never builds or probes.
 // Inner tuples stream into the build phase as they arrive (§3.2: "an
 // operator can stream its output into the build phase of a hash join").
 // Buffered and built-from batches are retained: the build table and pending
@@ -96,7 +110,9 @@ func (j *HashJoinOp) Consume(c *Cycle, b *Batch) {
 	if b.Stream == j.InnerStream {
 		c.Retain(b)
 		for _, t := range b.Tuples {
-			j.build.insert(hashValues(t.Row, j.InnerKeyCols), t)
+			if !hasNullKey(t.Row, j.InnerKeyCols) {
+				j.build.insert(hashValues(t.Row, j.InnerKeyCols), t)
+			}
 		}
 		return
 	}
@@ -153,6 +169,9 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 	}
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
+		if hasNullKey(t.Row, cfg.KeyCols) {
+			continue
+		}
 		h := hashValues(t.Row, cfg.KeyCols)
 		tab := &j.build
 		for ei := tab.lookup(h, t.Row, cfg.KeyCols); ei >= 0; ei = tab.entries[ei].next {
@@ -179,9 +198,17 @@ type IndexJoinOp struct {
 	// (dense slice indexed by generation-scoped query id)
 	residuals []expr.Expr
 
+	// per-batch scratch, reused across batches; rows holds at most the
+	// inner rows one batch matched and is cleared after the batch
 	keyBuf    []types.Value      // probe key scratch
 	qsScratch []queryset.QueryID // residual routing scratch
+	order     probeOrder         // the batch's probes in key order
+	rows      []types.Row        // visible inner rows, one run after another
+	spans     []rowSpan          // per batch tuple: its run's rows
 }
+
+// rowSpan is the [lo, hi) range of IndexJoinOp.rows one probe key matched.
+type rowSpan struct{ lo, hi int32 }
 
 // IndexJoinSpec is the per-query activation: the bound predicate this query
 // imposes on the inner table (nil = none).
@@ -197,42 +224,74 @@ func (j *IndexJoinOp) Start(c *Cycle) {
 	})
 }
 
-// Consume probes the index for every outer tuple, in batch order. The inner
-// table's read lock is held across the batch: with pipelined generations,
-// later generations' writes land while this cycle runs, so the tree and
-// version chains cannot be traversed lock-free.
+// Consume probes the index with one outer batch in two passes. The first
+// seeks the batch's keys — in ascending order when they radix-sort, else in
+// batch order — once per run of equal keys, through one cursor that walks
+// forward from leaf to leaf, and collects each run's visible rows; a tuple
+// with a NULL key column matches nothing and is never sought. The second emits in batch order, each tuple's matches in
+// index order, residuals applied per query — exactly what one seek per tuple
+// in arrival order emitted, and downstream LIMIT ties depend on that order.
+// The inner table's read lock is held across both passes: with pipelined
+// generations, later generations' writes land while this cycle runs, so the
+// tree and version chains cannot be traversed lock-free.
 func (j *IndexJoinOp) Consume(c *Cycle, b *Batch) {
 	cfg, ok := j.Outers[b.Stream]
 	if !ok {
+		return
+	}
+	order := j.order.sort(b.Tuples, cfg.KeyCols)
+	if len(order) == 0 {
 		return
 	}
 	if cap(j.keyBuf) < len(cfg.KeyCols) {
 		j.keyBuf = make([]types.Value, len(cfg.KeyCols))
 	}
 	key := j.keyBuf[:len(cfg.KeyCols)]
+	j.spans = slices.Grow(j.spans[:0], len(b.Tuples))[:len(b.Tuples)]
+	clear(j.spans)
+	collect := func(_ storage.RowID, row types.Row) bool {
+		j.rows = append(j.rows, row)
+		return true
+	}
+
+	l := j.Table.RLock()
+	defer l.Unlock()
+	cur := l.IndexCursor(j.Index, c.TS)
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].key == order[lo].key {
+			hi++
+		}
+		first := b.Tuples[order[lo].idx].Row
+		for i, col := range cfg.KeyCols {
+			key[i] = first[col]
+		}
+		sp := rowSpan{lo: int32(len(j.rows))}
+		cur.Seek(key, collect)
+		sp.hi = int32(len(j.rows))
+		for _, p := range order[lo:hi] {
+			j.spans[p.idx] = sp
+		}
+		lo = hi
+	}
+
 	var t *Tuple
 	var inner types.Row
 	keep := func(q queryset.QueryID) bool {
 		return int(q) < len(j.residuals) && expr.TruthyEval(j.residuals[q], inner, nil)
 	}
-	match := func(_ storage.RowID, row types.Row) bool {
-		inner = row
-		qs := t.QS.RetainInto(keep, j.qsScratch)
-		j.qsScratch = qs.IDs()
-		if !qs.Empty() {
-			c.Emit(cfg.OutStream, cfg.gather(c, t.Row, inner), qs)
-		}
-		return true
-	}
-	l := j.Table.RLock()
-	defer l.Unlock()
-	for ti := range b.Tuples {
+	for ti, sp := range j.spans {
 		t = &b.Tuples[ti]
-		for i, col := range cfg.KeyCols {
-			key[i] = t.Row[col]
+		for _, inner = range j.rows[sp.lo:sp.hi] {
+			qs := t.QS.RetainInto(keep, j.qsScratch)
+			j.qsScratch = qs.IDs()
+			if !qs.Empty() {
+				c.Emit(cfg.OutStream, cfg.gather(c, t.Row, inner), qs)
+			}
 		}
-		l.IndexSeekAt(j.Index, key, c.TS, match)
 	}
+	clear(j.rows)
+	j.rows = j.rows[:0]
 }
 
 // Finish releases cycle state.

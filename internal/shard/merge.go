@@ -176,7 +176,7 @@ func (a *aggAcc) addSum(v types.Value) {
 	switch v.Kind() {
 	case types.KindFloat:
 		a.isFloat = true
-		a.sumF += v.Float
+		a.sumF += v.AsFloat()
 	case types.KindInt, types.KindBool, types.KindTime:
 		a.sumI += v.Int
 	}

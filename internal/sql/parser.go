@@ -768,7 +768,7 @@ func (p *parser) parseUnary() (Node, error) {
 			case types.KindInt:
 				return &Lit{Val: types.NewInt(-lit.Val.Int)}, nil
 			case types.KindFloat:
-				return &Lit{Val: types.NewFloat(-lit.Val.Float)}, nil
+				return &Lit{Val: types.NewFloat(-lit.Val.AsFloat())}, nil
 			}
 		}
 		return &UnOp{Op: "-", Kid: k}, nil

@@ -347,7 +347,7 @@ func compileBound(c *colVec, b types.Value, incl, isHi bool) colBound {
 	case repI64:
 		if colNumericKind(b.K) {
 			if b.K == types.KindFloat {
-				return colBound{mode: cbF64, f: b.Float, incl: incl}
+				return colBound{mode: cbF64, f: b.AsFloat(), incl: incl}
 			}
 			return colBound{mode: cbI64, i: b.Int, incl: incl}
 		}
@@ -404,7 +404,7 @@ func colEqMatch(c *colVec, row types.Row, col, pos int, val types.Value) bool {
 			return false
 		}
 		if val.K == types.KindFloat {
-			return cmpF64(float64(c.i64[pos]), val.Float) == 0
+			return cmpF64(float64(c.i64[pos]), val.AsFloat()) == 0
 		}
 		return c.i64[pos] == val.Int
 	case repF64:

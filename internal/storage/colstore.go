@@ -100,7 +100,7 @@ func (c *colVec) appendVal(v types.Value, n int) {
 	case repI64:
 		c.i64 = append(c.i64, v.Int)
 	case repF64:
-		c.f64 = append(c.f64, v.Float)
+		c.f64 = append(c.f64, v.AsFloat())
 	case repStr:
 		c.str = append(c.str, v.Str)
 	}
@@ -123,7 +123,7 @@ func (c *colVec) setVal(v types.Value, i int) {
 	case repI64:
 		c.i64[i] = v.Int
 	case repF64:
-		c.f64[i] = v.Float
+		c.f64[i] = v.AsFloat()
 	case repStr:
 		c.str[i] = v.Str
 	}

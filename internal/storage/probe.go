@@ -112,6 +112,7 @@ func (t *Table) SharedProbePooled(ts uint64, ix *Index, clients []ProbeClient, b
 		}
 		return true
 	}
+	cur := l.IndexCursor(ix, ts)
 	for lo := 0; lo < len(order); {
 		key := clients[order[lo]].Key
 		hi := lo + 1
@@ -119,7 +120,7 @@ func (t *Table) SharedProbePooled(ts uint64, ix *Index, clients []ProbeClient, b
 			hi++
 		}
 		group = order[lo:hi]
-		l.IndexSeekAt(ix, key, ts, route)
+		cur.Seek(key, route)
 		lo = hi
 	}
 

@@ -45,11 +45,6 @@ func (t *Table) IndexScanAt(ix *Index, lo, hi btree.Key, loIncl, hiIncl bool, ts
 	l.IndexScanAt(ix, lo, hi, loIncl, hiIncl, ts, fn)
 }
 
-// IndexSeekAt is the equality form of IndexScanAt (prefix semantics).
-func (l Locked) IndexSeekAt(ix *Index, key btree.Key, ts uint64, fn func(rid RowID, row types.Row) bool) {
-	l.IndexScanAt(ix, key, key, true, true, ts, fn)
-}
-
 // IndexScanAt scans ix over [lo, hi] and yields every visible row at
 // snapshot ts through the one entry that carries its visible version's key.
 // Entries for superseded versions linger in the tree until GC and are
@@ -59,6 +54,32 @@ func (l Locked) IndexSeekAt(ix *Index, key btree.Key, ts uint64, fn func(rid Row
 func (l Locked) IndexScanAt(ix *Index, lo, hi btree.Key, loIncl, hiIncl bool, ts uint64, fn func(rid RowID, row types.Row) bool) {
 	ix.tree.Scan(lo, hi, loIncl, hiIncl, func(key btree.Key, rid uint64) bool {
 		row, ok := l.t.entryRow(ix, key, rid, ts)
+		return !ok || fn(rid, row)
+	})
+}
+
+// IndexCursor runs the equality seeks of one batch over ix at one snapshot:
+// each Seek yields what IndexSeekAt yields. Keys sought in ascending order
+// walk forward through neighbouring leaves (btree.Cursor); both shared
+// index paths — the probe cycle and the index join — seek this way.
+type IndexCursor struct {
+	t   *Table
+	ix  *Index
+	ts  uint64
+	cur btree.Cursor
+}
+
+// IndexCursor returns a cursor over ix at snapshot ts, valid while l is held.
+func (l Locked) IndexCursor(ix *Index, ts uint64) IndexCursor {
+	return IndexCursor{t: l.t, ix: ix, ts: ts, cur: ix.tree.Cursor()}
+}
+
+// Seek yields every visible row at the cursor's snapshot whose visible
+// version carries key (equality, prefix semantics), once each, in index
+// order. fn returning false stops the seek.
+func (c *IndexCursor) Seek(key btree.Key, fn func(rid RowID, row types.Row) bool) {
+	c.cur.Seek(key, func(k btree.Key, rid uint64) bool {
+		row, ok := c.t.entryRow(c.ix, k, rid, c.ts)
 		return !ok || fn(rid, row)
 	})
 }

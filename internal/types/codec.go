@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 )
 
 // Binary row codec used by the write-ahead log and checkpoints.
@@ -23,13 +22,9 @@ func AppendValue(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.K))
 	switch v.K {
 	case KindNull:
-	case KindInt, KindBool, KindTime:
+	case KindInt, KindBool, KindTime, KindFloat: // a FLOAT's word is its IEEE-754 bits
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], uint64(v.Int))
-		dst = append(dst, buf[:]...)
-	case KindFloat:
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v.Float))
 		dst = append(dst, buf[:]...)
 	case KindString:
 		dst = binary.AppendUvarint(dst, uint64(len(v.Str)))
@@ -48,16 +43,11 @@ func DecodeValue(b []byte) (Value, int, error) {
 	switch k {
 	case KindNull:
 		return Null, 1, nil
-	case KindInt, KindBool, KindTime:
+	case KindInt, KindBool, KindTime, KindFloat:
 		if len(b) < 9 {
 			return Null, 0, io.ErrUnexpectedEOF
 		}
 		return Value{K: k, Int: int64(binary.LittleEndian.Uint64(b[1:9]))}, 9, nil
-	case KindFloat:
-		if len(b) < 9 {
-			return Null, 0, io.ErrUnexpectedEOF
-		}
-		return NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[1:9]))), 9, nil
 	case KindString:
 		l, n := binary.Uvarint(b[1:])
 		if n <= 0 {

@@ -171,7 +171,7 @@ func EncodeKey(vals ...Value) string {
 		case KindFloat:
 			// Encode integral floats as their int64 image so INT and
 			// FLOAT columns holding the same number join correctly.
-			f := v.Float
+			f := v.AsFloat()
 			if f == float64(int64(f)) {
 				b[len(b)-1] = byte(KindInt)
 				u := uint64(int64(f))

@@ -138,7 +138,7 @@ func TestRowCodecProperty(t *testing.T) {
 		if err != nil || len(dec) != 4 {
 			return false
 		}
-		return dec[0].Int == i && dec[1].Float == fl && dec[2].Str == s && dec[3].AsBool() == b
+		return dec[0].Int == i && dec[1].AsFloat() == fl && dec[2].Str == s && dec[3].AsBool() == b
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -1,9 +1,15 @@
 // Package types defines the value, tuple and schema model shared by the
 // storage manager, the shared operators and the SQL front-end.
 //
-// Values are small immutable scalars. The struct contains only comparable
-// fields so a Value can be used directly as a Go map key, which the hash
-// join and group-by operators rely on.
+// Values are small immutable scalars: a kind tag and one 64-bit word beside
+// a string header, 32 bytes, because the shared operators move and compare
+// them by the million per cycle.
+//
+// The struct is comparable, and == is bit identity: same kind, same word,
+// same string. For FLOAT the word is the IEEE-754 bit pattern, so == tells
+// -0.0 from +0.0 and a NaN equals a NaN with the same bits. Equal, Compare
+// and Hash keep SQL numeric semantics instead (coercion across INT, FLOAT,
+// BOOL and TIME; -0.0 equals +0.0).
 package types
 
 import (
@@ -48,13 +54,14 @@ func (k Kind) String() string {
 
 // Value is a single typed scalar. The zero Value is NULL.
 //
-// Int doubles as the representation for BOOL (0/1) and TIME (Unix nanos);
-// this keeps the struct comparable and small.
+// Int is the payload of every fixed-width kind: the integer for INT, 0/1
+// for BOOL, Unix nanoseconds for TIME and the IEEE-754 bits for FLOAT (read
+// a FLOAT through AsFloat). Reading Int is meaningful only under an
+// integer-kind check.
 type Value struct {
-	K     Kind
-	Int   int64
-	Float float64
-	Str   string
+	K   Kind
+	Int int64
+	Str string
 }
 
 // Null is the SQL NULL value.
@@ -64,7 +71,7 @@ var Null = Value{}
 func NewInt(v int64) Value { return Value{K: KindInt, Int: v} }
 
 // NewFloat returns a FLOAT value.
-func NewFloat(v float64) Value { return Value{K: KindFloat, Float: v} }
+func NewFloat(v float64) Value { return Value{K: KindFloat, Int: int64(math.Float64bits(v))} }
 
 // NewString returns a VARCHAR value.
 func NewString(v string) Value { return Value{K: KindString, Str: v} }
@@ -93,7 +100,7 @@ func (v Value) AsInt() int64 {
 	case KindInt, KindBool, KindTime:
 		return v.Int
 	case KindFloat:
-		return int64(v.Float)
+		return int64(v.AsFloat())
 	default:
 		return 0
 	}
@@ -103,7 +110,7 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.K {
 	case KindFloat:
-		return v.Float
+		return math.Float64frombits(uint64(v.Int))
 	case KindInt, KindBool, KindTime:
 		return float64(v.Int)
 	default:
@@ -125,7 +132,7 @@ func (v Value) AsBool() bool {
 	case KindBool, KindInt, KindTime:
 		return v.Int != 0
 	case KindFloat:
-		return v.Float != 0
+		return v.AsFloat() != 0
 	case KindString:
 		return v.Str != ""
 	default:
@@ -149,7 +156,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.Int, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.Float, 'g', -1, 64)
+		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
 	case KindString:
 		return v.Str
 	case KindBool:
@@ -260,13 +267,13 @@ func (v Value) Hash() uint64 {
 	case KindFloat:
 		// Hash integral floats like the equal INT so coerced equality
 		// keeps hash consistency.
-		if f := v.Float; f == math.Trunc(f) && !math.IsInf(f, 0) {
+		if f := v.AsFloat(); f == math.Trunc(f) && !math.IsInf(f, 0) {
 			u := uint64(int64(f))
 			for i := 0; i < 8; i++ {
 				mix(byte(u >> (8 * i)))
 			}
 		} else {
-			u := math.Float64bits(v.Float)
+			u := uint64(v.Int)
 			for i := 0; i < 8; i++ {
 				mix(byte(u >> (8 * i)))
 			}

@@ -1,10 +1,34 @@
 package types
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
+
+// TestValueLayout pins the 32-byte Value (kind, one 64-bit word, string
+// header) and its two equalities: == is bit identity, Equal is SQL numeric
+// equality.
+func TestValueLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Errorf("Value is %d bytes, want 32", got)
+	}
+	negZero, nan := NewFloat(math.Copysign(0, -1)), NewFloat(math.NaN())
+	if negZero == NewFloat(0) || !negZero.Equal(NewFloat(0)) {
+		t.Error("-0.0 must differ from +0.0 under == and equal it under Equal")
+	}
+	if nan != NewFloat(math.NaN()) {
+		t.Error("a NaN must == a NaN with the same bits")
+	}
+	if NewFloat(1) == NewInt(1) || !NewFloat(1).Equal(NewInt(1)) {
+		t.Error("FLOAT 1.0 must differ from INT 1 under == and equal it under Equal")
+	}
+	if negZero.Hash() != NewInt(0).Hash() {
+		t.Error("-0.0 must hash like the equal INT 0")
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	now := time.Now().UTC().Truncate(time.Nanosecond)
