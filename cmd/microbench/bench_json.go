@@ -91,8 +91,7 @@ func record(name, description, unit string, queriesPerOp int, r testing.Benchmar
 // benchStatement measures one prepared statement executed in concurrent
 // batches of jsonBatch (one op = one batch = roughly one generation).
 // warmup batches run untimed first (they grow the operator free lists, the
-// batch pool and — on a columnar engine — the table mirrors to steady-state
-// shape); the bench then runs count times and the median-ns/op run is
+// batch pool and the table mirrors to steady-state shape); the bench then runs count times and the median-ns/op run is
 // reported, so a GC pause or scheduler hiccup in one run cannot move the
 // trajectory record.
 func benchStatement(e *core.Engine, s *plan.Statement, mkParams func(i int) []types.Value, warmup, count int) testing.BenchmarkResult {
@@ -172,20 +171,18 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	}
 
 	stmts := []struct {
-		name, desc string
-		columnar   bool // also measured on the columnar engine as <name>_columnar
-		sql        string
-		mkParams   func(i int) []types.Value
+		name, desc, sql string
+		mkParams        func(i int) []types.Value
 	}{
 		{
-			"scan", "shared ClockScan: LIKE predicate batch over item", true,
+			"scan", "shared ClockScan: LIKE predicate batch over item",
 			`SELECT i_id, i_title FROM item WHERE i_title LIKE ?`,
 			func(i int) []types.Value {
 				return []types.Value{types.NewString(fmt.Sprintf("Title %02d%%", i%100))}
 			},
 		},
 		{
-			"join", "shared join: item ⋈ author with per-query range predicate", true,
+			"join", "shared join: item ⋈ author with per-query range predicate",
 			`SELECT item.i_id, author.a_lname FROM item, author
 			 WHERE item.i_a_id = author.a_id AND item.i_cost > ?`,
 			func(i int) []types.Value {
@@ -193,19 +190,19 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			},
 		},
 		{
-			"sort", "shared sort/Top-N: full item scan ORDER BY title LIMIT 50", false,
+			"sort", "shared sort/Top-N: full item scan ORDER BY title LIMIT 50",
 			`SELECT i_id, i_title FROM item ORDER BY i_title LIMIT 50`,
 			func(int) []types.Value { return nil },
 		},
 		{
-			"group", fmt.Sprintf("shared grouped aggregation: selective range predicate GROUP BY region over %d sales rows", salesRows), true,
+			"group", fmt.Sprintf("shared grouped aggregation: selective range predicate GROUP BY region over %d sales rows", salesRows),
 			`SELECT s_region, COUNT(*), SUM(s_qty) FROM sales WHERE s_val > ? GROUP BY s_region`,
 			func(i int) []types.Value {
 				return []types.Value{types.NewFloat(float64(i%8) + 85)}
 			},
 		},
 		{
-			"topn", fmt.Sprintf("shared grouped Top-N over %d sales rows: GROUP BY region ORDER BY aggregate LIMIT 5 (bounded per-query heaps)", salesRows), true,
+			"topn", fmt.Sprintf("shared grouped Top-N over %d sales rows: GROUP BY region ORDER BY aggregate LIMIT 5 (bounded per-query heaps)", salesRows),
 			`SELECT s_region, SUM(s_val) AS v FROM sales WHERE s_val > ?
 			 GROUP BY s_region ORDER BY v DESC, s_region LIMIT 5`,
 			func(i int) []types.Value {
@@ -213,37 +210,22 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			},
 		},
 	}
-	// The per-operator records measure operator kernels, so no engine here
-	// folds (a batch of 64 would otherwise collapse to its distinct
-	// parameters); they differ in the scan only. The
-	// plain records scan the row store — the reference the
-	// <name>_columnar/<name> ns ratios are read against: the scan pair
-	// measures the stride kernels of the columnar mirror (the production
-	// scan), the group/topn pairs the production aggregation pushdown (the
-	// GroupOp fed straight from the mirror, bypassing the scan stream).
-	for _, v := range []struct {
-		suffix, note string
-		rowScan      bool
-	}{
-		{"", "", true},
-		{"_columnar", " (columnar shared scan)", false},
-	} {
-		eng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, RowScan: v.rowScan, NoFold: true})
-		for _, sp := range stmts {
-			if v.suffix == "_columnar" && !sp.columnar {
-				continue
-			}
-			stmt, err := eng.Prepare(sp.sql)
-			if err != nil {
-				eng.Close()
-				return fmt.Errorf("prepare %s%s: %w", sp.name, v.suffix, err)
-			}
-			r := benchStatement(eng, stmt, sp.mkParams, warmup, count)
-			report.Results = append(report.Results,
-				record(sp.name+v.suffix, sp.desc+v.note, fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
+	// The per-operator records measure operator kernels on the production
+	// scan and aggregation path (the columnar mirror; group/topn feed the
+	// GroupOp straight from it). The engine does not fold: a batch of 64
+	// would otherwise collapse to its distinct parameters.
+	eng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, NoFold: true})
+	for _, sp := range stmts {
+		stmt, err := eng.Prepare(sp.sql)
+		if err != nil {
+			eng.Close()
+			return fmt.Errorf("prepare %s: %w", sp.name, err)
 		}
-		eng.Close()
+		r := benchStatement(eng, stmt, sp.mkParams, warmup, count)
+		report.Results = append(report.Results,
+			record(sp.name, sp.desc, fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
 	}
+	eng.Close()
 
 	ixRecs, err := benchIndexPath(db, opts, warmup, count)
 	if err != nil {

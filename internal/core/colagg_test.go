@@ -2,19 +2,15 @@ package core
 
 // Columnar-aggregation differentials: production (columnar scan, and the
 // GroupOp pushdown — grouped/DISTINCT/Top-N statements over a direct scan
-// fed straight from the columnar mirror, bypassing the scan stream) must be
-// bit-identical to the row-scan reference — same values, not just
-// float-close — under random schemas, interleaved writes and both serial
-// and parallel cycles. The fuzz shares one storage database between the two
-// engines (writes land behind them); every burst is submitted to both and
-// compared via types.EncodeKey (exact value encoding), and the reference
-// against internal/baseline. The sweep gives each engine its own database
-// and sends the write stream through the engines.
+// fed straight from the columnar mirror, bypassing the scan stream) must
+// equal the query-at-a-time engine (internal/baseline) under random
+// schemas, interleaved writes and both serial and parallel cycles. The fuzz
+// applies its writes straight to storage between bursts; the sweep sends
+// them through the engine, so the mirror's pending log carries them.
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
@@ -119,15 +115,18 @@ func (d *colaggDomains) delta(t *testing.T, db *storage.Database, r *rand.Rand) 
 	}
 }
 
-// encodeRows renders rows through the exact value encoding — any value
-// difference (including float bits) between the row and columnar paths
-// shows up as a string mismatch.
-func encodeRows(rows []types.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = types.EncodeKey(r...)
+// sameRowOrder reports whether two results list the same rows in the same
+// order, floats compared at CanonRows' rounding width.
+func sameRowOrder(a, b []types.Row) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	return out
+	for i := range a {
+		if canon(a[i : i+1])[0] != canon(b[i : i+1])[0] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestColumnarAggDifferentialFuzz(t *testing.T) {
@@ -164,20 +163,11 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(90 + workers)))
 			db, closeDB, dom := colaggTable(t, r)
 			defer closeDB()
-			// engines[0] is the reference every other engine is compared to.
-			engines := []struct {
-				name string
-				eng  *Engine
-			}{
-				{"row path", New(db, plan.New(db), referenceConfig(workers))},
-				{"production", New(db, plan.New(db), Config{Workers: workers})},
-			}
-			stmts := make([][]*plan.Statement, len(engines))
-			for ei, e := range engines {
-				defer e.eng.Close()
-				for _, tpl := range templates {
-					stmts[ei] = append(stmts[ei], mustPrepare(t, e.eng, tpl.sql))
-				}
+			eng := New(db, plan.New(db), Config{Workers: workers})
+			defer eng.Close()
+			stmts := make([]*plan.Statement, len(templates))
+			for i, tpl := range templates {
+				stmts[i] = mustPrepare(t, eng, tpl.sql)
 			}
 			qat := baseline.New(db, baseline.SystemXLike)
 			oracle := make([]*baseline.Stmt, len(templates))
@@ -190,94 +180,66 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 
 			for round := 0; round < 4; round++ {
 				if round > 0 {
-					// Writes land before any submission below, so both
-					// engines' generations read the same snapshot.
+					// Writes land before any submission below, so the
+					// burst and the baseline read the same snapshot.
 					dom.delta(t, db, r)
 				}
 				n := 8 + r.Intn(24)
 				idxs := make([]int, n)
 				params := make([][]types.Value, n)
-				res := make([][]*Result, len(engines))
-				for ei := range res {
-					res[ei] = make([]*Result, n)
-				}
+				res := make([]*Result, n)
 				for i := 0; i < n; i++ {
 					idxs[i] = r.Intn(len(templates))
 					if mk := templates[idxs[i]].mkParam; mk != nil {
 						params[i] = mk(r, dom)
 					}
-					for ei, e := range engines {
-						res[ei][i] = e.eng.Submit(stmts[ei][idxs[i]], params[i])
-					}
+					res[i] = eng.Submit(stmts[idxs[i]], params[i])
 				}
 				for i := 0; i < n; i++ {
 					tpl := templates[idxs[i]]
-					encoded := make([][]string, len(engines))
-					for ei, e := range engines {
-						if err := res[ei][i].Wait(); err != nil {
-							t.Fatalf("round %d %s %q: %v", round, e.name, tpl.sql, err)
-						}
-						encoded[ei] = encodeRows(res[ei][i].Rows)
-						if !tpl.ordered {
-							// Group emission order is not part of the contract;
-							// the encoded values are compared exactly.
-							sort.Strings(encoded[ei])
-						}
+					if err := res[i].Wait(); err != nil {
+						t.Fatalf("round %d %q: %v", round, tpl.sql, err)
 					}
 					base, err := oracle[idxs[i]].Exec(params[i])
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameRows(res[0][i].Rows, base.Rows) {
-						t.Fatalf("round %d %q params %v:\nrow path: %v\nbaseline: %v",
-							round, tpl.sql, params[i], canon(res[0][i].Rows), canon(base.Rows))
+					// Group emission order is not part of the contract unless
+					// the statement orders its output.
+					same := sameRows(res[i].Rows, base.Rows)
+					if tpl.ordered {
+						same = sameRowOrder(res[i].Rows, base.Rows)
 					}
-					want := encoded[0]
-					for ei, got := range encoded[1:] {
-						name := engines[ei+1].name
-						if len(got) != len(want) {
-							t.Fatalf("round %d %q params %v: %s %d rows, row path %d rows",
-								round, tpl.sql, params[i], name, len(got), len(want))
-						}
-						for j := range got {
-							if got[j] != want[j] {
-								t.Fatalf("round %d %q params %v row %d:\n%s: %q\nrow path: %q",
-									round, tpl.sql, params[i], j, name, got[j], want[j])
-							}
-						}
+					if !same {
+						t.Fatalf("round %d %q params %v:\nproduction: %v\nbaseline:   %v",
+							round, tpl.sql, params[i], res[i].Rows, base.Rows)
 					}
 				}
 			}
-			if engines[1].eng.Plan().PathCycles().ColAgg == 0 {
+			if eng.Plan().PathCycles().ColAgg == 0 {
 				t.Fatal("production never ran an aggregation-pushdown cycle — the fuzz exercised nothing")
 			}
 		})
 	}
 }
 
-// TestUnderWritesDifferentialSweep runs the same randomized repeat-read
-// workload with interleaved writes through two engines over identical data
-// — the {RowScan, NoFold} reference and production — and requires identical
-// per-query results, equal to the query-at-a-time baseline's. It is the
-// under-writes differential for the aggregation pushdown: the grouped reads
-// sit on a direct item scan, so production answers them from the column
-// mirror while inserts, updates and deletes (through the engine, so the
-// mirror's pending log carries them) hit the join build side and every
+// TestUnderWritesDifferentialSweep runs a randomized repeat-read workload
+// with interleaved writes through the production engine and requires every
+// result to equal the query-at-a-time baseline's over the same database. It
+// is the under-writes differential for the aggregation pushdown: the grouped
+// reads sit on a direct item scan, so production answers them from the
+// column mirror while inserts, updates and deletes (through the engine, so
+// the mirror's pending log carries them) hit the join build side and every
 // aggregate kind (SUM/COUNT/AVG, MIN/MAX, COUNT(DISTINCT)).
 func TestUnderWritesDifferentialSweep(t *testing.T) {
 	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			dbRef, closeRef := bookstore(t)
-			defer closeRef()
-			dbProd, closeProd := bookstore(t)
-			defer closeProd()
-			ref := New(dbRef, plan.New(dbRef), referenceConfig(workers))
-			defer ref.Close()
-			prod := New(dbProd, plan.New(dbProd), Config{Workers: workers})
+			db, closeDB := bookstore(t)
+			defer closeDB()
+			prod := New(db, plan.New(db), Config{Workers: workers})
 			defer prod.Close()
-			engines := []*Engine{ref, prod}
-			qat := baseline.New(dbRef, baseline.SystemXLike)
+			qat := baseline.New(db, baseline.SystemXLike)
 
 			subjects := []string{"ARTS", "SCIENCE", "HISTORY", "COOKING"}
 			reads := []struct {
@@ -350,15 +312,13 @@ func TestUnderWritesDifferentialSweep(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			readStmts := make([][]*plan.Statement, len(engines))
-			writeStmts := make([][]*plan.Statement, len(engines))
-			for ei, e := range engines {
-				for _, tpl := range reads {
-					readStmts[ei] = append(readStmts[ei], mustPrepare(t, e, tpl.sql))
-				}
-				for _, tpl := range writes {
-					writeStmts[ei] = append(writeStmts[ei], mustPrepare(t, e, tpl.sql))
-				}
+			readStmts := make([]*plan.Statement, len(reads))
+			for i, tpl := range reads {
+				readStmts[i] = mustPrepare(t, prod, tpl.sql)
+			}
+			writeStmts := make([]*plan.Statement, len(writes))
+			for i, tpl := range writes {
+				writeStmts[i] = mustPrepare(t, prod, tpl.sql)
 			}
 
 			r := rand.New(rand.NewSource(int64(20260807 + workers)))
@@ -366,11 +326,8 @@ func TestUnderWritesDifferentialSweep(t *testing.T) {
 			doWrite := func() {
 				wi := r.Intn(len(writes))
 				params := writes[wi].mk(r, &nextID)
-				for ei, e := range engines {
-					res := e.Submit(writeStmts[ei][wi], params)
-					if err := res.Wait(); err != nil {
-						t.Fatalf("write %q on engine %d: %v", writes[wi].sql, ei, err)
-					}
+				if err := prod.Submit(writeStmts[wi], params).Wait(); err != nil {
+					t.Fatalf("write %q: %v", writes[wi].sql, err)
 				}
 			}
 			for round := 0; round < 30; round++ {
@@ -386,29 +343,19 @@ func TestUnderWritesDifferentialSweep(t *testing.T) {
 					if j > 0 && r.Intn(3) == 0 {
 						doWrite()
 					}
-					got := run(t, prod, readStmts[1][ti], params...)
-					want := run(t, ref, readStmts[0][ti], params...)
+					got := run(t, prod, readStmts[ti], params...)
 					base, err := oracle[ti].Exec(params)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !sameRows(want.Rows, base.Rows) {
-						t.Fatalf("round %d repeat %d: %q params %v:\nreference (%d): %v\nbaseline (%d): %v",
-							round, j, reads[ti].sql, params,
-							len(want.Rows), canon(want.Rows), len(base.Rows), canon(base.Rows))
-					}
-					if !sameRows(got.Rows, want.Rows) {
-						t.Fatalf("round %d repeat %d: %q params %v:\nproduction (%d): %v\nreference (%d): %v",
-							round, j, reads[ti].sql, params,
-							len(got.Rows), canon(got.Rows), len(want.Rows), canon(want.Rows))
-					}
+					same := sameRows(got.Rows, base.Rows)
 					if reads[ti].ordered {
-						for i := range got.Rows {
-							if types.EncodeKey(got.Rows[i]...) != types.EncodeKey(want.Rows[i]...) {
-								t.Fatalf("round %d: ordered row %d differs: %v vs %v",
-									round, i, got.Rows[i], want.Rows[i])
-							}
-						}
+						same = sameRowOrder(got.Rows, base.Rows)
+					}
+					if !same {
+						t.Fatalf("round %d repeat %d: %q params %v:\nproduction (%d): %v\nbaseline (%d): %v",
+							round, j, reads[ti].sql, params,
+							len(got.Rows), canon(got.Rows), len(base.Rows), canon(base.Rows))
 					}
 				}
 			}

@@ -70,9 +70,9 @@ type Config struct {
 	// phases overlap.
 	MaxInFlightGenerations int
 	// Workers is the scan parallelism budget per generation cycle: the
-	// partitioned ClockScan (row or columnar, including the columnar
-	// aggregation feed) splits each table scan into that many contiguous
-	// row ranges; joins, sorts and group-bys always run one Finish on
+	// partitioned columnar ClockScan (including the columnar aggregation
+	// feed) splits each table scan into that many contiguous chunk
+	// ranges; joins, sorts and group-bys always run one Finish on
 	// their node's goroutine. 0 selects GOMAXPROCS (one worker per core,
 	// the paper's Crescando setup); 1 is a strictly serial scan
 	// (negative values are rejected by Config.Validate; New clamps them
@@ -106,24 +106,16 @@ type Config struct {
 	// Negative values are rejected by Config.Validate.
 	SubscriptionBuffer int
 
-	// Reference switches. The zero value is the production path: shared
-	// scans and direct-scan group-bys read the columnar mirror, and
-	// identical concurrent reads fold. Each switch selects the reference
-	// implementation the production path must stay bit-identical to; they
-	// exist for the differential suites and cmd/microbench's reference
-	// records and are deliberately not on shareddb.Config or any
-	// command-line flag.
-	//
-	// RowScan runs shared scans as row-store ClockScans and feeds every
-	// group-by from its scan stream. NoFold queues every read as its own
-	// activation; without it, a read submission identical to a pending one
-	// (same SQL text, bit-identical parameters) attaches to the pending
-	// request's result instead of occupying its own queue slot and
-	// activation, and is charged once — by its lead — against
-	// QueueDepthLimit/StatementQuota and the cost EWMA. Writes and
-	// transaction commits never fold.
-	RowScan bool
-	NoFold  bool
+	// NoFold is the reference switch: it queues every read as its own
+	// activation. The zero value is the production path: a read submission
+	// identical to a pending one (same SQL text, bit-identical parameters)
+	// attaches to the pending request's result instead of occupying its own
+	// queue slot and activation, and is charged once — by its lead —
+	// against QueueDepthLimit/StatementQuota and the cost EWMA. Writes and
+	// transaction commits never fold. NoFold exists for the differential
+	// suites and cmd/microbench's kernel records and is deliberately not on
+	// shareddb.Config or any command-line flag.
+	NoFold bool
 }
 
 // Engine drives generations over a storage database and a global plan.
@@ -247,7 +239,6 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 		e.foldIdx = make(map[uint64][]*Request)
 	}
 	gp.SetWorkers(e.workers)
-	gp.SetColumnar(!cfg.RowScan)
 	if e.adm.maxDelay > 0 {
 		// The slow-query breaker is on: attribute operator cycle time to
 		// statements so blame lands on the plan that burned the cycles.

@@ -87,11 +87,10 @@ func bookstore(t testing.TB) (*storage.Database, func()) {
 	return db, func() { db.Close() }
 }
 
-// referenceConfig is the all-reference engine — row-store scans, every
-// group-by fed from its scan stream, no folding — that production (the zero
-// Config) must stay bit-identical to.
+// referenceConfig is the unfolded reference engine — every read its own
+// activation — that production (the zero Config) must agree with.
 func referenceConfig(workers int) Config {
-	return Config{Workers: workers, RowScan: true, NoFold: true}
+	return Config{Workers: workers, NoFold: true}
 }
 
 func newEngine(t testing.TB, db *storage.Database) *Engine {

@@ -7,8 +7,10 @@ import (
 )
 
 // This file contains predicate analysis used by (a) the Crescando storage
-// manager's ClockScan, which indexes query predicates instead of data
-// (paper §4.4), and (b) index/access-path selection in both engines.
+// manager's ClockScan (storage.SharedScanColumnar), which indexes query
+// predicates instead of data (paper §4.4) and evaluates them over the
+// table's column mirror, and (b) index/access-path selection in both
+// engines.
 
 // Conjuncts flattens nested ANDs into a list of conjuncts. A nil expression
 // yields an empty list.

@@ -224,7 +224,7 @@ type ColPred struct {
 // predicate per covered query — exactly the clients the shared scan node
 // would have served. The scan emits in RowID order and the operator absorbs
 // serially in that order, so the resulting aggregate state (and Finish
-// emission) is byte-identical to the row path.
+// emission) is byte-identical to consuming the scan stream.
 type ColCycle struct {
 	Table *storage.Table
 	Preds []ColPred
@@ -236,7 +236,7 @@ type ColCycle struct {
 // no Batch materialization. The scan emits in ascending RowID order (at any
 // worker count) and absorbRow runs serially on this goroutine, so the group
 // table's insertion order — and therefore Finish emission — is byte-identical
-// to the row path's aggregation.
+// to aggregating the scan stream.
 func (g *GroupOp) startColumnar(c *Cycle) {
 	cc := c.Col
 	cfg := g.onlyStream()

@@ -119,7 +119,6 @@ type CycleStart struct {
 	Tasks           []Task // per-query activations at this node
 	ActiveProducers int    // producer edges that will send EOS this cycle
 	Workers         int    // scan parallelism budget (<=1 = serial)
-	Columnar        bool   // scan sources read the columnar mirror this cycle
 	OnDone          func() // optional completion callback (used by sinks)
 
 	// Col, when non-nil, switches a group-by node to the columnar
@@ -164,11 +163,6 @@ type Cycle struct {
 	// Col is the columnar-aggregation activation for this cycle (nil = the
 	// node consumes its producer stream as usual). See ColCycle.
 	Col *ColCycle
-
-	// Columnar switches scan sources to the columnar mirror
-	// (storage.SharedScanColumnar) for this cycle. Emission is bit-identical
-	// to the row path, so only the scan operator inspects it.
-	Columnar bool
 
 	node *Node
 	em   *emitter
@@ -289,7 +283,7 @@ func (n *Node) run() {
 func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (future []Message, nextStarts []*CycleStart, ok bool) {
 	n.em.reset(n, cs.Gen)
 	c := &n.cycle
-	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: cs.Workers, Col: cs.Col, Columnar: cs.Columnar, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
+	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: cs.Workers, Col: cs.Col, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
 
 	// activeNs accumulates operator-busy time for the engine's per-statement
 	// cost attribution; timing only runs when someone is observing.

@@ -10,15 +10,14 @@ import (
 
 // ScanOp is a shared table scan source: one ClockScan cycle per generation
 // answers all queries reading the table (paper §3.4 / §4.4). It has no
-// producers; all work happens in Start. The scan's result and hit-merge
-// buffers (bufs) are reused across generations (one cycle at a time per
-// node), so a steady-state scan cycle allocates nothing per row.
+// producers; all work happens in Start. The scan's query index, bitmaps and
+// hit-merge buffers (bufs) are reused across generations (one cycle at a
+// time per node), so a steady-state scan cycle allocates nothing per row.
 type ScanOp struct {
 	Table     *storage.Table
 	OutStream int
 
-	bufs    storage.ScanBuffers
-	cbufs   storage.ColScanBuffers
+	bufs    storage.ColScanBuffers
 	clients []storage.ScanClient
 }
 
@@ -28,13 +27,11 @@ type ScanSpec struct {
 	Pred expr.Expr
 }
 
-// Start runs the shared scan for the cycle's queries. With a worker budget
-// above 1 the cycle runs partition-parallel: contiguous row ranges are
-// matched on separate workers and merged back in row order, so downstream
-// operators observe the same tuple sequence as the serial scan. A columnar
-// cycle (Cycle.Columnar — every cycle the plan dispatches unless it was
-// switched to the reference scan) evaluates the predicate index over the
-// table's columnar mirror; the row-store ClockScan emits bit-identically.
+// Start runs the shared scan for the cycle's queries over the table's
+// columnar mirror (storage.SharedScanColumnar). With a worker budget above 1
+// the cycle runs partition-parallel: contiguous chunk ranges are matched on
+// separate workers and merged back in row order, so downstream operators
+// observe the same tuple sequence as the serial scan.
 func (s *ScanOp) Start(c *Cycle) {
 	s.clients = s.clients[:0]
 	for _, t := range c.Tasks {
@@ -44,11 +41,7 @@ func (s *ScanOp) Start(c *Cycle) {
 	emit := func(_ storage.RowID, row types.Row, qs queryset.Set) {
 		c.Emit(s.OutStream, row, qs)
 	}
-	if c.Columnar {
-		s.Table.SharedScanColumnar(c.TS, s.clients, c.Workers, &s.cbufs, emit)
-	} else {
-		s.Table.SharedScanPooled(c.TS, s.clients, c.Workers, &s.bufs, emit)
-	}
+	s.Table.SharedScanColumnar(c.TS, s.clients, c.Workers, &s.bufs, emit)
 	clear(s.clients)
 	s.clients = s.clients[:0]
 }

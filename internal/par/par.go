@@ -1,6 +1,7 @@
 // Package par is the engine's data-parallel fork/join primitive, used by the
-// storage manager's partition-parallel scans (the partitioned ClockScan of
-// Crescando, paper §4.4, and its columnar counterpart). The paper pins worker
+// storage manager's partition-parallel scan (the partitioned ClockScan of
+// Crescando, paper §4.4, run over the column mirror's chunks and also
+// feeding the columnar aggregation pushdown). The paper pins worker
 // threads to cores; here the degree of parallelism is a per-cycle worker
 // count resolved from Config.Workers, and pooled goroutines stand in for
 // pinned threads.

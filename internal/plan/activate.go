@@ -40,10 +40,10 @@ type pushdownCand struct {
 // drained. A caller that keeps a row copies its values, as the engine's
 // projection does.
 //
-// In columnar mode, a single-stream group-by that every activation reaches
-// through one direct base-table scan skips its scan input and aggregates
-// straight from the table's columnar mirror (decideColumnarAgg); every other
-// stateful node builds its state from its input stream each cycle.
+// A single-stream group-by that every activation reaches through one direct
+// base-table scan skips its scan input and aggregates straight from the
+// table's columnar mirror (decideColumnarAgg); every other stateful node
+// builds its state from its input stream each cycle.
 //
 // The fourth parameter is ignored: bench/layers.go, which only a
 // benchmark-typed PR may change, still passes a nil write delta there.
@@ -129,16 +129,13 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		Gen: gen, TS: ts,
 		ActiveProducers: activeProducers(p.sink),
 		Workers:         workers,
-		Columnar:        p.columnar,
 		CostObserve:     costObserve,
 		OnDone:          done,
 	}})
 	for n, nt := range tasks {
 		switch n.Op.(type) {
 		case *operators.ScanOp:
-			if p.columnar {
-				p.paths.ColScan++
-			}
+			p.paths.ColScan++
 		case *operators.ProbeOp:
 			if p.probeNodes[n.Name].edge {
 				p.paths.IndexEdge++
@@ -148,7 +145,6 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 			Gen: gen, TS: ts, Tasks: nt,
 			ActiveProducers: activeProducers(n),
 			Workers:         workers,
-			Columnar:        p.columnar,
 			CostObserve:     costObserve,
 			Col:             colCycles[n],
 			Rows:            rows,
@@ -166,16 +162,12 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 // the scan stream so shared-but-unbound queries still see the full input.
 // Returns the per-node activations plus the scan tasks and edge memberships
 // to suppress (the operator reads its own input, so the covered queries must
-// not also stream the scan). Only active when the plan is in columnar mode.
-// Caller holds p.mu.
+// not also stream the scan). Caller holds p.mu.
 func (p *GlobalPlan) decideColumnarAgg(acts []Activation) (
 	colCycles map[*operators.Node]*operators.ColCycle,
 	skipTask map[*operators.Node]map[queryset.QueryID]bool,
 	skipEdge map[*operators.Edge]map[queryset.QueryID]bool,
 ) {
-	if !p.columnar {
-		return nil, nil, nil
-	}
 	cands := map[*operators.Node]*pushdownCand{}
 	for _, a := range acts {
 		for _, b := range a.Stmt.pushdowns {

@@ -128,8 +128,7 @@ type GlobalPlan struct {
 	nextNodeID int
 	nextStream int
 	started    bool
-	workers    int  // per-cycle scan parallelism (<=1 = serial)
-	columnar   bool // scan sources read the columnar mirror (default); false = row-store reference scan
+	workers    int // per-cycle scan parallelism (<=1 = serial)
 	// pool is the plan-wide batch free list: every node's emitter draws
 	// from it and every node recycles consumed batches into it, so the
 	// steady-state generation cycle reuses the same buffers (README
@@ -210,7 +209,6 @@ func New(db *storage.Database) *GlobalPlan {
 		filterFor:  map[int]*operators.Node{},
 		edges:      map[[2]int]*operators.Edge{},
 		nextStream: 1,
-		columnar:   true,
 		pool:       operators.NewBatchPool(),
 		rowPool:    operators.NewRowPool(),
 	}
@@ -291,15 +289,10 @@ func (p *GlobalPlan) Workers() int {
 	return p.workers
 }
 
-// SetColumnar switches scan sources between the columnar mirror
-// (storage.SharedScanColumnar, the default) and the row-store ClockScan the
-// mirror is differentially tested against. Takes effect from the next
-// generation; emission is bit-identical either way.
-func (p *GlobalPlan) SetColumnar(on bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.columnar = on
-}
+// SetColumnar does nothing: every scan reads the columnar mirror. It is
+// kept only for bench/layers.go, which only a benchmark-typed PR may change
+// and which still calls it.
+func (p *GlobalPlan) SetColumnar(bool) {}
 
 // PathCounts is how many node cycles a plan has dispatched on each always-on
 // path since it was created.

@@ -117,15 +117,15 @@ func sweepTemplates() []template {
 
 // TestDifferentialShardedVsOracle runs the randomized workload through the
 // router at every configured shard count — production shard engines, then
-// all-reference ones (row scan, no folding) — and asserts
-// identical result multisets against the per-query baseline oracle, with
-// writes applied to both sides between read bursts.
+// unfolded reference ones (NoFold) — and asserts identical result multisets
+// against the per-query baseline oracle, with writes applied to both sides
+// between read bursts.
 func TestDifferentialShardedVsOracle(t *testing.T) {
 	t.Cleanup(operators.PoisonReleasedRowsForTest())
 	for _, shards := range shardCounts(t) {
 		for _, ref := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/reference=%v", shards, ref), func(t *testing.T) {
-				differentialShardedVsOracle(t, shards, core.Config{RowScan: ref, NoFold: ref, MaxInFlightGenerations: 4})
+				differentialShardedVsOracle(t, shards, core.Config{NoFold: ref, MaxInFlightGenerations: 4})
 			})
 		}
 	}

@@ -15,10 +15,11 @@ import (
 // batched answer of every query must equal a naive per-query evaluation of
 // its predicate over the visible rows — same row ids, same order. The sweep
 // covers all four client classes the predicate index distinguishes:
-// equality (hashed), range (sorted interval list with early termination),
-// residual-conjunct (indexed conjunct + per-row residual), and
-// no-predicate/rest (LIKE, OR, NOT, IS NULL, full scans). Both the serial
-// and the partition-parallel scan are checked against the oracle.
+// equality (hashed), range (compiled typed bounds), residual-conjunct
+// (indexed conjunct + per-row residual), and no-predicate/rest (LIKE, OR,
+// NOT, IS NULL, full scans). Both the serial and the partition-parallel
+// scan are checked against the oracle, over 64-row chunks so a partition
+// boundary falls inside most tables.
 
 // fuzzValue generates a value for a column kind; withNull allows SQL NULL.
 // Numeric domains are deliberately tiny so predicates hit often, and float
@@ -104,6 +105,7 @@ func fuzzPred(r *rand.Rand, kinds []types.Kind) expr.Expr {
 
 func TestClockScanDifferentialFuzz(t *testing.T) {
 	forceParallelScan(t)
+	lowerColThresholds(t)
 	r := rand.New(rand.NewSource(20120725))
 	kindPool := []types.Kind{types.KindInt, types.KindFloat, types.KindString}
 	for trial := 0; trial < 150; trial++ {
@@ -140,29 +142,23 @@ func TestClockScanDifferentialFuzz(t *testing.T) {
 			clients[i] = ScanClient{ID: queryset.QueryID(i + 1), Pred: fuzzPred(r, kinds)}
 		}
 
-		// Oracle: evaluate each client's predicate on every visible row.
-		want := make(map[queryset.QueryID][]RowID)
-		tab.ScanVisible(ts, func(rid RowID, row types.Row) bool {
-			for _, c := range clients {
-				if expr.TruthyEval(c.Pred, row, nil) {
-					want[c.ID] = append(want[c.ID], rid)
+		perQuery := func(scan func(emit func(RowID, types.Row, queryset.Set))) map[queryset.QueryID][]RowID {
+			out := make(map[queryset.QueryID][]RowID)
+			scan(func(rid RowID, _ types.Row, qs queryset.Set) {
+				for _, id := range qs.IDs() {
+					out[id] = append(out[id], rid)
 				}
-			}
-			return true
+			})
+			return out
+		}
+		want := perQuery(func(emit func(RowID, types.Row, queryset.Set)) {
+			sharedScanNaive(tab, ts, clients, emit)
 		})
 
 		check := func(label string, workers int) {
-			got := make(map[queryset.QueryID][]RowID)
-			emit := func(rid RowID, _ types.Row, qs queryset.Set) {
-				for _, id := range qs.IDs() {
-					got[id] = append(got[id], rid)
-				}
-			}
-			if workers == 0 {
-				tab.SharedScanPooled(ts, clients, 1, nil, emit)
-			} else {
-				tab.SharedScanPooled(ts, clients, workers, nil, emit)
-			}
+			got := perQuery(func(emit func(RowID, types.Row, queryset.Set)) {
+				tab.SharedScanColumnar(ts, clients, workers, &ColScanBuffers{}, emit)
+			})
 			for _, c := range clients {
 				w, g := want[c.ID], got[c.ID]
 				if len(w) != len(g) {
@@ -180,19 +176,16 @@ func TestClockScanDifferentialFuzz(t *testing.T) {
 				t.Fatalf("trial %d %s: answered %d queries, oracle answered %d", trial, label, len(got), len(want))
 			}
 		}
-		check("serial", 0)
+		check("serial", 1)
 		check("parallel", 3)
 		db.Close()
 	}
 }
 
-// Audit of the predicate index's range-probe early termination (the sweep's
-// named suspect): probes on one column are sorted by lower bound with
-// unbounded (NULL) lower bounds first, and the scan breaks at the first
-// bounded probe whose Lo exceeds the row value. This test pins the
-// interleaving that would break if the ordering or the break condition
-// regressed: unbounded-Lo probes must be evaluated before the break can
-// trigger, and probes sharing a lower bound must all be evaluated.
+// Range probes with and without a lower bound on one int column: unbounded
+// sides normalize to the int extremes and pick the one-sided word kernels,
+// exclusive bounds close by one, and probes sharing a lower bound must all
+// be evaluated. Each query's rows are pinned exactly.
 func TestClockScanRangeProbeUnboundedLowerBounds(t *testing.T) {
 	db, tab := newUserDB(t)
 	for i := int64(0); i < 40; i++ {
@@ -216,7 +209,7 @@ func TestClockScanRangeProbeUnboundedLowerBounds(t *testing.T) {
 		{ID: 5, Pred: ge(300)},           // bounded Lo=300
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScanPooled(ts, clients, 1, nil, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
 		acct := row[3].AsInt()
 		for _, id := range qs.IDs() {
 			counts[id]++
@@ -242,7 +235,7 @@ func TestClockScanRangeProbeUnboundedLowerBounds(t *testing.T) {
 	want := map[queryset.QueryID]int{1: 5, 2: 25, 3: 10, 4: 20, 5: 10}
 	for id, w := range want {
 		if counts[id] != w {
-			t.Errorf("query %d matched %d rows, want %d (early termination dropped probes?)", id, counts[id], w)
+			t.Errorf("query %d matched %d rows, want %d", id, counts[id], w)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"fmt"
 	"testing"
 
 	"shareddb/internal/expr"
@@ -25,24 +24,28 @@ func forceParallelScan(t *testing.T) {
 	t.Cleanup(func() { minParallelScanRows = old })
 }
 
+// collectScan runs one shared scan cycle at the given worker count (0 = the
+// sharedScanNaive oracle).
 func collectScan(tab *Table, ts uint64, clients []ScanClient, workers int) []emission {
 	var out []emission
 	emit := func(rid RowID, _ types.Row, qs queryset.Set) {
 		out = append(out, emission{rid: rid, qs: qs.String()})
 	}
 	if workers == 0 {
-		tab.SharedScanPooled(ts, clients, 1, nil, emit)
+		sharedScanNaive(tab, ts, clients, emit)
 	} else {
-		tab.SharedScanPooled(ts, clients, workers, nil, emit)
+		tab.SharedScanColumnar(ts, clients, workers, &ColScanBuffers{}, emit)
 	}
 	return out
 }
 
-// The partitioned ClockScan must emit exactly the serial scan's rows, in the
-// same RowID order, with the same per-row query sets — the parallelism
-// contract of the worker-pool layer.
+// The partitioned ClockScan must emit exactly the oracle's rows, in the same
+// RowID order, with the same per-row query sets at every worker count — the
+// parallelism contract of the worker-pool layer. Chunks are lowered to 64
+// rows so the partitions are real.
 func TestSharedScanPartitionedMatchesSerialExactly(t *testing.T) {
 	forceParallelScan(t)
+	lowerColThresholds(t)
 	db, tab := seedUsers(t, 157) // deliberately not a multiple of any worker count
 	ts := db.SnapshotTS()
 	clients := []ScanClient{
@@ -54,18 +57,18 @@ func TestSharedScanPartitionedMatchesSerialExactly(t *testing.T) {
 			&expr.Cmp{Op: expr.LT, L: colRef(tab, "account"), R: &expr.Const{Val: types.NewInt(900)}},
 		}}},
 	}
-	serial := collectScan(tab, ts, clients, 0)
-	if len(serial) != 157 { // Q3 subscribes to every row
-		t.Fatalf("serial emitted %d rows, want 157", len(serial))
+	want := collectScan(tab, ts, clients, 0)
+	if len(want) != 157 { // Q3 subscribes to every row
+		t.Fatalf("oracle emitted %d rows, want 157", len(want))
 	}
 	for _, workers := range []int{1, 2, 3, 4, 8, 157, 200} {
 		got := collectScan(tab, ts, clients, workers)
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d: emitted %d rows, want %d", workers, len(got), len(serial))
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: emitted %d rows, want %d", workers, len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != serial[i] {
-				t.Fatalf("workers=%d: emission %d = %+v, want %+v", workers, i, got[i], serial[i])
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: emission %d = %+v, want %+v", workers, i, got[i], want[i])
 			}
 		}
 	}
@@ -73,6 +76,7 @@ func TestSharedScanPartitionedMatchesSerialExactly(t *testing.T) {
 
 func TestSharedScanPartitionedEdgeCases(t *testing.T) {
 	forceParallelScan(t)
+	lowerColThresholds(t)
 	db, tab := newUserDB(t)
 	ts := db.SnapshotTS()
 	all := []ScanClient{{ID: 1, Pred: nil}}
@@ -82,7 +86,7 @@ func TestSharedScanPartitionedEdgeCases(t *testing.T) {
 		t.Errorf("empty table emitted %v", got)
 	}
 	// no clients
-	tab.SharedScanPooled(ts, nil, 4, nil, func(RowID, types.Row, queryset.Set) {
+	tab.SharedScanColumnar(ts, nil, 4, &ColScanBuffers{}, func(RowID, types.Row, queryset.Set) {
 		t.Error("emit called with no clients")
 	})
 
@@ -95,12 +99,14 @@ func TestSharedScanPartitionedEdgeCases(t *testing.T) {
 	}
 }
 
-// The partitioned scan must respect MVCC visibility exactly like the serial
-// scan: updated and deleted rows resolve to the version visible at the
-// pinned snapshot even when newer versions exist.
+// The partitioned scan must respect MVCC visibility exactly like the oracle:
+// updated and deleted rows resolve to the version visible at the pinned
+// snapshot even when newer versions exist, and the mirror pinned forward and
+// back between the two snapshots serves each one.
 func TestSharedScanPartitionedVisibility(t *testing.T) {
 	forceParallelScan(t)
-	db, tab := seedUsers(t, 60)
+	lowerColThresholds(t)
+	db, tab := seedUsers(t, 160)
 	tsOld := db.SnapshotTS()
 	db.ApplyOps([]WriteOp{
 		{Table: "users", Kind: WUpdate, Pred: eqPred(tab, "id", types.NewInt(10)),
@@ -114,66 +120,17 @@ func TestSharedScanPartitionedVisibility(t *testing.T) {
 		name string
 	}{{tsOld, "old"}, {tsNew, "new"}} {
 		clients := []ScanClient{{ID: 1, Pred: nil}}
-		serial := collectScan(tab, tc.ts, clients, 0)
-		parallel := collectScan(tab, tc.ts, clients, 4)
-		if len(serial) != len(parallel) {
-			t.Fatalf("%s snapshot: %d serial vs %d parallel rows", tc.name, len(serial), len(parallel))
-		}
-		for i := range serial {
-			if serial[i] != parallel[i] {
-				t.Fatalf("%s snapshot: emission %d differs: %+v vs %+v", tc.name, i, serial[i], parallel[i])
+		want := collectScan(tab, tc.ts, clients, 0)
+		for _, workers := range []int{1, 4} {
+			got := collectScan(tab, tc.ts, clients, workers)
+			if len(got) != len(want) {
+				t.Fatalf("%s snapshot workers=%d: %d rows, oracle %d", tc.name, workers, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s snapshot workers=%d: emission %d differs: %+v vs oracle %+v", tc.name, workers, i, got[i], want[i])
+				}
 			}
 		}
-	}
-}
-
-// BenchmarkSharedScanPartitioned measures the partition-parallel ClockScan
-// at several worker counts (the acceptance microbenchmark: ≥1.5× at 4
-// workers on a multi-core host; on a single-core host all settings collapse
-// to roughly serial throughput).
-func BenchmarkSharedScanPartitioned(b *testing.B) {
-	db, err := Open(Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer db.Close()
-	tab, _ := db.CreateTable("users", usersSchema())
-	tab.SetPrimaryKey("id")
-	var ops []WriteOp
-	for i := int64(0); i < 20000; i++ {
-		ops = append(ops, WriteOp{Table: "users", Kind: WInsert,
-			Row: user(i, fmt.Sprintf("u%d", i), fmt.Sprintf("C%d", i%50), i%1000)})
-	}
-	db.ApplyOps(ops)
-	ts := db.SnapshotTS()
-	// A Fig-10-shaped batch: equality clients, range clients, and residual-
-	// conjunct clients, so per-row match work (the part that parallelizes)
-	// resembles a real generation rather than a single hash probe.
-	clients := make([]ScanClient, 256)
-	for i := range clients {
-		id := queryset.QueryID(i + 1)
-		switch i % 4 {
-		case 0, 1:
-			clients[i] = ScanClient{ID: id,
-				Pred: eqPred(tab, "country", types.NewString(fmt.Sprintf("C%d", i%50)))}
-		case 2:
-			lo := int64(i % 900)
-			clients[i] = ScanClient{ID: id, Pred: &expr.And{Kids: []expr.Expr{
-				&expr.Cmp{Op: expr.GE, L: colRef(tab, "account"), R: &expr.Const{Val: types.NewInt(lo)}},
-				&expr.Cmp{Op: expr.LT, L: colRef(tab, "account"), R: &expr.Const{Val: types.NewInt(lo + 50)}},
-			}}}
-		default:
-			clients[i] = ScanClient{ID: id, Pred: &expr.And{Kids: []expr.Expr{
-				eqPred(tab, "country", types.NewString(fmt.Sprintf("C%d", i%50))),
-				&expr.Cmp{Op: expr.GT, L: colRef(tab, "account"), R: &expr.Const{Val: types.NewInt(int64(i))}},
-			}}}
-		}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tab.SharedScanPooled(ts, clients, workers, nil, func(RowID, types.Row, queryset.Set) {})
-			}
-		})
 	}
 }

@@ -36,7 +36,7 @@ func TestSharedScanEqualityQueries(t *testing.T) {
 	}
 	got := map[queryset.QueryID]int{}
 	rowsEmitted := 0
-	tab.SharedScanPooled(ts, clients, 1, nil, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
 		rowsEmitted++
 		for _, id := range qs.IDs() {
 			got[id]++
@@ -69,7 +69,7 @@ func TestSharedScanRangeQueries(t *testing.T) {
 		{ID: 2, Pred: &expr.And{Kids: []expr.Expr{gt("account", 100), lt("account", 300)}}},
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScanPooled(ts, clients, 1, nil, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
 		for _, id := range qs.IDs() {
 			counts[id]++
 			acct := row[3].AsInt()
@@ -99,7 +99,7 @@ func TestSharedScanRestQueries(t *testing.T) {
 		{ID: 3, Pred: nil}, // full table
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScanPooled(ts, clients, 1, nil, func(_ RowID, _ types.Row, qs queryset.Set) {
+	tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, func(_ RowID, _ types.Row, qs queryset.Set) {
 		for _, id := range qs.IDs() {
 			counts[id]++
 		}
@@ -118,16 +118,17 @@ func TestSharedScanRestQueries(t *testing.T) {
 func TestSharedScanNoClients(t *testing.T) {
 	db, tab := seedUsers(t, 10)
 	called := false
-	tab.SharedScanPooled(db.SnapshotTS(), nil, 1, nil, func(RowID, types.Row, queryset.Set) { called = true })
+	tab.SharedScanColumnar(db.SnapshotTS(), nil, 1, &ColScanBuffers{}, func(RowID, types.Row, queryset.Set) { called = true })
 	if called {
 		t.Error("emit called with no clients")
 	}
 }
 
 // sharedScanNaive answers a scan cycle without the predicate index: every
-// client's predicate is evaluated against every record. It is the oracle of
-// the property test below and the ablation side of BenchmarkSharedScanNaive
-// (the value of query-data joins).
+// client's predicate is evaluated against every record visible at ts, in
+// RowID order, and the emitted row is the version object ScanVisible hands
+// out. It is the oracle every shared-scan suite in this package checks
+// SharedScanColumnar against.
 func sharedScanNaive(t *Table, ts uint64, clients []ScanClient, emit func(rid RowID, row types.Row, qs queryset.Set)) {
 	var buf []queryset.QueryID
 	t.ScanVisible(ts, func(rid RowID, row types.Row) bool {
@@ -144,8 +145,9 @@ func sharedScanNaive(t *Table, ts uint64, clients []ScanClient, emit func(rid Ro
 	})
 }
 
-// Property: the predicate-indexed ClockScan and sharedScanNaive (per-query
-// evaluation) produce identical per-query result sets for random workloads.
+// Property: the predicate-indexed columnar ClockScan and sharedScanNaive
+// (per-query evaluation) produce identical per-query result sets for random
+// workloads.
 // This is the correctness core of the ClockScan query-data join.
 func TestSharedScanMatchesNaiveProperty(t *testing.T) {
 	db, tab := seedUsers(t, 200)
@@ -191,7 +193,7 @@ func TestSharedScanMatchesNaiveProperty(t *testing.T) {
 			return out
 		}
 		indexed := collect(func(ts uint64, clients []ScanClient, emit func(RowID, types.Row, queryset.Set)) {
-			tab.SharedScanPooled(ts, clients, 1, nil, emit)
+			tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, emit)
 		})
 		naive := collect(func(ts uint64, clients []ScanClient, emit func(RowID, types.Row, queryset.Set)) {
 			sharedScanNaive(tab, ts, clients, emit)
@@ -310,41 +312,5 @@ func TestSharedProbeStaleEntriesAfterUpdate(t *testing.T) {
 		func(_ RowID, row types.Row, _ queryset.Set) { newKeyIDs = append(newKeyIDs, row[0].AsInt()) })
 	if len(newKeyIDs) != 1 || newKeyIDs[0] != 3 {
 		t.Errorf("new key probe = %v", newKeyIDs)
-	}
-}
-
-func BenchmarkSharedScanIndexed(b *testing.B) {
-	benchScan(b, true)
-}
-
-func BenchmarkSharedScanNaive(b *testing.B) {
-	benchScan(b, false)
-}
-
-func benchScan(b *testing.B, indexed bool) {
-	db, err := Open(Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tab, _ := db.CreateTable("users", usersSchema())
-	tab.SetPrimaryKey("id")
-	var ops []WriteOp
-	for i := int64(0); i < 10000; i++ {
-		ops = append(ops, WriteOp{Table: "users", Kind: WInsert, Row: user(i, fmt.Sprintf("u%d", i), fmt.Sprintf("C%d", i%50), i%1000)})
-	}
-	db.ApplyOps(ops)
-	ts := db.SnapshotTS()
-	clients := make([]ScanClient, 256)
-	for i := range clients {
-		clients[i] = ScanClient{ID: queryset.QueryID(i + 1),
-			Pred: eqPred(tab, "country", types.NewString(fmt.Sprintf("C%d", i%50)))}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if indexed {
-			tab.SharedScanPooled(ts, clients, 1, nil, func(RowID, types.Row, queryset.Set) {})
-		} else {
-			sharedScanNaive(tab, ts, clients, func(RowID, types.Row, queryset.Set) {})
-		}
 	}
 }

@@ -12,22 +12,54 @@ import (
 	"shareddb/internal/types"
 )
 
-// SharedScanColumnar is the ClockScan cycle over the columnar mirror
-// (colstore.go): the same predicate classification as buildPredIndex, but
-// evaluated column-at-a-time over typed vectors in fixed-size chunks.
+// ClockScan is the shared table scan of the Crescando storage manager
+// (Unterbrunner et al., cited as [28]; paper §4.4). It batches the read
+// queries of one cycle and answers all of them in a single pass over the
+// table. "Performance is increased by indexing the query predicates instead
+// of the data and performing query-data joins": every query is classified
+// by its first equality conjunct (hashed by value), else its first range
+// conjunct (compiled into typed bound checks), else the whole predicate is
+// evaluated per row; the remaining conjuncts form a residual that runs only
+// on rows the indexed conjunct selected.
+//
+// SharedScanColumnar runs that index over the table's columnar mirror
+// (colstore.go) column-at-a-time, over typed vectors in fixed-size chunks.
 // Equality probes hash a whole column chunk against the per-value query
 // lists, range predicates compare typed vector slices without boxing, and
-// residual expressions run only on rows that survived their indexed
-// conjunct. Per-query selection bitmaps are intersected into the same
-// borrowed query-set emission path as the row scan: identical rows (same
-// objects), identical RowID order, identical sorted query-id sets, so
-// downstream operators cannot tell the two paths apart.
+// per-query selection bitmaps are gathered into sorted query-id sets. The
+// scan produces rows in SharedDB's data-query model: each emitted row
+// carries the set of query ids interested in it (paper §3.1, Figure 1), in
+// RowID order, and the row is the table's own version object.
 //
-// Like SharedScanPooled, bufs == nil is the unpooled contract (emitted sets
-// stay valid indefinitely); with caller-owned bufs the sets are borrowed
-// until the next cycle. The chunk loop is partitioned across workers on
-// chunk boundaries — contiguous and ordered, so partition-order replay is
-// RowID order, exactly like the row path's partitioned scan.
+// The chunk loop is partitioned across workers on chunk boundaries —
+// contiguous and ordered, so partition-order replay is RowID order at any
+// worker count.
+
+// ScanClient is one read query participating in a scan cycle.
+type ScanClient struct {
+	ID   queryset.QueryID
+	Pred expr.Expr // bound predicate over the table schema; nil = all rows
+}
+
+func removeAt(conjs []expr.Expr, i int) []expr.Expr {
+	out := make([]expr.Expr, 0, len(conjs)-1)
+	out = append(out, conjs[:i]...)
+	out = append(out, conjs[i+1:]...)
+	return out
+}
+
+// minParallelScanRows is the table size below which a partitioned scan
+// runs serial regardless of the worker budget: a cycle over a tiny table
+// never forks. A var so tests can lower it.
+var minParallelScanRows = 1024
+
+// scanHit is one row emitted by a scan partition, buffered so that
+// per-partition output can be replayed in global row order.
+type scanHit struct {
+	rid RowID
+	row types.Row
+	qs  queryset.Set
+}
 
 // colChunkRows is the chunk size of the columnar scan: per-query selection
 // bitmaps cover one chunk at a time so they stay L1-resident. Must be a
@@ -231,9 +263,9 @@ type colIndex struct {
 	rest     []colRestProbe
 }
 
-// build classifies every client exactly like buildPredIndex: the first
-// equality conjunct wins, else the first range conjunct, else the whole
-// predicate is a rest probe; the remaining conjuncts form the residual.
+// build classifies every client: the first equality conjunct wins, else the
+// first range conjunct, else the whole predicate is a rest probe; the
+// remaining conjuncts form the residual.
 // Clients are slotted in ascending query-id order so the per-row gather
 // emits sorted id sets without a sort.
 func (ix *colIndex) build(clients []ScanClient) {
@@ -436,8 +468,7 @@ func (b *colBitmaps) ensure(nclients, words int) {
 	}
 }
 
-// colPartScratch is one partition's reusable buffers in a columnar scan
-// (the analog of partScratch).
+// colPartScratch is one partition's reusable buffers in a columnar scan.
 type colPartScratch struct {
 	hits  []scanHit
 	arena queryset.Arena
@@ -447,8 +478,8 @@ type colPartScratch struct {
 	hash  [64]uint64 // equality probing: per-lane hash images of one word
 }
 
-// ColScanBuffers is the reusable per-cycle state of a pooled columnar scan:
-// the query index (flat probe arenas, cleared bucket maps) and per-partition
+// ColScanBuffers is the reusable per-cycle state of a columnar scan: the
+// query index (flat probe arenas, cleared bucket maps) and per-partition
 // bitmaps, hit buffers and query-id arenas. One instance is owned by each
 // scan operator node and reused across generations, so the steady-state
 // chunk loop allocates nothing.
@@ -457,19 +488,33 @@ type ColScanBuffers struct {
 	parts []colPartScratch
 }
 
-// SharedScanColumnar executes one columnar ClockScan cycle at snapshot ts.
-// See the file comment for the contract; emission is bit-identical to
-// SharedScanPooled at any worker count.
+// ScanBuffers is kept only for bench/layers.go, which only a
+// benchmark-typed PR may change and which still names it.
+type ScanBuffers = ColScanBuffers
+
+// SharedScanPooled is kept only for bench/layers.go, which only a
+// benchmark-typed PR may change and which still calls it: it is
+// SharedScanColumnar.
+func (t *Table) SharedScanPooled(ts uint64, clients []ScanClient, workers int, bufs *ScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
+	t.SharedScanColumnar(ts, clients, workers, bufs, emit)
+}
+
+// SharedScanColumnar executes one ClockScan cycle at snapshot ts: a single
+// pass over the rows visible at ts answering every client at once. emit
+// receives each row that at least one client wants, together with the
+// interested query-id set, in RowID order. bufs is caller-owned and must be
+// non-nil: every emitted set is borrowed from it — valid only during the
+// emit callback — so a caller that retains a set copies it (the operator
+// emitter copies into its batch arena). With workers > 1 (and at least
+// minParallelScanRows mirrored rows) the chunk loop runs partition-parallel
+// and the hits are emitted after the mirror lock is released — version rows
+// are immutable, so handing them out lock-free is safe.
 func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int, bufs *ColScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
 	if len(clients) == 0 {
 		return
 	}
 	m := t.columnarMirror()
 	m.pin(t, ts) // returns holding m.mu shared
-	pooled := bufs != nil
-	if !pooled {
-		bufs = &ColScanBuffers{}
-	}
 	ix := &bufs.idx
 	ix.build(clients)
 	ix.prepare(m)
@@ -480,7 +525,9 @@ func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int,
 		return
 	}
 	if workers > 1 && n < minParallelScanRows {
-		workers = 1 // same tiny-table clamp as the row path
+		// Adaptive budget: forking workers over a tiny table costs more than
+		// the scan itself; run serial (identical output order either way).
+		workers = 1
 	}
 	nchunks := (n + colChunkRows - 1) / colChunkRows
 
@@ -493,13 +540,9 @@ func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int,
 			base := ch * colChunkRows
 			end := min(base+colChunkRows, n)
 			ix.runChunk(m, base, end, ps, func(pos int, ids []queryset.QueryID) {
-				if pooled {
-					// Borrowed set, valid during emit only — ids are already
-					// sorted (gather walks bitmap slots in qid order).
-					emit(m.rids[pos], m.rows[pos], queryset.FromSorted(ids))
-				} else {
-					emit(m.rids[pos], m.rows[pos], queryset.Of(ids...))
-				}
+				// Borrowed set, valid during emit only — ids are already
+				// sorted (gather walks bitmap slots in qid order).
+				emit(m.rids[pos], m.rows[pos], queryset.FromSorted(ids))
 			})
 		}
 		m.mu.RUnlock()
@@ -531,10 +574,9 @@ func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int,
 		for _, h := range bufs.parts[w].hits {
 			emit(h.rid, h.row, h.qs)
 		}
-		if pooled {
-			clear(bufs.parts[w].hits)
-			bufs.parts[w].hits = bufs.parts[w].hits[:0]
-		}
+		// Drop row references promptly; the arena is reset next cycle.
+		clear(bufs.parts[w].hits)
+		bufs.parts[w].hits = bufs.parts[w].hits[:0]
 	}
 }
 

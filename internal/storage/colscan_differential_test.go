@@ -14,9 +14,9 @@ import (
 // Differential correctness sweep for the columnar shared scan: for random
 // schemas, evolving row sets (interleaved inserts, updates and deletes) and
 // predicate batches drawn from every client class — equality, range,
-// residual-conjunct, LIKE and rest — SharedScanColumnar must reproduce the
-// row-path SharedScan bit for bit: same RowID order, same row objects, same
-// per-row query sets. The mirror's whole maintenance surface is in the
+// residual-conjunct, LIKE and rest — SharedScanColumnar must reproduce
+// per-query evaluation (sharedScanNaive at the same snapshot) exactly: same
+// RowID order, same row objects, same per-row query sets. The mirror's whole maintenance surface is in the
 // loop: incremental delta application between snapshots, compaction (forced
 // by lowered thresholds), rebuild fallbacks, and typed-vector demotion via
 // cross-kind updates.
@@ -34,7 +34,7 @@ func lowerColThresholds(t *testing.T) {
 	})
 }
 
-// fuzzPredColumnar draws from the row sweep's predicate classes plus LIKE
+// fuzzPredColumnar draws from fuzzPred's predicate classes plus LIKE
 // shapes (exact/prefix/suffix/contains/general, half negated) when a string
 // column exists — the columnar rest-class fast path.
 func fuzzPredColumnar(r *rand.Rand, kinds []types.Kind) expr.Expr {
@@ -59,9 +59,9 @@ func fuzzPredColumnar(r *rand.Rand, kinds []types.Kind) expr.Expr {
 	return fuzzPred(r, kinds)
 }
 
-// colEmission captures one emit callback with row identity: both scan paths
-// hand out the very same types.Row objects (the version chain's), so the
-// backing-array pointer must match, not just the values.
+// colEmission captures one emit callback with row identity: the scan and
+// the oracle hand out the very same types.Row objects (the version chain's),
+// so the backing-array pointer must match, not just the values.
 type colEmission struct {
 	rid RowID
 	qs  string
@@ -76,9 +76,9 @@ func collectColumnar(tab *Table, ts uint64, clients []ScanClient, workers int, b
 	return out
 }
 
-func collectRow(tab *Table, ts uint64, clients []ScanClient) []colEmission {
+func collectNaive(tab *Table, ts uint64, clients []ScanClient) []colEmission {
 	var out []colEmission
-	tab.SharedScanPooled(ts, clients, 1, nil, func(rid RowID, row types.Row, qs queryset.Set) {
+	sharedScanNaive(tab, ts, clients, func(rid RowID, row types.Row, qs queryset.Set) {
 		out = append(out, colEmission{rid: rid, qs: qs.String(), rp: &row[0]})
 	})
 	return out
@@ -128,16 +128,16 @@ func TestColumnarScanDifferentialFuzz(t *testing.T) {
 			for i := range clients {
 				clients[i] = ScanClient{ID: queryset.QueryID(i + 1), Pred: fuzzPredColumnar(r, kinds)}
 			}
-			want := collectRow(tab, ts, clients)
+			want := collectNaive(tab, ts, clients)
 			for _, workers := range []int{1, 4} {
 				got := collectColumnar(tab, ts, clients, workers, bufs)
 				if len(got) != len(want) {
-					t.Fatalf("trial %d sweep %d workers=%d: %d emissions, row path %d",
+					t.Fatalf("trial %d sweep %d workers=%d: %d emissions, oracle %d",
 						trial, sweep, workers, len(got), len(want))
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("trial %d sweep %d workers=%d emission %d: columnar {rid %d, qs %s}, row path {rid %d, qs %s} (row identity match: %v)",
+						t.Fatalf("trial %d sweep %d workers=%d emission %d: columnar {rid %d, qs %s}, oracle {rid %d, qs %s} (row identity match: %v)",
 							trial, sweep, workers, i, got[i].rid, got[i].qs, want[i].rid, want[i].qs, got[i].rp == want[i].rp)
 					}
 				}
@@ -187,7 +187,7 @@ func TestColumnarScanDifferentialFuzz(t *testing.T) {
 // first pin rebuilds, forward pins apply the delta incrementally, crossing
 // the dead-fraction threshold compacts, and a pin at an older snapshot (or
 // past the drained frontier) falls back to a rebuild — with every state
-// checked against the row path.
+// checked against the oracle.
 func TestColumnarMirrorMaintenance(t *testing.T) {
 	lowerColThresholds(t)
 	db, err := Open(Options{})
@@ -217,14 +217,14 @@ func TestColumnarMirrorMaintenance(t *testing.T) {
 	}
 	verify := func(label string, ts uint64) {
 		t.Helper()
-		want := collectRow(tab, ts, clients)
-		got := collectColumnar(tab, ts, clients, 1, nil)
+		want := collectNaive(tab, ts, clients)
+		got := collectColumnar(tab, ts, clients, 1, &ColScanBuffers{})
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d emissions, row path %d", label, len(got), len(want))
+			t.Fatalf("%s: %d emissions, oracle %d", label, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s emission %d: columnar {rid %d, qs %s}, row path {rid %d, qs %s}",
+				t.Fatalf("%s emission %d: columnar {rid %d, qs %s}, oracle {rid %d, qs %s}",
 					label, i, got[i].rid, got[i].qs, want[i].rid, want[i].qs)
 			}
 		}
@@ -322,14 +322,14 @@ func TestColumnarMirrorAttachedBehindStorage(t *testing.T) {
 	clients := []ScanClient{{ID: 1, Pred: nil}, {ID: 2, Pred: &expr.Cmp{Op: expr.GT, L: &expr.ColRef{Idx: 1}, R: &expr.Const{Val: types.NewInt(0)}}}}
 	verify := func(label string, ts uint64) {
 		t.Helper()
-		want := collectRow(tab, ts, clients)
-		got := collectColumnar(tab, ts, clients, 1, nil)
+		want := collectNaive(tab, ts, clients)
+		got := collectColumnar(tab, ts, clients, 1, &ColScanBuffers{})
 		if len(got) != len(want) {
-			t.Fatalf("%s: %d emissions, row path %d", label, len(got), len(want))
+			t.Fatalf("%s: %d emissions, oracle %d", label, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("%s emission %d: columnar {rid %d, qs %s}, row path {rid %d, qs %s}",
+				t.Fatalf("%s emission %d: columnar {rid %d, qs %s}, oracle {rid %d, qs %s}",
 					label, i, got[i].rid, got[i].qs, want[i].rid, want[i].qs)
 			}
 		}
@@ -358,8 +358,8 @@ func TestColumnarMirrorAttachedBehindStorage(t *testing.T) {
 }
 
 // TestColumnarScanWorkersMatrix re-runs one fixture through the worker
-// ladder against the serial row scan (partition merge order, tiny-table
-// clamp interplay).
+// ladder against the oracle (partition merge order, tiny-table clamp
+// interplay).
 func TestColumnarScanWorkersMatrix(t *testing.T) {
 	forceParallelScan(t)
 	lowerColThresholds(t)
@@ -389,7 +389,7 @@ func TestColumnarScanWorkersMatrix(t *testing.T) {
 		{ID: 3, Pred: &expr.Like{L: &expr.ColRef{Idx: 1}, Pattern: &expr.Const{Val: types.NewString("c%")}}},
 		{ID: 4, Pred: nil},
 	}
-	want := collectRow(tab, ts, clients)
+	want := collectNaive(tab, ts, clients)
 	for _, workers := range []int{1, 2, 3, 4, 8, 64} {
 		got := collectColumnar(tab, ts, clients, workers, &ColScanBuffers{})
 		if len(got) != len(want) {

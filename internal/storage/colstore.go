@@ -11,7 +11,7 @@ import (
 // This file implements the per-table columnar read mirror every shared
 // scan reads: typed flat vectors (int64 / float64 / string with a
 // validity bitmap) over the rows visible at one snapshot, maintained in
-// place from the table's write stream. The mirror trades the row path's
+// place from the table's write stream. The mirror trades a per-row
 // version-chain walk (pointer chase + interface dispatch per row per cycle)
 // for cache-linear vector passes; SharedScanColumnar (colscan.go) evaluates
 // the ClockScan predicate index column-at-a-time over it.

@@ -79,9 +79,10 @@ type Config struct {
 	// exactly that many workers.
 	Workers int
 	// Deprecated: ignored, always on. Shared table scans always read the
-	// delta-maintained columnar mirror and fall back to the row-store
-	// ClockScan on their own (README "Fallbacks"). The field is still
-	// declared only because the frozen repository benchmark reads it.
+	// delta-maintained columnar mirror; when the mirror cannot apply a
+	// snapshot's delta it rebuilds itself from the visible rows (README
+	// "Fallbacks"). The field is still declared only because the frozen
+	// repository benchmark reads it.
 	ColumnarScan bool
 	// MaxGenerationDelay is the per-generation latency SLO (the paper's
 	// response-time limit). When set, batch formation caps each generation
