@@ -97,8 +97,8 @@ func (db *DB) Prepare(sqlText string) (*Stmt, error) {
 }
 
 // PrepareContext registers sqlText server-side. The handle is backed by
-// the server's shared statement registry: a thousand clients preparing
-// the same SQL pay the engine's registration quiesce once.
+// the engine's statement registry: a thousand clients preparing the same
+// SQL pay the engine's registration quiesce once.
 func (db *DB) PrepareContext(ctx context.Context, sqlText string) (*Stmt, error) {
 	ok, err := db.c.prepare(ctx, sqlText)
 	if err != nil {

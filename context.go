@@ -78,7 +78,7 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...interface{}) (Result, er
 // quiesces the generation pipeline, which can take a while under load; on
 // ctx expiry the wait is abandoned and ctx.Err() returned. The
 // registration itself may still complete in the background — preparing the
-// same SQL again later is always safe.
+// same SQL again later returns the statement it registered.
 func (db *DB) PrepareContext(ctx context.Context, sqlText string) (*Stmt, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

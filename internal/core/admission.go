@@ -167,13 +167,10 @@ type admission struct {
 	cooldown   time.Duration // open → half-open delay
 	now        func() time.Time
 
-	// Breaker and quota state key on the statement's SQL text, not the
-	// *plan.Statement handle: the ad-hoc path (DB.Query, the server's
-	// per-line execute) prepares a FRESH handle per submission, and the
-	// ad-hoc plan is exactly what the slow-query breaker exists to
-	// quarantine — pointer identity would never see the same statement
-	// twice. SQL identity also matches the plan layer's sharing signature
-	// (same text ⇒ same shared operators).
+	// Breaker, quota and cost state key on the statement's SQL text. Prepare
+	// registers one handle per text, so a re-prepared ad-hoc text meets its
+	// own quarantine at Submit; the text is also the identity the plan
+	// layer shares operators by.
 	costNs       float64 // EWMA of per-request generation cost in ns
 	breakers     map[string]*breaker
 	stmtCost     map[string]*costRing // per-statement attributed cycle cost
@@ -302,32 +299,8 @@ func (a *admission) checkBreaker(stmt *plan.Statement) error {
 	if b == nil || b.state == breakerClosed {
 		return nil
 	}
-	if err := a.breakerReject(b); err != nil {
-		return err
-	}
-	// Open past its cooldown, or half-open with the probe slot free: this
-	// submission is the half-open probe.
-	b.state, b.probing = breakerHalfOpen, true
-	return nil
-}
-
-// peekBreaker is the non-mutating twin of checkBreaker: it reports whether
-// a submission of the statement would be rejected right now, without
-// consuming the half-open probe slot or transitioning state. The ad-hoc
-// path uses it BEFORE Prepare — Prepare quiesces the whole generation
-// pipeline, so a quarantined statement's retry loop must fail fast here
-// instead of repeatedly stalling every other client's traffic.
-func (a *admission) peekBreaker(sqlText string) error {
-	if b := a.breakers[sqlText]; b != nil {
-		return a.breakerReject(b)
-	}
-	return nil
-}
-
-// breakerReject is the rejection breaker b hands a submission right now, or
-// nil: an open breaker rejects until its cooldown elapses, a half-open one
-// while its probe is in flight.
-func (a *admission) breakerReject(b *breaker) error {
+	// An open breaker rejects until its cooldown elapses, a half-open one
+	// while its probe is in flight.
 	if b.state == breakerOpen {
 		if wait := b.openedAt.Add(a.cooldown).Sub(a.now()); wait > 0 {
 			return &OverloadError{
@@ -335,14 +308,15 @@ func (a *admission) breakerReject(b *breaker) error {
 				RetryAfter: wait,
 			}
 		}
-		return nil
-	}
-	if b.probing {
+	} else if b.probing {
 		return &OverloadError{
 			Reason:     "statement breaker half-open: probe already in flight",
 			RetryAfter: a.maxDelay,
 		}
 	}
+	// Open past its cooldown, or half-open with the probe slot free: this
+	// submission is the half-open probe.
+	b.state, b.probing = breakerHalfOpen, true
 	return nil
 }
 

@@ -33,8 +33,8 @@ func TestAdmissionDisabledIsNil(t *testing.T) {
 		if batch, rest := a.formBatch(pending); len(batch) != 3 || rest != nil || a.shed != 0 {
 			t.Fatalf("disabled controller formed %d / shed %d, want the whole queue", len(batch), len(rest))
 		}
-		if err := a.peekBreaker(s.SQL); err != nil {
-			t.Fatalf("disabled controller's breaker rejected: %v", err)
+		if a.breakers != nil {
+			t.Fatalf("an hour-long generation struck a statement with the breaker off: %v", a.breakers)
 		}
 	}
 	if a := newAdmission(Config{QueueDepthLimit: 1}); a.admit(s, 1) == nil {
@@ -217,17 +217,17 @@ func TestBreakerTripHalfOpenResetCycle(t *testing.T) {
 		t.Fatalf("retry hint must shrink to the remaining cooldown, got %v", oe.RetryAfter)
 	}
 
-	// Cooldown elapsed: the pre-Prepare peek must admit WITHOUT consuming
-	// the probe slot, then half-open admits exactly one probe.
+	// Cooldown elapsed: the breaker stays open until a submission arrives,
+	// then half-open admits exactly one probe.
 	clock = clock.Add(41 * time.Millisecond)
-	if err := a.peekBreaker(s.SQL); err != nil {
-		t.Fatalf("peek after cooldown must admit: %v", err)
+	if b := a.breakers[s.SQL]; b.state != breakerOpen || b.probing {
+		t.Fatalf("the cooldown alone must not move the breaker, got %v (probing %v)", b.state, b.probing)
 	}
 	if err := a.admit(s, 0); err != nil {
-		t.Fatalf("half-open must admit the probe (peek must not have consumed it): %v", err)
+		t.Fatalf("half-open must admit the probe: %v", err)
 	}
-	if err := a.peekBreaker(s.SQL); !errors.Is(err, ErrOverloaded) {
-		t.Fatal("peek during the probe must reject")
+	if b := a.breakers[s.SQL]; b.state != breakerHalfOpen || !b.probing {
+		t.Fatalf("the admitted probe must leave the breaker half-open with its probe in flight, got %v (probing %v)", b.state, b.probing)
 	}
 	if err := a.admit(s, 0); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second submission during the probe must reject, got %v", err)
@@ -459,18 +459,19 @@ func TestBreakerQuarantinesSlowStatement(t *testing.T) {
 	if trips := e.AdmissionStats().BreakerTrips; trips != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", trips)
 	}
-	// The quarantine binds to the SQL text, not the handle: a fresh
-	// prepare of the same statement (the ad-hoc path) is rejected too,
-	// and the pre-Prepare peek rejects without touching the pipeline.
-	if err := e.AdmitStatement(heavy.SQL); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("AdmitStatement peek on a quarantined SQL must reject, got %v", err)
-	}
+	// The ad-hoc retry of a quarantined text: re-preparing it is a registry
+	// hit that returns the same handle without touching the pipeline, and
+	// the submission is rejected at Submit, counted once.
 	heavyAdhoc := mustPrepare(t, e, heavy.SQL)
-	if heavyAdhoc == heavy {
-		t.Fatal("fixture assumption broken: Prepare returned the same handle")
+	if heavyAdhoc != heavy {
+		t.Fatal("re-preparing a registered text must return its handle")
 	}
+	rejected := e.AdmissionStats().Rejected
 	if err := e.Submit(heavyAdhoc, nil).Wait(); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("re-prepared handle of a quarantined statement must reject, got %v", err)
+		t.Fatalf("the re-prepared quarantined statement must reject, got %v", err)
+	}
+	if got := e.AdmissionStats().Rejected; got != rejected+1 {
+		t.Fatalf("the quarantined retry must count one rejection: Rejected %d → %d", rejected, got)
 	}
 	// After the cooldown a probe is admitted; it is still slow, so the
 	// breaker re-trips and the next submission rejects again.

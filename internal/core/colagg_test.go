@@ -406,10 +406,18 @@ func TestBreakerSparesLightStatement(t *testing.T) {
 	if trips := e.AdmissionStats().BreakerTrips; trips == 0 {
 		t.Fatal("the heavy statement never tripped the breaker — the fixture is not slow enough to test blame")
 	}
-	if err := e.AdmitStatement(heavySQL); err == nil {
-		t.Fatal("heavy statement must be quarantined after repeated blown generations")
+	state := func(sqlText string) breakerState {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if b := e.adm.breakers[sqlText]; b != nil {
+			return b.state
+		}
+		return breakerClosed
 	}
-	if err := e.AdmitStatement(lightSQL); err != nil {
-		t.Fatalf("light statement must stay admitted, got %v", err)
+	if s := state(heavySQL); s != breakerOpen {
+		t.Fatalf("heavy statement must be quarantined after repeated blown generations, its breaker is %v", s)
+	}
+	if s := state(lightSQL); s != breakerClosed {
+		t.Fatalf("light statement must stay admitted, its breaker is %v", s)
 	}
 }

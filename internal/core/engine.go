@@ -108,7 +108,7 @@ type Config struct {
 
 	// NoFold is the reference switch: it queues every read as its own
 	// activation. The zero value is the production path: a read submission
-	// identical to a pending one (same SQL text, bit-identical parameters)
+	// identical to a pending one (same statement, bit-identical parameters)
 	// attaches to the pending request's result instead of occupying its own
 	// queue slot and activation, and is charged once — by its lead —
 	// against QueueDepthLimit/StatementQuota and the cost EWMA. Writes and
@@ -460,7 +460,7 @@ func (e *Engine) initRequest(req *Request, c Call) {
 	req.Stmt, req.Params, req.Result = c.Stmt, c.Params, c.Result
 	if e.foldIdx != nil && c.Stmt != nil && !c.Stmt.IsWrite() {
 		req.foldable = true
-		req.fp = foldFingerprint(c.Stmt.SQL, c.Params)
+		req.fp = foldFingerprint(c.Stmt.ID, c.Params)
 	}
 }
 
@@ -500,24 +500,6 @@ func (e *Engine) AdmitRelease() {
 		e.reserved--
 	}
 	e.mu.Unlock()
-}
-
-// AdmitStatement reports whether a statement with the given SQL text would
-// be rejected by the slow-query breaker right now, without preparing or
-// submitting anything. The ad-hoc path (DB.Prepare/DB.Query) calls it
-// before Prepare: Prepare quiesces the generation pipeline, so a
-// quarantined statement's retries must fail fast here instead of draining
-// in-flight generations on every attempt. It is a peek, not a reservation —
-// the authoritative check (which consumes the half-open probe slot) still
-// runs at Submit.
-func (e *Engine) AdmitStatement(sqlText string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.adm.peekBreaker(sqlText); err != nil {
-		e.adm.rejected++
-		return err
-	}
-	return nil
 }
 
 // AdmissionStats reports the admission controller's counters (zero values
@@ -606,7 +588,7 @@ func (e *Engine) tryFold(req *Request) bool {
 	for _, lead := range e.foldIdx[req.fp] {
 		// Value == is bit identity, stricter than Value.Equal: INT 1 and
 		// FLOAT 1.0, or -0.0 and 0.0, project differently and must not fold.
-		if lead.Stmt.SQL != req.Stmt.SQL || !slices.Equal(lead.Params, req.Params) {
+		if lead.Stmt != req.Stmt || !slices.Equal(lead.Params, req.Params) {
 			continue
 		}
 		if lead.fold == nil {
@@ -753,18 +735,24 @@ func (e *Engine) generationDone() {
 	e.mu.Unlock()
 }
 
-// Prepare registers a statement in the global plan. Registration mutates
-// the operator DAG, which must not happen while any generation is
-// traversing it — so Prepare blocks new dispatches and waits until the
-// pipeline has drained (the ad-hoc query path of §3.2, now a pipeline
-// quiesce instead of a between-generations slot).
+// Prepare registers a statement in the global plan, once per SQL text: a
+// text the plan has registered returns its statement without touching the
+// pipeline. Registering a new text mutates the operator DAG, which must not
+// happen while any generation is traversing it — so Prepare blocks new
+// dispatches and waits until the pipeline has drained (the ad-hoc query
+// path of §3.2, now a pipeline quiesce instead of a between-generations
+// slot). Only the first sighting of a text stalls.
 func (e *Engine) Prepare(sqlText string) (*plan.Statement, error) {
+	if s := e.plan.Registered(sqlText); s != nil {
+		return s, nil
+	}
 	return e.prepare(sqlText, nil)
 }
 
 // PrepareParsed registers an already-parsed statement, with the same
-// pipeline quiesce as Prepare. The shard router uses it to install partial
-// (rewritten) statements without rendering them back to SQL.
+// pipeline quiesce as Prepare but no registry: every call compiles a new
+// statement. The shard router uses it to install partial (rewritten)
+// statements without rendering them back to SQL.
 func (e *Engine) PrepareParsed(sqlText string, ast sql.Statement) (*plan.Statement, error) {
 	return e.prepare(sqlText, ast)
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
@@ -296,6 +297,52 @@ func TestSharingAcrossStatements(t *testing.T) {
 	}
 	if len(r2.Rows) != 11 { // prices 90.5 .. 100.5 → items 0..10
 		t.Errorf("s2 rows = %d, want 11", len(r2.Rows))
+	}
+}
+
+// TestPrepareRegisteredTextSkipsQuiesce: Prepare of a registered text is a
+// registry lookup that never takes the engine lock, so it cannot wait for
+// the pipeline quiesce a new text needs; an unregistered text still waits.
+func TestPrepareRegisteredTextSkipsQuiesce(t *testing.T) {
+	db, closeDB := bookstore(t)
+	defer closeDB()
+	e := newEngine(t, db)
+	defer e.Close()
+	const text = "SELECT i_title FROM item WHERE i_id = ?"
+	want := mustPrepare(t, e, text)
+	prepare := func(sqlText string) <-chan *plan.Statement {
+		ch := make(chan *plan.Statement, 1)
+		go func() {
+			s, err := e.Prepare(sqlText)
+			if err != nil {
+				t.Error(err)
+			}
+			ch <- s
+		}()
+		return ch
+	}
+
+	e.mu.Lock()
+	select {
+	case s := <-prepare(text):
+		if s != want {
+			e.mu.Unlock()
+			t.Fatal("Prepare of a registered text returned another statement")
+		}
+	case <-time.After(5 * time.Second):
+		e.mu.Unlock()
+		t.Fatal("Prepare of a registered text waited for the engine lock")
+	}
+	miss := prepare("SELECT i_price FROM item WHERE i_id = ?")
+	select {
+	case <-miss:
+		e.mu.Unlock()
+		t.Fatal("Prepare of a new text returned without the engine lock")
+	case <-time.After(50 * time.Millisecond):
+	}
+	e.mu.Unlock()
+	if s := <-miss; s == nil || s == want {
+		t.Fatalf("Prepare of a new text = %v, want a new statement", s)
 	}
 }
 

@@ -16,16 +16,13 @@ import (
 // so a deployment can swap one engine for N shard engines without the
 // callers changing.
 //
-// Prepare returns a *plan.Statement handle; for the sharded backend the
-// handle is a routing descriptor rather than a statement registered in one
-// global plan, but SQL/IsWrite/OutSchema behave identically.
+// Prepare returns a *plan.Statement handle, one per SQL text: preparing a
+// text again returns the same handle without stalling the pipeline. For the
+// sharded backend the handle is a routing descriptor rather than a
+// statement registered in one global plan, but SQL/IsWrite/OutSchema/Write
+// behave identically.
 type Executor interface {
 	Prepare(sqlText string) (*plan.Statement, error)
-	// AdmitStatement is the pre-Prepare admission peek: it rejects (with
-	// a *OverloadError) when the statement's SQL text is quarantined by
-	// the slow-query breaker, so ad-hoc retries fail fast without paying
-	// Prepare's pipeline quiesce. Always nil when admission is disabled.
-	AdmitStatement(sqlText string) error
 	Submit(stmt *plan.Statement, params []types.Value) *Result
 	// SubmitBatch submits a burst of calls as one unit of admission work:
 	// the single-node engine enqueues them under one lock acquisition and

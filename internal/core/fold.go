@@ -6,12 +6,15 @@
 // subscriber always receives exactly the rows its own activation would
 // have produced at that generation's snapshot.
 //
-// Two requests fold when their fingerprints match AND their SQL text and
-// parameter values are identical byte for byte. The fingerprint (FNV-1a
-// over the SQL text mixed with each parameter's types.Value.Hash) is only
-// a prefilter: Value.Hash is coercion-consistent (INT 1 and FLOAT 1.0
-// hash alike) but those parameters can project different output values,
-// so the authoritative check compares parameter bit patterns exactly.
+// Fold identity is the statement handle plus bit-identical parameters:
+// Prepare registers one handle per SQL text, so identical texts share a
+// handle. Two requests fold when their fingerprints match AND they carry
+// the same handle and parameter values identical bit for bit. The
+// fingerprint (FNV-1a over the statement ID mixed with each parameter's
+// types.Value.Hash) is only a prefilter: Value.Hash is coercion-consistent
+// (INT 1 and FLOAT 1.0 hash alike) but those parameters can project
+// different output values, so the authoritative check compares parameter
+// bit patterns exactly.
 package core
 
 import (
@@ -20,29 +23,30 @@ import (
 	"shareddb/internal/types"
 )
 
-// FNV-1a parameters, mirroring types.Value.Hash so the statement-text mix
+// FNV-1a parameters, mirroring types.Value.Hash so the statement-ID mix
 // and the per-parameter value mixes compose into one stream.
 const (
 	foldFNVOffset64 = 14695981039346656037
 	foldFNVPrime64  = 1099511628211
 )
 
-// foldFingerprint hashes a statement's identity (its SQL text) together
-// with its bound parameters into the fold-index key. Collisions are
-// harmless — fold candidates are verified by exact SQL and parameter
-// comparison — the fingerprint only bounds the search.
-func foldFingerprint(sqlText string, params []types.Value) uint64 {
-	h := uint64(foldFNVOffset64)
-	for i := 0; i < len(sqlText); i++ {
-		h ^= uint64(sqlText[i])
-		h *= foldFNVPrime64
-	}
+// foldFingerprint hashes a statement's ID together with its bound
+// parameters into the fold-index key. Collisions are harmless — fold
+// candidates are verified by handle and exact parameter comparison — the
+// fingerprint only bounds the search.
+func foldFingerprint(stmtID int, params []types.Value) uint64 {
+	h := foldMix(foldFNVOffset64, uint64(stmtID))
 	for _, p := range params {
-		u := p.Hash()
-		for i := 0; i < 8; i++ {
-			h ^= uint64(byte(u >> (8 * i)))
-			h *= foldFNVPrime64
-		}
+		h = foldMix(h, p.Hash())
+	}
+	return h
+}
+
+// foldMix folds the eight bytes of u into the FNV-1a state h.
+func foldMix(h, u uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= uint64(byte(u >> (8 * i)))
+		h *= foldFNVPrime64
 	}
 	return h
 }

@@ -140,8 +140,9 @@ func (g *generation) pin() []plan.Activation {
 // statement SQL) before any operator can report, and collects the distinct
 // read statements for the breaker. Standing queries are attributed too:
 // their share belongs to them, not to whichever batch statement co-ran.
-// Distinctness is by SQL text — the breaker's identity — so two ad-hoc
-// prepares of one statement in one generation strike once, not twice.
+// Distinctness is by SQL text, the breaker's identity; Prepare hands out one
+// handle per text, so a statement strikes once per generation however many
+// callers re-prepared it.
 func (g *generation) attribute(acts []plan.Activation) {
 	rec := &genCostRec{qidSQL: make(map[queryset.QueryID]string, len(acts)), ns: make(map[string]int64)}
 	seen := make(map[string]bool, len(g.reads))

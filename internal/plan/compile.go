@@ -26,28 +26,51 @@ func (c dbCatalog) TableSchema(name string) (*types.Schema, bool) {
 
 // Prepare parses, binds and compiles a statement into the global plan,
 // sharing operators with previously registered statements wherever the
-// sharing signatures match. Prepare may be called at any time between
-// generations — this is also how ad-hoc queries join the plan (§3.2: plan
-// operators act as materialized views for ad-hoc queries).
+// sharing signatures match. Prepare is idempotent by SQL text: a text
+// prepared before returns the statement compiled for it then. Prepare may
+// be called at any time between generations — this is also how ad-hoc
+// queries join the plan (§3.2: plan operators act as materialized views for
+// ad-hoc queries).
 func (p *GlobalPlan) Prepare(sqlText string) (*Statement, error) {
+	if s := p.Registered(sqlText); s != nil {
+		return s, nil
+	}
 	stmtAST, err := sql.Parse(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	return p.PrepareParsed(sqlText, stmtAST)
+	return p.prepare(sqlText, stmtAST, true)
+}
+
+// Registered returns the statement Prepare compiled for sqlText, or nil. It
+// never waits for a generation in flight.
+func (p *GlobalPlan) Registered(sqlText string) *Statement {
+	p.textMu.RLock()
+	defer p.textMu.RUnlock()
+	return p.byText[sqlText]
 }
 
 // PrepareParsed compiles an already-parsed statement into the global plan.
 // The shard router prepares rewritten (partial) statements through this
-// path, since those exist as ASTs rather than SQL text. The AST is bound
+// path, since those exist as ASTs rather than SQL text; they stay out of the
+// text registry, so every call compiles a new statement. The AST is bound
 // against this plan's catalog and must not be mutated afterwards.
 func (p *GlobalPlan) PrepareParsed(sqlText string, stmtAST sql.Statement) (*Statement, error) {
+	return p.prepare(sqlText, stmtAST, false)
+}
+
+func (p *GlobalPlan) prepare(sqlText string, stmtAST sql.Statement, register bool) (*Statement, error) {
 	bound, err := sql.PlanStatement(stmtAST, dbCatalog{p.db})
 	if err != nil {
 		return nil, err
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	// Two first prepares of one text both missed Registered: the later one
+	// returns the statement the earlier one registered.
+	if s := p.byText[sqlText]; register && s != nil {
+		return s, nil
+	}
 
 	s := &Statement{ID: len(p.stmts), SQL: sqlText, NumParams: sql.NumParams(stmtAST), SinkLimit: -1}
 	switch b := bound.(type) {
@@ -63,6 +86,11 @@ func (p *GlobalPlan) PrepareParsed(sqlText string, stmtAST sql.Statement) (*Stat
 		return nil, fmt.Errorf("plan: unsupported statement %T", bound)
 	}
 	p.stmts = append(p.stmts, s)
+	if register {
+		p.textMu.Lock()
+		p.byText[sqlText] = s
+		p.textMu.Unlock()
+	}
 	return s, nil
 }
 

@@ -163,6 +163,11 @@ type GlobalPlan struct {
 	SinkOp *operators.SinkOp
 
 	stmts []*Statement
+	// byText is the statement registry: SQL text → the statement Prepare
+	// compiled for it. It has its own lock so a lookup never waits behind
+	// p.mu, which RunGeneration holds; writers hold both.
+	textMu sync.RWMutex
+	byText map[string]*Statement
 }
 
 type sourceRef struct {
@@ -208,6 +213,7 @@ func New(db *storage.Database) *GlobalPlan {
 		groupNodes: map[string]*groupRef{},
 		filterFor:  map[int]*operators.Node{},
 		edges:      map[[2]int]*operators.Edge{},
+		byText:     map[string]*Statement{},
 		nextStream: 1,
 		pool:       operators.NewBatchPool(),
 		rowPool:    operators.NewRowPool(),

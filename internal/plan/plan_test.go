@@ -45,6 +45,11 @@ func TestPrepareReadStatement(t *testing.T) {
 	if len(p.Statements()) != 1 {
 		t.Error("statement not registered")
 	}
+	// Prepare is idempotent by text.
+	again, err := p.Prepare("SELECT name FROM users WHERE user_id = ?")
+	if err != nil || again != s || len(p.Statements()) != 1 || p.Registered(s.SQL) != s {
+		t.Fatalf("re-prepare = %p (%v), want %p; plan holds %d statements", again, err, s, len(p.Statements()))
+	}
 }
 
 func TestPrepareWriteStatement(t *testing.T) {
@@ -64,8 +69,13 @@ func TestIdenticalStatementsShareEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	n1 := p.NumNodes()
-	if _, err := p.Prepare("SELECT name FROM users, orders WHERE user_id = o_user_id AND country = ?"); err != nil {
+	// The same statement in another spelling is a new text: it compiles a
+	// second statement, which must share every operator of the first.
+	if _, err := p.Prepare("SELECT name  FROM users, orders WHERE user_id = o_user_id AND country = ?"); err != nil {
 		t.Fatal(err)
+	}
+	if n := len(p.Statements()); n != 2 {
+		t.Fatalf("a whitespace variant must compile its own statement, plan holds %d", n)
 	}
 	if p.NumNodes() != n1 {
 		t.Errorf("identical statement added nodes: %d → %d\n%s", n1, p.NumNodes(), p.Describe())

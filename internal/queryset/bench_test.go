@@ -33,24 +33,17 @@ func BenchmarkAblation_QuerySetListVsBitmap(b *testing.B) {
 	}
 	for _, c := range cases {
 		la, lb, ba, bb := sparseSets(c.universe, c.members)
+		// The list side is the production operation: IntersectInto over a
+		// reused scratch buffer, as the shared join routes tuples.
 		b.Run(c.name+"/list_intersect", func(b *testing.B) {
+			var scratch []QueryID
 			for i := 0; i < b.N; i++ {
-				_ = la.Intersect(lb)
+				scratch = la.IntersectInto(lb, scratch).IDs()
 			}
 		})
 		b.Run(c.name+"/bitmap_intersect", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_ = ba.Intersect(bb)
-			}
-		})
-		b.Run(c.name+"/list_union", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = la.Union(lb)
-			}
-		})
-		b.Run(c.name+"/bitmap_union", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = ba.Union(bb)
 			}
 		})
 	}

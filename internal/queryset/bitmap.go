@@ -60,20 +60,6 @@ func (b *Bitmap) Empty() bool {
 	return true
 }
 
-// Union returns a new bitmap b ∪ o.
-func (b *Bitmap) Union(o *Bitmap) *Bitmap {
-	long, short := b.words, o.words
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	out := make([]uint64, len(long))
-	copy(out, long)
-	for i, w := range short {
-		out[i] |= w
-	}
-	return &Bitmap{words: out}
-}
-
 // Intersect returns a new bitmap b ∩ o.
 func (b *Bitmap) Intersect(o *Bitmap) *Bitmap {
 	n := len(b.words)

@@ -27,9 +27,9 @@ import (
 type QueryID = uint32
 
 // Set is an immutable sorted list of query identifiers. The zero value is
-// the empty set. Sets are value types; operations return new sets and never
-// mutate their receivers, so sets can be shared across tuples and operators
-// without copying.
+// the empty set. Sets are value types; operations write their result into a
+// caller-owned buffer or arena and never mutate their receivers, so sets can
+// be shared across tuples and operators without copying.
 type Set struct {
 	ids []QueryID // sorted ascending, no duplicates
 }
@@ -99,86 +99,13 @@ func (s Set) Contains(id QueryID) bool {
 // callers must not modify it.
 func (s Set) IDs() []QueryID { return s.ids }
 
-// Add returns s ∪ {id}.
-func (s Set) Add(id QueryID) Set {
-	i := sort.Search(len(s.ids), func(i int) bool { return s.ids[i] >= id })
-	if i < len(s.ids) && s.ids[i] == id {
-		return s
-	}
-	out := make([]QueryID, 0, len(s.ids)+1)
-	out = append(out, s.ids[:i]...)
-	out = append(out, id)
-	out = append(out, s.ids[i:]...)
-	return Set{ids: out}
-}
-
-// Union returns s ∪ o using a linear merge.
-func (s Set) Union(o Set) Set {
-	if s.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return s
-	}
-	out := make([]QueryID, 0, len(s.ids)+len(o.ids))
-	i, j := 0, 0
-	for i < len(s.ids) && j < len(o.ids) {
-		a, b := s.ids[i], o.ids[j]
-		switch {
-		case a < b:
-			out = append(out, a)
-			i++
-		case a > b:
-			out = append(out, b)
-			j++
-		default:
-			out = append(out, a)
-			i++
-			j++
-		}
-	}
-	out = append(out, s.ids[i:]...)
-	out = append(out, o.ids[j:]...)
-	return Set{ids: out}
-}
-
-// Intersect returns s ∩ o using a linear merge. This is the hot operation:
-// it implements the amended join predicate R.query_id ∩ S.query_id ≠ ∅ of
-// the shared join (paper Figure 3).
-func (s Set) Intersect(o Set) Set {
-	if s.Empty() || o.Empty() {
-		return Set{}
-	}
-	// Fast path: disjoint ranges.
-	if s.ids[len(s.ids)-1] < o.ids[0] || o.ids[len(o.ids)-1] < s.ids[0] {
-		return Set{}
-	}
-	var out []QueryID
-	i, j := 0, 0
-	for i < len(s.ids) && j < len(o.ids) {
-		a, b := s.ids[i], o.ids[j]
-		switch {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			out = append(out, a)
-			i++
-			j++
-		}
-	}
-	return Set{ids: out}
-}
-
 // IntersectInto computes s ∩ o into dst (reusing dst's backing array) and
 // returns the result as a Set aliasing dst. The returned set is valid only
-// until the caller reuses dst; it is the zero-allocation variant of
-// Intersect for hot routing paths (the emitter's per-edge query-set
-// restriction and the join's amended predicate), where the result is
-// immediately copied into a longer-lived arena or consumed before the next
-// call. dst may be nil (the first call then allocates; steady-state calls
-// reuse the grown backing via Grow/IDs).
+// until the caller reuses dst. It serves the hot routing paths — the join's
+// amended predicate R.query_id ∩ S.query_id ≠ ∅ (paper Figure 3) — where
+// the result is consumed or copied into a longer-lived arena before the
+// next call. dst may be nil (the first call then allocates; steady-state
+// calls reuse the grown backing via IDs).
 func (s Set) IntersectInto(o Set, dst []QueryID) Set {
 	out := dst[:0]
 	if s.Empty() || o.Empty() {
@@ -204,36 +131,11 @@ func (s Set) IntersectInto(o Set, dst []QueryID) Set {
 	return Set{ids: out}
 }
 
-// UnionInto computes s ∪ o into dst (reusing dst's backing array) and
-// returns the result as a Set aliasing dst. Same validity contract as
-// IntersectInto. dst must not alias s or o.
-func (s Set) UnionInto(o Set, dst []QueryID) Set {
-	out := dst[:0]
-	i, j := 0, 0
-	for i < len(s.ids) && j < len(o.ids) {
-		a, b := s.ids[i], o.ids[j]
-		switch {
-		case a < b:
-			out = append(out, a)
-			i++
-		case a > b:
-			out = append(out, b)
-			j++
-		default:
-			out = append(out, a)
-			i++
-			j++
-		}
-	}
-	out = append(out, s.ids[i:]...)
-	out = append(out, o.ids[j:]...)
-	return Set{ids: out}
-}
-
 // RetainInto computes the subset of s satisfying keep into dst (reusing
-// dst's backing array), with the same validity contract as IntersectInto.
-// It is the zero-allocation variant of Retain for per-tuple predicate
-// routing (filters, sort Top-N cutoffs, index-join residuals).
+// dst's backing array), with the same validity contract as IntersectInto:
+// per-tuple predicate routing (filters, sort Top-N cutoffs, index-join
+// residuals) restricts a tuple's set to the queries whose predicate it
+// passes.
 func (s Set) RetainInto(keep func(QueryID) bool, dst []QueryID) Set {
 	out := dst[:0]
 	for _, id := range s.ids {
@@ -328,37 +230,6 @@ func (a *Arena) Append(s Set) Set {
 	start := len(a.buf)
 	a.buf = append(a.buf, s.ids...)
 	return Set{ids: a.buf[start:len(a.buf):len(a.buf)]}
-}
-
-// Minus returns s \ o.
-func (s Set) Minus(o Set) Set {
-	if s.Empty() || o.Empty() {
-		return s
-	}
-	var out []QueryID
-	j := 0
-	for _, a := range s.ids {
-		for j < len(o.ids) && o.ids[j] < a {
-			j++
-		}
-		if j < len(o.ids) && o.ids[j] == a {
-			continue
-		}
-		out = append(out, a)
-	}
-	return Set{ids: out}
-}
-
-// Retain returns the subset of s whose members satisfy keep. Used by output
-// routing to restrict a tuple's set to the queries owned by one consumer.
-func (s Set) Retain(keep func(QueryID) bool) Set {
-	var out []QueryID
-	for _, id := range s.ids {
-		if keep(id) {
-			out = append(out, id)
-		}
-	}
-	return Set{ids: out}
 }
 
 // Equal reports set equality.

@@ -2,10 +2,44 @@ package queryset
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
+
+// ref is the map-based reference the list operations are checked against.
+type ref map[QueryID]bool
+
+func refOf(ids []QueryID) ref {
+	r := ref{}
+	for _, id := range ids {
+		r[id] = true
+	}
+	return r
+}
+
+// sorted returns the members in ascending order.
+func (r ref) sorted() []QueryID {
+	var out []QueryID
+	for id := range r {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (r ref) intersect(o ref) ref {
+	out := ref{}
+	for id := range r {
+		if o[id] {
+			out[id] = true
+		}
+	}
+	return out
+}
+
+// sameIDs compares a set's members with a reference.
+func sameIDs(s Set, want ref) bool { return slices.Equal(s.IDs(), want.sorted()) }
 
 func TestOfDeduplicatesAndSorts(t *testing.T) {
 	s := Of(3, 1, 2, 3, 1)
@@ -29,11 +63,11 @@ func TestEmptySet(t *testing.T) {
 	if !s.Empty() || s.Len() != 0 || s.Contains(1) {
 		t.Error("zero Set should be empty")
 	}
-	if !s.Union(Of(1)).Equal(Of(1)) {
-		t.Error("∅ ∪ {1} != {1}")
-	}
-	if !s.Intersect(Of(1)).Empty() {
+	if !s.IntersectInto(Of(1), nil).Empty() || s.Intersects(Of(1)) {
 		t.Error("∅ ∩ {1} != ∅")
+	}
+	if !s.RetainInto(func(QueryID) bool { return true }, nil).Empty() {
+		t.Error("retaining from ∅ must stay empty")
 	}
 }
 
@@ -60,30 +94,10 @@ func TestContains(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	s := Of(1, 3)
-	s2 := s.Add(2)
-	if !s2.Equal(Of(1, 2, 3)) {
-		t.Errorf("Add(2) = %v", s2)
-	}
-	if !s.Equal(Of(1, 3)) {
-		t.Error("Add mutated the receiver")
-	}
-	if got := s.Add(3); !got.Equal(s) {
-		t.Error("adding existing member should be identity")
-	}
-}
-
-func TestUnionIntersectMinus(t *testing.T) {
+func TestIntersectAndIntersects(t *testing.T) {
 	a, b := Of(1, 2, 3, 5), Of(2, 4, 5, 6)
-	if got := a.Union(b); !got.Equal(Of(1, 2, 3, 4, 5, 6)) {
-		t.Errorf("Union = %v", got)
-	}
-	if got := a.Intersect(b); !got.Equal(Of(2, 5)) {
-		t.Errorf("Intersect = %v", got)
-	}
-	if got := a.Minus(b); !got.Equal(Of(1, 3)) {
-		t.Errorf("Minus = %v", got)
+	if got := a.IntersectInto(b, nil); !got.Equal(Of(2, 5)) {
+		t.Errorf("IntersectInto = %v", got)
 	}
 	if !a.Intersects(b) {
 		t.Error("Intersects should be true")
@@ -92,78 +106,82 @@ func TestUnionIntersectMinus(t *testing.T) {
 		t.Error("disjoint sets should not intersect")
 	}
 	// disjoint-range fast path
-	if Of(1, 2).Intersects(Of(100, 200)) {
+	if Of(1, 2).Intersects(Of(100, 200)) || !Of(1, 2).IntersectInto(Of(100, 200), nil).Empty() {
 		t.Error("range fast path broken")
 	}
 }
 
 func TestRetain(t *testing.T) {
 	s := Of(1, 2, 3, 4, 5)
-	even := s.Retain(func(id QueryID) bool { return id%2 == 0 })
+	even := s.RetainInto(func(id QueryID) bool { return id%2 == 0 }, nil)
 	if !even.Equal(Of(2, 4)) {
-		t.Errorf("Retain = %v", even)
+		t.Errorf("RetainInto = %v", even)
+	}
+	if !s.Equal(Of(1, 2, 3, 4, 5)) {
+		t.Error("RetainInto mutated the receiver")
 	}
 }
 
-func randSet(r *rand.Rand) Set {
-	n := r.Intn(20)
-	ids := make([]QueryID, n)
+func randIDs(r *rand.Rand) []QueryID {
+	ids := make([]QueryID, r.Intn(20))
 	for i := range ids {
 		ids[i] = QueryID(r.Intn(64))
 	}
-	return Of(ids...)
+	return ids
 }
 
-// Property: set algebra laws hold for the list implementation.
+// Property: every kept operation agrees with the map reference, and
+// intersection is commutative and idempotent.
 func TestSetAlgebraProperties(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
+	var scratch []QueryID
+	var arena Arena
 	for i := 0; i < 500; i++ {
-		a, b, c := randSet(r), randSet(r), randSet(r)
-		if !a.Union(b).Equal(b.Union(a)) {
-			t.Fatalf("union not commutative: %v %v", a, b)
+		ia, ib := randIDs(r), randIDs(r)
+		a, b := Of(ia...), Of(ib...)
+		ra, rb := refOf(ia), refOf(ib)
+		if !sameIDs(a, ra) {
+			t.Fatalf("Of(%v) = %v", ia, a)
 		}
-		if !a.Intersect(b).Equal(b.Intersect(a)) {
+		want := ra.intersect(rb)
+		ab := a.IntersectInto(b, scratch)
+		if !sameIDs(ab, want) {
+			t.Fatalf("%v ∩ %v = %v, want %v", a, b, ab, want.sorted())
+		}
+		scratch = ab.IDs()
+		if !sameIDs(b.IntersectInto(a, nil), want) {
 			t.Fatalf("intersect not commutative: %v %v", a, b)
 		}
-		if !a.Union(a).Equal(a) || !a.Intersect(a).Equal(a) {
-			t.Fatalf("not idempotent: %v", a)
+		if !a.IntersectInto(a, nil).Equal(a) {
+			t.Fatalf("intersect not idempotent: %v", a)
 		}
-		if !a.Union(b.Union(c)).Equal(a.Union(b).Union(c)) {
-			t.Fatalf("union not associative")
+		if a.Intersects(b) != (len(want) > 0) {
+			t.Fatalf("Intersects(%v, %v) inconsistent with the reference", a, b)
 		}
-		// distributivity: a ∩ (b ∪ c) == (a∩b) ∪ (a∩c)
-		if !a.Intersect(b.Union(c)).Equal(a.Intersect(b).Union(a.Intersect(c))) {
-			t.Fatalf("not distributive")
+		if !sameIDs(arena.Intersect(a, b), want) {
+			t.Fatalf("Arena.Intersect(%v, %v) disagrees with the reference", a, b)
 		}
-		if a.Intersects(b) != !a.Intersect(b).Empty() {
-			t.Fatalf("Intersects inconsistent with Intersect")
-		}
-		// minus: (a \ b) ∩ b == ∅ and (a\b) ∪ (a∩b) == a
-		if !a.Minus(b).Intersect(b).Empty() {
-			t.Fatalf("minus leaves members of b")
-		}
-		if !a.Minus(b).Union(a.Intersect(b)).Equal(a) {
-			t.Fatalf("minus/intersect don't partition")
+		if a.Equal(b) != slices.Equal(ra.sorted(), rb.sorted()) {
+			t.Fatalf("Equal(%v, %v) disagrees with the reference", a, b)
 		}
 	}
 }
 
-// Property: the list and bitmap representations agree.
+// Property: the bitmap representation agrees with the reference.
 func TestListBitmapEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 300; i++ {
-		a, b := randSet(r), randSet(r)
-		ba, bb := BitmapOf(64, a.IDs()...), BitmapOf(64, b.IDs()...)
-		if !ba.Union(bb).ToSet().Equal(a.Union(b)) {
-			t.Fatalf("bitmap union disagrees: %v %v", a, b)
+		ia, ib := randIDs(r), randIDs(r)
+		ra, rb := refOf(ia), refOf(ib)
+		ba, bb := BitmapOf(64, ia...), BitmapOf(64, ib...)
+		want := ra.intersect(rb)
+		if !sameIDs(ba.Intersect(bb).ToSet(), want) {
+			t.Fatalf("bitmap intersect disagrees: %v %v", ra.sorted(), rb.sorted())
 		}
-		if !ba.Intersect(bb).ToSet().Equal(a.Intersect(b)) {
-			t.Fatalf("bitmap intersect disagrees: %v %v", a, b)
-		}
-		if ba.Intersects(bb) != a.Intersects(b) {
+		if ba.Intersects(bb) != (len(want) > 0) {
 			t.Fatalf("bitmap Intersects disagrees")
 		}
-		if ba.Len() != a.Len() || ba.Empty() != a.Empty() {
+		if ba.Len() != len(ra) || ba.Empty() != (len(ra) == 0) {
 			t.Fatalf("bitmap len/empty disagrees")
 		}
 	}
@@ -200,12 +218,8 @@ func TestSingle(t *testing.T) {
 	}
 }
 
-func TestQuickUnionSorted(t *testing.T) {
-	f := func(xs, ys []uint32) bool {
-		a, b := Of(xs...), Of(ys...)
-		u := a.Union(b).IDs()
-		return sort.SliceIsSorted(u, func(i, j int) bool { return u[i] < u[j] })
-	}
+func TestQuickOfSorted(t *testing.T) {
+	f := func(xs []uint32) bool { return sameIDs(Of(xs...), refOf(xs)) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}

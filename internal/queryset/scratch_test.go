@@ -1,50 +1,57 @@
 package queryset
 
 import (
+	"math/rand"
 	"testing"
 
 	"shareddb/internal/testutil"
 )
 
-// Correctness of the scratch (zero-allocation) set operations against their
-// allocating counterparts, plus AllocsPerRun gates pinning the
-// steady-state routing path at zero allocations.
+// Correctness of the scratch (zero-allocation) set operations against the
+// map reference, plus AllocsPerRun gates pinning the steady-state routing
+// path at zero allocations.
 
 func TestIntersectIntoMatchesIntersect(t *testing.T) {
-	cases := [][2]Set{
-		{Of(), Of()},
-		{Of(1, 2, 3), Of()},
-		{Of(), Of(4, 5)},
-		{Of(1, 2, 3), Of(2, 3, 4)},
-		{Of(1, 5, 9), Of(2, 6, 10)},
-		{Of(1, 2, 3, 4, 5), Of(1, 2, 3, 4, 5)},
-		{Of(1), Of(1)},
-		{Of(1, 3), Of(2, 4)},
-		{Of(10, 20, 30), Of(1, 2, 3)}, // disjoint ranges fast path
+	cases := [][2][]QueryID{
+		{{}, {}},
+		{{1, 2, 3}, {}},
+		{{}, {4, 5}},
+		{{1, 2, 3}, {2, 3, 4}},
+		{{1, 5, 9}, {2, 6, 10}},
+		{{1, 2, 3, 4, 5}, {1, 2, 3, 4, 5}},
+		{{1}, {1}},
+		{{1, 3}, {2, 4}},
+		{{10, 20, 30}, {1, 2, 3}}, // disjoint ranges fast path
 	}
 	var scratch []QueryID
 	for _, c := range cases {
-		want := c[0].Intersect(c[1])
-		got := c[0].IntersectInto(c[1], scratch)
-		if !got.Equal(want) {
-			t.Errorf("IntersectInto(%v, %v) = %v, want %v", c[0], c[1], got, want)
+		a, b := Of(c[0]...), Of(c[1]...)
+		want := refOf(c[0]).intersect(refOf(c[1]))
+		got := a.IntersectInto(b, scratch)
+		if !sameIDs(got, want) {
+			t.Errorf("IntersectInto(%v, %v) = %v, want %v", a, b, got, want.sorted())
 		}
 		scratch = got.IDs()
-		wantU := c[0].Union(c[1])
-		gotU := c[0].UnionInto(c[1], nil)
-		if !gotU.Equal(wantU) {
-			t.Errorf("UnionInto(%v, %v) = %v, want %v", c[0], c[1], gotU, wantU)
-		}
 	}
 }
 
 func TestRetainIntoMatchesRetain(t *testing.T) {
-	s := Of(1, 2, 3, 4, 5, 6)
-	keep := func(id QueryID) bool { return id%2 == 0 }
-	want := s.Retain(keep)
-	got := s.RetainInto(keep, nil)
-	if !got.Equal(want) {
-		t.Errorf("RetainInto = %v, want %v", got, want)
+	r := rand.New(rand.NewSource(3))
+	keep := func(id QueryID) bool { return id%3 != 1 }
+	var scratch []QueryID
+	for i := 0; i < 200; i++ {
+		ids := randIDs(r)
+		want := ref{}
+		for id := range refOf(ids) {
+			if keep(id) {
+				want[id] = true
+			}
+		}
+		got := Of(ids...).RetainInto(keep, scratch)
+		if !sameIDs(got, want) {
+			t.Fatalf("RetainInto(%v) = %v, want %v", ids, got, want.sorted())
+		}
+		scratch = got.IDs()
 	}
 }
 

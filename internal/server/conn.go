@@ -259,15 +259,16 @@ func (c *conn) dispatch(typ wire.Type, payload []byte) bool {
 }
 
 func (c *conn) handlePrepare(m wire.Prepare) {
-	h, err := c.srv.prepare(m.SQL)
+	st, err := c.srv.exec.Prepare(m.SQL)
 	if err != nil {
 		c.fail(m.ID, err)
 		return
 	}
+	h := &stmtHandle{st: st, cols: schemaColumns(st.OutSchema)}
 	c.nextStmt++
 	c.stmts[c.nextStmt] = h
-	c.out.Send(wire.PrepareOK{ID: m.ID, Stmt: c.nextStmt, NumParams: uint64(h.st.NumParams),
-		IsWrite: h.st.IsWrite(), Columns: h.cols}.Append(nil))
+	c.out.Send(wire.PrepareOK{ID: m.ID, Stmt: c.nextStmt, NumParams: uint64(st.NumParams),
+		IsWrite: st.IsWrite(), Columns: h.cols}.Append(nil))
 }
 
 // handleStmtCall is the pipelined hot path: resolve the handle, add the call
@@ -281,7 +282,7 @@ func (c *conn) handleStmtCall(m wire.StmtCall, isQuery bool) {
 			Msg: fmt.Sprintf("no prepared statement %d", m.Stmt)}.Append(nil))
 		return
 	}
-	c.submit(m.ID, h, m.Params, isQuery)
+	c.submit(m.ID, h.st, h.cols, m.Params, isQuery)
 }
 
 // handleSQLCall is the ad-hoc path: DDL applies synchronously (it is not
@@ -316,12 +317,12 @@ func (c *conn) handleSQLCall(m wire.SQLCall, isQuery bool) {
 			return
 		}
 	}
-	h, err := c.srv.prepare(m.SQL)
+	st, err := c.srv.exec.Prepare(m.SQL)
 	if err != nil {
 		c.fail(m.ID, err)
 		return
 	}
-	c.submit(m.ID, h, m.Params, isQuery)
+	c.submit(m.ID, st, schemaColumns(st.OutSchema), m.Params, isQuery)
 }
 
 // isExplainPlan matches "EXPLAIN PLAN" in any case and spacing, without
@@ -334,22 +335,22 @@ func isExplainPlan(sqlText string) bool {
 
 // submit validates one call, takes a window slot for it and adds it to the
 // burst.
-func (c *conn) submit(id uint64, h *stmtHandle, params []types.Value, isQuery bool) {
-	if isQuery && h.st.IsWrite() {
+func (c *conn) submit(id uint64, st *plan.Statement, cols []string, params []types.Value, isQuery bool) {
+	if isQuery && st.IsWrite() {
 		c.out.Send(wire.Error{ID: id, Code: wire.CodeBadRequest,
 			Msg: "QUERY on a write statement"}.Append(nil))
 		return
 	}
-	if len(params) != h.st.NumParams {
+	if len(params) != st.NumParams {
 		c.out.Send(wire.Error{ID: id, Code: wire.CodeBadRequest,
-			Msg: fmt.Sprintf("statement wants %d params, got %d", h.st.NumParams, len(params))}.Append(nil))
+			Msg: fmt.Sprintf("statement wants %d params, got %d", st.NumParams, len(params))}.Append(nil))
 		return
 	}
 	r := c.acquire()
-	r.id, r.cols, r.query = id, h.cols, isQuery
+	r.id, r.cols, r.query = id, cols, isQuery
 	res := core.NewHookedResult(r)
 	r.res.Store(res)
-	c.burst = append(c.burst, core.Call{Stmt: h.st, Params: params, Result: res})
+	c.burst = append(c.burst, core.Call{Stmt: st, Params: params, Result: res})
 }
 
 // acquire takes a window slot: a free one, else a new one while the window
@@ -384,12 +385,12 @@ func appendCursor(dst []byte, id uint64, columns []string, rows []types.Row) []b
 }
 
 func (c *conn) handleSubscribe(m wire.SQLCall) {
-	h, err := c.srv.prepare(m.SQL)
+	st, err := c.srv.exec.Prepare(m.SQL)
 	if err != nil {
 		c.fail(m.ID, err)
 		return
 	}
-	sub, err := c.srv.exec.Subscribe(h.st, m.Params)
+	sub, err := c.srv.exec.Subscribe(st, m.Params)
 	if err != nil {
 		c.fail(m.ID, err)
 		return

@@ -37,10 +37,12 @@
 //     no write or timer goroutine exists until there is something to
 //     write. A connection that goes away abandons what it still has queued,
 //     so dead clients cost no generation their activations.
-//   - Prepared statements live in a server-wide registry keyed by SQL
-//     text. Statement registration quiesces the generation pipeline, so a
-//     thousand clients preparing the same statement must pay that cost
-//     once, not a thousand times.
+//   - Statements resolve through the engine's registry: Prepare compiles a
+//     SQL text once and hands every later caller the same statement.
+//     Registration quiesces the generation pipeline, so a thousand clients
+//     preparing the same statement, or sending it ad hoc, pay that cost
+//     once, not a thousand times. A connection's statement handles are
+//     session-local names for registry statements.
 package server
 
 import (
@@ -78,7 +80,6 @@ type Server struct {
 	opts Options
 
 	mu     sync.Mutex
-	stmts  map[string]*stmtHandle // shared registry, keyed by SQL text
 	conns  map[*conn]struct{}
 	lns    map[net.Listener]struct{}
 	closed bool
@@ -99,7 +100,6 @@ func New(db *shareddb.DB, opts Options) *Server {
 		db:    db,
 		exec:  db.Engine(),
 		opts:  opts,
-		stmts: map[string]*stmtHandle{},
 		conns: map[*conn]struct{}{},
 		lns:   map[net.Listener]struct{}{},
 	}
@@ -174,36 +174,4 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	return nil
-}
-
-// prepare resolves SQL text to a shared statement handle, registering it at
-// most once server-wide. Registration quiesces the generation pipeline, so
-// the registry is what keeps a thousand clients preparing the same
-// statement from stalling the engine a thousand times. The breaker peek
-// (AdmitStatement) runs before registration exactly like the in-process
-// ad-hoc path.
-func (s *Server) prepare(sqlText string) (*stmtHandle, error) {
-	s.mu.Lock()
-	h, ok := s.stmts[sqlText]
-	s.mu.Unlock()
-	if ok {
-		return h, nil
-	}
-	if err := s.exec.AdmitStatement(sqlText); err != nil {
-		return nil, err
-	}
-	st, err := s.exec.Prepare(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Two racers both prepared: keep the first registration (both handles
-	// are valid; keeping one makes handle identity stable).
-	if prior, ok := s.stmts[sqlText]; ok {
-		return prior, nil
-	}
-	h = &stmtHandle{st: st, cols: schemaColumns(st.OutSchema)}
-	s.stmts[sqlText] = h
-	return h, nil
 }

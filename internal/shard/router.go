@@ -103,8 +103,14 @@ type Router struct {
 	single    bool
 	rr        atomic.Uint64 // round-robin cursor for RouteAny reads
 
+	// mu guards the statement maps: stmts routes a canonical handle, texts
+	// resolves SQL text to the canonical handle prepared for it. pmu
+	// serializes the first preparation of a text, so every shard registers
+	// statements in the same order; it is never held by a registry hit.
 	mu    sync.RWMutex
 	stmts map[*plan.Statement]*routedStmt
+	texts map[string]*plan.Statement
+	pmu   sync.Mutex
 
 	// wmu serializes broadcast-write fan-out: without it, two concurrent
 	// writers could enqueue on shard A in one order and on shard B in the
@@ -144,6 +150,7 @@ func New(dbs []*storage.Database, cfg core.Config, placement Placement) (*Router
 		placement: placement,
 		single:    len(dbs) == 1,
 		stmts:     map[*plan.Statement]*routedStmt{},
+		texts:     map[string]*plan.Statement{},
 	}
 	// Per-shard worker placement: by default every shard engine would
 	// resolve Workers=0 to all of GOMAXPROCS and the shards would contend
@@ -202,33 +209,6 @@ func (r *Router) Close() {
 	for _, e := range r.engines {
 		e.Close()
 	}
-}
-
-// AdmitStatement is the pre-Prepare admission peek across shards. It
-// rejects only when EVERY shard's breaker rejects the statement: before
-// Prepare the route is unknown, and a point or replicated-read submission
-// could still land on a healthy shard (broadcast submissions to a partly
-// quarantined fleet are rejected at gather time anyway). The hint is the
-// smallest per-shard RetryAfter — the earliest moment anything changes.
-func (r *Router) AdmitStatement(sqlText string) error {
-	var worst *core.OverloadError
-	for _, e := range r.engines {
-		err := e.AdmitStatement(sqlText)
-		if err == nil {
-			return nil
-		}
-		var oe *core.OverloadError
-		if !errors.As(err, &oe) {
-			return err // engine closed etc.: no healthier shard can help
-		}
-		if worst == nil || oe.RetryAfter < worst.RetryAfter {
-			worst = oe
-		}
-	}
-	if worst != nil {
-		return worst
-	}
-	return nil
 }
 
 // AdmissionStats sums the shard engines' admission counters.
@@ -298,10 +278,14 @@ func (c shardCatalog) TablePlacement(name string) ([]int, bool, bool) {
 
 // Prepare classifies the statement, registers the per-shard statement (the
 // original, or the partial rewrite the merge needs) on every shard engine,
-// and returns the canonical client handle.
+// and returns the canonical client handle — once per SQL text: a text
+// prepared before returns its canonical handle without touching a shard.
 func (r *Router) Prepare(sqlText string) (*plan.Statement, error) {
 	if r.single {
 		return r.engines[0].Prepare(sqlText)
+	}
+	if canon := r.registered(sqlText); canon != nil {
+		return canon, nil
 	}
 	ast, err := sql.Parse(sqlText)
 	if err != nil {
@@ -312,12 +296,16 @@ func (r *Router) Prepare(sqlText string) (*plan.Statement, error) {
 		return nil, err
 	}
 	if sp.UpdatesKey {
-		return nil, fmt.Errorf("shard: UPDATE of a primary-key column is not supported on a sharded deployment (rows cannot migrate between shards): %s", sqlText)
+		return nil, fmt.Errorf("shard: UPDATE of a partition-key column is not supported on a sharded deployment (rows cannot migrate between shards): %s", sqlText)
 	}
 	// Serialize preparation so every shard registers statements in the
-	// same order (sharing signatures involving statement ids stay aligned).
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	// same order (sharing signatures involving statement ids stay aligned),
+	// and re-check: a racing first prepare of this text may have won.
+	r.pmu.Lock()
+	defer r.pmu.Unlock()
+	if canon := r.registered(sqlText); canon != nil {
+		return canon, nil
+	}
 	rs := &routedStmt{sp: sp, perShard: make([]*plan.Statement, len(r.engines))}
 	var execAST sql.Statement = ast
 	if sp.Exec != nil {
@@ -338,8 +326,18 @@ func (r *Router) Prepare(sqlText string) (*plan.Statement, error) {
 		SinkLimit: -1,
 		Write:     sp.Write,
 	}
+	r.mu.Lock()
 	r.stmts[canon] = rs
+	r.texts[sqlText] = canon
+	r.mu.Unlock()
 	return canon, nil
+}
+
+// registered returns the canonical handle prepared for sqlText, or nil.
+func (r *Router) registered(sqlText string) *plan.Statement {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.texts[sqlText]
 }
 
 // shardFor evaluates the statement's routing key with the activation's
@@ -597,7 +595,8 @@ func (t *Tx) predShard(table string, pred expr.Expr) int {
 // partition key, else on every shard (disjoint partitions and replicated
 // copies both make the union of per-shard effects equal the unsharded
 // update). Assigning a partition-key column is rejected (rows cannot
-// migrate between shards) — the same guard Prepare applies, surfaced at
+// migrate between shards) — the same guard Prepare applies, for callers that
+// buffer writes without a prepared statement (internal/tpcw), surfaced at
 // commit because this interface has no error return.
 func (t *Tx) Update(table string, pred expr.Expr, set []storage.ColSet) {
 	if cols, replicated, ok := t.r.placement.tableRouting(t.r.dbs[0], table); ok && !replicated {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"shareddb/internal/baseline"
 	"shareddb/internal/core"
@@ -385,15 +386,72 @@ func TestPrimaryKeyUpdateRejected(t *testing.T) {
 	if _, err := single.Prepare("UPDATE item SET i_id = ? WHERE i_id = ?"); err != nil {
 		t.Fatalf("single-shard router must keep accepting PK updates: %v", err)
 	}
-	// The transaction path must apply the same guard (it bypasses
-	// Prepare): a buffered partition-key update fails at commit instead of
-	// silently stranding the row on its old shard.
+	// The transaction path must apply the same guard for core-level
+	// callers that buffer writes without Prepare (internal/tpcw): a
+	// buffered partition-key update fails at commit instead of silently
+	// stranding the row on its old shard.
 	tx := r.BeginTx().(*Tx)
 	tx.Update("item",
 		&expr.Cmp{Op: expr.EQ, L: &expr.ColRef{Idx: 0}, R: &expr.Const{Val: types.NewInt(7)}},
 		[]storage.ColSet{{Col: 0, Val: &expr.Const{Val: types.NewInt(999)}}})
 	if err := r.SubmitTx(tx).Wait(); err == nil {
 		t.Fatal("tx partition-key update committed, want rejection")
+	}
+}
+
+// TestRouterPrepareRegisteredTextSkipsPreparation: a text the router has
+// prepared resolves to its canonical handle without the lock a new text's
+// preparation holds across every shard's pipeline quiesce, and adds no
+// statement to any shard.
+func TestRouterPrepareRegisteredTextSkipsPreparation(t *testing.T) {
+	r := newRouterEnv(t, 2, core.Config{Workers: 1})
+	const text = "SELECT i_title FROM item WHERE i_subject = ?"
+	canon, err := r.Prepare(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before []int
+	for _, e := range r.Engines() {
+		before = append(before, len(e.Plan().Statements()))
+	}
+	prepare := func(sqlText string) <-chan *plan.Statement {
+		ch := make(chan *plan.Statement, 1)
+		go func() {
+			s, err := r.Prepare(sqlText)
+			if err != nil {
+				t.Error(err)
+			}
+			ch <- s
+		}()
+		return ch
+	}
+
+	r.pmu.Lock()
+	select {
+	case s := <-prepare(text):
+		if s != canon {
+			r.pmu.Unlock()
+			t.Fatal("Prepare of a registered text returned another handle")
+		}
+	case <-time.After(5 * time.Second):
+		r.pmu.Unlock()
+		t.Fatal("Prepare of a registered text waited for the preparation lock")
+	}
+	miss := prepare("SELECT i_price FROM item WHERE i_subject = ?")
+	select {
+	case <-miss:
+		r.pmu.Unlock()
+		t.Fatal("Prepare of a new text returned without the preparation lock")
+	case <-time.After(50 * time.Millisecond):
+	}
+	r.pmu.Unlock()
+	if s := <-miss; s == nil || s == canon {
+		t.Fatalf("Prepare of a new text = %v, want a new handle", s)
+	}
+	for i, e := range r.Engines() {
+		if n := len(e.Plan().Statements()); n != before[i]+1 {
+			t.Fatalf("shard %d holds %d statements, want %d (only the new text)", i, n, before[i]+1)
+		}
 	}
 }
 

@@ -402,16 +402,15 @@ type Stmt struct {
 	stmt *plan.Statement
 }
 
-// Prepare registers a statement. Like JDBC PreparedStatements in the
-// paper's TPC-W setup, statements are typically prepared once at startup;
-// preparing at runtime is the ad-hoc query path — which is why the
-// slow-query breaker is consulted first: registration quiesces the
-// generation pipeline, and retries of a quarantined ad-hoc statement must
-// fail fast (ErrOverloaded) without stalling every other client.
+// Prepare registers a statement, once per SQL text. Like JDBC
+// PreparedStatements in the paper's TPC-W setup, statements are typically
+// prepared once at startup; preparing at runtime is the ad-hoc query path.
+// Only the first Prepare of a text compiles it into the global plan, which
+// quiesces the generation pipeline; later calls with the same text (every
+// repeated DB.Query, DB.Exec and Tx.Exec) return a Stmt over the same
+// statement without stalling anyone, and a quarantined one is rejected when
+// it is submitted.
 func (db *DB) Prepare(sqlText string) (*Stmt, error) {
-	if err := db.exec.AdmitStatement(sqlText); err != nil {
-		return nil, err
-	}
 	ps, err := db.exec.Prepare(sqlText)
 	if err != nil {
 		return nil, err
@@ -597,33 +596,26 @@ func (tx *Tx) Exec(sqlText string, args ...interface{}) error {
 	return tx.ExecContext(context.Background(), sqlText, args...)
 }
 
-// ExecContext buffers a write statement in the transaction. Buffering is
-// local (no generation is involved until Commit), so ctx only gates entry:
-// an already-cancelled context fails fast without buffering.
+// ExecContext buffers a write statement in the transaction. The text
+// resolves through PrepareContext, so a repeated write text is a registry
+// hit; on a sharded deployment a write assigning a partition-key column
+// fails here. Buffering is local (no generation is involved until Commit).
 func (tx *Tx) ExecContext(ctx context.Context, sqlText string, args ...interface{}) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
 	if tx.done {
 		return storage.ErrTxDone
 	}
-	ast, err := sql.Parse(sqlText)
+	stmt, err := tx.db.PrepareContext(ctx, sqlText)
 	if err != nil {
 		return err
 	}
-	bound, err := sql.PlanStatement(ast, planCatalog{tx.db.stores[0]})
-	if err != nil {
-		return err
-	}
-	wp, ok := bound.(*sql.WritePlan)
-	if !ok {
+	if !stmt.stmt.IsWrite() {
 		return errors.New("shareddb: only writes may run inside Tx.Exec")
 	}
 	params, err := toValues(args)
 	if err != nil {
 		return err
 	}
-	op, err := core.BindWriteForTx(wp, params)
+	op, err := core.BindWriteForTx(stmt.stmt.Write, params)
 	if err != nil {
 		return err
 	}
@@ -665,16 +657,6 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 func (tx *Tx) Rollback() {
 	tx.done = true
 	tx.tx.Rollback()
-}
-
-type planCatalog struct{ db *storage.Database }
-
-func (c planCatalog) TableSchema(name string) (*types.Schema, bool) {
-	t := c.db.Table(name)
-	if t == nil {
-		return nil, false
-	}
-	return t.Schema(), true
 }
 
 // toValues converts Go values to engine values.
