@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"shareddb/internal/baseline"
+	"shareddb/internal/expr"
 	"shareddb/internal/plan"
 	"shareddb/internal/sql"
+	"shareddb/internal/storage"
 	"shareddb/internal/types"
 )
 
@@ -394,36 +396,39 @@ func TestAdmissionNonBindingDifferential(t *testing.T) {
 
 // TestAdmitReserveRelease pins the router's all-or-nothing seam: a
 // reservation consumes queue capacity until released or consumed by
-// SubmitReserved.
+// SubmitTxReserved.
 func TestAdmitReserveRelease(t *testing.T) {
 	db, closeDB := bookstore(t)
 	defer closeDB()
 	e := New(db, plan.New(db), Config{QueueDepthLimit: 2})
 	defer e.Close()
 
-	if err := e.AdmitReserve(nil); err != nil {
+	if err := e.AdmitReserve(); err != nil {
 		t.Fatalf("first reservation: %v", err)
 	}
-	if err := e.AdmitReserve(nil); err != nil {
+	if err := e.AdmitReserve(); err != nil {
 		t.Fatalf("second reservation: %v", err)
 	}
-	if err := e.AdmitReserve(nil); !errors.Is(err, ErrOverloaded) {
+	if err := e.AdmitReserve(); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("third reservation at limit 2 must reject, got %v", err)
 	}
 	e.AdmitRelease()
-	if err := e.AdmitReserve(nil); err != nil {
+	if err := e.AdmitReserve(); err != nil {
 		t.Fatalf("reservation after release: %v", err)
 	}
-	// Consume both reservations through the reserved submit path; the
-	// requests execute normally.
-	s := mustPrepare(t, e, "SELECT i_id FROM item WHERE i_id = ?")
-	r1 := e.SubmitReserved(s, []types.Value{types.NewInt(1)})
-	r2 := e.SubmitReserved(s, []types.Value{types.NewInt(2)})
-	if err := r1.Wait(); err != nil {
-		t.Fatal(err)
+	// Consume both reservations through the reserved commit path; the
+	// commits execute normally.
+	var results []*Result
+	for _, id := range []int64{1, 2} {
+		op := storage.WriteOp{Table: "author", Kind: storage.WUpdate,
+			Pred: &expr.Cmp{Op: expr.EQ, L: &expr.ColRef{Idx: 0}, R: &expr.Const{Val: types.NewInt(id)}},
+			Set:  []storage.ColSet{{Col: 1, Val: &expr.Const{Val: types.NewString("Reserved")}}}}
+		results = append(results, e.SubmitTxReserved(db.Autocommit(op)))
 	}
-	if err := r2.Wait(); err != nil {
-		t.Fatal(err)
+	for _, r := range results {
+		if err := r.Wait(); err != nil || r.RowsAffected != 1 {
+			t.Fatalf("reserved commit: affected %d, err %v", r.RowsAffected, err)
+		}
 	}
 	if depth := e.AdmissionStats().QueueDepth; depth != 0 {
 		t.Fatalf("reservations must be consumed, queue depth = %d", depth)

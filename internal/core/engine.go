@@ -11,8 +11,9 @@
 //   - form: drain the queue into a batch under admission control, vacate
 //     abandoned submissions, close the fold window over the batch and take
 //     on the live standing queries;
-//   - write: apply the batch's updates in arrival order and publish a new
-//     snapshot (Crescando semantics), then commit its transactions;
+//   - write: commit the batch's write statements (each a one-op
+//     autocommit) and transactions in one batch, in arrival order, and
+//     publish a new snapshot (Crescando semantics);
 //   - pin: pin that snapshot for the batch's reads and lay out their
 //     activations, with the standing queries', by dense query id;
 //   - run/sink: run the activations together through the always-on global
@@ -141,8 +142,8 @@ type Engine struct {
 	costMu   sync.Mutex
 	genCosts map[uint64]*genCostRec
 	// reserved counts queue slots handed out by AdmitReserve but not yet
-	// consumed by SubmitReserved/SubmitTxReserved (the shard router's
-	// all-or-nothing broadcast admission). Guarded by mu; counted against
+	// consumed by SubmitTxReserved (the shard router's all-or-nothing
+	// commit-group admission). Guarded by mu; counted against
 	// QueueDepthLimit alongside len(pending).
 	reserved int
 
@@ -170,7 +171,9 @@ type Engine struct {
 	queriesRun  uint64
 	writesRun   uint64
 	folded      uint64 // submissions folded into a pending duplicate
-	subUpdates  uint64 // subscription updates handed to subscribers
+	// subUpdates counts subscription updates handed to subscribers; deliver
+	// adds to it before the hand-off, so it needs no lock.
+	subUpdates atomic.Uint64
 }
 
 // Request is one enqueued statement execution (or transaction commit).
@@ -362,7 +365,7 @@ func (e *Engine) Stats() EngineStats {
 		WritesRun:           e.writesRun,
 		FoldedQueries:       e.folded,
 		SubscriptionsActive: active,
-		SubscriptionUpdates: e.subUpdates,
+		SubscriptionUpdates: e.subUpdates.Load(),
 		InFlight:            e.inFlight,
 		PeakInFlight:        e.peakInFlight,
 		Admission:           e.admissionStatsLocked(),
@@ -464,29 +467,19 @@ func (e *Engine) initRequest(req *Request, c Call) {
 	}
 }
 
-// SubmitReserved is Submit for a request whose admission was already
-// decided by AdmitReserve: it consumes one reservation and skips the
-// admission checks (the shard router's all-or-nothing broadcast path).
-// Reserved submissions never fold — the router reserves only for writes,
-// whose per-shard application must be real on every shard.
-func (e *Engine) SubmitReserved(stmt *plan.Statement, params []types.Value) *Result {
-	req := &Request{Stmt: stmt, Params: params, Result: NewPendingResult()}
-	return e.enqueue(req, true)
-}
-
-// AdmitReserve runs the admission checks for one future submission and, on
+// AdmitReserve runs the admission check for one future commit and, on
 // success, reserves its queue slot (counted against QueueDepthLimit) until
-// SubmitReserved/SubmitTxReserved consumes it or AdmitRelease returns it.
-// The shard router reserves on every shard before enqueueing a broadcast
-// write anywhere, so partial admission can never diverge replicated copies.
-// stmt may be nil (transaction commits): only the queue-depth check applies.
-func (e *Engine) AdmitReserve(stmt *plan.Statement) error {
+// SubmitTxReserved consumes it or AdmitRelease returns it. The shard router
+// reserves on every shard of a commit group before enqueueing on any, so
+// partial admission can never diverge replicated copies. Commits skip the
+// breaker and the quota: only the queue-depth check applies.
+func (e *Engine) AdmitReserve() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.stopped {
 		return errEngineClosed
 	}
-	if err := e.adm.admit(stmt, len(e.pending)+e.reserved); err != nil {
+	if err := e.adm.admit(nil, len(e.pending)+e.reserved); err != nil {
 		return err
 	}
 	e.reserved++
@@ -525,7 +518,8 @@ func (e *Engine) SubmitTx(tx Tx) *Result {
 }
 
 // SubmitTxReserved is SubmitTx consuming an AdmitReserve reservation (the
-// shard router's transaction-group commit path).
+// shard router's commit-group path: transaction groups and broadcast
+// writes).
 func (e *Engine) SubmitTxReserved(tx Tx) *Result {
 	stx, ok := tx.(*storage.Tx)
 	if !ok {
@@ -786,10 +780,11 @@ func (e *Engine) prepare(sqlText string, ast sql.Statement) (*plan.Statement, er
 	return stmt, err
 }
 
-// bindWrite turns a bound write plan plus parameters into a storage op:
-// parameters are substituted so the storage layer can resolve targets by
-// value (index selection, predicate indexing).
-func bindWrite(wp *sql.WritePlan, params []types.Value) (storage.WriteOp, error) {
+// BindWriteForTx turns a bound write plan plus parameters into a storage
+// op, for the write stage, the transaction API and the shard router's
+// broadcast writes: parameters are substituted so the storage layer can
+// resolve targets by value (index selection, predicate indexing).
+func BindWriteForTx(wp *sql.WritePlan, params []types.Value) (storage.WriteOp, error) {
 	switch wp.Kind {
 	case sql.WriteInsert:
 		row := make(types.Row, len(wp.Values))
@@ -810,9 +805,4 @@ func bindWrite(wp *sql.WritePlan, params []types.Value) (storage.WriteOp, error)
 	default:
 		return storage.WriteOp{}, fmt.Errorf("core: unknown write kind %d", wp.Kind)
 	}
-}
-
-// BindWriteForTx exposes write binding for the transaction API.
-func BindWriteForTx(wp *sql.WritePlan, params []types.Value) (storage.WriteOp, error) {
-	return bindWrite(wp, params)
 }

@@ -47,7 +47,7 @@ func (g *generation) dispatch() {
 	g.start = time.Now()
 	g.write()
 	if len(g.reads) == 0 && len(g.subs) == 0 {
-		g.retire(0)
+		g.retire()
 		g.completeWrites()
 		return
 	}
@@ -56,53 +56,47 @@ func (g *generation) dispatch() {
 	g.e.plan.RunGeneration(g.id, g.ts, acts, nil, g.sink, g.sinkDone)
 }
 
-// write is the write stage. The batch's standalone writes apply in arrival
-// order with Crescando semantics (later ops see earlier ones), then its
-// transaction commits follow with snapshot-isolation validation. Outcomes
-// are recorded on the results and the writes counted; the results complete
-// in completeWrites, after the count is visible. Reads are set aside for
-// pin.
+// write is the write stage: one CommitTxBatch over the batch's writes, in
+// arrival order. A write statement binds into a one-op Autocommit, which
+// sees every earlier commit of the batch (Crescando semantics: later ops see
+// earlier ones) and is atomic; a transaction commit gets snapshot-isolation
+// validation, so a standalone write arriving before it can make it
+// conflict. Outcomes are recorded on the results and the writes counted;
+// the results complete in completeWrites, after the count is visible.
+// Reads are set aside for pin.
 func (g *generation) write() {
-	var ops []storage.WriteOp
-	var applied, commits []*Request
+	var commits []*Request
 	var txs []*storage.Tx
 	for _, r := range g.batch {
-		switch {
-		case r.Tx != nil:
-			commits = append(commits, r)
-			txs = append(txs, r.Tx)
-		case r.Stmt != nil && r.Stmt.IsWrite():
-			op, err := bindWrite(r.Stmt.Write, r.Params)
+		tx := r.Tx
+		if tx == nil {
+			if r.Stmt == nil || !r.Stmt.IsWrite() {
+				g.reads = append(g.reads, r)
+				continue
+			}
+			op, err := BindWriteForTx(r.Stmt.Write, r.Params)
 			if err != nil {
 				r.Result.Err = err
 				g.written = append(g.written, r)
 				continue
 			}
-			applied = append(applied, r)
-			ops = append(ops, op)
-		default:
-			g.reads = append(g.reads, r)
+			tx = g.e.db.Autocommit(op)
 		}
+		commits = append(commits, r)
+		txs = append(txs, tx)
 	}
-	if len(ops) > 0 {
-		results, commitTS := g.e.db.ApplyOps(ops)
-		for i, res := range results {
-			r := applied[i].Result
-			r.RowsAffected, r.SnapshotTS, r.Err = res.RowsAffected, commitTS, res.Err
-		}
+	if len(txs) == 0 {
+		return
 	}
-	if len(txs) > 0 {
-		commitTS, errs := g.e.db.CommitTxBatch(txs)
-		for i, err := range errs {
-			commits[i].Result.SnapshotTS, commits[i].Result.Err = commitTS, err
-		}
+	results, commitTS := g.e.db.CommitTxBatch(txs)
+	for i, res := range results {
+		r := commits[i].Result
+		r.RowsAffected, r.SnapshotTS, r.Err = res.RowsAffected, commitTS, res.Err
 	}
-	g.written = append(append(g.written, applied...), commits...)
-	if n := len(ops) + len(txs); n > 0 {
-		g.e.mu.Lock()
-		g.e.writesRun += uint64(n)
-		g.e.mu.Unlock()
-	}
+	g.written = append(g.written, commits...)
+	g.e.mu.Lock()
+	g.e.writesRun += uint64(len(txs))
+	g.e.mu.Unlock()
 }
 
 func (g *generation) completeWrites() {
@@ -175,14 +169,12 @@ func (g *generation) sinkDone() {
 	g.e.db.UnpinSnapshot(g.ts)
 	// Subscription deliveries happen on the sink goroutine in generation
 	// order (the per-subscription diff state depends on it); a full
-	// subscriber channel marks it lagged, never blocks.
-	var delivered uint64
+	// subscriber channel marks it lagged, never blocks. Each delivery is
+	// counted before its update can be received.
 	for i, s := range g.subs {
-		if s.deliver(g.id, g.ts, g.cols[i].rows) {
-			delivered++
-		}
+		s.deliver(g.id, g.ts, g.cols[i].rows, &g.e.subUpdates)
 	}
-	g.retire(delivered)
+	g.retire()
 	for i, r := range g.reads {
 		res := r.Result
 		res.Rows, res.Schema, res.SnapshotTS = g.cols[len(g.subs)+i].rows, r.Stmt.OutSchema, g.ts
@@ -194,16 +186,15 @@ func (g *generation) sinkDone() {
 }
 
 // retire is the last stage and the only way a generation leaves the
-// pipeline: it feeds the cycle back into admission, publishes the read and
-// subscription counters and frees the in-flight slot — before the results
+// pipeline: it feeds the cycle back into admission, publishes the read
+// counter and frees the in-flight slot — before the results
 // it retires complete, so a client returning from Result.Wait observes its
 // own work in Stats and InFlightGenerations.
-func (g *generation) retire(delivered uint64) {
+func (g *generation) retire() {
 	e := g.e
 	costs := e.takeCosts(g.id)
 	e.mu.Lock()
 	e.queriesRun += uint64(len(g.reads))
-	e.subUpdates += delivered
 	e.adm.recordGenerationCosts(g.admStmts, time.Since(g.start), len(g.batch), costs)
 	e.mu.Unlock()
 	e.generationDone()

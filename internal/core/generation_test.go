@@ -1,10 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"shareddb/internal/expr"
+	"shareddb/internal/storage"
 	"shareddb/internal/types"
 )
 
@@ -135,5 +138,75 @@ func TestBatchShapes(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWriteStageArrivalOrder pins the write stage to one stream in arrival
+// order: a transaction commit and a standalone UPDATE of the same row,
+// enqueued together into one generation, apply in the order they arrived.
+// Commit first: the UPDATE sees the commit and both apply. UPDATE first: the
+// commit's snapshot predates the UPDATE's change to its row, so it conflicts.
+func TestWriteStageArrivalOrder(t *testing.T) {
+	for _, commitFirst := range []bool{true, false} {
+		t.Run(fmt.Sprintf("commitFirst=%v", commitFirst), func(t *testing.T) {
+			db, closeDB := bookstore(t)
+			defer closeDB()
+			e := newEngine(t, db)
+			defer e.Close()
+			upd := mustPrepare(t, e, "UPDATE item SET i_price = ? WHERE i_id = ?")
+			get := mustPrepare(t, e, "SELECT i_title, i_price FROM item WHERE i_id = ?")
+
+			tx := db.Begin()
+			tx.Update("item", &expr.Cmp{Op: expr.EQ, L: &expr.ColRef{Idx: 0}, R: &expr.Const{Val: types.NewInt(5)}},
+				[]storage.ColSet{{Col: 1, Val: &expr.Const{Val: types.NewString("committed")}}})
+			commit := &Request{Tx: tx, Result: NewPendingResult()}
+			write := &Request{}
+			e.initRequest(write, Call{Stmt: upd, Params: []types.Value{types.NewFloat(2), types.NewInt(5)}})
+			reqs := []*Request{write, commit}
+			if commitFirst {
+				reqs = []*Request{commit, write}
+			}
+			// Both enter the queue under one lock hold, so the dispatcher
+			// drafts them into one generation.
+			e.mu.Lock()
+			var errs []error
+			for _, r := range reqs {
+				if _, err := e.enqueueLocked(r, false); err != nil {
+					errs = append(errs, err)
+				}
+			}
+			e.cond.Broadcast()
+			e.mu.Unlock()
+			if len(errs) > 0 {
+				t.Fatal(errs)
+			}
+
+			if err := write.Result.Wait(); err != nil || write.Result.RowsAffected != 1 {
+				t.Fatalf("UPDATE: affected %d, err %v", write.Result.RowsAffected, err)
+			}
+			cErr := commit.Result.Wait()
+			if write.Result.SnapshotTS != commit.Result.SnapshotTS {
+				t.Fatalf("the UPDATE and the commit ran in different generations (snapshots %d, %d)",
+					write.Result.SnapshotTS, commit.Result.SnapshotTS)
+			}
+			wantTitle := "committed"
+			if commitFirst {
+				if cErr != nil {
+					t.Fatalf("commit drafted before the UPDATE: %v", cErr)
+				}
+			} else {
+				if !errors.Is(cErr, storage.ErrConflict) {
+					t.Fatalf("commit drafted after an UPDATE of its row: got %v, want ErrConflict", cErr)
+				}
+				wantTitle = "Title 005"
+			}
+			res := e.Submit(get, []types.Value{types.NewInt(5)})
+			if err := res.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			if got := res.Rows[0]; got[0].AsString() != wantTitle || got[1].AsFloat() != 2 {
+				t.Fatalf("item 5 = %v, want title %q and price 2", got, wantTitle)
+			}
+		})
 	}
 }

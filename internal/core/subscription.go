@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
@@ -84,9 +85,9 @@ func (s *Subscription) isClosed() bool {
 
 // deliver diffs one generation's result against the previously delivered
 // one and pushes the update (non-blocking; a full channel marks the
-// subscription lagged instead of stalling the generation). Returns whether
-// an update was handed to the subscriber. Sink goroutine only.
-func (s *Subscription) deliver(gen, ts uint64, rows []types.Row) bool {
+// subscription lagged instead of stalling the generation). Each update
+// handed to the subscriber is added to sent first. Sink goroutine only.
+func (s *Subscription) deliver(gen, ts uint64, rows []types.Row, sent *atomic.Uint64) {
 	curCnt := make(map[string]int, len(rows))
 	for _, r := range rows {
 		curCnt[types.EncodeKey(r...)]++
@@ -98,7 +99,7 @@ func (s *Subscription) deliver(gen, ts uint64, rows []types.Row) bool {
 	if s.closed {
 		s.mu.Unlock()
 		s.prevRows, s.prevCnt = rows, curCnt
-		return false
+		return
 	}
 	full = full || s.lagged
 	if full {
@@ -126,24 +127,21 @@ func (s *Subscription) deliver(gen, ts uint64, rows []types.Row) bool {
 		if len(added) == 0 && len(removed) == 0 {
 			s.mu.Unlock()
 			s.prevRows, s.prevCnt = rows, curCnt
-			return false
+			return
 		}
 		u = SubscriptionUpdate{Gen: gen, SnapshotTS: ts, Added: added, Removed: removed}
 	}
-	sent := false
-	select {
-	case s.ch <- u:
-		sent = true
-		s.lagged = false
-	default:
-		s.lagged = true
-	}
-	s.mu.Unlock()
-	if sent {
+	// This goroutine is the channel's only sender and Close needs s.mu, so a
+	// slot free now is still free at the send: the count is published before
+	// the subscriber can receive the update.
+	s.lagged = len(s.ch) == cap(s.ch)
+	if !s.lagged {
+		sent.Add(1)
+		s.ch <- u
 		s.needsInitial = false
 	}
+	s.mu.Unlock()
 	s.prevRows, s.prevCnt = rows, curCnt
-	return sent
 }
 
 // NewProxySubscription returns a subscription fed by the caller instead of

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -67,6 +68,40 @@ func (p Placement) tableRouting(db *storage.Database, name string) (cols []int, 
 	return nil, true, true
 }
 
+// tablePlacement is one table's distribution (tableRouting) in the form
+// the write routing rule reads. A table with no partition key counts as
+// replicated.
+type tablePlacement struct {
+	cols       []int
+	replicated bool
+	known      bool
+}
+
+// of resolves table's placement against a shard's catalog.
+func (p Placement) of(db *storage.Database, table string) tablePlacement {
+	cols, replicated, ok := p.tableRouting(db, table)
+	return tablePlacement{cols: cols, replicated: ok && (replicated || len(cols) == 0), known: ok}
+}
+
+// shardOf is the one routing rule for a write, shared by transaction groups
+// and the loader: it returns the shard op goes to, or -1 for every shard.
+// An unknown table goes to shard 0, so its storage error surfaces once; a
+// replicated table to every shard; an insert to the shard its partition key
+// hashes to; an update or delete to the shard its predicate pins, else to
+// every shard.
+func (tp tablePlacement) shardOf(part storage.Partitioning, op storage.WriteOp) int {
+	switch {
+	case !tp.known:
+		return 0
+	case tp.replicated:
+		return -1
+	case op.Kind == storage.WInsert:
+		return shardOfRow(part, tp.cols, op.Row)
+	default:
+		return shardOfPred(part, tp.cols, op.Pred)
+	}
+}
+
 // validate eagerly checks PartitionKeys overrides against tables that
 // already exist.
 func (p Placement) validate(db *storage.Database) error {
@@ -112,13 +147,13 @@ type Router struct {
 	texts map[string]*plan.Statement
 	pmu   sync.Mutex
 
-	// wmu serializes broadcast-write fan-out: without it, two concurrent
-	// writers could enqueue on shard A in one order and on shard B in the
-	// other, and since each shard applies writes in its own arrival order,
-	// replicated copies (and the effects of overlapping predicate writes)
-	// would diverge permanently. Holding wmu across the enqueue loop makes
-	// every shard see broadcast writes in one global order; point writes
-	// touch a single shard and need no ordering.
+	// wmu serializes commitGroup's fan-out (broadcast writes and transaction
+	// groups): without it, two concurrent groups could enqueue on shard A in
+	// one order and on shard B in the other, and since each shard applies
+	// writes in its own arrival order, replicated copies (and the effects of
+	// overlapping predicate writes) would diverge permanently. Holding wmu
+	// across the enqueue loop makes every shard see commit groups in one
+	// global order; point writes touch a single shard and need no ordering.
 	wmu sync.Mutex
 }
 
@@ -408,55 +443,43 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 		s := int(r.rr.Add(1) % uint64(len(r.engines)))
 		return r.engines[s].SubmitCall(core.Call{Stmt: rs.perShard[s], Params: params, Result: res})
 	}
-	// Scatter to all shards. Writes enqueue under wmu so every shard sees
-	// concurrent broadcast writes in the same arrival order — and admit
-	// all-or-nothing: a broadcast write rejected by one shard but applied
-	// by the rest would diverge replicated copies permanently, so every
-	// shard's queue slot is reserved before any shard enqueues.
-	//
-	// Reads are ordinary per-shard submissions: identical scatter reads
-	// fold inside each shard engine, whose fold window closes at that
-	// shard's batch formation, so every per-shard part sees each write
-	// completed before it was submitted. Each client read still gathers
-	// and merges on its own.
-	subs := make([]*core.Result, len(r.engines))
 	if sp.Write != nil {
-		r.wmu.Lock()
-		for i, e := range r.engines {
-			if err := e.AdmitReserve(rs.perShard[i]); err != nil {
-				for j := 0; j < i; j++ {
-					r.engines[j].AdmitRelease()
-				}
-				r.wmu.Unlock()
-				return fail(res, err)
-			}
+		// A broadcast write commits as one Autocommit per shard, through the
+		// same group commit as a transaction group.
+		op, err := core.BindWriteForTx(sp.Write, params)
+		if err != nil {
+			return fail(res, err)
 		}
-		for i, e := range r.engines {
-			subs[i] = e.SubmitReserved(rs.perShard[i], params)
+		txs := make([]*storage.Tx, len(r.dbs))
+		for i, db := range r.dbs {
+			txs[i] = db.Autocommit(op)
 		}
-		r.wmu.Unlock()
-	} else {
-		for i, e := range r.engines {
-			subs[i] = e.Submit(rs.perShard[i], params)
-		}
+		return r.commitGroup(txs, sp.WriteReplicated, res)
+	}
+	// Scatter reads are ordinary per-shard submissions: identical scatter
+	// reads fold inside each shard engine, whose fold window closes at that
+	// shard's batch formation, so every per-shard part sees each write
+	// completed before it was submitted. Each client read still gathers and
+	// merges on its own.
+	subs := make([]*core.Result, len(r.engines))
+	for i, e := range r.engines {
+		subs[i] = e.Submit(rs.perShard[i], params)
 	}
 	if res == nil {
 		res = core.NewPendingResult()
 	}
 	res.Schema = sp.OutSchema
 	go func() {
-		// Partial-admission merge for scatter reads: a shard rejecting with
-		// ErrOverloaded costs nothing to retry (reads mutate no state), so
-		// the gathered result is "overloaded, retry the whole statement"
-		// with the largest per-shard retry hint — unless some shard failed
-		// for a real (non-overload) reason, which wins.
+		// Partial-admission merge: a shard rejecting with ErrOverloaded costs
+		// nothing to retry (reads mutate no state), so the gathered result is
+		// "overloaded, retry the whole statement" with the largest per-shard
+		// retry hint — unless some shard failed for a real (non-overload)
+		// reason, which wins.
 		var firstErr error
 		var overload *core.OverloadError
 		shardRows := make([][]types.Row, len(subs))
-		affected := 0
 		for i, sub := range subs {
-			err := sub.Wait()
-			if err != nil {
+			if err := sub.Wait(); err != nil {
 				var oe *core.OverloadError
 				if errors.As(err, &oe) {
 					if overload == nil || oe.RetryAfter > overload.RetryAfter {
@@ -467,10 +490,7 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 				}
 			}
 			shardRows[i] = sub.Rows
-			affected += sub.RowsAffected
-			if sub.SnapshotTS > res.SnapshotTS {
-				res.SnapshotTS = sub.SnapshotTS
-			}
+			res.SnapshotTS = max(res.SnapshotTS, sub.SnapshotTS)
 		}
 		if firstErr == nil && overload != nil {
 			firstErr = overload
@@ -479,17 +499,65 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 			res.Complete(firstErr)
 			return
 		}
-		switch {
-		case sp.Write != nil && sp.WriteReplicated:
-			// Every shard applied the same mutation to its full copy;
-			// report one copy's count, not the sum.
-			res.RowsAffected = subs[0].RowsAffected
-		case sp.Write != nil:
-			res.RowsAffected = affected
-		default:
-			res.Rows = MergeResults(shardRows, sp.Merge, params)
-		}
+		res.Rows = MergeResults(shardRows, sp.Merge, params)
 		res.Complete(nil)
+	}()
+	return res
+}
+
+// commitGroup is the router's one commit path, for transaction groups and
+// broadcast writes alike. txs holds one storage transaction per shard (nil:
+// the shard takes no part). Under wmu it reserves a queue slot on every
+// taking shard before enqueueing on any: a commit rejected for overload on
+// one shard rejects everywhere, and every shard sees concurrent groups in
+// one order, so replicated copies cannot diverge. It then submits each with
+// SubmitTxReserved and gathers into res (a fresh result when nil): the
+// first error wins, SnapshotTS is the latest shard's, and RowsAffected is
+// the sum over shards, or one shard's count when once is set (a replicated
+// write applies the same mutation to every copy).
+func (r *Router) commitGroup(txs []*storage.Tx, once bool, res *core.Result) *core.Result {
+	subs := make([]*core.Result, 0, len(txs))
+	r.wmu.Lock()
+	for i, tx := range txs {
+		if tx == nil {
+			continue
+		}
+		if err := r.engines[i].AdmitReserve(); err != nil {
+			for j, tx := range txs[:i] {
+				if tx != nil {
+					r.engines[j].AdmitRelease()
+				}
+			}
+			r.wmu.Unlock()
+			return fail(res, err)
+		}
+	}
+	for i, tx := range txs {
+		if tx != nil {
+			subs = append(subs, r.engines[i].SubmitTxReserved(tx))
+		}
+	}
+	r.wmu.Unlock()
+	if res == nil {
+		res = core.NewPendingResult()
+	}
+	go func() {
+		var firstErr error
+		affected := 0
+		for _, sub := range subs {
+			if err := sub.Wait(); err != nil && firstErr == nil {
+				firstErr = err
+			}
+			affected += sub.RowsAffected
+			res.SnapshotTS = max(res.SnapshotTS, sub.SnapshotTS)
+		}
+		if once {
+			affected = subs[0].RowsAffected
+		}
+		if firstErr == nil {
+			res.RowsAffected = affected
+		}
+		res.Complete(firstErr)
 	}()
 	return res
 }
@@ -562,33 +630,22 @@ func shardOfPred(part storage.Partitioning, cols []int, pred expr.Expr) int {
 	return part.ShardOf(keys...)
 }
 
+// buffer adds one write to the shard transactions the routing rule sends
+// it to.
+func (t *Tx) buffer(tp tablePlacement, op storage.WriteOp) {
+	s := tp.shardOf(t.r.part, op)
+	for i, tx := range t.txs {
+		if s < 0 || s == i {
+			tx.Buffer(op)
+			t.dirty[i] = true
+		}
+	}
+}
+
 // Insert buffers an insert on the owning shard (or on every shard for
 // replicated tables).
 func (t *Tx) Insert(table string, row types.Row) {
-	cols, replicated, ok := t.r.placement.tableRouting(t.r.dbs[0], table)
-	if !ok || replicated {
-		// Unknown tables surface their error at commit; replicated tables
-		// insert everywhere.
-		for i := range t.txs {
-			t.txs[i].Insert(table, row)
-			t.dirty[i] = true
-		}
-		return
-	}
-	s := shardOfRow(t.r.part, cols, row)
-	t.txs[s].Insert(table, row)
-	t.dirty[s] = true
-}
-
-// predShard resolves a bound predicate to the owning shard, or -1 when the
-// table is replicated or the predicate does not pin the full partition key
-// (broadcast).
-func (t *Tx) predShard(table string, pred expr.Expr) int {
-	cols, replicated, ok := t.r.placement.tableRouting(t.r.dbs[0], table)
-	if !ok || replicated {
-		return -1
-	}
-	return shardOfPred(t.r.part, cols, pred)
+	t.buffer(t.r.placement.of(t.r.dbs[0], table), storage.WriteOp{Table: table, Kind: storage.WInsert, Row: row})
 }
 
 // Update buffers an update: on the owning shard when pred pins the
@@ -599,37 +656,20 @@ func (t *Tx) predShard(table string, pred expr.Expr) int {
 // buffer writes without a prepared statement (internal/tpcw), surfaced at
 // commit because this interface has no error return.
 func (t *Tx) Update(table string, pred expr.Expr, set []storage.ColSet) {
-	if cols, replicated, ok := t.r.placement.tableRouting(t.r.dbs[0], table); ok && !replicated {
+	tp := t.r.placement.of(t.r.dbs[0], table)
+	if tp.known && !tp.replicated {
 		for _, sc := range set {
-			for _, c := range cols {
-				if sc.Col == c && t.err == nil {
-					t.err = fmt.Errorf("shard: UPDATE of partition-key column of table %q is not supported on a sharded deployment (rows cannot migrate between shards)", table)
-				}
+			if slices.Contains(tp.cols, sc.Col) && t.err == nil {
+				t.err = fmt.Errorf("shard: UPDATE of partition-key column of table %q is not supported on a sharded deployment (rows cannot migrate between shards)", table)
 			}
 		}
 	}
-	if s := t.predShard(table, pred); s >= 0 {
-		t.txs[s].Update(table, pred, set)
-		t.dirty[s] = true
-		return
-	}
-	for i := range t.txs {
-		t.txs[i].Update(table, pred, set)
-		t.dirty[i] = true
-	}
+	t.buffer(tp, storage.WriteOp{Table: table, Kind: storage.WUpdate, Pred: pred, Set: set})
 }
 
 // Delete buffers a delete, routed like Update.
 func (t *Tx) Delete(table string, pred expr.Expr) {
-	if s := t.predShard(table, pred); s >= 0 {
-		t.txs[s].Delete(table, pred)
-		t.dirty[s] = true
-		return
-	}
-	for i := range t.txs {
-		t.txs[i].Delete(table, pred)
-		t.dirty[i] = true
-	}
+	t.buffer(t.r.placement.of(t.r.dbs[0], table), storage.WriteOp{Table: table, Kind: storage.WDelete, Pred: pred})
 }
 
 // Rollback abandons every shard transaction.
@@ -639,9 +679,10 @@ func (t *Tx) Rollback() {
 	}
 }
 
-// SubmitTx submits the transaction group: every dirty shard transaction
-// commits through its shard engine's next generation. The first error wins
-// (commits on other shards are not rolled back).
+// SubmitTx commits the transaction group through commitGroup: every dirty
+// shard transaction commits in its shard engine's next generation, and the
+// first error wins. Snapshot-isolation validation runs per shard, so a
+// conflict on one shard does not roll back the commits on the others.
 func (r *Router) SubmitTx(tx core.Tx) *core.Result {
 	if r.single {
 		return r.engines[0].SubmitTx(tx)
@@ -654,49 +695,13 @@ func (r *Router) SubmitTx(tx core.Tx) *core.Result {
 		t.Rollback()
 		return fail(nil, t.err)
 	}
-	// Reserve a queue slot on every dirty shard before any shard enqueues:
-	// a commit rejected for overload on one shard must reject everywhere,
-	// or the transaction group would apply on a subset of its shards.
-	var subs []*core.Result
-	r.wmu.Lock()
-	var reserved []int
+	group := make([]*storage.Tx, len(t.txs))
 	for i, dirty := range t.dirty {
 		if dirty {
-			if err := r.engines[i].AdmitReserve(nil); err != nil {
-				for _, j := range reserved {
-					r.engines[j].AdmitRelease()
-				}
-				r.wmu.Unlock()
-				t.Rollback()
-				return fail(nil, err)
-			}
-			reserved = append(reserved, i)
+			group[i] = t.txs[i]
 		}
 	}
-	for i, dirty := range t.dirty {
-		if dirty {
-			subs = append(subs, r.engines[i].SubmitTxReserved(t.txs[i]))
-		}
-	}
-	r.wmu.Unlock()
-	res := core.NewPendingResult()
-	if len(subs) == 0 {
-		res.Complete(nil)
-		return res
-	}
-	go func() {
-		var firstErr error
-		for _, sub := range subs {
-			if err := sub.Wait(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			if sub.SnapshotTS > res.SnapshotTS {
-				res.SnapshotTS = sub.SnapshotTS
-			}
-		}
-		res.Complete(firstErr)
-	}()
-	return res
+	return r.commitGroup(group, false, nil)
 }
 
 // Stores is the set of per-shard storage databases plus the deployment's
@@ -721,80 +726,48 @@ func (s Stores) ApplyOps(ops []storage.WriteOp) ([]storage.OpResult, uint64) {
 		return s.DBs[0].ApplyOps(ops)
 	}
 	part := storage.Partitioning{Shards: len(s.DBs)}
-	type routed struct {
-		opIdx int
-		op    storage.WriteOp
-	}
-	buckets := make([][]routed, len(s.DBs))
+	buckets := make([][]int, len(s.DBs)) // op indices per shard, in arrival order
 	replicatedOp := make([]bool, len(ops))
-	route := func(i int, op storage.WriteOp, shard int) {
-		buckets[shard] = append(buckets[shard], routed{opIdx: i, op: op})
-	}
-	broadcast := func(i int, op storage.WriteOp) {
-		for sh := range s.DBs {
-			route(i, op, sh)
-		}
-	}
 	// Placement resolution memoized per batch: bulk-load chunks are
 	// typically single-table, so one resolution serves thousands of ops.
-	type tableRoute struct {
-		cols       []int
-		replicated bool
-		ok         bool
-	}
-	routes := map[string]tableRoute{}
+	placements := map[string]tablePlacement{}
 	for i, op := range ops {
-		tr, seen := routes[op.Table]
+		tp, seen := placements[op.Table]
 		if !seen {
-			tr.cols, tr.replicated, tr.ok = s.Policy.tableRouting(s.DBs[0], op.Table)
-			routes[op.Table] = tr
+			tp = s.Policy.of(s.DBs[0], op.Table)
+			placements[op.Table] = tp
 		}
-		cols, replicated, ok := tr.cols, tr.replicated, tr.ok
-		switch {
-		case !ok:
-			// Unknown table: let one shard produce the storage error.
-			route(i, op, 0)
-		case replicated || len(cols) == 0:
-			replicatedOp[i] = true
-			broadcast(i, op)
-		case op.Kind == storage.WInsert:
-			route(i, op, shardOfRow(part, cols, op.Row))
-		default:
-			if sh := shardOfPred(part, cols, op.Pred); sh >= 0 {
-				route(i, op, sh)
-			} else {
-				broadcast(i, op)
+		replicatedOp[i] = tp.replicated
+		sh := tp.shardOf(part, op)
+		for b := range buckets {
+			if sh < 0 || sh == b {
+				buckets[b] = append(buckets[b], i)
 			}
 		}
 	}
 	results := make([]storage.OpResult, len(ops))
-	counted := make([]bool, len(ops))
 	var maxTS uint64
 	for sh, bucket := range buckets {
 		if len(bucket) == 0 {
 			continue
 		}
 		shardOps := make([]storage.WriteOp, len(bucket))
-		for j, ro := range bucket {
-			shardOps[j] = ro.op
+		for j, i := range bucket {
+			shardOps[j] = ops[i]
 		}
 		shardResults, ts := s.DBs[sh].ApplyOps(shardOps)
-		if ts > maxTS {
-			maxTS = ts
-		}
-		for j, ro := range bucket {
+		maxTS = max(maxTS, ts)
+		for j, i := range bucket {
 			res := shardResults[j]
-			if res.Err != nil && results[ro.opIdx].Err == nil {
-				results[ro.opIdx].Err = res.Err
+			if res.Err != nil && results[i].Err == nil {
+				results[i].Err = res.Err
 			}
-			if replicatedOp[ro.opIdx] {
-				// every copy applies the same mutation; count it once
-				if !counted[ro.opIdx] {
-					results[ro.opIdx].RowsAffected = res.RowsAffected
-					counted[ro.opIdx] = true
-				}
-			} else {
-				results[ro.opIdx].RowsAffected += res.RowsAffected
+			switch {
+			case !replicatedOp[i]:
+				results[i].RowsAffected += res.RowsAffected
+			case sh == 0:
+				// Every copy applies the same mutation: count shard 0's.
+				results[i].RowsAffected = res.RowsAffected
 			}
 		}
 	}

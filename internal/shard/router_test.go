@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strconv"
@@ -592,5 +593,26 @@ func TestSubmitBatchRoutesEachCall(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnknownTableWriteGoesToShardZero: transaction groups and the loader
+// share one routing rule, which sends a write to an unknown table to shard
+// 0 only, so its storage error surfaces once.
+func TestUnknownTableWriteGoesToShardZero(t *testing.T) {
+	r := newRouterEnv(t, 2, core.Config{})
+	before := r.Stats().WritesRun
+	tx := r.BeginTx()
+	tx.Insert("nope", types.Row{types.NewInt(1)})
+	if err := r.SubmitTx(tx).Wait(); !errors.Is(err, storage.ErrNoTable) {
+		t.Fatalf("commit into an unknown table: %v, want ErrNoTable", err)
+	}
+	if n := r.Stats().WritesRun - before; n != 1 {
+		t.Fatalf("the unknown-table commit ran on %d shards, want 1", n)
+	}
+	results, _ := Stores{DBs: r.Databases(), Policy: fixturePlacement}.ApplyOps(
+		[]storage.WriteOp{{Table: "nope", Kind: storage.WInsert, Row: types.Row{types.NewInt(1)}}})
+	if !errors.Is(results[0].Err, storage.ErrNoTable) {
+		t.Fatalf("loader write into an unknown table: %v, want ErrNoTable", results[0].Err)
 	}
 }

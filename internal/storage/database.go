@@ -306,95 +306,28 @@ func checkUnique(t *Table, row types.Row, ts uint64, selfRID RowID, hasSelf bool
 	return nil
 }
 
-// ApplyOps applies a batch of mutations in arrival order, each at its own
-// commit timestamp so that later ops in the batch observe earlier ones.
-// This is the Crescando contract (paper §4.4): "updates are executed in
-// arrival order", while concurrent readers keep seeing the snapshot
-// published before the batch. The new snapshot is published once, after the
-// whole batch — readers never observe a half-applied batch.
+// ApplyOps applies a batch of mutations in arrival order, each as its own
+// one-op Autocommit transaction, so that later ops in the batch observe
+// earlier ones and a failed op changes nothing. This is the Crescando
+// contract (paper §4.4): "updates are executed in arrival order", while
+// concurrent readers keep seeing the snapshot published before the batch.
+// The new snapshot is published once, after the whole batch — readers
+// never observe a half-applied batch.
 func (db *Database) ApplyOps(ops []WriteOp) ([]OpResult, uint64) {
 	results, ts, _ := db.applyOps(ops)
 	return results, ts
 }
 
+// applyOps commits ops as one batch of autocommits; the transactions share
+// one slab, each holding a one-op window of ops.
 func (db *Database) applyOps(ops []WriteOp) ([]OpResult, uint64, []WALRecord) {
-	db.commitMu.Lock()
-	defer db.commitMu.Unlock()
-
-	db.stateMu.RLock()
-	ts := db.clock
-	db.stateMu.RUnlock()
-
-	results := make([]OpResult, len(ops))
-	var logRecs []WALRecord
-	for i, op := range ops {
-		t := db.Table(op.Table)
-		if t == nil {
-			results[i] = OpResult{Err: fmt.Errorf("%w: %s", ErrNoTable, op.Table)}
-			continue
-		}
-		ts++
-		res, recs := applyOne(t, op, ts)
-		results[i] = res
-		logRecs = append(logRecs, recs...)
-		if res.Err != nil {
-			ts-- // nothing happened at this timestamp
-		}
+	slab := make([]Tx, len(ops))
+	txs := make([]*Tx, len(ops))
+	for i := range ops {
+		slab[i] = Tx{db: db, ops: ops[i : i+1 : i+1], auto: true}
+		txs[i] = &slab[i]
 	}
-	if db.wal != nil && len(logRecs) > 0 {
-		if err := db.wal.Append(logRecs); err != nil {
-			// Durability failure: surface on every op that logged.
-			for i := range results {
-				if results[i].Err == nil {
-					results[i].Err = err
-				}
-			}
-		}
-	}
-	db.publish(ts)
-	return results, ts, logRecs
-}
-
-// applyOne executes one mutation at timestamp ts and returns physical WAL
-// records describing what happened.
-func applyOne(t *Table, op WriteOp, ts uint64) (OpResult, []WALRecord) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	switch op.Kind {
-	case WInsert:
-		if err := checkUnique(t, op.Row, ts-1, 0, false); err != nil {
-			return OpResult{Err: err}, nil
-		}
-		rid := t.insertLocked(op.Row.Clone(), ts)
-		return OpResult{RowsAffected: 1},
-			[]WALRecord{{TS: ts, Kind: WInsert, Table: t.name, RID: rid, Row: op.Row}}
-	case WUpdate:
-		targets := resolveTargets(t, op.Pred, ts-1)
-		var recs []WALRecord
-		for _, rid := range targets {
-			oldRow, _ := t.visibleLocked(rid, ts-1)
-			newRow := oldRow.Clone()
-			for _, set := range op.Set {
-				newRow[set.Col] = set.Val.Eval(oldRow, nil)
-			}
-			if err := checkUnique(t, newRow, ts-1, rid, true); err != nil {
-				return OpResult{RowsAffected: len(recs), Err: err}, recs
-			}
-			t.updateLocked(rid, newRow, ts)
-			recs = append(recs, WALRecord{TS: ts, Kind: WUpdate, Table: t.name, RID: rid, Row: newRow})
-		}
-		return OpResult{RowsAffected: len(targets)}, recs
-	case WDelete:
-		targets := resolveTargets(t, op.Pred, ts-1)
-		var recs []WALRecord
-		for _, rid := range targets {
-			t.deleteLocked(rid, ts)
-			recs = append(recs, WALRecord{TS: ts, Kind: WDelete, Table: t.name, RID: rid})
-		}
-		return OpResult{RowsAffected: len(targets)}, recs
-	default:
-		return OpResult{Err: fmt.Errorf("storage: unknown write kind %d", op.Kind)}, nil
-	}
+	return db.commitBatch(txs)
 }
 
 // GCAll truncates version history older than the current snapshot minus

@@ -280,15 +280,15 @@ func TestCommitTxBatchOrdering(t *testing.T) {
 	tx1.Update("users", eqPred(tab, "id", types.NewInt(1)), set)
 	tx2.Update("users", eqPred(tab, "id", types.NewInt(1)), set)
 	tx3.Insert("users", user(2, "c", "DE", 0))
-	_, errs := db.CommitTxBatch([]*Tx{tx1, tx2, tx3})
-	if errs[0] != nil {
-		t.Errorf("tx1: %v", errs[0])
+	res, _ := db.CommitTxBatch([]*Tx{tx1, tx2, tx3})
+	if res[0].Err != nil || res[0].RowsAffected != 1 {
+		t.Errorf("tx1: %+v", res[0])
 	}
-	if !errors.Is(errs[1], ErrConflict) {
-		t.Errorf("tx2 should conflict (first committer wins), got %v", errs[1])
+	if !errors.Is(res[1].Err, ErrConflict) {
+		t.Errorf("tx2 should conflict (first committer wins), got %v", res[1].Err)
 	}
-	if errs[2] != nil {
-		t.Errorf("tx3: %v", errs[2])
+	if res[2].Err != nil {
+		t.Errorf("tx3: %v", res[2].Err)
 	}
 	if tab.CountVisible(db.SnapshotTS()) != 2 {
 		t.Error("tx3 insert missing")

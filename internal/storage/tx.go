@@ -14,6 +14,11 @@ import (
 // applied atomically at commit with first-committer-wins conflict
 // detection.
 //
+// A Tx is also the unit of every write: a standalone write statement
+// commits as a one-op Autocommit transaction, so commitOneLocked is the one
+// place a write applies (outside WAL replay), and a statement is atomic
+// exactly as a transaction is.
+//
 // Reads do not observe the transaction's own buffered writes; TPC-W
 // interactions thread generated keys through the application instead.
 type Tx struct {
@@ -21,6 +26,9 @@ type Tx struct {
 	snapTS uint64
 	ops    []WriteOp
 	done   bool
+	// auto marks an Autocommit: targets resolve at the commit timestamp's
+	// predecessor instead of snapTS.
+	auto bool
 }
 
 // Begin starts a transaction reading at the current snapshot.
@@ -28,22 +36,33 @@ func (db *Database) Begin() *Tx {
 	return &Tx{db: db, snapTS: db.SnapshotTS()}
 }
 
+// Autocommit returns a one-op transaction whose targets resolve at its own
+// commit timestamp's predecessor: committed in a batch, it sees every
+// earlier commit of the batch (the Crescando arrival-order contract, paper
+// §4.4) and can never conflict.
+func (db *Database) Autocommit(op WriteOp) *Tx {
+	return &Tx{db: db, ops: []WriteOp{op}, auto: true}
+}
+
 // SnapshotTS returns the transaction's read timestamp.
 func (tx *Tx) SnapshotTS() uint64 { return tx.snapTS }
 
+// Buffer buffers one write.
+func (tx *Tx) Buffer(op WriteOp) { tx.ops = append(tx.ops, op) }
+
 // Insert buffers an insert.
 func (tx *Tx) Insert(table string, row types.Row) {
-	tx.ops = append(tx.ops, WriteOp{Table: table, Kind: WInsert, Row: row})
+	tx.Buffer(WriteOp{Table: table, Kind: WInsert, Row: row})
 }
 
 // Update buffers an update of the rows matching pred.
 func (tx *Tx) Update(table string, pred expr.Expr, set []ColSet) {
-	tx.ops = append(tx.ops, WriteOp{Table: table, Kind: WUpdate, Pred: pred, Set: set})
+	tx.Buffer(WriteOp{Table: table, Kind: WUpdate, Pred: pred, Set: set})
 }
 
 // Delete buffers a delete of the rows matching pred.
 func (tx *Tx) Delete(table string, pred expr.Expr) {
-	tx.ops = append(tx.ops, WriteOp{Table: table, Kind: WDelete, Pred: pred})
+	tx.Buffer(WriteOp{Table: table, Kind: WDelete, Pred: pred})
 }
 
 // Rollback abandons the transaction.
@@ -64,15 +83,26 @@ func (tx *Tx) Commit() error {
 	if len(tx.ops) == 0 {
 		return nil
 	}
-	_, err := tx.db.CommitTxBatch([]*Tx{tx})
-	return err[0]
+	res, _ := tx.db.CommitTxBatch([]*Tx{tx})
+	return res[0].Err
 }
 
 // CommitTxBatch commits many transactions in one critical section, in order.
 // This is the shared engine's batch-commit path: all updates of a heartbeat
 // generation apply together and a single new snapshot is published. The
-// returned slice has one error (nil on success) per transaction.
-func (db *Database) CommitTxBatch(txs []*Tx) (uint64, []error) {
+// returned slice has one result per transaction (Err nil on success), and
+// the timestamp is the published snapshot.
+func (db *Database) CommitTxBatch(txs []*Tx) ([]OpResult, uint64) {
+	results, ts, _ := db.commitBatch(txs)
+	return results, ts
+}
+
+// commitBatch is CommitTxBatch also returning the batch's physical write
+// records. Each transaction that changes a row takes the next timestamp; a
+// failed or empty one takes none. The log is appended and the snapshot
+// published once, after the whole batch — readers never observe a
+// half-applied batch.
+func (db *Database) commitBatch(txs []*Tx) ([]OpResult, uint64, []WALRecord) {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
 
@@ -80,36 +110,43 @@ func (db *Database) CommitTxBatch(txs []*Tx) (uint64, []error) {
 	ts := db.clock
 	db.stateMu.RUnlock()
 
-	errs := make([]error, len(txs))
+	results := make([]OpResult, len(txs))
 	var logRecs []WALRecord
 	for i, tx := range txs {
 		recs, err := db.commitOneLocked(tx, ts+1)
-		errs[i] = err
-		if err == nil && len(recs) > 0 {
+		results[i] = OpResult{RowsAffected: len(recs), Err: err}
+		if len(recs) > 0 {
 			ts++
 			logRecs = append(logRecs, recs...)
 		}
 	}
 	if db.wal != nil && len(logRecs) > 0 {
 		if err := db.wal.Append(logRecs); err != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = err
+			// Durability failure: surface on every commit of the batch.
+			for i := range results {
+				if results[i].Err == nil {
+					results[i].Err = err
 				}
 			}
 		}
 	}
 	db.publish(ts)
-	return ts, errs
+	return results, ts, logRecs
 }
 
-// commitOneLocked validates and applies one transaction at timestamp ts.
-// All-or-nothing: validation of every op happens before any apply.
+// commitOneLocked validates and applies one transaction at timestamp ts and
+// returns one physical record per row it changed (so its rows affected is
+// the record count). All-or-nothing: validation of every op happens before
+// any apply.
 func (db *Database) commitOneLocked(tx *Tx, ts uint64) ([]WALRecord, error) {
 	if tx.done && len(tx.ops) == 0 {
 		return nil, nil
 	}
 	tx.done = true
+	readTS := tx.snapTS
+	if tx.auto {
+		readTS = ts - 1
+	}
 
 	type plannedWrite struct {
 		t      *Table
@@ -119,7 +156,7 @@ func (db *Database) commitOneLocked(tx *Tx, ts uint64) ([]WALRecord, error) {
 	}
 	var plan []plannedWrite
 
-	// Phase 1: resolve targets against the tx snapshot and detect
+	// Phase 1: resolve targets against the read snapshot and detect
 	// write-write conflicts (first committer wins).
 	for _, op := range tx.ops {
 		t := db.Table(op.Table)
@@ -131,14 +168,14 @@ func (db *Database) commitOneLocked(tx *Tx, ts uint64) ([]WALRecord, error) {
 		case WInsert:
 			plan = append(plan, plannedWrite{t: t, kind: WInsert, newRow: op.Row.Clone()})
 		case WUpdate, WDelete:
-			for _, rid := range resolveTargets(t, op.Pred, tx.snapTS) {
-				if t.lastModTS(rid) > tx.snapTS {
+			for _, rid := range resolveTargets(t, op.Pred, readTS) {
+				if t.lastModTS(rid) > readTS {
 					t.mu.Unlock()
 					return nil, fmt.Errorf("%w: %s row %d", ErrConflict, op.Table, rid)
 				}
 				pw := plannedWrite{t: t, kind: op.Kind, rid: rid}
 				if op.Kind == WUpdate {
-					oldRow, _ := t.visibleLocked(rid, tx.snapTS)
+					oldRow, _ := t.visibleLocked(rid, readTS)
 					pw.newRow = oldRow.Clone()
 					for _, set := range op.Set {
 						pw.newRow[set.Col] = set.Val.Eval(oldRow, nil)
@@ -153,31 +190,28 @@ func (db *Database) commitOneLocked(tx *Tx, ts uint64) ([]WALRecord, error) {
 	// Phase 2: validate every unique constraint before applying anything,
 	// so a violation aborts the transaction without partial effects. The
 	// check runs against the pre-commit snapshot plus this transaction's
-	// own planned rows.
-	planned := map[string]bool{} // index name + encoded key → taken by this tx
+	// own planned rows (tracked only when there is more than one).
+	var planned map[string]bool // index name + encoded key → taken by this tx
+	if len(plan) > 1 {
+		planned = map[string]bool{}
+	}
 	for _, pw := range plan {
 		if pw.kind == WDelete {
 			continue
 		}
 		pw.t.mu.RLock()
 		for _, ix := range pw.t.indexes {
-			if !ix.Unique {
+			if planned == nil || !ix.Unique {
 				continue
 			}
-			key := ix.KeyFor(pw.newRow)
-			pk := ix.Name + "\x00" + types.EncodeKey(key...)
+			pk := ix.Name + "\x00" + types.EncodeKey(ix.KeyFor(pw.newRow)...)
 			if planned[pk] {
 				pw.t.mu.RUnlock()
 				return nil, fmt.Errorf("%w: index %s (within transaction)", ErrUniqueViolate, ix.Name)
 			}
 			planned[pk] = true
 		}
-		var err error
-		if pw.kind == WInsert {
-			err = checkUnique(pw.t, pw.newRow, ts-1, 0, false)
-		} else {
-			err = checkUnique(pw.t, pw.newRow, ts-1, pw.rid, true)
-		}
+		err := checkUnique(pw.t, pw.newRow, ts-1, pw.rid, pw.kind == WUpdate)
 		pw.t.mu.RUnlock()
 		if err != nil {
 			return nil, err
@@ -185,7 +219,7 @@ func (db *Database) commitOneLocked(tx *Tx, ts uint64) ([]WALRecord, error) {
 	}
 
 	// Phase 3: apply.
-	var recs []WALRecord
+	recs := make([]WALRecord, 0, len(plan))
 	for _, pw := range plan {
 		pw.t.mu.Lock()
 		switch pw.kind {
