@@ -52,7 +52,6 @@ type benchReport struct {
 	Config struct {
 		Items     int   `json:"items"`
 		Customers int   `json:"customers"`
-		Workers   int   `json:"workers"`
 		Shards    int   `json:"shards"`
 		Seed      int64 `json:"seed"`
 	} `json:"config"`

@@ -63,7 +63,6 @@ type benchReport struct {
 	Config struct {
 		Items     int   `json:"items"`
 		Customers int   `json:"customers"`
-		Workers   int   `json:"workers"`
 		Shards    int   `json:"shards"`
 		Seed      int64 `json:"seed"`
 	} `json:"config"`
@@ -149,7 +148,6 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	report.Procs = runtime.GOMAXPROCS(0)
 	report.Config.Items = opts.Scale.Items
 	report.Config.Customers = opts.Scale.Customers
-	report.Config.Workers = opts.Workers
 	report.Config.Shards = opts.Shards
 	report.Config.Seed = opts.Seed
 
@@ -214,7 +212,7 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 	// scan and aggregation path (the columnar mirror; group/topn feed the
 	// GroupOp straight from it). The engine does not fold: a batch of 64
 	// would otherwise collapse to its distinct parameters.
-	eng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, NoFold: true})
+	eng := core.New(db, plan.New(db), core.Config{NoFold: true})
 	for _, sp := range stmts {
 		stmt, err := eng.Prepare(sp.sql)
 		if err != nil {
@@ -331,7 +329,7 @@ func benchIndexPath(db *storage.Database, opts experiments.Options, warmup, coun
 		fmt.Sprintf("storage index point seek at a snapshot: scattered keys on the %d-row INT primary key of sales", salesRows),
 		"seek", 1, seek)}
 
-	eng := core.New(db, plan.New(db), core.Config{Workers: opts.Workers, NoFold: true})
+	eng := core.New(db, plan.New(db), core.Config{NoFold: true})
 	defer eng.Close()
 	for _, sp := range []struct {
 		name, desc, sql string
@@ -479,7 +477,7 @@ func benchSubscribeBrowsing(opts experiments.Options) (benchRecord, error) {
 		return benchRecord{}, err
 	}
 	gp := plan.New(db)
-	eng := core.New(db, gp, core.Config{Workers: opts.Workers})
+	eng := core.New(db, gp, core.Config{})
 	defer eng.Close()
 
 	read, err := eng.Prepare(`SELECT i_id, i_title, i_cost FROM item WHERE i_subject = ?`)
@@ -613,7 +611,7 @@ func benchFolding(opts experiments.Options, noFold bool) (benchRecord, error) {
 // benchMix measures the concurrent TPC-W Shopping mix on a fresh
 // environment with the given shard count.
 func benchMix(opts experiments.Options, shards int) (testing.BenchmarkResult, error) {
-	env, err := experiments.NewEnvSharded(experiments.SharedDB, opts.Scale, opts.Seed, opts.Workers, shards)
+	env, err := experiments.NewEnvSharded(experiments.SharedDB, opts.Scale, opts.Seed, shards)
 	if err != nil {
 		return testing.BenchmarkResult{}, err
 	}

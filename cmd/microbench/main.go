@@ -32,7 +32,6 @@ func main() {
 	heavyRates := flag.String("heavy", "0,5,10,25,50,100,200", "heavy query rates for figure 11")
 	window := flag.Duration("window", 2*time.Second, "measurement window per data point")
 	seed := flag.Int64("seed", 2012, "data generator seed")
-	workers := flag.Int("workers", 0, "SharedDB scan workers per cycle, per shard engine (0 = GOMAXPROCS, 1 = serial)")
 	shards := flag.Int("shards", 0, "SharedDB shard engines for the sharded TPC-W mix bench (0 = default 2, 1 = skip the sharded entry)")
 	jsonOut := flag.Bool("json", false, "emit the machine-readable scan/join/sort/TPC-W-mix benchmark baseline on stdout")
 	warmup := flag.Int("warmup", 1, "untimed warm-up batches per -json statement bench (free lists, columnar mirror, batch pool)")
@@ -46,7 +45,6 @@ func main() {
 		Scale:         tpcw.Scale{Items: *items, Customers: *customers},
 		PointDuration: *window,
 		Seed:          *seed,
-		Workers:       *workers,
 		Shards:        *shards,
 	}
 

@@ -33,7 +33,6 @@ func loadOptions(opts experiments.Options, clients, pipeline int) experiments.Lo
 		Items:         loadItems,
 		Seed:          opts.Seed,
 		Engine: experiments.Options{
-			Workers:                opts.Workers,
 			StatementQuota:         foldQuota,
 			MaxInFlightGenerations: 1,
 			Heartbeat:              foldHeartbeat,

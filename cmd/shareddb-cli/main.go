@@ -7,7 +7,7 @@
 // any other statement prints "OK <rows affected>". Failures print
 // "ERR <message>", admission rejections "BUSY <retry-ms> <reason>", and the
 // shell moves on to the next line — so the same script run against two
-// servers (-shards 1 vs 3, -workers 1 vs 4) yields outputs that diff
+// servers (-shards 1 vs 3, -pipeline 1 vs 4) yields outputs that diff
 // cleanly. Meta commands: \stats prints one "name<TAB>value" line per
 // engine counter, \plan the global operator DAG (EXPLAIN PLAN), \q quits.
 package main

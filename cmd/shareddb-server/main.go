@@ -1,6 +1,6 @@
 // Command shareddb-server exposes a SharedDB instance over TCP.
 //
-//	shareddb-server -listen :5843 [-wal dir] [-shards n] [-workers n]
+//	shareddb-server -listen :5843 [-wal dir] [-shards n]
 //
 // It speaks the binary wire protocol (internal/wire): length-
 // prefixed frames, prepared-statement handles with typed parameter
@@ -32,7 +32,6 @@ func main() {
 	listen := flag.String("listen", ":5843", "listen address")
 	wal := flag.String("wal", "", "WAL directory (empty = no durability)")
 	pipeline := flag.Int("pipeline", 0, "max generations in flight (0 = engine default, 1 = serial; negative values are rejected)")
-	workers := flag.Int("workers", 0, "scan workers per cycle, per shard engine (0 = GOMAXPROCS split across shards, 1 = serial)")
 	shards := flag.Int("shards", 0, "shard engines with hash-partitioned tables (0 or 1 = single engine)")
 	replicate := flag.String("replicate", "", "comma-separated tables to replicate to every shard instead of partitioning")
 	partition := flag.String("partition", "", "partition-key overrides as table=col[+col...],... (default: primary key)")
@@ -42,7 +41,7 @@ func main() {
 	window := flag.Int("window", 0, "per-connection in-flight request window (0 = default)")
 	flag.Parse()
 
-	cfg := shareddb.Config{WALDir: *wal, MaxInFlightGenerations: *pipeline, Workers: *workers, Shards: *shards,
+	cfg := shareddb.Config{WALDir: *wal, MaxInFlightGenerations: *pipeline, Shards: *shards,
 		MaxGenerationDelay: *maxDelay, QueueDepthLimit: *queueLimit, StatementQuota: *stmtQuota}
 	if *replicate != "" {
 		cfg.ReplicatedTables = strings.Split(*replicate, ",")

@@ -183,7 +183,7 @@ type admission struct {
 
 // newAdmission resolves the admission knobs. Negative values (rejected by
 // Config.Validate on the public path) are clamped to "disabled" as a
-// backstop, mirroring how New clamps Workers and MaxInFlightGenerations.
+// backstop, mirroring how New clamps MaxInFlightGenerations.
 // State a limit needs is allocated only when that limit is on: the breaker
 // and cost maps with the SLO, the quota scratch with the quota.
 func newAdmission(cfg Config) *admission {

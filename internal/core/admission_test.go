@@ -309,8 +309,8 @@ func TestValidateConfig(t *testing.T) {
 		{MaxGenerationDelay: time.Nanosecond},
 		{QueueDepthLimit: -1},
 		{StatementQuota: -1},
-		{StatementQuota: -7, Workers: 2},                 // negative quota with other knobs fine
-		{QueueDepthLimit: -3, MaxInFlightGenerations: 2}, // negative depth with other knobs fine
+		{StatementQuota: -7, Heartbeat: time.Millisecond}, // negative quota with other knobs fine
+		{QueueDepthLimit: -3, MaxInFlightGenerations: 2},  // negative depth with other knobs fine
 	}
 	for _, cfg := range invalid {
 		if err := cfg.Validate(); err == nil {

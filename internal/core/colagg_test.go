@@ -157,13 +157,14 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 		{"SELECT MIN(m_w), MAX(m_w), COUNT(*) FROM m", false, nil},
 	}
 
+	// Two seeds. The subtest names date from when the two runs also
+	// differed in scan worker budget.
 	for _, workers := range []int{1, 4} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(90 + workers)))
 			db, closeDB, dom := colaggTable(t, r)
 			defer closeDB()
-			eng := New(db, plan.New(db), Config{Workers: workers})
+			eng := New(db, plan.New(db), Config{})
 			defer eng.Close()
 			stmts := make([]*plan.Statement, len(templates))
 			for i, tpl := range templates {
@@ -233,11 +234,13 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 // aggregate kind (SUM/COUNT/AVG, MIN/MAX, COUNT(DISTINCT)).
 func TestUnderWritesDifferentialSweep(t *testing.T) {
 	t.Cleanup(operators.PoisonReleasedRowsForTest())
+	// Two seeds. The subtest names date from when the two runs also
+	// differed in scan worker budget.
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			db, closeDB := bookstore(t)
 			defer closeDB()
-			prod := New(db, plan.New(db), Config{Workers: workers})
+			prod := New(db, plan.New(db), Config{})
 			defer prod.Close()
 			qat := baseline.New(db, baseline.SystemXLike)
 

@@ -33,7 +33,7 @@ func TestDifferentialSharedVsQueryAtATime(t *testing.T) {
 	// Production and the all-reference engine must both equal the baseline:
 	// production ≡ reference ≡ query-at-a-time.
 	t.Run("production", func(t *testing.T) { differentialSharedVsQueryAtATime(t, Config{}) })
-	t.Run("reference", func(t *testing.T) { differentialSharedVsQueryAtATime(t, referenceConfig(0)) })
+	t.Run("reference", func(t *testing.T) { differentialSharedVsQueryAtATime(t, referenceConfig()) })
 }
 
 func differentialSharedVsQueryAtATime(t *testing.T, cfg Config) {
@@ -291,11 +291,11 @@ func TestDifferentialAdHocPrepareGrowsJoinStream(t *testing.T) {
 }
 
 // TestDifferentialUnorderedGroupOrderWorkers pins the row ORDER of an
-// unordered GROUP BY over a shared hash join at Workers 2: groups come out in
-// first-arrival order, exactly as the query-at-a-time engine emits them,
-// whatever the worker budget. Every generation joins at least 1024 tuples,
-// so the fact scan goes partition-parallel, and each query runs in two
-// generations.
+// unordered GROUP BY over a shared hash join: groups come out in
+// first-arrival order, exactly as the query-at-a-time engine emits them.
+// Every generation joins at least 1024 tuples (more than one scan chunk),
+// and each query runs in two generations. (The name dates from when the
+// fact scan ran partition-parallel.)
 func TestDifferentialUnorderedGroupOrderWorkers(t *testing.T) {
 	db, err := storage.Open(storage.Options{})
 	if err != nil {
@@ -335,7 +335,7 @@ func TestDifferentialUnorderedGroupOrderWorkers(t *testing.T) {
 		}
 	}
 
-	shared := New(db, plan.New(db), Config{Workers: 2, MaxInFlightGenerations: 1})
+	shared := New(db, plan.New(db), Config{MaxInFlightGenerations: 1})
 	defer shared.Close()
 	const sqlText = "SELECT d_name, COUNT(*), SUM(f_v) FROM fact, dim WHERE f_k = d_id AND f_v > ? GROUP BY d_name"
 	ss := mustPrepare(t, shared, sqlText)

@@ -43,7 +43,6 @@ import (
 
 	"shareddb/internal/expr"
 	"shareddb/internal/operators"
-	"shareddb/internal/par"
 	"shareddb/internal/plan"
 	"shareddb/internal/queryset"
 	"shareddb/internal/sql"
@@ -70,16 +69,6 @@ type Config struct {
 	// apply in generation order regardless of this setting; only read
 	// phases overlap.
 	MaxInFlightGenerations int
-	// Workers is the scan parallelism budget per generation cycle: the
-	// partitioned columnar ClockScan (including the columnar aggregation
-	// feed) splits each table scan into that many contiguous chunk
-	// ranges; joins, sorts and group-bys always run one Finish on
-	// their node's goroutine. 0 selects GOMAXPROCS (one worker per core,
-	// the paper's Crescando setup); 1 is a strictly serial scan
-	// (negative values are rejected by Config.Validate; New clamps them
-	// to serial as a backstop). Per-query results are identical at any
-	// setting.
-	Workers int
 
 	// MaxGenerationDelay is the per-generation latency SLO (the paper's
 	// response-time limit): batch formation caps each generation at the
@@ -131,8 +120,7 @@ type Engine struct {
 	stopped bool
 	gen     uint64
 
-	workers int        // resolved Config.Workers (immutable after New)
-	adm     *admission // admission controller; passes everything through when every limit is zero
+	adm *admission // admission controller; passes everything through when every limit is zero
 
 	// Cost attribution (nil unless the SLO breaker is on): per-generation
 	// records filled by the plan's cost observer from operator goroutines,
@@ -236,12 +224,10 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 	} else if e.maxInFlight < 0 {
 		e.maxInFlight = 1
 	}
-	e.workers = par.Resolve(cfg.Workers)
 	e.adm = newAdmission(cfg)
 	if !cfg.NoFold {
 		e.foldIdx = make(map[uint64][]*Request)
 	}
-	gp.SetWorkers(e.workers)
 	if e.adm.maxDelay > 0 {
 		// The slow-query breaker is on: attribute operator cycle time to
 		// statements so blame lands on the plan that burned the cycles.
@@ -253,9 +239,6 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 	go e.loop()
 	return e
 }
-
-// Workers reports the resolved scan parallelism budget.
-func (e *Engine) Workers() int { return e.workers }
 
 // Close stops the heartbeat loop, waits for in-flight generations to drain
 // (their waiters receive real results), and stops the operator goroutines.

@@ -90,8 +90,8 @@ func bookstore(t testing.TB) (*storage.Database, func()) {
 
 // referenceConfig is the unfolded reference engine — every read its own
 // activation — that production (the zero Config) must agree with.
-func referenceConfig(workers int) Config {
-	return Config{Workers: workers, NoFold: true}
+func referenceConfig() Config {
+	return Config{NoFold: true}
 }
 
 func newEngine(t testing.TB, db *storage.Database) *Engine {

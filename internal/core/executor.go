@@ -42,9 +42,6 @@ type Executor interface {
 	// Stats reports the typed counter snapshot (summed across shards for
 	// the sharded backend — the in-flight gauges sum per-shard values).
 	Stats() EngineStats
-	// Workers reports the resolved scan parallelism budget (per
-	// shard for the sharded backend).
-	Workers() int
 	Close()
 }
 
@@ -142,13 +139,9 @@ func (r *Result) complete(err error) {
 }
 
 // Validate rejects configurations that previously defaulted silently:
-// negative Workers and negative MaxInFlightGenerations (zero still means
-// "engine default" for both), negative admission limits, and an SLO the
-// timer cannot enforce.
+// a negative MaxInFlightGenerations (zero still means "engine default"),
+// negative admission limits, and an SLO the timer cannot enforce.
 func (c Config) Validate() error {
-	if c.Workers < 0 {
-		return fmt.Errorf("core: Workers must be >= 0, got %d (0 = GOMAXPROCS, 1 = serial)", c.Workers)
-	}
 	if c.MaxInFlightGenerations < 0 {
 		return fmt.Errorf("core: MaxInFlightGenerations must be >= 0, got %d (0 = engine default, 1 = serial)", c.MaxInFlightGenerations)
 	}

@@ -145,37 +145,35 @@ func TestIndexEdgePlanShape(t *testing.T) {
 }
 
 func TestIndexEdgeAgainstBaseline(t *testing.T) {
-	for _, workers := range []int{1, 2} {
-		env := newEdgeEnv(t, Config{Workers: workers})
-		i := func(v int64) types.Value { return types.NewInt(v) }
-		env.check("empty table") // every aggregate NULL
+	env := newEdgeEnv(t, Config{})
+	i := func(v int64) types.Value { return types.NewInt(v) }
+	env.check("empty table") // every aggregate NULL
 
-		for id := int64(1); id <= 6; id++ {
-			env.exec("insert", i(id), i(id%2), i(10*id), types.Null)
-		}
-		env.check("all-NULL e_note") // MIN and MAX over a column of NULLs
+	for id := int64(1); id <= 6; id++ {
+		env.exec("insert", i(id), i(id%2), i(10*id), types.Null)
+	}
+	env.check("all-NULL e_note") // MIN and MAX over a column of NULLs
 
-		env.exec("delete", i(6))
-		env.check("the maximum row deleted")
-		env.exec("insert", i(6), i(1), i(5), types.NewString("back"))
-		env.check("and re-inserted under a new row id")
-		env.exec("delete", i(1))
-		env.check("the minimum row deleted")
+	env.exec("delete", i(6))
+	env.check("the maximum row deleted")
+	env.exec("insert", i(6), i(1), i(5), types.NewString("back"))
+	env.check("and re-inserted under a new row id")
+	env.exec("delete", i(1))
+	env.check("the minimum row deleted")
 
-		// grp 1 now holds (id, seq) = (3, 30), (5, 50), (6, 5).
-		env.exec("reseq", i(1), i(5)) // the maximum drops to the bottom: a stale (1, 50) entry stays at the edge
-		env.check("the extreme key updated downward")
-		env.exec("reseq", i(70), i(3))
-		env.check("and another one upward")
-		env.exec("regroup", i(0), i(3)) // row 3 leaves grp 1; its (1, 70) entry stays at the edge
-		env.check("the extreme row moved out of the prefix")
-		env.exec("regroup", i(0), i(5))
-		env.exec("regroup", i(0), i(6))
-		env.check("the prefix emptied")
+	// grp 1 now holds (id, seq) = (3, 30), (5, 50), (6, 5).
+	env.exec("reseq", i(1), i(5)) // the maximum drops to the bottom: a stale (1, 50) entry stays at the edge
+	env.check("the extreme key updated downward")
+	env.exec("reseq", i(70), i(3))
+	env.check("and another one upward")
+	env.exec("regroup", i(0), i(3)) // row 3 leaves grp 1; its (1, 70) entry stays at the edge
+	env.check("the extreme row moved out of the prefix")
+	env.exec("regroup", i(0), i(5))
+	env.exec("regroup", i(0), i(6))
+	env.check("the prefix emptied")
 
-		if env.eng.Plan().PathCycles().IndexEdge == 0 {
-			t.Errorf("workers=%d: no index-edge probe cycle was dispatched", workers)
-		}
+	if env.eng.Plan().PathCycles().IndexEdge == 0 {
+		t.Error("no index-edge probe cycle was dispatched")
 	}
 }
 

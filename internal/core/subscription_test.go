@@ -69,7 +69,7 @@ func TestSubscriptionDeltasMatchOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{{"reference", referenceConfig(0)}, {"production", Config{}}} {
+	}{{"reference", referenceConfig()}, {"production", Config{}}} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, closeDB := bookstore(t)
 			defer closeDB()

@@ -55,11 +55,8 @@ type Env struct {
 
 // NewEnv loads a fresh database and attaches the requested system. Each
 // system gets its own copy so that one run's updates cannot skew another's.
-// workers is SharedDB's scan parallelism budget (0 = GOMAXPROCS);
-// the query-at-a-time baselines ignore it (their parallelism is one core
-// per query by construction).
-func NewEnv(kind SystemKind, scale tpcw.Scale, seed int64, workers int) (*Env, error) {
-	return NewEnvSharded(kind, scale, seed, workers, 1)
+func NewEnv(kind SystemKind, scale tpcw.Scale, seed int64) (*Env, error) {
+	return NewEnvSharded(kind, scale, seed, 1)
 }
 
 // NewEnvSharded is NewEnv with a shard count: shards > 1 runs SharedDB as
@@ -67,8 +64,8 @@ func NewEnv(kind SystemKind, scale tpcw.Scale, seed int64, workers int) (*Env, e
 // scatter-gather router, tpcw.ShardedPlacement). The query-at-a-time
 // baselines stay single-node — their comparison point is the unsharded
 // engine.
-func NewEnvSharded(kind SystemKind, scale tpcw.Scale, seed int64, workers, shards int) (*Env, error) {
-	return NewEnvWithOptions(kind, Options{Scale: scale, Seed: seed, Workers: workers, Shards: shards})
+func NewEnvSharded(kind SystemKind, scale tpcw.Scale, seed int64, shards int) (*Env, error) {
+	return NewEnvWithOptions(kind, Options{Scale: scale, Seed: seed, Shards: shards})
 }
 
 // NewEnvWithOptions builds the environment from the full Options — the
@@ -151,7 +148,6 @@ type Options struct {
 	PointDuration time.Duration // measurement window per data point
 	ThinkTime     time.Duration // mean EB think time (scaled-down 7 s)
 	Seed          int64
-	Workers       int // SharedDB scan workers (0 = GOMAXPROCS; per shard on sharded runs)
 	Shards        int // SharedDB shard engines (0 or 1 = single engine)
 
 	// Admission-control knobs for overload scenarios (zero = disabled, the
@@ -182,7 +178,6 @@ type Options struct {
 // single-engine and sharded backends.
 func (o Options) coreConfig() core.Config {
 	return core.Config{
-		Workers:                o.Workers,
 		MaxGenerationDelay:     o.MaxGenerationDelay,
 		QueueDepthLimit:        o.QueueDepthLimit,
 		StatementQuota:         o.StatementQuota,
@@ -218,7 +213,7 @@ type Fig7Point struct {
 func Fig7(mix tpcw.Mix, ebCounts []int, opts Options) (map[SystemKind][]Fig7Point, error) {
 	out := map[SystemKind][]Fig7Point{}
 	for _, kind := range AllSystems {
-		env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Workers, opts.Shards)
+		env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Shards)
 		if err != nil {
 			return nil, err
 		}
@@ -256,7 +251,7 @@ func Fig8(mix tpcw.Mix, cores []int, saturate int, opts Options, setProcs Gomaxp
 	for _, kind := range AllSystems {
 		for _, n := range cores {
 			prev := setProcs(n)
-			env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Workers, opts.Shards)
+			env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Shards)
 			if err != nil {
 				setProcs(prev)
 				return nil, err
@@ -286,7 +281,7 @@ type Fig9Point struct {
 func Fig9(clients int, opts Options) (map[SystemKind][]Fig9Point, error) {
 	out := map[SystemKind][]Fig9Point{}
 	for _, kind := range AllSystems {
-		env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Workers, opts.Shards)
+		env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Shards)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +325,7 @@ func (q Fig10Query) String() string {
 func Fig10(query Fig10Query, sizes []int, opts Options) (map[SystemKind][]Fig10Point, error) {
 	out := map[SystemKind][]Fig10Point{}
 	for _, kind := range AllSystems {
-		env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Workers, opts.Shards)
+		env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Shards)
 		if err != nil {
 			return nil, err
 		}
@@ -391,7 +386,7 @@ type Fig11Point struct {
 func Fig11(lightRate float64, heavyRates []float64, opts Options) (map[SystemKind][]Fig11Point, error) {
 	out := map[SystemKind][]Fig11Point{}
 	for _, kind := range AllSystems {
-		env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Workers, opts.Shards)
+		env, err := NewEnvSharded(kind, opts.Scale, opts.Seed, opts.Shards)
 		if err != nil {
 			return nil, err
 		}

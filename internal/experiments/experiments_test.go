@@ -22,7 +22,7 @@ func tinyOpts() Options {
 
 func TestEnvAllSystems(t *testing.T) {
 	for _, kind := range AllSystems {
-		env, err := NewEnv(kind, tpcw.Scale{Items: 50, Customers: 30}, 1, 0)
+		env, err := NewEnv(kind, tpcw.Scale{Items: 50, Customers: 30}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}

@@ -60,7 +60,6 @@ func (o *LoadOptions) defaults() {
 // network server fronts.
 func engineConfig(o Options) shareddb.Config {
 	return shareddb.Config{
-		Workers:                o.Workers,
 		MaxGenerationDelay:     o.MaxGenerationDelay,
 		QueueDepthLimit:        o.QueueDepthLimit,
 		StatementQuota:         o.StatementQuota,

@@ -7,7 +7,7 @@ import (
 )
 
 // This file contains predicate analysis used by (a) the Crescando storage
-// manager's ClockScan (storage.SharedScanColumnar), which indexes query
+// manager's ClockScan (storage.SharedScan), which indexes query
 // predicates instead of data (paper §4.4) and evaluates them over the
 // table's column mirror, and (b) index/access-path selection in both
 // engines.

@@ -1,7 +1,6 @@
 package operators
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -11,13 +10,9 @@ import (
 	"shareddb/internal/types"
 )
 
-// Blocking operators have one Finish whatever the cycle's worker budget
-// (Workers only sizes scans): their per-query output — rows and order — is
-// the serial output at any worker count.
-
 // driveOp runs one operator cycle synchronously and returns every emitted
 // row per query, in emission order.
-func driveOp(op Operator, tasks []Task, workers int, drive func(c *Cycle)) map[queryset.QueryID][]types.Row {
+func driveOp(op Operator, tasks []Task, drive func(c *Cycle)) map[queryset.QueryID][]types.Row {
 	node := NewNode(0, "op", op)
 	sink := &SinkOp{}
 	sinkNode := NewNode(1, "sink", sink)
@@ -33,7 +28,7 @@ func driveOp(op Operator, tasks []Task, workers int, drive func(c *Cycle)) map[q
 			results[q] = append(results[q], tp.Row)
 		}
 	})
-	c := &Cycle{Gen: 1, Tasks: tasks, Workers: workers, node: node, em: newEmitter(node, 1)}
+	c := &Cycle{Gen: 1, Tasks: tasks, node: node, em: newEmitter(node, 1)}
 	op.Start(c)
 	drive(c)
 	op.Finish(c)
@@ -58,19 +53,19 @@ func sortedKeys(rows []types.Row) []string {
 	return out
 }
 
-func compareExact(t *testing.T, label string, serial, parallel map[queryset.QueryID][]types.Row) {
+func compareExact(t *testing.T, label string, want, got map[queryset.QueryID][]types.Row) {
 	t.Helper()
-	if len(serial) != len(parallel) {
-		t.Fatalf("%s: %d queries serial vs %d parallel", label, len(serial), len(parallel))
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d queries, want %d", label, len(got), len(want))
 	}
-	for q, s := range serial {
-		p := parallel[q]
-		if len(s) != len(p) {
-			t.Fatalf("%s query %d: %d rows serial vs %d parallel", label, q, len(s), len(p))
+	for q, w := range want {
+		g := got[q]
+		if len(w) != len(g) {
+			t.Fatalf("%s query %d: %d rows, want %d", label, q, len(g), len(w))
 		}
-		for i := range s {
-			if rowsKey(s[i]) != rowsKey(p[i]) {
-				t.Fatalf("%s query %d row %d: %v serial vs %v parallel", label, q, i, s[i], p[i])
+		for i := range w {
+			if rowsKey(w[i]) != rowsKey(g[i]) {
+				t.Fatalf("%s query %d row %d: %v, want %v", label, q, i, g[i], w[i])
 			}
 		}
 	}
@@ -93,15 +88,13 @@ func TestSortIndexPermMatchesSliceStable(t *testing.T) {
 		return batch.Tuples[want[i]].Row[0].Int < batch.Tuples[want[j]].Row[0].Int
 	})
 	op := &SortOp{Streams: map[int]SortStream{1: {Keys: []SortKey{{E: &expr.ColRef{Idx: 0}}}, OutStream: 1}}}
-	for _, workers := range []int{1, 4} {
-		got := driveOp(op, []Task{{Query: 1, Spec: SortSpec{}}}, workers, func(c *Cycle) { op.Consume(c, batch) })[1]
-		if len(got) != n {
-			t.Fatalf("workers=%d: %d rows, want %d", workers, len(got), n)
-		}
-		for i, row := range got {
-			if int(row[1].Int) != want[i] {
-				t.Fatalf("workers=%d: position %d holds tuple %d, want %d (stability broken)", workers, i, row[1].Int, want[i])
-			}
+	got := driveOp(op, []Task{{Query: 1, Spec: SortSpec{}}}, func(c *Cycle) { op.Consume(c, batch) })[1]
+	if len(got) != n {
+		t.Fatalf("%d rows, want %d", len(got), n)
+	}
+	for i, row := range got {
+		if int(row[1].Int) != want[i] {
+			t.Fatalf("position %d holds tuple %d, want %d (stability broken)", i, row[1].Int, want[i])
 		}
 	}
 }
@@ -157,11 +150,13 @@ func TestGroupFinishParallelMatchesSerial(t *testing.T) {
 			c.node.Op.Consume(c, b)
 		}
 	}
-	serial := driveOp(op(), tasks, 1, feed)
-	for _, workers := range []int{2, 4, 7} {
-		parallel := driveOp(op(), tasks, workers, feed)
-		// Groups emit in first-arrival order at any worker budget. Rows embed
-		// float sums, so identical bytes also prove the accumulation order.
-		compareExact(t, fmt.Sprintf("group workers=%d", workers), serial, parallel)
+	whole := &Batch{Stream: 1}
+	for _, b := range batches {
+		whole.Tuples = append(whole.Tuples, b.Tuples...)
 	}
+	want := driveOp(op(), tasks, func(c *Cycle) { c.node.Op.Consume(c, whole) })
+	// Groups emit in first-arrival order however the input is batched. Rows
+	// embed float sums, so identical bytes also prove the accumulation order.
+	// (The name dates from when Finish had a partitioned variant.)
+	compareExact(t, "group over nine batches", want, driveOp(op(), tasks, feed))
 }

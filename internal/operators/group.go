@@ -218,7 +218,7 @@ type ColPred struct {
 
 // ColCycle is the columnar-aggregation activation attached to a CycleStart
 // (the aggregation pushdown of the columnar data path): the group-by node
-// feeds itself from the table's columnar mirror (storage.SharedScanColumnar)
+// feeds itself from the table's columnar mirror (storage.SharedScan)
 // instead of consuming the scan→group stream, which the plan silences for
 // the covered queries. Preds are sorted by QID ascending, one bound scan
 // predicate per covered query — exactly the clients the shared scan node
@@ -244,7 +244,7 @@ func (g *GroupOp) startColumnar(c *Cycle) {
 	for _, p := range cc.Preds {
 		clients = append(clients, storage.ScanClient{ID: p.QID, Pred: p.Pred})
 	}
-	cc.Table.SharedScanColumnar(c.TS, clients, c.Workers, &g.colBufs, func(_ storage.RowID, row types.Row, qs queryset.Set) {
+	cc.Table.SharedScan(c.TS, clients, &g.colBufs, func(_ storage.RowID, row types.Row, qs queryset.Set) {
 		g.absorbRow(cfg, row, qs)
 	})
 	clear(clients)

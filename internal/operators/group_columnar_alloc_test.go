@@ -103,7 +103,7 @@ func TestGroupColumnarZeroAllocSteadyState(t *testing.T) {
 	var em emitter
 	cycle := func() {
 		em.reset(node, 1)
-		c := &Cycle{Gen: 1, TS: ts, Tasks: tasks, Workers: 4, Col: col, node: node, em: &em}
+		c := &Cycle{Gen: 1, TS: ts, Tasks: tasks, Col: col, node: node, em: &em}
 		op.Start(c)
 		op.Finish(c)
 		c.em.flushEOS()

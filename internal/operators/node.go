@@ -118,7 +118,6 @@ type CycleStart struct {
 	TS              uint64 // storage snapshot for this generation
 	Tasks           []Task // per-query activations at this node
 	ActiveProducers int    // producer edges that will send EOS this cycle
-	Workers         int    // scan parallelism budget (<=1 = serial)
 	OnDone          func() // optional completion callback (used by sinks)
 
 	// Col, when non-nil, switches a group-by node to the columnar
@@ -153,12 +152,6 @@ type Cycle struct {
 	Gen   uint64
 	TS    uint64
 	Tasks []Task
-
-	// Workers is the scan parallelism budget for this cycle: scan sources
-	// (and the columnar aggregation feed) split the table's row slots
-	// across up to this many goroutines. <= 1 means a strictly serial scan;
-	// emission order is the same at any value.
-	Workers int
 
 	// Col is the columnar-aggregation activation for this cycle (nil = the
 	// node consumes its producer stream as usual). See ColCycle.
@@ -283,7 +276,7 @@ func (n *Node) run() {
 func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (future []Message, nextStarts []*CycleStart, ok bool) {
 	n.em.reset(n, cs.Gen)
 	c := &n.cycle
-	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Workers: cs.Workers, Col: cs.Col, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
+	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Col: cs.Col, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
 
 	// activeNs accumulates operator-busy time for the engine's per-statement
 	// cost attribution; timing only runs when someone is observing.

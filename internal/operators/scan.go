@@ -11,7 +11,7 @@ import (
 // ScanOp is a shared table scan source: one ClockScan cycle per generation
 // answers all queries reading the table (paper §3.4 / §4.4). It has no
 // producers; all work happens in Start. The scan's query index, bitmaps and
-// hit-merge buffers (bufs) are reused across generations (one cycle at a
+// query-id scratch (bufs) are reused across generations (one cycle at a
 // time per node), so a steady-state scan cycle allocates nothing per row.
 type ScanOp struct {
 	Table     *storage.Table
@@ -28,10 +28,8 @@ type ScanSpec struct {
 }
 
 // Start runs the shared scan for the cycle's queries over the table's
-// columnar mirror (storage.SharedScanColumnar). With a worker budget above 1
-// the cycle runs partition-parallel: contiguous chunk ranges are matched on
-// separate workers and merged back in row order, so downstream operators
-// observe the same tuple sequence as the serial scan.
+// columnar mirror (storage.SharedScan), one serial pass in row order on
+// this node's goroutine.
 func (s *ScanOp) Start(c *Cycle) {
 	s.clients = s.clients[:0]
 	for _, t := range c.Tasks {
@@ -41,7 +39,7 @@ func (s *ScanOp) Start(c *Cycle) {
 	emit := func(_ storage.RowID, row types.Row, qs queryset.Set) {
 		c.Emit(s.OutStream, row, qs)
 	}
-	s.Table.SharedScanColumnar(c.TS, s.clients, c.Workers, &s.bufs, emit)
+	s.Table.SharedScan(c.TS, s.clients, &s.bufs, emit)
 	clear(s.clients)
 	s.clients = s.clients[:0]
 }

@@ -121,7 +121,7 @@ func (tc *sortRegimeCase) naive() map[queryset.QueryID][]int64 {
 // emitted ids in order.
 func (tc *sortRegimeCase) run(finish func(op *SortOp, c *Cycle)) map[queryset.QueryID][]int64 {
 	op := tc.op()
-	rows := driveOp(op, tc.tasks, 1, func(c *Cycle) {
+	rows := driveOp(op, tc.tasks, func(c *Cycle) {
 		for _, b := range tc.batches {
 			op.Consume(c, b)
 		}

@@ -99,10 +99,6 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		return c
 	}
 
-	workers := p.workers
-	if workers < 1 {
-		workers = 1
-	}
 	// Per-generation cost attribution closure: node cycles report their
 	// operator-active time tagged with this generation (pipelined
 	// generations attribute independently). Every node drains a generation
@@ -128,7 +124,6 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 	p.sink.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
 		Gen: gen, TS: ts,
 		ActiveProducers: activeProducers(p.sink),
-		Workers:         workers,
 		CostObserve:     costObserve,
 		OnDone:          done,
 	}})
@@ -144,7 +139,6 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		n.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
 			Gen: gen, TS: ts, Tasks: nt,
 			ActiveProducers: activeProducers(n),
-			Workers:         workers,
 			CostObserve:     costObserve,
 			Col:             colCycles[n],
 			Rows:            rows,

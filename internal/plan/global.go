@@ -128,7 +128,6 @@ type GlobalPlan struct {
 	nextNodeID int
 	nextStream int
 	started    bool
-	workers    int // per-cycle scan parallelism (<=1 = serial)
 	// pool is the plan-wide batch free list: every node's emitter draws
 	// from it and every node recycles consumed batches into it, so the
 	// steady-state generation cycle reuses the same buffers (README
@@ -262,18 +261,6 @@ func (p *GlobalPlan) edge(from, to *operators.Node) *operators.Edge {
 	return e
 }
 
-// SetWorkers sets the scan parallelism budget handed to every operator
-// cycle (only partitioned scans read it). Values below 1 clamp to 1
-// (strictly serial scans).
-func (p *GlobalPlan) SetWorkers(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	p.workers = n
-}
-
 // SetCostObserver installs the engine's per-cycle cost attribution hook:
 // ob(gen, tasks, activeNs) is called from each node's goroutine when it
 // drains a generation, with the time spent inside the operator (excluding
@@ -285,20 +272,15 @@ func (p *GlobalPlan) SetCostObserver(ob func(gen uint64, tasks []operators.Task,
 	p.costObserver = ob
 }
 
-// Workers returns the configured per-cycle parallelism budget.
-func (p *GlobalPlan) Workers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.workers < 1 {
-		return 1
-	}
-	return p.workers
-}
-
 // SetColumnar does nothing: every scan reads the columnar mirror. It is
 // kept only for bench/layers.go, which only a benchmark-typed PR may change
 // and which still calls it.
 func (p *GlobalPlan) SetColumnar(bool) {}
+
+// SetWorkers does nothing: every scan cycle is one serial pass on its scan
+// node's goroutine. It is kept only for bench/layers.go, which only a
+// benchmark-typed PR may change and which still calls it.
+func (p *GlobalPlan) SetWorkers(int) {}
 
 // PathCounts is how many node cycles a plan has dispatched on each always-on
 // path since it was created.

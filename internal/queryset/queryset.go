@@ -6,8 +6,7 @@
 // once regardless of how many concurrent queries subscribed to it (the NF2
 // representation on the right of Figure 1). The paper evaluated bitmap and
 // list representations and chose sorted lists; Set is that list
-// implementation. A bitmap variant lives in bitmap.go for the ablation
-// benchmark (bench_test.go, ablation A1).
+// implementation.
 //
 // QueryIDs are generation-scoped: each engine generation numbers its
 // queries densely from 1, which keeps sets small and lets operators use

@@ -167,42 +167,6 @@ func TestSetAlgebraProperties(t *testing.T) {
 	}
 }
 
-// Property: the bitmap representation agrees with the reference.
-func TestListBitmapEquivalence(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 300; i++ {
-		ia, ib := randIDs(r), randIDs(r)
-		ra, rb := refOf(ia), refOf(ib)
-		ba, bb := BitmapOf(64, ia...), BitmapOf(64, ib...)
-		want := ra.intersect(rb)
-		if !sameIDs(ba.Intersect(bb).ToSet(), want) {
-			t.Fatalf("bitmap intersect disagrees: %v %v", ra.sorted(), rb.sorted())
-		}
-		if ba.Intersects(bb) != (len(want) > 0) {
-			t.Fatalf("bitmap Intersects disagrees")
-		}
-		if ba.Len() != len(ra) || ba.Empty() != (len(ra) == 0) {
-			t.Fatalf("bitmap len/empty disagrees")
-		}
-	}
-}
-
-func TestBitmapBasics(t *testing.T) {
-	b := NewBitmap(10)
-	if !b.Empty() {
-		t.Error("new bitmap should be empty")
-	}
-	b.Set(3)
-	b.Set(200) // beyond initial universe: must grow
-	if !b.Contains(3) || !b.Contains(200) || b.Contains(4) {
-		t.Error("membership wrong")
-	}
-	ids := b.IDs()
-	if len(ids) != 2 || ids[0] != 3 || ids[1] != 200 {
-		t.Errorf("IDs = %v", ids)
-	}
-}
-
 func TestFromSortedAdoptsSlice(t *testing.T) {
 	ids := []QueryID{1, 5, 9}
 	s := FromSorted(ids)

@@ -132,7 +132,7 @@ func TestDifferentialShardedVsOracle(t *testing.T) {
 }
 
 func differentialShardedVsOracle(t *testing.T, shards int, cfg core.Config) {
-	router := newRouterEnv(t, shards, cfg)
+	router := newExecEnv(t, shards, cfg)
 	oracle := newOracle(t)
 
 	templates := sweepTemplates()
@@ -223,72 +223,24 @@ func differentialShardedVsOracle(t *testing.T, shards int, cfg core.Config) {
 	}
 }
 
-// TestSingleShardByteIdentical pins the Shards=1 contract: the router is a
-// pure pass-through, returning exactly what a directly-driven engine over
-// the same data returns — same rows, same order, same schema.
+// TestSingleShardByteIdentical pins the Shards=1 contract: one shard is the
+// plain engine, so it is byte-identical to it by construction, and no router
+// over fewer than two shard databases can be built.
 func TestSingleShardByteIdentical(t *testing.T) {
-	router := newRouterEnv(t, 1, core.Config{Workers: 1, MaxInFlightGenerations: 1})
-
-	db, err := storage.Open(storage.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkSchema(t, db)
-	if results, _ := db.ApplyOps(fixtureOps()); results != nil {
-		for _, res := range results {
-			if res.Err != nil {
-				t.Fatal(res.Err)
+	for n := 0; n < 2; n++ {
+		dbs := make([]*storage.Database, n)
+		for i := range dbs {
+			db, err := storage.Open(storage.Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer db.Close()
+			mkSchema(t, db)
+			dbs[i] = db
 		}
-	}
-	gp := plan.New(db)
-	eng := core.New(db, gp, core.Config{Workers: 1, MaxInFlightGenerations: 1})
-	defer eng.Close()
-
-	queries := []struct {
-		sql    string
-		params []types.Value
-	}{
-		{"SELECT i_title, i_price FROM item WHERE i_id = ?", []types.Value{types.NewInt(17)}},
-		{"SELECT i_id, i_title FROM item WHERE i_subject = ?", []types.Value{types.NewString("ARTS")}},
-		{"SELECT i_id, i_price FROM item WHERE i_subject = ? ORDER BY i_price DESC, i_id LIMIT 8",
-			[]types.Value{types.NewString("SCIENCE")}},
-		{"SELECT i_subject, COUNT(*), AVG(i_price) FROM item GROUP BY i_subject", nil},
-		{"SELECT i_subject, COUNT(DISTINCT i_a_id) FROM item GROUP BY i_subject HAVING COUNT(DISTINCT i_a_id) > ?",
-			[]types.Value{types.NewInt(2)}},
-		{"SELECT DISTINCT i_subject FROM item WHERE i_price < ?", []types.Value{types.NewFloat(50)}},
-		{"SELECT COUNT(*) FROM orders WHERE o_c_id = ?", []types.Value{types.NewInt(3)}},
-	}
-	for _, q := range queries {
-		rs, err := router.Prepare(q.sql)
-		if err != nil {
-			t.Fatalf("router prepare %q: %v", q.sql, err)
-		}
-		es, err := eng.Prepare(q.sql)
-		if err != nil {
-			t.Fatalf("engine prepare %q: %v", q.sql, err)
-		}
-		rres := router.Submit(rs, q.params)
-		if err := rres.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		eres := eng.Submit(es, q.params)
-		if err := eres.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if len(rres.Rows) != len(eres.Rows) {
-			t.Fatalf("%q: router %d rows, engine %d", q.sql, len(rres.Rows), len(eres.Rows))
-		}
-		for i := range rres.Rows {
-			if len(rres.Rows[i]) != len(eres.Rows[i]) {
-				t.Fatalf("%q row %d: width differs", q.sql, i)
-			}
-			for j := range rres.Rows[i] {
-				if rres.Rows[i][j] != eres.Rows[i][j] {
-					t.Fatalf("%q row %d col %d: router %#v, engine %#v (byte-identity broken)",
-						q.sql, i, j, rres.Rows[i][j], eres.Rows[i][j])
-				}
-			}
+		if r, err := New(dbs, core.Config{}, fixturePlacement); err == nil {
+			r.Close()
+			t.Fatalf("New over %d shard databases succeeded, want an error", n)
 		}
 	}
 }

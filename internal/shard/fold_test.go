@@ -26,7 +26,7 @@ func foldRouterCfg() core.Config {
 
 // warmRouter runs one broadcast read to completion so every shard engine's
 // heartbeat clock is ticking and the next submissions pool in one window.
-func warmRouter(t *testing.T, r *Router, s *plan.Statement, params []types.Value) {
+func warmRouter(t *testing.T, r core.Executor, s *plan.Statement, params []types.Value) {
 	t.Helper()
 	res := r.Submit(s, params)
 	if err := res.Wait(); err != nil {
@@ -37,7 +37,7 @@ func warmRouter(t *testing.T, r *Router, s *plan.Statement, params []types.Value
 func TestFoldScatterDuplicates(t *testing.T) {
 	for _, shards := range shardCounts(t) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			router := newRouterEnv(t, shards, foldRouterCfg())
+			router := newExecEnv(t, shards, foldRouterCfg())
 			oracle := newOracle(t)
 
 			const sqlText = `SELECT i_id, i_title FROM item WHERE i_subject = ?`
@@ -108,7 +108,7 @@ func TestFoldScatterDuplicates(t *testing.T) {
 // on the same shard.
 func TestFoldRouteAnyDuplicatesFoldPerShard(t *testing.T) {
 	const shards = 3
-	router := newRouterEnv(t, shards, foldRouterCfg())
+	router := newExecEnv(t, shards, foldRouterCfg())
 	oracle := newOracle(t)
 
 	// author is replicated: this read is RouteAny.
@@ -193,7 +193,7 @@ func TestDifferentialFoldSharded(t *testing.T) {
 	for _, shards := range shardCounts(t) {
 		for _, fold := range []bool{false, true} {
 			t.Run(fmt.Sprintf("shards=%d/fold=%v", shards, fold), func(t *testing.T) {
-				router := newRouterEnv(t, shards, core.Config{NoFold: !fold})
+				router := newExecEnv(t, shards, core.Config{NoFold: !fold})
 				oracle := newOracle(t)
 
 				stmts := make([]*plan.Statement, len(templates))

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -124,18 +123,14 @@ func (p Placement) validate(db *storage.Database) error {
 // cannot tell it from a single engine. Statement classification and merge
 // recipes are compiled once at Prepare; Submit routes point statements to
 // the owning shard (pass-through — the shard engine's Result is returned
-// untouched, no copying at the seam) and scatters everything else.
-//
-// With a single shard the router is a pure pass-through: statements are
-// prepared unrewritten on the one engine and Submit forwards directly, so
-// Shards=1 behavior is byte-identical to an unsharded engine.
+// untouched, no copying at the seam) and scatters everything else. A
+// router has at least two shards: one shard is the plain engine.
 type Router struct {
 	dbs       []*storage.Database
 	plans     []*plan.GlobalPlan
 	engines   []*core.Engine
 	part      storage.Partitioning
 	placement Placement
-	single    bool
 	rr        atomic.Uint64 // round-robin cursor for RouteAny reads
 
 	// mu guards the statement maps: stmts routes a canonical handle, texts
@@ -170,8 +165,8 @@ type routedStmt struct {
 // The databases must hold identical schemas; rows must have been loaded
 // through the same placement (Stores.ApplyOps or the write path).
 func New(dbs []*storage.Database, cfg core.Config, placement Placement) (*Router, error) {
-	if len(dbs) == 0 {
-		return nil, errors.New("shard: at least one shard database required")
+	if len(dbs) < 2 {
+		return nil, fmt.Errorf("shard: a router needs at least two shard databases, got %d (one shard is the plain engine)", len(dbs))
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -183,31 +178,19 @@ func New(dbs []*storage.Database, cfg core.Config, placement Placement) (*Router
 		dbs:       dbs,
 		part:      storage.Partitioning{Shards: len(dbs)},
 		placement: placement,
-		single:    len(dbs) == 1,
 		stmts:     map[*plan.Statement]*routedStmt{},
 		texts:     map[string]*plan.Statement{},
-	}
-	// Per-shard worker placement: by default every shard engine would
-	// resolve Workers=0 to all of GOMAXPROCS and the shards would contend
-	// for the same cores, so split the processor budget into disjoint
-	// per-shard shares. An explicit Workers applies per shard as given.
-	ecfg := cfg
-	if cfg.Workers == 0 && len(dbs) > 1 {
-		ecfg.Workers = max(1, runtime.GOMAXPROCS(0)/len(dbs))
 	}
 	for _, db := range dbs {
 		gp := plan.New(db)
 		r.plans = append(r.plans, gp)
-		r.engines = append(r.engines, core.New(db, gp, ecfg))
+		r.engines = append(r.engines, core.New(db, gp, cfg))
 	}
 	return r, nil
 }
 
 // Shards returns the shard count.
 func (r *Router) Shards() int { return len(r.dbs) }
-
-// Workers reports the per-shard scan parallelism budget.
-func (r *Router) Workers() int { return r.engines[0].Workers() }
 
 // ValidateTable checks the placement overrides against a (typically newly
 // created) table, so a typo'd partition-key column surfaces at DDL time
@@ -316,9 +299,6 @@ func (c shardCatalog) TablePlacement(name string) ([]int, bool, bool) {
 // and returns the canonical client handle — once per SQL text: a text
 // prepared before returns its canonical handle without touching a shard.
 func (r *Router) Prepare(sqlText string) (*plan.Statement, error) {
-	if r.single {
-		return r.engines[0].Prepare(sqlText)
-	}
 	if canon := r.registered(sqlText); canon != nil {
 		return canon, nil
 	}
@@ -406,13 +386,8 @@ func (r *Router) Submit(stmt *plan.Statement, params []types.Value) *core.Result
 	return r.submit(stmt, params, nil)
 }
 
-// SubmitBatch hands a burst to the engine whole when there is one shard;
-// otherwise each call routes exactly as Submit routes it.
+// SubmitBatch routes each call exactly as Submit routes it.
 func (r *Router) SubmitBatch(calls []core.Call) {
-	if r.single {
-		r.engines[0].SubmitBatch(calls)
-		return
-	}
 	for i := range calls {
 		c := &calls[i]
 		c.Result = r.submit(c.Stmt, c.Params, c.Result)
@@ -421,9 +396,6 @@ func (r *Router) SubmitBatch(calls []core.Call) {
 
 // submit routes one activation, completing res (a fresh result when nil).
 func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Result) *core.Result {
-	if r.single {
-		return r.engines[0].SubmitCall(core.Call{Stmt: stmt, Params: params, Result: res})
-	}
 	r.mu.RLock()
 	rs := r.stmts[stmt]
 	r.mu.RUnlock()
@@ -578,11 +550,8 @@ type Tx struct {
 var _ core.Tx = (*Tx)(nil)
 
 // BeginTx opens a transaction group reading each shard at its current
-// snapshot. With a single shard this is the engine's own transaction.
+// snapshot.
 func (r *Router) BeginTx() core.Tx {
-	if r.single {
-		return r.engines[0].BeginTx()
-	}
 	t := &Tx{r: r, txs: make([]*storage.Tx, len(r.dbs)), dirty: make([]bool, len(r.dbs))}
 	for i, db := range r.dbs {
 		t.txs[i] = db.Begin()
@@ -684,9 +653,6 @@ func (t *Tx) Rollback() {
 // first error wins. Snapshot-isolation validation runs per shard, so a
 // conflict on one shard does not roll back the commits on the others.
 func (r *Router) SubmitTx(tx core.Tx) *core.Result {
-	if r.single {
-		return r.engines[0].SubmitTx(tx)
-	}
 	t, ok := tx.(*Tx)
 	if !ok || t.r != r {
 		return fail(nil, errors.New("shard: SubmitTx requires a transaction from this router's BeginTx"))

@@ -123,6 +123,30 @@ func fixtureOps() []storage.WriteOp {
 	return ops
 }
 
+// newExecEnv builds the deployment a shard count names over freshly loaded
+// fixture data: the plain engine for one shard (a router needs at least
+// two), an n-shard router otherwise.
+func newExecEnv(t testing.TB, n int, cfg core.Config) core.Executor {
+	t.Helper()
+	if n > 1 {
+		return newRouterEnv(t, n, cfg)
+	}
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mkSchema(t, db)
+	results, _ := db.ApplyOps(fixtureOps())
+	for _, res := range results {
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	eng := core.New(db, plan.New(db), cfg)
+	t.Cleanup(eng.Close)
+	return eng
+}
+
 // newRouterEnv builds an n-shard router over freshly loaded fixture data.
 func newRouterEnv(t testing.TB, n int, cfg core.Config) *Router {
 	t.Helper()
@@ -172,7 +196,7 @@ func newOracle(t testing.TB) *baseline.Engine {
 // disjoint with the full population as their union, and replicated tables
 // hold a full copy on every shard.
 func TestStoresPartitioning(t *testing.T) {
-	r := newRouterEnv(t, 3, core.Config{Workers: 1})
+	r := newRouterEnv(t, 3, core.Config{})
 	total := 0
 	nonEmpty := 0
 	for _, db := range r.Databases() {
@@ -214,7 +238,7 @@ func TestStoresPartitioning(t *testing.T) {
 // TestPointRouting: a full-PK read runs on exactly one shard (the others'
 // engines see no queries).
 func TestPointRouting(t *testing.T) {
-	r := newRouterEnv(t, 3, core.Config{Workers: 1})
+	r := newRouterEnv(t, 3, core.Config{})
 	stmt, err := r.Prepare("SELECT i_title FROM item WHERE i_id = ?")
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +268,7 @@ func TestPointRouting(t *testing.T) {
 // only, and the row is findable afterwards (insert→update→read round trip
 // through the hash router).
 func TestPointWriteRouting(t *testing.T) {
-	r := newRouterEnv(t, 3, core.Config{Workers: 1})
+	r := newRouterEnv(t, 3, core.Config{})
 	ins, err := r.Prepare("INSERT INTO orders VALUES (?, ?, ?)")
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +310,7 @@ func TestPointWriteRouting(t *testing.T) {
 // (reported once), and reads over replicated tables answer from any single
 // shard.
 func TestReplicatedTable(t *testing.T) {
-	r := newRouterEnv(t, 3, core.Config{Workers: 1})
+	r := newRouterEnv(t, 3, core.Config{})
 	ins, err := r.Prepare("INSERT INTO author VALUES (?, ?)")
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +365,7 @@ func TestReplicatedTable(t *testing.T) {
 // non-partition keys cannot be answered shard-locally and must fail at
 // prepare with a placement hint.
 func TestNonColocatedJoinRejected(t *testing.T) {
-	r := newRouterEnv(t, 2, core.Config{Workers: 1})
+	r := newRouterEnv(t, 2, core.Config{})
 	// orders partitions on o_id, order_line on ol_i_id — joining them on
 	// ol_o_id = o_id is not co-located.
 	_, err := r.Prepare("SELECT o_id, ol_qty FROM orders, order_line WHERE ol_o_id = o_id")
@@ -361,7 +385,7 @@ func TestNonColocatedJoinRejected(t *testing.T) {
 // TestBroadcastWriteSumsRowsAffected: a predicate update touches matching
 // rows on every shard and reports the global count.
 func TestBroadcastWriteSumsRowsAffected(t *testing.T) {
-	r := newRouterEnv(t, 3, core.Config{Workers: 1})
+	r := newRouterEnv(t, 3, core.Config{})
 	upd, err := r.Prepare("UPDATE item SET i_price = ? WHERE i_subject = ?")
 	if err != nil {
 		t.Fatal(err)
@@ -379,13 +403,13 @@ func TestBroadcastWriteSumsRowsAffected(t *testing.T) {
 // UPDATE assigning a primary-key column fails at prepare on a sharded
 // deployment.
 func TestPrimaryKeyUpdateRejected(t *testing.T) {
-	r := newRouterEnv(t, 2, core.Config{Workers: 1})
+	r := newRouterEnv(t, 2, core.Config{})
 	if _, err := r.Prepare("UPDATE item SET i_id = ? WHERE i_id = ?"); err == nil {
 		t.Fatal("preparing a primary-key UPDATE on 2 shards succeeded, want error")
 	}
-	single := newRouterEnv(t, 1, core.Config{Workers: 1})
+	single := newExecEnv(t, 1, core.Config{})
 	if _, err := single.Prepare("UPDATE item SET i_id = ? WHERE i_id = ?"); err != nil {
-		t.Fatalf("single-shard router must keep accepting PK updates: %v", err)
+		t.Fatalf("the one-shard deployment must keep accepting PK updates: %v", err)
 	}
 	// The transaction path must apply the same guard for core-level
 	// callers that buffer writes without Prepare (internal/tpcw): a
@@ -405,7 +429,7 @@ func TestPrimaryKeyUpdateRejected(t *testing.T) {
 // preparation holds across every shard's pipeline quiesce, and adds no
 // statement to any shard.
 func TestRouterPrepareRegisteredTextSkipsPreparation(t *testing.T) {
-	r := newRouterEnv(t, 2, core.Config{Workers: 1})
+	r := newRouterEnv(t, 2, core.Config{})
 	const text = "SELECT i_title FROM item WHERE i_subject = ?"
 	canon, err := r.Prepare(text)
 	if err != nil {
@@ -459,7 +483,7 @@ func TestRouterPrepareRegisteredTextSkipsPreparation(t *testing.T) {
 // TestRouterTx: transactions route buffered writes to owning shards and
 // commit through the shard engines.
 func TestRouterTx(t *testing.T) {
-	r := newRouterEnv(t, 3, core.Config{Workers: 1})
+	r := newRouterEnv(t, 3, core.Config{})
 	tx := r.BeginTx()
 	tx.Insert("author", types.Row{types.NewInt(500), types.NewString("tx")})
 	tx.Insert("author", types.Row{types.NewInt(501), types.NewString("tx")})
@@ -485,7 +509,7 @@ func TestShardForZeroAlloc(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under -race")
 	}
-	r := newRouterEnv(t, 3, core.Config{Workers: 1})
+	r := newRouterEnv(t, 3, core.Config{})
 	stmt, err := r.Prepare("SELECT i_title FROM item WHERE i_id = ?")
 	if err != nil {
 		t.Fatal(err)
@@ -537,7 +561,7 @@ func (h *batchHook) Completed(*core.Result) {
 func TestSubmitBatchRoutesEachCall(t *testing.T) {
 	for _, shards := range shardCounts(t) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			r := newRouterEnv(t, shards, core.Config{Workers: 1})
+			r := newExecEnv(t, shards, core.Config{})
 			prep := func(sqlText string) *plan.Statement {
 				t.Helper()
 				s, err := r.Prepare(sqlText)

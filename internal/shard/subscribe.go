@@ -20,9 +20,6 @@ import (
 // sequence number as the generation. Closing the returned subscription
 // detaches every per-shard feed.
 func (r *Router) Subscribe(stmt *plan.Statement, params []types.Value) (*core.Subscription, error) {
-	if r.single {
-		return r.engines[0].Subscribe(stmt, params)
-	}
 	r.mu.RLock()
 	rs := r.stmts[stmt]
 	r.mu.RUnlock()

@@ -63,7 +63,7 @@ func awaitSubState(t *testing.T, sub *core.Subscription, tracked []types.Row, wa
 func TestShardedSubscription(t *testing.T) {
 	for _, n := range shardCounts(t) {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			r := newRouterEnv(t, n, core.Config{Workers: 2})
+			r := newExecEnv(t, n, core.Config{})
 
 			scatter, err := r.Prepare("SELECT i_id, i_title, i_price FROM item WHERE i_subject = ?")
 			if err != nil {
@@ -191,7 +191,7 @@ func TestShardedSubscription(t *testing.T) {
 // multi-shard router: writes and non-concat-mergeable scatter statements
 // (cross-shard ORDER BY, GROUP BY, DISTINCT, LIMIT) are refused.
 func TestShardedSubscribeRejections(t *testing.T) {
-	r := newRouterEnv(t, 3, core.Config{Workers: 1})
+	r := newRouterEnv(t, 3, core.Config{})
 	reject := []string{
 		"UPDATE item SET i_price = ? WHERE i_id = ?",
 		"SELECT i_id FROM item ORDER BY i_id",

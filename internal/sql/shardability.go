@@ -24,9 +24,8 @@ package sql
 // distributed SQL engines built on hash partitioning plus reference
 // tables.
 //
-// The recombination contracts follow the partition/merge template of the
-// intra-node worker pool (internal/par): deterministic merges over
-// partitioned state, with AVG shipped as sum+count pairs and DISTINCT
+// The recombination contracts are deterministic merges over partitioned
+// state, with AVG shipped as sum+count pairs and DISTINCT
 // aggregates shipped as per-shard-deduplicated value sets (here: extra
 // GROUP BY columns), never as unmergeable finals.
 

@@ -17,8 +17,7 @@ import (
 // covers all four client classes the predicate index distinguishes:
 // equality (hashed), range (compiled typed bounds), residual-conjunct
 // (indexed conjunct + per-row residual), and no-predicate/rest (LIKE, OR,
-// NOT, IS NULL, full scans). Both the serial and the partition-parallel
-// scan are checked against the oracle, over 64-row chunks so a partition
+// NOT, IS NULL, full scans). The scan runs over 64-row chunks so a chunk
 // boundary falls inside most tables.
 
 // fuzzValue generates a value for a column kind; withNull allows SQL NULL.
@@ -104,7 +103,6 @@ func fuzzPred(r *rand.Rand, kinds []types.Kind) expr.Expr {
 }
 
 func TestClockScanDifferentialFuzz(t *testing.T) {
-	forceParallelScan(t)
 	lowerColThresholds(t)
 	r := rand.New(rand.NewSource(20120725))
 	kindPool := []types.Kind{types.KindInt, types.KindFloat, types.KindString}
@@ -155,29 +153,25 @@ func TestClockScanDifferentialFuzz(t *testing.T) {
 			sharedScanNaive(tab, ts, clients, emit)
 		})
 
-		check := func(label string, workers int) {
-			got := perQuery(func(emit func(RowID, types.Row, queryset.Set)) {
-				tab.SharedScanColumnar(ts, clients, workers, &ColScanBuffers{}, emit)
-			})
-			for _, c := range clients {
-				w, g := want[c.ID], got[c.ID]
-				if len(w) != len(g) {
-					t.Fatalf("trial %d %s query %d (pred %v): %d rows, oracle %d",
-						trial, label, c.ID, c.Pred, len(g), len(w))
-				}
-				for i := range w {
-					if w[i] != g[i] {
-						t.Fatalf("trial %d %s query %d (pred %v): row %d = rid %d, oracle rid %d",
-							trial, label, c.ID, c.Pred, i, g[i], w[i])
-					}
-				}
+		got := perQuery(func(emit func(RowID, types.Row, queryset.Set)) {
+			tab.SharedScan(ts, clients, &ColScanBuffers{}, emit)
+		})
+		for _, c := range clients {
+			w, g := want[c.ID], got[c.ID]
+			if len(w) != len(g) {
+				t.Fatalf("trial %d query %d (pred %v): %d rows, oracle %d",
+					trial, c.ID, c.Pred, len(g), len(w))
 			}
-			if len(got) > len(want) {
-				t.Fatalf("trial %d %s: answered %d queries, oracle answered %d", trial, label, len(got), len(want))
+			for i := range w {
+				if w[i] != g[i] {
+					t.Fatalf("trial %d query %d (pred %v): row %d = rid %d, oracle rid %d",
+						trial, c.ID, c.Pred, i, g[i], w[i])
+				}
 			}
 		}
-		check("serial", 1)
-		check("parallel", 3)
+		if len(got) > len(want) {
+			t.Fatalf("trial %d: answered %d queries, oracle answered %d", trial, len(got), len(want))
+		}
 		db.Close()
 	}
 }
@@ -209,7 +203,7 @@ func TestClockScanRangeProbeUnboundedLowerBounds(t *testing.T) {
 		{ID: 5, Pred: ge(300)},           // bounded Lo=300
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScan(ts, clients, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
 		acct := row[3].AsInt()
 		for _, id := range qs.IDs() {
 			counts[id]++

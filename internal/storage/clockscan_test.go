@@ -36,7 +36,7 @@ func TestSharedScanEqualityQueries(t *testing.T) {
 	}
 	got := map[queryset.QueryID]int{}
 	rowsEmitted := 0
-	tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScan(ts, clients, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
 		rowsEmitted++
 		for _, id := range qs.IDs() {
 			got[id]++
@@ -69,7 +69,7 @@ func TestSharedScanRangeQueries(t *testing.T) {
 		{ID: 2, Pred: &expr.And{Kids: []expr.Expr{gt("account", 100), lt("account", 300)}}},
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScan(ts, clients, &ColScanBuffers{}, func(_ RowID, row types.Row, qs queryset.Set) {
 		for _, id := range qs.IDs() {
 			counts[id]++
 			acct := row[3].AsInt()
@@ -99,7 +99,7 @@ func TestSharedScanRestQueries(t *testing.T) {
 		{ID: 3, Pred: nil}, // full table
 	}
 	counts := map[queryset.QueryID]int{}
-	tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, func(_ RowID, _ types.Row, qs queryset.Set) {
+	tab.SharedScan(ts, clients, &ColScanBuffers{}, func(_ RowID, _ types.Row, qs queryset.Set) {
 		for _, id := range qs.IDs() {
 			counts[id]++
 		}
@@ -118,9 +118,28 @@ func TestSharedScanRestQueries(t *testing.T) {
 func TestSharedScanNoClients(t *testing.T) {
 	db, tab := seedUsers(t, 10)
 	called := false
-	tab.SharedScanColumnar(db.SnapshotTS(), nil, 1, &ColScanBuffers{}, func(RowID, types.Row, queryset.Set) { called = true })
+	tab.SharedScan(db.SnapshotTS(), nil, &ColScanBuffers{}, func(RowID, types.Row, queryset.Set) { called = true })
 	if called {
 		t.Error("emit called with no clients")
+	}
+}
+
+func TestSharedScanEmptyAndTinyTables(t *testing.T) {
+	db, tab := newUserDB(t)
+	all := []ScanClient{{ID: 1, Pred: nil}}
+	rids := func() []RowID {
+		var out []RowID
+		tab.SharedScan(db.SnapshotTS(), all, &ColScanBuffers{}, func(rid RowID, _ types.Row, _ queryset.Set) {
+			out = append(out, rid)
+		})
+		return out
+	}
+	if got := rids(); len(got) != 0 {
+		t.Errorf("empty table emitted %v", got)
+	}
+	insertUsers(t, db, user(1, "a", "CH", 10), user(2, "b", "DE", 20))
+	if got := rids(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("two-row table emitted rids %v, want [0 1]", got)
 	}
 }
 
@@ -128,7 +147,7 @@ func TestSharedScanNoClients(t *testing.T) {
 // client's predicate is evaluated against every record visible at ts, in
 // RowID order, and the emitted row is the version object ScanVisible hands
 // out. It is the oracle every shared-scan suite in this package checks
-// SharedScanColumnar against.
+// SharedScan against.
 func sharedScanNaive(t *Table, ts uint64, clients []ScanClient, emit func(rid RowID, row types.Row, qs queryset.Set)) {
 	var buf []queryset.QueryID
 	t.ScanVisible(ts, func(rid RowID, row types.Row) bool {
@@ -193,7 +212,7 @@ func TestSharedScanMatchesNaiveProperty(t *testing.T) {
 			return out
 		}
 		indexed := collect(func(ts uint64, clients []ScanClient, emit func(RowID, types.Row, queryset.Set)) {
-			tab.SharedScanColumnar(ts, clients, 1, &ColScanBuffers{}, emit)
+			tab.SharedScan(ts, clients, &ColScanBuffers{}, emit)
 		})
 		naive := collect(func(ts uint64, clients []ScanClient, emit func(RowID, types.Row, queryset.Set)) {
 			sharedScanNaive(tab, ts, clients, emit)

@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"shareddb/internal/expr"
-	"shareddb/internal/par"
 	"shareddb/internal/queryset"
 	"shareddb/internal/types"
 )
@@ -22,7 +21,7 @@ import (
 // evaluated per row; the remaining conjuncts form a residual that runs only
 // on rows the indexed conjunct selected.
 //
-// SharedScanColumnar runs that index over the table's columnar mirror
+// SharedScan runs that index over the table's columnar mirror
 // (colstore.go) column-at-a-time, over typed vectors in fixed-size chunks.
 // Equality probes hash a whole column chunk against the per-value query
 // lists, range predicates compare typed vector slices without boxing, and
@@ -31,9 +30,9 @@ import (
 // carries the set of query ids interested in it (paper §3.1, Figure 1), in
 // RowID order, and the row is the table's own version object.
 //
-// The chunk loop is partitioned across workers on chunk boundaries —
-// contiguous and ordered, so partition-order replay is RowID order at any
-// worker count.
+// A cycle is one serial pass on the scan node's goroutine: SharedDB's
+// parallelism comes from the always-on operators and pipelined
+// generations (paper §3), not from splitting one scan.
 
 // ScanClient is one read query participating in a scan cycle.
 type ScanClient struct {
@@ -46,19 +45,6 @@ func removeAt(conjs []expr.Expr, i int) []expr.Expr {
 	out = append(out, conjs[:i]...)
 	out = append(out, conjs[i+1:]...)
 	return out
-}
-
-// minParallelScanRows is the table size below which a partitioned scan
-// runs serial regardless of the worker budget: a cycle over a tiny table
-// never forks. A var so tests can lower it.
-var minParallelScanRows = 1024
-
-// scanHit is one row emitted by a scan partition, buffered so that
-// per-partition output can be replayed in global row order.
-type scanHit struct {
-	rid RowID
-	row types.Row
-	qs  queryset.Set
 }
 
 // colChunkRows is the chunk size of the columnar scan: per-query selection
@@ -450,7 +436,7 @@ func colEqMatch(c *colVec, row types.Row, col, pos int, val types.Value) bool {
 	return false
 }
 
-// colBitmaps is one partition's per-chunk selection state: one bitmap per
+// colBitmaps is the per-chunk selection state: one bitmap per
 // client (slot order = ascending qid), sized to the chunk word count.
 type colBitmaps struct {
 	per [][]uint64
@@ -468,24 +454,22 @@ func (b *colBitmaps) ensure(nclients, words int) {
 	}
 }
 
-// colPartScratch is one partition's reusable buffers in a columnar scan.
-type colPartScratch struct {
-	hits  []scanHit
-	arena queryset.Arena
-	ids   []queryset.QueryID
-	bits  colBitmaps
-	act   []int32    // gather: clients with any match in the current word
-	hash  [64]uint64 // equality probing: per-lane hash images of one word
+// colScratch is the chunk loop's reusable buffers in a columnar scan.
+type colScratch struct {
+	ids  []queryset.QueryID
+	bits colBitmaps
+	act  []int32    // gather: clients with any match in the current word
+	hash [64]uint64 // equality probing: per-lane hash images of one word
 }
 
 // ColScanBuffers is the reusable per-cycle state of a columnar scan: the
-// query index (flat probe arenas, cleared bucket maps) and per-partition
-// bitmaps, hit buffers and query-id arenas. One instance is owned by each
-// scan operator node and reused across generations, so the steady-state
-// chunk loop allocates nothing.
+// query index (flat probe arenas, cleared bucket maps) and the chunk
+// loop's bitmaps and query-id scratch. One instance is owned by each scan
+// operator node and reused across generations, so the steady-state chunk
+// loop allocates nothing.
 type ColScanBuffers struct {
-	idx   colIndex
-	parts []colPartScratch
+	idx colIndex
+	ps  colScratch
 }
 
 // ScanBuffers is kept only for bench/layers.go, which only a
@@ -493,97 +477,52 @@ type ColScanBuffers struct {
 type ScanBuffers = ColScanBuffers
 
 // SharedScanPooled is kept only for bench/layers.go, which only a
-// benchmark-typed PR may change and which still calls it: it is
-// SharedScanColumnar.
+// benchmark-typed PR may change and which still calls it: it is SharedScan,
+// and workers is ignored.
 func (t *Table) SharedScanPooled(ts uint64, clients []ScanClient, workers int, bufs *ScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
-	t.SharedScanColumnar(ts, clients, workers, bufs, emit)
+	t.SharedScan(ts, clients, bufs, emit)
 }
 
-// SharedScanColumnar executes one ClockScan cycle at snapshot ts: a single
+// SharedScanColumnar is kept only for bench/layers.go, which only a
+// benchmark-typed PR may change and which still calls it with a worker
+// budget: it is SharedScan, and workers is ignored.
+func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int, bufs *ColScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
+	t.SharedScan(ts, clients, bufs, emit)
+}
+
+// SharedScan executes one ClockScan cycle at snapshot ts: a single serial
 // pass over the rows visible at ts answering every client at once. emit
 // receives each row that at least one client wants, together with the
 // interested query-id set, in RowID order. bufs is caller-owned and must be
 // non-nil: every emitted set is borrowed from it — valid only during the
 // emit callback — so a caller that retains a set copies it (the operator
-// emitter copies into its batch arena). With workers > 1 (and at least
-// minParallelScanRows mirrored rows) the chunk loop runs partition-parallel
-// and the hits are emitted after the mirror lock is released — version rows
-// are immutable, so handing them out lock-free is safe.
-func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int, bufs *ColScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
+// emitter copies into its batch arena).
+func (t *Table) SharedScan(ts uint64, clients []ScanClient, bufs *ColScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
 	if len(clients) == 0 {
 		return
 	}
 	m := t.columnarMirror()
 	m.pin(t, ts) // returns holding m.mu shared
+	defer m.mu.RUnlock()
 	ix := &bufs.idx
 	ix.build(clients)
 	ix.prepare(m)
 
+	sink := func(pos int, ids []queryset.QueryID) {
+		// Borrowed set, valid during emit only — ids are already sorted
+		// (gather walks bitmap slots in qid order).
+		emit(m.rids[pos], m.rows[pos], queryset.FromSorted(ids))
+	}
 	n := len(m.rids)
-	if n == 0 {
-		m.mu.RUnlock()
-		return
-	}
-	if workers > 1 && n < minParallelScanRows {
-		// Adaptive budget: forking workers over a tiny table costs more than
-		// the scan itself; run serial (identical output order either way).
-		workers = 1
-	}
-	nchunks := (n + colChunkRows - 1) / colChunkRows
-
-	if workers <= 1 {
-		for len(bufs.parts) < 1 {
-			bufs.parts = append(bufs.parts, colPartScratch{})
-		}
-		ps := &bufs.parts[0]
-		for ch := 0; ch < nchunks; ch++ {
-			base := ch * colChunkRows
-			end := min(base+colChunkRows, n)
-			ix.runChunk(m, base, end, ps, func(pos int, ids []queryset.QueryID) {
-				// Borrowed set, valid during emit only — ids are already
-				// sorted (gather walks bitmap slots in qid order).
-				emit(m.rids[pos], m.rows[pos], queryset.FromSorted(ids))
-			})
-		}
-		m.mu.RUnlock()
-		return
-	}
-
-	bounds := par.Split(nchunks, workers)
-	nparts := len(bounds) - 1
-	for len(bufs.parts) < nparts {
-		bufs.parts = append(bufs.parts, colPartScratch{})
-	}
-	par.Do(workers, nparts, func(w int) {
-		ps := &bufs.parts[w]
-		ps.arena.Reset()
-		ps.hits = ps.hits[:0]
-		sink := func(pos int, ids []queryset.QueryID) {
-			ps.hits = append(ps.hits, scanHit{rid: m.rids[pos], row: m.rows[pos], qs: ps.arena.Append(queryset.FromSorted(ids))})
-		}
-		for ch := bounds[w]; ch < bounds[w+1]; ch++ {
-			base := ch * colChunkRows
-			end := min(base+colChunkRows, n)
-			ix.runChunk(m, base, end, ps, sink)
-		}
-	})
-	m.mu.RUnlock()
-	// Partitions are contiguous ascending chunk ranges, so partition-order
-	// replay is position order = RowID order.
-	for w := 0; w < nparts; w++ {
-		for _, h := range bufs.parts[w].hits {
-			emit(h.rid, h.row, h.qs)
-		}
-		// Drop row references promptly; the arena is reset next cycle.
-		clear(bufs.parts[w].hits)
-		bufs.parts[w].hits = bufs.parts[w].hits[:0]
+	for base := 0; base < n; base += colChunkRows {
+		ix.runChunk(m, base, min(base+colChunkRows, n), &bufs.ps, sink)
 	}
 }
 
 // runChunk evaluates every probe class over rows [base, end) and hands each
 // selected position with its sorted borrowed query-id list to sink. base is
 // a multiple of colChunkRows (word-aligned into the bitmaps).
-func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colPartScratch, sink func(pos int, ids []queryset.QueryID)) {
+func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, sink func(pos int, ids []queryset.QueryID)) {
 	nb := end - base
 	words := (nb + 63) >> 6
 	baseW := base >> 6

@@ -43,10 +43,10 @@ func benchColumnarScan(b *testing.B, clients []ScanClient) {
 	_, tab, ts := benchItemsTable(b, 10000)
 	var bufs ColScanBuffers
 	// prime the mirror outside the timed loop
-	tab.SharedScanColumnar(ts, clients, 1, &bufs, func(RowID, types.Row, queryset.Set) {})
+	tab.SharedScan(ts, clients, &bufs, func(RowID, types.Row, queryset.Set) {})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab.SharedScanColumnar(ts, clients, 1, &bufs, func(RowID, types.Row, queryset.Set) {})
+		tab.SharedScan(ts, clients, &bufs, func(RowID, types.Row, queryset.Set) {})
 	}
 }
 
@@ -129,43 +129,4 @@ func BenchmarkColumnarScanFloatRangeMiss(b *testing.B) {
 		}}
 	}
 	benchColumnarScan(b, clients)
-}
-
-// BenchmarkColumnarScanWorkers measures the partition-parallel scan at
-// workers=1/2/4 over 20000 rows (20 chunks): a Fig-10-shaped batch of
-// equality, range and residual-conjunct clients, so the per-chunk match
-// work (the part that parallelizes) resembles a real generation. On a
-// single-core host all settings collapse to roughly serial throughput.
-func BenchmarkColumnarScanWorkers(b *testing.B) {
-	_, tab, ts := benchItemsTable(b, 20000)
-	cmp := func(op expr.CmpOp, col int, v types.Value) expr.Expr {
-		return &expr.Cmp{Op: op, L: &expr.ColRef{Idx: col}, R: &expr.Const{Val: v}}
-	}
-	clients := make([]ScanClient, 256)
-	for i := range clients {
-		id := queryset.QueryID(i + 1)
-		switch i % 4 {
-		case 0, 1:
-			clients[i] = ScanClient{ID: id, Pred: cmp(expr.EQ, 2, types.NewFloat(float64(i%1000)/10))}
-		case 2:
-			lo := float64(i % 90)
-			clients[i] = ScanClient{ID: id, Pred: &expr.And{Kids: []expr.Expr{
-				cmp(expr.GE, 2, types.NewFloat(lo)), cmp(expr.LT, 2, types.NewFloat(lo+5)),
-			}}}
-		default:
-			clients[i] = ScanClient{ID: id, Pred: &expr.And{Kids: []expr.Expr{
-				cmp(expr.EQ, 2, types.NewFloat(float64(i%1000)/10)), cmp(expr.GT, 0, types.NewInt(int64(i*40))),
-			}}}
-		}
-	}
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var bufs ColScanBuffers
-			tab.SharedScanColumnar(ts, clients, workers, &bufs, func(RowID, types.Row, queryset.Set) {})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tab.SharedScanColumnar(ts, clients, workers, &bufs, func(RowID, types.Row, queryset.Set) {})
-			}
-		})
-	}
 }

@@ -14,7 +14,7 @@ import (
 // Differential correctness sweep for the columnar shared scan: for random
 // schemas, evolving row sets (interleaved inserts, updates and deletes) and
 // predicate batches drawn from every client class — equality, range,
-// residual-conjunct, LIKE and rest — SharedScanColumnar must reproduce
+// residual-conjunct, LIKE and rest — SharedScan must reproduce
 // per-query evaluation (sharedScanNaive at the same snapshot) exactly: same
 // RowID order, same row objects, same per-row query sets. The mirror's whole maintenance surface is in the
 // loop: incremental delta application between snapshots, compaction (forced
@@ -68,9 +68,9 @@ type colEmission struct {
 	rp  *types.Value
 }
 
-func collectColumnar(tab *Table, ts uint64, clients []ScanClient, workers int, bufs *ColScanBuffers) []colEmission {
+func collectColumnar(tab *Table, ts uint64, clients []ScanClient, bufs *ColScanBuffers) []colEmission {
 	var out []colEmission
-	tab.SharedScanColumnar(ts, clients, workers, bufs, func(rid RowID, row types.Row, qs queryset.Set) {
+	tab.SharedScan(ts, clients, bufs, func(rid RowID, row types.Row, qs queryset.Set) {
 		out = append(out, colEmission{rid: rid, qs: qs.String(), rp: &row[0]})
 	})
 	return out
@@ -85,7 +85,6 @@ func collectNaive(tab *Table, ts uint64, clients []ScanClient) []colEmission {
 }
 
 func TestColumnarScanDifferentialFuzz(t *testing.T) {
-	forceParallelScan(t)
 	lowerColThresholds(t)
 	r := rand.New(rand.NewSource(20120807))
 	kindPool := []types.Kind{types.KindInt, types.KindFloat, types.KindString}
@@ -129,17 +128,15 @@ func TestColumnarScanDifferentialFuzz(t *testing.T) {
 				clients[i] = ScanClient{ID: queryset.QueryID(i + 1), Pred: fuzzPredColumnar(r, kinds)}
 			}
 			want := collectNaive(tab, ts, clients)
-			for _, workers := range []int{1, 4} {
-				got := collectColumnar(tab, ts, clients, workers, bufs)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d sweep %d workers=%d: %d emissions, oracle %d",
-						trial, sweep, workers, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d sweep %d workers=%d emission %d: columnar {rid %d, qs %s}, oracle {rid %d, qs %s} (row identity match: %v)",
-							trial, sweep, workers, i, got[i].rid, got[i].qs, want[i].rid, want[i].qs, got[i].rp == want[i].rp)
-					}
+			got := collectColumnar(tab, ts, clients, bufs)
+			if len(got) != len(want) {
+				t.Fatalf("trial %d sweep %d: %d emissions, oracle %d",
+					trial, sweep, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d sweep %d emission %d: columnar {rid %d, qs %s}, oracle {rid %d, qs %s} (row identity match: %v)",
+						trial, sweep, i, got[i].rid, got[i].qs, want[i].rid, want[i].qs, got[i].rp == want[i].rp)
 				}
 			}
 
@@ -218,7 +215,7 @@ func TestColumnarMirrorMaintenance(t *testing.T) {
 	verify := func(label string, ts uint64) {
 		t.Helper()
 		want := collectNaive(tab, ts, clients)
-		got := collectColumnar(tab, ts, clients, 1, &ColScanBuffers{})
+		got := collectColumnar(tab, ts, clients, &ColScanBuffers{})
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d emissions, oracle %d", label, len(got), len(want))
 		}
@@ -323,7 +320,7 @@ func TestColumnarMirrorAttachedBehindStorage(t *testing.T) {
 	verify := func(label string, ts uint64) {
 		t.Helper()
 		want := collectNaive(tab, ts, clients)
-		got := collectColumnar(tab, ts, clients, 1, &ColScanBuffers{})
+		got := collectColumnar(tab, ts, clients, &ColScanBuffers{})
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d emissions, oracle %d", label, len(got), len(want))
 		}
@@ -357,11 +354,13 @@ func TestColumnarMirrorAttachedBehindStorage(t *testing.T) {
 	}
 }
 
-// TestColumnarScanWorkersMatrix re-runs one fixture through the worker
-// ladder against the oracle (partition merge order, tiny-table clamp
-// interplay).
+// TestColumnarScanWorkersMatrix runs one 500-row fixture (64-row chunks, so
+// eight chunks, the last one partial) against the oracle across the
+// mirror's maintenance paths: the first pin's rebuild, an incremental sync
+// of updates and deletes, a compaction after a mass delete, and the rebuild
+// a backward pin falls back to. (The scan once ran at a ladder of worker
+// counts; it is one serial pass now and the name is kept.)
 func TestColumnarScanWorkersMatrix(t *testing.T) {
-	forceParallelScan(t)
 	lowerColThresholds(t)
 	db, err := Open(Options{})
 	if err != nil {
@@ -382,25 +381,56 @@ func TestColumnarScanWorkersMatrix(t *testing.T) {
 			Row: types.Row{types.NewInt(i % 97), types.NewString(string(rune('a' + i%7)))}})
 	}
 	db.ApplyOps(ops)
-	ts := db.SnapshotTS()
+	idCmp := func(op expr.CmpOp, v int64) expr.Expr {
+		return &expr.Cmp{Op: op, L: &expr.ColRef{Idx: 0}, R: &expr.Const{Val: types.NewInt(v)}}
+	}
 	clients := []ScanClient{
-		{ID: 1, Pred: &expr.Cmp{Op: expr.EQ, L: &expr.ColRef{Idx: 0}, R: &expr.Const{Val: types.NewInt(13)}}},
-		{ID: 2, Pred: &expr.Cmp{Op: expr.LT, L: &expr.ColRef{Idx: 0}, R: &expr.Const{Val: types.NewInt(40)}}},
+		{ID: 1, Pred: idCmp(expr.EQ, 13)},
+		{ID: 2, Pred: idCmp(expr.LT, 40)},
 		{ID: 3, Pred: &expr.Like{L: &expr.ColRef{Idx: 1}, Pattern: &expr.Const{Val: types.NewString("c%")}}},
 		{ID: 4, Pred: nil},
 	}
-	want := collectNaive(tab, ts, clients)
-	for _, workers := range []int{1, 2, 3, 4, 8, 64} {
-		got := collectColumnar(tab, ts, clients, workers, &ColScanBuffers{})
+	bufs := &ColScanBuffers{} // reused across cycles, as a scan node reuses it
+	verify := func(label string, ts uint64) {
+		t.Helper()
+		want := collectNaive(tab, ts, clients)
+		got := collectColumnar(tab, ts, clients, bufs)
 		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d emissions, want %d", workers, len(got), len(want))
+			t.Fatalf("%s: %d emissions, want %d", label, len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("workers=%d emission %d: got {rid %d, qs %s}, want {rid %d, qs %s}",
-					workers, i, got[i].rid, got[i].qs, want[i].rid, want[i].qs)
+				t.Fatalf("%s emission %d: got {rid %d, qs %s}, want {rid %d, qs %s}",
+					label, i, got[i].rid, got[i].qs, want[i].rid, want[i].qs)
 			}
 		}
+	}
+
+	ts1 := db.SnapshotTS()
+	verify("first pin", ts1)
+	if st := tab.columnarStats(); st.rebuilds != 1 || st.rows != 500 {
+		t.Fatalf("after first pin: stats %+v, want 1 rebuild over 500 rows", st)
+	}
+
+	db.ApplyOps([]WriteOp{
+		{Table: "t", Kind: WUpdate, Pred: idCmp(expr.EQ, 13),
+			Set: []ColSet{{Col: 1, Val: &expr.Const{Val: types.NewString("cz")}}}},
+		{Table: "t", Kind: WDelete, Pred: idCmp(expr.EQ, 20)},
+	})
+	verify("incremental sync", db.SnapshotTS())
+	if st := tab.columnarStats(); st.rebuilds != 1 || st.incSyncs == 0 {
+		t.Fatalf("after forward pin: stats %+v, want an incremental sync and no rebuild", st)
+	}
+
+	db.ApplyOps([]WriteOp{{Table: "t", Kind: WDelete, Pred: idCmp(expr.LT, 80)}})
+	verify("compaction", db.SnapshotTS())
+	if st := tab.columnarStats(); st.compactions == 0 || st.dead != 0 {
+		t.Fatalf("after mass delete: stats %+v, want a compaction leaving no dead rows", st)
+	}
+
+	verify("backward pin", ts1)
+	if st := tab.columnarStats(); st.rebuilds < 2 {
+		t.Fatalf("after backward pin: stats %+v, want a rebuild fallback", st)
 	}
 }
 
@@ -445,15 +475,15 @@ func TestColumnarScanZeroAllocSteadyState(t *testing.T) {
 		}
 		bufs := &ColScanBuffers{}
 		sink := func(RowID, types.Row, queryset.Set) {}
-		tab.SharedScanColumnar(ts, clients, 1, bufs, sink) // warm mirror + buffers
-		tab.SharedScanColumnar(ts, clients, 1, bufs, sink)
+		tab.SharedScan(ts, clients, bufs, sink) // warm mirror + buffers
+		tab.SharedScan(ts, clients, bufs, sink)
 		return tab, ts, clients, bufs
 	}
 	measure := func(nrows int64) float64 {
 		tab, ts, clients, bufs := build(nrows)
 		sink := func(RowID, types.Row, queryset.Set) {}
 		return testing.AllocsPerRun(20, func() {
-			tab.SharedScanColumnar(ts, clients, 1, bufs, sink)
+			tab.SharedScan(ts, clients, bufs, sink)
 		})
 	}
 	small := measure(4 * int64(colChunkRows))  // 4 chunks

@@ -13,7 +13,7 @@ import (
 // validity bitmap) over the rows visible at one snapshot, maintained in
 // place from the table's write stream. The mirror trades a per-row
 // version-chain walk (pointer chase + interface dispatch per row per cycle)
-// for cache-linear vector passes; SharedScanColumnar (colscan.go) evaluates
+// for cache-linear vector passes; SharedScan (colscan.go) evaluates
 // the ClockScan predicate index column-at-a-time over it.
 //
 // Maintenance is incremental: writers append (rid, commitTS) records to a

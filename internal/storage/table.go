@@ -69,7 +69,7 @@ type Table struct {
 	pk      *Index // primary-key index, also present in indexes
 
 	// colm is the columnar read mirror (colstore.go), attached lazily by
-	// the first SharedScanColumnar. Once attached, every mutation below
+	// the first SharedScan. Once attached, every mutation below
 	// appends a (rid, ts) record to its pending log — see colMirror for the
 	// locking contract (the log is guarded by mu, the mirror by its own
 	// lock, so writers never block on scans).

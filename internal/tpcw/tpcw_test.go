@@ -170,8 +170,7 @@ func TestBuyConfirmConsistency(t *testing.T) {
 // columns some statement demanded — and through the query-at-a-time
 // baseline on identical, quiescent data, and compares full result
 // multisets. All statements are prepared into one plan, so every join
-// stream's layout is the union of what its statements demand. Workers 2
-// takes the partitioned group-by and join-build paths.
+// stream's layout is the union of what its statements demand.
 func TestSharedVsBaselineEveryReadStatement(t *testing.T) {
 	db, _ := setupDB(t, smallScale())
 	defer db.Close()
@@ -210,35 +209,33 @@ func TestSharedVsBaselineEveryReadStatement(t *testing.T) {
 		StGetStock:                {{iv(17)}},
 		StGetLatestOrderID:        {{iv(3)}},
 	}
-	for _, workers := range []int{1, 2} {
-		shared, err := NewSharedSystem(db, core.Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, sqlText := range StatementSQL() {
-			if !strings.HasPrefix(sqlText, "SELECT") {
-				continue
-			}
-			if len(params[StmtID(id)]) == 0 {
-				t.Errorf("read statement %d has no parameters in this test: %s", id, sqlText)
-			}
-			for _, ps := range params[StmtID(id)] {
-				got, err := shared.Query(StmtID(id), ps...)
-				if err != nil {
-					t.Fatalf("shared stmt %d: %v", id, err)
-				}
-				want, err := sx.Query(StmtID(id), ps...)
-				if err != nil {
-					t.Fatalf("baseline stmt %d: %v", id, err)
-				}
-				if !testutil.SameRows(got, want) {
-					t.Errorf("workers=%d stmt %d %v: shared %d rows, baseline %d rows\nshared   %v\nbaseline %v",
-						workers, id, ps, len(got), len(want), testutil.CanonRows(got), testutil.CanonRows(want))
-				}
-			}
-		}
-		shared.Close()
+	shared, err := NewSharedSystem(db, core.Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for id, sqlText := range StatementSQL() {
+		if !strings.HasPrefix(sqlText, "SELECT") {
+			continue
+		}
+		if len(params[StmtID(id)]) == 0 {
+			t.Errorf("read statement %d has no parameters in this test: %s", id, sqlText)
+		}
+		for _, ps := range params[StmtID(id)] {
+			got, err := shared.Query(StmtID(id), ps...)
+			if err != nil {
+				t.Fatalf("shared stmt %d: %v", id, err)
+			}
+			want, err := sx.Query(StmtID(id), ps...)
+			if err != nil {
+				t.Fatalf("baseline stmt %d: %v", id, err)
+			}
+			if !testutil.SameRows(got, want) {
+				t.Errorf("stmt %d %v: shared %d rows, baseline %d rows\nshared   %v\nbaseline %v",
+					id, ps, len(got), len(want), testutil.CanonRows(got), testutil.CanonRows(want))
+			}
+		}
+	}
+	shared.Close()
 }
 
 func TestDriverShortRun(t *testing.T) {

@@ -20,11 +20,11 @@
 // pipelining never changes results — set MaxInFlightGenerations to 1 for
 // strictly serial generations.
 //
-// Within a generation, Config.Workers (default GOMAXPROCS) sizes the shared
-// table scans, which run as partition-parallel ClockScans; joins, sorts and
-// group-bys each run once per generation on their own operator goroutine.
-// Workers = 1 scans serially; per-query results are identical at any
-// setting.
+// Within a generation every shared operator — each table's ClockScan, each
+// join, sort and group-by — runs once, serially, on its own operator
+// goroutine: parallelism comes from the operators of one generation
+// running side by side and from pipelined generations, never from splitting
+// one operator's work.
 //
 // Basic usage:
 //
@@ -68,16 +68,6 @@ type Config struct {
 	// apply in generation order; only read phases overlap, each at its
 	// own snapshot.
 	MaxInFlightGenerations int
-	// Workers is the scan parallelism budget: each generation's shared
-	// table scans run as partition-parallel ClockScans on up to this many
-	// workers. 0 selects GOMAXPROCS (one worker per core); 1 scans
-	// strictly serially; negative
-	// values are rejected by Open. Per-query results are identical at any
-	// setting. On sharded deployments the budget is per shard engine: 0
-	// gives every shard a disjoint GOMAXPROCS/Shards share so shards do not
-	// contend for the same cores, an explicit value gives each shard
-	// exactly that many workers.
-	Workers int
 	// Deprecated: ignored, always on. Shared table scans always read the
 	// delta-maintained columnar mirror; when the mirror cannot apply a
 	// snapshot's delta it rebuilds itself from the visible rows (README
@@ -129,8 +119,14 @@ type Config struct {
 	// on the parent's id so their join stays shard-local. Ignored when
 	// Shards <= 1.
 	PartitionKeys map[string][]string
-	// WALDir enables durability (write-ahead log + checkpoints). Sharded
-	// deployments log each shard under WALDir/shard-<i>.
+	// WALDir enables the write-ahead log: each generation's commits are
+	// appended to it once, as one batch. Nothing checkpoints or recovers
+	// automatically: checkpointing is a manual call to
+	// Storage().Checkpoint(), and recovery a manual call to
+	// Storage().Recover() after re-creating the schema on a fresh DB
+	// opened over the same directory (ROADMAP item 14 makes both engine
+	// work). Sharded deployments log each shard under WALDir/shard-<i>;
+	// use Storages() to reach every shard.
 	WALDir string
 	// SyncWAL fsyncs the log on every commit batch.
 	SyncWAL bool
@@ -143,7 +139,7 @@ type Config struct {
 }
 
 // Validate rejects configurations that previously defaulted silently.
-// Negative Workers, MaxInFlightGenerations and Shards are errors (zero
+// Negative MaxInFlightGenerations and Shards are errors (zero
 // keeps selecting each knob's documented default), as are negative
 // admission limits and a non-zero MaxGenerationDelay below the 1ms timer
 // resolution.
@@ -158,7 +154,6 @@ func (c Config) coreConfig() core.Config {
 	return core.Config{
 		Heartbeat:              c.Heartbeat,
 		MaxInFlightGenerations: c.MaxInFlightGenerations,
-		Workers:                c.Workers,
 		MaxGenerationDelay:     c.MaxGenerationDelay,
 		QueueDepthLimit:        c.QueueDepthLimit,
 		StatementQuota:         c.StatementQuota,

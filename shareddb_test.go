@@ -308,67 +308,10 @@ func TestHeartbeatConfig(t *testing.T) {
 	}
 }
 
-func TestWorkersConfig(t *testing.T) {
-	// The worker-pool layer through the public API: a DB opened with
-	// Workers=4 must answer identically to one opened with Workers=1
-	// (strictly serial), across scan, join-shaped, aggregate and Top-N
-	// statements.
-	results := map[int][][]string{}
-	for _, workers := range []int{1, 4} {
-		db, err := Open(Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustExec := func(sqlText string, args ...interface{}) {
-			if _, err := db.Exec(sqlText, args...); err != nil {
-				t.Fatalf("Exec(%q): %v", sqlText, err)
-			}
-		}
-		mustExec(`CREATE TABLE m (id INT, grp VARCHAR(4), v FLOAT, PRIMARY KEY (id))`)
-		groups := []string{"a", "b", "c", "d"}
-		for i := 0; i < 400; i++ {
-			mustExec(`INSERT INTO m VALUES (?, ?, ?)`, i, groups[i%4], float64(i%97)+0.25)
-		}
-		if got := db.Engine().Workers(); got != workers {
-			t.Fatalf("Engine().Workers() = %d, want %d", got, workers)
-		}
-		var answers [][]string
-		for _, q := range []string{
-			`SELECT id FROM m WHERE v > 50 ORDER BY v DESC, id LIMIT 20`,
-			`SELECT grp, COUNT(*), SUM(v), MIN(v), MAX(v) FROM m GROUP BY grp ORDER BY grp`,
-			`SELECT id, grp FROM m WHERE grp = 'b' ORDER BY id`,
-		} {
-			rows, err := db.Query(q)
-			if err != nil {
-				t.Fatalf("workers=%d %q: %v", workers, q, err)
-			}
-			var rendered []string
-			for rows.Next() {
-				rendered = append(rendered, rows.Row().String())
-			}
-			answers = append(answers, rendered)
-		}
-		results[workers] = answers
-		db.Close()
-	}
-	for qi := range results[1] {
-		s, p := results[1][qi], results[4][qi]
-		if len(s) != len(p) {
-			t.Fatalf("query %d: %d rows serial vs %d parallel", qi, len(s), len(p))
-		}
-		for i := range s {
-			if s[i] != p[i] {
-				t.Errorf("query %d row %d: %s serial vs %s parallel", qi, i, s[i], p[i])
-			}
-		}
-	}
-}
-
 // TestConfigValidation: negative knobs are rejected with clear errors
 // instead of silently defaulting.
 func TestConfigValidation(t *testing.T) {
 	cases := []Config{
-		{Workers: -1},
 		{MaxInFlightGenerations: -2},
 		{Shards: -1},
 		{MaxGenerationDelay: -time.Millisecond},
