@@ -188,6 +188,15 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			},
 		},
 		{
+			"hash_join", "shared hash join, the best-sellers shape: order_line (per-query ol_o_id range over the newest third of the orders) ⋈hash item (per-query subject)",
+			`SELECT order_line.ol_id, item.i_title FROM order_line, item
+			 WHERE order_line.ol_i_id = item.i_id AND order_line.ol_o_id > ? AND item.i_subject = ?`,
+			func(i int) []types.Value {
+				subjects := tpcw.Subjects()
+				return []types.Value{types.NewInt(int64(opts.Scale.Orders()*2/3 - i%8)), types.NewString(subjects[i%len(subjects)])}
+			},
+		},
+		{
 			"sort", "shared sort/Top-N: full item scan ORDER BY title LIMIT 50",
 			`SELECT i_id, i_title FROM item ORDER BY i_title LIMIT 50`,
 			func(int) []types.Value { return nil },

@@ -233,10 +233,11 @@ type ColCycle struct {
 // startColumnar runs the aggregation pushdown: the covered queries' bound
 // scan predicates become columnar scan clients and the mirror scan feeds
 // matched rows straight into the cycle's group table — no scan→group stream,
-// no Batch materialization. The scan emits in ascending RowID order (at any
-// worker count) and absorbRow runs serially on this goroutine, so the group
+// no Batch materialization. The scan is one serial pass in ascending RowID
+// order and absorbRow runs on this goroutine as it emits, so the group
 // table's insertion order — and therefore Finish emission — is byte-identical
-// to aggregating the scan stream.
+// to aggregating the scan stream. (HashJoinOp.probeMirror reads a fused
+// outer the same way.)
 func (g *GroupOp) startColumnar(c *Cycle) {
 	cc := c.Col
 	cfg := g.onlyStream()

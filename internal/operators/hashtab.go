@@ -1,6 +1,10 @@
 package operators
 
-import "shareddb/internal/types"
+import (
+	"math"
+
+	"shareddb/internal/types"
+)
 
 // Unboxed hash tables for the shared join build and the shared group-by
 // (paper §3.3, §3.4). The previous implementation keyed Go maps on
@@ -11,14 +15,18 @@ import "shareddb/internal/types"
 // allocation once a cycle's table has warmed up. Tables are owned by their
 // operator and recycled across cycles (a node runs one cycle at a time).
 
-// FNV-1a mix constants plus a splitmix-style finalizer: open addressing
-// indexes by the low bits, and FNV's low bits alone cluster for sequential
-// ints. Serial and parallel group/join paths MUST agree on this hash
-// (bucket disjointness and shard selection both assume it), so every key
-// hash in the package goes through these two helpers.
+// Key hashing: each key column hashes on its own (keyHash), the column
+// hashes mix FNV-style, and a splitmix-style finalizer folds the high bits
+// down, because open addressing indexes by the low bits. Every key hash in
+// the package — join build, join probe (streamed or read from the column
+// mirror) and group-by — goes through hashValues or hashKey, which agree
+// on equal keys.
 const (
 	hashOffset64 = 14695981039346656037
 	hashPrime64  = 1099511628211
+	// hashWordMul is the golden-ratio multiplier of the fixed-width key
+	// hash.
+	hashWordMul = 0x9e3779b97f4a7c15
 )
 
 func hashFinish(h uint64) uint64 {
@@ -28,44 +36,62 @@ func hashFinish(h uint64) uint64 {
 	return h
 }
 
+// keyHash hashes one key value under types.Value.Hash's coercion contract
+// — values that compare equal across INT, BOOL, TIME and integral FLOAT
+// hash alike — with one multiply for those kinds instead of FNV's eight.
+// Other FLOATs hash their bit pattern the same way; strings and NULL keep
+// Value.Hash.
+func keyHash(v types.Value) uint64 {
+	switch v.K {
+	case types.KindInt, types.KindBool, types.KindTime:
+		return uint64(v.Int) * hashWordMul
+	case types.KindFloat:
+		if f := v.AsFloat(); f == math.Trunc(f) && !math.IsInf(f, 0) {
+			return uint64(int64(f)) * hashWordMul
+		}
+		return uint64(v.Int) * hashWordMul
+	default:
+		return v.Hash()
+	}
+}
+
 // hashValues mixes the hashes of a row's selected columns into one 64-bit
-// key hash. types.Value.Hash is coercion-consistent (an integral FLOAT
-// hashes like the equal INT), so equal keys always collide and the value
-// comparison resolves the rest.
+// key hash. Equal keys always collide and the value comparison resolves
+// the rest.
 func hashValues(row types.Row, cols []int) uint64 {
 	h := uint64(hashOffset64)
 	for _, c := range cols {
-		h = (h ^ row[c].Hash()) * hashPrime64
+		h = (h ^ keyHash(row[c])) * hashPrime64
 	}
 	return hashFinish(h)
 }
 
-// rowsEqualOn reports whether two rows agree on their respective key
-// columns (with numeric coercion, same as the previous EncodeKey equality).
-func rowsEqualOn(a types.Row, acols []int, b types.Row, bcols []int) bool {
-	for i := range acols {
-		if !a[acols[i]].Equal(b[bcols[i]]) {
-			return false
-		}
+// hashKey is hashValues over key values already pulled out of their row.
+func hashKey(key []types.Value) uint64 {
+	h := uint64(hashOffset64)
+	for _, v := range key {
+		h = (h ^ keyHash(v)) * hashPrime64
 	}
-	return true
+	return hashFinish(h)
 }
 
 // joinTable is the shared hash join's build table: one bucket per distinct
 // key, each holding its inner tuples as an arrival-ordered chain (so probe
-// emission order matches the serial map-based build exactly).
+// emission order matches the serial map-based build exactly). Each bucket
+// caches its key values in keys, so verifying a probe never dereferences a
+// build row.
 type joinTable struct {
 	keyCols []int   // key columns in the build rows' schema
 	slots   []int32 // open addressing: bucket index + 1, 0 = empty
 	mask    uint64
 	buckets []joinBucket
 	entries []joinEntry
+	keys    []types.Value // bucket b's key is keys[b*len(keyCols):][:len(keyCols)]
 }
 
 type joinBucket struct {
 	hash       uint64
-	row        types.Row // representative row for collision verification
-	head, tail int32     // entry chain in arrival order
+	head, tail int32 // entry chain in arrival order
 }
 
 type joinEntry struct {
@@ -74,18 +100,25 @@ type joinEntry struct {
 }
 
 // reset prepares the table for a new cycle, keeping its backing arrays but
-// dropping every tuple and representative-row reference so recycled version
-// rows are not pinned between cycles.
+// dropping every tuple and key reference so recycled version rows are not
+// pinned between cycles.
 func (jt *joinTable) reset(keyCols []int) {
 	jt.keyCols = keyCols
 	clear(jt.slots)
-	clear(jt.buckets)
 	jt.buckets = jt.buckets[:0]
 	clear(jt.entries)
 	jt.entries = jt.entries[:0]
+	clear(jt.keys)
+	jt.keys = jt.keys[:0]
 }
 
 func (jt *joinTable) len() int { return len(jt.entries) }
+
+// bucketKey is bucket bi's cached key values.
+func (jt *joinTable) bucketKey(bi int32) []types.Value {
+	n := int32(len(jt.keyCols))
+	return jt.keys[bi*n : bi*n+n]
+}
 
 // grow (re)builds the slot array at the next power of two.
 func (jt *joinTable) grow() {
@@ -109,8 +142,9 @@ func (jt *joinTable) grow() {
 	}
 }
 
-// insert adds one build-side tuple under the hash of its key columns.
-func (jt *joinTable) insert(h uint64, t Tuple) {
+// insert adds one build-side tuple under its key values and their hash
+// (hashKey).
+func (jt *joinTable) insert(h uint64, key []types.Value, t Tuple) {
 	// Load factor 1/2 over buckets (distinct keys), not entries.
 	if len(jt.slots) == 0 || len(jt.buckets)*2 >= len(jt.slots) {
 		jt.grow()
@@ -122,11 +156,12 @@ func (jt *joinTable) insert(h uint64, t Tuple) {
 		s := jt.slots[i]
 		if s == 0 {
 			jt.slots[i] = int32(len(jt.buckets)) + 1
-			jt.buckets = append(jt.buckets, joinBucket{hash: h, row: t.Row, head: ei, tail: ei})
+			jt.buckets = append(jt.buckets, joinBucket{hash: h, head: ei, tail: ei})
+			jt.keys = append(jt.keys, key...)
 			return
 		}
 		b := &jt.buckets[s-1]
-		if b.hash == h && rowsEqualOn(t.Row, jt.keyCols, b.row, jt.keyCols) {
+		if b.hash == h && valuesEqual(jt.bucketKey(s-1), key) {
 			jt.entries[b.tail].next = ei
 			b.tail = ei
 			return
@@ -135,9 +170,9 @@ func (jt *joinTable) insert(h uint64, t Tuple) {
 	}
 }
 
-// lookup returns the head entry index for an outer row's key (-1 = no
-// match). Iterate with jt.entries[i].next.
-func (jt *joinTable) lookup(h uint64, outer types.Row, outerCols []int) int32 {
+// lookup returns the head entry index for a probe key and its hash (-1 =
+// no match). Iterate with jt.entries[i].next.
+func (jt *joinTable) lookup(h uint64, key []types.Value) int32 {
 	if len(jt.slots) == 0 {
 		return -1
 	}
@@ -148,7 +183,7 @@ func (jt *joinTable) lookup(h uint64, outer types.Row, outerCols []int) int32 {
 			return -1
 		}
 		b := &jt.buckets[s-1]
-		if b.hash == h && rowsEqualOn(outer, outerCols, b.row, jt.keyCols) {
+		if b.hash == h && valuesEqual(jt.bucketKey(s-1), key) {
 			return b.head
 		}
 		i = (i + 1) & jt.mask
@@ -225,7 +260,19 @@ func (gt *groupTable) insert(ge *groupEntry) {
 	gt.entries = append(gt.entries, ge)
 }
 
-// keyEquals reports whether a group's key values equal row's key columns.
+// valuesEqual reports whether two keys agree value by value (with numeric
+// coercion).
+func valuesEqual(a, b []types.Value) bool {
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyEquals reports whether a group's key values equal row's key columns
+// (with numeric coercion).
 func keyEquals(keyVals []types.Value, row types.Row, cols []int) bool {
 	for i, c := range cols {
 		if !keyVals[i].Equal(row[c]) {

@@ -52,8 +52,18 @@ func (o *JoinOuter) gather(c *Cycle, outer, inner types.Row) types.Row {
 	return row
 }
 
-// hasNullKey reports whether any of row's key columns is NULL: such a tuple
-// joins nothing, since NULL = x is never true.
+// hasNull reports whether a join key holds a NULL: such a tuple joins
+// nothing, since NULL = x is never true.
+func hasNull(key []types.Value) bool {
+	for _, v := range key {
+		if v.K == types.KindNull {
+			return true
+		}
+	}
+	return false
+}
+
+// hasNullKey is hasNull over row's key columns.
 func hasNullKey(row types.Row, cols []int) bool {
 	for _, c := range cols {
 		if row[c].K == types.KindNull {
@@ -84,20 +94,67 @@ type HashJoinOp struct {
 	pending   []*Batch  // outer batches buffered until build completes
 	innerDone bool
 
-	qsScratch []queryset.QueryID // probe intersection scratch
+	// fused are the cycle's outers read straight from a table's column
+	// mirror, one per outer stream, and fusedDone whether their passes
+	// ran; colBufs is the mirror pass's reusable scan state.
+	fused     []fusedOuter
+	fusedDone bool
+	colBufs   storage.ColScanBuffers
+
+	keyScratch []types.Value      // the key of the tuple being built or probed
+	qsScratch  []queryset.QueryID // probe intersection scratch
 }
 
-// JoinSpec is the per-query activation of a join. Shared hash joins need no
-// per-query state; the type exists so plans can treat all operators
-// uniformly.
-type JoinSpec struct{}
+// fusedOuter is one outer stream the cycle reads from a table's column
+// mirror: the queries reaching it through a direct scan of table, as scan
+// clients.
+type fusedOuter struct {
+	stream  int
+	table   *storage.Table
+	clients []storage.ScanClient
+}
 
-// Start resets the cycle state.
+// JoinSpec is the per-query activation of a hash join. A query whose outer
+// is one direct shared scan of a base table reads that outer from the
+// table's column mirror inside the join (no scan task, no scan→join edge):
+// Table is that table, Outer the outer stream's id and Pred the query's
+// bound scan predicate (nil = every row). A zero JoinSpec streams its outer
+// in.
+type JoinSpec struct {
+	Table *storage.Table
+	Outer int
+	Pred  expr.Expr
+}
+
+// Start resets the cycle state and groups the fused queries by outer
+// stream.
 func (j *HashJoinOp) Start(c *Cycle) {
 	j.build.reset(j.InnerKeyCols)
 	clear(j.pending)
 	j.pending = j.pending[:0]
 	j.innerDone = false
+	j.fusedDone = false
+	j.fused = j.fused[:cap(j.fused)] // reuse earlier cycles' client lists
+	n := 0
+	for _, t := range c.Tasks {
+		spec, _ := t.Spec.(JoinSpec)
+		if spec.Table == nil {
+			continue
+		}
+		fi := 0
+		for fi < n && j.fused[fi].stream != spec.Outer {
+			fi++
+		}
+		if fi == n {
+			if n == len(j.fused) {
+				j.fused = append(j.fused, fusedOuter{})
+			}
+			j.fused[n].stream, j.fused[n].table = spec.Outer, spec.Table
+			n++
+		}
+		j.fused[fi].clients = append(j.fused[fi].clients, storage.ScanClient{ID: t.Query, Pred: spec.Pred})
+	}
+	j.fused = j.fused[:n]
 }
 
 // Consume builds from inner batches and probes (or buffers) outer batches;
@@ -110,8 +167,8 @@ func (j *HashJoinOp) Consume(c *Cycle, b *Batch) {
 	if b.Stream == j.InnerStream {
 		c.Retain(b)
 		for _, t := range b.Tuples {
-			if !hasNullKey(t.Row, j.InnerKeyCols) {
-				j.build.insert(hashValues(t.Row, j.InnerKeyCols), t)
+			if key := j.keyOf(t.Row, j.InnerKeyCols); !hasNull(key) {
+				j.build.insert(hashKey(key), key, t)
 			}
 		}
 		return
@@ -135,11 +192,23 @@ func (j *HashJoinOp) EdgeEOS(c *Cycle, e *Edge) {
 		return
 	}
 	j.innerDone = true
+	j.drain(c)
+}
+
+// drain probes the buffered outer batches, then reads every fused outer
+// from its table's column mirror (once per cycle).
+func (j *HashJoinOp) drain(c *Cycle) {
 	for _, b := range j.pending {
 		j.probeBatch(c, b)
 	}
 	clear(j.pending)
 	j.pending = j.pending[:0]
+	if !j.fusedDone {
+		j.fusedDone = true
+		for i := range j.fused {
+			j.probeMirror(c, &j.fused[i])
+		}
+	}
 }
 
 // SetInnerEdge marks which producer edge carries the build side; called by
@@ -150,16 +219,23 @@ func (j *HashJoinOp) isInnerEdge(e *Edge) bool { return j.innerEdge == e }
 
 var _ Operator = (*HashJoinOp)(nil)
 
-// Finish probes any outers still buffered (possible when the inner edge was
-// idle this generation) and releases cycle state (dropping tuple
-// references so the retained batches can recycle without pinned rows).
+// Finish probes any outers still pending (possible when the inner edge was
+// idle this generation) and releases cycle state (dropping tuple and
+// predicate references so the retained batches can recycle without pinned
+// rows).
 func (j *HashJoinOp) Finish(c *Cycle) {
-	for _, b := range j.pending {
-		j.probeBatch(c, b)
-	}
-	clear(j.pending)
-	j.pending = j.pending[:0]
+	j.drain(c)
 	j.build.reset(j.InnerKeyCols)
+	for i := range j.fused {
+		clear(j.fused[i].clients)
+		j.fused[i].clients = j.fused[i].clients[:0]
+	}
+}
+
+// keyOf pulls row's key columns into the key scratch.
+func (j *HashJoinOp) keyOf(row types.Row, cols []int) []types.Value {
+	j.keyScratch = appendKey(j.keyScratch[:0], row, cols)
+	return j.keyScratch
 }
 
 func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
@@ -169,18 +245,40 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 	}
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
-		if hasNullKey(t.Row, cfg.KeyCols) {
-			continue
+		if key := j.keyOf(t.Row, cfg.KeyCols); !hasNull(key) {
+			j.probe(c, &cfg, key, t.Row, t.QS)
 		}
-		h := hashValues(t.Row, cfg.KeyCols)
-		tab := &j.build
-		for ei := tab.lookup(h, t.Row, cfg.KeyCols); ei >= 0; ei = tab.entries[ei].next {
-			it := &tab.entries[ei].t
-			qs := t.QS.IntersectInto(it.QS, j.qsScratch)
-			j.qsScratch = qs.IDs()
-			if !qs.Empty() {
-				c.Emit(cfg.OutStream, cfg.gather(c, t.Row, it.Row), qs)
-			}
+	}
+}
+
+// probeMirror reads one fused outer in a single pass over its table's
+// column mirror at the cycle's snapshot (storage.SharedScanKeyed): the key
+// comes from the typed vectors, so an outer row is dereferenced only when
+// its key matches a bucket and a query set intersects. The pass emits in
+// RowID order, each row's matches in build-chain order — exactly what
+// probing the streamed scan's batches would emit.
+func (j *HashJoinOp) probeMirror(c *Cycle, f *fusedOuter) {
+	cfg, ok := j.Outers[f.stream]
+	if !ok || j.build.len() == 0 {
+		return
+	}
+	f.table.SharedScanKeyed(c.TS, f.clients, cfg.KeyCols, &j.colBufs, func(key []types.Value, row types.Row, qs queryset.Set) {
+		if !hasNull(key) {
+			j.probe(c, &cfg, key, row, qs)
+		}
+	})
+}
+
+// probe emits one outer row's matches in build-chain order, each to the
+// queries the row shares with the matched build tuple.
+func (j *HashJoinOp) probe(c *Cycle, cfg *JoinOuter, key []types.Value, row types.Row, qs queryset.Set) {
+	tab := &j.build
+	for ei := tab.lookup(hashKey(key), key); ei >= 0; ei = tab.entries[ei].next {
+		it := &tab.entries[ei].t
+		mq := qs.IntersectInto(it.QS, j.qsScratch)
+		j.qsScratch = mq.IDs()
+		if !mq.Empty() {
+			c.Emit(cfg.OutStream, cfg.gather(c, row, it.Row), mq)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sort"
 
 	"shareddb/internal/expr"
@@ -135,6 +136,10 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 			if p.probeNodes[n.Name].edge {
 				p.paths.IndexEdge++
 			}
+		case *operators.HashJoinOp:
+			if slices.ContainsFunc(nt, readsMirror) {
+				p.paths.JoinScan++
+			}
 		}
 		n.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
 			Gen: gen, TS: ts, Tasks: nt,
@@ -145,6 +150,13 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		}})
 	}
 	p.mu.Unlock()
+}
+
+// readsMirror reports whether a hash-join task reads its outer from the
+// column mirror (a fused scan) instead of a stream.
+func readsMirror(t operators.Task) bool {
+	spec, _ := t.Spec.(operators.JoinSpec)
+	return spec.Table != nil
 }
 
 // decideColumnarAgg picks the group-by nodes whose aggregation runs as a

@@ -105,7 +105,7 @@ type compiled struct {
 	// (and deliberately NOT propagated through filters, joins, groups or
 	// sorts), so a non-empty foldTable means "this subtree is one clock scan
 	// of foldTable under foldPred" — what compileGroup's columnar pushdown
-	// requires of its input.
+	// and compileJoin's fused outer require of their input.
 	foldTable string
 	foldPred  expr.Expr
 }
@@ -183,7 +183,11 @@ func dedupEdges(es []*operators.Edge) []*operators.Edge {
 func (p *GlobalPlan) compile(s *Statement, lp sql.LogicalPlan) (compiled, error) {
 	switch n := lp.(type) {
 	case *sql.Scan:
-		return p.compileScan(n)
+		c, err := p.compileScan(n)
+		if err != nil || c.node != nil {
+			return c, err
+		}
+		return p.withScanNode(c), nil
 	case *sql.Filter:
 		return p.compileFilter(s, n)
 	case *sql.Join:
@@ -305,14 +309,23 @@ func (p *GlobalPlan) compileScan(scan *sql.Scan) (compiled, error) {
 	// index (§4.4) — bounded work regardless of concurrency. (The
 	// query-at-a-time baseline keeps range probes: optimal for one query.)
 
-	// shared ClockScan
-	src := p.getScan(table)
-	pred := scan.Pred
-	step := stepBinding{node: src.node, makeSpec: func(params []types.Value) interface{} {
+	// Shared ClockScan: the stream layout and scan provenance only. The
+	// scan node itself is created by withScanNode when something consumes
+	// its stream; a hash join that reads this outer from the column mirror
+	// needs no node.
+	return compiled{stream: p.scanStream(table), foldTable: scan.Table, foldPred: scan.Pred}, nil
+}
+
+// withScanNode routes a shared-ClockScan subtree through the table's scan
+// node, creating the node on first use.
+func (p *GlobalPlan) withScanNode(c compiled) compiled {
+	src := p.getScan(p.db.Table(c.foldTable))
+	pred := c.foldPred
+	c.node = src.node
+	c.steps = []stepBinding{{node: src.node, makeSpec: func(params []types.Value) interface{} {
 		return operators.ScanSpec{Pred: expr.Bind(pred, params)}
-	}}
-	return compiled{node: src.node, stream: p.streams[src.stream], steps: []stepBinding{step},
-		foldTable: scan.Table, foldPred: pred}, nil
+	}}}
+	return c
 }
 
 // evalKey binds a probe key's operands (constants or parameters).
@@ -332,11 +345,22 @@ func tableOrigins(t *storage.Table) []origin {
 	return out
 }
 
+// scanStream returns the stream of a table's shared scan — its rows, full
+// width — allocating it on first use, whether or not a scan node exists.
+func (p *GlobalPlan) scanStream(t *storage.Table) *streamInfo {
+	if si, ok := p.scanStreams[t.Name()]; ok {
+		return si
+	}
+	si := p.allocStream(t.Schema(), tableOrigins(t))
+	p.scanStreams[t.Name()] = si
+	return si
+}
+
 func (p *GlobalPlan) getScan(t *storage.Table) *sourceRef {
 	if ref, ok := p.scanNodes[t.Name()]; ok {
 		return ref
 	}
-	si := p.allocStream(t.Schema(), tableOrigins(t))
+	si := p.scanStream(t)
 	node := p.addNode("scan("+t.Name()+")", &operators.ScanOp{Table: t, OutStream: si.id})
 	ref := &sourceRef{node: node, stream: si.id}
 	p.scanNodes[t.Name()] = ref
@@ -450,11 +474,15 @@ func (p *GlobalPlan) compileFilter(s *Statement, f *sql.Filter) (compiled, error
 // right side is a base table with a matching index (the inner table is then
 // probed directly and its per-query predicate becomes a residual), else a
 // shared hash join whose build side is the compiled right subtree.
+//
+// A hash join whose outer is one direct shared ClockScan of a base table
+// fuses that scan: the statement gets no scan step and no scan→join edge,
+// and its join task carries the table and the bound scan predicate, so the
+// join reads the outer from the column mirror once its build completes
+// (operators.JoinSpec). Every activation of the statement reaches the outer
+// that way, so nothing is decided per generation. An outer fed by any
+// other operator streams in.
 func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
-	left, err := p.compile(s, j.Left)
-	if err != nil {
-		return compiled{}, err
-	}
 	if len(j.LeftKeys) == 0 {
 		return compiled{}, fmt.Errorf("plan: cross joins are not supported in the shared plan")
 	}
@@ -468,10 +496,24 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 	if rscan, ok := j.Right.(*sql.Scan); ok && rscan.Pred == nil {
 		table := p.db.Table(rscan.Table)
 		if ix := indexMatching(table, j.RightKeys); ix != nil {
+			left, err := p.compile(s, j.Left)
+			if err != nil {
+				return compiled{}, err
+			}
 			return p.compileIndexJoin(s, left, j, rscan, table, ix)
 		}
 	}
 
+	var left compiled
+	var err error
+	if lscan, ok := j.Left.(*sql.Scan); ok {
+		left, err = p.compileScan(lscan) // no scan node: see below
+	} else {
+		left, err = p.compile(s, j.Left)
+	}
+	if err != nil {
+		return compiled{}, err
+	}
 	right, err := p.compile(s, j.Right)
 	if err != nil {
 		return compiled{}, err
@@ -493,7 +535,7 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 		node := p.addNode(fmt.Sprintf("⋈hash(%s)", right.node.Name), op)
 		ie := p.edge(right.node, node)
 		op.SetInnerEdge(ie)
-		ref = &joinRef{node: node, op: op, innerStream: right.stream.id, outerKeys: map[int][]int{}}
+		ref = &joinRef{node: node, op: op, innerStream: right.stream.id, outerKeys: map[int][]int{}, fused: map[int]string{}}
 		p.joinNodes[sig] = append(p.joinNodes[sig], ref)
 	}
 	outCfg, ok := ref.op.Outers[left.stream.id]
@@ -502,15 +544,25 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 		ref.outerKeys[left.stream.id] = j.LeftKeys
 	}
 	ie := p.edge(right.node, ref.node)
-	oe := p.edge(left.node, ref.node)
+	edges := append(append(left.edges, right.edges...), ie)
 	step := stepBinding{node: ref.node, makeSpec: func([]types.Value) interface{} {
 		return operators.JoinSpec{}
 	}}
+	if left.node == nil {
+		// The fused outer: a direct ClockScan the join reads itself.
+		table, pred, outer := p.db.Table(left.foldTable), left.foldPred, left.stream.id
+		ref.fused[outer] = left.foldTable
+		step.makeSpec = func(params []types.Value) interface{} {
+			return operators.JoinSpec{Table: table, Outer: outer, Pred: expr.Bind(pred, params)}
+		}
+	} else {
+		edges = append(edges, p.edge(left.node, ref.node))
+	}
 	return compiled{
 		node:   ref.node,
 		stream: p.streams[outCfg.OutStream],
 		steps:  append(append(left.steps, right.steps...), step),
-		edges:  append(append(left.edges, right.edges...), ie, oe),
+		edges:  edges,
 	}, nil
 }
 

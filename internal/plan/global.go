@@ -148,13 +148,14 @@ type GlobalPlan struct {
 
 	streams map[int]*streamInfo
 
-	scanNodes  map[string]*sourceRef // table name → scan node
-	probeNodes map[string]*sourceRef // table/index → probe node
-	joinNodes  map[string][]*joinRef
-	ixJoins    map[string][]*ixJoinRef
-	sortNodes  map[string]*sortRef
-	groupNodes map[string]*groupRef
-	filterFor  map[int]*operators.Node // producer node id → shared filter
+	scanNodes   map[string]*sourceRef  // table name → scan node
+	scanStreams map[string]*streamInfo // table name → its scan's stream
+	probeNodes  map[string]*sourceRef  // table/index → probe node
+	joinNodes   map[string][]*joinRef
+	ixJoins     map[string][]*ixJoinRef
+	sortNodes   map[string]*sortRef
+	groupNodes  map[string]*groupRef
+	filterFor   map[int]*operators.Node // producer node id → shared filter
 
 	edges map[[2]int]*operators.Edge // (fromID, toID) → edge
 
@@ -179,7 +180,8 @@ type joinRef struct {
 	node        *operators.Node
 	op          *operators.HashJoinOp
 	innerStream int
-	outerKeys   map[int][]int // outer stream → key cols (conflict detection)
+	outerKeys   map[int][]int  // outer stream → key cols (conflict detection)
+	fused       map[int]string // outer stream → table, for outers read from the column mirror
 }
 
 type ixJoinRef struct {
@@ -202,20 +204,21 @@ type groupRef struct {
 // New creates an empty global plan over the given storage.
 func New(db *storage.Database) *GlobalPlan {
 	p := &GlobalPlan{
-		db:         db,
-		streams:    map[int]*streamInfo{},
-		scanNodes:  map[string]*sourceRef{},
-		probeNodes: map[string]*sourceRef{},
-		joinNodes:  map[string][]*joinRef{},
-		ixJoins:    map[string][]*ixJoinRef{},
-		sortNodes:  map[string]*sortRef{},
-		groupNodes: map[string]*groupRef{},
-		filterFor:  map[int]*operators.Node{},
-		edges:      map[[2]int]*operators.Edge{},
-		byText:     map[string]*Statement{},
-		nextStream: 1,
-		pool:       operators.NewBatchPool(),
-		rowPool:    operators.NewRowPool(),
+		db:          db,
+		streams:     map[int]*streamInfo{},
+		scanNodes:   map[string]*sourceRef{},
+		scanStreams: map[string]*streamInfo{},
+		probeNodes:  map[string]*sourceRef{},
+		joinNodes:   map[string][]*joinRef{},
+		ixJoins:     map[string][]*ixJoinRef{},
+		sortNodes:   map[string]*sortRef{},
+		groupNodes:  map[string]*groupRef{},
+		filterFor:   map[int]*operators.Node{},
+		edges:       map[[2]int]*operators.Edge{},
+		byText:      map[string]*Statement{},
+		nextStream:  1,
+		pool:        operators.NewBatchPool(),
+		rowPool:     operators.NewRowPool(),
 	}
 	p.SinkOp = &operators.SinkOp{}
 	p.sink = operators.NewNode(p.allocNodeID(), "output", p.SinkOp)
@@ -287,6 +290,7 @@ func (p *GlobalPlan) SetWorkers(int) {}
 type PathCounts struct {
 	ColScan   uint64 // scan cycles on the columnar mirror
 	ColAgg    uint64 // group-by cycles run as columnar aggregation pushdowns (fed straight from the mirror instead of the scan stream)
+	JoinScan  uint64 // hash-join cycles that read an outer from the column mirror instead of a scan stream
 	IndexEdge uint64 // index-edge probe cycles: a scalar MIN/MAX answered from one end of an index instead of a scan
 }
 
@@ -341,11 +345,18 @@ func (p *GlobalPlan) Statements() []*Statement {
 func (p *GlobalPlan) Describe() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	fused := map[*operators.Node]map[int]string{}
+	for _, refs := range p.joinNodes {
+		for _, ref := range refs {
+			fused[ref.node] = ref.fused
+		}
+	}
 	var b strings.Builder
 	for _, n := range p.nodes {
 		fmt.Fprintf(&b, "node %d: %s", n.ID, n.Name)
 		// Join nodes list the columns each out-stream carries (by origin, in
-		// row order), one bracket per outer stream.
+		// row order), one bracket per outer stream, and name the table of an
+		// outer read straight from the column mirror.
 		var outers map[int]operators.JoinOuter
 		switch op := n.Op.(type) {
 		case *operators.HashJoinOp:
@@ -360,6 +371,9 @@ func (p *GlobalPlan) Describe() string {
 		sort.Ints(ids)
 		for _, id := range ids {
 			fmt.Fprintf(&b, " [%s]", strings.Join(p.streams[outers[id].OutStream].carried(), " "))
+			if t, ok := fused[n][id]; ok {
+				fmt.Fprintf(&b, " ⇐ mirror(%s)", t)
+			}
 		}
 		b.WriteString(" →")
 		for _, e := range n.Consumers {

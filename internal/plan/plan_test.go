@@ -122,6 +122,37 @@ func TestJoinMethodSelection(t *testing.T) {
 	}
 }
 
+// TestScanFedHashJoinFusesItsOuter pins the compile-time rule: a hash
+// join whose outer is one direct shared scan reads that outer from the
+// column mirror, so no scan node is created for it, and EXPLAIN names the
+// table on the join.
+func TestScanFedHashJoinFusesItsOuter(t *testing.T) {
+	p := New(testDB(t))
+	s, err := p.Prepare(`SELECT o_id, name FROM orders, users
+		WHERE o_user_id = user_id AND country = ? AND o_total > ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := p.Describe()
+	if !strings.Contains(d, "⇐ mirror(orders)") || strings.Contains(d, "scan(orders)") {
+		t.Fatalf("want the join to read orders from the mirror and no scan(orders) node, plan:\n%s", d)
+	}
+	for _, st := range s.steps {
+		if st.node.Name == "scan(orders)" {
+			t.Fatal("the fused statement still has a scan(orders) step")
+		}
+	}
+	// A plain scan of the same table creates the node; the join keeps
+	// reading the mirror.
+	n := p.NumNodes()
+	if _, err := p.Prepare("SELECT o_id FROM orders WHERE o_total > ?"); err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Describe(); p.NumNodes() != n+1 || !strings.Contains(d, "scan(orders) → output") || !strings.Contains(d, "⇐ mirror(orders)") {
+		t.Fatalf("plan after a plain orders scan:\n%s", d)
+	}
+}
+
 func TestPrepareErrors(t *testing.T) {
 	p := New(testDB(t))
 	for _, bad := range []string{

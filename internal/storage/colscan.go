@@ -460,6 +460,10 @@ type colScratch struct {
 	bits colBitmaps
 	act  []int32    // gather: clients with any match in the current word
 	hash [64]uint64 // equality probing: per-lane hash images of one word
+
+	// zoneSkips counts int range words the zone map decided without
+	// reading a lane (test observability).
+	zoneSkips uint64
 }
 
 // ColScanBuffers is the reusable per-cycle state of a columnar scan: the
@@ -470,6 +474,7 @@ type colScratch struct {
 type ColScanBuffers struct {
 	idx colIndex
 	ps  colScratch
+	key []types.Value // SharedScanKeyed: the emitted row's key columns
 }
 
 // ScanBuffers is kept only for bench/layers.go, which only a
@@ -498,6 +503,34 @@ func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int,
 // emit callback — so a caller that retains a set copies it (the operator
 // emitter copies into its batch arena).
 func (t *Table) SharedScan(ts uint64, clients []ScanClient, bufs *ColScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
+	t.scanMirror(ts, clients, bufs, func(m *colMirror, pos int, qs queryset.Set) {
+		emit(m.rids[pos], m.rows[pos], qs)
+	})
+}
+
+// SharedScanKeyed is SharedScan for a consumer that looks at a few key
+// columns of every emitted row before it reads the row itself (a hash join
+// probing with its outer read straight from the mirror): emit also
+// receives keyCols' values, read from the typed vectors — a NULL from the
+// validity bit, a demoted column from the row — so a row the consumer
+// drops is never dereferenced. key is borrowed like qs.
+func (t *Table) SharedScanKeyed(ts uint64, clients []ScanClient, keyCols []int, bufs *ColScanBuffers, emit func(key []types.Value, row types.Row, qs queryset.Set)) {
+	key := slices.Grow(bufs.key[:0], len(keyCols))[:len(keyCols)]
+	bufs.key = key
+	t.scanMirror(ts, clients, bufs, func(m *colMirror, pos int, qs queryset.Set) {
+		for i, col := range keyCols {
+			key[i] = m.cols[col].value(m.rows, col, pos)
+		}
+		emit(key, m.rows[pos], qs)
+	})
+	clear(key)
+}
+
+// scanMirror is the one ClockScan loop behind SharedScan and
+// SharedScanKeyed: pin the mirror at ts, index the clients, and hand sink
+// every selected position with its borrowed, ascending query-id set, in
+// RowID order, while the mirror is held.
+func (t *Table) scanMirror(ts uint64, clients []ScanClient, bufs *ColScanBuffers, sink func(m *colMirror, pos int, qs queryset.Set)) {
 	if len(clients) == 0 {
 		return
 	}
@@ -508,11 +541,6 @@ func (t *Table) SharedScan(ts uint64, clients []ScanClient, bufs *ColScanBuffers
 	ix.build(clients)
 	ix.prepare(m)
 
-	sink := func(pos int, ids []queryset.QueryID) {
-		// Borrowed set, valid during emit only — ids are already sorted
-		// (gather walks bitmap slots in qid order).
-		emit(m.rids[pos], m.rows[pos], queryset.FromSorted(ids))
-	}
 	n := len(m.rids)
 	for base := 0; base < n; base += colChunkRows {
 		ix.runChunk(m, base, min(base+colChunkRows, n), &bufs.ps, sink)
@@ -520,9 +548,9 @@ func (t *Table) SharedScan(ts uint64, clients []ScanClient, bufs *ColScanBuffers
 }
 
 // runChunk evaluates every probe class over rows [base, end) and hands each
-// selected position with its sorted borrowed query-id list to sink. base is
-// a multiple of colChunkRows (word-aligned into the bitmaps).
-func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, sink func(pos int, ids []queryset.QueryID)) {
+// selected position with its borrowed, ascending query-id set to sink. base
+// is a multiple of colChunkRows (word-aligned into the bitmaps).
+func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, sink func(m *colMirror, pos int, qs queryset.Set)) {
 	nb := end - base
 	words := (nb + 63) >> 6
 	baseW := base >> 6
@@ -608,8 +636,17 @@ func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, sink f
 				rb := w << 6
 				lanes := vals[rb:min(rb+64, nb)]
 				var mask uint64
+				// The zone map decides whole words the closed int bounds
+				// miss or cover without touching a lane.
+				zlo, zhi := c.zmin[baseW+w], c.zmax[baseW+w]
 				switch {
 				case loUnb && hiUnb:
+					mask = ^uint64(0)
+				case allInt && (zhi < p.lo.i || zlo > p.hi.i):
+					ps.zoneSkips++
+					continue
+				case allInt && zlo >= p.lo.i && zhi <= p.hi.i:
+					ps.zoneSkips++
 					mask = ^uint64(0)
 				case allInt && hiUnb:
 					mask = rangeWordI64Lo(lanes, p.lo.i)
@@ -759,7 +796,8 @@ func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, sink f
 				}
 			}
 			ps.ids = ids
-			sink(base+w<<6+tz, ids)
+			// ids are already sorted: slots are in qid order.
+			sink(m, base+w<<6+tz, queryset.FromSorted(ids))
 		}
 	}
 	ps.act = act

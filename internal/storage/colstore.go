@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -50,6 +51,15 @@ type colVec struct {
 	f64   []float64
 	str   []string
 	valid []uint64 // bit i set = position i is non-NULL (typed reps only)
+
+	// zmin/zmax are the int vector's zone map: per 64-lane word, bounds
+	// on the values of its valid lanes (repI64 only). They are
+	// conservative — set on append, widened on patch, recomputed on
+	// compaction and rebuild, dropped on demotion — so a word whose zone
+	// misses a range holds no match, and a word whose zone lies inside it
+	// matches on every live valid lane. A word with no valid lane has
+	// zmin > zmax.
+	zmin, zmax []int64
 }
 
 // reset re-derives the representation from the schema kind and empties the
@@ -67,6 +77,8 @@ func (c *colVec) reset(kind types.Kind) {
 		c.rep = repGeneric
 	}
 	c.i64 = c.i64[:0]
+	c.zmin = c.zmin[:0]
+	c.zmax = c.zmax[:0]
 	c.f64 = c.f64[:0]
 	clear(c.str)
 	c.str = c.str[:0]
@@ -78,6 +90,7 @@ func (c *colVec) reset(kind types.Kind) {
 func (c *colVec) demote() {
 	c.rep = repGeneric
 	c.i64 = nil
+	c.zmin, c.zmax = nil, nil
 	c.f64 = nil
 	c.str = nil
 	c.valid = nil
@@ -90,6 +103,10 @@ func (c *colVec) appendVal(v types.Value, n int) {
 	}
 	for len(c.valid) <= n>>6 {
 		c.valid = append(c.valid, 0)
+		if c.rep == repI64 {
+			c.zmin = append(c.zmin, math.MaxInt64)
+			c.zmax = append(c.zmax, math.MinInt64)
+		}
 	}
 	null := v.IsNull()
 	if !null && v.K != c.kind {
@@ -99,6 +116,9 @@ func (c *colVec) appendVal(v types.Value, n int) {
 	switch c.rep {
 	case repI64:
 		c.i64 = append(c.i64, v.Int)
+		if !null {
+			c.widen(n>>6, v.Int)
+		}
 	case repF64:
 		c.f64 = append(c.f64, v.AsFloat())
 	case repStr:
@@ -122,6 +142,9 @@ func (c *colVec) setVal(v types.Value, i int) {
 	switch c.rep {
 	case repI64:
 		c.i64[i] = v.Int
+		if !null {
+			c.widen(i>>6, v.Int)
+		}
 	case repF64:
 		c.f64[i] = v.AsFloat()
 	case repStr:
@@ -131,6 +154,45 @@ func (c *colVec) setVal(v types.Value, i int) {
 		c.valid[i>>6] &^= 1 << (i & 63)
 	} else {
 		c.valid[i>>6] |= 1 << (i & 63)
+	}
+}
+
+// value returns position pos of the column exactly as rows[pos][col]
+// holds it, reading the typed vector when there is one (the uniform-kind
+// invariant makes the two identical).
+func (c *colVec) value(rows []types.Row, col, pos int) types.Value {
+	if c.rep == repGeneric {
+		return rows[pos][col]
+	}
+	if c.valid[pos>>6]&(1<<(pos&63)) == 0 {
+		return types.Null
+	}
+	switch c.rep {
+	case repI64:
+		return types.Value{K: c.kind, Int: c.i64[pos]}
+	case repF64:
+		return types.NewFloat(c.f64[pos])
+	default:
+		return types.NewString(c.str[pos])
+	}
+}
+
+// widen stretches word w's zone to cover x.
+func (c *colVec) widen(w int, x int64) {
+	c.zmin[w] = min(c.zmin[w], x)
+	c.zmax[w] = max(c.zmax[w], x)
+}
+
+// rezone recomputes every word's zone from its valid lanes (after
+// compaction moved the lanes).
+func (c *colVec) rezone() {
+	for w := range c.zmin {
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		for t := c.valid[w]; t != 0; t &= t - 1 {
+			x := c.i64[w<<6+bits.TrailingZeros64(t)]
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		c.zmin[w], c.zmax[w] = lo, hi
 	}
 }
 
@@ -455,6 +517,10 @@ func (m *colMirror) compactLocked() {
 			}
 			clear(c.valid[words:])
 			c.valid = c.valid[:words]
+		}
+		if c.rep == repI64 {
+			c.zmin, c.zmax = c.zmin[:words], c.zmax[:words]
+			c.rezone()
 		}
 	}
 	m.dead = 0

@@ -29,7 +29,9 @@ func plans(db *DB) []*plan.GlobalPlan {
 // mirror, a GROUP BY over a direct base-table scan aggregates straight from
 // it (the pushdown) across write generations, a scalar MAX over the primary
 // key is answered from the index edge, and concurrent identical reads fold
-// (inside each shard engine, on the sharded deployment).
+// (inside each shard engine, on the sharded deployment), and a hash join
+// whose outer is a direct base-table scan reads that outer from the column
+// mirror.
 func TestZeroConfigIsProductionPath(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -54,6 +56,22 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			scan, err := db.Prepare(`SELECT i_id FROM item WHERE i_price > ?`)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// stock is joined on both tables' primary keys, so the join stays
+			// shard-local; its predicate makes the inner a scan, so the join is
+			// a hash join, and item is its direct-scan outer.
+			if _, err := db.Exec(`CREATE TABLE stock (s_i_id INT, s_qty INT, PRIMARY KEY (s_i_id))`); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < items; i += 2 {
+				if _, err := db.Exec(`INSERT INTO stock VALUES (?, ?)`, i, i%8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if rows, err := db.Query(`SELECT i_id, s_qty FROM item, stock WHERE item.i_id = stock.s_i_id AND stock.s_qty < ? AND item.i_id >= ?`, 4, 16); err != nil {
+				t.Fatal(err)
+			} else if rows.Len() != (items-16)/4 {
+				t.Fatalf("scan-fed hash join returned %d rows, want %d", rows.Len(), (items-16)/4)
 			}
 			if rows, err := db.Query(`SELECT MAX(i_id) FROM item`); err != nil {
 				t.Fatal(err)
@@ -126,6 +144,7 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 				paths.ColScan += pc.ColScan
 				paths.ColAgg += pc.ColAgg
 				paths.IndexEdge += pc.IndexEdge
+				paths.JoinScan += pc.JoinScan
 			}
 			if paths.ColScan == 0 {
 				t.Error("no scan cycle read the columnar mirror")
@@ -135,6 +154,9 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			}
 			if paths.IndexEdge == 0 {
 				t.Error("MAX over the primary key never took the index-edge probe")
+			}
+			if paths.JoinScan == 0 {
+				t.Error("the scan-fed hash join never read its outer from the column mirror")
 			}
 		})
 	}
