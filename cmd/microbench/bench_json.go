@@ -313,7 +313,8 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 
 // benchIndexPath measures the index access path on the per-operator
 // fixture: one B-tree point seek through the storage layer, a shared index
-// nested-loop join, and a scalar MAX answered from the index edge. The two
+// nested-loop join, a Top-N over a unique-index join, and a scalar MAX
+// answered from the index edge. The two
 // statement records run on the kernel engine configuration (columnar scan,
 // state rebuilt each generation, no folding — a batch stays 64 activations).
 func benchIndexPath(db *storage.Database, opts experiments.Options, warmup, count int) ([]benchRecord, error) {
@@ -350,6 +351,16 @@ func benchIndexPath(db *storage.Database, opts experiments.Options, warmup, coun
 			 WHERE order_line.ol_i_id = item.i_id AND order_line.ol_discount > ?`,
 			func(i int) []types.Value {
 				return []types.Value{types.NewFloat(float64(i%8)/100 + 0.10)}
+			},
+		},
+		{
+			"topn_join", "shared Top-N over a unique-index join, the subject-search shape: probe(item by subject) ⋈ix author primary key, Top-50 by title",
+			`SELECT i_id, i_title, a_fname, a_lname FROM item, author
+			 WHERE item.i_a_id = author.a_id AND item.i_subject = ?
+			 ORDER BY item.i_title LIMIT 50`,
+			func(i int) []types.Value {
+				subjects := tpcw.Subjects()
+				return []types.Value{types.NewString(subjects[i%len(subjects)])}
 			},
 		},
 		{

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -21,9 +20,9 @@ type emission struct {
 
 // perTupleIndexJoin is the reference the key-ordered index join must
 // reproduce: one seek per outer tuple in batch order, each tuple's matches in
-// index order, residuals applied per query, and no seek at all for a key
-// with a NULL column.
-func perTupleIndexJoin(tab *storage.Table, ix *storage.Index, ts uint64, cfg JoinOuter, residuals map[queryset.QueryID]expr.Expr, b *Batch) []emission {
+// index order with the tuple's query set, and no seek at all for a key with
+// a NULL column.
+func perTupleIndexJoin(tab *storage.Table, ix *storage.Index, ts uint64, cfg JoinOuter, b *Batch) []emission {
 	var out []emission
 	for _, t := range b.Tuples {
 		key := make([]types.Value, len(cfg.KeyCols))
@@ -34,23 +33,15 @@ func perTupleIndexJoin(tab *storage.Table, ix *storage.Index, ts uint64, cfg Joi
 			continue
 		}
 		tab.IndexSeekAt(ix, key, ts, func(_ storage.RowID, inner types.Row) bool {
-			var qs []queryset.QueryID
-			for _, q := range t.QS.IDs() {
-				if expr.TruthyEval(residuals[q], inner, nil) {
-					qs = append(qs, q)
+			row := make(types.Row, len(cfg.OutCols))
+			for i, oc := range cfg.OutCols {
+				if oc.Inner {
+					row[i] = inner[oc.Col]
+				} else {
+					row[i] = t.Row[oc.Col]
 				}
 			}
-			if len(qs) > 0 {
-				row := make(types.Row, len(cfg.OutCols))
-				for i, oc := range cfg.OutCols {
-					if oc.Inner {
-						row[i] = inner[oc.Col]
-					} else {
-						row[i] = t.Row[oc.Col]
-					}
-				}
-				out = append(out, emission{row.String(), qs})
-			}
+			out = append(out, emission{row.String(), slices.Clone(t.QS.IDs())})
 			return true
 		})
 	}
@@ -116,15 +107,7 @@ func orderFixture(t *testing.T) (tab *storage.Table, ixK, ixKJ *storage.Index, t
 // rows with the same query sets, in the same order.
 func TestIndexJoinKeyOrderedEmission(t *testing.T) {
 	tab, ixK, ixKJ, ts := orderFixture(t)
-	residuals := map[queryset.QueryID]expr.Expr{
-		2: eqExpr(3, types.NewString("x")),
-		3: eqExpr(2, types.NewInt(1)),
-	}
-	tasks := []Task{
-		{Query: 1, Spec: IndexJoinSpec{}},
-		{Query: 2, Spec: IndexJoinSpec{InnerResidual: residuals[2]}},
-		{Query: 3, Spec: IndexJoinSpec{InnerResidual: residuals[3]}},
-	}
+	tasks := []Task{{Query: 1}, {Query: 2}, {Query: 3}}
 	rng := rand.New(rand.NewSource(37))
 	sets := []queryset.Set{queryset.Of(1), queryset.Of(2), queryset.Of(2, 3), queryset.Of(1, 2, 3)}
 	// batch builds an outer batch (o_id, key, j) from key draws, shuffled.
@@ -178,12 +161,12 @@ func TestIndexJoinKeyOrderedEmission(t *testing.T) {
 			})
 			for round := 0; round < 3; round++ { // scratch reused across batches and cycles
 				b1, b2 := batch(700, tc.key), batch(90, tc.key)
-				want := append(perTupleIndexJoin(tab, tc.ix, ts, cfg, residuals, b1), perTupleIndexJoin(tab, tc.ix, ts, cfg, residuals, b2)...)
+				want := append(perTupleIndexJoin(tab, tc.ix, ts, cfg, b1), perTupleIndexJoin(tab, tc.ix, ts, cfg, b2)...)
 				got = got[:0]
 				h.cycle(tasks, ts, func(c *Cycle) {
 					ij.Consume(c, b1)
-					if ij.order.radix != tc.radix {
-						t.Errorf("radix path = %v, want %v", ij.order.radix, tc.radix)
+					if ij.seek.order.radix != tc.radix {
+						t.Errorf("radix path = %v, want %v", ij.seek.order.radix, tc.radix)
 					}
 					ij.Consume(c, b2)
 				})

@@ -1,8 +1,6 @@
 package operators
 
 import (
-	"slices"
-
 	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
@@ -284,115 +282,45 @@ func (j *HashJoinOp) probe(c *Cycle, cfg *JoinOuter, key []types.Value, row type
 }
 
 // IndexJoinOp is the shared index nested-loop join (paper §4.4): outer
-// tuples probe a B-tree index of a base table directly. Per-query predicates
-// on the inner table (which a hash join would have applied in the inner
-// child scan) are evaluated as per-query residuals against fetched rows.
+// tuples probe a B-tree index of a base table directly. The plan takes it
+// only when no query filters the inner table, so every visible match goes
+// to every query of its outer tuple (the emitter restricts that set to each
+// consumer edge's queries).
 type IndexJoinOp struct {
 	Table  *storage.Table
 	Index  *storage.Index
 	Outers map[int]JoinOuter // by outer stream id
 
-	// per-cycle: residual predicate per query over the inner table schema
-	// (dense slice indexed by generation-scoped query id)
-	residuals []expr.Expr
-
-	// per-batch scratch, reused across batches; rows holds at most the
-	// inner rows one batch matched and is cleared after the batch
-	keyBuf    []types.Value      // probe key scratch
-	qsScratch []queryset.QueryID // residual routing scratch
-	order     probeOrder         // the batch's probes in key order
-	rows      []types.Row        // visible inner rows, one run after another
-	spans     []rowSpan          // per batch tuple: its run's rows
+	seek indexSeek // per-batch scratch, reused across batches
 }
 
-// rowSpan is the [lo, hi) range of IndexJoinOp.rows one probe key matched.
-type rowSpan struct{ lo, hi int32 }
+// Start has nothing to set up: an index join keeps no per-query state.
+func (j *IndexJoinOp) Start(*Cycle) {}
 
-// IndexJoinSpec is the per-query activation: the bound predicate this query
-// imposes on the inner table (nil = none).
-type IndexJoinSpec struct {
-	InnerResidual expr.Expr
-}
-
-// Start collects the per-query inner residuals.
-func (j *IndexJoinOp) Start(c *Cycle) {
-	j.residuals = denseExprs(j.residuals, c.Tasks, func(spec interface{}) expr.Expr {
-		s, _ := spec.(IndexJoinSpec)
-		return s.InnerResidual
-	})
-}
-
-// Consume probes the index with one outer batch in two passes. The first
-// seeks the batch's keys — in ascending order when they radix-sort, else in
-// batch order — once per run of equal keys, through one cursor that walks
-// forward from leaf to leaf, and collects each run's visible rows; a tuple
-// with a NULL key column matches nothing and is never sought. The second emits in batch order, each tuple's matches in
-// index order, residuals applied per query — exactly what one seek per tuple
-// in arrival order emitted, and downstream LIMIT ties depend on that order.
-// The inner table's read lock is held across both passes: with pipelined
-// generations, later generations' writes land while this cycle runs, so the
-// tree and version chains cannot be traversed lock-free.
+// Consume probes the index with one outer batch (indexSeek.run), then emits
+// in batch order, each tuple's matches in index order — exactly what one
+// seek per tuple in arrival order emitted, and downstream LIMIT ties depend
+// on that order. The inner table's read lock is held across both passes:
+// with pipelined generations, later generations' writes land while this
+// cycle runs, so the tree and version chains cannot be traversed lock-free.
 func (j *IndexJoinOp) Consume(c *Cycle, b *Batch) {
 	cfg, ok := j.Outers[b.Stream]
 	if !ok {
 		return
 	}
-	order := j.order.sort(b.Tuples, cfg.KeyCols)
-	if len(order) == 0 {
-		return
-	}
-	if cap(j.keyBuf) < len(cfg.KeyCols) {
-		j.keyBuf = make([]types.Value, len(cfg.KeyCols))
-	}
-	key := j.keyBuf[:len(cfg.KeyCols)]
-	j.spans = slices.Grow(j.spans[:0], len(b.Tuples))[:len(b.Tuples)]
-	clear(j.spans)
-	collect := func(_ storage.RowID, row types.Row) bool {
-		j.rows = append(j.rows, row)
-		return true
-	}
-
 	l := j.Table.RLock()
 	defer l.Unlock()
 	cur := l.IndexCursor(j.Index, c.TS)
-	for lo := 0; lo < len(order); {
-		hi := lo + 1
-		for hi < len(order) && order[hi].key == order[lo].key {
-			hi++
-		}
-		first := b.Tuples[order[lo].idx].Row
-		for i, col := range cfg.KeyCols {
-			key[i] = first[col]
-		}
-		sp := rowSpan{lo: int32(len(j.rows))}
-		cur.Seek(key, collect)
-		sp.hi = int32(len(j.rows))
-		for _, p := range order[lo:hi] {
-			j.spans[p.idx] = sp
-		}
-		lo = hi
-	}
-
-	var t *Tuple
-	var inner types.Row
-	keep := func(q queryset.QueryID) bool {
-		return int(q) < len(j.residuals) && expr.TruthyEval(j.residuals[q], inner, nil)
-	}
-	for ti, sp := range j.spans {
-		t = &b.Tuples[ti]
-		for _, inner = range j.rows[sp.lo:sp.hi] {
-			qs := t.QS.RetainInto(keep, j.qsScratch)
-			j.qsScratch = qs.IDs()
-			if !qs.Empty() {
-				c.Emit(cfg.OutStream, cfg.gather(c, t.Row, inner), qs)
-			}
+	s := &j.seek
+	s.run(&cur, b.Tuples, cfg.KeyCols)
+	for ti, sp := range s.spans {
+		t := &b.Tuples[ti]
+		for _, inner := range s.rows[sp.lo:sp.hi] {
+			c.Emit(cfg.OutStream, cfg.gather(c, t.Row, inner), t.QS)
 		}
 	}
-	clear(j.rows)
-	j.rows = j.rows[:0]
+	s.done()
 }
 
-// Finish releases cycle state.
-func (j *IndexJoinOp) Finish(*Cycle) {
-	clear(j.residuals)
-}
+// Finish has nothing to release.
+func (j *IndexJoinOp) Finish(*Cycle) {}

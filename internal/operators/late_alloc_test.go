@@ -157,7 +157,7 @@ func TestJoinProbeZeroAllocBeyondOutputRows(t *testing.T) {
 }
 
 // TestIndexJoinZeroAllocSteadyState pins the index nested-loop join the same
-// way: seek, residual routing, gather and emit allocate nothing.
+// way: seek, gather and emit allocate nothing.
 func TestIndexJoinZeroAllocSteadyState(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -166,7 +166,7 @@ func TestIndexJoinZeroAllocSteadyState(t *testing.T) {
 	ij := &IndexJoinOp{Table: db.Table("users"), Index: db.Table("users").PrimaryKey(),
 		Outers: map[int]JoinOuter{2: {KeyCols: []int{1}, OutStream: 3, OutCols: outCols}}}
 	h := newAllocHarness(ij, queryset.Of(2))
-	allocs := h.steadyStateAllocs([]Task{{Query: 2, Spec: IndexJoinSpec{}}}, db.SnapshotTS(), func(c *Cycle) {
+	allocs := h.steadyStateAllocs([]Task{{Query: 2}}, db.SnapshotTS(), func(c *Cycle) {
 		ij.Consume(c, outer)
 	})
 	checkJoinRows(t, h, outer, outCols)

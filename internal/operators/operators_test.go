@@ -313,36 +313,29 @@ func TestIndexJoin(t *testing.T) {
 	rig.start()
 	defer rig.stop()
 
-	// Q1 wants only CH users (inner residual); Q2 wants all.
+	// Q1 scans only OK orders; Q2 wants all. Each joins its user.
 	res := rig.runGen(1, db.SnapshotTS(),
 		map[*Node][]Task{
 			oscan: {
 				{Query: 1, Spec: ScanSpec{Pred: eqExpr(2, types.NewString("OK"))}},
 				{Query: 2, Spec: ScanSpec{}},
 			},
-			jnode: {
-				{Query: 1, Spec: IndexJoinSpec{InnerResidual: eqExpr(1, types.NewString("CH"))}},
-				{Query: 2, Spec: IndexJoinSpec{}},
-			},
+			jnode: {{Query: 1}, {Query: 2}},
 		},
 		map[*Edge][]queryset.QueryID{oe: {1, 2}, se: {1, 2}},
 	)
 	if len(res[2]) != 30 {
 		t.Errorf("Q2 = %d rows, want 30", len(res[2]))
 	}
-	for _, row := range res[1] {
-		if row[2].AsString() != "OK" || row[4].AsString() != "CH" {
-			t.Errorf("Q1 got %v", row)
-		}
+	if len(res[1]) != 20 {
+		t.Errorf("Q1 = %d rows, want 20", len(res[1]))
 	}
-	wantQ1 := 0
-	for i := 0; i < 30; i++ {
-		if i%3 != 0 && (i%10)%2 == 0 {
-			wantQ1++
+	for q, rows := range res {
+		for _, row := range rows {
+			if row[1].AsInt() != row[3].AsInt() || (q == 1 && row[2].AsString() != "OK") {
+				t.Errorf("Q%d got %v", q, row)
+			}
 		}
-	}
-	if len(res[1]) != wantQ1 {
-		t.Errorf("Q1 = %d, want %d", len(res[1]), wantQ1)
 	}
 }
 
@@ -664,8 +657,8 @@ func TestFigure2Topology(t *testing.T) {
 			},
 			j1: {{Query: 3, Spec: JoinSpec{}}},
 			j2: {
-				{Query: 3, Spec: IndexJoinSpec{}},
-				{Query: 4, Spec: IndexJoinSpec{}},
+				{Query: 3},
+				{Query: 4},
 			},
 		},
 		map[*Edge][]queryset.QueryID{

@@ -3,6 +3,7 @@ package operators
 import (
 	"slices"
 
+	"shareddb/internal/storage"
 	"shareddb/internal/types"
 )
 
@@ -105,4 +106,63 @@ func radixSort(a, tmp []probeKey, span uint32) []probeKey {
 		a, tmp = tmp, a
 	}
 	return a
+}
+
+// indexSeek is the shared index join's seek loop, run by IndexJoinOp over
+// every outer batch and by SortOp over the rows a Top-N keeps. Its slices
+// are scratch reused across calls.
+type indexSeek struct {
+	keyBuf []types.Value
+	order  probeOrder  // the tuples' probes in key order
+	rows   []types.Row // visible inner rows, one run after another
+	spans  []rowSpan   // per tuple: its run's rows
+}
+
+// rowSpan is the [lo, hi) range of indexSeek.rows one probe key matched.
+type rowSpan struct{ lo, hi int32 }
+
+// run seeks the key columns cols of every tuple through cur — in ascending
+// key order when they radix-sort, else in tuple order — once per run of
+// equal keys, and collects each run's visible rows; a tuple with a NULL key
+// column matches nothing and is never sought. Afterwards spans[i] is tuple
+// i's matches in rows, in index order. The caller holds the table's read
+// lock while it reads them, then calls done.
+func (s *indexSeek) run(cur *storage.IndexCursor, tuples []Tuple, cols []int) {
+	s.spans = slices.Grow(s.spans[:0], len(tuples))[:len(tuples)]
+	clear(s.spans)
+	order := s.order.sort(tuples, cols)
+	if len(order) == 0 {
+		return
+	}
+	if cap(s.keyBuf) < len(cols) {
+		s.keyBuf = make([]types.Value, len(cols))
+	}
+	key := s.keyBuf[:len(cols)]
+	collect := func(_ storage.RowID, row types.Row) bool {
+		s.rows = append(s.rows, row)
+		return true
+	}
+	for lo := 0; lo < len(order); {
+		hi := lo + 1
+		for hi < len(order) && order[hi].key == order[lo].key {
+			hi++
+		}
+		first := tuples[order[lo].idx].Row
+		for i, col := range cols {
+			key[i] = first[col]
+		}
+		sp := rowSpan{lo: int32(len(s.rows))}
+		cur.Seek(key, collect)
+		sp.hi = int32(len(s.rows))
+		for _, p := range order[lo:hi] {
+			s.spans[p.idx] = sp
+		}
+		lo = hi
+	}
+}
+
+// done drops the collected rows, keeping the capacity.
+func (s *indexSeek) done() {
+	clear(s.rows)
+	s.rows = s.rows[:0]
 }

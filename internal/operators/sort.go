@@ -3,9 +3,11 @@ package operators
 import (
 	"math"
 	"slices"
+	"sync/atomic"
 
 	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
+	"shareddb/internal/storage"
 	"shareddb/internal/types"
 )
 
@@ -39,20 +41,60 @@ import (
 // buffer, the flat key arena, the permutation and the heaps are owned by the
 // operator and reused across cycles, so a steady-state cycle allocates
 // nothing.
+//
+// A stream may carry a deferred join (SortStream.Lookup): its tuples are the
+// outer side of a unique-index join whose sort keys read only outer columns,
+// so the sort orders the outer rows and joins only the rows it emits. Each
+// outer row joins at most one inner row, so "join, stable sort, cut" equals
+// "stable sort by (keys, arrival), skip rows that join nothing, cut". The
+// selection regime looks up every retained row, in key order under one read
+// lock per lookup stream, and falls back to the shared sort for the whole
+// cycle if any of them joins nothing (a NULL key or no visible inner row):
+// its heaps would then hold too few rows. The shared sort's walk looks rows
+// up when it reaches them, never one whose queries are all full, and skips
+// a row that joins nothing without counting it toward any limit; it looks
+// up, together, the run of rows it would take if all of them joined
+// (prefetch). Join rows come from the generation's row arena, at most one
+// per buffered row per cycle.
 type SortOp struct {
 	Streams map[int]SortStream // key extraction per input stream
+	// Lookups lays out the deferred joins by input stream: the join key
+	// columns in the stream's rows, the out-stream and its carried columns
+	// (the plan appends those at Prepare time, like a join's).
+	Lookups map[int]JoinOuter
 
 	// cycle state, reused across cycles (one cycle at a time per node)
 	st        sortState
 	cmp       func(a, b int32) int // s.compare, bound once: a fresh method value per Finish would escape into the sort
 	qsScratch []queryset.QueryID   // shared-sort routing scratch
 	single    [1]queryset.QueryID
+	seek      indexSeek // deferred-join look-ups
+
+	lookupCycles, lookupMisses atomic.Uint64 // see LookupCycles
 }
 
 // SortStream configures one input stream of a shared sort.
 type SortStream struct {
 	Keys      []SortKey
-	OutStream int // usually the input stream id (schema unchanged)
+	OutStream int // usually the input stream id (schema unchanged); a lookup stream's join out-stream
+	// Lookup, when non-nil, is the inner side of the join deferred past the
+	// cut on this stream; Lookups[stream] lays out its rows.
+	Lookup *IndexLookup
+}
+
+// IndexLookup is the inner side of a join a sort defers past its cut: a
+// unique index over exactly the join key columns, so an outer row joins at
+// most one inner row.
+type IndexLookup struct {
+	Table *storage.Table
+	Index *storage.Index
+}
+
+// LookupCycles reports how many cycles buffered rows of a deferred join and
+// how many of those the selection regime handed to the shared sort because
+// a retained row joined nothing.
+func (s *SortOp) LookupCycles() (cycles, misses uint64) {
+	return s.lookupCycles.Load(), s.lookupMisses.Load()
 }
 
 // SortKey is one sort key over a stream's schema.
@@ -67,11 +109,32 @@ type SortSpec struct {
 	Limit int
 }
 
-// sortEntry is one buffered tuple with the stream its copies go out on.
+// sortEntry is one buffered tuple with the stream its copies go out on and
+// its deferred join (an index into sortState.looks; -1 = none).
 type sortEntry struct {
 	t   Tuple
 	out int
+	lk  int32
 }
+
+// sortLookup is one lookup stream of the cycle.
+type sortLookup struct {
+	stream int
+	IndexLookup
+	join JoinOuter
+	// the retained rows the selection regime has yet to look up: their
+	// outer tuples and buffer indices
+	tuples []Tuple
+	idx    []int32
+}
+
+// Look-up states of a lookup stream's buffered row (sortState.status).
+const (
+	lookupPending int8 = iota
+	lookupQueued       // collected for the selection regime's look-up pass
+	lookupHit
+	lookupMiss
+)
 
 // sortState is per-cycle; kept on the operator (one cycle at a time per
 // node).
@@ -87,7 +150,12 @@ type sortState struct {
 
 	perm   []int32   // shared sort: the index permutation
 	counts []int     // shared sort: rows routed so far, dense by query id
+	sim    []int     // shared sort: counts scratch for a look-up prefetch
 	heaps  [][]int32 // selection: per-query bounded max-heaps of buffer indices
+
+	looks  []sortLookup // the cycle's lookup streams (sortEntry.lk)
+	status []int8       // per buffered row: its look-up state, sized on first look-up
+	joined []types.Row  // per buffered row: its join row once looked up and hit
 }
 
 // Start initializes the sort buffer and per-query limits.
@@ -140,18 +208,42 @@ func (s *SortOp) Consume(c *Cycle, b *Batch) {
 	}
 	c.Retain(b)
 	st := &s.st
+	lk := int32(-1)
+	if cfg.Lookup != nil {
+		lk = s.lookupFor(b.Stream, cfg.Lookup)
+	}
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
 		for _, k := range cfg.Keys {
 			st.keys = append(st.keys, k.E.Eval(t.Row, nil))
 		}
-		st.buf = append(st.buf, sortEntry{t: *t, out: cfg.OutStream})
+		st.buf = append(st.buf, sortEntry{t: *t, out: cfg.OutStream, lk: lk})
 		for _, q := range t.QS.IDs() {
 			if int(q) < len(st.cands) {
 				st.cands[q]++
 			}
 		}
 	}
+}
+
+// lookupFor returns the index of stream's entry in the cycle's lookup
+// streams, adding it on the stream's first batch.
+func (s *SortOp) lookupFor(stream int, in *IndexLookup) int32 {
+	st := &s.st
+	for i := range st.looks {
+		if st.looks[i].stream == stream {
+			return int32(i)
+		}
+	}
+	n := len(st.looks)
+	if n < cap(st.looks) {
+		st.looks = st.looks[:n+1] // keep the earlier cycle's scratch
+	} else {
+		st.looks = append(st.looks, sortLookup{})
+	}
+	lk := &st.looks[n]
+	lk.stream, lk.IndexLookup, lk.join = stream, *in, s.Lookups[stream]
+	return int32(n)
 }
 
 // selectionCost estimates the key comparisons a bounded heap of limit k
@@ -189,6 +281,9 @@ func (s *SortOp) compare(a, b int32) int {
 func (s *SortOp) Finish(c *Cycle) {
 	st := &s.st
 	if len(st.buf) > 0 {
+		if len(st.looks) > 0 {
+			s.lookupCycles.Add(1)
+		}
 		if s.selectionWins() {
 			s.finishSelection(c)
 		} else {
@@ -223,7 +318,9 @@ func (s *SortOp) selectionWins() bool {
 // is the worst retained index, a candidate is admitted iff the heap is not
 // full or it sorts strictly before the root. compare is a strict total
 // order, so the heap retains exactly the LIMIT minima a stable sort followed
-// by a cut would — ties straddling the cut resolve by arrival.
+// by a cut would — ties straddling the cut resolve by arrival. A retained
+// row of a lookup stream that joins nothing hands the cycle to the shared
+// sort.
 func (s *SortOp) finishSelection(c *Cycle) {
 	st := &s.st
 	for len(st.heaps) < len(st.limits) {
@@ -270,6 +367,19 @@ func (s *SortOp) finishSelection(c *Cycle) {
 			}
 		}
 	}
+	if len(st.looks) > 0 {
+		st.sizeMemo()
+		for _, h := range st.heaps {
+			for _, i := range h {
+				st.queue(i)
+			}
+		}
+		if !s.lookUpQueued(c) {
+			s.lookupMisses.Add(1)
+			s.finishSharedSort(c)
+			return
+		}
+	}
 	for q, h := range st.heaps {
 		if len(h) == 0 {
 			continue
@@ -277,10 +387,107 @@ func (s *SortOp) finishSelection(c *Cycle) {
 		slices.SortFunc(h, s.cmp)
 		s.single[0] = queryset.QueryID(q)
 		for _, i := range h {
-			e := &st.buf[i]
-			c.Emit(e.out, e.t.Row, queryset.FromSorted(s.single[:1]))
+			row, _ := st.row(i)
+			c.Emit(st.buf[i].out, row, queryset.FromSorted(s.single[:1]))
 		}
 	}
+}
+
+// sizeMemo gives every buffered row a look-up state, once per cycle.
+func (st *sortState) sizeMemo() {
+	if len(st.status) != len(st.buf) {
+		st.status = zeroed(st.status, len(st.buf))
+		st.joined = zeroed(st.joined, len(st.buf))
+	}
+}
+
+// queue collects buffered row i for the next look-up pass, if it is a
+// lookup-stream row not looked up yet.
+func (st *sortState) queue(i int32) {
+	e := &st.buf[i]
+	if e.lk < 0 || st.status[i] != lookupPending {
+		return
+	}
+	st.status[i] = lookupQueued
+	lk := &st.looks[e.lk]
+	lk.tuples = append(lk.tuples, e.t)
+	lk.idx = append(lk.idx, i)
+}
+
+// lookUpQueued looks up the queued rows, per lookup stream in key order
+// under one read lock of its table, and reports whether all of them joined.
+// The join rows are gathered under the lock: at most one per row, the index
+// being unique.
+func (s *SortOp) lookUpQueued(c *Cycle) bool {
+	st := &s.st
+	all := true
+	for k := range st.looks {
+		lk := &st.looks[k]
+		if len(lk.idx) == 0 {
+			continue
+		}
+		l := lk.Table.RLock()
+		cur := l.IndexCursor(lk.Index, c.TS)
+		s.seek.run(&cur, lk.tuples, lk.join.KeyCols)
+		for n, i := range lk.idx {
+			if sp := s.seek.spans[n]; sp.lo == sp.hi {
+				st.status[i], all = lookupMiss, false
+			} else {
+				st.joined[i] = lk.join.gather(c, st.buf[i].t.Row, s.seek.rows[sp.lo])
+				st.status[i] = lookupHit
+			}
+		}
+		s.seek.done()
+		l.Unlock()
+		clear(lk.tuples)
+		lk.tuples, lk.idx = lk.tuples[:0], lk.idx[:0]
+	}
+	return all
+}
+
+// row returns what buffered row i emits: its own row, or on a lookup stream
+// the join row its look-up gathered (ok = false: it joins nothing).
+func (st *sortState) row(i int32) (types.Row, bool) {
+	if st.buf[i].lk < 0 {
+		return st.buf[i].t.Row, true
+	}
+	return st.joined[i], st.status[i] == lookupHit
+}
+
+// quota is a shared-sort walk's Top-N accounting.
+type quota struct {
+	counts    []int // rows routed so far, dense by query id
+	remaining int   // limited queries not yet full
+	unlimited bool  // some query has no limit: the walk runs to the end
+}
+
+// take charges one row to query q and reports whether q takes it.
+func (st *sortState) take(w *quota, q queryset.QueryID) bool {
+	lim := st.limit(q)
+	if lim <= 0 {
+		return true
+	}
+	if w.counts[q] >= lim {
+		return false
+	}
+	w.counts[q]++
+	if w.counts[q] == lim {
+		w.remaining--
+	}
+	return true
+}
+
+// done reports that every query has its rows.
+func (w *quota) done() bool { return !w.unlimited && w.remaining == 0 }
+
+// wanted reports whether some query of qs still takes rows.
+func (st *sortState) wanted(w *quota, qs queryset.Set) bool {
+	for _, q := range qs.IDs() {
+		if lim := st.limit(q); lim <= 0 || w.counts[q] < lim {
+			return true
+		}
+	}
+	return false
 }
 
 // finishSharedSort is the shared sort of Figure 4: one sort of the index
@@ -295,47 +502,75 @@ func (s *SortOp) finishSharedSort(c *Cycle) {
 	}
 	slices.SortFunc(perm, s.cmp)
 	st.perm = perm
+	if len(st.looks) > 0 {
+		st.sizeMemo()
+	}
 
 	st.counts = zeroed(st.counts, len(st.limits))
-	counts := st.counts
-	remaining := 0
-	unlimited := false
+	w := quota{counts: st.counts}
 	// Count from the cycle's tasks, not the dense limits slice: its gap
 	// entries (ids not registered at this node, incl. the unused id 0) are
 	// zero and would read as "some query is unlimited", disabling the
 	// every-Top-N-satisfied early exit below.
 	for _, tk := range c.Tasks {
 		if st.limit(tk.Query) > 0 {
-			remaining++
+			w.remaining++
 		} else {
-			unlimited = true
+			w.unlimited = true
 		}
 	}
-	keep := func(q queryset.QueryID) bool {
-		lim := st.limit(q)
-		if lim <= 0 {
-			return true
-		}
-		if counts[q] >= lim {
-			return false
-		}
-		counts[q]++
-		if counts[q] == lim {
-			remaining--
-		}
-		return true
-	}
-	for _, i := range st.perm {
+	keep := func(q queryset.QueryID) bool { return st.take(&w, q) }
+	for p, i := range st.perm {
 		e := &st.buf[i]
+		if e.lk >= 0 {
+			if !st.wanted(&w, e.t.QS) {
+				continue // every query of the row is full: no look-up
+			}
+			if st.status[i] == lookupPending {
+				s.prefetch(c, p, w)
+			}
+		}
+		row, hit := st.row(i)
+		if !hit {
+			continue // joins nothing: counts toward no limit
+		}
 		qs := e.t.QS.RetainInto(keep, s.qsScratch)
 		s.qsScratch = qs.IDs()
 		if !qs.Empty() {
-			c.Emit(e.out, e.t.Row, qs)
+			c.Emit(e.out, row, qs)
 		}
-		if !unlimited && remaining == 0 {
+		if w.done() {
 			break // every Top-N query satisfied
 		}
 	}
+}
+
+// prefetch looks up, together, every lookup row the walk from perm position
+// p on would take if each row it reaches joined: the rows it can emit before
+// a miss changes its course. w is the walk's accounting at p; a later miss
+// leaves rows past this prefix pending, and the walk prefetches again when
+// it reaches one.
+func (s *SortOp) prefetch(c *Cycle, p int, w quota) {
+	st := &s.st
+	st.sim = append(st.sim[:0], w.counts...)
+	w.counts = st.sim
+	for _, i := range st.perm[p:] {
+		e := &st.buf[i]
+		if e.lk >= 0 && st.status[i] == lookupMiss {
+			continue
+		}
+		took := false
+		for _, q := range e.t.QS.IDs() {
+			took = st.take(&w, q) || took
+		}
+		if took {
+			st.queue(i)
+		}
+		if w.done() {
+			break
+		}
+	}
+	s.lookUpQueued(c)
 }
 
 // release drops the cycle's buffered tuple references so retained input
@@ -347,6 +582,11 @@ func (s *SortOp) release() {
 	st.buf = st.buf[:0]
 	clear(st.keys)
 	st.keys = st.keys[:0]
+	st.looks = st.looks[:0]
+	clear(st.status)
+	st.status = st.status[:0]
+	clear(st.joined)
+	st.joined = st.joined[:0]
 	for q := range st.heaps {
 		st.heaps[q] = st.heaps[q][:0]
 	}

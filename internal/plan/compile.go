@@ -133,16 +133,19 @@ func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 		lp = srt.In
 	}
 
-	c, err := p.compile(s, lp)
+	var c compiled
+	var err error
+	if j, dl := p.deferredLookup(sortLP, limit, lp); dl != nil {
+		if c, err = p.compile(s, j.Left); err == nil {
+			c, err = p.compileSort(s, c, sortLP, limit, dl)
+		}
+	} else if c, err = p.compile(s, lp); err == nil && sortLP != nil {
+		c, err = p.compileSort(s, c, sortLP, limit, nil)
+	}
 	if err != nil {
 		return err
 	}
-	if sortLP != nil {
-		c, err = p.compileSort(s, c, sortLP, limit)
-		if err != nil {
-			return err
-		}
-	} else {
+	if sortLP == nil {
 		s.SinkLimit = limit
 	}
 
@@ -471,9 +474,9 @@ func (p *GlobalPlan) compileFilter(s *Statement, f *sql.Filter) (compiled, error
 }
 
 // compileJoin compiles an equi-join: an index nested-loop join when the
-// right side is a base table with a matching index (the inner table is then
-// probed directly and its per-query predicate becomes a residual), else a
-// shared hash join whose build side is the compiled right subtree.
+// right side is a base table, reached by key alone, with a matching index
+// (the inner table is then probed directly), else a shared hash join whose
+// build side is the compiled right subtree.
 //
 // A hash join whose outer is one direct shared ClockScan of a base table
 // fuses that scan: the statement gets no scan step and no scan→join edge,
@@ -642,10 +645,7 @@ func (p *GlobalPlan) compileIndexJoin(s *Statement, left compiled, j *sql.Join, 
 		ref.outerKeys[left.stream.id] = j.LeftKeys
 	}
 	oe := p.edge(left.node, ref.node)
-	innerPred := rscan.Pred
-	step := stepBinding{node: ref.node, makeSpec: func(params []types.Value) interface{} {
-		return operators.IndexJoinSpec{InnerResidual: expr.Bind(innerPred, params)}
-	}}
+	step := stepBinding{node: ref.node, makeSpec: func([]types.Value) interface{} { return nil }}
 	return compiled{
 		node:   ref.node,
 		stream: p.streams[outCfg.OutStream],
@@ -728,27 +728,87 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 	}, nil
 }
 
+// lookup is a unique-index join deferred past a Top-N's cut: the indexed
+// inner table, its index, the inner side's stream layout and the join key
+// columns in the outer stream's logical schema.
+type lookup struct {
+	table *storage.Table
+	ix    *storage.Index
+	inner *streamInfo
+	keys  []int
+}
+
+// deferredLookup is the cut-before-join rule. A Top-N (Sort with LIMIT N >
+// 0) directly over a join that compileJoin would compile as an index join —
+// the inner a bare base-table scan, no residual — into a unique index over
+// exactly the join key columns, with sort keys that read only outer columns,
+// sorts the outer stream and joins only the rows the cut keeps
+// (operators.SortOp). Each outer row joins at most one inner row, so the
+// result is the join-then-sort result. It returns nil when the shape does
+// not match.
+func (p *GlobalPlan) deferredLookup(srt *sql.Sort, limit int, lp sql.LogicalPlan) (*sql.Join, *lookup) {
+	j, ok := lp.(*sql.Join)
+	if srt == nil || limit <= 0 || !ok || j.Residual != nil {
+		return nil, nil
+	}
+	rscan, ok := j.Right.(*sql.Scan)
+	if !ok || rscan.Pred != nil {
+		return nil, nil
+	}
+	table := p.db.Table(rscan.Table)
+	ix := indexMatching(table, j.RightKeys)
+	if ix == nil || !ix.Unique || len(ix.Cols) != len(j.RightKeys) {
+		return nil, nil
+	}
+	outer := j.Left.Schema().Len()
+	for _, k := range srt.Keys {
+		for col := range expr.Columns(k.Expr) {
+			if col >= outer {
+				return nil, nil
+			}
+		}
+	}
+	return j, &lookup{table: table, ix: ix, inner: &streamInfo{schema: rscan.Out, origins: tableOrigins(table)}, keys: j.LeftKeys}
+}
+
 // compileSort merges sorts (and Top-Ns, which are sorts with per-query
-// limits) whose keys have the same provenance signature.
-func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit int) (compiled, error) {
+// limits) whose keys have the same provenance signature. With lk set, c is
+// the outer side of a deferred join and the sort's out-stream is that
+// join's. A node configures each input stream once, so a second node of one
+// signature opens only when a statement needs another configuration for a
+// stream the first already has (with or without a deferred join).
+func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit int, lk *lookup) (compiled, error) {
 	var sigParts []string
 	for _, k := range srt.Keys {
 		sigParts = append(sigParts, fmt.Sprintf("%s|%v", originString(k.Expr, c.stream.origins, s.ID), k.Desc))
 	}
 	sig := "sort|" + strings.Join(sigParts, ",")
-	ref, ok := p.sortNodes[sig]
-	if !ok {
-		op := &operators.SortOp{Streams: map[int]operators.SortStream{}}
-		node := p.addNode("sort("+strings.Join(sigParts, ",")+")", op)
-		ref = &sortRef{node: node, op: op}
-		p.sortNodes[sig] = ref
+	var ref *sortRef
+	for _, cand := range p.sortNodes[sig] {
+		if have, ok := cand.lookups[c.stream.id]; !ok || sameLookup(have, lk) {
+			ref = cand
+			break
+		}
 	}
-	if _, exists := ref.op.Streams[c.stream.id]; !exists {
+	if ref == nil {
+		op := &operators.SortOp{Streams: map[int]operators.SortStream{}, Lookups: map[int]operators.JoinOuter{}}
+		node := p.addNode("sort("+strings.Join(sigParts, ",")+")", op)
+		ref = &sortRef{node: node, op: op, lookups: map[int]*lookup{}}
+		p.sortNodes[sig] = append(p.sortNodes[sig], ref)
+	}
+	cfg, exists := ref.op.Streams[c.stream.id]
+	if !exists {
 		keys := make([]operators.SortKey, len(srt.Keys))
 		for i, k := range srt.Keys {
 			keys[i] = operators.SortKey{E: c.stream.physicalExpr(k.Expr), Desc: k.Desc}
 		}
-		ref.op.Streams[c.stream.id] = operators.SortStream{Keys: keys, OutStream: c.stream.id}
+		cfg = operators.SortStream{Keys: keys, OutStream: c.stream.id}
+		if lk != nil {
+			cfg.OutStream = p.addJoinOuter(ref.op.Lookups, c.stream, lk.inner, lk.keys).OutStream
+			cfg.Lookup = &operators.IndexLookup{Table: lk.table, Index: lk.ix}
+		}
+		ref.op.Streams[c.stream.id] = cfg
+		ref.lookups[c.stream.id] = lk
 	}
 	e := p.edge(c.node, ref.node)
 	lim := limit
@@ -757,10 +817,19 @@ func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit 
 	}}
 	return compiled{
 		node:   ref.node,
-		stream: c.stream,
+		stream: p.streams[cfg.OutStream],
 		steps:  append(c.steps, step),
 		edges:  append(c.edges, e),
 	}, nil
+}
+
+// sameLookup reports whether two sort-stream configurations defer the same
+// join (both nil: neither defers one).
+func sameLookup(a, b *lookup) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.table == b.table && a.ix == b.ix && intsEqual(a.keys, b.keys)
 }
 
 // originString renders a bound expression with column references replaced

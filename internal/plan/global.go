@@ -153,7 +153,7 @@ type GlobalPlan struct {
 	probeNodes  map[string]*sourceRef  // table/index → probe node
 	joinNodes   map[string][]*joinRef
 	ixJoins     map[string][]*ixJoinRef
-	sortNodes   map[string]*sortRef
+	sortNodes   map[string][]*sortRef
 	groupNodes  map[string]*groupRef
 	filterFor   map[int]*operators.Node // producer node id → shared filter
 
@@ -191,8 +191,9 @@ type ixJoinRef struct {
 }
 
 type sortRef struct {
-	node *operators.Node
-	op   *operators.SortOp
+	node    *operators.Node
+	op      *operators.SortOp
+	lookups map[int]*lookup // input stream → its deferred join (nil = none), for conflict detection
 }
 
 type groupRef struct {
@@ -211,7 +212,7 @@ func New(db *storage.Database) *GlobalPlan {
 		probeNodes:  map[string]*sourceRef{},
 		joinNodes:   map[string][]*joinRef{},
 		ixJoins:     map[string][]*ixJoinRef{},
-		sortNodes:   map[string]*sortRef{},
+		sortNodes:   map[string][]*sortRef{},
 		groupNodes:  map[string]*groupRef{},
 		filterFor:   map[int]*operators.Node{},
 		edges:       map[[2]int]*operators.Edge{},
@@ -292,13 +293,24 @@ type PathCounts struct {
 	ColAgg    uint64 // group-by cycles run as columnar aggregation pushdowns (fed straight from the mirror instead of the scan stream)
 	JoinScan  uint64 // hash-join cycles that read an outer from the column mirror instead of a scan stream
 	IndexEdge uint64 // index-edge probe cycles: a scalar MIN/MAX answered from one end of an index instead of a scan
+
+	SortLookup     uint64 // sort cycles that applied a deferred unique-index join to the rows they emitted
+	SortLookupMiss uint64 // of those, selection cycles handed to the shared sort because a retained row joined nothing
 }
 
 // PathCycles reports the plan's per-path cycle counts.
 func (p *GlobalPlan) PathCycles() PathCounts {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.paths
+	pc := p.paths
+	for _, refs := range p.sortNodes {
+		for _, ref := range refs {
+			cycles, misses := ref.op.LookupCycles()
+			pc.SortLookup += cycles
+			pc.SortLookupMiss += misses
+		}
+	}
+	return pc
 }
 
 // Start launches every operator goroutine (idempotent).
@@ -356,13 +368,17 @@ func (p *GlobalPlan) Describe() string {
 		fmt.Fprintf(&b, "node %d: %s", n.ID, n.Name)
 		// Join nodes list the columns each out-stream carries (by origin, in
 		// row order), one bracket per outer stream, and name the table of an
-		// outer read straight from the column mirror.
+		// outer read straight from the column mirror. A sort lists a deferred
+		// join's columns the same way and names its inner table and index.
 		var outers map[int]operators.JoinOuter
+		var sortOp *operators.SortOp
 		switch op := n.Op.(type) {
 		case *operators.HashJoinOp:
 			outers = op.Outers
 		case *operators.IndexJoinOp:
 			outers = op.Outers
+		case *operators.SortOp:
+			outers, sortOp = op.Lookups, op
 		}
 		ids := make([]int, 0, len(outers))
 		for id := range outers {
@@ -373,6 +389,10 @@ func (p *GlobalPlan) Describe() string {
 			fmt.Fprintf(&b, " [%s]", strings.Join(p.streams[outers[id].OutStream].carried(), " "))
 			if t, ok := fused[n][id]; ok {
 				fmt.Fprintf(&b, " ⇐ mirror(%s)", t)
+			}
+			if sortOp != nil {
+				lk := sortOp.Streams[id].Lookup
+				fmt.Fprintf(&b, " ⋈ix(%s/%s)", lk.Table.Name(), lk.Index.Name)
 			}
 		}
 		b.WriteString(" →")

@@ -197,3 +197,35 @@ func TestOriginString(t *testing.T) {
 		t.Errorf("synth origin = %s", syn)
 	}
 }
+
+// TestSortNodeSharingWithDeferredLookup pins how deferred lookups share sort
+// nodes: statements that defer the same join on one input stream share the
+// node and its out-stream (a later one appends the columns it reads), and a
+// statement sorting that stream without the join opens a second node of the
+// same signature, since a node configures each input stream once.
+func TestSortNodeSharingWithDeferredLookup(t *testing.T) {
+	p := New(testDB(t))
+	prep := func(q string) {
+		t.Helper()
+		if _, err := p.Prepare(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prep(`SELECT o_id, name FROM orders, users WHERE o_user_id = user_id AND o_total > ? ORDER BY o_total LIMIT 5`)
+	n := p.NumNodes()
+	prep(`SELECT o_id, country FROM orders, users WHERE o_user_id = user_id AND o_total < ? ORDER BY o_total LIMIT 3`)
+	d := p.Describe()
+	if p.NumNodes() != n || strings.Count(d, "⋈ix(users/pk_users)") != 1 || strings.Contains(d, ": ⋈ix(") ||
+		!strings.Contains(d, "[orders.0 users.1 users.2] ⋈ix(users/pk_users)") {
+		t.Fatalf("second deferred statement: %d nodes (want %d), plan:\n%s", p.NumNodes(), n, d)
+	}
+	prep(`SELECT o_id FROM orders WHERE o_total > ? ORDER BY o_total LIMIT 5`)
+	if d := p.Describe(); p.NumNodes() != n+1 || strings.Count(d, ": sort(orders.2|false)") != 2 {
+		t.Fatalf("a plain Top-N of the same stream: %d nodes (want %d), plan:\n%s", p.NumNodes(), n+1, d)
+	}
+	// An ORDER BY on an inner column keeps the index join.
+	prep(`SELECT o_id FROM orders, users WHERE o_user_id = user_id ORDER BY name LIMIT 5`)
+	if d := p.Describe(); !strings.Contains(d, ": ⋈ix(users)") {
+		t.Fatalf("a sort on an inner column deferred the join, plan:\n%s", d)
+	}
+}

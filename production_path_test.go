@@ -29,9 +29,10 @@ func plans(db *DB) []*plan.GlobalPlan {
 // mirror, a GROUP BY over a direct base-table scan aggregates straight from
 // it (the pushdown) across write generations, a scalar MAX over the primary
 // key is answered from the index edge, and concurrent identical reads fold
-// (inside each shard engine, on the sharded deployment), and a hash join
+// (inside each shard engine, on the sharded deployment), a hash join
 // whose outer is a direct base-table scan reads that outer from the column
-// mirror.
+// mirror, and a Top-N over a join into a unique index looks the inner rows
+// up only for the rows it keeps.
 func TestZeroConfigIsProductionPath(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -72,6 +73,19 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 				t.Fatal(err)
 			} else if rows.Len() != (items-16)/4 {
 				t.Fatalf("scan-fed hash join returned %d rows, want %d", rows.Len(), (items-16)/4)
+			}
+			// stock's bare primary-key join under a Top-N by item columns: the
+			// sort orders items and joins stock only for the rows it keeps
+			// (items without stock join nothing and take no place).
+			if rows, err := db.Query(`SELECT i_id, s_qty FROM item, stock WHERE item.i_id = stock.s_i_id AND item.i_subject = ? ORDER BY item.i_id DESC LIMIT 3`, "S1"); err != nil {
+				t.Fatal(err)
+			} else if all := rows.All(); len(all) != 0 {
+				t.Fatalf("Top-N over items without stock returned %v, want no rows", all)
+			}
+			if rows, err := db.Query(`SELECT i_id, s_qty FROM item, stock WHERE item.i_id = stock.s_i_id AND item.i_subject = ? ORDER BY item.i_id DESC LIMIT 3`, "S2"); err != nil {
+				t.Fatal(err)
+			} else if all := rows.All(); len(all) != 3 || all[0][0].AsInt() != items-2 || all[2][0].AsInt() != items-10 {
+				t.Fatalf("Top-N over items with stock returned %v, want items %d, %d and %d", all, items-2, items-6, items-10)
 			}
 			if rows, err := db.Query(`SELECT MAX(i_id) FROM item`); err != nil {
 				t.Fatal(err)
@@ -145,6 +159,7 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 				paths.ColAgg += pc.ColAgg
 				paths.IndexEdge += pc.IndexEdge
 				paths.JoinScan += pc.JoinScan
+				paths.SortLookup += pc.SortLookup
 			}
 			if paths.ColScan == 0 {
 				t.Error("no scan cycle read the columnar mirror")
@@ -157,6 +172,9 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			}
 			if paths.JoinScan == 0 {
 				t.Error("the scan-fed hash join never read its outer from the column mirror")
+			}
+			if paths.SortLookup == 0 {
+				t.Error("the Top-N over a unique-index join never deferred the join past its cut")
 			}
 		})
 	}
