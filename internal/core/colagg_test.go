@@ -1,12 +1,13 @@
 package core
 
 // Columnar-aggregation differentials: production (columnar scan, and the
-// GroupOp pushdown — grouped/DISTINCT/Top-N statements over a direct scan
-// fed straight from the columnar mirror, bypassing the scan stream) must
-// equal the query-at-a-time engine (internal/baseline) under random
-// schemas, interleaved writes and both serial and parallel cycles. The fuzz
-// applies its writes straight to storage between bursts; the sweep sends
-// them through the engine, so the mirror's pending log carries them.
+// mirror-fed group-by — grouped/DISTINCT/Top-N statements over a direct
+// scan read straight from the columnar mirror, with no scan node in
+// between) must equal the query-at-a-time engine (internal/baseline) under
+// random schemas and interleaved writes, also when one group-by node gets
+// mirror-fed and streamed queries in the same cycle. The fuzz applies its
+// writes straight to storage between bursts; the sweep sends them through
+// the engine, so the mirror's pending log carries them.
 
 import (
 	"fmt"
@@ -155,6 +156,18 @@ func TestColumnarAggDifferentialFuzz(t *testing.T) {
 				return []types.Value{types.NewInt(int64(r.Intn(d.gInt)))}
 			}},
 		{"SELECT MIN(m_w), MAX(m_w), COUNT(*) FROM m", false, nil},
+		// Mixed cycles: a constant residual stays a filter over scan(m), so
+		// these stream into the Γ nodes of the first and fifth templates,
+		// which read the mirror. With param 0 the scalar twin selects
+		// nothing and must still return its one row.
+		{"SELECT m_g, COUNT(*), SUM(m_v) FROM m WHERE ? = 1 GROUP BY m_g", false,
+			func(r *rand.Rand, d *colaggDomains) []types.Value {
+				return []types.Value{types.NewInt(int64(r.Intn(2)))}
+			}},
+		{"SELECT COUNT(*), SUM(m_v) FROM m WHERE ? = 1", false,
+			func(r *rand.Rand, d *colaggDomains) []types.Value {
+				return []types.Value{types.NewInt(int64(r.Intn(2)))}
+			}},
 	}
 
 	// Two seeds. The subtest names date from when the two runs also

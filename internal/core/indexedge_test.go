@@ -129,7 +129,7 @@ func TestIndexEdgePlanShape(t *testing.T) {
 		"probe(ev/ev_grp_seq) [min] → Γ(MIN|false|ev.2)",
 		"probe(ev/ev_note) [max] → Γ(MAX|false|ev.3)",
 		"probe(ev/ev_grp_seq) → Γ(MAX|false|ev.0)", // MAX(e_id) WHERE e_grp = ?: the ordinary equality probe
-		"scan(ev) → Γ(MAX|false|ev.0)",             // MAX(e_id) WHERE e_id > ?: the shared scan
+		"Γ(MAX|false|ev.0) ⇐ mirror(ev)",           // MAX(e_id) WHERE e_id > ?: read from the column mirror
 	} {
 		if !strings.Contains(desc, want) {
 			t.Errorf("plan lacks %q:\n%s", want, desc)

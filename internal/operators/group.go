@@ -34,15 +34,15 @@ type GroupOp struct {
 	single [1]queryset.QueryID
 
 	// agg is the cycle's aggregation context (group table, scratch and free
-	// lists), reused across cycles; Consume and the columnar feed both
+	// lists), reused across cycles; Consume and the mirror feed both
 	// aggregate into it.
 	agg groupAgg
 
-	// columnar aggregation pushdown (Cycle.Col): the reusable scan buffers
-	// and client list for feeding the aggregation straight from the table's
-	// columnar mirror.
-	colBufs    storage.ColScanBuffers
-	colClients []storage.ScanClient
+	// mirror are the cycle's inputs read straight from a table's column
+	// mirror, one per input stream; colBufs is the mirror pass's reusable
+	// scan state.
+	mirror  []mirrorInput
+	colBufs storage.ColScanBuffers
 }
 
 // GroupStream configures extraction for one input stream.
@@ -73,10 +73,22 @@ type AggDef struct {
 // the operator's output schema (group columns followed by aggregates).
 // Scalar marks queries without GROUP BY columns, which per SQL semantics
 // produce exactly one row even over empty input (COUNT(*) = 0).
+//
+// A query whose input is one direct shared scan of a base table reads that
+// input from the table's column mirror in Start (no scan task, no
+// scan→group edge): Table is that table, Input the input stream's id and
+// Pred the query's bound scan predicate (nil = every row). With Table nil
+// the input streams in.
 type GroupSpec struct {
 	Having expr.Expr
 	Scalar bool
+
+	Table *storage.Table
+	Input int
+	Pred  expr.Expr
 }
+
+func (s GroupSpec) mirrored() (*storage.Table, int, expr.Expr) { return s.Table, s.Input, s.Pred }
 
 // aggState accumulates one aggregate for one (group, query).
 type aggState struct {
@@ -182,7 +194,12 @@ type groupState struct {
 	emitted map[queryset.QueryID]bool
 }
 
-// Start initializes the cycle's hash table and per-query HAVING predicates.
+// Start initializes the cycle's hash table and per-query HAVING predicates,
+// then feeds the mirror-fed inputs' matched rows straight into the group
+// table. Each pass runs in RowID order before any streamed batch arrives,
+// and a query reads one source only, so its rows are absorbed in the order
+// the scan stream would deliver them: its aggregates, float sums included,
+// are byte-identical. (HashJoinOp.probeMirror reads a fused outer alike.)
 func (g *GroupOp) Start(c *Cycle) {
 	st := &g.st
 	if st.having == nil {
@@ -205,51 +222,15 @@ func (g *GroupOp) Start(c *Cycle) {
 		g.agg.args, g.agg.steps = make([]types.Value, len(g.Aggs)), make([]addStep, len(g.Aggs))
 	}
 	c.opState = st
-	if c.Col != nil {
-		g.startColumnar(c)
+	g.mirror = mirrorInputs(g.mirror, c.Tasks)
+	for i := range g.mirror {
+		in := &g.mirror[i]
+		cfg := g.Streams[in.stream]
+		in.table.SharedScan(c.TS, in.clients, &g.colBufs, func(_ storage.RowID, row types.Row, qs queryset.Set) {
+			g.absorbRow(cfg, row, qs)
+		})
 	}
-}
-
-// ColPred is one covered query's bound scan predicate (nil = every row).
-type ColPred struct {
-	QID  queryset.QueryID
-	Pred expr.Expr
-}
-
-// ColCycle is the columnar-aggregation activation attached to a CycleStart
-// (the aggregation pushdown of the columnar data path): the group-by node
-// feeds itself from the table's columnar mirror (storage.SharedScan)
-// instead of consuming the scan→group stream, which the plan silences for
-// the covered queries. Preds are sorted by QID ascending, one bound scan
-// predicate per covered query — exactly the clients the shared scan node
-// would have served. The scan emits in RowID order and the operator absorbs
-// serially in that order, so the resulting aggregate state (and Finish
-// emission) is byte-identical to consuming the scan stream.
-type ColCycle struct {
-	Table *storage.Table
-	Preds []ColPred
-}
-
-// startColumnar runs the aggregation pushdown: the covered queries' bound
-// scan predicates become columnar scan clients and the mirror scan feeds
-// matched rows straight into the cycle's group table — no scan→group stream,
-// no Batch materialization. The scan is one serial pass in ascending RowID
-// order and absorbRow runs on this goroutine as it emits, so the group
-// table's insertion order — and therefore Finish emission — is byte-identical
-// to aggregating the scan stream. (HashJoinOp.probeMirror reads a fused
-// outer the same way.)
-func (g *GroupOp) startColumnar(c *Cycle) {
-	cc := c.Col
-	cfg := g.onlyStream()
-	clients := g.colClients[:0]
-	for _, p := range cc.Preds {
-		clients = append(clients, storage.ScanClient{ID: p.QID, Pred: p.Pred})
-	}
-	cc.Table.SharedScan(c.TS, clients, &g.colBufs, func(_ storage.RowID, row types.Row, qs queryset.Set) {
-		g.absorbRow(cfg, row, qs)
-	})
-	clear(clients)
-	g.colClients = clients[:0]
+	releaseMirrorInputs(g.mirror)
 }
 
 // appendKey appends row's key columns to dst.
@@ -306,15 +287,6 @@ func (a *groupAgg) recycle() {
 		a.entryFree = append(a.entryFree, ge)
 	}
 	a.table.reset()
-}
-
-// onlyStream returns the operator's single input stream configuration (the
-// plan only grants the aggregation pushdown to single-stream group nodes).
-func (g *GroupOp) onlyStream() GroupStream {
-	for _, cfg := range g.Streams {
-		return cfg
-	}
-	return GroupStream{}
 }
 
 // Consume hashes each tuple into its group once and updates the aggregate
@@ -377,7 +349,7 @@ func (g *GroupOp) compileAddSteps(args []types.Value, steps []addStep) {
 }
 
 // absorbRow folds one routed row into the group table — the one aggregation
-// body of the batch path and the columnar scan feed. qs may be borrowed (it
+// body of the batch path and the mirror feed. qs may be borrowed (it
 // is read, never retained).
 func (g *GroupOp) absorbRow(cfg GroupStream, row types.Row, qs queryset.Set) {
 	a := &g.agg

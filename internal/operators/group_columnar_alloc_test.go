@@ -10,10 +10,11 @@ import (
 	"shareddb/internal/types"
 )
 
-// TestGroupColumnarZeroAllocSteadyState pins the aggregation-pushdown hot
-// path: once the operator's free lists, scan buffers and batch pool are
-// warm, a columnar group-by cycle over 4096 rows must allocate only for
-// what it emits (one output row per live (group, query)) — per-row absorb,
+// TestGroupColumnarZeroAllocSteadyState pins the mirror-fed group-by hot
+// path (GroupSpec.Table set: the operator reads its input from the column
+// mirror in Start): once the operator's free lists, scan buffers and batch
+// pool are warm, a cycle over 4096 rows must allocate only for what it
+// emits (one output row per live (group, query)) — per-row absorb,
 // per-(group, query) aggregate state and the selection bitmaps all recycle.
 func TestGroupColumnarZeroAllocSteadyState(t *testing.T) {
 	if testutil.RaceEnabled {
@@ -62,17 +63,11 @@ func TestGroupColumnarZeroAllocSteadyState(t *testing.T) {
 	cmp := func(o expr.CmpOp, col int, v int64) expr.Expr {
 		return &expr.Cmp{Op: o, L: &expr.ColRef{Idx: col}, R: &expr.Const{Val: types.NewInt(v)}}
 	}
-	col := &ColCycle{Table: tab, Preds: []ColPred{
-		{QID: 1, Pred: cmp(expr.GE, 2, 0)},
-		{QID: 2, Pred: cmp(expr.LT, 2, 512)},
-		{QID: 3, Pred: cmp(expr.LE, 1, 7)},
-		{QID: 4, Pred: cmp(expr.GE, 2, 256)},
-	}}
 	tasks := []Task{
-		{Query: 1, Spec: GroupSpec{}},
-		{Query: 2, Spec: GroupSpec{}},
-		{Query: 3, Spec: GroupSpec{}},
-		{Query: 4, Spec: GroupSpec{}},
+		{Query: 1, Spec: GroupSpec{Table: tab, Input: 1, Pred: cmp(expr.GE, 2, 0)}},
+		{Query: 2, Spec: GroupSpec{Table: tab, Input: 1, Pred: cmp(expr.LT, 2, 512)}},
+		{Query: 3, Spec: GroupSpec{Table: tab, Input: 1, Pred: cmp(expr.LE, 1, 7)}},
+		{Query: 4, Spec: GroupSpec{Table: tab, Input: 1, Pred: cmp(expr.GE, 2, 256)}},
 	}
 
 	pool := NewBatchPool()
@@ -103,7 +98,7 @@ func TestGroupColumnarZeroAllocSteadyState(t *testing.T) {
 	var em emitter
 	cycle := func() {
 		em.reset(node, 1)
-		c := &Cycle{Gen: 1, TS: ts, Tasks: tasks, Col: col, node: node, em: &em}
+		c := &Cycle{Gen: 1, TS: ts, Tasks: tasks, node: node, em: &em}
 		op.Start(c)
 		op.Finish(c)
 		c.em.flushEOS()

@@ -95,7 +95,7 @@ type HashJoinOp struct {
 	// fused are the cycle's outers read straight from a table's column
 	// mirror, one per outer stream, and fusedDone whether their passes
 	// ran; colBufs is the mirror pass's reusable scan state.
-	fused     []fusedOuter
+	fused     []mirrorInput
 	fusedDone bool
 	colBufs   storage.ColScanBuffers
 
@@ -103,26 +103,19 @@ type HashJoinOp struct {
 	qsScratch  []queryset.QueryID // probe intersection scratch
 }
 
-// fusedOuter is one outer stream the cycle reads from a table's column
-// mirror: the queries reaching it through a direct scan of table, as scan
-// clients.
-type fusedOuter struct {
-	stream  int
-	table   *storage.Table
-	clients []storage.ScanClient
-}
-
 // JoinSpec is the per-query activation of a hash join. A query whose outer
 // is one direct shared scan of a base table reads that outer from the
 // table's column mirror inside the join (no scan task, no scan→join edge):
 // Table is that table, Outer the outer stream's id and Pred the query's
-// bound scan predicate (nil = every row). A zero JoinSpec streams its outer
+// bound scan predicate (nil = every row). With Table nil the outer streams
 // in.
 type JoinSpec struct {
 	Table *storage.Table
 	Outer int
 	Pred  expr.Expr
 }
+
+func (s JoinSpec) mirrored() (*storage.Table, int, expr.Expr) { return s.Table, s.Outer, s.Pred }
 
 // Start resets the cycle state and groups the fused queries by outer
 // stream.
@@ -132,27 +125,7 @@ func (j *HashJoinOp) Start(c *Cycle) {
 	j.pending = j.pending[:0]
 	j.innerDone = false
 	j.fusedDone = false
-	j.fused = j.fused[:cap(j.fused)] // reuse earlier cycles' client lists
-	n := 0
-	for _, t := range c.Tasks {
-		spec, _ := t.Spec.(JoinSpec)
-		if spec.Table == nil {
-			continue
-		}
-		fi := 0
-		for fi < n && j.fused[fi].stream != spec.Outer {
-			fi++
-		}
-		if fi == n {
-			if n == len(j.fused) {
-				j.fused = append(j.fused, fusedOuter{})
-			}
-			j.fused[n].stream, j.fused[n].table = spec.Outer, spec.Table
-			n++
-		}
-		j.fused[fi].clients = append(j.fused[fi].clients, storage.ScanClient{ID: t.Query, Pred: spec.Pred})
-	}
-	j.fused = j.fused[:n]
+	j.fused = mirrorInputs(j.fused, c.Tasks)
 }
 
 // Consume builds from inner batches and probes (or buffers) outer batches;
@@ -224,10 +197,7 @@ var _ Operator = (*HashJoinOp)(nil)
 func (j *HashJoinOp) Finish(c *Cycle) {
 	j.drain(c)
 	j.build.reset(j.InnerKeyCols)
-	for i := range j.fused {
-		clear(j.fused[i].clients)
-		j.fused[i].clients = j.fused[i].clients[:0]
-	}
+	releaseMirrorInputs(j.fused)
 }
 
 // keyOf pulls row's key columns into the key scratch.
@@ -255,7 +225,7 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 // its key matches a bucket and a query set intersects. The pass emits in
 // RowID order, each row's matches in build-chain order — exactly what
 // probing the streamed scan's batches would emit.
-func (j *HashJoinOp) probeMirror(c *Cycle, f *fusedOuter) {
+func (j *HashJoinOp) probeMirror(c *Cycle, f *mirrorInput) {
 	cfg, ok := j.Outers[f.stream]
 	if !ok || j.build.len() == 0 {
 		return

@@ -120,12 +120,6 @@ type CycleStart struct {
 	ActiveProducers int    // producer edges that will send EOS this cycle
 	OnDone          func() // optional completion callback (used by sinks)
 
-	// Col, when non-nil, switches a group-by node to the columnar
-	// aggregation pushdown for this cycle: the operator feeds itself from
-	// the table's columnar mirror in Start instead of consuming the scan
-	// stream (which the plan silences for the covered queries). See ColCycle.
-	Col *ColCycle
-
 	// Rows is the generation's row arena: Cycle.NewRow draws the rows this
 	// cycle builds from it (nil = allocate them, for hand-built test nodes).
 	Rows *RowArena
@@ -152,10 +146,6 @@ type Cycle struct {
 	Gen   uint64
 	TS    uint64
 	Tasks []Task
-
-	// Col is the columnar-aggregation activation for this cycle (nil = the
-	// node consumes its producer stream as usual). See ColCycle.
-	Col *ColCycle
 
 	node *Node
 	em   *emitter
@@ -276,7 +266,7 @@ func (n *Node) run() {
 func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (future []Message, nextStarts []*CycleStart, ok bool) {
 	n.em.reset(n, cs.Gen)
 	c := &n.cycle
-	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, Col: cs.Col, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
+	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
 
 	// activeNs accumulates operator-busy time for the engine's per-statement
 	// cost attribution; timing only runs when someone is observing.

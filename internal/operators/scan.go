@@ -50,6 +50,62 @@ func (s *ScanOp) Consume(*Cycle, *Batch) {}
 // Finish completes the cycle (output was emitted in Start).
 func (s *ScanOp) Finish(*Cycle) {}
 
+// mirrorSpec is a task spec that can name an input its operator reads
+// straight from a table's column mirror instead of a scan stream (a hash
+// join's outer, a group-by's input): the table (nil: the input streams
+// in), the input stream and the query's bound scan predicate.
+type mirrorSpec interface {
+	mirrored() (table *storage.Table, stream int, pred expr.Expr)
+}
+
+// mirrorInput is one input stream a cycle reads from a table's column
+// mirror: the queries reaching it through a direct scan of table, as scan
+// clients.
+type mirrorInput struct {
+	stream  int
+	table   *storage.Table
+	clients []storage.ScanClient
+}
+
+// mirrorInputs groups a cycle's mirror-fed tasks by input stream into scan
+// clients, in task order, reusing the client lists of ins' earlier cycles.
+func mirrorInputs(ins []mirrorInput, tasks []Task) []mirrorInput {
+	ins = ins[:cap(ins)]
+	n := 0
+	for _, t := range tasks {
+		spec, _ := t.Spec.(mirrorSpec)
+		if spec == nil {
+			continue
+		}
+		table, stream, pred := spec.mirrored()
+		if table == nil {
+			continue
+		}
+		i := 0
+		for i < n && ins[i].stream != stream {
+			i++
+		}
+		if i == n {
+			if n == len(ins) {
+				ins = append(ins, mirrorInput{})
+			}
+			ins[n].stream, ins[n].table = stream, table
+			n++
+		}
+		ins[i].clients = append(ins[i].clients, storage.ScanClient{ID: t.Query, Pred: pred})
+	}
+	return ins[:n]
+}
+
+// releaseMirrorInputs drops the cycle's predicates and empties the client
+// lists, keeping their backing arrays.
+func releaseMirrorInputs(ins []mirrorInput) {
+	for i := range ins {
+		clear(ins[i].clients)
+		ins[i].clients = ins[i].clients[:0]
+	}
+}
+
 // ProbeOp is a shared index-probe source (paper §4.4): all look-ups of a
 // generation run back-to-back against one index, with identical keys
 // deduplicated by the storage layer.

@@ -2,9 +2,7 @@ package plan
 
 import (
 	"slices"
-	"sort"
 
-	"shareddb/internal/expr"
 	"shareddb/internal/operators"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
@@ -17,15 +15,6 @@ type Activation struct {
 	QID    queryset.QueryID
 	Stmt   *Statement
 	Params []types.Value
-}
-
-// pushdownCand accumulates the activations that reach one group node
-// through its pushdown binding this generation.
-type pushdownCand struct {
-	b       pushdownBinding
-	preds   []operators.ColPred // one bound scan predicate per covered activation
-	reached int                 // activations with a step at the node, covered or not
-	ok      bool                // false when bindings disagree on the scan edge/table
 }
 
 // RunGeneration executes one heartbeat of the global plan (paper §3.2):
@@ -41,10 +30,12 @@ type pushdownCand struct {
 // drained. A caller that keeps a row copies its values, as the engine's
 // projection does.
 //
-// A single-stream group-by that every activation reaches through one direct
-// base-table scan skips its scan input and aggregates straight from the
-// table's columnar mirror (decideColumnarAgg); every other stateful node
-// builds its state from its input stream each cycle.
+// Nothing about the plan's shape is decided here: which inputs a group-by
+// or a hash join reads from the column mirror was fixed when each
+// statement compiled (its task spec carries the table and the scan
+// predicate, and it has no scan step or edge there). A generation only
+// queues each activation's tasks and sets each edge's query set; every
+// stateful node builds its state from its inputs each cycle.
 //
 // The fourth parameter is ignored: bench/layers.go, which only a
 // benchmark-typed PR may change, still passes a nil write delta there.
@@ -66,21 +57,13 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		return
 	}
 
-	colCycles, skipTask, skipEdge := p.decideColumnarAgg(acts)
-
 	tasks := map[*operators.Node][]operators.Task{}
 	edgeQ := map[*operators.Edge][]queryset.QueryID{}
 	for _, a := range acts {
 		for _, st := range a.Stmt.steps {
-			if skipTask[st.node] != nil && skipTask[st.node][a.QID] {
-				continue
-			}
 			tasks[st.node] = append(tasks[st.node], operators.Task{Query: a.QID, Spec: st.makeSpec(a.Params)})
 		}
 		for _, e := range a.Stmt.pathEdges {
-			if skipEdge[e] != nil && skipEdge[e][a.QID] {
-				continue
-			}
 			edgeQ[e] = append(edgeQ[e], a.QID)
 		}
 	}
@@ -140,86 +123,30 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 			if slices.ContainsFunc(nt, readsMirror) {
 				p.paths.JoinScan++
 			}
+		case *operators.GroupOp:
+			if slices.ContainsFunc(nt, readsMirror) {
+				p.paths.ColAgg++
+			}
 		}
 		n.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
 			Gen: gen, TS: ts, Tasks: nt,
 			ActiveProducers: activeProducers(n),
 			CostObserve:     costObserve,
-			Col:             colCycles[n],
 			Rows:            rows,
 		}})
 	}
 	p.mu.Unlock()
 }
 
-// readsMirror reports whether a hash-join task reads its outer from the
-// column mirror (a fused scan) instead of a stream.
+// readsMirror reports whether a task reads its node's input from the column
+// mirror (a hash join's fused outer, a group-by's input) instead of a
+// stream.
 func readsMirror(t operators.Task) bool {
-	spec, _ := t.Spec.(operators.JoinSpec)
-	return spec.Table != nil
-}
-
-// decideColumnarAgg picks the group-by nodes whose aggregation runs as a
-// columnar pushdown this generation: the node feeds itself from the table's
-// columnar mirror (operators.ColCycle) — typed vectors via the stride-kernel
-// scan instead of materialized row batches. A node qualifies only when it has
-// a single input stream and EVERY activation touching it arrives through a
-// pushdown binding on the same scan edge and table; partial coverage keeps
-// the scan stream so shared-but-unbound queries still see the full input.
-// Returns the per-node activations plus the scan tasks and edge memberships
-// to suppress (the operator reads its own input, so the covered queries must
-// not also stream the scan). Caller holds p.mu.
-func (p *GlobalPlan) decideColumnarAgg(acts []Activation) (
-	colCycles map[*operators.Node]*operators.ColCycle,
-	skipTask map[*operators.Node]map[queryset.QueryID]bool,
-	skipEdge map[*operators.Edge]map[queryset.QueryID]bool,
-) {
-	cands := map[*operators.Node]*pushdownCand{}
-	for _, a := range acts {
-		for _, b := range a.Stmt.pushdowns {
-			c := cands[b.node]
-			if c == nil {
-				c = &pushdownCand{b: b, ok: true}
-				cands[b.node] = c
-			}
-			if c.b.scanEdge != b.scanEdge || c.b.table != b.table {
-				c.ok = false
-			}
-			c.preds = append(c.preds, operators.ColPred{QID: a.QID, Pred: expr.Bind(b.pred, a.Params)})
-		}
+	switch spec := t.Spec.(type) {
+	case operators.JoinSpec:
+		return spec.Table != nil
+	case operators.GroupSpec:
+		return spec.Table != nil
 	}
-	if len(cands) == 0 {
-		return nil, nil, nil
-	}
-	for _, a := range acts {
-		for _, st := range a.Stmt.steps {
-			if c := cands[st.node]; c != nil {
-				c.reached++
-			}
-		}
-	}
-	for n, c := range cands {
-		if !c.ok || len(c.preds) != c.reached || len(c.b.op.Streams) != 1 {
-			continue
-		}
-		if colCycles == nil {
-			colCycles = map[*operators.Node]*operators.ColCycle{}
-			skipTask = map[*operators.Node]map[queryset.QueryID]bool{}
-			skipEdge = map[*operators.Edge]map[queryset.QueryID]bool{}
-		}
-		sort.Slice(c.preds, func(i, j int) bool { return c.preds[i].QID < c.preds[j].QID })
-		colCycles[n] = &operators.ColCycle{Table: c.b.table, Preds: c.preds}
-		// One scan node may feed several group nodes, each over its own edge.
-		st, se := skipTask[c.b.scanNode], map[queryset.QueryID]bool{}
-		if st == nil {
-			st = map[queryset.QueryID]bool{}
-			skipTask[c.b.scanNode] = st
-		}
-		skipEdge[c.b.scanEdge] = se
-		for _, pr := range c.preds {
-			st[pr.QID], se[pr.QID] = true, true
-		}
-		p.paths.ColAgg++
-	}
-	return colCycles, skipTask, skipEdge
+	return false
 }

@@ -103,11 +103,11 @@ type compiled struct {
 
 	// Scan provenance: set only by compileScan's shared-ClockScan branch
 	// (and deliberately NOT propagated through filters, joins, groups or
-	// sorts), so a non-empty foldTable means "this subtree is one clock scan
-	// of foldTable under foldPred" — what compileGroup's columnar pushdown
-	// and compileJoin's fused outer require of their input.
-	foldTable string
-	foldPred  expr.Expr
+	// sorts), so a non-empty scanTable means "this subtree is one clock scan
+	// of scanTable under scanPred" — what a consumer that reads its input
+	// from the column mirror (compileInput) requires.
+	scanTable string
+	scanPred  expr.Expr
 }
 
 // compileSelect peels the top of the logical plan (Distinct → Project →
@@ -314,21 +314,49 @@ func (p *GlobalPlan) compileScan(scan *sql.Scan) (compiled, error) {
 
 	// Shared ClockScan: the stream layout and scan provenance only. The
 	// scan node itself is created by withScanNode when something consumes
-	// its stream; a hash join that reads this outer from the column mirror
+	// its stream; an operator that reads this input from the column mirror
 	// needs no node.
-	return compiled{stream: p.scanStream(table), foldTable: scan.Table, foldPred: scan.Pred}, nil
+	return compiled{stream: p.scanStream(table), scanTable: scan.Table, scanPred: scan.Pred}, nil
 }
 
 // withScanNode routes a shared-ClockScan subtree through the table's scan
 // node, creating the node on first use.
 func (p *GlobalPlan) withScanNode(c compiled) compiled {
-	src := p.getScan(p.db.Table(c.foldTable))
-	pred := c.foldPred
+	src := p.getScan(p.db.Table(c.scanTable))
+	pred := c.scanPred
 	c.node = src.node
 	c.steps = []stepBinding{{node: src.node, makeSpec: func(params []types.Value) interface{} {
 		return operators.ScanSpec{Pred: expr.Bind(pred, params)}
 	}}}
 	return c
+}
+
+// compileInput compiles the input of a hash join's outer or a group-by. A
+// direct base-table scan that compileScan answers with the shared ClockScan
+// stays node-less: the consumer reads it from the column mirror itself
+// (wireInput). Anything else compiles as usual.
+func (p *GlobalPlan) compileInput(s *Statement, lp sql.LogicalPlan) (compiled, error) {
+	if scan, ok := lp.(*sql.Scan); ok {
+		return p.compileScan(scan)
+	}
+	return p.compile(s, lp)
+}
+
+// wireInput connects input c to node. A node-less direct scan gets no edge:
+// node reads it from its table's column mirror (Describe names the table),
+// and its table and unbound scan predicate are returned for node's task
+// spec. Any other input's edge is appended to edges.
+func (p *GlobalPlan) wireInput(node *operators.Node, c compiled, edges []*operators.Edge) ([]*operators.Edge, *storage.Table, expr.Expr) {
+	if c.node != nil {
+		return append(edges, p.edge(c.node, node)), nil, nil
+	}
+	m := p.mirrors[node]
+	if m == nil {
+		m = map[int]string{}
+		p.mirrors[node] = m
+	}
+	m[c.stream.id] = c.scanTable
+	return edges, p.db.Table(c.scanTable), c.scanPred
 }
 
 // evalKey binds a probe key's operands (constants or parameters).
@@ -479,12 +507,12 @@ func (p *GlobalPlan) compileFilter(s *Statement, f *sql.Filter) (compiled, error
 // build side is the compiled right subtree.
 //
 // A hash join whose outer is one direct shared ClockScan of a base table
-// fuses that scan: the statement gets no scan step and no scan→join edge,
-// and its join task carries the table and the bound scan predicate, so the
-// join reads the outer from the column mirror once its build completes
-// (operators.JoinSpec). Every activation of the statement reaches the outer
-// that way, so nothing is decided per generation. An outer fed by any
-// other operator streams in.
+// fuses that scan (compileInput): the statement gets no scan step and no
+// scan→join edge, and its join task carries the table and the bound scan
+// predicate, so the join reads the outer from the column mirror once its
+// build completes (operators.JoinSpec). Every activation of the statement
+// reaches the outer that way, so nothing is decided per generation. An
+// outer fed by any other operator streams in.
 func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 	if len(j.LeftKeys) == 0 {
 		return compiled{}, fmt.Errorf("plan: cross joins are not supported in the shared plan")
@@ -507,13 +535,7 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 		}
 	}
 
-	var left compiled
-	var err error
-	if lscan, ok := j.Left.(*sql.Scan); ok {
-		left, err = p.compileScan(lscan) // no scan node: see below
-	} else {
-		left, err = p.compile(s, j.Left)
-	}
+	left, err := p.compileInput(s, j.Left)
 	if err != nil {
 		return compiled{}, err
 	}
@@ -538,7 +560,7 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 		node := p.addNode(fmt.Sprintf("⋈hash(%s)", right.node.Name), op)
 		ie := p.edge(right.node, node)
 		op.SetInnerEdge(ie)
-		ref = &joinRef{node: node, op: op, innerStream: right.stream.id, outerKeys: map[int][]int{}, fused: map[int]string{}}
+		ref = &joinRef{node: node, op: op, innerStream: right.stream.id, outerKeys: map[int][]int{}}
 		p.joinNodes[sig] = append(p.joinNodes[sig], ref)
 	}
 	outCfg, ok := ref.op.Outers[left.stream.id]
@@ -547,20 +569,11 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 		ref.outerKeys[left.stream.id] = j.LeftKeys
 	}
 	ie := p.edge(right.node, ref.node)
-	edges := append(append(left.edges, right.edges...), ie)
-	step := stepBinding{node: ref.node, makeSpec: func([]types.Value) interface{} {
-		return operators.JoinSpec{}
+	edges, table, pred := p.wireInput(ref.node, left, append(append(left.edges, right.edges...), ie))
+	outer := left.stream.id
+	step := stepBinding{node: ref.node, makeSpec: func(params []types.Value) interface{} {
+		return operators.JoinSpec{Table: table, Outer: outer, Pred: expr.Bind(pred, params)}
 	}}
-	if left.node == nil {
-		// The fused outer: a direct ClockScan the join reads itself.
-		table, pred, outer := p.db.Table(left.foldTable), left.foldPred, left.stream.id
-		ref.fused[outer] = left.foldTable
-		step.makeSpec = func(params []types.Value) interface{} {
-			return operators.JoinSpec{Table: table, Outer: outer, Pred: expr.Bind(pred, params)}
-		}
-	} else {
-		edges = append(edges, p.edge(left.node, ref.node))
-	}
 	return compiled{
 		node:   ref.node,
 		stream: p.streams[outCfg.OutStream],
@@ -655,12 +668,16 @@ func (p *GlobalPlan) compileIndexJoin(s *Statement, left compiled, j *sql.Join, 
 }
 
 // compileGroup merges group-bys whose group keys and aggregates have the
-// same provenance signature.
+// same provenance signature. A group-by over one direct shared ClockScan of
+// a base table reads that input from the column mirror itself
+// (compileInput), exactly like a hash join's fused outer: no scan step, no
+// scan→group edge, and the group task carries the table and the bound scan
+// predicate (operators.GroupSpec).
 func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) {
 	c, edge := p.compileIndexEdge(g)
 	if !edge {
 		var err error
-		if c, err = p.compile(s, g.In); err != nil {
+		if c, err = p.compileInput(s, g.In); err != nil {
 			return compiled{}, err
 		}
 	}
@@ -702,29 +719,17 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		}
 		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: c.stream.physicalCols(g.GroupCols), AggArgs: aggArgs}
 	}
-	e := p.edge(c.node, ref.node)
-	// Aggregation-pushdown binding: the group-by's input is a direct shared
-	// ClockScan, so the node can aggregate from the column mirror itself.
-	if c.foldTable != "" && len(c.steps) == 1 {
-		s.pushdowns = append(s.pushdowns, pushdownBinding{
-			node:     ref.node,
-			op:       ref.op,
-			scanNode: c.node,
-			scanEdge: e,
-			table:    p.db.Table(c.foldTable),
-			pred:     c.foldPred,
-		})
-	}
-	having := g.Having
-	scalar := len(g.GroupCols) == 0
+	edges, table, pred := p.wireInput(ref.node, c, c.edges)
+	having, input, scalar := g.Having, c.stream.id, len(g.GroupCols) == 0
 	step := stepBinding{node: ref.node, makeSpec: func(params []types.Value) interface{} {
-		return operators.GroupSpec{Having: expr.Bind(having, params), Scalar: scalar}
+		return operators.GroupSpec{Having: expr.Bind(having, params), Scalar: scalar,
+			Table: table, Input: input, Pred: expr.Bind(pred, params)}
 	}}
 	return compiled{
 		node:   ref.node,
 		stream: p.streams[ref.outStream],
 		steps:  append(c.steps, step),
-		edges:  append(c.edges, e),
+		edges:  edges,
 	}, nil
 }
 

@@ -156,6 +156,10 @@ type GlobalPlan struct {
 	sortNodes   map[string][]*sortRef
 	groupNodes  map[string]*groupRef
 	filterFor   map[int]*operators.Node // producer node id → shared filter
+	// mirrors records, per node, the input streams it reads straight from
+	// a table's column mirror (stream → table name): a hash join's fused
+	// outers and a group-by's direct-scan inputs.
+	mirrors map[*operators.Node]map[int]string
 
 	edges map[[2]int]*operators.Edge // (fromID, toID) → edge
 
@@ -180,8 +184,7 @@ type joinRef struct {
 	node        *operators.Node
 	op          *operators.HashJoinOp
 	innerStream int
-	outerKeys   map[int][]int  // outer stream → key cols (conflict detection)
-	fused       map[int]string // outer stream → table, for outers read from the column mirror
+	outerKeys   map[int][]int // outer stream → key cols (conflict detection)
 }
 
 type ixJoinRef struct {
@@ -215,6 +218,7 @@ func New(db *storage.Database) *GlobalPlan {
 		sortNodes:   map[string][]*sortRef{},
 		groupNodes:  map[string]*groupRef{},
 		filterFor:   map[int]*operators.Node{},
+		mirrors:     map[*operators.Node]map[int]string{},
 		edges:       map[[2]int]*operators.Edge{},
 		byText:      map[string]*Statement{},
 		nextStream:  1,
@@ -290,7 +294,7 @@ func (p *GlobalPlan) SetWorkers(int) {}
 // path since it was created.
 type PathCounts struct {
 	ColScan   uint64 // scan cycles on the columnar mirror
-	ColAgg    uint64 // group-by cycles run as columnar aggregation pushdowns (fed straight from the mirror instead of the scan stream)
+	ColAgg    uint64 // group-by cycles that read an input from the column mirror instead of a scan stream
 	JoinScan  uint64 // hash-join cycles that read an outer from the column mirror instead of a scan stream
 	IndexEdge uint64 // index-edge probe cycles: a scalar MIN/MAX answered from one end of an index instead of a scan
 
@@ -357,19 +361,14 @@ func (p *GlobalPlan) Statements() []*Statement {
 func (p *GlobalPlan) Describe() string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fused := map[*operators.Node]map[int]string{}
-	for _, refs := range p.joinNodes {
-		for _, ref := range refs {
-			fused[ref.node] = ref.fused
-		}
-	}
 	var b strings.Builder
 	for _, n := range p.nodes {
 		fmt.Fprintf(&b, "node %d: %s", n.ID, n.Name)
 		// Join nodes list the columns each out-stream carries (by origin, in
-		// row order), one bracket per outer stream, and name the table of an
-		// outer read straight from the column mirror. A sort lists a deferred
+		// row order), one bracket per outer stream. A sort lists a deferred
 		// join's columns the same way and names its inner table and index.
+		// An input read straight from the column mirror is named by its
+		// table: after its bracket on a join, after the name on a group-by.
 		var outers map[int]operators.JoinOuter
 		var sortOp *operators.SortOp
 		switch op := n.Op.(type) {
@@ -384,10 +383,17 @@ func (p *GlobalPlan) Describe() string {
 		for id := range outers {
 			ids = append(ids, id)
 		}
+		if outers == nil {
+			for id := range p.mirrors[n] {
+				ids = append(ids, id)
+			}
+		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			fmt.Fprintf(&b, " [%s]", strings.Join(p.streams[outers[id].OutStream].carried(), " "))
-			if t, ok := fused[n][id]; ok {
+			if outers != nil {
+				fmt.Fprintf(&b, " [%s]", strings.Join(p.streams[outers[id].OutStream].carried(), " "))
+			}
+			if t, ok := p.mirrors[n][id]; ok {
 				fmt.Fprintf(&b, " ⇐ mirror(%s)", t)
 			}
 			if sortOp != nil {
@@ -422,25 +428,6 @@ type Statement struct {
 
 	// write side
 	Write *sql.WritePlan
-
-	// pushdowns are the statement's aggregation-pushdown bindings: group-by
-	// nodes along its path whose input is this statement's direct
-	// base-table scan, eligible to aggregate straight from the column
-	// mirror. Set at compile time.
-	pushdowns []pushdownBinding
-}
-
-// pushdownBinding marks one (statement, group-by node) pair whose scan step
-// the group node can replace by reading the column mirror itself: the scan
-// node/edge to silence, the base table to read, and the statement's unbound
-// scan predicate.
-type pushdownBinding struct {
-	node     *operators.Node    // the group-by's node
-	op       *operators.GroupOp // (single-stream eligibility check)
-	scanNode *operators.Node    // the feeding shared ClockScan
-	scanEdge *operators.Edge    // scanNode → node edge
-	table    *storage.Table
-	pred     expr.Expr // unbound scan predicate (nil = every row)
 }
 
 // IsWrite reports whether the statement mutates data.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"shareddb/internal/operators"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
 )
@@ -150,6 +151,40 @@ func TestScanFedHashJoinFusesItsOuter(t *testing.T) {
 	}
 	if d := p.Describe(); p.NumNodes() != n+1 || !strings.Contains(d, "scan(orders) → output") || !strings.Contains(d, "⇐ mirror(orders)") {
 		t.Fatalf("plan after a plain orders scan:\n%s", d)
+	}
+}
+
+// TestDirectScanGroupReadsMirror pins the aggregation pushdown as a
+// compile-time rule: a GROUP BY over a direct base-table scan compiles to
+// its Γ node alone, which reads the table from the column mirror (no scan
+// node, step or edge), and its task carries the table and the bound scan
+// predicate, exactly like a hash join's fused outer.
+func TestDirectScanGroupReadsMirror(t *testing.T) {
+	db := testDB(t)
+	m, err := db.CreateTable("m", types.NewSchema(
+		types.Column{Qualifier: "m", Name: "m_id", Kind: types.KindInt},
+		types.Column{Qualifier: "m", Name: "m_g", Kind: types.KindInt},
+		types.Column{Qualifier: "m", Name: "m_v", Kind: types.KindInt},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetPrimaryKey("m_id")
+	p := New(db)
+	s, err := p.Prepare("SELECT m_g, COUNT(*), SUM(m_v) FROM m WHERE m_v > ? GROUP BY m_g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := p.Describe()
+	if p.NumNodes() != 1 || strings.Contains(d, "scan(m)") || !strings.Contains(d, "Γ(m.1,COUNT|false|,SUM|false|m.2) ⇐ mirror(m) → output") {
+		t.Fatalf("want one Γ node reading m from the mirror, plan:\n%s", d)
+	}
+	if len(s.steps) != 1 || len(s.pathEdges) != 1 {
+		t.Fatalf("want one step and only the edge to the sink, got %d steps, %d edges", len(s.steps), len(s.pathEdges))
+	}
+	task := operators.Task{Spec: s.steps[0].makeSpec([]types.Value{types.NewInt(7)})}
+	if spec := task.Spec.(operators.GroupSpec); spec.Table != m || spec.Pred == nil || !readsMirror(task) {
+		t.Fatalf("group task = %+v, want it to read m from the mirror under the bound predicate", spec)
 	}
 }
 

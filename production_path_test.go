@@ -183,7 +183,8 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 // TestWritesBehindTheEngineAreRead pins that storage changed without passing
 // through a generation's write phase (a bulk load through DB.Storage) is
 // visible to the next read: the column mirror's pending log carries every
-// write, whoever made it, so the pushdown never serves a stale aggregate.
+// write, whoever made it, so a group-by that reads its input from the
+// mirror (no scan node in between) never serves a stale aggregate.
 func TestWritesBehindTheEngineAreRead(t *testing.T) {
 	db, err := Open(Config{})
 	if err != nil {
