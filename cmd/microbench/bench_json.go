@@ -197,6 +197,14 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			},
 		},
 		{
+			"best_sellers", "TPC-W best sellers: order_line (per-query ol_o_id range) ⋈hash item (4 subjects, a sixth of item) grouped by item, Top-50 by quantity with authors looked up",
+			tpcw.StatementSQL()[tpcw.StGetBestSellers],
+			func(i int) []types.Value {
+				subjects := tpcw.Subjects()
+				return []types.Value{types.NewInt(int64(opts.Scale.Orders()*2/3 - i%8)), types.NewString(subjects[i%4])}
+			},
+		},
+		{
 			"sort", "shared sort/Top-N: full item scan ORDER BY title LIMIT 50",
 			`SELECT i_id, i_title FROM item ORDER BY i_title LIMIT 50`,
 			func(int) []types.Value { return nil },

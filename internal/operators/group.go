@@ -24,8 +24,13 @@ import (
 // encoding and no per-tuple allocation for existing groups. The table and
 // its backing arrays are reused across cycles.
 type GroupOp struct {
-	Streams   map[int]GroupStream
-	Aggs      []AggDef
+	Streams map[int]GroupStream
+	Aggs    []AggDef
+	// Carry marks the output group columns the hashed ones determine (a
+	// unique key of their table is among those): each is copied from its
+	// group's first row, never hashed or compared. nil: every group column
+	// is hashed.
+	Carry     []bool
 	OutStream int
 
 	// st is the per-cycle state, owned by the operator and reused across
@@ -47,7 +52,8 @@ type GroupOp struct {
 
 // GroupStream configures extraction for one input stream.
 type GroupStream struct {
-	GroupCols []int       // group key columns in the stream's schema
+	GroupCols []int       // hashed group key columns in the stream's schema, in output order
+	CarryCols []int       // carried group columns (GroupOp.Carry), in output order
 	AggArgs   []expr.Expr // one per AggDef; nil for COUNT(*)
 }
 
@@ -167,7 +173,8 @@ func (a *aggState) result(def AggDef) types.Value {
 }
 
 type groupEntry struct {
-	hash    uint64
+	hash uint64
+	// keyVals holds the hashed key values, then the carried ones.
 	keyVals []types.Value
 	// perQuery is a dense slice indexed by generation-scoped query id
 	// (nil for queries without state); aggStates for one query are stored
@@ -243,7 +250,7 @@ func appendKey(dst []types.Value, row types.Row, cols []int) []types.Value {
 
 // newEntry takes a group entry from the free list (reusing its key and
 // per-query backing arrays) or allocates one.
-func (a *groupAgg) newEntry(h uint64, row types.Row, cols []int) *groupEntry {
+func (a *groupAgg) newEntry(h uint64, row types.Row, keyCols, carryCols []int) *groupEntry {
 	var ge *groupEntry
 	if n := len(a.entryFree); n > 0 {
 		ge = a.entryFree[n-1]
@@ -253,7 +260,7 @@ func (a *groupAgg) newEntry(h uint64, row types.Row, cols []int) *groupEntry {
 		ge = &groupEntry{}
 	}
 	ge.hash = h
-	ge.keyVals = appendKey(ge.keyVals[:0], row, cols)
+	ge.keyVals = appendKey(appendKey(ge.keyVals[:0], row, keyCols), row, carryCols)
 	return ge
 }
 
@@ -356,7 +363,7 @@ func (g *GroupOp) absorbRow(cfg GroupStream, row types.Row, qs queryset.Set) {
 	h := hashValues(row, cfg.GroupCols)
 	ge := a.table.lookup(h, row, cfg.GroupCols)
 	if ge == nil {
-		ge = a.newEntry(h, row, cfg.GroupCols)
+		ge = a.newEntry(h, row, cfg.GroupCols, cfg.CarryCols)
 		a.table.insert(ge)
 	}
 	// evaluate aggregate arguments once per tuple, shared across
@@ -435,7 +442,7 @@ func (g *GroupOp) emitGroup(c *Cycle, st *groupState, ge *groupEntry) {
 		}
 		qid := queryset.QueryID(q)
 		row := c.NewRow(len(ge.keyVals) + len(g.Aggs))
-		n := copy(row, ge.keyVals)
+		n := g.placeKey(row, ge.keyVals)
 		for i, def := range g.Aggs {
 			row[n+i] = states[i].result(def)
 		}
@@ -446,4 +453,29 @@ func (g *GroupOp) emitGroup(c *Cycle, st *groupState, ge *groupEntry) {
 		g.single[0] = qid
 		c.Emit(g.OutStream, row, queryset.FromSorted(g.single[:1]))
 	}
+}
+
+// placeKey copies a group's key values into the front of its output row —
+// hashed and carried columns interleaved as Carry lays them out — and
+// returns how many it placed.
+func (g *GroupOp) placeKey(row types.Row, keyVals []types.Value) int {
+	if g.Carry == nil {
+		return copy(row, keyVals)
+	}
+	k, c := 0, 0 // next hashed value, next carried value
+	for _, carried := range g.Carry {
+		if !carried {
+			c++
+		}
+	}
+	for i, carried := range g.Carry {
+		if carried {
+			row[i] = keyVals[c]
+			c++
+		} else {
+			row[i] = keyVals[k]
+			k++
+		}
+	}
+	return len(g.Carry)
 }

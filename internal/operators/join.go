@@ -1,6 +1,10 @@
 package operators
 
 import (
+	"math"
+	"slices"
+	"sync/atomic"
+
 	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
 	"shareddb/internal/storage"
@@ -99,6 +103,11 @@ type HashJoinOp struct {
 	fusedDone bool
 	colBufs   storage.ColScanBuffers
 
+	// keys is the cycle's build-key filter (keySet), reused across cycles;
+	// keyFilterCycles counts the cycles that read a fused outer under it.
+	keys            storage.KeySet
+	keyFilterCycles atomic.Uint64
+
 	keyScratch []types.Value      // the key of the tuple being built or probed
 	qsScratch  []queryset.QueryID // probe intersection scratch
 }
@@ -176,10 +185,79 @@ func (j *HashJoinOp) drain(c *Cycle) {
 	j.pending = j.pending[:0]
 	if !j.fusedDone {
 		j.fusedDone = true
+		if len(j.fused) == 0 || j.build.len() == 0 {
+			return
+		}
+		keys := j.keySet()
+		filtered := false
 		for i := range j.fused {
-			j.probeMirror(c, &j.fused[i])
+			filtered = j.probeMirror(c, &j.fused[i], keys) || filtered
+		}
+		if filtered {
+			j.keyFilterCycles.Add(1)
 		}
 	}
+}
+
+// KeyFilterCycles reports how many cycles read a fused outer under the
+// build-key filter.
+func (j *HashJoinOp) KeyFilterCycles() uint64 { return j.keyFilterCycles.Load() }
+
+// keySet is the build-key filter: an exact set of the build keys for the
+// fused outers' scans (storage.SharedScanKeyed), so an outer row whose key
+// matches no build key is never gathered, hashed or probed. It exists when
+// the join has one key column and every build key is an INT, BOOL or TIME
+// value or an integral FLOAT of magnitude at most 2⁵³ (exactly an int64),
+// and the span of the keys needs at most one 64-bit word per distinct build
+// key, so the set never outgrows the build table. A key of any other kind
+// (a string, a fractional FLOAT) or a wider span returns nil: the outers
+// scan unfiltered.
+//
+// The set is exact for the probe: an int outer key x hashes like a build
+// key only when x equals the build key's int image (keyHash), so every row
+// the set drops would have matched nothing.
+func (j *HashJoinOp) keySet() *storage.KeySet {
+	keys := j.build.keys
+	if len(j.InnerKeyCols) != 1 {
+		return nil
+	}
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, v := range keys {
+		x, ok := intImage(v)
+		if !ok {
+			return nil
+		}
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	words := (uint64(hi)-uint64(lo))>>6 + 1
+	if words > uint64(len(keys)) {
+		return nil
+	}
+	ks := &j.keys
+	ks.Lo = lo
+	ks.Bits = slices.Grow(ks.Bits[:0], int(words))[:words]
+	clear(ks.Bits)
+	for _, v := range keys {
+		x, _ := intImage(v)
+		u := uint64(x) - uint64(lo)
+		ks.Bits[u>>6] |= 1 << (u & 63)
+	}
+	return ks
+}
+
+// intImage is a build key's exact int64 value: INT, BOOL and TIME keys as
+// stored, an integral FLOAT within ±2⁵³ converted; ok is false for any other
+// value.
+func intImage(v types.Value) (x int64, ok bool) {
+	switch v.K {
+	case types.KindInt, types.KindBool, types.KindTime:
+		return v.Int, true
+	case types.KindFloat:
+		if f := v.AsFloat(); f == math.Trunc(f) && math.Abs(f) <= 1<<53 {
+			return int64(f), true
+		}
+	}
+	return 0, false
 }
 
 // SetInnerEdge marks which producer edge carries the build side; called by
@@ -222,15 +300,17 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 // probeMirror reads one fused outer in a single pass over its table's
 // column mirror at the cycle's snapshot (storage.SharedScanKeyed): the key
 // comes from the typed vectors, so an outer row is dereferenced only when
-// its key matches a bucket and a query set intersects. The pass emits in
-// RowID order, each row's matches in build-chain order — exactly what
-// probing the streamed scan's batches would emit.
-func (j *HashJoinOp) probeMirror(c *Cycle, f *mirrorInput) {
+// its key matches a bucket and a query set intersects, and under the
+// build-key filter keys (nil: none) a row whose key is in no bucket never
+// reaches the probe. The pass emits in RowID order, each row's matches in
+// build-chain order — exactly what probing the streamed scan's batches
+// would emit. filtered reports whether the filter ran.
+func (j *HashJoinOp) probeMirror(c *Cycle, f *mirrorInput, keys *storage.KeySet) (filtered bool) {
 	cfg, ok := j.Outers[f.stream]
-	if !ok || j.build.len() == 0 {
-		return
+	if !ok {
+		return false
 	}
-	f.table.SharedScanKeyed(c.TS, f.clients, cfg.KeyCols, &j.colBufs, func(key []types.Value, row types.Row, qs queryset.Set) {
+	return f.table.SharedScanKeyed(c.TS, f.clients, cfg.KeyCols, keys, &j.colBufs, func(key []types.Value, row types.Row, qs queryset.Set) {
 		if !hasNull(key) {
 			j.probe(c, &cfg, key, row, qs)
 		}

@@ -132,13 +132,12 @@ func (fc fusedCase) streamed(t *testing.T, tab *storage.Table, ts uint64) []stri
 	})
 }
 
-// fused reads the same outer from the column mirror inside the join.
-func (fc fusedCase) fused(tab *storage.Table, ts uint64) []string {
+// fused reads the same outer from the column mirror inside the join hj.
+func (fc fusedCase) fused(hj *HashJoinOp, tab *storage.Table, ts uint64) []string {
 	var tasks []Task
 	for _, q := range fc.qids() {
 		tasks = append(tasks, Task{Query: q, Spec: JoinSpec{Table: tab, Outer: 2, Pred: fc.preds[q]}})
 	}
-	hj := fc.op()
 	return fc.emissions(hj, tasks, ts, func(c *Cycle) {
 		hj.Consume(c, &Batch{Stream: 1, Tuples: fc.inner})
 		hj.EdgeEOS(c, hj.innerEdge)
@@ -169,7 +168,7 @@ func (fc fusedCase) matches(tab *storage.Table, ts uint64) int {
 
 func checkFusedMatchesStreamed(t *testing.T, fc fusedCase, tab *storage.Table, ts uint64) {
 	t.Helper()
-	got := fc.fused(tab, ts)
+	got := fc.fused(fc.op(), tab, ts)
 	want := fc.streamed(t, tab, ts)
 	if len(want) == 0 {
 		t.Fatal("fixture joins nothing")

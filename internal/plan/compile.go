@@ -111,7 +111,9 @@ type compiled struct {
 }
 
 // compileSelect peels the top of the logical plan (Distinct → Project →
-// Limit → Sort) and compiles the rest bottom-up into shared nodes.
+// Limit → Sort), applies the FD lift (liftLookup) to what is left, remapping
+// the sort keys and projection onto the lifted join, and compiles the rest
+// bottom-up into shared nodes.
 func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 	if d, ok := lp.(*sql.Distinct); ok {
 		s.Distinct = true
@@ -132,6 +134,7 @@ func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 		sortLP = srt
 		lp = srt.In
 	}
+	lp, sortLP, projExprs := p.liftLookup(lp, sortLP, proj.Exprs)
 
 	var c compiled
 	var err error
@@ -162,8 +165,8 @@ func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 	s.steps = c.steps
 	s.pathEdges = dedupEdges(append(c.edges, te))
 	s.terminalStream = c.stream.id
-	s.Project = make([]expr.Expr, len(proj.Exprs))
-	for i, pe := range proj.Exprs {
+	s.Project = make([]expr.Expr, len(projExprs))
+	for i, pe := range projExprs {
 		s.Project[i] = c.stream.physicalExpr(pe)
 	}
 	s.OutSchema = proj.Out
@@ -668,7 +671,9 @@ func (p *GlobalPlan) compileIndexJoin(s *Statement, left compiled, j *sql.Join, 
 }
 
 // compileGroup merges group-bys whose group keys and aggregates have the
-// same provenance signature. A group-by over one direct shared ClockScan of
+// same provenance signature. A group column the other group columns
+// determine (carried, the FD key) is carried from each group's first row
+// instead of hashed. A group-by over one direct shared ClockScan of
 // a base table reads that input from the column mirror itself
 // (compileInput), exactly like a hash join's fused outer: no scan step, no
 // scan→group edge, and the group task carries the table and the bound scan
@@ -681,9 +686,19 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 			return compiled{}, err
 		}
 	}
+	// The FD key: a carried column is marked "+" in the signature.
+	carry := p.carried(g.In, g.GroupCols)
 	var sigParts []string
-	for _, col := range g.GroupCols {
-		sigParts = append(sigParts, c.stream.origins[col].String())
+	var keyCols, carryCols []int
+	for i, col := range g.GroupCols {
+		part := c.stream.origins[col].String()
+		if carry != nil && carry[i] {
+			part = "+" + part
+			carryCols = append(carryCols, col)
+		} else {
+			keyCols = append(keyCols, col)
+		}
+		sigParts = append(sigParts, part)
 	}
 	aggs := make([]operators.AggDef, len(g.Aggs))
 	for i, a := range g.Aggs {
@@ -706,6 +721,7 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		op := &operators.GroupOp{
 			Streams:   map[int]operators.GroupStream{},
 			Aggs:      aggs,
+			Carry:     carry,
 			OutStream: osi.id,
 		}
 		node := p.addNode("Γ("+strings.Join(sigParts, ",")+")", op)
@@ -717,7 +733,8 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		for i, a := range g.Aggs {
 			aggArgs[i] = c.stream.physicalExpr(a.Arg)
 		}
-		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: c.stream.physicalCols(g.GroupCols), AggArgs: aggArgs}
+		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: c.stream.physicalCols(keyCols),
+			CarryCols: c.stream.physicalCols(carryCols), AggArgs: aggArgs}
 	}
 	edges, table, pred := p.wireInput(ref.node, c, c.edges)
 	having, input, scalar := g.Having, c.stream.id, len(g.GroupCols) == 0
@@ -731,6 +748,22 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		steps:  append(c.steps, step),
 		edges:  edges,
 	}, nil
+}
+
+// uniqueInner returns the inner scan and index of a join that compileJoin
+// compiles as an index join into a unique index over exactly the join key
+// columns — the inner a bare base-table scan, no residual — so each outer
+// row joins at most one inner row; ix is nil for any other join.
+func (p *GlobalPlan) uniqueInner(j *sql.Join) (rscan *sql.Scan, ix *storage.Index) {
+	rscan, ok := j.Right.(*sql.Scan)
+	if j.Residual != nil || !ok || rscan.Pred != nil {
+		return nil, nil
+	}
+	ix = indexMatching(p.db.Table(rscan.Table), j.RightKeys)
+	if ix == nil || !ix.Unique || len(ix.Cols) != len(j.RightKeys) {
+		return nil, nil
+	}
+	return rscan, ix
 }
 
 // lookup is a unique-index join deferred past a Top-N's cut: the indexed
@@ -753,18 +786,14 @@ type lookup struct {
 // not match.
 func (p *GlobalPlan) deferredLookup(srt *sql.Sort, limit int, lp sql.LogicalPlan) (*sql.Join, *lookup) {
 	j, ok := lp.(*sql.Join)
-	if srt == nil || limit <= 0 || !ok || j.Residual != nil {
+	if srt == nil || limit <= 0 || !ok {
 		return nil, nil
 	}
-	rscan, ok := j.Right.(*sql.Scan)
-	if !ok || rscan.Pred != nil {
+	rscan, ix := p.uniqueInner(j)
+	if ix == nil {
 		return nil, nil
 	}
 	table := p.db.Table(rscan.Table)
-	ix := indexMatching(table, j.RightKeys)
-	if ix == nil || !ix.Unique || len(ix.Cols) != len(j.RightKeys) {
-		return nil, nil
-	}
 	outer := j.Left.Schema().Len()
 	for _, k := range srt.Keys {
 		for col := range expr.Columns(k.Expr) {

@@ -293,10 +293,11 @@ func (p *GlobalPlan) SetWorkers(int) {}
 // PathCounts is how many node cycles a plan has dispatched on each always-on
 // path since it was created.
 type PathCounts struct {
-	ColScan   uint64 // scan cycles on the columnar mirror
-	ColAgg    uint64 // group-by cycles that read an input from the column mirror instead of a scan stream
-	JoinScan  uint64 // hash-join cycles that read an outer from the column mirror instead of a scan stream
-	IndexEdge uint64 // index-edge probe cycles: a scalar MIN/MAX answered from one end of an index instead of a scan
+	ColScan       uint64 // scan cycles on the columnar mirror
+	ColAgg        uint64 // group-by cycles that read an input from the column mirror instead of a scan stream
+	JoinScan      uint64 // hash-join cycles that read an outer from the column mirror instead of a scan stream
+	JoinKeyFilter uint64 // of those, cycles whose mirror pass skipped the rows no build key matches (the build-key filter)
+	IndexEdge     uint64 // index-edge probe cycles: a scalar MIN/MAX answered from one end of an index instead of a scan
 
 	SortLookup     uint64 // sort cycles that applied a deferred unique-index join to the rows they emitted
 	SortLookupMiss uint64 // of those, selection cycles handed to the shared sort because a retained row joined nothing
@@ -307,6 +308,11 @@ func (p *GlobalPlan) PathCycles() PathCounts {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	pc := p.paths
+	for _, refs := range p.joinNodes {
+		for _, ref := range refs {
+			pc.JoinKeyFilter += ref.op.KeyFilterCycles()
+		}
+	}
 	for _, refs := range p.sortNodes {
 		for _, ref := range refs {
 			cycles, misses := ref.op.LookupCycles()

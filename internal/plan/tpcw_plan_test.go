@@ -7,14 +7,15 @@ import (
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
 	"shareddb/internal/tpcw"
+	"shareddb/internal/types"
 )
 
 // TestTPCWTopNDefersAuthorJoin pins the cut-before-join rule on the TPC-W
-// catalog: the three LIMIT 50 searches whose sort keys are item columns sort
-// the item rows and look authors up by pk_author only for the rows they
-// keep. Author search (its inner, item by ix_item_i_a_id, is not unique) and
-// best sellers (a group-by sits between the join and the Top-N) keep their
-// index joins, and the whole workload still compiles into 24 nodes.
+// catalog: the three LIMIT 50 searches whose sort keys are item columns and
+// best sellers (through the FD lift) sort their rows and look authors up by
+// pk_author only for the rows they keep. Author search (its inner, item by
+// ix_item_i_a_id, is not unique) keeps its index join, and the whole
+// workload still compiles into 24 nodes.
 func TestTPCWTopNDefersAuthorJoin(t *testing.T) {
 	db, err := storage.Open(storage.Options{})
 	if err != nil {
@@ -36,7 +37,7 @@ func TestTPCWTopNDefersAuthorJoin(t *testing.T) {
 		{"new products", tpcw.StGetNewProducts, true, ""},
 		{"title search", tpcw.StDoTitleSearch, true, ""},
 		{"author search", tpcw.StDoAuthorSearch, false, ": ⋈ix(item)"},
-		{"best sellers", tpcw.StGetBestSellers, false, ": ⋈ix(author)"},
+		{"best sellers", tpcw.StGetBestSellers, true, ""},
 	} {
 		p := plan.New(db)
 		if _, err := p.Prepare(sqls[tc.id]); err != nil {
@@ -60,7 +61,7 @@ func TestTPCWTopNDefersAuthorJoin(t *testing.T) {
 		t.Errorf("TPC-W compiles into %d nodes, want 24; plan:\n%s", n, d)
 	}
 	// The two sort orders of the searches, each reading item rows and
-	// emitting join rows; product detail and best sellers keep ⋈ix(author).
+	// emitting join rows; product detail keeps ⋈ix(author).
 	for _, want := range []string{
 		"sort(item.1|false) [", "sort(item.3|true,item.1|false) [", ": ⋈ix(author) [",
 	} {
@@ -68,7 +69,40 @@ func TestTPCWTopNDefersAuthorJoin(t *testing.T) {
 			t.Errorf("plan lacks %q:\n%s", want, d)
 		}
 	}
-	if n := strings.Count(d, lookup); n != 3 {
-		t.Errorf("%d deferred lookups, want 3 (two item streams into the title sort, one into the date sort):\n%s", n, d)
+	if n := strings.Count(d, lookup); n != 4 {
+		t.Errorf("%d deferred lookups, want 4 (two item streams into the title sort, one into the date sort, one into best sellers' sort):\n%s", n, d)
+	}
+}
+
+// TestTPCWBestSellersPlan pins best sellers' plan under the FD rules: the
+// fused order_line outer feeds a Γ hashed on i_id alone (an INT) that
+// carries i_title and i_a_id, whose pk_item determines them, and the Top-N
+// looks authors up by pk_author for the rows it keeps — no ⋈ix node of its
+// own.
+func TestTPCWBestSellersPlan(t *testing.T) {
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := tpcw.CreateSchema(db); err != nil {
+		t.Fatal(err)
+	}
+	if k := db.Table("item").Schema().Cols[0].Kind; k != types.KindInt {
+		t.Fatalf("item.0 is %v, want INT", k)
+	}
+	p := plan.New(db)
+	if _, err := p.Prepare(tpcw.StatementSQL()[tpcw.StGetBestSellers]); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Join([]string{
+		"node 1: probe(item/ix_item_i_subject) → ⋈hash(probe(item/ix_item_i_subject))",
+		"node 2: ⋈hash(probe(item/ix_item_i_subject)) [order_line.3 item.0 item.1 item.2] ⇐ mirror(order_line) → Γ(item.0,+item.1,+item.2,SUM|false|order_line.3)",
+		"node 3: Γ(item.0,+item.1,+item.2,SUM|false|order_line.3) → sort(<SUM(OL_QTY)>|true)",
+		"node 4: sort(<SUM(OL_QTY)>|true) [item.0 item.1 author.1 author.2 <SUM(OL_QTY)>] ⋈ix(author/pk_author) → output",
+		"",
+	}, "\n")
+	if d := p.Describe(); d != want {
+		t.Errorf("best sellers plan:\n%s\nwant:\n%s", d, want)
 	}
 }

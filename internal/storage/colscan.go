@@ -503,9 +503,39 @@ func (t *Table) SharedScanColumnar(ts uint64, clients []ScanClient, workers int,
 // emit callback — so a caller that retains a set copies it (the operator
 // emitter copies into its batch arena).
 func (t *Table) SharedScan(ts uint64, clients []ScanClient, bufs *ColScanBuffers, emit func(rid RowID, row types.Row, qs queryset.Set)) {
-	t.scanMirror(ts, clients, bufs, func(m *colMirror, pos int, qs queryset.Set) {
+	t.scanMirror(ts, clients, bufs, nil, -1, func(m *colMirror, pos int, qs queryset.Set) {
 		emit(m.rids[pos], m.rows[pos], qs)
 	})
+}
+
+// KeySet is an exact set of int64 keys over a span: key x is in the set
+// when bit x-Lo of Bits is set. A hash join builds one from its build keys
+// (operators.HashJoinOp) so the scan of its outer drops the rows whose key
+// joins nothing before they are gathered.
+type KeySet struct {
+	Lo   int64
+	Bits []uint64
+}
+
+// mask returns the lanes of sel, one word of c's positions from pos0 on,
+// whose key is non-NULL and in the set. c is an int vector.
+func (s *KeySet) mask(c *colVec, pos0 int, sel uint64) uint64 {
+	n := uint64(len(s.Bits)) << 6
+	var keep uint64
+	for t := sel & c.valid[pos0>>6]; t != 0; t &= t - 1 {
+		tz := bits.TrailingZeros64(t)
+		if u := uint64(c.i64[pos0+tz]) - uint64(s.Lo); u < n && s.Bits[u>>6]&(1<<(u&63)) != 0 {
+			keep |= 1 << tz
+		}
+	}
+	return keep
+}
+
+// keyFilter is a scan's build-key filter: the set and the int vector of the
+// key column it tests (col nil: no filter).
+type keyFilter struct {
+	set *KeySet
+	col *colVec
 }
 
 // SharedScanKeyed is SharedScan for a consumer that looks at a few key
@@ -514,25 +544,39 @@ func (t *Table) SharedScan(ts uint64, clients []ScanClient, bufs *ColScanBuffers
 // receives keyCols' values, read from the typed vectors — a NULL from the
 // validity bit, a demoted column from the row — so a row the consumer
 // drops is never dereferenced. key is borrowed like qs.
-func (t *Table) SharedScanKeyed(ts uint64, clients []ScanClient, keyCols []int, bufs *ColScanBuffers, emit func(key []types.Value, row types.Row, qs queryset.Set)) {
+//
+// With keys non-nil (one key column) and the key column an int vector at
+// the snapshot, a row whose key is NULL or not in keys is never emitted: one
+// mask per 64-row word, computed from the vector, clears those rows from
+// the word's selection before the gather. A demoted key column scans
+// unfiltered. filtered reports whether the filter ran.
+func (t *Table) SharedScanKeyed(ts uint64, clients []ScanClient, keyCols []int, keys *KeySet, bufs *ColScanBuffers, emit func(key []types.Value, row types.Row, qs queryset.Set)) (filtered bool) {
 	key := slices.Grow(bufs.key[:0], len(keyCols))[:len(keyCols)]
 	bufs.key = key
-	t.scanMirror(ts, clients, bufs, func(m *colMirror, pos int, qs queryset.Set) {
+	filterCol := -1
+	if keys != nil && len(keyCols) == 1 {
+		filterCol = keyCols[0]
+	}
+	filtered = t.scanMirror(ts, clients, bufs, keys, filterCol, func(m *colMirror, pos int, qs queryset.Set) {
 		for i, col := range keyCols {
 			key[i] = m.cols[col].value(m.rows, col, pos)
 		}
 		emit(key, m.rows[pos], qs)
 	})
 	clear(key)
+	return filtered
 }
 
 // scanMirror is the one ClockScan loop behind SharedScan and
 // SharedScanKeyed: pin the mirror at ts, index the clients, and hand sink
 // every selected position with its borrowed, ascending query-id set, in
-// RowID order, while the mirror is held.
-func (t *Table) scanMirror(ts uint64, clients []ScanClient, bufs *ColScanBuffers, sink func(m *colMirror, pos int, qs queryset.Set)) {
+// RowID order, while the mirror is held. keys (nil: none) is
+// SharedScanKeyed's build-key filter over column col, taken only when that
+// column is an int vector once the mirror is pinned (the pin may demote it);
+// filtered reports whether it was.
+func (t *Table) scanMirror(ts uint64, clients []ScanClient, bufs *ColScanBuffers, keys *KeySet, col int, sink func(m *colMirror, pos int, qs queryset.Set)) (filtered bool) {
 	if len(clients) == 0 {
-		return
+		return false
 	}
 	m := t.columnarMirror()
 	m.pin(t, ts) // returns holding m.mu shared
@@ -540,17 +584,24 @@ func (t *Table) scanMirror(ts uint64, clients []ScanClient, bufs *ColScanBuffers
 	ix := &bufs.idx
 	ix.build(clients)
 	ix.prepare(m)
+	var kf keyFilter
+	if keys != nil && col >= 0 && m.cols[col].rep == repI64 {
+		kf = keyFilter{set: keys, col: &m.cols[col]}
+	}
 
 	n := len(m.rids)
 	for base := 0; base < n; base += colChunkRows {
-		ix.runChunk(m, base, min(base+colChunkRows, n), &bufs.ps, sink)
+		ix.runChunk(m, base, min(base+colChunkRows, n), &bufs.ps, kf, sink)
 	}
+	return kf.col != nil
 }
 
 // runChunk evaluates every probe class over rows [base, end) and hands each
 // selected position with its borrowed, ascending query-id set to sink. base
-// is a multiple of colChunkRows (word-aligned into the bitmaps).
-func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, sink func(m *colMirror, pos int, qs queryset.Set)) {
+// is a multiple of colChunkRows (word-aligned into the bitmaps). Under a
+// build-key filter only the selected rows whose key is in its set reach
+// sink.
+func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, kf keyFilter, sink func(m *colMirror, pos int, qs queryset.Set)) {
 	nb := end - base
 	words := (nb + 63) >> 6
 	baseW := base >> 6
@@ -774,7 +825,9 @@ func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, sink f
 	// Gather: walk selected positions in order; per position, collect the
 	// interested clients in slot (= ascending qid) order. The per-word
 	// active-client list keeps the per-position loop proportional to the
-	// clients that matched anything in the word, not all clients.
+	// clients that matched anything in the word, not all clients. The
+	// build-key filter masks the word's selection (the union of the
+	// clients' words, which is all the walk visits) first.
 	act := ps.act[:0]
 	for w := 0; w < words; w++ {
 		var anyw uint64
@@ -784,6 +837,9 @@ func (ix *colIndex) runChunk(m *colMirror, base, end int, ps *colScratch, sink f
 				anyw |= pw
 				act = append(act, int32(ci))
 			}
+		}
+		if kf.col != nil && anyw != 0 {
+			anyw &= kf.set.mask(kf.col, base+w<<6, anyw)
 		}
 		for anyw != 0 {
 			tz := bits.TrailingZeros64(anyw)

@@ -31,8 +31,9 @@ func plans(db *DB) []*plan.GlobalPlan {
 // key is answered from the index edge, and concurrent identical reads fold
 // (inside each shard engine, on the sharded deployment), a hash join
 // whose outer is a direct base-table scan reads that outer from the column
-// mirror, and a Top-N over a join into a unique index looks the inner rows
-// up only for the rows it keeps.
+// mirror, skipping the rows whose INT key no build row has, and a Top-N
+// over a join into a unique index looks the inner rows up only for the rows
+// it keeps.
 func TestZeroConfigIsProductionPath(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -159,6 +160,7 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 				paths.ColAgg += pc.ColAgg
 				paths.IndexEdge += pc.IndexEdge
 				paths.JoinScan += pc.JoinScan
+				paths.JoinKeyFilter += pc.JoinKeyFilter
 				paths.SortLookup += pc.SortLookup
 			}
 			if paths.ColScan == 0 {
@@ -172,6 +174,9 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			}
 			if paths.JoinScan == 0 {
 				t.Error("the scan-fed hash join never read its outer from the column mirror")
+			}
+			if paths.JoinKeyFilter == 0 {
+				t.Error("the scan-fed hash join over INT keys never filtered its outer by the build keys")
 			}
 			if paths.SortLookup == 0 {
 				t.Error("the Top-N over a unique-index join never deferred the join past its cut")
