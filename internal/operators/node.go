@@ -1,6 +1,9 @@
 package operators
 
 import (
+	"context"
+	"runtime/pprof"
+	"strconv"
 	"sync"
 	"time"
 
@@ -199,12 +202,14 @@ type EOSAware interface {
 	EdgeEOS(c *Cycle, e *Edge)
 }
 
-// Start launches the node's goroutine.
+// Start launches the node's goroutine, labelled node="<ID>: <Name>" (the
+// prefix of the node's line in the plan's Describe), so a CPU profile splits
+// by node: go tool pprof -tags.
 func (n *Node) Start() {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.run()
+		pprof.Do(context.Background(), pprof.Labels("node", strconv.Itoa(n.ID)+": "+n.Name), func(context.Context) { n.run() })
 	}()
 }
 

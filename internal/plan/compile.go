@@ -95,25 +95,17 @@ func (p *GlobalPlan) prepare(sqlText string, stmtAST sql.Statement, register boo
 }
 
 // compiled is the result of compiling one logical subtree for one statement.
+// A scan its consumer reads from the column mirror has no node.
 type compiled struct {
 	node   *operators.Node
 	stream *streamInfo
 	steps  []stepBinding
 	edges  []*operators.Edge
-
-	// Scan provenance: set only by compileScan's shared-ClockScan branch
-	// (and deliberately NOT propagated through filters, joins, groups or
-	// sorts), so a non-empty scanTable means "this subtree is one clock scan
-	// of scanTable under scanPred" — what a consumer that reads its input
-	// from the column mirror (compileInput) requires.
-	scanTable string
-	scanPred  expr.Expr
 }
 
 // compileSelect peels the top of the logical plan (Distinct → Project →
-// Limit → Sort), applies the FD lift (liftLookup) to what is left, remapping
-// the sort keys and projection onto the lifted join, and compiles the rest
-// bottom-up into shared nodes.
+// Limit → Sort), runs the rewrite rules over what is left (rewrite) and lays
+// the annotated plan out bottom-up as shared nodes.
 func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 	if d, ok := lp.(*sql.Distinct); ok {
 		s.Distinct = true
@@ -134,21 +126,22 @@ func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 		sortLP = srt
 		lp = srt.In
 	}
-	lp, sortLP, projExprs := p.liftLookup(lp, sortLP, proj.Exprs)
+	a := p.rewrite(s.ID, lp, sortLP, limit, proj.Exprs)
 
 	var c compiled
 	var err error
-	if j, dl := p.deferredLookup(sortLP, limit, lp); dl != nil {
-		if c, err = p.compile(s, j.Left); err == nil {
-			c, err = p.compileSort(s, c, sortLP, limit, dl)
+	if a.deferred {
+		j := a.lp.(*sql.Join)
+		if c, err = p.compile(a, j.Left); err == nil {
+			c, err = p.compileSort(a, c, a.ixJoins[j])
 		}
-	} else if c, err = p.compile(s, lp); err == nil && sortLP != nil {
-		c, err = p.compileSort(s, c, sortLP, limit, nil)
+	} else if c, err = p.compile(a, a.lp); err == nil && a.sort != nil {
+		c, err = p.compileSort(a, c, nil)
 	}
 	if err != nil {
 		return err
 	}
-	if sortLP == nil {
+	if a.sort == nil {
 		s.SinkLimit = limit
 	}
 
@@ -165,8 +158,8 @@ func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
 	s.steps = c.steps
 	s.pathEdges = dedupEdges(append(c.edges, te))
 	s.terminalStream = c.stream.id
-	s.Project = make([]expr.Expr, len(projExprs))
-	for i, pe := range projExprs {
+	s.Project = make([]expr.Expr, len(a.project))
+	for i, pe := range a.project {
 		s.Project[i] = c.stream.physicalExpr(pe)
 	}
 	s.OutSchema = proj.Out
@@ -186,180 +179,60 @@ func dedupEdges(es []*operators.Edge) []*operators.Edge {
 }
 
 // compile dispatches on the logical node type.
-func (p *GlobalPlan) compile(s *Statement, lp sql.LogicalPlan) (compiled, error) {
+func (p *GlobalPlan) compile(a *annotated, lp sql.LogicalPlan) (compiled, error) {
 	switch n := lp.(type) {
 	case *sql.Scan:
-		c, err := p.compileScan(n)
-		if err != nil || c.node != nil {
-			return c, err
-		}
-		return p.withScanNode(c), nil
+		return p.compileScan(a, n), nil
 	case *sql.Filter:
-		return p.compileFilter(s, n)
+		return p.compileFilter(a, n)
 	case *sql.Join:
-		return p.compileJoin(s, n)
+		return p.compileJoin(a, n)
 	case *sql.Group:
-		return p.compileGroup(s, n)
+		return p.compileGroup(a, n)
 	default:
 		return compiled{}, fmt.Errorf("plan: unexpected logical node %T below the plan root", lp)
 	}
 }
 
-// matchEqOperand recognizes col = operand where operand is a constant or a
-// statement parameter (parameters are still unbound at compile time).
-func matchEqOperand(e expr.Expr) (col int, operand expr.Expr, ok bool) {
-	c, isCmp := e.(*expr.Cmp)
-	if !isCmp || c.Op != expr.EQ {
-		return 0, nil, false
-	}
-	if cr, o := c.L.(*expr.ColRef); o && isOperand(c.R) {
-		return cr.Idx, c.R, true
-	}
-	if cr, o := c.R.(*expr.ColRef); o && isOperand(c.L) {
-		return cr.Idx, c.L, true
-	}
-	return 0, nil, false
-}
-
-// matchRangeOperand recognizes col <op> operand for inequalities.
-func matchRangeOperand(e expr.Expr) (col int, op expr.CmpOp, operand expr.Expr, ok bool) {
-	c, isCmp := e.(*expr.Cmp)
-	if !isCmp {
-		return 0, 0, nil, false
-	}
-	switch c.Op {
-	case expr.LT, expr.LE, expr.GT, expr.GE:
-	default:
-		return 0, 0, nil, false
-	}
-	if cr, o := c.L.(*expr.ColRef); o && isOperand(c.R) {
-		return cr.Idx, c.Op, c.R, true
-	}
-	if cr, o := c.R.(*expr.ColRef); o && isOperand(c.L) {
-		return cr.Idx, c.Op.Flip(), c.L, true
-	}
-	return 0, 0, nil, false
-}
-
-func isOperand(e expr.Expr) bool {
-	switch e.(type) {
-	case *expr.Const, *expr.Param:
-		return true
-	}
-	return false
-}
-
-// compileScan chooses the access path for a base-table read: an index probe
-// when an index prefix is pinned by equality (or a leading-column range),
-// else the shared ClockScan.
-func (p *GlobalPlan) compileScan(scan *sql.Scan) (compiled, error) {
+// compileScan lays out a base-table read: the probe node index-probe or
+// index-edge chose, no node for a scan its consumer reads from the column
+// mirror (mirror-input), else the table's shared scan node.
+func (p *GlobalPlan) compileScan(a *annotated, scan *sql.Scan) compiled {
 	table := p.db.Table(scan.Table)
-	if table == nil {
-		return compiled{}, fmt.Errorf("plan: unknown table %q", scan.Table)
-	}
-	conjs := expr.Conjuncts(scan.Pred)
-	eqOperands := map[int]expr.Expr{}
-	eqConjunct := map[int]int{} // col → index into conjs
-	for i, c := range conjs {
-		if col, operand, ok := matchEqOperand(c); ok {
-			if _, dup := eqOperands[col]; !dup {
-				eqOperands[col] = operand
-				eqConjunct[col] = i
-			}
-		}
-	}
-
-	// longest equality-covered index prefix wins
-	var bestIx *storage.Index
-	bestLen := 0
-	for _, ix := range table.Indexes() {
-		n := 0
-		for _, c := range ix.Cols {
-			if _, ok := eqOperands[c]; ok {
-				n++
-			} else {
-				break
-			}
-		}
-		if n > bestLen || (n == bestLen && n > 0 && ix.Unique && !bestIx.Unique) {
-			bestIx, bestLen = ix, n
-		}
-	}
-
-	if bestLen > 0 {
-		used := map[int]bool{}
-		keyExprs := make([]expr.Expr, bestLen)
-		for i := 0; i < bestLen; i++ {
-			col := bestIx.Cols[i]
-			keyExprs[i] = eqOperands[col]
-			used[eqConjunct[col]] = true
-		}
-		var residual []expr.Expr
-		for i, c := range conjs {
-			if !used[i] {
-				residual = append(residual, c)
-			}
-		}
-		res := expr.AndOf(residual)
-		src := p.getProbe(table, bestIx, storage.EdgeNone)
+	if pr, ok := a.probes[scan]; ok {
+		src := p.getProbe(table, pr.ix, pr.edge)
 		step := stepBinding{node: src.node, makeSpec: func(params []types.Value) interface{} {
-			return operators.ProbeSpec{Key: evalKey(keyExprs, params), Residual: expr.Bind(res, params)}
+			return operators.ProbeSpec{Key: evalKey(pr.key, params), Edge: pr.edge, Residual: expr.Bind(pr.residual, params)}
 		}}
-		return compiled{node: src.node, stream: p.streams[src.stream], steps: []stepBinding{step}}, nil
+		return compiled{node: src.node, stream: p.streams[src.stream], steps: []stepBinding{step}}
 	}
-
-	// Range predicates deliberately do NOT use index range probes here:
-	// a per-query range probe re-traverses the index for every concurrent
-	// query, which defeats sharing. The shared ClockScan answers all range
-	// queries of a generation in one pass through its predicate interval
-	// index (§4.4) — bounded work regardless of concurrency. (The
-	// query-at-a-time baseline keeps range probes: optimal for one query.)
-
-	// Shared ClockScan: the stream layout and scan provenance only. The
-	// scan node itself is created by withScanNode when something consumes
-	// its stream; an operator that reads this input from the column mirror
-	// needs no node.
-	return compiled{stream: p.scanStream(table), scanTable: scan.Table, scanPred: scan.Pred}, nil
-}
-
-// withScanNode routes a shared-ClockScan subtree through the table's scan
-// node, creating the node on first use.
-func (p *GlobalPlan) withScanNode(c compiled) compiled {
-	src := p.getScan(p.db.Table(c.scanTable))
-	pred := c.scanPred
-	c.node = src.node
-	c.steps = []stepBinding{{node: src.node, makeSpec: func(params []types.Value) interface{} {
-		return operators.ScanSpec{Pred: expr.Bind(pred, params)}
-	}}}
-	return c
-}
-
-// compileInput compiles the input of a hash join's outer or a group-by. A
-// direct base-table scan that compileScan answers with the shared ClockScan
-// stays node-less: the consumer reads it from the column mirror itself
-// (wireInput). Anything else compiles as usual.
-func (p *GlobalPlan) compileInput(s *Statement, lp sql.LogicalPlan) (compiled, error) {
-	if scan, ok := lp.(*sql.Scan); ok {
-		return p.compileScan(scan)
+	if a.mirrored[scan] {
+		return compiled{stream: p.scanStream(table)}
 	}
-	return p.compile(s, lp)
+	src := p.getScan(table)
+	step := stepBinding{node: src.node, makeSpec: func(params []types.Value) interface{} {
+		return operators.ScanSpec{Pred: expr.Bind(scan.Pred, params)}
+	}}
+	return compiled{node: src.node, stream: p.streams[src.stream], steps: []stepBinding{step}}
 }
 
-// wireInput connects input c to node. A node-less direct scan gets no edge:
-// node reads it from its table's column mirror (Describe names the table),
-// and its table and unbound scan predicate are returned for node's task
-// spec. Any other input's edge is appended to edges.
-func (p *GlobalPlan) wireInput(node *operators.Node, c compiled, edges []*operators.Edge) ([]*operators.Edge, *storage.Table, expr.Expr) {
+// wireInput connects input c, compiled from the logical input in, to node.
+// A node-less scan gets no edge: node reads it from its table's column
+// mirror (Describe names the table), and its table and unbound scan
+// predicate are returned for node's task spec. Any other input's edge is
+// appended to edges.
+func (p *GlobalPlan) wireInput(node *operators.Node, in sql.LogicalPlan, c compiled, edges []*operators.Edge) ([]*operators.Edge, *storage.Table, expr.Expr) {
 	if c.node != nil {
 		return append(edges, p.edge(c.node, node)), nil, nil
 	}
+	scan := in.(*sql.Scan)
 	m := p.mirrors[node]
 	if m == nil {
 		m = map[int]string{}
 		p.mirrors[node] = m
 	}
-	m[c.stream.id] = c.scanTable
-	return edges, p.db.Table(c.scanTable), c.scanPred
+	m[c.stream.id] = scan.Table
+	return edges, p.db.Table(scan.Table), scan.Pred
 }
 
 // evalKey binds a probe key's operands (constants or parameters).
@@ -422,67 +295,10 @@ func (p *GlobalPlan) getProbe(t *storage.Table, ix *storage.Index, edge storage.
 	return ref
 }
 
-// compileIndexEdge is the index-edge rule: a scalar MIN(c) or MAX(c) — no
-// GROUP BY, no other aggregate — over a base table whose predicate is empty
-// or only pins, by equality, the index columns in front of c, reads its
-// input from that edge of the index instead of a scan: one row, the extreme
-// visible one (storage.Locked.IndexEdgeAt), feeding the same shared group
-// node a scan would. ok is false when the shape does not match.
-func (p *GlobalPlan) compileIndexEdge(g *sql.Group) (c compiled, ok bool) {
-	scan, isScan := g.In.(*sql.Scan)
-	if !isScan || len(g.GroupCols) != 0 || len(g.Aggs) != 1 || g.Aggs[0].Distinct {
-		return compiled{}, false
-	}
-	var edge storage.EdgeKind
-	switch g.Aggs[0].Func {
-	case sql.AggMin:
-		edge = storage.EdgeMin
-	case sql.AggMax:
-		edge = storage.EdgeMax
-	default:
-		return compiled{}, false
-	}
-	arg, isCol := g.Aggs[0].Arg.(*expr.ColRef)
-	table := p.db.Table(scan.Table)
-	if !isCol || table == nil {
-		return compiled{}, false
-	}
-	eqOperands := map[int]expr.Expr{}
-	for _, conj := range expr.Conjuncts(scan.Pred) {
-		col, operand, isEq := matchEqOperand(conj)
-		if _, dup := eqOperands[col]; !isEq || dup {
-			return compiled{}, false
-		}
-		eqOperands[col] = operand
-	}
-	n := len(eqOperands)
-	for _, ix := range table.Indexes() {
-		if len(ix.Cols) <= n || ix.Cols[n] != arg.Idx {
-			continue
-		}
-		keyExprs := make([]expr.Expr, n)
-		for i := range keyExprs {
-			keyExprs[i] = eqOperands[ix.Cols[i]]
-		}
-		if slices.Contains(keyExprs, nil) {
-			continue
-		}
-		src := p.getProbe(table, ix, edge)
-		pred := scan.Pred
-		step := stepBinding{node: src.node, makeSpec: func(params []types.Value) interface{} {
-			// The whole predicate rides along as the residual: an equality
-			// on NULL selects nothing, though the index holds NULL keys.
-			return operators.ProbeSpec{Key: evalKey(keyExprs, params), Edge: edge, Residual: expr.Bind(pred, params)}
-		}}
-		return compiled{node: src.node, stream: p.streams[src.stream], steps: []stepBinding{step}}, true
-	}
-	return compiled{}, false
-}
-
 // compileFilter routes the subtree through the shared filter node attached
 // to its producer.
-func (p *GlobalPlan) compileFilter(s *Statement, f *sql.Filter) (compiled, error) {
-	c, err := p.compile(s, f.In)
+func (p *GlobalPlan) compileFilter(a *annotated, f *sql.Filter) (compiled, error) {
+	c, err := p.compile(a, f.In)
 	if err != nil {
 		return compiled{}, err
 	}
@@ -504,52 +320,29 @@ func (p *GlobalPlan) compileFilter(s *Statement, f *sql.Filter) (compiled, error
 	}, nil
 }
 
-// compileJoin compiles an equi-join: an index nested-loop join when the
-// right side is a base table, reached by key alone, with a matching index
-// (the inner table is then probed directly), else a shared hash join whose
-// build side is the compiled right subtree.
-//
-// A hash join whose outer is one direct shared ClockScan of a base table
-// fuses that scan (compileInput): the statement gets no scan step and no
-// scan→join edge, and its join task carries the table and the bound scan
-// predicate, so the join reads the outer from the column mirror once its
-// build completes (operators.JoinSpec). Every activation of the statement
-// reaches the outer that way, so nothing is decided per generation. An
-// outer fed by any other operator streams in.
-func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
+// compileJoin lays out an equi-join: the index join index-join chose, else
+// a shared hash join whose build side is the compiled right subtree and
+// whose outer streams in or, when mirror-input chose it, is read from the
+// column mirror once the build completes (operators.JoinSpec).
+func (p *GlobalPlan) compileJoin(a *annotated, j *sql.Join) (compiled, error) {
 	if len(j.LeftKeys) == 0 {
 		return compiled{}, fmt.Errorf("plan: cross joins are not supported in the shared plan")
 	}
-
-	// Join method selection (mirrors the paper's Figure 6 mix of NL⋈ and
-	// Hash⋈): an index nested-loop join only when the inner is a base table
-	// reached purely by key — if the inner scan carries a per-query
-	// predicate, the shared hash join wins, because the inner ClockScan's
-	// predicate index evaluates that predicate once per row for all
-	// queries, whereas an index join would re-evaluate it per (row, query).
-	if rscan, ok := j.Right.(*sql.Scan); ok && rscan.Pred == nil {
-		table := p.db.Table(rscan.Table)
-		if ix := indexMatching(table, j.RightKeys); ix != nil {
-			left, err := p.compile(s, j.Left)
-			if err != nil {
-				return compiled{}, err
-			}
-			return p.compileIndexJoin(s, left, j, rscan, table, ix)
-		}
-	}
-
-	left, err := p.compileInput(s, j.Left)
+	left, err := p.compile(a, j.Left)
 	if err != nil {
 		return compiled{}, err
 	}
-	right, err := p.compile(s, j.Right)
+	if lk := a.ixJoins[j]; lk != nil {
+		return p.compileIndexJoin(left, lk), nil
+	}
+	right, err := p.compile(a, j.Right)
 	if err != nil {
 		return compiled{}, err
 	}
 	sig := fmt.Sprintf("hash|%d|%d|%v", right.node.ID, right.stream.id, j.RightKeys)
 	var ref *joinRef
 	for _, cand := range p.joinNodes[sig] {
-		if keys, ok := cand.outerKeys[left.stream.id]; !ok || intsEqual(keys, j.LeftKeys) {
+		if keys, ok := cand.outerKeys[left.stream.id]; !ok || slices.Equal(keys, j.LeftKeys) {
 			ref = cand
 			break
 		}
@@ -572,7 +365,7 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 		ref.outerKeys[left.stream.id] = j.LeftKeys
 	}
 	ie := p.edge(right.node, ref.node)
-	edges, table, pred := p.wireInput(ref.node, left, append(append(left.edges, right.edges...), ie))
+	edges, table, pred := p.wireInput(ref.node, j.Left, left, append(append(left.edges, right.edges...), ie))
 	outer := left.stream.id
 	step := stepBinding{node: ref.node, makeSpec: func(params []types.Value) interface{} {
 		return operators.JoinSpec{Table: table, Outer: outer, Pred: expr.Bind(pred, params)}
@@ -583,31 +376,6 @@ func (p *GlobalPlan) compileJoin(s *Statement, j *sql.Join) (compiled, error) {
 		steps:  append(append(left.steps, right.steps...), step),
 		edges:  edges,
 	}, nil
-}
-
-// indexMatching returns an index of t whose leading columns are exactly the
-// given key columns (in any order up to position len(keys)), or nil.
-func indexMatching(t *storage.Table, keys []int) *storage.Index {
-	if t == nil {
-		return nil
-	}
-	for _, ix := range t.Indexes() {
-		if len(ix.Cols) < len(keys) {
-			continue
-		}
-		// keys must cover exactly the index's first len(keys) columns
-		covered := true
-		for i := 0; i < len(keys); i++ {
-			if ix.Cols[i] != keys[i] {
-				covered = false
-				break
-			}
-		}
-		if covered {
-			return ix
-		}
-	}
-	return nil
 }
 
 // addJoinOuter registers outer as a probe-side stream of a join (outers is
@@ -626,39 +394,25 @@ func (p *GlobalPlan) addJoinOuter(outers map[int]operators.JoinOuter, outer, inn
 	return cfg
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func (p *GlobalPlan) compileIndexJoin(s *Statement, left compiled, j *sql.Join, rscan *sql.Scan, table *storage.Table, ix *storage.Index) (compiled, error) {
-	sig := "ix|" + table.Name() + "/" + ix.Name
+func (p *GlobalPlan) compileIndexJoin(left compiled, lk *lookup) compiled {
+	sig := "ix|" + lk.table.Name() + "/" + lk.ix.Name
 	var ref *ixJoinRef
 	for _, cand := range p.ixJoins[sig] {
-		if keys, exists := cand.outerKeys[left.stream.id]; !exists || intsEqual(keys, j.LeftKeys) {
+		if keys, exists := cand.outerKeys[left.stream.id]; !exists || slices.Equal(keys, lk.keys) {
 			ref = cand
 			break
 		}
 	}
 	if ref == nil {
-		op := &operators.IndexJoinOp{Table: table, Index: ix, Outers: map[int]operators.JoinOuter{}}
-		node := p.addNode("⋈ix("+table.Name()+")", op)
+		op := &operators.IndexJoinOp{Table: lk.table, Index: lk.ix, Outers: map[int]operators.JoinOuter{}}
+		node := p.addNode("⋈ix("+lk.table.Name()+")", op)
 		ref = &ixJoinRef{node: node, op: op, outerKeys: map[int][]int{}}
 		p.ixJoins[sig] = append(p.ixJoins[sig], ref)
 	}
 	outCfg, exists := ref.op.Outers[left.stream.id]
 	if !exists {
-		// The inner side is the indexed table itself: stored rows, full width.
-		inner := &streamInfo{schema: rscan.Out, origins: tableOrigins(table)}
-		outCfg = p.addJoinOuter(ref.op.Outers, left.stream, inner, j.LeftKeys)
-		ref.outerKeys[left.stream.id] = j.LeftKeys
+		outCfg = p.addJoinOuter(ref.op.Outers, left.stream, lk.inner, lk.keys)
+		ref.outerKeys[left.stream.id] = lk.keys
 	}
 	oe := p.edge(left.node, ref.node)
 	step := stepBinding{node: ref.node, makeSpec: func([]types.Value) interface{} { return nil }}
@@ -667,27 +421,19 @@ func (p *GlobalPlan) compileIndexJoin(s *Statement, left compiled, j *sql.Join, 
 		stream: p.streams[outCfg.OutStream],
 		steps:  append(left.steps, step),
 		edges:  append(left.edges, oe),
-	}, nil
+	}
 }
 
 // compileGroup merges group-bys whose group keys and aggregates have the
-// same provenance signature. A group column the other group columns
-// determine (carried, the FD key) is carried from each group's first row
-// instead of hashed. A group-by over one direct shared ClockScan of
-// a base table reads that input from the column mirror itself
-// (compileInput), exactly like a hash join's fused outer: no scan step, no
-// scan→group edge, and the group task carries the table and the bound scan
-// predicate (operators.GroupSpec).
-func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) {
-	c, edge := p.compileIndexEdge(g)
-	if !edge {
-		var err error
-		if c, err = p.compileInput(s, g.In); err != nil {
-			return compiled{}, err
-		}
+// same provenance signature. A column fd-key carries is marked "+" in the
+// signature. An input mirror-input chose is read from the column mirror,
+// like a hash join's fused outer (operators.GroupSpec).
+func (p *GlobalPlan) compileGroup(a *annotated, g *sql.Group) (compiled, error) {
+	c, err := p.compile(a, g.In)
+	if err != nil {
+		return compiled{}, err
 	}
-	// The FD key: a carried column is marked "+" in the signature.
-	carry := p.carried(g.In, g.GroupCols)
+	carry := a.carry[g]
 	var sigParts []string
 	var keyCols, carryCols []int
 	for i, col := range g.GroupCols {
@@ -701,10 +447,10 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		sigParts = append(sigParts, part)
 	}
 	aggs := make([]operators.AggDef, len(g.Aggs))
-	for i, a := range g.Aggs {
-		aggs[i] = operators.AggDef{Kind: operators.AggKind(a.Func), Distinct: a.Distinct}
-		sigParts = append(sigParts, fmt.Sprintf("%s|%v|%s", a.Func, a.Distinct,
-			originString(a.Arg, c.stream.origins, s.ID)))
+	for i, ag := range g.Aggs {
+		aggs[i] = operators.AggDef{Kind: operators.AggKind(ag.Func), Distinct: ag.Distinct}
+		sigParts = append(sigParts, fmt.Sprintf("%s|%v|%s", ag.Func, ag.Distinct,
+			originString(ag.Arg, c.stream.origins, a.stmt)))
 	}
 	sig := fmt.Sprintf("group|%s", strings.Join(sigParts, ","))
 
@@ -714,8 +460,8 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 		for i, col := range g.GroupCols {
 			origins[i] = c.stream.origins[col]
 		}
-		for i, a := range g.Aggs {
-			origins[len(g.GroupCols)+i] = origin{Synth: a.Name}
+		for i, ag := range g.Aggs {
+			origins[len(g.GroupCols)+i] = origin{Synth: ag.Name}
 		}
 		osi := p.allocStream(g.Out, origins)
 		op := &operators.GroupOp{
@@ -730,13 +476,13 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 	}
 	if _, exists := ref.op.Streams[c.stream.id]; !exists {
 		aggArgs := make([]expr.Expr, len(g.Aggs))
-		for i, a := range g.Aggs {
-			aggArgs[i] = c.stream.physicalExpr(a.Arg)
+		for i, ag := range g.Aggs {
+			aggArgs[i] = c.stream.physicalExpr(ag.Arg)
 		}
 		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: c.stream.physicalCols(keyCols),
 			CarryCols: c.stream.physicalCols(carryCols), AggArgs: aggArgs}
 	}
-	edges, table, pred := p.wireInput(ref.node, c, c.edges)
+	edges, table, pred := p.wireInput(ref.node, g.In, c, c.edges)
 	having, input, scalar := g.Having, c.stream.id, len(g.GroupCols) == 0
 	step := stepBinding{node: ref.node, makeSpec: func(params []types.Value) interface{} {
 		return operators.GroupSpec{Having: expr.Bind(having, params), Scalar: scalar,
@@ -750,71 +496,16 @@ func (p *GlobalPlan) compileGroup(s *Statement, g *sql.Group) (compiled, error) 
 	}, nil
 }
 
-// uniqueInner returns the inner scan and index of a join that compileJoin
-// compiles as an index join into a unique index over exactly the join key
-// columns — the inner a bare base-table scan, no residual — so each outer
-// row joins at most one inner row; ix is nil for any other join.
-func (p *GlobalPlan) uniqueInner(j *sql.Join) (rscan *sql.Scan, ix *storage.Index) {
-	rscan, ok := j.Right.(*sql.Scan)
-	if j.Residual != nil || !ok || rscan.Pred != nil {
-		return nil, nil
-	}
-	ix = indexMatching(p.db.Table(rscan.Table), j.RightKeys)
-	if ix == nil || !ix.Unique || len(ix.Cols) != len(j.RightKeys) {
-		return nil, nil
-	}
-	return rscan, ix
-}
-
-// lookup is a unique-index join deferred past a Top-N's cut: the indexed
-// inner table, its index, the inner side's stream layout and the join key
-// columns in the outer stream's logical schema.
-type lookup struct {
-	table *storage.Table
-	ix    *storage.Index
-	inner *streamInfo
-	keys  []int
-}
-
-// deferredLookup is the cut-before-join rule. A Top-N (Sort with LIMIT N >
-// 0) directly over a join that compileJoin would compile as an index join —
-// the inner a bare base-table scan, no residual — into a unique index over
-// exactly the join key columns, with sort keys that read only outer columns,
-// sorts the outer stream and joins only the rows the cut keeps
-// (operators.SortOp). Each outer row joins at most one inner row, so the
-// result is the join-then-sort result. It returns nil when the shape does
-// not match.
-func (p *GlobalPlan) deferredLookup(srt *sql.Sort, limit int, lp sql.LogicalPlan) (*sql.Join, *lookup) {
-	j, ok := lp.(*sql.Join)
-	if srt == nil || limit <= 0 || !ok {
-		return nil, nil
-	}
-	rscan, ix := p.uniqueInner(j)
-	if ix == nil {
-		return nil, nil
-	}
-	table := p.db.Table(rscan.Table)
-	outer := j.Left.Schema().Len()
-	for _, k := range srt.Keys {
-		for col := range expr.Columns(k.Expr) {
-			if col >= outer {
-				return nil, nil
-			}
-		}
-	}
-	return j, &lookup{table: table, ix: ix, inner: &streamInfo{schema: rscan.Out, origins: tableOrigins(table)}, keys: j.LeftKeys}
-}
-
 // compileSort merges sorts (and Top-Ns, which are sorts with per-query
 // limits) whose keys have the same provenance signature. With lk set, c is
 // the outer side of a deferred join and the sort's out-stream is that
 // join's. A node configures each input stream once, so a second node of one
 // signature opens only when a statement needs another configuration for a
 // stream the first already has (with or without a deferred join).
-func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit int, lk *lookup) (compiled, error) {
+func (p *GlobalPlan) compileSort(a *annotated, c compiled, lk *lookup) (compiled, error) {
 	var sigParts []string
-	for _, k := range srt.Keys {
-		sigParts = append(sigParts, fmt.Sprintf("%s|%v", originString(k.Expr, c.stream.origins, s.ID), k.Desc))
+	for _, k := range a.sort.Keys {
+		sigParts = append(sigParts, fmt.Sprintf("%s|%v", originString(k.Expr, c.stream.origins, a.stmt), k.Desc))
 	}
 	sig := "sort|" + strings.Join(sigParts, ",")
 	var ref *sortRef
@@ -832,8 +523,8 @@ func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit 
 	}
 	cfg, exists := ref.op.Streams[c.stream.id]
 	if !exists {
-		keys := make([]operators.SortKey, len(srt.Keys))
-		for i, k := range srt.Keys {
+		keys := make([]operators.SortKey, len(a.sort.Keys))
+		for i, k := range a.sort.Keys {
 			keys[i] = operators.SortKey{E: c.stream.physicalExpr(k.Expr), Desc: k.Desc}
 		}
 		cfg = operators.SortStream{Keys: keys, OutStream: c.stream.id}
@@ -845,7 +536,7 @@ func (p *GlobalPlan) compileSort(s *Statement, c compiled, srt *sql.Sort, limit 
 		ref.lookups[c.stream.id] = lk
 	}
 	e := p.edge(c.node, ref.node)
-	lim := limit
+	lim := a.limit
 	step := stepBinding{node: ref.node, makeSpec: func([]types.Value) interface{} {
 		return operators.SortSpec{Limit: lim}
 	}}
@@ -863,7 +554,7 @@ func sameLookup(a, b *lookup) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
-	return a.table == b.table && a.ix == b.ix && intsEqual(a.keys, b.keys)
+	return a.table == b.table && a.ix == b.ix && slices.Equal(a.keys, b.keys)
 }
 
 // originString renders a bound expression with column references replaced

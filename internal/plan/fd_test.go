@@ -103,7 +103,7 @@ func apply(t *testing.T, db *storage.Database, ops ...storage.WriteOp) {
 
 // TestFDRulesKeepRowOrder is the FD rules' differential: every statement
 // runs on two engines over one database, one prepared with the FD lift and
-// FD key and one without (plan.NoFD), and each query's rows must be equal in
+// FD key and one without (plan.Disable), and each query's rows must be equal in
 // value and in order — ties at a LIMIT cut included. The statements are best
 // sellers (a Top-N: the lookup moves past the cut), its grouping without the
 // Top-N (the lifted ⋈ix streams one lookup per group), with a HAVING, and
@@ -125,8 +125,10 @@ func TestFDRulesKeepRowOrder(t *testing.T) {
 	engines := make([]*core.Engine, 2)
 	prepared := make([][]*plan.Statement, 2)
 	for i := range engines {
-		*plan.NoFD = i == 1
 		p := plan.New(db)
+		if i == 1 {
+			plan.Disable(p, "fd-lift", "fd-key")
+		}
 		engines[i] = core.New(db, p, core.Config{MaxInFlightGenerations: 4})
 		for _, q := range stmts {
 			s, err := engines[i].Prepare(q)
@@ -136,7 +138,6 @@ func TestFDRulesKeepRowOrder(t *testing.T) {
 			prepared[i] = append(prepared[i], s)
 		}
 	}
-	*plan.NoFD = false
 	defer engines[0].Close()
 	defer engines[1].Close()
 	on, off := engines[0].Plan().Describe(), engines[1].Plan().Describe()

@@ -160,6 +160,8 @@ type GlobalPlan struct {
 	// a table's column mirror (stream → table name): a hash join's fused
 	// outers and a group-by's direct-scan inputs.
 	mirrors map[*operators.Node]map[int]string
+	// disabled names the rewrite rules that do not run (tests only).
+	disabled map[string]bool
 
 	edges map[[2]int]*operators.Edge // (fromID, toID) → edge
 

@@ -33,18 +33,6 @@ func netItem(t testing.TB, db *storage.Database) {
 	}
 }
 
-// planGolden compares got with the golden file at path.
-func planGolden(t *testing.T, path, got string) {
-	t.Helper()
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Errorf("plan differs from %s; got:\n%s", path, got)
-	}
-}
-
 // TestTPCWPlanGolden pins the whole shared plan byte for byte: the
 // Describe() of one plan holding every TPC-W statement, then that of one
 // holding the network fan-in benchmark's two statements.
@@ -76,5 +64,11 @@ func TestTPCWPlanGolden(t *testing.T) {
 		}
 		b.WriteString("-- " + tc.name + " --\n" + p.Describe())
 	}
-	planGolden(t, "testdata/tpcw_plan.golden", b.String())
+	want, err := os.ReadFile("testdata/tpcw_plan.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("plan differs from testdata/tpcw_plan.golden; got:\n%s", got)
+	}
 }

@@ -121,6 +121,23 @@ func TestJoinMethodSelection(t *testing.T) {
 	if !strings.Contains(p.Describe(), "⋈hash") {
 		t.Errorf("expected hash join, plan:\n%s", p.Describe())
 	}
+	// two key columns, conjuncts not in index order → still an index join
+	db := testDB(t)
+	col := func(table, name string) types.Column {
+		return types.Column{Qualifier: table, Name: name, Kind: types.KindInt}
+	}
+	db.CreateTable("a", types.NewSchema(col("a", "x"), col("a", "y")))
+	b, _ := db.CreateTable("b", types.NewSchema(col("b", "p"), col("b", "q"), col("b", "v")))
+	if _, err := b.AddIndex("b_qp", false, "q", "p"); err != nil {
+		t.Fatal(err)
+	}
+	p = New(db)
+	if _, err := p.Prepare(`SELECT v FROM a, b WHERE b.p = a.x AND b.q = a.y`); err != nil {
+		t.Fatal(err)
+	}
+	if d := p.Describe(); !strings.Contains(d, "⋈ix(b) [b.2]") {
+		t.Errorf("expected an index join into b_qp for keys in either order, plan:\n%s", d)
+	}
 }
 
 // TestScanFedHashJoinFusesItsOuter pins the compile-time rule: a hash
