@@ -115,7 +115,7 @@ func (db *DB) Query(sqlText string, args ...interface{}) (*Rows, error) {
 
 // QueryContext runs an ad-hoc read and returns its streaming cursor.
 func (db *DB) QueryContext(ctx context.Context, sqlText string, args ...interface{}) (*Rows, error) {
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func (db *DB) Exec(sqlText string, args ...interface{}) (Result, error) {
 
 // ExecContext runs an ad-hoc write or DDL statement.
 func (db *DB) ExecContext(ctx context.Context, sqlText string, args ...interface{}) (Result, error) {
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return Result{}, err
 	}
@@ -147,7 +147,7 @@ func (db *DB) ExecContext(ctx context.Context, sqlText string, args ...interface
 // updates (the connection never blocks on a slow consumer). Cancelling
 // ctx closes the subscription, as does Subscription.Close.
 func (db *DB) Subscribe(ctx context.Context, stmt *Stmt, args ...interface{}) (*Subscription, error) {
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +218,7 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...interface{}) (*Rows, er
 	if s.isWrite {
 		return nil, errors.New("client: Query on a write statement")
 	}
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +235,7 @@ func (s *Stmt) Exec(args ...interface{}) (Result, error) {
 
 // ExecContext enqueues a write over the pipelined connection.
 func (s *Stmt) ExecContext(ctx context.Context, args ...interface{}) (Result, error) {
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return Result{}, err
 	}
@@ -363,42 +363,4 @@ func statsFromFields(fields []wire.StatField) Stats {
 		}
 	}
 	return st
-}
-
-// toValues converts Go values to engine values, mirroring the in-process
-// package's parameter conversion exactly.
-func toValues(args []interface{}) ([]types.Value, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make([]types.Value, len(args))
-	for i, a := range args {
-		switch v := a.(type) {
-		case nil:
-			out[i] = types.Null
-		case int:
-			out[i] = types.NewInt(int64(v))
-		case int32:
-			out[i] = types.NewInt(int64(v))
-		case int64:
-			out[i] = types.NewInt(v)
-		case uint64:
-			out[i] = types.NewInt(int64(v))
-		case float64:
-			out[i] = types.NewFloat(v)
-		case float32:
-			out[i] = types.NewFloat(float64(v))
-		case string:
-			out[i] = types.NewString(v)
-		case bool:
-			out[i] = types.NewBool(v)
-		case time.Time:
-			out[i] = types.NewTime(v)
-		case types.Value:
-			out[i] = v
-		default:
-			return nil, fmt.Errorf("client: unsupported parameter type %T", a)
-		}
-	}
-	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"shareddb/internal/types"
 	"shareddb/internal/wire"
@@ -133,38 +132,10 @@ func (r *Rows) Close() error {
 
 // Scan copies the current row into dest pointers (*int64, *int,
 // *float64, *string, *bool, *time.Time or *types.Value), binding
-// destinations to the row's leading columns exactly like the in-process
-// Rows.Scan.
+// destinations to the row's leading columns (types.Row.Scan, the in-process
+// Rows.Scan's rule).
 func (r *Rows) Scan(dest ...interface{}) error {
-	row := r.Row()
-	if row == nil {
-		return errors.New("client: Scan without Next")
-	}
-	if len(dest) > len(row) {
-		return fmt.Errorf("client: Scan wants %d values, row has %d", len(dest), len(row))
-	}
-	for i, d := range dest {
-		v := row[i]
-		switch p := d.(type) {
-		case *int64:
-			*p = v.AsInt()
-		case *int:
-			*p = int(v.AsInt())
-		case *float64:
-			*p = v.AsFloat()
-		case *string:
-			*p = v.AsString()
-		case *bool:
-			*p = v.AsBool()
-		case *time.Time:
-			*p = v.AsTime()
-		case *types.Value:
-			*p = v
-		default:
-			return fmt.Errorf("client: unsupported Scan destination %T", d)
-		}
-	}
-	return nil
+	return r.Row().Scan(dest...)
 }
 
 // SubscriptionUpdate is one standing-query delivery: an initial full

@@ -17,6 +17,7 @@ import (
 
 	"shareddb/internal/core"
 	"shareddb/internal/sql"
+	"shareddb/internal/types"
 )
 
 // awaitResult waits for res honoring ctx. On cancellation the wait is
@@ -41,7 +42,7 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...interface{}) (*Rows, er
 	if s.stmt.IsWrite() {
 		return nil, errors.New("shareddb: Query on a write statement")
 	}
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +61,7 @@ func (s *Stmt) QueryContext(ctx context.Context, args ...interface{}) (*Rows, er
 // its generation as if the cancellation had arrived a moment later, while
 // a write still queued at the next batch formation is dropped unapplied.
 func (s *Stmt) ExecContext(ctx context.Context, args ...interface{}) (Result, error) {
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return Result{}, err
 	}

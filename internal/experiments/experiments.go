@@ -187,16 +187,6 @@ func (o Options) coreConfig() core.Config {
 	}
 }
 
-// DefaultOptions is the laptop-scale configuration.
-func DefaultOptions() Options {
-	return Options{
-		Scale:         tpcw.DefaultScale(),
-		PointDuration: 2 * time.Second,
-		ThinkTime:     20 * time.Millisecond,
-		Seed:          2012,
-	}
-}
-
 // Fig7Point is one (EBs → throughput) measurement.
 type Fig7Point struct {
 	EBs     int

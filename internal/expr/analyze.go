@@ -87,23 +87,106 @@ func Bind(e Expr, params []types.Value) Expr {
 }
 
 // EqualityMatch recognizes a bound conjunct of the form col = const (or
-// const = col) and returns the column index and constant.
+// const = col) and returns the column index and constant: a PinOf whose
+// operand is a constant.
 func EqualityMatch(e Expr) (col int, val types.Value, ok bool) {
-	c, isCmp := e.(*Cmp)
-	if !isCmp || c.Op != EQ {
-		return 0, types.Null, false
-	}
-	if cr, o := c.L.(*ColRef); o {
-		if k, o2 := c.R.(*Const); o2 {
-			return cr.Idx, k.Val, true
-		}
-	}
-	if cr, o := c.R.(*ColRef); o {
-		if k, o2 := c.L.(*Const); o2 {
-			return cr.Idx, k.Val, true
-		}
+	col, operand, ok := PinOf(e)
+	if k, isConst := operand.(*Const); ok && isConst {
+		return col, k.Val, true
 	}
 	return 0, types.Null, false
+}
+
+// PinOf recognizes a conjunct that pins a column by equality: col = operand
+// or operand = col, where operand is a constant or a statement parameter
+// (still unbound at compile time).
+func PinOf(e Expr) (col int, operand Expr, ok bool) {
+	c, isCmp := e.(*Cmp)
+	if !isCmp || c.Op != EQ {
+		return 0, nil, false
+	}
+	if cr, o := c.L.(*ColRef); o && isPinOperand(c.R) {
+		return cr.Idx, c.R, true
+	}
+	if cr, o := c.R.(*ColRef); o && isPinOperand(c.L) {
+		return cr.Idx, c.L, true
+	}
+	return 0, nil, false
+}
+
+func isPinOperand(e Expr) bool {
+	switch e.(type) {
+	case *Const, *Param:
+		return true
+	}
+	return false
+}
+
+// Pin is the conjunct that pins column Col: its position At in the
+// predicate's Conjuncts and its Operand (a *Const or a *Param).
+type Pin struct {
+	Col, At int
+	Operand Expr
+}
+
+// Pins are the pins of a predicate, one per pinned column.
+type Pins []Pin
+
+// PinsOf returns the pins of a predicate: for each column the first of its
+// Conjuncts that pins it (PinOf) wins. Index probes and index edges in the
+// planner, write-target resolution in storage and shard routing all take
+// their equality keys from here, so they agree on the key a predicate
+// pins. It inlines, so a caller's pins can stay on its stack.
+func PinsOf(pred Expr) Pins { return appendPins(make(Pins, 0, 4), pred) }
+
+func appendPins(pins Pins, pred Expr) Pins {
+	for i, c := range Conjuncts(pred) {
+		if col, operand, ok := PinOf(c); ok {
+			if _, dup := pins.Of(col); !dup {
+				pins = append(pins, Pin{Col: col, At: i, Operand: operand})
+			}
+		}
+	}
+	return pins
+}
+
+// Of returns the pin of column col.
+func (p Pins) Of(col int) (Pin, bool) {
+	for _, pin := range p {
+		if pin.Col == col {
+			return pin, true
+		}
+	}
+	return Pin{}, false
+}
+
+// Operands returns the operands that pin cols, in order, or nil when a
+// column of cols is not pinned.
+func (p Pins) Operands(cols []int) []Expr {
+	out := make([]Expr, len(cols))
+	for i, c := range cols {
+		pin, ok := p.Of(c)
+		if !ok {
+			return nil
+		}
+		out[i] = pin.Operand
+	}
+	return out
+}
+
+// Values returns the constants that pin cols, in order; ok is false when a
+// column of cols is not pinned by a constant.
+func (p Pins) Values(cols []int) (vals []types.Value, ok bool) {
+	vals = make([]types.Value, len(cols))
+	for i, c := range cols {
+		pin, _ := p.Of(c)
+		k, isConst := pin.Operand.(*Const)
+		if !isConst {
+			return nil, false
+		}
+		vals[i] = k.Val
+	}
+	return vals, true
 }
 
 // Range is a (possibly half-open) interval constraint on a column.

@@ -6,7 +6,6 @@ package harness
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 )
@@ -187,14 +186,4 @@ func repeat(b byte, n int) string {
 		s[i] = b
 	}
 	return string(s)
-}
-
-// SortedKeys returns map keys in sorted order (report stability helper).
-func SortedKeys[K interface{ ~int | ~string }, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
 }

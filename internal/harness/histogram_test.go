@@ -76,16 +76,3 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("line count = %d:\n%s", len(lines), out)
 	}
 }
-
-func TestSortedKeys(t *testing.T) {
-	m := map[string]int{"b": 1, "a": 2, "c": 3}
-	keys := SortedKeys(m)
-	if keys[0] != "a" || keys[2] != "c" {
-		t.Errorf("keys = %v", keys)
-	}
-	mi := map[int]string{3: "x", 1: "y"}
-	ki := SortedKeys(mi)
-	if ki[0] != 1 {
-		t.Errorf("int keys = %v", ki)
-	}
-}

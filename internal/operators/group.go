@@ -3,6 +3,7 @@ package operators
 import (
 	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
+	"shareddb/internal/sql"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
 )
@@ -57,21 +58,9 @@ type GroupStream struct {
 	AggArgs   []expr.Expr // one per AggDef; nil for COUNT(*)
 }
 
-// AggKind enumerates aggregate functions.
-type AggKind uint8
-
-// Aggregate kinds.
-const (
-	AggCount AggKind = iota
-	AggSum
-	AggMin
-	AggMax
-	AggAvg
-)
-
 // AggDef declares one aggregate computed by the operator.
 type AggDef struct {
-	Kind     AggKind
+	Kind     sql.AggFunc
 	Distinct bool
 }
 
@@ -96,8 +85,10 @@ type GroupSpec struct {
 
 func (s GroupSpec) mirrored() (*storage.Table, int, expr.Expr) { return s.Table, s.Input, s.Pred }
 
-// aggState accumulates one aggregate for one (group, query).
-type aggState struct {
+// AggState accumulates one aggregate over one input: the shared group-by
+// keeps one per (group, query), the shard router's merge one per group it
+// recombines from the shards' partial aggregates.
+type AggState struct {
 	count    int64
 	sumI     int64
 	sumF     float64
@@ -106,7 +97,8 @@ type aggState struct {
 	distinct map[string]struct{}
 }
 
-func (a *aggState) add(v types.Value, def AggDef) {
+// Add folds one argument value into the state.
+func (a *AggState) Add(v types.Value, def AggDef) {
 	if v.IsNull() {
 		return // SQL aggregates ignore NULLs (COUNT(*) passes a marker)
 	}
@@ -120,37 +112,62 @@ func (a *aggState) add(v types.Value, def AggDef) {
 		}
 		a.distinct[k] = struct{}{}
 	}
-	// Each kind maintains only the fields its result() reads: COUNT skips
+	// Each kind maintains only the fields its Result reads: COUNT skips
 	// the sums and extrema, SUM/AVG skip the extrema, MIN/MAX skip the
 	// counters. This runs once per (row, query) on the absorb hot path.
 	switch def.Kind {
-	case AggCount:
+	case sql.AggCount:
 		a.count++
-	case AggSum, AggAvg:
+	case sql.AggSum, sql.AggAvg:
 		a.count++
-		switch v.Kind() {
-		case types.KindFloat:
-			a.isFloat = true
-			a.sumF += v.AsFloat()
-		case types.KindInt, types.KindBool, types.KindTime:
-			a.sumI += v.Int
-		}
-	case AggMin:
+		a.addSum(v)
+	case sql.AggMin:
 		if a.min.IsNull() || v.Compare(a.min) < 0 {
 			a.min = v
 		}
-	case AggMax:
+	case sql.AggMax:
 		if a.max.IsNull() || v.Compare(a.max) > 0 {
 			a.max = v
 		}
 	}
 }
 
-func (a *aggState) result(def AggDef) types.Value {
+func (a *AggState) addSum(v types.Value) {
+	switch v.Kind() {
+	case types.KindFloat:
+		a.isFloat = true
+		a.sumF += v.AsFloat()
+	case types.KindInt, types.KindBool, types.KindTime:
+		a.sumI += v.Int
+	}
+}
+
+// Merge folds in the same non-DISTINCT aggregate computed over another part
+// of the input: count is that part's row count (COUNT, AVG) and part its
+// SUM, MIN or MAX value (AVG: its SUM), NULL when it saw no input.
+func (a *AggState) Merge(def AggDef, count int64, part types.Value) {
+	a.count += count
+	if part.IsNull() {
+		return
+	}
 	switch def.Kind {
-	case AggCount:
+	case sql.AggSum:
+		a.count++ // SUM's Result reads only whether count is zero
+		a.addSum(part)
+	case sql.AggAvg:
+		a.addSum(part)
+	case sql.AggMin, sql.AggMax:
+		a.Add(part, AggDef{Kind: def.Kind})
+	}
+}
+
+// Result is the aggregate's value: COUNT over no input is 0, the others
+// NULL.
+func (a *AggState) Result(def AggDef) types.Value {
+	switch def.Kind {
+	case sql.AggCount:
 		return types.NewInt(a.count)
-	case AggSum:
+	case sql.AggSum:
 		if a.count == 0 {
 			return types.Null
 		}
@@ -158,11 +175,11 @@ func (a *aggState) result(def AggDef) types.Value {
 			return types.NewFloat(a.sumF + float64(a.sumI))
 		}
 		return types.NewInt(a.sumI)
-	case AggMin:
+	case sql.AggMin:
 		return a.min
-	case AggMax:
+	case sql.AggMax:
 		return a.max
-	case AggAvg:
+	case sql.AggAvg:
 		if a.count == 0 {
 			return types.Null
 		}
@@ -177,9 +194,9 @@ type groupEntry struct {
 	// keyVals holds the hashed key values, then the carried ones.
 	keyVals []types.Value
 	// perQuery is a dense slice indexed by generation-scoped query id
-	// (nil for queries without state); aggStates for one query are stored
+	// (nil for queries without state); AggStates for one query are stored
 	// contiguously.
-	perQuery [][]aggState
+	perQuery [][]AggState
 }
 
 // groupAgg is the aggregation context: a group table, the per-row scratch,
@@ -192,7 +209,7 @@ type groupAgg struct {
 	args      []types.Value // one row's evaluated aggregate arguments
 	steps     []addStep     // ... lowered to per-aggregate updates
 	entryFree []*groupEntry
-	stateFree [][]aggState
+	stateFree [][]AggState
 }
 
 type groupState struct {
@@ -266,14 +283,14 @@ func (a *groupAgg) newEntry(h uint64, row types.Row, keyCols, carryCols []int) *
 
 // newStates takes a cleared aggregate-state slice (one state per aggregate)
 // from the free list or allocates one.
-func (a *groupAgg) newStates() []aggState {
+func (a *groupAgg) newStates() []AggState {
 	if n := len(a.stateFree); n > 0 {
 		s := a.stateFree[n-1]
 		a.stateFree[n-1] = nil
 		a.stateFree = a.stateFree[:n-1]
 		return s
 	}
-	return make([]aggState, len(a.args))
+	return make([]AggState, len(a.args))
 }
 
 // recycle returns a drained cycle's group entries and their aggregate
@@ -312,8 +329,8 @@ func (g *GroupOp) Consume(c *Cycle, b *Batch) {
 // addStep is one aggregate's precompiled update for one input row: the
 // per-(row, query) inner loop replays it against every subscribed query's
 // state without re-dispatching on NULL-ness, Distinct or value kind. The
-// fast ops perform exactly the updates aggState.add would (same fields,
-// same order), so the result bytes are identical; anything add handles
+// fast ops perform exactly the updates AggState.Add would (same fields,
+// same order), so the result bytes are identical; anything Add handles
 // with per-state bookkeeping (DISTINCT sets, MIN/MAX compares) stays on
 // the generic path.
 type addStep struct {
@@ -327,7 +344,7 @@ const (
 	stepCount           // count++ (COUNT, or SUM/AVG over non-numeric)
 	stepSumInt          // count++, sumI += i64
 	stepSumFloat        // count++, isFloat = true, sumF += f64
-	stepGeneric         // aggState.add (DISTINCT, MIN, MAX)
+	stepGeneric         // AggState.Add (DISTINCT, MIN, MAX)
 )
 
 // compileAddSteps lowers one row's evaluated aggregate arguments into the
@@ -338,9 +355,9 @@ func (g *GroupOp) compileAddSteps(args []types.Value, steps []addStep) {
 		switch {
 		case v.IsNull():
 			steps[i] = addStep{op: stepSkip}
-		case def.Distinct || def.Kind == AggMin || def.Kind == AggMax:
+		case def.Distinct || def.Kind == sql.AggMin || def.Kind == sql.AggMax:
 			steps[i] = addStep{op: stepGeneric}
-		case def.Kind == AggCount:
+		case def.Kind == sql.AggCount:
 			steps[i] = addStep{op: stepCount}
 		default: // AggSum, AggAvg
 			switch v.Kind() {
@@ -349,7 +366,7 @@ func (g *GroupOp) compileAddSteps(args []types.Value, steps []addStep) {
 			case types.KindInt, types.KindBool, types.KindTime:
 				steps[i] = addStep{op: stepSumInt, i64: v.Int}
 			default:
-				steps[i] = addStep{op: stepCount} // add only counts non-numeric
+				steps[i] = addStep{op: stepCount} // Add only counts non-numeric
 			}
 		}
 	}
@@ -399,7 +416,7 @@ func (g *GroupOp) absorbRow(cfg GroupStream, row types.Row, qs queryset.Set) {
 				st.isFloat = true
 				st.sumF += steps[i].f64
 			case stepGeneric:
-				st.add(args[i], g.Aggs[i])
+				st.Add(args[i], g.Aggs[i])
 			}
 		}
 	}
@@ -420,9 +437,9 @@ func (g *GroupOp) Finish(c *Cycle) {
 			continue
 		}
 		row := c.NewRow(len(g.Aggs))
-		var empty aggState
+		var empty AggState
 		for i, def := range g.Aggs {
-			row[i] = empty.result(def)
+			row[i] = empty.Result(def)
 		}
 		if h := st.having[qid]; h != nil && !expr.TruthyEval(h, row, nil) {
 			continue
@@ -444,7 +461,7 @@ func (g *GroupOp) emitGroup(c *Cycle, st *groupState, ge *groupEntry) {
 		row := c.NewRow(len(ge.keyVals) + len(g.Aggs))
 		n := g.placeKey(row, ge.keyVals)
 		for i, def := range g.Aggs {
-			row[n+i] = states[i].result(def)
+			row[n+i] = states[i].Result(def)
 		}
 		if h := st.having[qid]; h != nil && !expr.TruthyEval(h, row, nil) {
 			continue

@@ -448,7 +448,7 @@ func (p *GlobalPlan) compileGroup(a *annotated, g *sql.Group) (compiled, error) 
 	}
 	aggs := make([]operators.AggDef, len(g.Aggs))
 	for i, ag := range g.Aggs {
-		aggs[i] = operators.AggDef{Kind: operators.AggKind(ag.Func), Distinct: ag.Distinct}
+		aggs[i] = operators.AggDef{Kind: ag.Func, Distinct: ag.Distinct}
 		sigParts = append(sigParts, fmt.Sprintf("%s|%v|%s", ag.Func, ag.Distinct,
 			originString(ag.Arg, c.stream.origins, a.stmt)))
 	}

@@ -295,30 +295,6 @@ func fdLift(a *annotated) {
 	a.project = project
 }
 
-// matchEqOperand recognizes col = operand where operand is a constant or a
-// statement parameter (parameters are still unbound at compile time).
-func matchEqOperand(e expr.Expr) (col int, operand expr.Expr, ok bool) {
-	c, isCmp := e.(*expr.Cmp)
-	if !isCmp || c.Op != expr.EQ {
-		return 0, nil, false
-	}
-	if cr, o := c.L.(*expr.ColRef); o && isOperand(c.R) {
-		return cr.Idx, c.R, true
-	}
-	if cr, o := c.R.(*expr.ColRef); o && isOperand(c.L) {
-		return cr.Idx, c.L, true
-	}
-	return 0, nil, false
-}
-
-func isOperand(e expr.Expr) bool {
-	switch e.(type) {
-	case *expr.Const, *expr.Param:
-		return true
-	}
-	return false
-}
-
 // indexEdge is index-edge: a scalar MIN(c) or MAX(c) — no GROUP BY, no other
 // aggregate — over a base table whose predicate is empty or only pins, by
 // equality, the index columns in front of c, reads its input from that edge
@@ -339,24 +315,17 @@ func indexEdge(a *annotated) {
 		if !isScan || !isCol || !isEdge {
 			return
 		}
-		eqOperands := map[int]expr.Expr{}
-		for _, conj := range expr.Conjuncts(scan.Pred) {
-			col, operand, isEq := matchEqOperand(conj)
-			if _, dup := eqOperands[col]; !isEq || dup {
-				return
-			}
-			eqOperands[col] = operand
+		conjs := expr.Conjuncts(scan.Pred)
+		pins := expr.PinsOf(scan.Pred)
+		if len(pins) != len(conjs) {
+			return // a conjunct pins nothing, or a column twice
 		}
-		pinned := len(eqOperands)
+		pinned := len(pins)
 		for _, ix := range a.db.Table(scan.Table).Indexes() {
 			if len(ix.Cols) <= pinned || ix.Cols[pinned] != arg.Idx {
 				continue
 			}
-			key := make([]expr.Expr, pinned)
-			for i := range key {
-				key[i] = eqOperands[ix.Cols[i]]
-			}
-			if !slices.Contains(key, nil) {
+			if key := pins.Operands(ix.Cols[:pinned]); key != nil {
 				a.probes[scan] = probe{ix: ix, edge: edge, key: key, residual: scan.Pred}
 				return
 			}
@@ -380,35 +349,15 @@ func indexProbe(a *annotated) {
 			return
 		}
 		conjs := expr.Conjuncts(scan.Pred)
-		eqConjunct := map[int]int{} // col → index of its first equality conjunct
-		for i, c := range conjs {
-			if col, _, ok := matchEqOperand(c); ok {
-				if _, dup := eqConjunct[col]; !dup {
-					eqConjunct[col] = i
-				}
-			}
-		}
-		var best *storage.Index
-		bestLen := 0
-		for _, ix := range a.db.Table(scan.Table).Indexes() {
-			n := 0
-			for ; n < len(ix.Cols); n++ {
-				if _, ok := eqConjunct[ix.Cols[n]]; !ok {
-					break
-				}
-			}
-			if n > bestLen || (n == bestLen && n > 0 && ix.Unique && !best.Unique) {
-				best, bestLen = ix, n
-			}
-		}
-		if bestLen == 0 {
+		pins := expr.PinsOf(scan.Pred)
+		best, k := storage.PinnedIndex(a.db.Table(scan.Table).Indexes(), pins)
+		if k == 0 {
 			return
 		}
 		used := map[int]bool{}
-		key := make([]expr.Expr, bestLen)
-		for i, col := range best.Cols[:bestLen] {
-			_, key[i], _ = matchEqOperand(conjs[eqConjunct[col]])
-			used[eqConjunct[col]] = true
+		for _, col := range best.Cols[:k] {
+			pin, _ := pins.Of(col)
+			used[pin.At] = true
 		}
 		var residual []expr.Expr
 		for i, c := range conjs {
@@ -416,7 +365,7 @@ func indexProbe(a *annotated) {
 				residual = append(residual, c)
 			}
 		}
-		a.probes[scan] = probe{ix: best, key: key, residual: expr.AndOf(residual)}
+		a.probes[scan] = probe{ix: best, key: pins.Operands(best.Cols[:k]), residual: expr.AndOf(residual)}
 	})
 }
 

@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"shareddb/internal/expr"
+	"shareddb/internal/operators"
 	"shareddb/internal/sql"
 	"shareddb/internal/types"
 )
@@ -131,109 +132,26 @@ func dedupRows(rows []types.Row) []types.Row {
 	return out
 }
 
-// aggAcc accumulates one aggregate of one recombined group across shards,
-// mirroring the grouped operator's per-(group, query) state.
-type aggAcc struct {
-	count    int64
-	sumI     int64
-	sumF     float64
-	isFloat  bool
-	hasSum   bool
-	min, max types.Value
-	distinct map[string]struct{}
-}
-
-// addValue folds one argument value (a cross-shard-deduplicated DISTINCT
-// value) with the exact semantics of the shared group operator's add.
-func (a *aggAcc) addValue(v types.Value) {
-	if v.IsNull() {
-		return
-	}
-	if a.distinct == nil {
-		a.distinct = map[string]struct{}{}
-	}
-	k := types.EncodeKey(v)
-	if _, seen := a.distinct[k]; seen {
-		return
-	}
-	a.distinct[k] = struct{}{}
-	a.count++
-	a.addSum(v)
-	if a.min.IsNull() || v.Compare(a.min) < 0 {
-		a.min = v
-	}
-	if a.max.IsNull() || v.Compare(a.max) > 0 {
-		a.max = v
-	}
-}
-
-// addSum folds a partial (or distinct) value into the sum components.
-func (a *aggAcc) addSum(v types.Value) {
-	if v.IsNull() {
-		return
-	}
-	a.hasSum = true
-	switch v.Kind() {
-	case types.KindFloat:
-		a.isFloat = true
-		a.sumF += v.AsFloat()
-	case types.KindInt, types.KindBool, types.KindTime:
-		a.sumI += v.Int
-	}
-}
-
-// addPartial folds one per-shard partial-aggregate row into the
-// accumulator.
-func (a *aggAcc) addPartial(row types.Row, am sql.AggMerge) {
+// addPartial folds one per-shard partial-aggregate row into the group's
+// state of aggregate am: a DISTINCT aggregate re-deduplicates the shard's
+// argument values, any other merges the shard's partial aggregates.
+func addPartial(a *operators.AggState, row types.Row, am sql.AggMerge) {
+	def := operators.AggDef{Kind: am.Func, Distinct: am.Distinct}
 	if am.Distinct {
-		a.addValue(row[am.ArgPos])
+		a.Add(row[am.ArgPos], def)
 		return
 	}
+	var count int64
 	if am.CountPos >= 0 {
-		a.count += row[am.CountPos].AsInt()
+		count = row[am.CountPos].AsInt()
 	}
-	if am.SumPos >= 0 {
-		a.addSum(row[am.SumPos])
-	}
-	if am.MinPos >= 0 {
-		if v := row[am.MinPos]; !v.IsNull() && (a.min.IsNull() || v.Compare(a.min) < 0) {
-			a.min = v
+	part := types.Null
+	for _, pos := range [...]int{am.SumPos, am.MinPos, am.MaxPos} {
+		if pos >= 0 {
+			part = row[pos]
 		}
 	}
-	if am.MaxPos >= 0 {
-		if v := row[am.MaxPos]; !v.IsNull() && (a.max.IsNull() || v.Compare(a.max) > 0) {
-			a.max = v
-		}
-	}
-}
-
-// result finalizes the recombined aggregate, matching the single-engine
-// NULL semantics: SUM/AVG over no input are NULL, COUNT is 0, MIN/MAX stay
-// NULL.
-func (a *aggAcc) result(am sql.AggMerge) types.Value {
-	switch am.Func {
-	case sql.AggCount:
-		return types.NewInt(a.count)
-	case sql.AggSum:
-		if !a.hasSum {
-			return types.Null
-		}
-		if a.isFloat {
-			return types.NewFloat(a.sumF + float64(a.sumI))
-		}
-		return types.NewInt(a.sumI)
-	case sql.AggMin:
-		return a.min
-	case sql.AggMax:
-		return a.max
-	case sql.AggAvg:
-		if a.count == 0 {
-			return types.Null
-		}
-		return types.NewFloat((a.sumF + float64(a.sumI)) / float64(a.count))
-	default:
-		return types.Null
-	}
+	a.Merge(def, count, part)
 }
 
 // mergeGrouped recombines per-shard partial-aggregate rows: groups are
@@ -244,7 +162,7 @@ func (a *aggAcc) result(am sql.AggMerge) types.Value {
 func mergeGrouped(shardRows [][]types.Row, spec *sql.MergeSpec, params []types.Value) []types.Row {
 	type groupAcc struct {
 		keyVals types.Row
-		aggs    []aggAcc
+		aggs    []operators.AggState
 	}
 	groups := map[string]*groupAcc{}
 	var order []*groupAcc
@@ -253,18 +171,18 @@ func mergeGrouped(shardRows [][]types.Row, spec *sql.MergeSpec, params []types.V
 			k := types.EncodeKey(row[:spec.GroupCols]...)
 			g := groups[k]
 			if g == nil {
-				g = &groupAcc{keyVals: row[:spec.GroupCols], aggs: make([]aggAcc, len(spec.Aggs))}
+				g = &groupAcc{keyVals: row[:spec.GroupCols], aggs: make([]operators.AggState, len(spec.Aggs))}
 				groups[k] = g
 				order = append(order, g)
 			}
 			for i, am := range spec.Aggs {
-				g.aggs[i].addPartial(row, am)
+				addPartial(&g.aggs[i], row, am)
 			}
 		}
 	}
 	// Scalar statements produce exactly one row even over empty input.
 	if spec.Scalar && len(order) == 0 {
-		order = append(order, &groupAcc{aggs: make([]aggAcc, len(spec.Aggs))})
+		order = append(order, &groupAcc{aggs: make([]operators.AggState, len(spec.Aggs))})
 	}
 
 	finals := make([]types.Row, 0, len(order))
@@ -272,7 +190,7 @@ func mergeGrouped(shardRows [][]types.Row, spec *sql.MergeSpec, params []types.V
 		row := make(types.Row, 0, spec.GroupCols+len(spec.Aggs))
 		row = append(row, g.keyVals...)
 		for i, am := range spec.Aggs {
-			row = append(row, g.aggs[i].result(am))
+			row = append(row, g.aggs[i].Result(operators.AggDef{Kind: am.Func}))
 		}
 		if spec.Having != nil && !expr.TruthyEval(spec.Having, row, params) {
 			continue

@@ -574,27 +574,11 @@ func shardOfRow(part storage.Partitioning, cols []int, row types.Row) int {
 
 // shardOfPred resolves a bound predicate (constants substituted) to the
 // owning shard, or -1 when it does not pin every partition-key column by
-// equality. Matching mirrors the engine's index selection: first equality
-// conjunct per column wins.
+// equality (expr.PinsOf, the rule the planner's index probes use).
 func shardOfPred(part storage.Partitioning, cols []int, pred expr.Expr) int {
-	if len(cols) == 0 {
+	keys, ok := expr.PinsOf(pred).Values(cols)
+	if len(cols) == 0 || !ok {
 		return -1
-	}
-	eq := map[int]types.Value{}
-	for _, c := range expr.Conjuncts(pred) {
-		if col, v, ok := expr.EqualityMatch(c); ok {
-			if _, dup := eq[col]; !dup {
-				eq[col] = v
-			}
-		}
-	}
-	keys := make([]types.Value, len(cols))
-	for i, c := range cols {
-		v, ok := eq[c]
-		if !ok {
-			return -1
-		}
-		keys[i] = v
 	}
 	return part.ShardOf(keys...)
 }

@@ -226,62 +226,11 @@ func classifyPredWrite(wp *WritePlan, cat ShardCatalog) (*ShardStatement, []int,
 		out.WriteReplicated = true
 		return out, nil, nil
 	}
-	if keys := keyEqualityExprs(wp.Pred, cols); keys != nil {
+	if keys := expr.PinsOf(wp.Pred).Operands(cols); keys != nil {
 		out.Route = RoutePoint
 		out.KeyExprs = keys
 	}
 	return out, cols, nil
-}
-
-// keyEqualityExprs extracts the partition key's value expressions from the
-// top-level equality conjuncts of pred, or nil when the predicate does not
-// pin every key column. Matching mirrors the engine's index selection: the
-// first `col = operand` conjunct per column wins, operands are constants or
-// parameters.
-func keyEqualityExprs(pred expr.Expr, keyCols []int) []expr.Expr {
-	eq := map[int]expr.Expr{}
-	for _, c := range expr.Conjuncts(pred) {
-		col, operand, ok := eqOperand(c)
-		if !ok {
-			continue
-		}
-		if _, dup := eq[col]; !dup {
-			eq[col] = operand
-		}
-	}
-	keys := make([]expr.Expr, len(keyCols))
-	for i, c := range keyCols {
-		e, ok := eq[c]
-		if !ok {
-			return nil
-		}
-		keys[i] = e
-	}
-	return keys
-}
-
-// eqOperand recognizes col = operand where operand is a constant or a
-// statement parameter.
-func eqOperand(e expr.Expr) (col int, operand expr.Expr, ok bool) {
-	c, isCmp := e.(*expr.Cmp)
-	if !isCmp || c.Op != expr.EQ {
-		return 0, nil, false
-	}
-	if cr, o := c.L.(*expr.ColRef); o && isRoutingOperand(c.R) {
-		return cr.Idx, c.R, true
-	}
-	if cr, o := c.R.(*expr.ColRef); o && isRoutingOperand(c.L) {
-		return cr.Idx, c.L, true
-	}
-	return 0, nil, false
-}
-
-func isRoutingOperand(e expr.Expr) bool {
-	switch e.(type) {
-	case *expr.Const, *expr.Param:
-		return true
-	}
-	return false
 }
 
 // fromPlacement is the placement of one FROM entry.
@@ -384,7 +333,7 @@ func planShardSelect(s *SelectStmt, cat ShardCatalog) (*ShardStatement, error) {
 			}
 		}
 		if scan := scanAt(cur, pt.offset, tables); scan != nil {
-			if keys := keyEqualityExprs(scan.Pred, pt.partCols); keys != nil {
+			if keys := expr.PinsOf(scan.Pred).Operands(pt.partCols); keys != nil {
 				out.Route = RoutePoint
 				out.KeyExprs = keys
 				out.Exec = s

@@ -53,52 +53,6 @@ func removeAt(conjs []expr.Expr, i int) []expr.Expr {
 // tests can force many-chunk coverage on small fixtures.
 var colChunkRows = 1024
 
-// FNV-1a, matching types.Value.Hash bit for bit (the typed vector loops
-// hash payloads without materializing a Value).
-const (
-	colFNVOffset64 = 14695981039346656037
-	colFNVPrime64  = 1099511628211
-)
-
-// colHashNull is types.Null.Hash().
-var colHashNull = types.Null.Hash()
-
-// colHash64 hashes the 8 little-endian bytes of u (the Value.Hash image of
-// INT/BOOL/TIME payloads and of integral or non-finite FLOAT bit patterns).
-func colHash64(u uint64) uint64 {
-	h := uint64(colFNVOffset64)
-	for i := 0; i < 8; i++ {
-		h ^= uint64(byte(u >> (8 * i)))
-		h *= colFNVPrime64
-	}
-	return h
-}
-
-// colHashF64 hashes a float64 exactly like Value.Hash: integral finite
-// floats hash as their int64 image (coerced-equality consistency with INT),
-// everything else by bit pattern.
-func colHashF64(f float64) uint64 {
-	if f == math.Trunc(f) && !math.IsInf(f, 0) {
-		return colHash64(uint64(int64(f)))
-	}
-	return colHash64(math.Float64bits(f))
-}
-
-// colHashStr hashes string bytes like Value.Hash.
-func colHashStr(s string) uint64 {
-	h := uint64(colFNVOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= colFNVPrime64
-	}
-	return h
-}
-
-// colNumericKind mirrors types' numeric-coercion family.
-func colNumericKind(k types.Kind) bool {
-	return k == types.KindInt || k == types.KindFloat || k == types.KindBool || k == types.KindTime
-}
-
 // cmpF64 is the three-way float compare Value.Compare uses. Note the NaN
 // semantics: NaN is neither < nor > anything, so it compares "equal" to
 // every number — the columnar path must reproduce that, not use ==.
@@ -363,14 +317,14 @@ func compileBound(c *colVec, b types.Value, incl, isHi bool) colBound {
 	}
 	switch c.rep {
 	case repI64:
-		if colNumericKind(b.K) {
+		if b.K.Numeric() {
 			if b.K == types.KindFloat {
 				return colBound{mode: cbF64, f: b.AsFloat(), incl: incl}
 			}
 			return colBound{mode: cbI64, i: b.Int, incl: incl}
 		}
 	case repF64:
-		if colNumericKind(b.K) {
+		if b.K.Numeric() {
 			return colBound{mode: cbF64, f: b.AsFloat(), incl: incl}
 		}
 	case repStr:
@@ -418,7 +372,7 @@ func colEqMatch(c *colVec, row types.Row, col, pos int, val types.Value) bool {
 	}
 	switch c.rep {
 	case repI64:
-		if !colNumericKind(val.K) {
+		if !val.K.Numeric() {
 			return false
 		}
 		if val.K == types.KindFloat {
@@ -426,7 +380,7 @@ func colEqMatch(c *colVec, row types.Row, col, pos int, val types.Value) bool {
 		}
 		return c.i64[pos] == val.Int
 	case repF64:
-		if !colNumericKind(val.K) {
+		if !val.K.Numeric() {
 			return false
 		}
 		return cmpF64(c.f64[pos], val.AsFloat()) == 0
@@ -870,9 +824,9 @@ func eqHashWord(c *colVec, rows []types.Row, col, pos0 int, bw, vw uint64, hs *[
 			tz := bits.TrailingZeros64(t)
 			t &= t - 1
 			if vw&(1<<uint(tz)) != 0 {
-				hs[tz] = colHash64(uint64(c.i64[pos0+tz]))
+				hs[tz] = types.HashInt(c.i64[pos0+tz])
 			} else {
-				hs[tz] = colHashNull
+				hs[tz] = types.HashNull
 			}
 		}
 	case repF64:
@@ -880,9 +834,9 @@ func eqHashWord(c *colVec, rows []types.Row, col, pos0 int, bw, vw uint64, hs *[
 			tz := bits.TrailingZeros64(t)
 			t &= t - 1
 			if vw&(1<<uint(tz)) != 0 {
-				hs[tz] = colHashF64(c.f64[pos0+tz])
+				hs[tz] = types.HashFloat(c.f64[pos0+tz])
 			} else {
-				hs[tz] = colHashNull
+				hs[tz] = types.HashNull
 			}
 		}
 	case repStr:
@@ -890,9 +844,9 @@ func eqHashWord(c *colVec, rows []types.Row, col, pos0 int, bw, vw uint64, hs *[
 			tz := bits.TrailingZeros64(t)
 			t &= t - 1
 			if vw&(1<<uint(tz)) != 0 {
-				hs[tz] = colHashStr(c.str[pos0+tz])
+				hs[tz] = types.HashString(c.str[pos0+tz])
 			} else {
-				hs[tz] = colHashNull
+				hs[tz] = types.HashNull
 			}
 		}
 	default:

@@ -206,55 +206,30 @@ type OpResult struct {
 }
 
 // resolveTargets finds the RowIDs of rows visible at ts satisfying pred,
-// using an index when an equality conjunct matches one (the common TPC-W
-// case: updates by primary key), else a full scan. Caller holds the table's
-// write lock (readers of slots are safe under either lock).
+// seeking the index PinnedIndex chooses when pred pins one by equality (the
+// common TPC-W case: updates by primary key), else scanning every row.
+// Caller holds the table's write lock (readers of slots are safe under
+// either lock).
 func resolveTargets(t *Table, pred expr.Expr, ts uint64) []RowID {
 	var out []RowID
-	// Index selection: collect equality conjuncts col=const and find an
-	// index whose leading columns are all covered.
-	eq := map[int]types.Value{}
-	for _, c := range expr.Conjuncts(pred) {
-		if col, v, ok := expr.EqualityMatch(c); ok {
-			if _, dup := eq[col]; !dup {
-				eq[col] = v
-			}
-		}
-	}
-	var best *Index
-	bestLen := 0
-	for _, ix := range t.indexes {
-		n := 0
-		for _, c := range ix.Cols {
-			if _, ok := eq[c]; ok {
-				n++
-			} else {
-				break
-			}
-		}
-		if n > bestLen {
-			best, bestLen = ix, n
-		}
-	}
-	if best != nil {
-		key := make([]types.Value, bestLen)
-		for i := 0; i < bestLen; i++ {
-			key[i] = eq[best.Cols[i]]
-		}
-		seen := map[RowID]bool{}
-		best.tree.SeekEQ(key, func(rid uint64) bool {
-			if seen[rid] {
+	pins := expr.PinsOf(pred)
+	if best, n := PinnedIndex(t.indexes, pins); n > 0 {
+		if key, ok := pins.Values(best.Cols[:n]); ok {
+			seen := map[RowID]bool{}
+			best.tree.SeekEQ(key, func(rid uint64) bool {
+				if seen[rid] {
+					return true
+				}
+				seen[rid] = true
+				row, ok := t.visibleLocked(rid, ts)
+				if ok && expr.TruthyEval(pred, row, nil) {
+					out = append(out, rid)
+				}
 				return true
-			}
-			seen[rid] = true
-			row, ok := t.visibleLocked(rid, ts)
-			if ok && expr.TruthyEval(pred, row, nil) {
-				out = append(out, rid)
-			}
-			return true
-		})
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
+			})
+			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+			return out
+		}
 	}
 	for rid, head := range t.slots {
 		for v := head; v != nil; v = v.older {

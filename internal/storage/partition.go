@@ -11,10 +11,6 @@ type ShardInfo struct {
 	Count int
 }
 
-// Sharded reports whether the database is one partition of a multi-shard
-// deployment.
-func (s ShardInfo) Sharded() bool { return s.Count > 1 }
-
 // Partitioning is the hash router over primary keys: a table's row belongs
 // to shard ShardOf(pk values) of Shards. Hashing goes through the codec's
 // coercion-consistent key hash (types.KeyHash), so a row inserted with

@@ -362,15 +362,33 @@ func TestAddIndexBackfills(t *testing.T) {
 	}
 }
 
-func TestIndexOn(t *testing.T) {
-	_, tab := newUserDB(t)
-	if tab.IndexOn(0) == nil {
-		t.Error("pk index on col 0 not found")
+func TestPinnedIndex(t *testing.T) {
+	country := &Index{Name: "country", Cols: []int{2}}
+	countryName := &Index{Name: "country_name", Cols: []int{2, 1}}
+	pk := &Index{Name: "pk", Cols: []int{0}, Unique: true}
+	uniqCountry := &Index{Name: "uniq_country", Cols: []int{2}, Unique: true}
+	indexes := []*Index{country, countryName, pk, uniqCountry}
+	pinned := func(cols ...int) expr.Pins {
+		var pins expr.Pins
+		for i, c := range cols {
+			pins = append(pins, expr.Pin{Col: c, At: i, Operand: &expr.Const{Val: types.NewInt(1)}})
+		}
+		return pins
 	}
-	if tab.IndexOn(2) == nil {
-		t.Error("country index not found")
-	}
-	if tab.IndexOn(3) != nil {
-		t.Error("no index on account should exist")
+	for _, tc := range []struct {
+		pins  expr.Pins
+		want  *Index
+		wantN int
+	}{
+		{pinned(2), uniqCountry, 1},    // ties prefer a unique index
+		{pinned(2, 1), countryName, 2}, // the longest prefix wins
+		{pinned(1), nil, 0},            // no index leads with column 1
+		{pinned(0, 2), pk, 1},          // the first unique index among ties
+		{pinned(0, 1, 2), countryName, 2},
+		{expr.Pins{}, nil, 0},
+	} {
+		if got, n := PinnedIndex(indexes, tc.pins); got != tc.want || n != tc.wantN {
+			t.Errorf("PinnedIndex(%v) = %v, %d; want %v, %d", tc.pins, got, n, tc.want, tc.wantN)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"shareddb/internal/btree"
+	"shareddb/internal/expr"
 	"shareddb/internal/types"
 )
 
@@ -160,26 +161,25 @@ func (t *Table) IndexByName(name string) *Index {
 	return nil
 }
 
-// IndexOn returns an index whose leading columns match cols, or nil.
-func (t *Table) IndexOn(cols ...int) *Index {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, ix := range t.indexes {
-		if len(ix.Cols) < len(cols) {
-			continue
-		}
-		match := true
-		for i, c := range cols {
-			if ix.Cols[i] != c {
-				match = false
+// PinnedIndex chooses the index to seek for a predicate with pins: the one
+// whose longest leading-column prefix the pins cover, a unique one on ties,
+// else the first. n is that prefix's length; n is 0 (and best nil) when no
+// index's leading column is pinned. The planner's index probes and write
+// target resolution both choose here.
+func PinnedIndex(indexes []*Index, pins expr.Pins) (best *Index, n int) {
+	for _, ix := range indexes {
+		k := 0
+		for k < len(ix.Cols) {
+			if _, ok := pins.Of(ix.Cols[k]); !ok {
 				break
 			}
+			k++
 		}
-		if match {
-			return ix
+		if k > n || (k == n && k > 0 && ix.Unique && !best.Unique) {
+			best, n = ix, k
 		}
 	}
-	return nil
+	return best, n
 }
 
 // insertLocked appends a new row visible from ts. Caller holds mu.

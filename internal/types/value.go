@@ -180,8 +180,8 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// numericKind reports whether k participates in numeric coercion.
-func numericKind(k Kind) bool {
+// Numeric reports whether k participates in numeric coercion.
+func (k Kind) Numeric() bool {
 	return k == KindInt || k == KindFloat || k == KindBool || k == KindTime
 }
 
@@ -200,7 +200,7 @@ func (v Value) Compare(o Value) int {
 			return 1
 		}
 	}
-	if numericKind(v.K) && numericKind(o.K) {
+	if v.K.Numeric() && o.K.Numeric() {
 		if v.K == KindFloat || o.K == KindFloat {
 			a, b := v.AsFloat(), o.AsFloat()
 			switch {
@@ -250,38 +250,53 @@ func (v Value) Equal(o Value) bool { return v.Compare(o) == 0 }
 // of the same kind family (numeric values hash by their float64 image when
 // either side could be FLOAT; the engine only mixes kinds via coercion in
 // comparisons, hash tables are built per-column so kinds are homogeneous).
+// It is built from the per-kind images HashInt, HashFloat and HashString,
+// which typed column loops call on unboxed payloads.
 func (v Value) Hash() uint64 {
-	h := uint64(fnvOffset64)
-	mix := func(b byte) {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
 	switch v.K {
 	case KindNull:
-		mix(0)
+		h := uint64(fnvOffset64) // FNV-1a of one zero byte
+		return h * fnvPrime64
 	case KindInt, KindBool, KindTime:
-		u := uint64(v.Int)
-		for i := 0; i < 8; i++ {
-			mix(byte(u >> (8 * i)))
-		}
+		return HashInt(v.Int)
 	case KindFloat:
-		// Hash integral floats like the equal INT so coerced equality
-		// keeps hash consistency.
-		if f := v.AsFloat(); f == math.Trunc(f) && !math.IsInf(f, 0) {
-			u := uint64(int64(f))
-			for i := 0; i < 8; i++ {
-				mix(byte(u >> (8 * i)))
-			}
-		} else {
-			u := uint64(v.Int)
-			for i := 0; i < 8; i++ {
-				mix(byte(u >> (8 * i)))
-			}
-		}
+		return HashFloat(v.AsFloat())
 	case KindString:
-		for i := 0; i < len(v.Str); i++ {
-			mix(v.Str[i])
-		}
+		return HashString(v.Str)
+	}
+	return fnvOffset64
+}
+
+// HashNull is the hash of NULL.
+var HashNull = Null.Hash()
+
+// HashInt is the hash of an INT, BOOL or TIME payload: FNV-1a of its 8
+// little-endian bytes.
+func HashInt(i int64) uint64 {
+	h := uint64(fnvOffset64)
+	for s := 0; s < 64; s += 8 {
+		h ^= (uint64(i) >> s) & 0xff
+		h *= fnvPrime64
+	}
+	return h
+}
+
+// HashFloat is the hash of a FLOAT: an integral finite float hashes as the
+// equal INT (coerced equality keeps hash consistency), any other by its bit
+// pattern.
+func HashFloat(f float64) uint64 {
+	if f == math.Trunc(f) && !math.IsInf(f, 0) {
+		return HashInt(int64(f))
+	}
+	return HashInt(int64(math.Float64bits(f)))
+}
+
+// HashString is the hash of a VARCHAR: FNV-1a of its bytes.
+func HashString(s string) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime64
 	}
 	return h
 }

@@ -447,7 +447,7 @@ func (db *DB) Query(sqlText string, args ...interface{}) (*Rows, error) {
 // per-shard updates in generation order (scatter statements must be plain
 // concatenations — no cross-shard ORDER BY, GROUP BY, DISTINCT or LIMIT).
 func (db *DB) Subscribe(ctx context.Context, stmt *Stmt, args ...interface{}) (*Subscription, error) {
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return nil, err
 	}
@@ -537,35 +537,7 @@ func (r *Rows) Close() error {
 // row has columns, while trailing row columns beyond len(dest) are simply
 // not scanned (handy with SELECT * when only a prefix matters).
 func (r *Rows) Scan(dest ...interface{}) error {
-	row := r.Row()
-	if row == nil {
-		return errors.New("shareddb: Scan without Next")
-	}
-	if len(dest) > len(row) {
-		return fmt.Errorf("shareddb: Scan wants %d values, row has %d", len(dest), len(row))
-	}
-	for i, d := range dest {
-		v := row[i]
-		switch p := d.(type) {
-		case *int64:
-			*p = v.AsInt()
-		case *int:
-			*p = int(v.AsInt())
-		case *float64:
-			*p = v.AsFloat()
-		case *string:
-			*p = v.AsString()
-		case *bool:
-			*p = v.AsBool()
-		case *time.Time:
-			*p = v.AsTime()
-		case *types.Value:
-			*p = v
-		default:
-			return fmt.Errorf("shareddb: unsupported Scan destination %T", d)
-		}
-	}
-	return nil
+	return r.Row().Scan(dest...)
 }
 
 // Tx is a snapshot-isolated write transaction. Reads issued while the
@@ -606,7 +578,7 @@ func (tx *Tx) ExecContext(ctx context.Context, sqlText string, args ...interface
 	if !stmt.stmt.IsWrite() {
 		return errors.New("shareddb: only writes may run inside Tx.Exec")
 	}
-	params, err := toValues(args)
+	params, err := types.FromGo(args)
 	if err != nil {
 		return err
 	}
@@ -652,41 +624,4 @@ func (tx *Tx) CommitContext(ctx context.Context) error {
 func (tx *Tx) Rollback() {
 	tx.done = true
 	tx.tx.Rollback()
-}
-
-// toValues converts Go values to engine values.
-func toValues(args []interface{}) ([]types.Value, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make([]types.Value, len(args))
-	for i, a := range args {
-		switch v := a.(type) {
-		case nil:
-			out[i] = types.Null
-		case int:
-			out[i] = types.NewInt(int64(v))
-		case int32:
-			out[i] = types.NewInt(int64(v))
-		case int64:
-			out[i] = types.NewInt(v)
-		case uint64:
-			out[i] = types.NewInt(int64(v))
-		case float64:
-			out[i] = types.NewFloat(v)
-		case float32:
-			out[i] = types.NewFloat(float64(v))
-		case string:
-			out[i] = types.NewString(v)
-		case bool:
-			out[i] = types.NewBool(v)
-		case time.Time:
-			out[i] = types.NewTime(v)
-		case types.Value:
-			out[i] = v
-		default:
-			return nil, fmt.Errorf("shareddb: unsupported parameter type %T", a)
-		}
-	}
-	return out, nil
 }
