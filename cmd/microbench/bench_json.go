@@ -22,6 +22,7 @@ import (
 
 	"shareddb/internal/core"
 	"shareddb/internal/experiments"
+	"shareddb/internal/harness"
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
 	"shareddb/internal/tpcw"
@@ -92,8 +93,8 @@ func record(name, description, unit string, queriesPerOp int, r testing.Benchmar
 // warmup batches run untimed first (they grow the operator free lists, the
 // batch pool and the table mirrors to steady-state shape); the bench then runs count times and the median-ns/op run is
 // reported, so a GC pause or scheduler hiccup in one run cannot move the
-// trajectory record.
-func benchStatement(e *core.Engine, s *plan.Statement, mkParams func(i int) []types.Value, warmup, count int) testing.BenchmarkResult {
+// trajectory record. prof profiles each timed run, labelled name.
+func benchStatement(prof *harness.CPUProfile, name string, e *core.Engine, s *plan.Statement, mkParams func(i int) []types.Value, warmup, count int) testing.BenchmarkResult {
 	batch := func(fail func(error)) {
 		var wg sync.WaitGroup
 		results := make([]*core.Result, jsonBatch)
@@ -126,11 +127,13 @@ func benchStatement(e *core.Engine, s *plan.Statement, mkParams func(i int) []ty
 	}
 	runs := make([]testing.BenchmarkResult, count)
 	for i := range runs {
-		runs[i] = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				batch(func(err error) { b.Fatal(err) })
-			}
+		prof.Window(name, func() {
+			runs[i] = testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					batch(func(err error) { b.Fatal(err) })
+				}
+			})
 		})
 	}
 	sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp() < runs[j].NsPerOp() })
@@ -236,7 +239,7 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 			eng.Close()
 			return fmt.Errorf("prepare %s: %w", sp.name, err)
 		}
-		r := benchStatement(eng, stmt, sp.mkParams, warmup, count)
+		r := benchStatement(opts.Profile, sp.name, eng, stmt, sp.mkParams, warmup, count)
 		report.Results = append(report.Results,
 			record(sp.name, sp.desc, fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
 	}
@@ -381,7 +384,7 @@ func benchIndexPath(db *storage.Database, opts experiments.Options, warmup, coun
 		if err != nil {
 			return nil, fmt.Errorf("prepare %s: %w", sp.name, err)
 		}
-		r := benchStatement(eng, stmt, sp.mkParams, warmup, count)
+		r := benchStatement(opts.Profile, sp.name, eng, stmt, sp.mkParams, warmup, count)
 		recs = append(recs, record(sp.name, sp.desc, fmt.Sprintf("batch of %d queries", jsonBatch), jsonBatch, r))
 	}
 	return recs, nil
@@ -644,7 +647,14 @@ func benchMix(opts experiments.Options, shards int) (testing.BenchmarkResult, er
 		return testing.BenchmarkResult{}, err
 	}
 	defer env.Close()
-	mixResult := testing.Benchmark(func(b *testing.B) {
+	var mixResult testing.BenchmarkResult
+	opts.Profile.Window(fmt.Sprintf("tpcw_mix on %d shards", shards), func() { mixResult = benchMixRun(env) })
+	return mixResult, nil
+}
+
+// benchMixRun is benchMix's timed run over env.
+func benchMixRun(env *experiments.Env) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		var mu sync.Mutex
 		var seed int64
@@ -679,5 +689,4 @@ func benchMix(opts experiments.Options, shards int) (testing.BenchmarkResult, er
 			}
 		})
 	})
-	return mixResult, nil
 }

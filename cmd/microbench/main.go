@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"shareddb/internal/experiments"
+	"shareddb/internal/harness"
 	"shareddb/internal/tpcw"
 )
 
@@ -39,6 +40,7 @@ func main() {
 	load := flag.Bool("load", false, "run the network fan-in scenario (Load1k) and print its record instead of a figure")
 	loadClients := flag.Int("load-clients", 1000, "concurrent network connections for the Load1k scenario (-load and -json)")
 	loadPipeline := flag.Int("load-pipeline", 2, "pipelined in-flight queries per Load1k connection")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of each timed window (not of set-up) to `file`, file.2, ...: each -fig data point, each timed run of a -json statement or mix bench")
 	flag.Parse()
 
 	opts := experiments.Options{
@@ -46,7 +48,9 @@ func main() {
 		PointDuration: *window,
 		Seed:          *seed,
 		Shards:        *shards,
+		Profile:       harness.NewCPUProfile(*cpuprofile),
 	}
+	defer func() { exitOn(opts.Profile.Err()) }()
 
 	if *load {
 		exitOn(runLoadScenario(opts, *loadClients, *loadPipeline))

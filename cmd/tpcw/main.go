@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"shareddb/internal/experiments"
+	"shareddb/internal/harness"
 	"shareddb/internal/tpcw"
 )
 
@@ -33,6 +34,7 @@ func main() {
 	mixFlag := flag.String("mix", "all", "mix for figures 7/8: browsing, shopping, ordering or all")
 	seed := flag.Int64("seed", 2012, "data generator seed")
 	shards := flag.Int("shards", 0, "SharedDB shard engines (0 or 1 = single engine)")
+	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of each measurement window (not of data loading) to `file`, file.2, ...")
 	flag.Parse()
 
 	opts := experiments.Options{
@@ -41,7 +43,9 @@ func main() {
 		ThinkTime:     *think,
 		Seed:          *seed,
 		Shards:        *shards,
+		Profile:       harness.NewCPUProfile(*cpuprofile),
 	}
+	defer func() { exitOn(opts.Profile.Err()) }()
 	mixes := parseMixes(*mixFlag)
 
 	switch *fig {

@@ -172,6 +172,10 @@ type Options struct {
 	// generation rate is cadence-bound and therefore identical with and
 	// without folding — the constant-engine-work axis of the benchmark.
 	Heartbeat time.Duration
+
+	// Profile, when set, profiles each figure's timed windows (one data
+	// point of one system each), not the loading between them.
+	Profile *harness.CPUProfile
 }
 
 // coreConfig maps the Options onto the engine configuration shared by the
@@ -208,9 +212,12 @@ func Fig7(mix tpcw.Mix, ebCounts []int, opts Options) (map[SystemKind][]Fig7Poin
 			return nil, err
 		}
 		for _, ebs := range ebCounts {
-			m := tpcw.RunDriver(env.Sys, env.Scale, env.IDs, tpcw.DriverConfig{
-				EBs: ebs, Duration: opts.PointDuration, ThinkTime: opts.ThinkTime,
-				Mix: mix, Only: -1, Seed: opts.Seed,
+			var m *tpcw.Metrics
+			opts.Profile.Window(fmt.Sprintf("fig 7 %v %v %d EBs", mix, kind, ebs), func() {
+				m = tpcw.RunDriver(env.Sys, env.Scale, env.IDs, tpcw.DriverConfig{
+					EBs: ebs, Duration: opts.PointDuration, ThinkTime: opts.ThinkTime,
+					Mix: mix, Only: -1, Seed: opts.Seed,
+				})
 			})
 			out[kind] = append(out[kind], Fig7Point{
 				EBs:     ebs,
@@ -246,9 +253,12 @@ func Fig8(mix tpcw.Mix, cores []int, saturate int, opts Options, setProcs Gomaxp
 				setProcs(prev)
 				return nil, err
 			}
-			m := tpcw.RunDriver(env.Sys, env.Scale, env.IDs, tpcw.DriverConfig{
-				EBs: saturate, Duration: opts.PointDuration, ThinkTime: 0,
-				Mix: mix, Only: -1, Seed: opts.Seed,
+			var m *tpcw.Metrics
+			opts.Profile.Window(fmt.Sprintf("fig 8 %v %v %d cores", mix, kind, n), func() {
+				m = tpcw.RunDriver(env.Sys, env.Scale, env.IDs, tpcw.DriverConfig{
+					EBs: saturate, Duration: opts.PointDuration, ThinkTime: 0,
+					Mix: mix, Only: -1, Seed: opts.Seed,
+				})
 			})
 			env.Close()
 			setProcs(prev)
@@ -276,9 +286,12 @@ func Fig9(clients int, opts Options) (map[SystemKind][]Fig9Point, error) {
 			return nil, err
 		}
 		for i := tpcw.Interaction(0); i < tpcw.NumInteractions; i++ {
-			m := tpcw.RunDriver(env.Sys, env.Scale, env.IDs, tpcw.DriverConfig{
-				EBs: clients, Duration: opts.PointDuration, ThinkTime: 0,
-				Mix: tpcw.Shopping, Only: i, Seed: opts.Seed,
+			var m *tpcw.Metrics
+			opts.Profile.Window(fmt.Sprintf("fig 9 %v %v", kind, i), func() {
+				m = tpcw.RunDriver(env.Sys, env.Scale, env.IDs, tpcw.DriverConfig{
+					EBs: clients, Duration: opts.PointDuration, ThinkTime: 0,
+					Mix: tpcw.Shopping, Only: i, Seed: opts.Seed,
+				})
 			})
 			out[kind] = append(out[kind], Fig9Point{Interaction: i, WIPS: m.WIPS()})
 		}
@@ -340,16 +353,18 @@ func Fig10(query Fig10Query, sizes []int, opts Options) (map[SystemKind][]Fig10P
 			start := time.Now()
 			var wg sync.WaitGroup
 			errCount := int64(0)
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					if _, err := env.Sys.Query(stmt, params[i]...); err != nil {
-						atomic.AddInt64(&errCount, 1)
-					}
-				}(i)
-			}
-			wg.Wait()
+			opts.Profile.Window(fmt.Sprintf("fig 10 %v %v batch %d", query, kind, n), func() {
+				for i := 0; i < n; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						if _, err := env.Sys.Query(stmt, params[i]...); err != nil {
+							atomic.AddInt64(&errCount, 1)
+						}
+					}(i)
+				}
+				wg.Wait()
+			})
 			if errCount > 0 {
 				env.Close()
 				return nil, fmt.Errorf("fig10: %d queries failed", errCount)
@@ -382,7 +397,10 @@ func Fig11(lightRate float64, heavyRates []float64, opts Options) (map[SystemKin
 		}
 		maxOID := env.Gen.MaxOrderID
 		for _, hr := range heavyRates {
-			light, heavy := openLoopRun(env, lightRate, hr, maxOID, opts.PointDuration)
+			var light, heavy float64
+			opts.Profile.Window(fmt.Sprintf("fig 11 %v heavy %g/s", kind, hr), func() {
+				light, heavy = openLoopRun(env, lightRate, hr, maxOID, opts.PointDuration)
+			})
 			out[kind] = append(out[kind], Fig11Point{
 				HeavyRate:  hr,
 				Throughput: light + heavy,

@@ -148,7 +148,11 @@ func TestJoinTableMatchesMapSemantics(t *testing.T) {
 	for bucket, wantOrds := range ref {
 		probe := rows[wantOrds[0]][:1]
 		var got []string
-		for ei := jt.lookup(hashKey(probe), probe); ei >= 0; ei = jt.entries[ei].next {
+		bi := jt.lookup(hashKey(probe), probe)
+		if bi < 0 {
+			t.Fatalf("bucket %s: lookup found no bucket", bucket)
+		}
+		for ei := jt.buckets[bi].head; ei >= 0; ei = jt.entries[ei].next {
 			got = append(got, jt.entries[ei].t.Row[1].Str)
 		}
 		if len(got) != len(wantOrds) {

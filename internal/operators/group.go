@@ -1,6 +1,8 @@
 package operators
 
 import (
+	"slices"
+
 	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
 	"shareddb/internal/sql"
@@ -193,9 +195,9 @@ type groupEntry struct {
 	hash uint64
 	// keyVals holds the hashed key values, then the carried ones.
 	keyVals []types.Value
-	// perQuery is a dense slice indexed by generation-scoped query id
-	// (nil for queries without state); AggStates for one query are stored
-	// contiguously.
+	// perQuery is a dense slice indexed by the cycle's query slot
+	// (groupAgg.slot; nil for queries without state); AggStates for one
+	// query are stored contiguously.
 	perQuery [][]AggState
 }
 
@@ -210,12 +212,21 @@ type groupAgg struct {
 	steps     []addStep     // ... lowered to per-aggregate updates
 	entryFree []*groupEntry
 	stateFree [][]AggState
+
+	// qids are the cycle's queries in ascending id, and slot maps a query
+	// id to its index there: a group's per-query states span the node's
+	// queries, not every query id of the generation.
+	qids []queryset.QueryID
+	slot []int32
 }
 
+// groupState is the cycle's per-query state, indexed by query slot
+// (groupAgg.slot): the bound HAVING, whether the query is a scalar
+// aggregate, and whether it emitted a row.
 type groupState struct {
-	having  map[queryset.QueryID]expr.Expr
-	scalar  map[queryset.QueryID]bool
-	emitted map[queryset.QueryID]bool
+	having  []expr.Expr
+	scalar  []bool
+	emitted []bool
 }
 
 // Start initializes the cycle's hash table and per-query HAVING predicates,
@@ -225,27 +236,7 @@ type groupState struct {
 // the scan stream would deliver them: its aggregates, float sums included,
 // are byte-identical. (HashJoinOp.probeMirror reads a fused outer alike.)
 func (g *GroupOp) Start(c *Cycle) {
-	st := &g.st
-	if st.having == nil {
-		st.having = map[queryset.QueryID]expr.Expr{}
-		st.scalar = map[queryset.QueryID]bool{}
-		st.emitted = map[queryset.QueryID]bool{}
-	} else {
-		clear(st.having)
-		clear(st.scalar)
-		clear(st.emitted)
-	}
-	for _, t := range c.Tasks {
-		spec, _ := t.Spec.(GroupSpec)
-		st.having[t.Query] = spec.Having
-		if spec.Scalar {
-			st.scalar[t.Query] = true
-		}
-	}
-	if g.agg.args == nil {
-		g.agg.args, g.agg.steps = make([]types.Value, len(g.Aggs)), make([]addStep, len(g.Aggs))
-	}
-	c.opState = st
+	g.begin(c)
 	g.mirror = mirrorInputs(g.mirror, c.Tasks)
 	for i := range g.mirror {
 		in := &g.mirror[i]
@@ -255,6 +246,37 @@ func (g *GroupOp) Start(c *Cycle) {
 		})
 	}
 	releaseMirrorInputs(g.mirror)
+}
+
+// begin numbers the cycle's queries into slots and sets up their HAVING
+// predicates and scalar marks from the tasks' GroupSpecs, and the
+// aggregation scratch.
+func (g *GroupOp) begin(c *Cycle) {
+	a := &g.agg
+	if a.args == nil {
+		a.args, a.steps = make([]types.Value, len(g.Aggs)), make([]addStep, len(g.Aggs))
+	}
+	a.qids = a.qids[:0]
+	for _, t := range c.Tasks {
+		a.qids = append(a.qids, t.Query)
+	}
+	slices.Sort(a.qids)
+	for i, q := range a.qids {
+		if n := int(q) + 1; n > len(a.slot) {
+			a.slot = append(a.slot, make([]int32, n-len(a.slot))...)
+		}
+		a.slot[q] = int32(i)
+	}
+	st, n := &g.st, len(a.qids)
+	st.having = append(st.having[:0], make([]expr.Expr, n)...)
+	st.scalar = append(st.scalar[:0], make([]bool, n)...)
+	st.emitted = append(st.emitted[:0], make([]bool, n)...)
+	for _, t := range c.Tasks {
+		spec, _ := t.Spec.(GroupSpec)
+		s := a.slot[t.Query]
+		st.having[s], st.scalar[s] = spec.Having, spec.Scalar
+	}
+	c.opState = st
 }
 
 // appendKey appends row's key columns to dst.
@@ -278,6 +300,7 @@ func (a *groupAgg) newEntry(h uint64, row types.Row, keyCols, carryCols []int) *
 	}
 	ge.hash = h
 	ge.keyVals = appendKey(appendKey(ge.keyVals[:0], row, keyCols), row, carryCols)
+	ge.perQuery = append(ge.perQuery[:0], make([][]AggState, len(a.qids))...)
 	return ge
 }
 
@@ -383,25 +406,46 @@ func (g *GroupOp) absorbRow(cfg GroupStream, row types.Row, qs queryset.Set) {
 		ge = a.newEntry(h, row, cfg.GroupCols, cfg.CarryCols)
 		a.table.insert(ge)
 	}
-	// evaluate aggregate arguments once per tuple, shared across
-	// subscribed queries
-	args, steps := a.args, a.steps
+	g.loadArgs(cfg.AggArgs, nil, row)
+	g.fold(ge, qs)
+}
+
+// loadArgs evaluates one input row's aggregate arguments once, shared
+// across the queries subscribed to it, and lowers them to update steps.
+// vals, when non-nil, holds the values of the bare-column arguments, in
+// aggArgs order, already read (a group-join's mirror pass reads them from
+// the typed vectors with the join key); the other arguments read row.
+func (g *GroupOp) loadArgs(aggArgs []expr.Expr, vals []types.Value, row types.Row) {
+	args := g.agg.args
 	for i := range g.Aggs {
-		if i < len(cfg.AggArgs) && cfg.AggArgs[i] != nil {
-			args[i] = cfg.AggArgs[i].Eval(row, nil)
-		} else {
+		var e expr.Expr
+		if i < len(aggArgs) {
+			e = aggArgs[i]
+		}
+		if e == nil {
 			args[i] = types.NewInt(1) // COUNT(*) marker
+			continue
 		}
+		if _, bare := e.(*expr.ColRef); bare && vals != nil {
+			args[i], vals = vals[0], vals[1:]
+			continue
+		}
+		args[i] = e.Eval(row, nil)
 	}
-	g.compileAddSteps(args, steps)
+	g.compileAddSteps(args, g.agg.steps)
+}
+
+// fold replays the loaded update steps against group ge's aggregate states
+// of every query in qs.
+func (g *GroupOp) fold(ge *groupEntry, qs queryset.Set) {
+	a := &g.agg
+	args, steps := a.args, a.steps
 	for _, qid := range qs.IDs() {
-		for int(qid) >= len(ge.perQuery) {
-			ge.perQuery = append(ge.perQuery, nil)
-		}
-		states := ge.perQuery[qid]
+		slot := a.slot[qid]
+		states := ge.perQuery[slot]
 		if states == nil {
 			states = a.newStates()
-			ge.perQuery[qid] = states
+			ge.perQuery[slot] = states
 		}
 		for i := range steps {
 			st := &states[i]
@@ -432,8 +476,8 @@ func (g *GroupOp) Finish(c *Cycle) {
 	}
 	g.agg.recycle() // drop group state references between cycles
 	// scalar aggregates over empty input produce one row of defaults
-	for qid, isScalar := range st.scalar {
-		if !isScalar || st.emitted[qid] {
+	for s, qid := range g.agg.qids {
+		if !st.scalar[s] || st.emitted[s] {
 			continue
 		}
 		row := c.NewRow(len(g.Aggs))
@@ -441,32 +485,33 @@ func (g *GroupOp) Finish(c *Cycle) {
 		for i, def := range g.Aggs {
 			row[i] = empty.Result(def)
 		}
-		if h := st.having[qid]; h != nil && !expr.TruthyEval(h, row, nil) {
+		if h := st.having[s]; h != nil && !expr.TruthyEval(h, row, nil) {
 			continue
 		}
 		g.single[0] = qid
 		c.Emit(g.OutStream, row, queryset.FromSorted(g.single[:1]))
 	}
+	clear(st.having)
 	c.opState = nil
 }
 
 // emitGroup emits one group's per-query aggregate rows (ascending query
 // id).
 func (g *GroupOp) emitGroup(c *Cycle, st *groupState, ge *groupEntry) {
-	for q, states := range ge.perQuery {
+	for slot, states := range ge.perQuery {
 		if states == nil {
 			continue
 		}
-		qid := queryset.QueryID(q)
+		qid := g.agg.qids[slot]
 		row := c.NewRow(len(ge.keyVals) + len(g.Aggs))
 		n := g.placeKey(row, ge.keyVals)
 		for i, def := range g.Aggs {
 			row[n+i] = states[i].Result(def)
 		}
-		if h := st.having[qid]; h != nil && !expr.TruthyEval(h, row, nil) {
+		if h := st.having[slot]; h != nil && !expr.TruthyEval(h, row, nil) {
 			continue
 		}
-		st.emitted[qid] = true
+		st.emitted[slot] = true
 		g.single[0] = qid
 		c.Emit(g.OutStream, row, queryset.FromSorted(g.single[:1]))
 	}

@@ -170,8 +170,9 @@ func (jt *joinTable) insert(h uint64, key []types.Value, t Tuple) {
 	}
 }
 
-// lookup returns the head entry index for a probe key and its hash (-1 =
-// no match). Iterate with jt.entries[i].next.
+// lookup returns the bucket index for a probe key and its hash (-1 = no
+// match). Iterate its chain from jt.buckets[bi].head with
+// jt.entries[i].next.
 func (jt *joinTable) lookup(h uint64, key []types.Value) int32 {
 	if len(jt.slots) == 0 {
 		return -1
@@ -182,9 +183,8 @@ func (jt *joinTable) lookup(h uint64, key []types.Value) int32 {
 		if s == 0 {
 			return -1
 		}
-		b := &jt.buckets[s-1]
-		if b.hash == h && valuesEqual(jt.bucketKey(s-1), key) {
-			return b.head
+		if b := &jt.buckets[s-1]; b.hash == h && valuesEqual(jt.bucketKey(s-1), key) {
+			return s - 1
 		}
 		i = (i + 1) & jt.mask
 	}

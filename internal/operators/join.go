@@ -110,6 +110,23 @@ type HashJoinOp struct {
 
 	keyScratch []types.Value      // the key of the tuple being built or probed
 	qsScratch  []queryset.QueryID // probe intersection scratch
+
+	// Group, when set, is a group-by folded into the join (groupjoin,
+	// Moerkotte & Neumann, VLDB 2011): its hashed group columns are the
+	// inner key columns, so each build bucket is one group, and a matched
+	// outer row is aggregated into that group's per-query states instead of
+	// being gathered and emitted. Group.Streams is keyed by outer stream: its
+	// GroupCols and CarryCols are inner-row columns, its AggArgs read the
+	// outer row. Tasks carry GroupSpecs (a mirror-fed outer's table, stream
+	// and predicate, and the query's HAVING), and Finish emits what
+	// GroupOp.Finish would: groups in first-match order, each group's key
+	// and carried columns from the first build row that matched.
+	Group *GroupOp
+	// groups is the cycle's group of each build bucket (nil: none matched
+	// yet); scanCols is a group-join mirror pass's columns, the join key
+	// then the bare-column aggregate arguments.
+	groups   []*groupEntry
+	scanCols []int
 }
 
 // JoinSpec is the per-query activation of a hash join. A query whose outer
@@ -135,6 +152,9 @@ func (j *HashJoinOp) Start(c *Cycle) {
 	j.innerDone = false
 	j.fusedDone = false
 	j.fused = mirrorInputs(j.fused, c.Tasks)
+	if j.Group != nil {
+		j.Group.begin(c)
+	}
 }
 
 // Consume builds from inner batches and probes (or buffers) outer batches;
@@ -178,6 +198,9 @@ func (j *HashJoinOp) EdgeEOS(c *Cycle, e *Edge) {
 // drain probes the buffered outer batches, then reads every fused outer
 // from its table's column mirror (once per cycle).
 func (j *HashJoinOp) drain(c *Cycle) {
+	if n := len(j.build.buckets); j.Group != nil && len(j.groups) < n {
+		j.groups = append(j.groups, make([]*groupEntry, n-len(j.groups))...)
+	}
 	for _, b := range j.pending {
 		j.probeBatch(c, b)
 	}
@@ -269,11 +292,16 @@ func (j *HashJoinOp) isInnerEdge(e *Edge) bool { return j.innerEdge == e }
 var _ Operator = (*HashJoinOp)(nil)
 
 // Finish probes any outers still pending (possible when the inner edge was
-// idle this generation) and releases cycle state (dropping tuple and
-// predicate references so the retained batches can recycle without pinned
-// rows).
+// idle this generation), emits a folded group-by's groups, and releases
+// cycle state (dropping tuple and predicate references so the retained
+// batches can recycle without pinned rows).
 func (j *HashJoinOp) Finish(c *Cycle) {
 	j.drain(c)
+	if j.Group != nil {
+		j.Group.Finish(c)
+		clear(j.groups)
+		j.groups = j.groups[:0]
+	}
 	j.build.reset(j.InnerKeyCols)
 	releaseMirrorInputs(j.fused)
 }
@@ -289,12 +317,23 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 	if !ok {
 		return
 	}
+	gs := j.groupStream(b.Stream)
 	for ti := range b.Tuples {
 		t := &b.Tuples[ti]
 		if key := j.keyOf(t.Row, cfg.KeyCols); !hasNull(key) {
-			j.probe(c, &cfg, key, t.Row, t.QS)
+			j.probe(c, &cfg, gs, key, nil, t.Row, t.QS)
 		}
 	}
+}
+
+// groupStream is a folded group-by's configuration of one outer stream
+// (nil: the join emits).
+func (j *HashJoinOp) groupStream(stream int) *GroupStream {
+	if j.Group == nil {
+		return nil
+	}
+	gs := j.Group.Streams[stream]
+	return &gs
 }
 
 // probeMirror reads one fused outer in a single pass over its table's
@@ -304,30 +343,69 @@ func (j *HashJoinOp) probeBatch(c *Cycle, b *Batch) {
 // build-key filter keys (nil: none) a row whose key is in no bucket never
 // reaches the probe. The pass emits in RowID order, each row's matches in
 // build-chain order — exactly what probing the streamed scan's batches
-// would emit. filtered reports whether the filter ran.
+// would emit. A folded group-by's bare-column aggregate arguments are read
+// from the typed vectors with the key, so a matched row is not dereferenced
+// for them either. filtered reports whether the filter ran.
 func (j *HashJoinOp) probeMirror(c *Cycle, f *mirrorInput, keys *storage.KeySet) (filtered bool) {
 	cfg, ok := j.Outers[f.stream]
 	if !ok {
 		return false
 	}
-	return f.table.SharedScanKeyed(c.TS, f.clients, cfg.KeyCols, keys, &j.colBufs, func(key []types.Value, row types.Row, qs queryset.Set) {
-		if !hasNull(key) {
-			j.probe(c, &cfg, key, row, qs)
+	cols, gs := cfg.KeyCols, j.groupStream(f.stream)
+	if gs != nil {
+		j.scanCols = append(j.scanCols[:0], cfg.KeyCols...)
+		for _, e := range gs.AggArgs {
+			if col, bare := e.(*expr.ColRef); bare {
+				j.scanCols = append(j.scanCols, col.Idx)
+			}
+		}
+		cols = j.scanCols
+	}
+	nk := len(cfg.KeyCols)
+	return f.table.SharedScanKeyed(c.TS, f.clients, cols, keys, &j.colBufs, func(vals []types.Value, row types.Row, qs queryset.Set) {
+		if key := vals[:nk]; !hasNull(key) {
+			j.probe(c, &cfg, gs, key, vals[nk:], row, qs)
 		}
 	})
 }
 
-// probe emits one outer row's matches in build-chain order, each to the
-// queries the row shares with the matched build tuple.
-func (j *HashJoinOp) probe(c *Cycle, cfg *JoinOuter, key []types.Value, row types.Row, qs queryset.Set) {
+// probe hands one outer row's matches, in build-chain order, each with the
+// queries the row shares with the matched build tuple, to emission or, with
+// gs set, to the folded group-by: the row's aggregate arguments (vals: see
+// GroupOp.loadArgs) are loaded once, at its first match, and each match
+// folds them into its bucket's group.
+func (j *HashJoinOp) probe(c *Cycle, cfg *JoinOuter, gs *GroupStream, key, vals []types.Value, row types.Row, qs queryset.Set) {
 	tab := &j.build
-	for ei := tab.lookup(hashKey(key), key); ei >= 0; ei = tab.entries[ei].next {
+	bi := tab.lookup(hashKey(key), key)
+	if bi < 0 {
+		return
+	}
+	loaded := false
+	for ei := tab.buckets[bi].head; ei >= 0; ei = tab.entries[ei].next {
 		it := &tab.entries[ei].t
 		mq := qs.IntersectInto(it.QS, j.qsScratch)
 		j.qsScratch = mq.IDs()
-		if !mq.Empty() {
-			c.Emit(cfg.OutStream, cfg.gather(c, row, it.Row), mq)
+		if mq.Empty() {
+			continue
 		}
+		if gs == nil {
+			c.Emit(cfg.OutStream, cfg.gather(c, row, it.Row), mq)
+			continue
+		}
+		g := j.Group
+		if !loaded {
+			g.loadArgs(gs.AggArgs, vals, row)
+			loaded = true
+		}
+		ge := j.groups[bi]
+		if ge == nil {
+			// The bucket finds its group, so the entry takes no hash slot:
+			// the table's entries only keep first-match order for Finish.
+			ge = g.agg.newEntry(tab.buckets[bi].hash, it.Row, gs.GroupCols, gs.CarryCols)
+			g.agg.table.entries = append(g.agg.table.entries, ge)
+			j.groups[bi] = ge
+		}
+		g.fold(ge, mq)
 	}
 }
 

@@ -112,7 +112,7 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		OnDone:          done,
 	}})
 	for n, nt := range tasks {
-		switch n.Op.(type) {
+		switch op := n.Op.(type) {
 		case *operators.ScanOp:
 			p.paths.ColScan++
 		case *operators.ProbeOp:
@@ -122,6 +122,9 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 		case *operators.HashJoinOp:
 			if slices.ContainsFunc(nt, readsMirror) {
 				p.paths.JoinScan++
+			}
+			if op.Group != nil {
+				p.paths.GroupJoin++
 			}
 		case *operators.GroupOp:
 			if slices.ContainsFunc(nt, readsMirror) {

@@ -340,13 +340,7 @@ func (p *GlobalPlan) compileJoin(a *annotated, j *sql.Join) (compiled, error) {
 		return compiled{}, err
 	}
 	sig := fmt.Sprintf("hash|%d|%d|%v", right.node.ID, right.stream.id, j.RightKeys)
-	var ref *joinRef
-	for _, cand := range p.joinNodes[sig] {
-		if keys, ok := cand.outerKeys[left.stream.id]; !ok || slices.Equal(keys, j.LeftKeys) {
-			ref = cand
-			break
-		}
-	}
+	ref := p.sharedJoin(sig, left.stream.id, j.LeftKeys)
 	if ref == nil {
 		op := &operators.HashJoinOp{
 			InnerKeyCols: right.stream.physicalCols(j.RightKeys),
@@ -427,17 +421,52 @@ func (p *GlobalPlan) compileIndexJoin(left compiled, lk *lookup) compiled {
 // compileGroup merges group-bys whose group keys and aggregates have the
 // same provenance signature. A column fd-key carries is marked "+" in the
 // signature. An input mirror-input chose is read from the column mirror,
-// like a hash join's fused outer (operators.GroupSpec).
+// like a hash join's fused outer (operators.GroupSpec); a group-by
+// group-join chose folds into its input hash join (compileGroupJoin).
 func (p *GlobalPlan) compileGroup(a *annotated, g *sql.Group) (compiled, error) {
+	if a.grouped[g] {
+		return p.compileGroupJoin(a, g, g.In.(*sql.Join))
+	}
 	c, err := p.compile(a, g.In)
 	if err != nil {
 		return compiled{}, err
 	}
+	sigParts, keyCols, carryCols, aggs := groupShape(a, g, c.stream.origins)
+	sig := fmt.Sprintf("group|%s", strings.Join(sigParts, ","))
+
+	ref, ok := p.groupNodes[sig]
+	if !ok {
+		osi := p.allocGroupStream(g, c.stream.origins)
+		op := &operators.GroupOp{
+			Streams:   map[int]operators.GroupStream{},
+			Aggs:      aggs,
+			Carry:     a.carry[g],
+			OutStream: osi.id,
+		}
+		node := p.addNode("Γ("+strings.Join(sigParts, ",")+")", op)
+		ref = &groupRef{node: node, op: op, outStream: osi.id}
+		p.groupNodes[sig] = ref
+	}
+	if _, exists := ref.op.Streams[c.stream.id]; !exists {
+		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: c.stream.physicalCols(keyCols),
+			CarryCols: c.stream.physicalCols(carryCols), AggArgs: aggArgs(g, c.stream)}
+	}
+	edges, table, pred := p.wireInput(ref.node, g.In, c, c.edges)
+	return compiled{
+		node:   ref.node,
+		stream: p.streams[ref.outStream],
+		steps:  append(c.steps, groupStep(ref.node, g, c.stream.id, table, pred)),
+		edges:  edges,
+	}, nil
+}
+
+// groupShape is a group-by's sharing signature over its input's origins,
+// its hashed and carried group columns (in output order) and its
+// aggregates.
+func groupShape(a *annotated, g *sql.Group, origins []origin) (sigParts []string, keyCols, carryCols []int, aggs []operators.AggDef) {
 	carry := a.carry[g]
-	var sigParts []string
-	var keyCols, carryCols []int
 	for i, col := range g.GroupCols {
-		part := c.stream.origins[col].String()
+		part := origins[col].String()
 		if carry != nil && carry[i] {
 			part = "+" + part
 			carryCols = append(carryCols, col)
@@ -446,54 +475,113 @@ func (p *GlobalPlan) compileGroup(a *annotated, g *sql.Group) (compiled, error) 
 		}
 		sigParts = append(sigParts, part)
 	}
-	aggs := make([]operators.AggDef, len(g.Aggs))
+	aggs = make([]operators.AggDef, len(g.Aggs))
 	for i, ag := range g.Aggs {
 		aggs[i] = operators.AggDef{Kind: ag.Func, Distinct: ag.Distinct}
-		sigParts = append(sigParts, fmt.Sprintf("%s|%v|%s", ag.Func, ag.Distinct,
-			originString(ag.Arg, c.stream.origins, a.stmt)))
+		sigParts = append(sigParts, fmt.Sprintf("%s|%v|%s", ag.Func, ag.Distinct, originString(ag.Arg, origins, a.stmt)))
 	}
-	sig := fmt.Sprintf("group|%s", strings.Join(sigParts, ","))
+	return sigParts, keyCols, carryCols, aggs
+}
 
-	ref, ok := p.groupNodes[sig]
-	if !ok {
-		origins := make([]origin, g.Out.Len())
-		for i, col := range g.GroupCols {
-			origins[i] = c.stream.origins[col]
-		}
-		for i, ag := range g.Aggs {
-			origins[len(g.GroupCols)+i] = origin{Synth: ag.Name}
-		}
-		osi := p.allocStream(g.Out, origins)
-		op := &operators.GroupOp{
-			Streams:   map[int]operators.GroupStream{},
-			Aggs:      aggs,
-			Carry:     carry,
-			OutStream: osi.id,
-		}
-		node := p.addNode("Γ("+strings.Join(sigParts, ",")+")", op)
-		ref = &groupRef{node: node, op: op, outStream: osi.id}
-		p.groupNodes[sig] = ref
+// allocGroupStream allocates a group-by's out-stream: its group columns'
+// origins, then one synthesized origin per aggregate.
+func (p *GlobalPlan) allocGroupStream(g *sql.Group, in []origin) *streamInfo {
+	origins := make([]origin, g.Out.Len())
+	for i, col := range g.GroupCols {
+		origins[i] = in[col]
 	}
-	if _, exists := ref.op.Streams[c.stream.id]; !exists {
-		aggArgs := make([]expr.Expr, len(g.Aggs))
-		for i, ag := range g.Aggs {
-			aggArgs[i] = c.stream.physicalExpr(ag.Arg)
-		}
-		ref.op.Streams[c.stream.id] = operators.GroupStream{GroupCols: c.stream.physicalCols(keyCols),
-			CarryCols: c.stream.physicalCols(carryCols), AggArgs: aggArgs}
+	for i, ag := range g.Aggs {
+		origins[len(g.GroupCols)+i] = origin{Synth: ag.Name}
 	}
-	edges, table, pred := p.wireInput(ref.node, g.In, c, c.edges)
-	having, input, scalar := g.Having, c.stream.id, len(g.GroupCols) == 0
-	step := stepBinding{node: ref.node, makeSpec: func(params []types.Value) interface{} {
+	return p.allocStream(g.Out, origins)
+}
+
+// aggArgs maps a group-by's aggregate arguments onto the physical rows of
+// its input stream in.
+func aggArgs(g *sql.Group, in *streamInfo) []expr.Expr {
+	out := make([]expr.Expr, len(g.Aggs))
+	for i, ag := range g.Aggs {
+		out[i] = in.physicalExpr(ag.Arg)
+	}
+	return out
+}
+
+// groupStep is a group-by's task factory at node: its bound HAVING and, for
+// an input read from the column mirror (table non-nil), the bound scan
+// predicate.
+func groupStep(node *operators.Node, g *sql.Group, input int, table *storage.Table, pred expr.Expr) stepBinding {
+	having, scalar := g.Having, len(g.GroupCols) == 0
+	return stepBinding{node: node, makeSpec: func(params []types.Value) interface{} {
 		return operators.GroupSpec{Having: expr.Bind(having, params), Scalar: scalar,
 			Table: table, Input: input, Pred: expr.Bind(pred, params)}
 	}}
+}
+
+// compileGroupJoin lays out a group-by that group-join folded into its
+// input hash join j: one node builds j's inner and aggregates every outer
+// row that matches (operators.HashJoinOp.Group); its tasks are GroupSpecs.
+// Its signature is the join's and the group-by's, and, as for a hash join,
+// a second node of one signature opens only for an outer stream the first
+// joins on other keys.
+func (p *GlobalPlan) compileGroupJoin(a *annotated, g *sql.Group, j *sql.Join) (compiled, error) {
+	left, err := p.compile(a, j.Left)
+	if err != nil {
+		return compiled{}, err
+	}
+	right, err := p.compile(a, j.Right)
+	if err != nil {
+		return compiled{}, err
+	}
+	origins := append(slices.Clone(left.stream.origins), right.stream.origins...)
+	sigParts, keyCols, carryCols, aggs := groupShape(a, g, origins)
+	sig := fmt.Sprintf("groupjoin|%d|%d|%v|%s", right.node.ID, right.stream.id, j.RightKeys, strings.Join(sigParts, ","))
+	ref := p.sharedJoin(sig, left.stream.id, j.LeftKeys)
+	if ref == nil {
+		osi := p.allocGroupStream(g, origins)
+		op := &operators.HashJoinOp{
+			InnerKeyCols: right.stream.physicalCols(j.RightKeys),
+			InnerStream:  right.stream.id,
+			Outers:       map[int]operators.JoinOuter{},
+			Group:        &operators.GroupOp{Streams: map[int]operators.GroupStream{}, Aggs: aggs, Carry: a.carry[g], OutStream: osi.id},
+		}
+		node := p.addNode(fmt.Sprintf("⋈Γ(%s; %s)", right.node.Name, strings.Join(sigParts, ",")), op)
+		op.SetInnerEdge(p.edge(right.node, node))
+		ref = &joinRef{node: node, op: op, innerStream: right.stream.id, outerKeys: map[int][]int{}}
+		p.joinNodes[sig] = append(p.joinNodes[sig], ref)
+	}
+	group := ref.op.Group
+	if _, ok := ref.op.Outers[left.stream.id]; !ok {
+		ref.op.Outers[left.stream.id] = operators.JoinOuter{KeyCols: left.stream.physicalCols(j.LeftKeys)}
+		ref.outerKeys[left.stream.id] = j.LeftKeys
+		inner := func(cols []int) []int {
+			out := make([]int, len(cols))
+			for i, c := range cols {
+				out[i] = c - j.Left.Schema().Len()
+			}
+			return right.stream.physicalCols(out)
+		}
+		group.Streams[left.stream.id] = operators.GroupStream{GroupCols: inner(keyCols), CarryCols: inner(carryCols),
+			AggArgs: aggArgs(g, left.stream)}
+	}
+	ie := p.edge(right.node, ref.node)
+	edges, table, pred := p.wireInput(ref.node, j.Left, left, append(append(left.edges, right.edges...), ie))
 	return compiled{
 		node:   ref.node,
-		stream: p.streams[ref.outStream],
-		steps:  append(c.steps, step),
+		stream: p.streams[group.OutStream],
+		steps:  append(append(left.steps, right.steps...), groupStep(ref.node, g, left.stream.id, table, pred)),
 		edges:  edges,
 	}, nil
+}
+
+// sharedJoin returns the first hash-join node of signature sig that joins
+// outer stream outer on keys or does not join it yet (nil: none).
+func (p *GlobalPlan) sharedJoin(sig string, outer int, keys []int) *joinRef {
+	for _, cand := range p.joinNodes[sig] {
+		if have, ok := cand.outerKeys[outer]; !ok || slices.Equal(have, keys) {
+			return cand
+		}
+	}
+	return nil
 }
 
 // compileSort merges sorts (and Top-Ns, which are sorts with per-query

@@ -141,7 +141,7 @@ func TestFDRulesKeepRowOrder(t *testing.T) {
 	defer engines[0].Close()
 	defer engines[1].Close()
 	on, off := engines[0].Plan().Describe(), engines[1].Plan().Describe()
-	if !strings.Contains(on, "Γ(item.0,+item.1,+item.2,") || !strings.Contains(on, ": ⋈ix(author)") {
+	if !strings.Contains(on, "; item.0,+item.1,+item.2,") || !strings.Contains(on, ": ⋈ix(author)") {
 		t.Errorf("with the FD rules: want a Γ keyed on i_id and the lifted ⋈ix(author) for the unsorted statements; plan:\n%s", on)
 	}
 	if strings.Contains(off, "+item.") || strings.Contains(off, "⋈ix(author/pk_author)") {

@@ -300,6 +300,7 @@ type PathCounts struct {
 	JoinScan      uint64 // hash-join cycles that read an outer from the column mirror instead of a scan stream
 	JoinKeyFilter uint64 // of those, cycles whose mirror pass skipped the rows no build key matches (the build-key filter)
 	IndexEdge     uint64 // index-edge probe cycles: a scalar MIN/MAX answered from one end of an index instead of a scan
+	GroupJoin     uint64 // hash-join cycles that aggregated their matches in place (group-join) instead of emitting joined tuples
 
 	SortLookup     uint64 // sort cycles that applied a deferred unique-index join to the rows they emitted
 	SortLookupMiss uint64 // of those, selection cycles handed to the shared sort because a retained row joined nothing
@@ -381,7 +382,9 @@ func (p *GlobalPlan) Describe() string {
 		var sortOp *operators.SortOp
 		switch op := n.Op.(type) {
 		case *operators.HashJoinOp:
-			outers = op.Outers
+			if op.Group == nil { // a group-join's outers carry no column
+				outers = op.Outers
+			}
 		case *operators.IndexJoinOp:
 			outers = op.Outers
 		case *operators.SortOp:

@@ -27,6 +27,7 @@ var rules = []struct {
 	{"mirror-input", mirrorInput},
 	{"deferred-lookup", deferredLookup},
 	{"fd-key", fdKey},
+	{"group-join", groupJoin},
 }
 
 // annotated is one statement's logical plan below its projection — lp,
@@ -45,6 +46,7 @@ type annotated struct {
 	mirrored map[*sql.Scan]bool    // mirror-input
 	deferred bool                  // deferred-lookup: the sort looks lp's inner up for the rows it keeps
 	carry    map[*sql.Group][]bool // fd-key
+	grouped  map[*sql.Group]bool   // group-join: the group-by folds into its input hash join
 }
 
 // lookup is index-join's choice for one join: seek index ix of the inner
@@ -74,7 +76,7 @@ type probe struct {
 func (p *GlobalPlan) rewrite(stmt int, lp sql.LogicalPlan, srt *sql.Sort, limit int, project []expr.Expr) *annotated {
 	a := &annotated{db: p.db, stmt: stmt, lp: lp, sort: srt, limit: limit, project: project,
 		ixJoins: map[*sql.Join]*lookup{}, probes: map[*sql.Scan]probe{},
-		mirrored: map[*sql.Scan]bool{}, carry: map[*sql.Group][]bool{}}
+		mirrored: map[*sql.Scan]bool{}, carry: map[*sql.Group][]bool{}, grouped: map[*sql.Group]bool{}}
 	for _, r := range rules {
 		if !p.disabled[r.name] {
 			r.apply(a)
@@ -449,5 +451,56 @@ func fdKey(a *annotated) {
 				a.carry[g][i] = true
 			}
 		}
+	})
+}
+
+// groupJoin is group-join (Moerkotte & Neumann's groupjoin, VLDB 2011): a
+// group-by directly over a shared hash join whose outer is read from the
+// column mirror (mirror-input) aggregates inside the join when each build
+// bucket is one group — its hashed group columns are exactly the inner key
+// columns, it carries only inner columns (fd-key), and its aggregates read
+// only outer columns — and the inner is one table instance with a unique
+// index among its key columns, so an outer row matches at most one build
+// row (operators.HashJoinOp.Group). The join then builds no joined tuple;
+// HAVING reads the group-by's own output and needs nothing.
+func groupJoin(a *annotated) {
+	walk(a.lp, func(n sql.LogicalPlan) {
+		g, ok := n.(*sql.Group)
+		if !ok {
+			return
+		}
+		j, ok := g.In.(*sql.Join)
+		if !ok || len(j.RightKeys) == 0 || a.ixJoins[j] != nil {
+			return
+		}
+		lscan, ok := j.Left.(*sql.Scan)
+		if !ok || !a.mirrored[lscan] {
+			return
+		}
+		rscan, ok := j.Right.(*sql.Scan)
+		if !ok || a.uniqueKeyAmong(rscan, keySet(sources(rscan), j.RightKeys)) == nil {
+			return
+		}
+		outer := j.Left.Schema().Len()
+		hashed := map[int]bool{}
+		for i, c := range g.GroupCols {
+			if c < outer {
+				return // an outer column: a bucket may hold several groups
+			}
+			if a.carry[g] == nil || !a.carry[g][i] {
+				hashed[c-outer] = true
+			}
+		}
+		if len(hashed) != len(j.RightKeys) || slices.ContainsFunc(j.RightKeys, func(k int) bool { return !hashed[k] }) {
+			return
+		}
+		for _, ag := range g.Aggs {
+			for c := range expr.Columns(ag.Arg) {
+				if c >= outer {
+					return
+				}
+			}
+		}
+		a.grouped[g] = true
 	})
 }

@@ -25,7 +25,7 @@ type ruleQuery struct {
 // into a two-column unique index whose conjuncts name the key columns out of
 // index order, unsorted and under a Top-N, and author search's join into a
 // non-unique index under a Top-N on outer columns only, which no lookup may
-// defer.
+// defer. Then groupJoinShapes.
 func ruleQueries() []ruleQuery {
 	iv := func(v int64) types.Value { return types.NewInt(v) }
 	sv := types.NewString
@@ -65,6 +65,9 @@ func ruleQueries() []ruleQuery {
 		AND shopping_cart_line.scl_sc_id = order_line.ol_o_id AND order_line.ol_qty < ?`
 	const authorItems = `SELECT a_id, a_lname, i_id FROM author, item
 		WHERE author.a_lname LIKE ? AND item.i_a_id = author.a_id`
+	for _, s := range groupJoinShapes() {
+		qs = append(qs, s.ruleQuery)
+	}
 	return append(qs,
 		ruleQuery{`SELECT MIN(scl_i_id) FROM shopping_cart_line WHERE scl_sc_id = ?`, cart},
 		ruleQuery{`SELECT MAX(scl_i_id) FROM shopping_cart_line WHERE scl_sc_id = ?`, cart},
@@ -76,6 +79,62 @@ func ruleQueries() []ruleQuery {
 		ruleQuery{authorItems + ` ORDER BY a_lname DESC LIMIT 7`, [][]types.Value{{sv("Lastname001%")}, {sv("%")}}},
 		ruleQuery{authorItems, [][]types.Value{{sv("Lastname001%")}, {sv("%")}}},
 	)
+}
+
+// groupJoinShape is a grouped join and whether group-join folds its
+// group-by into the join.
+type groupJoinShape struct {
+	ruleQuery
+	fused bool
+}
+
+// groupJoinShapes is best sellers' grouping in the shapes group-join takes
+// — a FLOAT SUM, AVG and COUNT(*) under a HAVING on a SUM it does not
+// select, a COUNT(DISTINCT) — and in the shapes it declines: grouped on the
+// outer key, an aggregate reading an inner column, a join into a non-unique
+// inner key.
+func groupJoinShapes() []groupJoinShape {
+	iv, sv := types.NewInt, types.NewString
+	const sellers = ` FROM order_line, item WHERE order_line.ol_i_id = item.i_id
+		AND order_line.ol_o_id > ? AND item.i_subject = ?`
+	params := [][]types.Value{{iv(0), sv("COOKING")}, {iv(20), sv("ARTS")}, {iv(0), sv("HISTORY")}}
+	return []groupJoinShape{
+		{ruleQuery{`SELECT i_id, i_title, a_fname, a_lname, SUM(ol_discount) AS val FROM order_line, item, author
+			WHERE order_line.ol_i_id = item.i_id AND item.i_a_id = author.a_id
+			AND order_line.ol_o_id > ? AND item.i_subject = ?
+			GROUP BY i_id, i_title, a_fname, a_lname ORDER BY val DESC LIMIT 50`, params}, true},
+		{ruleQuery{`SELECT i_id, i_title, AVG(ol_qty), COUNT(*)` + sellers + ` GROUP BY i_id, i_title HAVING SUM(ol_qty) > ?`,
+			[][]types.Value{{iv(0), sv("COOKING"), iv(1)}, {iv(20), sv("ARTS"), iv(4)}}}, true},
+		{ruleQuery{`SELECT i_id, COUNT(DISTINCT ol_qty)` + sellers + ` GROUP BY i_id`, params}, true},
+		{ruleQuery{`SELECT ol_i_id, SUM(ol_qty)` + sellers + ` GROUP BY ol_i_id`, params}, false},
+		{ruleQuery{`SELECT i_id, SUM(ol_qty * i_cost)` + sellers + ` GROUP BY i_id`, params}, false},
+		{ruleQuery{`SELECT scl_i_id, SUM(ol_qty) FROM order_line, shopping_cart_line
+			WHERE shopping_cart_line.scl_i_id = order_line.ol_i_id AND shopping_cart_line.scl_qty < ?
+			GROUP BY scl_i_id`, [][]types.Value{{iv(7)}, {iv(3)}}}, false},
+	}
+}
+
+// TestGroupJoinShapes pins which of groupJoinShapes group-join folds into
+// its hash join: the fused node replaces both the ⋈hash and the Γ.
+func TestGroupJoinShapes(t *testing.T) {
+	db, err := storage.Open(storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := tpcw.CreateSchema(db); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range groupJoinShapes() {
+		p := plan.New(db)
+		if _, err := p.Prepare(s.sql); err != nil {
+			t.Fatal(err)
+		}
+		d := p.Describe()
+		if fused := strings.Contains(d, "⋈Γ("); fused != s.fused || fused == strings.Contains(d, "⋈hash(") {
+			t.Errorf("%s: fused %v, want %v; plan:\n%s", s.sql, fused, s.fused, d)
+		}
+	}
 }
 
 // ruleWrites are the differential's write rounds: the first, before any
@@ -163,8 +222,8 @@ func TestRuleToggleDifferential(t *testing.T) {
 		}
 		engines = append(engines, en)
 	}
-	if n := len(engines); n != 1+7+21 {
-		t.Fatalf("%d toggle sets, want 29 (7 rules, each alone and in pairs)", n)
+	if n := len(engines); n != 1+8+28 {
+		t.Fatalf("%d toggle sets, want 37 (8 rules, each alone and in pairs)", n)
 	}
 
 	run := func(en engine) ([]string, uint64) {

@@ -57,8 +57,8 @@ func TestTPCWTopNDefersAuthorJoin(t *testing.T) {
 		}
 	}
 	d := p.Describe()
-	if n := p.NumNodes(); n != 24 {
-		t.Errorf("TPC-W compiles into %d nodes, want 24; plan:\n%s", n, d)
+	if n := p.NumNodes(); n != 23 {
+		t.Errorf("TPC-W compiles into %d nodes, want 23; plan:\n%s", n, d)
 	}
 	// The two sort orders of the searches, each reading item rows and
 	// emitting join rows; product detail keeps ⋈ix(author).
@@ -74,11 +74,12 @@ func TestTPCWTopNDefersAuthorJoin(t *testing.T) {
 	}
 }
 
-// TestTPCWBestSellersPlan pins best sellers' plan under the FD rules: the
-// fused order_line outer feeds a Γ hashed on i_id alone (an INT) that
-// carries i_title and i_a_id, whose pk_item determines them, and the Top-N
-// looks authors up by pk_author for the rows it keeps — no ⋈ix node of its
-// own.
+// TestTPCWBestSellersPlan pins best sellers' plan under the FD rules and
+// group-join: the hash join reads its order_line outer from the column
+// mirror and aggregates it in place into a Γ hashed on i_id alone (an INT,
+// the join key) that carries i_title and i_a_id, whose pk_item determines
+// them, and the Top-N looks authors up by pk_author for the rows it keeps —
+// no ⋈ix node of its own.
 func TestTPCWBestSellersPlan(t *testing.T) {
 	db, err := storage.Open(storage.Options{})
 	if err != nil {
@@ -96,10 +97,9 @@ func TestTPCWBestSellersPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
-		"node 1: probe(item/ix_item_i_subject) → ⋈hash(probe(item/ix_item_i_subject))",
-		"node 2: ⋈hash(probe(item/ix_item_i_subject)) [order_line.3 item.0 item.1 item.2] ⇐ mirror(order_line) → Γ(item.0,+item.1,+item.2,SUM|false|order_line.3)",
-		"node 3: Γ(item.0,+item.1,+item.2,SUM|false|order_line.3) → sort(<SUM(OL_QTY)>|true)",
-		"node 4: sort(<SUM(OL_QTY)>|true) [item.0 item.1 author.1 author.2 <SUM(OL_QTY)>] ⋈ix(author/pk_author) → output",
+		"node 1: probe(item/ix_item_i_subject) → ⋈Γ(probe(item/ix_item_i_subject); item.0,+item.1,+item.2,SUM|false|order_line.3)",
+		"node 2: ⋈Γ(probe(item/ix_item_i_subject); item.0,+item.1,+item.2,SUM|false|order_line.3) ⇐ mirror(order_line) → sort(<SUM(OL_QTY)>|true)",
+		"node 3: sort(<SUM(OL_QTY)>|true) [item.0 item.1 author.1 author.2 <SUM(OL_QTY)>] ⋈ix(author/pk_author) → output",
 		"",
 	}, "\n")
 	if d := p.Describe(); d != want {

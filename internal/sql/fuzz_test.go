@@ -28,6 +28,7 @@ func FuzzParsePlan(f *testing.F) {
 	for _, text := range tpcw.StatementSQL() {
 		f.Add(text)
 	}
+	f.Add(`SELECT i_id FROM item WHERE i_id > -9223372036854775808 AND i_id < - -9223372036854775808`)
 	db, err := storage.Open(storage.Options{})
 	if err != nil {
 		f.Fatal(err)

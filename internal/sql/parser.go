@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -757,8 +758,18 @@ func (p *parser) parseMultiplicative() (Node, error) {
 	}
 }
 
+// parseUnary folds a minus into a numeric literal. An integer literal
+// right after the minus is parsed with its sign, so the most negative INT,
+// whose magnitude has no positive INT, can be written; negating it again
+// is an overflow.
 func (p *parser) parseUnary() (Node, error) {
 	if p.accept(tokOp, "-") {
+		if t := p.cur(); t.kind == tokNumber && !strings.Contains(t.text, ".") {
+			if i, err := strconv.ParseInt("-"+t.text, 10, 64); err == nil {
+				p.pos++
+				return &Lit{Val: types.NewInt(i)}, nil
+			}
+		}
 		k, err := p.parseUnary()
 		if err != nil {
 			return nil, err
@@ -766,6 +777,9 @@ func (p *parser) parseUnary() (Node, error) {
 		if lit, ok := k.(*Lit); ok {
 			switch lit.Val.Kind() {
 			case types.KindInt:
+				if lit.Val.Int == math.MinInt64 {
+					return nil, p.errf("integer overflow negating %d", lit.Val.Int)
+				}
 				return &Lit{Val: types.NewInt(-lit.Val.Int)}, nil
 			case types.KindFloat:
 				return &Lit{Val: types.NewFloat(-lit.Val.AsFloat())}, nil

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -264,6 +265,33 @@ func TestParseTPCWStatements(t *testing.T) {
 	for _, src := range stmts {
 		if _, err := Parse(src); err != nil {
 			t.Errorf("Parse failed for %q: %v", strings.Join(strings.Fields(src), " "), err)
+		}
+	}
+}
+
+// TestParseMostNegativeInt pins the INT literal extremes: a minus right
+// before 9223372036854775808 is the most negative INT, the bare literal is
+// out of range, and negating the most negative INT again is an overflow,
+// not a wrap.
+func TestParseMostNegativeInt(t *testing.T) {
+	for src, want := range map[string]int64{
+		"INSERT INTO t VALUES (-9223372036854775808)": math.MinInt64,
+		"INSERT INTO t VALUES (-9223372036854775807)": -math.MaxInt64,
+		"INSERT INTO t VALUES (9223372036854775807)":  math.MaxInt64,
+		"INSERT INTO t VALUES (- -5)":                 5,
+	} {
+		v := mustParse(t, src).(*InsertStmt).Values[0]
+		if lit, ok := v.(*Lit); !ok || lit.Val.Kind() != types.KindInt || lit.Val.Int != want {
+			t.Errorf("%s: value %#v, want INT %d", src, v, want)
+		}
+	}
+	for _, src := range []string{
+		"INSERT INTO t VALUES (9223372036854775808)",
+		"INSERT INTO t VALUES (- -9223372036854775808)",
+		"SELECT a FROM t WHERE a = -(-9223372036854775808)",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("%s parsed, want an error", src)
 		}
 	}
 }

@@ -499,16 +499,16 @@ type keyFilter struct {
 // validity bit, a demoted column from the row — so a row the consumer
 // drops is never dereferenced. key is borrowed like qs.
 //
-// With keys non-nil (one key column) and the key column an int vector at
-// the snapshot, a row whose key is NULL or not in keys is never emitted: one
-// mask per 64-row word, computed from the vector, clears those rows from
-// the word's selection before the gather. A demoted key column scans
-// unfiltered. filtered reports whether the filter ran.
+// With keys non-nil and keyCols[0] an int vector at the snapshot, a row
+// whose keyCols[0] is NULL or not in keys is never emitted: one mask per
+// 64-row word, computed from the vector, clears those rows from the word's
+// selection before the gather. A demoted column scans unfiltered. filtered
+// reports whether the filter ran.
 func (t *Table) SharedScanKeyed(ts uint64, clients []ScanClient, keyCols []int, keys *KeySet, bufs *ColScanBuffers, emit func(key []types.Value, row types.Row, qs queryset.Set)) (filtered bool) {
 	key := slices.Grow(bufs.key[:0], len(keyCols))[:len(keyCols)]
 	bufs.key = key
 	filterCol := -1
-	if keys != nil && len(keyCols) == 1 {
+	if keys != nil {
 		filterCol = keyCols[0]
 	}
 	filtered = t.scanMirror(ts, clients, bufs, keys, filterCol, func(m *colMirror, pos int, qs queryset.Set) {

@@ -31,9 +31,9 @@ func plans(db *DB) []*plan.GlobalPlan {
 // key is answered from the index edge, and concurrent identical reads fold
 // (inside each shard engine, on the sharded deployment), a hash join
 // whose outer is a direct base-table scan reads that outer from the column
-// mirror, skipping the rows whose INT key no build row has, and a Top-N
-// over a join into a unique index looks the inner rows up only for the rows
-// it keeps.
+// mirror, skipping the rows whose INT key no build row has, a GROUP BY on
+// that join's inner key aggregates inside the join, and a Top-N over a join
+// into a unique index looks the inner rows up only for the rows it keeps.
 func TestZeroConfigIsProductionPath(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -74,6 +74,13 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 				t.Fatal(err)
 			} else if rows.Len() != (items-16)/4 {
 				t.Fatalf("scan-fed hash join returned %d rows, want %d", rows.Len(), (items-16)/4)
+			}
+			// Grouped on stock's key, summing an item column: the group-by
+			// aggregates inside the hash join (group-join).
+			if rows, err := db.Query(`SELECT s_i_id, s_qty, SUM(i_price) FROM item, stock WHERE item.i_id = stock.s_i_id AND stock.s_qty < ? GROUP BY s_i_id, s_qty`, 4); err != nil {
+				t.Fatal(err)
+			} else if rows.Len() != items/4 {
+				t.Fatalf("group-join returned %d groups, want %d", rows.Len(), items/4)
 			}
 			// stock's bare primary-key join under a Top-N by item columns: the
 			// sort orders items and joins stock only for the rows it keeps
@@ -161,6 +168,7 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 				paths.IndexEdge += pc.IndexEdge
 				paths.JoinScan += pc.JoinScan
 				paths.JoinKeyFilter += pc.JoinKeyFilter
+				paths.GroupJoin += pc.GroupJoin
 				paths.SortLookup += pc.SortLookup
 			}
 			if paths.ColScan == 0 {
@@ -177,6 +185,9 @@ func TestZeroConfigIsProductionPath(t *testing.T) {
 			}
 			if paths.JoinKeyFilter == 0 {
 				t.Error("the scan-fed hash join over INT keys never filtered its outer by the build keys")
+			}
+			if paths.GroupJoin == 0 {
+				t.Error("the GROUP BY on the hash join's inner key never aggregated inside the join")
 			}
 			if paths.SortLookup == 0 {
 				t.Error("the Top-N over a unique-index join never deferred the join past its cut")
