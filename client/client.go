@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"time"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/types"
 	"shareddb/internal/wire"
 )
@@ -51,10 +52,6 @@ type Config struct {
 	// rejection, sleeping the server's RetryAfter hint between attempts.
 	// 0 disables retries: the *OverloadError is returned to the caller.
 	RetryOverloaded int
-	// SubscriptionBuffer is the per-subscription update channel capacity
-	// (0 selects 16). A subscriber that falls a full buffer behind drops
-	// updates: the demultiplexer never blocks on a slow consumer.
-	SubscriptionBuffer int
 }
 
 // DB is a client handle: one multiplexed, pipelined connection to a
@@ -72,9 +69,6 @@ func Open(addr string) (*DB, error) { return OpenConfig(Config{Addr: addr}) }
 func OpenConfig(cfg Config) (*DB, error) {
 	if cfg.Window <= 0 {
 		cfg.Window = 32
-	}
-	if cfg.SubscriptionBuffer <= 0 {
-		cfg.SubscriptionBuffer = 16
 	}
 	c, err := dial(cfg)
 	if err != nil {
@@ -143,15 +137,15 @@ func (db *DB) ExecContext(ctx context.Context, sqlText string, args ...interface
 
 // Subscribe registers stmt with the given arguments as a standing query.
 // Updates stream as push frames on the shared connection; a subscriber
-// that falls Config.SubscriptionBuffer updates behind drops further
-// updates (the connection never blocks on a slow consumer). Cancelling
-// ctx closes the subscription, as does Subscription.Close.
+// that falls 16 updates behind drops further updates (the connection
+// never blocks on a slow consumer). Cancelling ctx closes the
+// subscription, as does Subscription.Close.
 func (db *DB) Subscribe(ctx context.Context, stmt *Stmt, args ...interface{}) (*Subscription, error) {
 	params, err := types.FromGo(args)
 	if err != nil {
 		return nil, err
 	}
-	sub, err := db.c.subscribe(ctx, stmt.sqlText, params, db.cfg.SubscriptionBuffer)
+	sub, err := db.c.subscribe(ctx, stmt.sqlText, params)
 	if err != nil {
 		return nil, err
 	}
@@ -172,10 +166,8 @@ func (db *DB) Stats() (Stats, error) {
 	return db.c.stats(context.Background())
 }
 
-// Result reports the outcome of a write.
-type Result struct {
-	RowsAffected int
-}
+// Result reports the outcome of a write; it is shareddb.Result.
+type Result = dbapi.Result
 
 // Stmt is a prepared statement handle bound to the server's shared plan.
 // Statements are the unit of sharing: every concurrent activation of the
@@ -271,28 +263,19 @@ func retryBusy[T any](ctx context.Context, db *DB, fn func() (T, error)) (T, err
 	}
 }
 
-// ErrOverloaded is the sentinel every BUSY rejection wraps, mirroring
-// shareddb.ErrOverloaded: errors.Is(err, client.ErrOverloaded) matches
-// any admission rejection.
-var ErrOverloaded = errors.New("client: server overloaded")
+// ErrOverloaded is the sentinel every BUSY rejection wraps; it is
+// shareddb.ErrOverloaded, so errors.Is(err, shareddb.ErrOverloaded)
+// matches a rejection from a server as from the embedded engine.
+var ErrOverloaded = dbapi.ErrOverloaded
 
 // ErrClosed is returned by calls on a closed or failed connection; the
 // underlying cause (if any) is wrapped alongside it.
 var ErrClosed = errors.New("client: connection closed")
 
-// OverloadError is the typed admission rejection from the server: the
-// reason plus RetryAfter, the suggested back-off before resubmitting.
-type OverloadError struct {
-	Reason     string
-	RetryAfter time.Duration
-}
-
-func (e *OverloadError) Error() string {
-	return fmt.Sprintf("client: server overloaded: %s (retry after %v)", e.Reason, e.RetryAfter)
-}
-
-// Unwrap makes errors.Is(err, ErrOverloaded) match.
-func (e *OverloadError) Unwrap() error { return ErrOverloaded }
+// OverloadError is the typed admission rejection from the server (a BUSY
+// reply): the reason plus RetryAfter, the suggested back-off before
+// resubmitting. It is shareddb.OverloadError.
+type OverloadError = dbapi.OverloadError
 
 // ServerError is a typed failure reply (wire ERR frame).
 type ServerError struct {
@@ -304,63 +287,5 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("client: server error %d: %s", e.Code, e.Msg)
 }
 
-// Stats is the server engine's counter snapshot, mirroring
-// shareddb.Stats field for field. Counters are cumulative since the
-// server opened its database; QueueDepth and InFlightGenerations are
-// live gauges.
-type Stats struct {
-	Generations         uint64
-	QueriesRun          uint64
-	WritesApplied       uint64
-	FoldedQueries       uint64
-	InFlightGenerations int
-	QueueDepth          int
-	Shed                uint64
-	Rejected            uint64
-	BreakerTrips        uint64
-	SubscriptionsActive int
-	SubscriptionUpdates uint64
-}
-
-// FoldHitRate is the fraction of client-visible reads served by folding:
-// FoldedQueries / (QueriesRun + FoldedQueries). Zero when no reads ran.
-func (s Stats) FoldHitRate() float64 {
-	total := s.QueriesRun + s.FoldedQueries
-	if total == 0 {
-		return 0
-	}
-	return float64(s.FoldedQueries) / float64(total)
-}
-
-// statsFromFields maps wire counter names onto the typed snapshot,
-// ignoring unknown names (the field list is extensible by contract).
-func statsFromFields(fields []wire.StatField) Stats {
-	var st Stats
-	for _, f := range fields {
-		switch f.Name {
-		case "generations":
-			st.Generations = f.Value
-		case "queries_run":
-			st.QueriesRun = f.Value
-		case "writes_applied":
-			st.WritesApplied = f.Value
-		case "folded_queries":
-			st.FoldedQueries = f.Value
-		case "in_flight_generations":
-			st.InFlightGenerations = int(f.Value)
-		case "queue_depth":
-			st.QueueDepth = int(f.Value)
-		case "shed":
-			st.Shed = f.Value
-		case "rejected":
-			st.Rejected = f.Value
-		case "breaker_trips":
-			st.BreakerTrips = f.Value
-		case "subscriptions_active":
-			st.SubscriptionsActive = int(f.Value)
-		case "subscription_updates":
-			st.SubscriptionUpdates = f.Value
-		}
-	}
-	return st
-}
+// Stats is the server engine's counter snapshot; it is shareddb.Stats.
+type Stats = dbapi.Stats

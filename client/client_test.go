@@ -281,16 +281,20 @@ func TestRetryDisabledReturnsOverloadError(t *testing.T) {
 	})
 	db := &DB{cfg: c.cfg, c: c}
 
+	// The rejection is the embedded engine's own error type.
 	_, err := db.Query(`SELECT k FROM kv`)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
+	if !errors.Is(err, shareddb.ErrOverloaded) {
+		t.Fatalf("err = %v, want shareddb.ErrOverloaded", err)
 	}
-	var oe *OverloadError
+	var oe *shareddb.OverloadError
 	if !errors.As(err, &oe) {
-		t.Fatalf("err = %T, want *OverloadError", err)
+		t.Fatalf("err = %T, want *shareddb.OverloadError", err)
 	}
 	if oe.RetryAfter != hint || oe.Reason != "shed" {
 		t.Fatalf("OverloadError = %+v", oe)
+	}
+	if want := "shareddb: overloaded: shed (retry after 5ms)"; err.Error() != want {
+		t.Fatalf("err text %q, want %q", err.Error(), want)
 	}
 }
 
@@ -380,7 +384,7 @@ func TestSubscriptionCloseIdempotent(t *testing.T) {
 		}
 		close(unsubSeen)
 	})
-	sub, err := c.subscribe(context.Background(), `SELECT k FROM kv`, nil, 4)
+	sub, err := c.subscribe(context.Background(), `SELECT k FROM kv`, nil)
 	if err != nil {
 		t.Fatalf("subscribe: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/types"
 	"shareddb/internal/wire"
 )
@@ -560,7 +561,11 @@ func (c *conn) stats(ctx context.Context) (Stats, error) {
 	if !isOK {
 		return Stats{}, fmt.Errorf("client: unexpected STATS response %T", m)
 	}
-	return statsFromFields(ok.Fields), nil
+	var st Stats
+	for _, f := range ok.Fields {
+		st.Set(f.Name, f.Value) // a name this client predates is skipped
+	}
+	return st, nil
 }
 
 func (c *conn) ping(ctx context.Context) error {
@@ -578,8 +583,8 @@ func (c *conn) ping(ctx context.Context) error {
 // first and handed to the call so the demultiplexer can register it the
 // moment SUB_OK arrives — a push frame may follow on the very next read,
 // before this goroutine even observes the ack.
-func (c *conn) subscribe(ctx context.Context, sqlText string, params []types.Value, bufCap int) (*Subscription, error) {
-	sub := &Subscription{c: c, ch: make(chan SubscriptionUpdate, bufCap), done: make(chan struct{})}
+func (c *conn) subscribe(ctx context.Context, sqlText string, params []types.Value) (*Subscription, error) {
+	sub := &Subscription{c: c, ch: make(chan SubscriptionUpdate, dbapi.SubscriptionBuffer), done: make(chan struct{})}
 	_, m, err := c.roundTrip(ctx, request{typ: wire.TSubscribe, sql: sqlText, params: params}, false, sub)
 	if err != nil {
 		return nil, err

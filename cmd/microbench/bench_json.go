@@ -143,8 +143,9 @@ func benchStatement(prof *harness.CPUProfile, name string, e *core.Engine, s *pl
 // runJSONBench produces the benchmark report on stdout. warmup and count
 // shape the per-statement benches (see benchStatement); the scenario
 // benches (mix, subscribe, overload, fold) measure wall-clock
-// protocols and run once regardless.
-func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipeline int) error {
+// protocols and run once regardless. kernelsOnly stops after the mix: the
+// scenarios that follow are excluded from the ratio gate.
+func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipeline int, kernelsOnly bool) error {
 	var report benchReport
 	report.Schema = "shareddb-microbench/v1"
 	report.Go = runtime.Version()
@@ -273,6 +274,9 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		}
 		report.Results = append(report.Results, record(name, desc, "interaction", 1, r))
 	}
+	if kernelsOnly {
+		return writeReport(report)
+	}
 	// Standing-query feed: 64 subscribers on a TPC-W browsing query while a
 	// writer updates items — updates delivered per second, end to end.
 	subRec, err := benchSubscribeBrowsing(opts)
@@ -316,7 +320,10 @@ func runJSONBench(opts experiments.Options, warmup, count, loadClients, loadPipe
 		return err
 	}
 	report.Results = append(report.Results, loadRec)
+	return writeReport(report)
+}
 
+func writeReport(report benchReport) error {
 	out := json.NewEncoder(os.Stdout)
 	out.SetIndent("", "  ")
 	return out.Encode(report)
@@ -635,7 +642,7 @@ func benchFolding(opts experiments.Options, noFold bool) (benchRecord, error) {
 			state, foldClients, foldDistinct, foldQuota, foldHeartbeat),
 		Ops: int(res.ClientQueries), Unit: "client query",
 		NsPerOp: ns, OpsPerSec: qps, QueriesPerX: 1,
-		GenPerSec: res.GenerationsPerSec(), FoldHitRate: res.FoldHitRate(),
+		GenPerSec: res.GenerationsPerSec(), FoldHitRate: res.Engine.FoldHitRate(),
 	}, nil
 }
 

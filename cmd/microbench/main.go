@@ -37,6 +37,7 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit the machine-readable scan/join/sort/TPC-W-mix benchmark baseline on stdout")
 	warmup := flag.Int("warmup", 1, "untimed warm-up batches per -json statement bench (free lists, columnar mirror, batch pool)")
 	count := flag.Int("count", 1, "timed runs per -json statement bench; the median ns/op is reported")
+	kernels := flag.Bool("kernels", false, "with -json, emit only the kernel records CI's ratio gate reads: skip the subscribe, overload, fold and load scenarios")
 	load := flag.Bool("load", false, "run the network fan-in scenario (Load1k) and print its record instead of a figure")
 	loadClients := flag.Int("load-clients", 1000, "concurrent network connections for the Load1k scenario (-load and -json)")
 	loadPipeline := flag.Int("load-pipeline", 2, "pipelined in-flight queries per Load1k connection")
@@ -57,7 +58,7 @@ func main() {
 		return
 	}
 	if *jsonOut {
-		exitOn(runJSONBench(opts, *warmup, *count, *loadClients, *loadPipeline))
+		exitOn(runJSONBench(opts, *warmup, *count, *loadClients, *loadPipeline, *kernels))
 		return
 	}
 

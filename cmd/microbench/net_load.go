@@ -60,7 +60,7 @@ func benchLoad1k(opts experiments.Options, clients, pipeline int) (benchRecord, 
 		Ops: int(res.Queries), Unit: "client query",
 		NsPerOp: ns, OpsPerSec: rps, QueriesPerX: 1,
 		P50Ns: float64(res.P50), P99Ns: float64(res.P99), P999Ns: float64(res.P999),
-		ShedRate: res.ShedRate(), GenPerSec: res.GenerationsPerSec(), FoldHitRate: res.FoldHitRate(),
+		ShedRate: res.ShedRate(), GenPerSec: res.GenerationsPerSec(), FoldHitRate: res.Engine.FoldHitRate(),
 	}, nil
 }
 

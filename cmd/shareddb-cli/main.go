@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"shareddb/client"
+	"shareddb/internal/dbapi"
 )
 
 func main() {
@@ -92,11 +93,14 @@ func stats(out io.Writer, db *client.DB) {
 		fail(out, err)
 		return
 	}
-	fmt.Fprintf(out, "generations\t%d\nqueries_run\t%d\nwrites_applied\t%d\nfolded_queries\t%d\nfold_hit_rate\t%.4f\n",
-		st.Generations, st.QueriesRun, st.WritesApplied, st.FoldedQueries, st.FoldHitRate())
-	fmt.Fprintf(out, "in_flight_generations\t%d\nqueue_depth\t%d\nshed\t%d\nrejected\t%d\nbreaker_trips\t%d\nsubscriptions_active\t%d\nsubscription_updates\t%d\n",
-		st.InFlightGenerations, st.QueueDepth, st.Shed, st.Rejected, st.BreakerTrips, st.SubscriptionsActive, st.SubscriptionUpdates)
-	fmt.Fprintln(out, "OK 12")
+	// The derived rate follows the counter it is read from.
+	for i, v := range st.Values() {
+		fmt.Fprintf(out, "%s\t%d\n", dbapi.StatNames[i], v)
+		if dbapi.StatNames[i] == "folded_queries" {
+			fmt.Fprintf(out, "fold_hit_rate\t%.4f\n", st.FoldHitRate())
+		}
+	}
+	fmt.Fprintf(out, "OK %d\n", len(dbapi.StatNames)+1)
 }
 
 // fail prints the error response: BUSY with the server's retry hint for

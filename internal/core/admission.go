@@ -56,8 +56,9 @@
 // cap: batch formation walks the queue accumulating each statement's
 // predicted cost — charging each distinct statement once, since shared
 // execution folds duplicate activations into the same operator work — and
-// sheds the strict positional suffix past the budget (adaptive SLO). With
-// no per-statement history the cap falls back to the uniform EWMA estimate.
+// sheds the strict positional suffix past the budget (adaptive SLO). A
+// request whose statement has no history is charged the uniform EWMA
+// estimate.
 //
 // All admission state is guarded by the engine mutex: every method on
 // admission must be called with Engine.mu held. The engine always has a
@@ -67,41 +68,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/plan"
 )
-
-// ErrOverloaded is the sentinel all admission rejections wrap: shed-vs-kept
-// callers match with errors.Is(err, core.ErrOverloaded) and recover the
-// retry hint with errors.As into a *OverloadError.
-var ErrOverloaded = errors.New("core: overloaded")
-
-// OverloadError is the typed admission rejection. It wraps ErrOverloaded
-// (errors.Is matches) and carries a retry hint: how long the client should
-// wait before resubmitting (the estimated queue drain time, or the
-// remaining breaker cooldown).
-type OverloadError struct {
-	// Reason says which limit rejected the submission (queue depth,
-	// quarantined statement, half-open probe in flight).
-	Reason string
-	// RetryAfter is the suggested client back-off before resubmitting.
-	RetryAfter time.Duration
-}
-
-// Error renders the rejection with its retry hint.
-func (e *OverloadError) Error() string {
-	if e.RetryAfter > 0 {
-		return fmt.Sprintf("core: overloaded: %s (retry after %v)", e.Reason, e.RetryAfter)
-	}
-	return "core: overloaded: " + e.Reason
-}
-
-// Unwrap makes errors.Is(err, ErrOverloaded) match.
-func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 
 const (
 	// MinGenerationDelay is the smallest enforceable SLO: below the ~1ms
@@ -142,21 +115,6 @@ type breaker struct {
 	probing  bool      // half-open: the single probe is in flight
 }
 
-// AdmissionStats are the admission controller's counters.
-type AdmissionStats struct {
-	// Shed counts deferral events: requests pushed to a later generation
-	// by the statement quota or the SLO batch cap (a request deferred k
-	// generations counts k times).
-	Shed uint64
-	// Rejected counts submissions refused with ErrOverloaded.
-	Rejected uint64
-	// BreakerTrips counts closed→open and half-open→open transitions.
-	BreakerTrips uint64
-	// QueueDepth is the current submission queue length including router
-	// reservations (never exceeds Config.QueueDepthLimit when set).
-	QueueDepth int
-}
-
 // admission is the engine's admission controller. All fields are guarded by
 // the engine mutex; every method must be called with it held.
 type admission struct {
@@ -175,6 +133,8 @@ type admission struct {
 	breakers     map[string]*breaker
 	stmtCost     map[string]*costRing // per-statement attributed cycle cost
 	quotaScratch map[string]int       // formBatch per-call counts, reused
+	// chargedScratch marks the statements sloLimit's walk has charged.
+	chargedScratch map[string]bool
 
 	shed     uint64
 	rejected uint64
@@ -210,6 +170,7 @@ func newAdmission(cfg Config) *admission {
 	if maxDelay > 0 {
 		a.breakers = map[string]*breaker{}
 		a.stmtCost = map[string]*costRing{}
+		a.chargedScratch = map[string]bool{}
 	}
 	if quota > 0 {
 		a.quotaScratch = map[string]int{}
@@ -264,7 +225,7 @@ func (r *costRing) predict() float64 {
 func (a *admission) admit(stmt *plan.Statement, depth int) error {
 	if a.queueLimit > 0 && depth >= a.queueLimit {
 		a.rejected++
-		return &OverloadError{
+		return &dbapi.OverloadError{
 			Reason:     fmt.Sprintf("submission queue at depth limit %d", a.queueLimit),
 			RetryAfter: a.drainEstimate(depth),
 		}
@@ -303,13 +264,13 @@ func (a *admission) checkBreaker(stmt *plan.Statement) error {
 	// while its probe is in flight.
 	if b.state == breakerOpen {
 		if wait := b.openedAt.Add(a.cooldown).Sub(a.now()); wait > 0 {
-			return &OverloadError{
+			return &dbapi.OverloadError{
 				Reason:     fmt.Sprintf("statement quarantined by slow-query breaker (%d consecutive generations over the %v SLO)", b.strikes, a.maxDelay),
 				RetryAfter: wait,
 			}
 		}
 	} else if b.probing {
-		return &OverloadError{
+		return &dbapi.OverloadError{
 			Reason:     "statement breaker half-open: probe already in flight",
 			RetryAfter: a.maxDelay,
 		}
@@ -320,37 +281,22 @@ func (a *admission) checkBreaker(stmt *plan.Statement) error {
 	return nil
 }
 
-// sloCap converts the cost EWMA into the largest batch predicted to finish
-// inside the SLO; 0 means "no cap" (SLO disabled, or no history yet).
-func (a *admission) sloCap() int {
-	if a.maxDelay <= 0 || a.costNs <= 0 {
-		return 0
-	}
-	n := int(float64(a.maxDelay) / a.costNs)
-	if n < 1 {
-		n = 1 // a generation always admits at least one request
-	}
-	return n
-}
-
 // sloLimit picks the largest batch prefix predicted to finish inside the
 // SLO (0 = no cap). With per-statement cost history (the engine's cycle
 // attribution) it walks the queue accumulating each request's predicted
 // cost — charging each distinct statement once, since shared execution
 // folds duplicate activations into the same operator pass — and cuts at
 // the first request past the budget, a strict positional suffix shed.
-// Requests with no history are charged the uniform EWMA estimate. Without
-// any per-statement history it falls back to the EWMA-only sloCap.
+// Requests with no history are charged the uniform EWMA estimate, so with
+// no history at all the cut is max(1, ⌊SLO/EWMA⌋).
 func (a *admission) sloLimit(pending []*Request) int {
 	if a.maxDelay <= 0 {
 		return 0
 	}
-	if len(a.stmtCost) == 0 {
-		return a.sloCap()
-	}
 	budget := float64(a.maxDelay)
 	var acc float64
-	charged := make(map[string]bool, len(pending))
+	charged := a.chargedScratch
+	defer clear(charged)
 	for i, r := range pending {
 		var c float64
 		if r.Stmt != nil {

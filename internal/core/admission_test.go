@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shareddb/internal/baseline"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/expr"
 	"shareddb/internal/plan"
 	"shareddb/internal/sql"
@@ -45,11 +46,11 @@ func TestAdmissionDisabledIsNil(t *testing.T) {
 }
 
 func TestOverloadErrorIsAndAs(t *testing.T) {
-	err := error(&OverloadError{Reason: "queue full", RetryAfter: 3 * time.Millisecond})
-	if !errors.Is(err, ErrOverloaded) {
+	err := error(&dbapi.OverloadError{Reason: "queue full", RetryAfter: 3 * time.Millisecond})
+	if !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatal("OverloadError must match errors.Is(err, ErrOverloaded)")
 	}
-	var oe *OverloadError
+	var oe *dbapi.OverloadError
 	if !errors.As(err, &oe) || oe.RetryAfter != 3*time.Millisecond {
 		t.Fatalf("errors.As must recover the retry hint, got %+v", oe)
 	}
@@ -63,10 +64,10 @@ func TestAdmitQueueDepthBoundary(t *testing.T) {
 		t.Fatalf("depth 3 of limit 4 must admit: %v", err)
 	}
 	err := a.admit(nil, 4)
-	if !errors.Is(err, ErrOverloaded) {
+	if !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("depth 4 of limit 4 must reject with ErrOverloaded, got %v", err)
 	}
-	var oe *OverloadError
+	var oe *dbapi.OverloadError
 	if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
 		t.Fatalf("queue rejection needs a positive retry hint, got %+v", oe)
 	}
@@ -152,8 +153,8 @@ func TestFormBatchSLOCapFloorsAtOne(t *testing.T) {
 
 	// 4ms per request observed → a 10ms SLO admits 2 per generation.
 	a.recordGenerationCosts(nil, 4*time.Millisecond, 1, nil)
-	if c := a.sloCap(); c != 2 {
-		t.Fatalf("sloCap = %d, want 2 (10ms SLO / 4ms cost)", c)
+	if c := a.sloLimit(mkReqs(s, s, s, s)); c != 2 {
+		t.Fatalf("sloLimit = %d, want 2 (10ms SLO / 4ms cost)", c)
 	}
 	batch, rest = a.formBatch(mkReqs(s, s, s, s))
 	if len(batch) != 2 || len(rest) != 2 {
@@ -166,11 +167,38 @@ func TestFormBatchSLOCapFloorsAtOne(t *testing.T) {
 	// A cost spike cannot starve the engine — the cap floors at one
 	// request per generation.
 	a.costNs = float64(time.Second)
-	if c := a.sloCap(); c != 1 {
-		t.Fatalf("sloCap with cost >> SLO = %d, want floor of 1", c)
+	if c := a.sloLimit(mkReqs(s, s, s)); c != 1 {
+		t.Fatalf("sloLimit with cost >> SLO = %d, want floor of 1", c)
 	}
 	if batch, _ = a.formBatch(mkReqs(s, s, s)); len(batch) != 1 {
 		t.Fatalf("cost >> SLO must still admit 1 per generation, got %d", len(batch))
+	}
+}
+
+// TestSLOLimitWithoutHistory pins the one SLO-cap rule: with no statement
+// cost history every request is charged the cost EWMA, so a queue longer
+// than the SLO admits max(1, ⌊SLO/cost⌋) and a shorter one is not cut.
+// Costs are whole nanoseconds, so the walk's running sum is exact.
+func TestSLOLimitWithoutHistory(t *testing.T) {
+	s := &plan.Statement{ID: 1, SQL: "SELECT 1"}
+	for _, slo := range []time.Duration{time.Millisecond, 7 * time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond} {
+		for _, cost := range []time.Duration{300 * time.Microsecond, time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond, 80 * time.Millisecond} {
+			for _, n := range []int{1, 2, 5, 33, 200} {
+				a := newAdmission(Config{MaxGenerationDelay: slo})
+				a.recordGenerationCosts(nil, cost, 1, nil)
+				queue := make([]*Request, n)
+				for i := range queue {
+					queue[i] = &Request{Stmt: s}
+				}
+				want := max(1, int(slo/cost))
+				if want >= n {
+					want = 0 // the whole queue fits: no cut
+				}
+				if got := a.sloLimit(queue); got != want {
+					t.Errorf("SLO %v, cost %v, queue %d: cut at %d, want %d", slo, cost, n, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -200,10 +228,10 @@ func TestBreakerTripHalfOpenResetCycle(t *testing.T) {
 	// Two consecutive strikes: trips.
 	a.recordGenerationCosts([]*plan.Statement{s}, slow, 1, nil)
 	err := a.admit(s, 0)
-	if !errors.Is(err, ErrOverloaded) {
+	if !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("tripped breaker must reject, got %v", err)
 	}
-	var oe *OverloadError
+	var oe *dbapi.OverloadError
 	if !errors.As(err, &oe) || oe.RetryAfter <= 0 || oe.RetryAfter > 100*time.Millisecond {
 		t.Fatalf("open-breaker retry hint must be the remaining cooldown, got %+v", oe)
 	}
@@ -231,7 +259,7 @@ func TestBreakerTripHalfOpenResetCycle(t *testing.T) {
 	if b := a.breakers[s.SQL]; b.state != breakerHalfOpen || !b.probing {
 		t.Fatalf("the admitted probe must leave the breaker half-open with its probe in flight, got %v (probing %v)", b.state, b.probing)
 	}
-	if err := a.admit(s, 0); !errors.Is(err, ErrOverloaded) {
+	if err := a.admit(s, 0); !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("second submission during the probe must reject, got %v", err)
 	}
 
@@ -240,7 +268,7 @@ func TestBreakerTripHalfOpenResetCycle(t *testing.T) {
 	if a.trips != 2 {
 		t.Fatalf("failed probe must count a trip, got %d", a.trips)
 	}
-	if err := a.admit(s, 0); !errors.Is(err, ErrOverloaded) {
+	if err := a.admit(s, 0); !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("re-tripped breaker must reject, got %v", err)
 	}
 
@@ -289,8 +317,6 @@ func TestValidateConfig(t *testing.T) {
 		{}, // 0 selects the default pipeline depth
 		{MaxInFlightGenerations: 1},
 		{MaxInFlightGenerations: 4},
-		{SubscriptionBuffer: 1},
-		{SubscriptionBuffer: 64},
 		{MaxGenerationDelay: time.Millisecond},
 		{MaxGenerationDelay: 50 * time.Millisecond, QueueDepthLimit: 10, StatementQuota: 5},
 		{QueueDepthLimit: 1},
@@ -302,8 +328,6 @@ func TestValidateConfig(t *testing.T) {
 	}
 	invalid := []Config{
 		{MaxInFlightGenerations: -1},
-		{SubscriptionBuffer: -1},
-		{SubscriptionBuffer: -5},
 		{MaxGenerationDelay: -time.Millisecond},
 		{MaxGenerationDelay: 500 * time.Microsecond}, // below timer resolution
 		{MaxGenerationDelay: time.Nanosecond},
@@ -388,7 +412,7 @@ func TestAdmissionNonBindingDifferential(t *testing.T) {
 			}
 		}
 	}
-	stats := e.AdmissionStats()
+	stats := e.Stats()
 	if stats.Rejected != 0 || stats.BreakerTrips != 0 {
 		t.Fatalf("non-binding limits must not reject or trip: %+v", stats)
 	}
@@ -409,7 +433,7 @@ func TestAdmitReserveRelease(t *testing.T) {
 	if err := e.AdmitReserve(); err != nil {
 		t.Fatalf("second reservation: %v", err)
 	}
-	if err := e.AdmitReserve(); !errors.Is(err, ErrOverloaded) {
+	if err := e.AdmitReserve(); !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("third reservation at limit 2 must reject, got %v", err)
 	}
 	e.AdmitRelease()
@@ -430,7 +454,7 @@ func TestAdmitReserveRelease(t *testing.T) {
 			t.Fatalf("reserved commit: affected %d, err %v", r.RowsAffected, err)
 		}
 	}
-	if depth := e.AdmissionStats().QueueDepth; depth != 0 {
+	if depth := e.Stats().QueueDepth; depth != 0 {
 		t.Fatalf("reservations must be consumed, queue depth = %d", depth)
 	}
 }
@@ -458,10 +482,10 @@ func TestBreakerQuarantinesSlowStatement(t *testing.T) {
 	}
 	// Two consecutive over-SLO generations: quarantined.
 	err := e.Submit(heavy, nil).Wait()
-	if !errors.Is(err, ErrOverloaded) {
+	if !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("statement must be quarantined after 2 slow generations, got %v", err)
 	}
-	if trips := e.AdmissionStats().BreakerTrips; trips != 1 {
+	if trips := e.Stats().BreakerTrips; trips != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", trips)
 	}
 	// The ad-hoc retry of a quarantined text: re-preparing it is a registry
@@ -471,11 +495,11 @@ func TestBreakerQuarantinesSlowStatement(t *testing.T) {
 	if heavyAdhoc != heavy {
 		t.Fatal("re-preparing a registered text must return its handle")
 	}
-	rejected := e.AdmissionStats().Rejected
-	if err := e.Submit(heavyAdhoc, nil).Wait(); !errors.Is(err, ErrOverloaded) {
+	rejected := e.Stats().Rejected
+	if err := e.Submit(heavyAdhoc, nil).Wait(); !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("the re-prepared quarantined statement must reject, got %v", err)
 	}
-	if got := e.AdmissionStats().Rejected; got != rejected+1 {
+	if got := e.Stats().Rejected; got != rejected+1 {
 		t.Fatalf("the quarantined retry must count one rejection: Rejected %d → %d", rejected, got)
 	}
 	// After the cooldown a probe is admitted; it is still slow, so the
@@ -484,10 +508,10 @@ func TestBreakerQuarantinesSlowStatement(t *testing.T) {
 	if err := e.Submit(heavy, nil).Wait(); err != nil {
 		t.Fatalf("half-open probe must be admitted and answered: %v", err)
 	}
-	if err := e.Submit(heavy, nil).Wait(); !errors.Is(err, ErrOverloaded) {
+	if err := e.Submit(heavy, nil).Wait(); !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("failed probe must re-quarantine, got %v", err)
 	}
-	if trips := e.AdmissionStats().BreakerTrips; trips != 2 {
+	if trips := e.Stats().BreakerTrips; trips != 2 {
 		t.Fatalf("BreakerTrips = %d, want 2", trips)
 	}
 }

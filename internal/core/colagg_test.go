@@ -419,7 +419,7 @@ func TestBreakerSparesLightStatement(t *testing.T) {
 		}
 	}
 
-	if trips := e.AdmissionStats().BreakerTrips; trips == 0 {
+	if trips := e.Stats().BreakerTrips; trips == 0 {
 		t.Fatal("the heavy statement never tripped the breaker — the fixture is not slow enough to test blame")
 	}
 	state := func(sqlText string) breakerState {

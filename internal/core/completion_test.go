@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
@@ -126,7 +127,7 @@ func TestResultHookFiresOncePerCompletionPath(t *testing.T) {
 		check(t, "admitted lead", first, fh, nil)
 		check(t, "shed lead", shed, sh, nil)
 		check(t, "its subscriber", sub, subh, nil)
-		if e.Stats().Admission.Shed == 0 {
+		if e.Stats().Shed == 0 {
 			t.Fatal("fixture: nothing was shed")
 		}
 		sameResult(t, shed.Result, sub.Result)
@@ -144,7 +145,7 @@ func TestResultHookFiresOncePerCompletionPath(t *testing.T) {
 		case <-time.After(200 * time.Millisecond):
 			t.Fatal("a rejection must complete at submit time")
 		}
-		check(t, "rejected", over, overh, ErrOverloaded)
+		check(t, "rejected", over, overh, dbapi.ErrOverloaded)
 		check(t, "admitted", ok, okh, nil)
 	})
 

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/expr"
 	"shareddb/internal/operators"
 	"shareddb/internal/plan"
@@ -88,13 +89,6 @@ type Config struct {
 	// single generation admits; excess activations are shed — they stay
 	// queued, in arrival order, for a later generation. 0 = unlimited.
 	StatementQuota int
-
-	// SubscriptionBuffer is the per-subscription update channel capacity
-	// (0 selects DefaultSubscriptionBuffer). A subscriber that falls more
-	// than a full buffer behind is marked lagged and receives a full resync
-	// as its next delivery; generations never block on slow subscribers.
-	// Negative values are rejected by Config.Validate.
-	SubscriptionBuffer int
 
 	// NoFold is the reference switch: it queues every read as its own
 	// activation. The zero value is the production path: a read submission
@@ -333,7 +327,7 @@ func failRequests(reqs []*Request) {
 }
 
 // Stats reports the engine's typed counter snapshot.
-func (e *Engine) Stats() EngineStats {
+func (e *Engine) Stats() dbapi.Stats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	active := 0
@@ -342,27 +336,18 @@ func (e *Engine) Stats() EngineStats {
 			active++
 		}
 	}
-	return EngineStats{
+	return dbapi.Stats{
 		Generations:         e.generations,
 		QueriesRun:          e.queriesRun,
-		WritesRun:           e.writesRun,
+		WritesApplied:       e.writesRun,
 		FoldedQueries:       e.folded,
+		InFlightGenerations: e.inFlight,
+		QueueDepth:          len(e.pending) + e.reserved,
+		Shed:                e.adm.shed,
+		Rejected:            e.adm.rejected,
+		BreakerTrips:        e.adm.trips,
 		SubscriptionsActive: active,
 		SubscriptionUpdates: e.subUpdates.Load(),
-		InFlight:            e.inFlight,
-		PeakInFlight:        e.peakInFlight,
-		Admission:           e.admissionStatsLocked(),
-	}
-}
-
-// admissionStatsLocked snapshots the admission counters and the live queue
-// depth, router reservations included (e.mu held).
-func (e *Engine) admissionStatsLocked() AdmissionStats {
-	return AdmissionStats{
-		Shed:         e.adm.shed,
-		Rejected:     e.adm.rejected,
-		BreakerTrips: e.adm.trips,
-		QueueDepth:   len(e.pending) + e.reserved,
 	}
 }
 
@@ -476,14 +461,6 @@ func (e *Engine) AdmitRelease() {
 		e.reserved--
 	}
 	e.mu.Unlock()
-}
-
-// AdmissionStats reports the admission controller's counters (zero values
-// when admission is disabled).
-func (e *Engine) AdmissionStats() AdmissionStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.admissionStatsLocked()
 }
 
 // SubmitTx enqueues a transaction commit for the next generation. The

@@ -465,7 +465,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	st := e.Stats()
 	// Identical concurrent reads fold, so client reads are executed
 	// activations plus fan-out deliveries.
-	gens, queries, writes := st.Generations, st.QueriesRun+st.FoldedQueries, st.WritesRun
+	gens, queries, writes := st.Generations, st.QueriesRun+st.FoldedQueries, st.WritesApplied
 	if queries != 300 || writes != 100 {
 		t.Errorf("stats: %d gens, %d queries (%d folded), %d writes", gens, queries, st.FoldedQueries, writes)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/expr"
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
@@ -41,7 +42,7 @@ type Executor interface {
 	SubmitTx(tx Tx) *Result
 	// Stats reports the typed counter snapshot (summed across shards for
 	// the sharded backend — the in-flight gauges sum per-shard values).
-	Stats() EngineStats
+	Stats() dbapi.Stats
 	Close()
 }
 
@@ -59,37 +60,6 @@ var (
 	_ Executor = (*Engine)(nil)
 	_ Tx       = (*storage.Tx)(nil)
 )
-
-// EngineStats is the typed counter snapshot Executor.Stats returns. All
-// counters are cumulative since the engine started; InFlight and
-// QueueDepth (inside Admission) are gauges.
-type EngineStats struct {
-	// Generations is the number of generations dispatched.
-	Generations uint64
-	// QueriesRun counts read activations actually executed by the engine;
-	// folded duplicates are NOT included (they did no engine work).
-	QueriesRun uint64
-	// WritesRun counts applied write operations and transaction commits.
-	WritesRun uint64
-	// FoldedQueries counts read submissions served by fan-out from an
-	// identical pending duplicate instead of executing. It counts in the
-	// unit QueriesRun counts: on the sharded backend that is per-shard
-	// activations, so one client scatter read folded on N shards counts N.
-	FoldedQueries uint64
-	// SubscriptionsActive is the gauge of open standing queries (summed
-	// across shards for the sharded backend).
-	SubscriptionsActive int
-	// SubscriptionUpdates counts updates handed to subscribers (initial
-	// full results, deltas and lag resyncs; dropped-and-lagged deliveries
-	// are not included).
-	SubscriptionUpdates uint64
-	// InFlight / PeakInFlight mirror InFlightGenerations.
-	InFlight     int
-	PeakInFlight int
-	// Admission carries the admission controller's counters (zero values
-	// when admission is disabled; QueueDepth is live regardless).
-	Admission AdmissionStats
-}
 
 // BeginTx opens a snapshot-isolated transaction on the engine's database.
 func (e *Engine) BeginTx() Tx { return e.db.Begin() }
@@ -144,9 +114,6 @@ func (r *Result) complete(err error) {
 func (c Config) Validate() error {
 	if c.MaxInFlightGenerations < 0 {
 		return fmt.Errorf("core: MaxInFlightGenerations must be >= 0, got %d (0 = engine default, 1 = serial)", c.MaxInFlightGenerations)
-	}
-	if c.SubscriptionBuffer < 0 {
-		return fmt.Errorf("core: SubscriptionBuffer must be >= 0, got %d (0 = default %d)", c.SubscriptionBuffer, DefaultSubscriptionBuffer)
 	}
 	if c.MaxGenerationDelay < 0 {
 		return fmt.Errorf("core: MaxGenerationDelay must be >= 0, got %v (0 = no latency SLO)", c.MaxGenerationDelay)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/expr"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -42,14 +43,14 @@ func TestBatchShapes(t *testing.T) {
 				standing := mustPrepare(t, e, "SELECT i_id FROM item WHERE i_subject = ?")
 				warm(t, e, point, types.NewInt(0))
 				before := e.Stats()
-				grew := func(st EngineStats) (gens, queries, writes uint64) {
-					return st.Generations - before.Generations, st.QueriesRun - before.QueriesRun, st.WritesRun - before.WritesRun
+				grew := func(st dbapi.Stats) (gens, queries, writes uint64) {
+					return st.Generations - before.Generations, st.QueriesRun - before.QueriesRun, st.WritesApplied - before.WritesApplied
 				}
 
 				type caller struct {
 					res         *Result
 					kind        string
-					wantWritesN int // WritesRun growth the caller must already see
+					wantWritesN int // WritesApplied growth the caller must already see
 				}
 				var calls []Call
 				var callers []caller
@@ -97,7 +98,7 @@ func TestBatchShapes(t *testing.T) {
 					}
 				}
 
-				var st EngineStats
+				var st dbapi.Stats
 				if len(callers) > 0 {
 					// The generation retired before any of its results completed.
 					st = e.Stats()
@@ -114,15 +115,15 @@ func TestBatchShapes(t *testing.T) {
 					}
 					// Nobody waits on a subscription-only generation: poll.
 					deadline := time.Now().Add(10 * time.Second)
-					for st = e.Stats(); st.InFlight != 0 || st.Generations == before.Generations; st = e.Stats() {
+					for st = e.Stats(); st.InFlightGenerations != 0 || st.Generations == before.Generations; st = e.Stats() {
 						if time.Now().After(deadline) {
 							t.Fatalf("generation never retired: %+v", st)
 						}
 						time.Sleep(time.Millisecond)
 					}
 				}
-				if st.InFlight != 0 {
-					t.Fatalf("InFlight = %d after the generation completed, want 0", st.InFlight)
+				if st.InFlightGenerations != 0 {
+					t.Fatalf("InFlight = %d after the generation completed, want 0", st.InFlightGenerations)
 				}
 				gens, queries, writes := grew(st)
 				if gens != 1 || queries != uint64(sh.reads) || writes != uint64(sh.writes+sh.txs) {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -92,7 +93,7 @@ func TestOverloadStressBoundedQueue(t *testing.T) {
 				return
 			default:
 			}
-			if d := e.AdmissionStats().QueueDepth; d > queueCap {
+			if d := e.Stats().QueueDepth; d > queueCap {
 				depthViolation.Store(int64(d))
 				return
 			}
@@ -118,8 +119,8 @@ func TestOverloadStressBoundedQueue(t *testing.T) {
 						return
 					}
 					admitted.Add(1)
-				case errors.Is(err, ErrOverloaded):
-					var oe *OverloadError
+				case errors.Is(err, dbapi.ErrOverloaded):
+					var oe *dbapi.OverloadError
 					if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
 						t.Errorf("rejection must be a typed *OverloadError with a retry hint, got %v", err)
 						return
@@ -149,7 +150,7 @@ func TestOverloadStressBoundedQueue(t *testing.T) {
 	if rejected.Load() == 0 {
 		t.Fatalf("%d clients against a %d-deep queue must reject some work", clients, queueCap)
 	}
-	stats := e.AdmissionStats()
+	stats := e.Stats()
 	if stats.Rejected != uint64(rejected.Load()) {
 		t.Fatalf("engine counted %d rejections, clients saw %d", stats.Rejected, rejected.Load())
 	}
@@ -162,7 +163,7 @@ func TestOverloadStressBoundedQueue(t *testing.T) {
 		if err == nil {
 			break
 		}
-		if !errors.Is(err, ErrOverloaded) || time.Now().After(deadline) {
+		if !errors.Is(err, dbapi.ErrOverloaded) || time.Now().After(deadline) {
 			t.Fatalf("engine did not recover after overload: %v", err)
 		}
 		time.Sleep(time.Millisecond)
@@ -196,7 +197,7 @@ func TestOverloadRejectionIsImmediate(t *testing.T) {
 	res := e.Submit(s, []types.Value{types.NewInt(9)})
 	select {
 	case <-res.Done():
-		if !errors.Is(res.Err, ErrOverloaded) {
+		if !errors.Is(res.Err, dbapi.ErrOverloaded) {
 			t.Fatalf("over-cap submission got %v, want ErrOverloaded", res.Err)
 		}
 	case <-time.After(200 * time.Millisecond):
@@ -247,7 +248,7 @@ func TestOverloadStatementQuotaSpreadsGenerations(t *testing.T) {
 	if gens := gensAfter - gensBefore; gens < 3 {
 		t.Fatalf("a %d-burst over quota 4 needs >= 3 generations, got %d", burst, gens)
 	}
-	if shed := e.AdmissionStats().Shed; shed == 0 {
+	if shed := e.Stats().Shed; shed == 0 {
 		t.Fatal("quota deferrals must count as shed")
 	}
 }

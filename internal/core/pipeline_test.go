@@ -241,7 +241,7 @@ func TestPipelinedDifferentialMixedLoad(t *testing.T) {
 	}
 
 	st := e.Stats()
-	gens, queries, writes := st.Generations, st.QueriesRun, st.WritesRun
+	gens, queries, writes := st.Generations, st.QueriesRun, st.WritesApplied
 	_, peak := e.InFlightGenerations()
 	t.Logf("rounds=%d generations=%d queries=%d writes=%d peak in flight=%d", round, gens, queries, writes, peak)
 	if gens < 3 {

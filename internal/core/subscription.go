@@ -5,13 +5,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
-
-// DefaultSubscriptionBuffer is the per-subscription update channel capacity
-// used when Config.SubscriptionBuffer is zero.
-const DefaultSubscriptionBuffer = 16
 
 // SubscriptionUpdate is one delivery on a standing query's update channel.
 // The first delivery (and any delivery after the subscriber lagged) is a
@@ -147,14 +144,11 @@ func (s *Subscription) deliver(gen, ts uint64, rows []types.Row, sent *atomic.Ui
 // NewProxySubscription returns a subscription fed by the caller instead of
 // an engine: the shard router uses it as the client-facing end of a merged
 // multi-shard feed. Deliver updates with Push; Close releases consumers.
-func NewProxySubscription(stmt *plan.Statement, params []types.Value, buf int) *Subscription {
-	if buf <= 0 {
-		buf = DefaultSubscriptionBuffer
-	}
+func NewProxySubscription(stmt *plan.Statement, params []types.Value) *Subscription {
 	return &Subscription{
 		stmt:   stmt,
 		params: params,
-		ch:     make(chan SubscriptionUpdate, buf),
+		ch:     make(chan SubscriptionUpdate, dbapi.SubscriptionBuffer),
 		done:   make(chan struct{}),
 	}
 }
@@ -201,14 +195,10 @@ func (e *Engine) Subscribe(stmt *plan.Statement, params []types.Value) (*Subscri
 	if stmt == nil || stmt.IsWrite() {
 		return nil, errors.New("core: Subscribe requires a read statement")
 	}
-	buf := e.cfg.SubscriptionBuffer
-	if buf <= 0 {
-		buf = DefaultSubscriptionBuffer
-	}
 	s := &Subscription{
 		stmt:         stmt,
 		params:       params,
-		ch:           make(chan SubscriptionUpdate, buf),
+		ch:           make(chan SubscriptionUpdate, dbapi.SubscriptionBuffer),
 		done:         make(chan struct{}),
 		needsInitial: true,
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"shareddb/internal/dbapi"
 	"shareddb/internal/operators"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
@@ -173,13 +174,13 @@ func TestSubscriptionDeltasMatchOracle(t *testing.T) {
 	}
 }
 
-// TestSubscriptionLagResync fills a tiny subscription buffer without
-// draining it: the subscription must mark itself lagged and, once the
-// subscriber drains, deliver a Full resync whose rows equal a fresh query.
+// TestSubscriptionLagResync fills the subscription buffer without draining
+// it: the subscription must mark itself lagged and, once the subscriber
+// drains, deliver a Full resync whose rows equal a fresh query.
 func TestSubscriptionLagResync(t *testing.T) {
 	db, closeDB := bookstore(t)
 	defer closeDB()
-	e := New(db, plan.New(db), Config{SubscriptionBuffer: 1})
+	e := New(db, plan.New(db), Config{})
 	defer e.Close()
 
 	st := mustPrepare(t, e, "SELECT i_id, i_price FROM item WHERE i_subject = ?")
@@ -189,10 +190,11 @@ func TestSubscriptionLagResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	upd := mustPrepare(t, e, "UPDATE item SET i_price = ? WHERE i_id = ?")
-	// Do not drain: the 1-slot buffer holds the initial full result, so
-	// every write generation's delivery (each write changes an ARTS row —
-	// ids 0,4,8,12 all carry the ARTS subject) is dropped and marks the gap.
-	for i := 0; i < 8; i++ {
+	// Do not drain: the buffer holds the initial full result and the first
+	// buffer-1 deltas, so the write generations past them (each write
+	// changes an ARTS row — ids 0,4,8,12 all carry the ARTS subject) are
+	// dropped and mark the gap.
+	for i := 0; i < dbapi.SubscriptionBuffer+8; i++ {
 		res := e.Submit(upd, []types.Value{types.NewFloat(float64(200 + i)), types.NewInt(int64(4 * (i % 4)))})
 		if err := res.Wait(); err != nil {
 			t.Fatal(err)
@@ -206,17 +208,18 @@ func TestSubscriptionLagResync(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	// Recovery: the buffered update is the pre-gap initial full; the first
-	// delivery to land after it must be a full resync, never a delta that
-	// spans the gap.
-	var first SubscriptionUpdate
-	select {
-	case first = <-sub.Updates():
-	case <-time.After(10 * time.Second):
-		t.Fatal("buffered initial delivery missing")
-	}
-	if !first.Full {
-		t.Fatalf("pre-gap buffered delivery not full: %+v", first)
+	// Recovery: the buffer holds the pre-gap initial full and deltas; the
+	// first delivery to land after them must be a full resync, never a
+	// delta that spans the gap.
+	for i := 0; i < dbapi.SubscriptionBuffer; i++ {
+		select {
+		case u := <-sub.Updates():
+			if u.Full != (i == 0) {
+				t.Fatalf("pre-gap buffered delivery %d: Full = %v, want %v", i, u.Full, i == 0)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("buffered pre-gap delivery %d missing", i)
+		}
 	}
 	var resync SubscriptionUpdate
 	select {
@@ -239,7 +242,7 @@ func TestSubscriptionLagResync(t *testing.T) {
 	}
 	// Converge onto the live result. Deliveries for generations that ran
 	// between the resync's snapshot and now may have been dropped into the
-	// refilled 1-slot buffer (marking a fresh gap), so nudge generations
+	// refilled buffer (marking a fresh gap), so nudge generations
 	// until the stream catches up — each nudge's delivery lands now that
 	// the subscriber is draining, as a full resync whenever a gap reopened.
 	tracked := append([]types.Row{}, resync.Rows...)

@@ -19,6 +19,7 @@ import (
 
 	"shareddb/internal/baseline"
 	"shareddb/internal/core"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/harness"
 	"shareddb/internal/storage"
 	"shareddb/internal/tpcw"
@@ -541,9 +542,9 @@ func overload(opts Options, queries, clients int, backoff bool) (*OverloadResult
 				case err == nil:
 					atomic.AddInt64(&admitted, 1)
 					hist.Observe(time.Since(qStart))
-				case errors.Is(err, core.ErrOverloaded):
+				case errors.Is(err, dbapi.ErrOverloaded):
 					atomic.AddInt64(&shed, 1)
-					var oe *core.OverloadError
+					var oe *dbapi.OverloadError
 					if backoff && errors.As(err, &oe) && oe.RetryAfter > 0 {
 						time.Sleep(oe.RetryAfter)
 					}
@@ -574,10 +575,7 @@ func overload(opts Options, queries, clients int, backoff bool) (*OverloadResult
 type FoldingResult struct {
 	ClientQueries int64         // queries answered to clients
 	Elapsed       time.Duration // measurement window
-	Generations   uint64        // engine generations dispatched
-	EngineQueries uint64        // read activations the engine executed
-	Folded        uint64        // reads served by fan-out instead
-	Shed          uint64        // activations deferred by the quota
+	Engine        dbapi.Stats   // the engine counters' growth over the window
 }
 
 // ClientQPS is client-visible queries per second.
@@ -586,16 +584,7 @@ func (r *FoldingResult) ClientQPS() float64 { return float64(r.ClientQueries) / 
 // GenerationsPerSec is the engine-work rate (the quantity folding must
 // hold constant while client throughput multiplies).
 func (r *FoldingResult) GenerationsPerSec() float64 {
-	return float64(r.Generations) / r.Elapsed.Seconds()
-}
-
-// FoldHitRate is the fraction of client queries served by folding.
-func (r *FoldingResult) FoldHitRate() float64 {
-	total := r.EngineQueries + r.Folded
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Folded) / float64(total)
+	return float64(r.Engine.Generations) / r.Elapsed.Seconds()
 }
 
 // Folding drives the Zipfian-repeat scenario behind the headline folding
@@ -658,10 +647,7 @@ func Folding(opts Options, clients, distinct int, window time.Duration) (*Foldin
 	return &FoldingResult{
 		ClientQueries: done,
 		Elapsed:       elapsed,
-		Generations:   after.Generations - before.Generations,
-		EngineQueries: after.QueriesRun - before.QueriesRun,
-		Folded:        after.FoldedQueries - before.FoldedQueries,
-		Shed:          after.Admission.Shed - before.Admission.Shed,
+		Engine:        after.Sub(before),
 	}, nil
 }
 

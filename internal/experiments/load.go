@@ -80,9 +80,7 @@ type LoadResult struct {
 	P99     time.Duration
 	P999    time.Duration
 
-	Generations   uint64 // engine generations dispatched during the window
-	EngineQueries uint64 // read activations the engine executed
-	FoldedQueries uint64 // reads served by fan-out instead
+	Engine shareddb.Stats // the engine counters' growth over the window
 }
 
 // RPS is completed client queries per second.
@@ -98,7 +96,7 @@ func (r *LoadResult) GenerationsPerSec() float64 {
 	if r.Elapsed <= 0 {
 		return 0
 	}
-	return float64(r.Generations) / r.Elapsed.Seconds()
+	return float64(r.Engine.Generations) / r.Elapsed.Seconds()
 }
 
 // ShedRate is the fraction of offers rejected with BUSY.
@@ -108,15 +106,6 @@ func (r *LoadResult) ShedRate() float64 {
 		return 0
 	}
 	return float64(r.Shed) / float64(total)
-}
-
-// FoldHitRate is the fraction of client reads served by folding.
-func (r *LoadResult) FoldHitRate() float64 {
-	total := r.EngineQueries + r.FoldedQueries
-	if total == 0 {
-		return 0
-	}
-	return float64(r.FoldedQueries) / float64(total)
 }
 
 const loadQuery = `SELECT i_id, i_title FROM item WHERE i_title LIKE ?`
@@ -238,9 +227,7 @@ func Load1k(opts LoadOptions) (*LoadResult, error) {
 		P99:     hist.Quantile(0.99),
 		P999:    hist.Quantile(0.999),
 
-		Generations:   after.Generations - before.Generations,
-		EngineQueries: after.QueriesRun - before.QueriesRun,
-		FoldedQueries: after.FoldedQueries - before.FoldedQueries,
+		Engine: after.Sub(before),
 	}, nil
 }
 

@@ -35,12 +35,12 @@ func TestLoad1kBinary(t *testing.T) {
 	if res.Queries == 0 {
 		t.Fatal("no queries completed")
 	}
-	if res.FoldedQueries == 0 {
+	if res.Engine.FoldedQueries == 0 {
 		t.Fatalf("no folding across %d pipelined connections: %+v", res.Clients, res)
 	}
 	if res.RPS() <= 0 || res.P50 <= 0 || res.P99 < res.P50 {
 		t.Fatalf("implausible measurements: %+v", res)
 	}
 	t.Logf("binary: %d queries, %.0f rps, p50 %v p99 %v p999 %v, fold hit %.2f",
-		res.Queries, res.RPS(), res.P50, res.P99, res.P999, res.FoldHitRate())
+		res.Queries, res.RPS(), res.P50, res.P99, res.P999, res.Engine.FoldHitRate())
 }

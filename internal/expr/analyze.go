@@ -14,18 +14,20 @@ import (
 
 // Conjuncts flattens nested ANDs into a list of conjuncts. A nil expression
 // yields an empty list.
-func Conjuncts(e Expr) []Expr {
+func Conjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
+
+// AppendConjuncts appends e's conjuncts to dst, as Conjuncts lists them.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
 	if a, ok := e.(*And); ok {
-		var out []Expr
 		for _, k := range a.Kids {
-			out = append(out, Conjuncts(k)...)
+			dst = AppendConjuncts(dst, k)
 		}
-		return out
+		return dst
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // AndOf rebuilds a conjunction from parts (nil for empty, the sole element

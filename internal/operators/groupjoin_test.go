@@ -307,8 +307,8 @@ func TestGroupJoinBuildsNoJoinedTuple(t *testing.T) {
 // node's free lists, scan buffers, batch pool and row arena are warm, a
 // cycle that builds 16 keys, reads 4096 outer rows from the column mirror
 // for four queries and emits its groups allocates nothing. The queries
-// filter by HAVING, not by scan predicate: the scan's query index splits
-// each predicate into a fresh conjunct slice per cycle, outside this path.
+// carry scan predicates of the equality, range and rest classes, and two
+// filter by HAVING too.
 func TestGroupJoinZeroAllocSteadyState(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("allocation counts differ under -race")
@@ -327,8 +327,8 @@ func TestGroupJoinZeroAllocSteadyState(t *testing.T) {
 			Aggs: groupJoinAggs[:8], Carry: []bool{false, true}, OutStream: 4}}
 	hj.SetInnerEdge(&Edge{})
 	var tasks []Task
-	for _, q := range mirrorGroupQueries([]byte{16, 24, 16, 24}, 2) {
-		tasks = append(tasks, Task{Query: q.id, Spec: GroupSpec{Having: q.having, Table: tab, Input: 2}})
+	for _, q := range mirrorGroupQueries([]byte{16, 25, 21, 31}, 2) {
+		tasks = append(tasks, Task{Query: q.id, Spec: GroupSpec{Having: q.having, Table: tab, Input: 2, Pred: q.pred}})
 	}
 	h := newAllocHarness(hj, queryset.Of(1, 2, 3, 4))
 	inner := &Batch{Stream: 1, Tuples: build}

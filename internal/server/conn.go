@@ -10,6 +10,7 @@ import (
 
 	"shareddb"
 	"shareddb/internal/core"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/plan"
 	"shareddb/internal/sql"
 	"shareddb/internal/types"
@@ -478,22 +479,13 @@ func schemaColumns(s *types.Schema) []string {
 	return out
 }
 
-// statsFrame renders the engine counter snapshot. Names are the wire
-// contract (clients match by name; unknown names are ignored), mirroring
-// shareddb.Stats minus the derived rate — clients compute FoldHitRate from
-// the counters.
+// statsFrame renders the engine counter snapshot, one field per counter in
+// dbapi.StatNames order. Clients match by name and skip names they do not
+// know; they compute FoldHitRate from the counters.
 func statsFrame(id uint64, st shareddb.Stats) []byte {
-	return wire.StatsOK{ID: id, Fields: []wire.StatField{
-		{Name: "generations", Value: st.Generations},
-		{Name: "queries_run", Value: st.QueriesRun},
-		{Name: "writes_applied", Value: st.WritesApplied},
-		{Name: "folded_queries", Value: st.FoldedQueries},
-		{Name: "in_flight_generations", Value: uint64(st.InFlightGenerations)},
-		{Name: "queue_depth", Value: uint64(st.QueueDepth)},
-		{Name: "shed", Value: st.Shed},
-		{Name: "rejected", Value: st.Rejected},
-		{Name: "breaker_trips", Value: st.BreakerTrips},
-		{Name: "subscriptions_active", Value: uint64(st.SubscriptionsActive)},
-		{Name: "subscription_updates", Value: st.SubscriptionUpdates},
-	}}.Append(nil)
+	fields := make([]wire.StatField, len(dbapi.StatNames))
+	for i, v := range st.Values() {
+		fields[i] = wire.StatField{Name: dbapi.StatNames[i], Value: v}
+	}
+	return wire.StatsOK{ID: id, Fields: fields}.Append(nil)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"shareddb"
 	"shareddb/client"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/types"
 	"shareddb/internal/wire"
 )
@@ -194,16 +196,42 @@ func TestSameGenerationFold(t *testing.T) {
 		t.Fatalf("no queries folded across 4 windows of %d identical pipelined queries (stats: %+v)", window, after)
 	}
 
-	// The client-visible Stats mirror must agree with the engine's.
+	// The client reads the engine's own snapshot, every counter of it.
 	cst, err := db.Stats()
 	if err != nil {
 		t.Fatalf("client stats: %v", err)
 	}
-	if cst.FoldedQueries != sdb.Stats().FoldedQueries {
-		t.Fatalf("client FoldedQueries %d != engine %d", cst.FoldedQueries, sdb.Stats().FoldedQueries)
+	if est := sdb.Stats(); cst != est {
+		t.Fatalf("client stats %+v != engine %+v", cst, est)
 	}
 	if cst.FoldHitRate() <= 0 {
 		t.Fatalf("client FoldHitRate = %v, want > 0", cst.FoldHitRate())
+	}
+}
+
+// TestStatsFrameRoundTrip sets every counter to a distinct value and reads
+// it back from the STATS_OK frame the way package client decodes it.
+func TestStatsFrameRoundTrip(t *testing.T) {
+	var st shareddb.Stats
+	for i, name := range dbapi.StatNames {
+		st.Set(name, uint64(10+i))
+	}
+	typ, payload, _, err := wire.ReadFrame(bytes.NewReader(statsFrame(7, st)), nil)
+	if err != nil || typ != wire.TStatsOK {
+		t.Fatalf("frame %v, err %v", typ, err)
+	}
+	m, err := wire.DecodeStatsOK(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got shareddb.Stats
+	for _, f := range m.Fields {
+		if !got.Set(f.Name, f.Value) {
+			t.Fatalf("frame carries unknown counter %q", f.Name)
+		}
+	}
+	if m.ID != 7 || got != st {
+		t.Fatalf("decoded id %d, %+v; want 7, %+v", m.ID, got, st)
 	}
 }
 

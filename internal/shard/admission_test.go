@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"shareddb/internal/core"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
@@ -101,10 +102,10 @@ func TestShardBroadcastWriteAdmissionAllOrNothing(t *testing.T) {
 		queued = append(queued, r.Submit(scatter, []types.Value{types.NewInt(int64(-2 - i))}))
 	}
 	err := r.Submit(write, nil).Wait()
-	if !errors.Is(err, core.ErrOverloaded) {
+	if !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("broadcast write into full queues: got %v, want ErrOverloaded", err)
 	}
-	var oe *core.OverloadError
+	var oe *dbapi.OverloadError
 	if !errors.As(err, &oe) || oe.RetryAfter <= 0 {
 		t.Fatalf("rejection must carry a retry hint, got %+v", err)
 	}
@@ -143,10 +144,10 @@ func TestShardScatterReadPartialRejectionMergesToOverload(t *testing.T) {
 	// merged outcome must be one coherent typed overload (reads mutate
 	// nothing, so "retry the whole statement" is always safe).
 	err := r.Submit(scatter, nil).Wait()
-	if !errors.Is(err, core.ErrOverloaded) {
+	if !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("partially rejected scatter read: got %v, want ErrOverloaded", err)
 	}
-	var oe *core.OverloadError
+	var oe *dbapi.OverloadError
 	if !errors.As(err, &oe) {
 		t.Fatalf("merged rejection must stay typed, got %T", err)
 	}
@@ -198,7 +199,7 @@ func TestShardTxCommitOverloadRejectsWholeGroup(t *testing.T) {
 	tx.Insert("item", row(idA))
 	tx.Insert("item", row(idB))
 	err := r.SubmitTx(tx).Wait()
-	if !errors.Is(err, core.ErrOverloaded) {
+	if !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("commit with one full shard: got %v, want ErrOverloaded", err)
 	}
 

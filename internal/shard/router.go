@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"shareddb/internal/core"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/expr"
 	"shareddb/internal/plan"
 	"shareddb/internal/sql"
@@ -229,39 +230,14 @@ func (r *Router) Close() {
 	}
 }
 
-// AdmissionStats sums the shard engines' admission counters.
-func (r *Router) AdmissionStats() core.AdmissionStats {
-	var out core.AdmissionStats
-	for _, e := range r.engines {
-		s := e.AdmissionStats()
-		out.Shed += s.Shed
-		out.Rejected += s.Rejected
-		out.BreakerTrips += s.BreakerTrips
-		out.QueueDepth += s.QueueDepth
-	}
-	return out
-}
-
-// Stats sums the shard engines' counters; the in-flight gauges are sums of
+// Stats sums the shard engines' counters; the gauges are sums of
 // per-shard values. QueriesRun and FoldedQueries count per-shard
 // activations: the router does not fold, each shard engine folds the parts
 // of reads that reach it, so one client scatter read counts once per shard.
-func (r *Router) Stats() core.EngineStats {
-	var out core.EngineStats
+func (r *Router) Stats() dbapi.Stats {
+	var out dbapi.Stats
 	for _, e := range r.engines {
-		s := e.Stats()
-		out.Generations += s.Generations
-		out.QueriesRun += s.QueriesRun
-		out.WritesRun += s.WritesRun
-		out.FoldedQueries += s.FoldedQueries
-		out.SubscriptionsActive += s.SubscriptionsActive
-		out.SubscriptionUpdates += s.SubscriptionUpdates
-		out.InFlight += s.InFlight
-		out.PeakInFlight += s.PeakInFlight
-		out.Admission.Shed += s.Admission.Shed
-		out.Admission.Rejected += s.Admission.Rejected
-		out.Admission.BreakerTrips += s.Admission.BreakerTrips
-		out.Admission.QueueDepth += s.Admission.QueueDepth
+		out = out.Add(e.Stats())
 	}
 	return out
 }
@@ -448,11 +424,11 @@ func (r *Router) submit(stmt *plan.Statement, params []types.Value, res *core.Re
 		// retry hint — unless some shard failed for a real (non-overload)
 		// reason, which wins.
 		var firstErr error
-		var overload *core.OverloadError
+		var overload *dbapi.OverloadError
 		shardRows := make([][]types.Row, len(subs))
 		for i, sub := range subs {
 			if err := sub.Wait(); err != nil {
-				var oe *core.OverloadError
+				var oe *dbapi.OverloadError
 				if errors.As(err, &oe) {
 					if overload == nil || oe.RetryAfter > overload.RetryAfter {
 						overload = oe

@@ -625,13 +625,13 @@ func TestSubmitBatchRoutesEachCall(t *testing.T) {
 // 0 only, so its storage error surfaces once.
 func TestUnknownTableWriteGoesToShardZero(t *testing.T) {
 	r := newRouterEnv(t, 2, core.Config{})
-	before := r.Stats().WritesRun
+	before := r.Stats().WritesApplied
 	tx := r.BeginTx()
 	tx.Insert("nope", types.Row{types.NewInt(1)})
 	if err := r.SubmitTx(tx).Wait(); !errors.Is(err, storage.ErrNoTable) {
 		t.Fatalf("commit into an unknown table: %v, want ErrNoTable", err)
 	}
-	if n := r.Stats().WritesRun - before; n != 1 {
+	if n := r.Stats().WritesApplied - before; n != 1 {
 		t.Fatalf("the unknown-table commit ran on %d shards, want 1", n)
 	}
 	results, _ := Stores{DBs: r.Databases(), Policy: fixturePlacement}.ApplyOps(

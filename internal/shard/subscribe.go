@@ -58,7 +58,7 @@ func (r *Router) Subscribe(stmt *plan.Statement, params []types.Value) (*core.Su
 		}
 		shardSubs[i] = ss
 	}
-	out := core.NewProxySubscription(stmt, params, 0)
+	out := core.NewProxySubscription(stmt, params)
 	go r.mergeFeeds(out, shardSubs)
 	return out, nil
 }

@@ -40,11 +40,13 @@ type ScanClient struct {
 	Pred expr.Expr // bound predicate over the table schema; nil = all rows
 }
 
-func removeAt(conjs []expr.Expr, i int) []expr.Expr {
-	out := make([]expr.Expr, 0, len(conjs)-1)
-	out = append(out, conjs[:i]...)
-	out = append(out, conjs[i+1:]...)
-	return out
+// residualOf is the conjunction of conjs without conjs[i]. It allocates only
+// when two or more conjuncts remain, and never aliases conjs (scratch).
+func residualOf(conjs []expr.Expr, i int) expr.Expr {
+	if len(conjs) == 2 {
+		return conjs[1-i]
+	}
+	return expr.AndOf(slices.Concat(conjs[:i], conjs[i+1:]))
 }
 
 // colChunkRows is the chunk size of the columnar scan: per-query selection
@@ -201,6 +203,7 @@ type colIndex struct {
 	eqProbes []colEqProbe
 	rngs     []colRangeProbe
 	rest     []colRestProbe
+	conjs    []expr.Expr // build scratch: one client's conjuncts
 }
 
 // build classifies every client: the first equality conjunct wins, else the
@@ -235,7 +238,8 @@ func (ix *colIndex) build(clients []ScanClient) {
 	for ci, o := range ix.ord {
 		c := clients[o.idx]
 		ix.ids = append(ix.ids, c.ID)
-		conjs := expr.Conjuncts(c.Pred)
+		ix.conjs = expr.AppendConjuncts(ix.conjs[:0], c.Pred)
+		conjs := ix.conjs
 		eqAt, rngAt := -1, -1
 		for i, cj := range conjs {
 			if _, _, ok := expr.EqualityMatch(cj); ok {
@@ -251,14 +255,14 @@ func (ix *colIndex) build(clients []ScanClient) {
 		switch {
 		case eqAt >= 0:
 			col, val, _ := expr.EqualityMatch(conjs[eqAt])
-			residual := expr.AndOf(removeAt(conjs, eqAt))
+			residual := residualOf(conjs, eqAt)
 			ec := ix.eqCol(col)
 			h := val.Hash()
 			ix.eqProbes = append(ix.eqProbes, colEqProbe{val: val, residual: residual, ci: int32(ci), next: ec.heads[h]})
 			ec.heads[h] = int32(len(ix.eqProbes)) // 1-based
 		case rngAt >= 0:
 			rng, _ := expr.RangeMatch(conjs[rngAt])
-			residual := expr.AndOf(removeAt(conjs, rngAt))
+			residual := residualOf(conjs, rngAt)
 			ix.rngs = append(ix.rngs, colRangeProbe{col: rng.Col, rng: rng, residual: residual, ci: int32(ci)})
 		default:
 			p := colRestProbe{pred: c.Pred, ci: int32(ci)}

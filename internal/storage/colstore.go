@@ -205,11 +205,12 @@ type colPending struct {
 
 // colMirror is the columnar read mirror of one table.
 //
-// Locking: mu guards every field except pending; pending is guarded by the
-// owning Table's mu (writers never take mirror locks, so the write path
-// cannot deadlock against a scan). The lock order is mirror.mu before
-// Table.mu — sync holds mu exclusively while it drains pending and reads
-// version chains, and the scan pass holds mu shared for its whole cycle.
+// Locking: mu guards every field except pending, pendingCap and droppedTS,
+// which the owning Table's mu guards (writers never take mirror locks, so
+// the write path cannot deadlock against a scan). The lock order is
+// mirror.mu before Table.mu — sync holds mu exclusively while it drains
+// pending and reads version chains, and the scan pass holds mu shared for
+// its whole cycle.
 type colMirror struct {
 	mu sync.RWMutex
 
@@ -238,6 +239,13 @@ type colMirror struct {
 	// (commit timestamps are handed out monotonically under the same lock).
 	// Guarded by Table.mu, NOT by mu.
 	pending []colPending
+	// pendingCap is the longest log the next sync would still apply row by
+	// row (the rebuild rule in syncLocked, as of the last sync). A longer
+	// log is dropped and its newest commit ts kept in droppedTS: the next
+	// sync rebuilds anyway, so a table written but no longer scanned keeps
+	// a bounded log. Both guarded by Table.mu.
+	pendingCap int
+	droppedTS  uint64
 
 	drain []colPending // sync scratch, guarded by mu
 }
@@ -271,7 +279,7 @@ func (t *Table) columnarMirror() *colMirror {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.colm == nil {
-		t.colm = &colMirror{maxSynced: t.lastWriteTS}
+		t.colm = &colMirror{maxSynced: t.lastWriteTS, pendingCap: colRebuildMinPending}
 	}
 	return t.colm
 }
@@ -280,8 +288,13 @@ func (t *Table) columnarMirror() *colMirror {
 // writing (the insertLocked/updateLocked/deleteLocked funnel).
 func (t *Table) recordWrite(rid RowID, ts uint64) {
 	t.lastWriteTS = ts
-	if t.colm != nil {
-		t.colm.pending = append(t.colm.pending, colPending{rid: rid, ts: ts})
+	if m := t.colm; m != nil {
+		if n := len(m.pending); n >= m.pendingCap {
+			m.droppedTS = m.pending[n-1].ts
+			clear(m.pending)
+			m.pending = m.pending[:0]
+		}
+		m.pending = append(m.pending, colPending{rid: rid, ts: ts})
 	}
 }
 
@@ -311,7 +324,11 @@ func (m *colMirror) syncLocked(t *Table, ts uint64) {
 	// Drain the pending prefix with ts' <= ts under the table lock. The log
 	// is ordered by nondecreasing commit ts, so the prefix is exact; later
 	// entries belong to generations beyond this snapshot and stay queued.
+	// Records up to droppedTS are gone from the log, so the frontier moves
+	// past them and the mirror rebuilds until a sync reaches it.
+	defer m.setPendingCap(t)
 	t.mu.Lock()
+	m.maxSynced = max(m.maxSynced, m.droppedTS)
 	pend := m.pending
 	k := 0
 	for k < len(pend) && pend[k].ts <= ts {
@@ -352,6 +369,14 @@ func (m *colMirror) syncLocked(t *Table, ts uint64) {
 	if m.dead*colCompactDeadDen >= len(m.rids)*colCompactDeadNum && len(m.rids) >= colCompactMinRows {
 		m.compactLocked()
 	}
+}
+
+// setPendingCap publishes the log length past which the next sync would
+// rebuild: more than colRebuildMinPending and more than the mirror's rows.
+func (m *colMirror) setPendingCap(t *Table) {
+	t.mu.Lock()
+	m.pendingCap = max(colRebuildMinPending, len(m.rids))
+	t.mu.Unlock()
 }
 
 // applyLocked applies the drained write records: each touched rid is

@@ -1,9 +1,11 @@
 package storage
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"shareddb/internal/expr"
 	"shareddb/internal/types"
 )
 
@@ -57,4 +59,75 @@ func hashBits(u uint64) uint64 {
 		h *= 1099511628211
 	}
 	return h
+}
+
+// TestMirrorWriteLogBounded: a table scanned once and then only written
+// keeps its mirror's write log bounded; once the log has been dropped, scans
+// at an older and at a newer snapshot still equal ScanVisible.
+func TestMirrorWriteLogBounded(t *testing.T) {
+	lowerColThresholds(t)
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	tab, err := db.CreateTable("t", types.NewSchema(
+		types.Column{Qualifier: "t", Name: "id", Kind: types.KindInt},
+		types.Column{Qualifier: "t", Name: "v", Kind: types.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	insert := func(id int64) {
+		db.ApplyOps([]WriteOp{{Table: "t", Kind: WInsert, Row: types.Row{types.NewInt(id), types.NewInt(id)}}})
+	}
+	for id := int64(0); id < 8; id++ {
+		insert(id)
+	}
+	clients := []ScanClient{{ID: 1}}
+	bufs := &ColScanBuffers{}
+	collectColumnar(tab, db.SnapshotTS(), clients, bufs) // attach and build the mirror
+
+	// Inserts, updates and deletes, with no scan in between.
+	id := int64(8)
+	byID := func(k int64) expr.Expr {
+		return &expr.Cmp{Op: expr.EQ, L: &expr.ColRef{Idx: 0}, R: &expr.Const{Val: types.NewInt(k)}}
+	}
+	var older uint64
+	writes := 10 * colRebuildMinPending
+	for i := 0; i < writes; i++ {
+		switch i % 3 {
+		case 0:
+			insert(id)
+			id++
+		case 1:
+			db.ApplyOps([]WriteOp{{Table: "t", Kind: WUpdate, Pred: byID(id - 1),
+				Set: []ColSet{{Col: 1, Val: &expr.Const{Val: types.NewInt(int64(-i))}}}}})
+		default:
+			db.ApplyOps([]WriteOp{{Table: "t", Kind: WDelete, Pred: byID(id - 5)}})
+		}
+		if i == writes/2 {
+			older = db.SnapshotTS()
+		}
+		tab.mu.RLock()
+		n := len(tab.colm.pending)
+		tab.mu.RUnlock()
+		if n > colRebuildMinPending {
+			t.Fatalf("after %d writes the 8-row mirror's log holds %d records, want <= %d", i+1, n, colRebuildMinPending)
+		}
+	}
+
+	visible := func(ts uint64) []colEmission {
+		var out []colEmission
+		tab.ScanVisible(ts, func(rid RowID, row types.Row) bool {
+			out = append(out, colEmission{rid: rid, qs: "{1}", rp: &row[0]})
+			return true
+		})
+		return out
+	}
+	for _, ts := range []uint64{older, db.SnapshotTS(), older} {
+		got, want := collectColumnar(tab, ts, clients, bufs), visible(ts)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("scan at %d after the log overflowed:\n got %v\nwant %v", ts, got, want)
+		}
+	}
 }

@@ -8,7 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"shareddb/internal/core"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/harness"
 	"shareddb/internal/shard"
 	"shareddb/internal/storage"
@@ -177,7 +177,7 @@ func RunDriver(sys System, scale Scale, ids *IDAllocator, cfg DriverConfig) *Met
 				}
 				atomic.AddInt64(&m.Total, 1)
 				atomic.AddInt64(&m.ByInter[inter], 1)
-				shed := err != nil && errors.Is(err, core.ErrOverloaded)
+				shed := err != nil && errors.Is(err, dbapi.ErrOverloaded)
 				if !shed {
 					// Rejections return in microseconds by design; folding
 					// them into the histograms would understate admitted
@@ -193,7 +193,7 @@ func RunDriver(sys System, scale Scale, ids *IDAllocator, cfg DriverConfig) *Met
 					// shed again, inflating the shed rate without adding any
 					// successful work. OverloadError.RetryAfter is the
 					// server's estimate of when capacity frees up.
-					var oe *core.OverloadError
+					var oe *dbapi.OverloadError
 					if errors.As(err, &oe) && oe.RetryAfter > 0 {
 						wait := oe.RetryAfter
 						if max := 10 * cfg.ThinkTime; cfg.ThinkTime > 0 && wait > max {

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"shareddb/internal/core"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/plan"
 	"shareddb/internal/shard"
 	"shareddb/internal/sql"
@@ -130,12 +131,6 @@ type Config struct {
 	WALDir string
 	// SyncWAL fsyncs the log on every commit batch.
 	SyncWAL bool
-	// SubscriptionBuffer is the per-subscription update channel capacity
-	// for DB.Subscribe (0 selects the default of 16; negative values are
-	// rejected by Open). A subscriber that falls a full buffer behind is
-	// marked lagged and receives a full resync as its next delivery —
-	// generations never block on slow subscribers.
-	SubscriptionBuffer int
 }
 
 // Validate rejects configurations that previously defaulted silently.
@@ -157,7 +152,6 @@ func (c Config) coreConfig() core.Config {
 		MaxGenerationDelay:     c.MaxGenerationDelay,
 		QueueDepthLimit:        c.QueueDepthLimit,
 		StatementQuota:         c.StatementQuota,
-		SubscriptionBuffer:     c.SubscriptionBuffer,
 	}
 }
 
@@ -165,12 +159,13 @@ func (c Config) coreConfig() core.Config {
 // when the submission queue is at QueueDepthLimit, or a statement is
 // quarantined by the slow-query breaker, Query/Exec fail fast with an error
 // matching errors.Is(err, shareddb.ErrOverloaded) instead of queueing. Use
-// errors.As with *OverloadError to recover the retry hint.
-var ErrOverloaded = core.ErrOverloaded
+// errors.As with *OverloadError to recover the retry hint. Package client
+// returns the same error for a server's BUSY reply.
+var ErrOverloaded = dbapi.ErrOverloaded
 
 // OverloadError is the typed admission rejection: the reason a submission
 // was refused plus RetryAfter, the suggested client back-off.
-type OverloadError = core.OverloadError
+type OverloadError = dbapi.OverloadError
 
 // Subscription is a standing query handle returned by DB.Subscribe: the
 // statement joins every subsequent generation's query set and result changes
@@ -262,71 +257,12 @@ func (db *DB) Storages() []*storage.Database { return db.stores }
 // through core types directly.
 func (db *DB) Engine() core.Executor { return db.exec }
 
-// Stats is a point-in-time snapshot of the database's execution counters.
-// All counts are cumulative since Open and summed across shards; QueueDepth
-// and InFlightGenerations are live gauges.
-type Stats struct {
-	// Generations is the number of execution generations dispatched.
-	Generations uint64
-	// QueriesRun counts read activations the engine actually executed.
-	// Folded duplicates are excluded — they consumed no engine work.
-	QueriesRun uint64
-	// WritesApplied counts applied write statements and transaction
-	// commits.
-	WritesApplied uint64
-	// FoldedQueries counts reads answered by fan-out from an identical
-	// concurrent duplicate, in the unit QueriesRun counts: on a sharded
-	// deployment each shard folds its own part of a read, so one scatter
-	// read folded on N shards counts N.
-	FoldedQueries uint64
-	// InFlightGenerations is the pipeline gauge: generations dispatched
-	// but not yet complete (summed across shards).
-	InFlightGenerations int
-	// QueueDepth is the number of submissions waiting for a generation
-	// (including reserved broadcast slots; summed across shards).
-	QueueDepth int
-	// Shed counts activations deferred to a later generation by
-	// StatementQuota or the latency-SLO batch cap; Rejected counts
-	// submissions refused outright (queue full, breaker open);
-	// BreakerTrips counts slow-query quarantines.
-	Shed         uint64
-	Rejected     uint64
-	BreakerTrips uint64
-	// SubscriptionsActive is the gauge of open standing queries
-	// (DB.Subscribe handles not yet closed; summed across shards).
-	SubscriptionsActive int
-	// SubscriptionUpdates counts updates handed to subscribers: initial
-	// full results, per-generation deltas and lag resyncs.
-	SubscriptionUpdates uint64
-}
-
-// FoldHitRate is the fraction of read activations served by folding:
-// FoldedQueries / (QueriesRun + FoldedQueries). Zero when no reads ran.
-func (s Stats) FoldHitRate() float64 {
-	total := s.QueriesRun + s.FoldedQueries
-	if total == 0 {
-		return 0
-	}
-	return float64(s.FoldedQueries) / float64(total)
-}
+// Stats is a point-in-time snapshot of the database's execution counters,
+// summed across shards. Package client reads the same type from a server.
+type Stats = dbapi.Stats
 
 // Stats returns the database's typed execution counters.
-func (db *DB) Stats() Stats {
-	es := db.exec.Stats()
-	return Stats{
-		Generations:         es.Generations,
-		QueriesRun:          es.QueriesRun,
-		WritesApplied:       es.WritesRun,
-		FoldedQueries:       es.FoldedQueries,
-		InFlightGenerations: es.InFlight,
-		QueueDepth:          es.Admission.QueueDepth,
-		Shed:                es.Admission.Shed,
-		Rejected:            es.Admission.Rejected,
-		BreakerTrips:        es.Admission.BreakerTrips,
-		SubscriptionsActive: es.SubscriptionsActive,
-		SubscriptionUpdates: es.SubscriptionUpdates,
-	}
-}
+func (db *DB) Stats() Stats { return db.exec.Stats() }
 
 // DescribePlan renders the current global operator plan (shard 0's plan on
 // sharded deployments — all shards compile the same statements).
@@ -338,9 +274,7 @@ func (db *DB) DescribePlan() string {
 }
 
 // Result reports the outcome of a write.
-type Result struct {
-	RowsAffected int
-}
+type Result = dbapi.Result
 
 // Exec runs a statement outside the prepared path. DDL (CREATE TABLE /
 // CREATE INDEX) applies immediately; reads and writes are enqueued for the

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"shareddb/internal/core"
 	"shareddb/internal/storage"
 )
 
@@ -374,7 +373,7 @@ func TestOverloadSurfacesThroughPublicAPI(t *testing.T) {
 			}(i)
 		}
 		// Let the two queued queries enqueue before overflowing.
-		// admissionDepth sums per-shard queues and each scatter read
+		// Stats().QueueDepth sums per-shard queues and each scatter read
 		// enqueues on every shard, so the full-queue signature is
 		// 2 queries × max(shards, 1) depth entries.
 		wantDepth := 2
@@ -382,7 +381,7 @@ func TestOverloadSurfacesThroughPublicAPI(t *testing.T) {
 			wantDepth = 2 * shards
 		}
 		deadline := time.Now().Add(500 * time.Millisecond)
-		for admissionDepth(db) < wantDepth && time.Now().Before(deadline) {
+		for db.Stats().QueueDepth < wantDepth && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 		_, err = stmt.Query(3)
@@ -401,15 +400,6 @@ func TestOverloadSurfacesThroughPublicAPI(t *testing.T) {
 		}
 		db.Close()
 	}
-}
-
-// admissionDepth reads the current queue depth from either backend.
-func admissionDepth(db *DB) int {
-	type admStats interface{ AdmissionStats() core.AdmissionStats }
-	if s, ok := db.Engine().(admStats); ok {
-		return s.AdmissionStats().QueueDepth
-	}
-	return 0
 }
 
 // TestShardedDB drives the public API against a 3-shard deployment: DDL
