@@ -43,9 +43,7 @@ import (
 
 	"shareddb/internal/dbapi"
 	"shareddb/internal/expr"
-	"shareddb/internal/operators"
 	"shareddb/internal/plan"
-	"shareddb/internal/queryset"
 	"shareddb/internal/sql"
 	"shareddb/internal/storage"
 	"shareddb/internal/types"
@@ -116,13 +114,6 @@ type Engine struct {
 
 	adm *admission // admission controller; passes everything through when every limit is zero
 
-	// Cost attribution (nil unless the SLO breaker is on): per-generation
-	// records filled by the plan's cost observer from operator goroutines,
-	// consumed by the generation's retire stage. Guarded by costMu —
-	// deliberately separate from mu, which the observer must never touch
-	// (operator goroutines report while the dispatcher holds mu elsewhere).
-	costMu   sync.Mutex
-	genCosts map[uint64]*genCostRec
 	// reserved counts queue slots handed out by AdmitReserve but not yet
 	// consumed by SubmitTxReserved (the shard router's all-or-nothing
 	// commit-group admission). Guarded by mu; counted against
@@ -222,12 +213,6 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 	if !cfg.NoFold {
 		e.foldIdx = make(map[uint64][]*Request)
 	}
-	if e.adm.maxDelay > 0 {
-		// The slow-query breaker is on: attribute operator cycle time to
-		// statements so blame lands on the plan that burned the cycles.
-		e.genCosts = make(map[uint64]*genCostRec)
-		gp.SetCostObserver(e.observeCost)
-	}
 	e.cond = sync.NewCond(&e.mu)
 	gp.Start()
 	go e.loop()
@@ -263,58 +248,6 @@ func (e *Engine) Close() {
 		s.Close()
 	}
 	e.plan.Stop()
-}
-
-// genCostRec accumulates one generation's attributed operator time: each
-// node cycle's active nanoseconds split equally across the cycle's tasks and
-// summed per statement SQL (the breaker's identity).
-type genCostRec struct {
-	qidSQL map[queryset.QueryID]string
-	ns     map[string]int64
-}
-
-// observeCost is the plan's cost-attribution hook (plan.SetCostObserver),
-// called from operator goroutines as each node drains a generation. Every
-// node reports before its EOS propagates downstream, so by the time the
-// generation's sink completion callback runs, the record is final.
-func (e *Engine) observeCost(gen uint64, tasks []operators.Task, activeNs int64) {
-	if activeNs <= 0 || len(tasks) == 0 {
-		return
-	}
-	// Equal split across the cycle's active queries: a shared operator does
-	// one pass of work for all of them, and finer attribution (per-tuple
-	// query-set accounting) would tax the hot path it is trying to protect.
-	share := activeNs / int64(len(tasks))
-	if share <= 0 {
-		return
-	}
-	e.costMu.Lock()
-	if rec := e.genCosts[gen]; rec != nil {
-		for _, t := range tasks {
-			if sql := rec.qidSQL[t.Query]; sql != "" {
-				rec.ns[sql] += share
-			}
-		}
-	}
-	e.costMu.Unlock()
-}
-
-// takeCosts removes and returns generation gen's attributed operator time
-// per statement SQL (nil with the SLO off, or when the generation ran no
-// reads). Every node reports before its EOS propagates downstream and the
-// sink has received every EOS before retire asks, so the record is final.
-func (e *Engine) takeCosts(gen uint64) map[string]int64 {
-	if e.genCosts == nil {
-		return nil
-	}
-	e.costMu.Lock()
-	defer e.costMu.Unlock()
-	rec := e.genCosts[gen]
-	if rec == nil {
-		return nil
-	}
-	delete(e.genCosts, gen)
-	return rec.ns
 }
 
 func failRequests(reqs []*Request) {

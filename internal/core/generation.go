@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 
 	"shareddb/internal/operators"
@@ -31,8 +32,11 @@ type generation struct {
 	// qid: the standing queries first, then the batch's reads.
 	cols []collector
 	// admStmts are the distinct read statements the breaker strikes or
-	// resets for this generation (collected only with the SLO on).
+	// resets for this generation, and cost is its cost ledger: cost[qid-1]
+	// sums the operator time attributed to the activation with query id
+	// qid. Both exist only with the SLO on.
 	admStmts []*plan.Statement
+	cost     []atomic.Int64
 }
 
 // dispatch runs the generation on the dispatcher goroutine up to the launch
@@ -53,7 +57,11 @@ func (g *generation) dispatch() {
 	}
 	g.completeWrites()
 	acts := g.pin()
-	g.e.plan.RunGeneration(g.id, g.ts, acts, nil, g.sink, g.sinkDone)
+	var cost func([]operators.Task, int64)
+	if g.cost != nil {
+		cost = g.observeCost
+	}
+	g.e.plan.Run(g.id, g.ts, acts, g.sink, g.sinkDone, cost)
 }
 
 // write is the write stage: one CommitTxBatch over the batch's writes, in
@@ -124,32 +132,62 @@ func (g *generation) pin() []plan.Activation {
 	for i, a := range acts {
 		g.cols[i] = collector{stmt: a.Stmt, params: a.Params}
 	}
-	if g.e.genCosts != nil {
-		g.attribute(acts)
+	if g.e.adm.maxDelay > 0 {
+		// The slow-query breaker is on: attribute operator cycle time to
+		// statements so blame lands on the plan that burned the cycles.
+		g.attribute()
 	}
 	return acts
 }
 
-// attribute registers the generation's cost-attribution record (query id →
-// statement SQL) before any operator can report, and collects the distinct
-// read statements for the breaker. Standing queries are attributed too:
-// their share belongs to them, not to whichever batch statement co-ran.
-// Distinctness is by SQL text, the breaker's identity; Prepare hands out one
-// handle per text, so a statement strikes once per generation however many
-// callers re-prepared it.
-func (g *generation) attribute(acts []plan.Activation) {
-	rec := &genCostRec{qidSQL: make(map[queryset.QueryID]string, len(acts)), ns: make(map[string]int64)}
+// attribute opens the generation's cost ledger, one slot per activation,
+// and collects the distinct read statements for the breaker. Standing
+// queries get slots too: their share belongs to them, not to whichever
+// batch statement co-ran. Distinctness is by SQL text, the breaker's
+// identity; Prepare hands out one handle per text, so a statement strikes
+// once per generation however many callers re-prepared it.
+func (g *generation) attribute() {
+	g.cost = make([]atomic.Int64, len(g.cols))
 	seen := make(map[string]bool, len(g.reads))
-	for i, a := range acts {
-		rec.qidSQL[a.QID] = a.Stmt.SQL
-		if i >= len(g.subs) && !seen[a.Stmt.SQL] {
-			seen[a.Stmt.SQL] = true
-			g.admStmts = append(g.admStmts, a.Stmt)
+	for _, r := range g.reads {
+		if !seen[r.Stmt.SQL] {
+			seen[r.Stmt.SQL] = true
+			g.admStmts = append(g.admStmts, r.Stmt)
 		}
 	}
-	g.e.costMu.Lock()
-	g.e.genCosts[g.id] = rec
-	g.e.costMu.Unlock()
+}
+
+// observeCost is the generation's cost observer, called from operator
+// goroutines as each node drains the generation. A shared operator does one
+// pass of work for all of a cycle's queries, so its active time splits
+// equally across the cycle's tasks; finer attribution (per-tuple query-set
+// accounting) would tax the hot path it is trying to protect. Every node
+// reports before its EOS propagates downstream, so the ledger is final by
+// sinkDone.
+func (g *generation) observeCost(tasks []operators.Task, activeNs int64) {
+	if len(tasks) == 0 {
+		return
+	}
+	share := activeNs / int64(len(tasks))
+	if share <= 0 {
+		return
+	}
+	for _, t := range tasks {
+		g.cost[t.Query-1].Add(share)
+	}
+}
+
+// costs sums the ledger per statement SQL, the breaker's identity (nil
+// with the SLO off, or when the generation ran no reads).
+func (g *generation) costs() map[string]int64 {
+	if g.cost == nil {
+		return nil
+	}
+	ns := make(map[string]int64)
+	for i := range g.cost {
+		ns[g.cols[i].stmt.SQL] += g.cost[i].Load()
+	}
+	return ns
 }
 
 // sink is the run stage's tuple callback: it routes one sink tuple to the
@@ -192,7 +230,7 @@ func (g *generation) sinkDone() {
 // own work in Stats and InFlightGenerations.
 func (g *generation) retire() {
 	e := g.e
-	costs := e.takeCosts(g.id)
+	costs := g.costs()
 	e.mu.Lock()
 	e.queriesRun += uint64(len(g.reads))
 	e.adm.recordGenerationCosts(g.admStmts, time.Since(g.start), len(g.batch), costs)

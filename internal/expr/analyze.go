@@ -1,10 +1,6 @@
 package expr
 
-import (
-	"math"
-
-	"shareddb/internal/types"
-)
+import "shareddb/internal/types"
 
 // This file contains predicate analysis used by (a) the Crescando storage
 // manager's ClockScan (storage.SharedScan), which indexes query
@@ -353,47 +349,5 @@ func MapColumns(e Expr, f func(old int) int) Expr {
 		return &Like{L: MapColumns(n.L, f), Pattern: MapColumns(n.Pattern, f), Negate: n.Negate}
 	default: // *Const, *Param
 		return e
-	}
-}
-
-// Selectivity crudely estimates the fraction of rows satisfying a bound
-// predicate. It is intentionally simple (System-R style magic numbers); the
-// baseline optimizer only needs relative ordering of access paths.
-func Selectivity(e Expr) float64 {
-	if e == nil {
-		return 1.0
-	}
-	switch n := e.(type) {
-	case *Cmp:
-		switch n.Op {
-		case EQ:
-			return 0.005
-		case NE:
-			return 0.995
-		default:
-			return 0.3
-		}
-	case *And:
-		s := 1.0
-		for _, k := range n.Kids {
-			s *= Selectivity(k)
-		}
-		return s
-	case *Or:
-		s := 1.0
-		for _, k := range n.Kids {
-			s *= 1 - Selectivity(k)
-		}
-		return 1 - s
-	case *Not:
-		return 1 - Selectivity(n.Kid)
-	case *Like:
-		return 0.05
-	case *In:
-		return math.Min(1.0, 0.005*float64(len(n.List)))
-	case *IsNull:
-		return 0.02
-	default:
-		return 0.5
 	}
 }

@@ -259,25 +259,6 @@ func TestCmpOpHelpers(t *testing.T) {
 	}
 }
 
-func TestSelectivityOrdering(t *testing.T) {
-	eq := cmp(EQ, col(0), lit(intv(1)))
-	rng := cmp(GT, col(0), lit(intv(1)))
-	if Selectivity(eq) >= Selectivity(rng) {
-		t.Error("equality should be more selective than range")
-	}
-	if Selectivity(nil) != 1.0 {
-		t.Error("nil predicate selects everything")
-	}
-	and := &And{Kids: []Expr{eq, rng}}
-	if Selectivity(and) >= Selectivity(eq) {
-		t.Error("AND should narrow")
-	}
-	or := &Or{Kids: []Expr{eq, rng}}
-	if Selectivity(or) <= Selectivity(rng) {
-		t.Error("OR should widen")
-	}
-}
-
 // Property: LIKE with a pattern equal to the string (no wildcards) always
 // matches, and '%'+s+'%' always matches any superstring.
 func TestLikeProperty(t *testing.T) {

@@ -22,9 +22,8 @@ func emitHarness(t *testing.T, gen uint64, edgeSet queryset.Set) (*emitter, *Bat
 	src.SetPool(pool)
 	dst := NewNode(1, "dst", &FilterOp{})
 	dst.SetPool(pool)
-	e := Connect(src, dst)
-	e.SetQueries(gen, edgeSet)
-	em := newEmitter(src, gen)
+	Connect(src, dst)
+	em := newEmitter(src, gen, []queryset.Set{edgeSet})
 	drain := func() {
 		for dst.Inbox().Len() > 0 {
 			m, ok := dst.Inbox().Pop()

@@ -59,10 +59,10 @@ const batchSize = 1024
 // if the tuple's query set intersects the queries the consumer serves this
 // generation, and the delivered set is restricted to that intersection.
 //
-// Edge query sets are per generation and snapshotted at cycle start: with
-// pipelined execution the coordinator installs future generations' sets
-// while this node is mid-cycle, and downstream nodes may still be draining
-// older generations.
+// Edge query sets are per generation and arrive with the cycle
+// (CycleStart.Edges): with pipelined execution the coordinator activates
+// future generations while this node is mid-cycle, and downstream nodes may
+// still be draining older generations.
 //
 // The emitter is reused across a node's cycles (a node runs one cycle at a
 // time), and its batches come from the plan's BatchPool: the intersection
@@ -71,8 +71,8 @@ const batchSize = 1024
 type emitter struct {
 	node *Node
 	gen  uint64
-	// edgeQueries is the cycle-start snapshot of each consumer edge's
-	// active query set for this emitter's generation.
+	// edgeQueries is each consumer edge's active query set for this
+	// emitter's generation, index-aligned with node.Consumers.
 	edgeQueries []queryset.Set
 	// buffered batches per consumer edge index, keyed by stream
 	bufs []map[int]*Batch
@@ -88,25 +88,23 @@ type openBatch struct {
 	b      *Batch
 }
 
-// reset prepares the node's reusable emitter for a new cycle.
-func (e *emitter) reset(n *Node, gen uint64) {
+// reset prepares the node's reusable emitter for a new cycle routing over
+// the generation's consumer edge sets.
+func (e *emitter) reset(n *Node, gen uint64, edges []queryset.Set) {
 	e.node = n
 	e.gen = gen
 	for len(e.bufs) < len(n.Consumers) {
 		e.bufs = append(e.bufs, map[int]*Batch{})
 		e.last = append(e.last, openBatch{})
 	}
-	e.edgeQueries = e.edgeQueries[:0]
-	for _, edge := range n.Consumers {
-		e.edgeQueries = append(e.edgeQueries, edge.QueriesFor(gen))
-	}
+	e.edgeQueries = edges
 }
 
 // emit routes one tuple to every interested consumer.
 func (e *emitter) emit(stream int, row types.Row, qs queryset.Set) {
 	for i, edge := range e.node.Consumers {
 		if i >= len(e.edgeQueries) {
-			break // edge added after cycle start: not active this cycle
+			break // no set for this edge: not active this cycle
 		}
 		eq := e.edgeQueries[i]
 		if eq.Empty() {

@@ -2,7 +2,6 @@ package operators
 
 import (
 	"slices"
-	"sync"
 
 	"shareddb/internal/expr"
 	"shareddb/internal/queryset"
@@ -59,48 +58,26 @@ func (f *FilterOp) Finish(*Cycle) { clear(f.preds) }
 
 // SinkOp terminates the dataflow: it hands result tuples to the engine,
 // which applies per-query projection and delivers rows to waiting clients.
-// Handlers are keyed by generation — with pipelined execution the engine
-// registers generation N+1's callback while the sink is still draining
-// generation N — and are released when the generation's sink cycle ends.
-type SinkOp struct {
-	mu       sync.Mutex
-	handlers map[uint64]func(stream int, t Tuple)
-}
-
-// SetHandler installs the tuple callback for generation gen. It must be
-// called before the generation's CycleStart is pushed to the sink node.
-func (s *SinkOp) SetHandler(gen uint64, fn func(stream int, t Tuple)) {
-	s.mu.Lock()
-	if s.handlers == nil {
-		s.handlers = map[uint64]func(stream int, t Tuple){}
-	}
-	s.handlers[gen] = fn
-	s.mu.Unlock()
-}
+// The callback is the generation's own (CycleStart.OnTuple), so with
+// pipelined execution each sink cycle delivers to its generation only.
+type SinkOp struct{}
 
 // Start begins a sink cycle.
 func (s *SinkOp) Start(*Cycle) {}
 
-// Consume forwards tuples to the engine callback of the cycle's generation.
+// Consume forwards tuples to the callback of the cycle's generation.
 func (s *SinkOp) Consume(c *Cycle, b *Batch) {
-	s.mu.Lock()
-	fn := s.handlers[c.Gen]
-	s.mu.Unlock()
-	if fn == nil {
+	if c.onTuple == nil {
 		return
 	}
 	for _, t := range b.Tuples {
-		fn(b.Stream, t)
+		c.onTuple(b.Stream, t)
 	}
 }
 
-// Finish releases the generation's handler; the node's OnDone callback (set
-// in CycleStart) signals the engine afterwards.
-func (s *SinkOp) Finish(c *Cycle) {
-	s.mu.Lock()
-	delete(s.handlers, c.Gen)
-	s.mu.Unlock()
-}
+// Finish ends a sink cycle; the node's OnDone callback (set in CycleStart)
+// signals the engine afterwards.
+func (s *SinkOp) Finish(*Cycle) {}
 
 // denseExprs builds a dense query-id-indexed slice from per-task specs,
 // reusing dst's backing array (the operator keeps it across cycles).

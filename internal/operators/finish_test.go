@@ -16,19 +16,18 @@ func driveOp(op Operator, tasks []Task, drive func(c *Cycle)) map[queryset.Query
 	node := NewNode(0, "op", op)
 	sink := &SinkOp{}
 	sinkNode := NewNode(1, "sink", sink)
-	edge := Connect(node, sinkNode)
+	Connect(node, sinkNode)
 	ids := make([]queryset.QueryID, 0, len(tasks))
 	for _, tk := range tasks {
 		ids = append(ids, tk.Query)
 	}
-	edge.SetQueries(1, queryset.Of(ids...))
 	results := map[queryset.QueryID][]types.Row{}
-	sink.SetHandler(1, func(_ int, tp Tuple) {
+	sinkCycle := &Cycle{Gen: 1, onTuple: func(_ int, tp Tuple) {
 		for _, q := range tp.QS.IDs() {
 			results[q] = append(results[q], tp.Row)
 		}
-	})
-	c := &Cycle{Gen: 1, Tasks: tasks, node: node, em: newEmitter(node, 1)}
+	}}
+	c := &Cycle{Gen: 1, Tasks: tasks, node: node, em: newEmitter(node, 1, []queryset.Set{queryset.Of(ids...)})}
 	op.Start(c)
 	drive(c)
 	op.Finish(c)
@@ -36,7 +35,7 @@ func driveOp(op Operator, tasks []Task, drive func(c *Cycle)) map[queryset.Query
 	for sinkNode.Inbox().Len() > 0 {
 		msg, _ := sinkNode.Inbox().Pop()
 		if msg.Batch != nil {
-			sink.Consume(&Cycle{Gen: 1}, msg.Batch)
+			sink.Consume(sinkCycle, msg.Batch)
 		}
 	}
 	return results

@@ -76,12 +76,10 @@ func TestGroupColumnarZeroAllocSteadyState(t *testing.T) {
 	sink := &SinkOp{}
 	sinkNode := NewNode(1, "sink", sink)
 	sinkNode.SetPool(pool)
-	edge := Connect(node, sinkNode)
-	qs := queryset.Of(1, 2, 3, 4)
-	edge.SetQueries(1, qs)
+	Connect(node, sinkNode)
+	edges := []queryset.Set{queryset.Of(1, 2, 3, 4)}
 	var emitted int
-	sink.SetHandler(1, func(_ int, tp Tuple) { emitted += tp.QS.Len() })
-	sinkCycle := &Cycle{Gen: 1}
+	sinkCycle := &Cycle{Gen: 1, onTuple: func(_ int, tp Tuple) { emitted += tp.QS.Len() }}
 	drain := func() {
 		for sinkNode.Inbox().Len() > 0 {
 			m, ok := sinkNode.Inbox().Pop()
@@ -97,7 +95,7 @@ func TestGroupColumnarZeroAllocSteadyState(t *testing.T) {
 
 	var em emitter
 	cycle := func() {
-		em.reset(node, 1)
+		em.reset(node, 1, edges)
 		c := &Cycle{Gen: 1, TS: ts, Tasks: tasks, node: node, em: &em}
 		op.Start(c)
 		op.Finish(c)

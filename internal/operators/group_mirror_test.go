@@ -188,12 +188,12 @@ func (mc mirrorGroupCase) run(g *GroupOp, mirror func(mirrorGroupQuery) bool, st
 	countCol := len(g.Streams[1].GroupCols)
 	h := newAllocHarness(g, queryset.Of(ids...))
 	out := groupRun{rows: map[queryset.QueryID][]string{}, counts: map[queryset.QueryID]int64{}}
-	h.sink.SetHandler(1, func(_ int, tp Tuple) {
+	h.onTuple = func(_ int, tp Tuple) {
 		for _, q := range tp.QS.IDs() {
 			out.rows[q] = append(out.rows[q], fmt.Sprint(tp.Row))
 			out.counts[q] += tp.Row[countCol].AsInt()
 		}
-	})
+	}
 	h.cycle(tasks, mc.ts, func(c *Cycle) {
 		for _, b := range streamed {
 			g.Consume(c, b)

@@ -117,9 +117,9 @@ func (gc groupJoinCase) joinCycle(hj *HashJoinOp, spec func(q mirrorGroupQuery) 
 		tasks = append(tasks, Task{Query: q.id, Spec: spec(q)})
 	}
 	h := newAllocHarness(hj, queryset.Of(gc.ids()...))
-	h.sink.SetHandler(1, func(stream int, tp Tuple) {
+	h.onTuple = func(stream int, tp Tuple) {
 		got(stream, Tuple{Row: slices.Clone(tp.Row), QS: queryset.Of(tp.QS.IDs()...)})
-	})
+	}
 	outer := gc.streamed()
 	h.cycle(tasks, gc.ts, func(c *Cycle) {
 		if !gc.late {
@@ -170,11 +170,11 @@ func (gc groupJoinCase) chain() (map[queryset.QueryID][]string, int) {
 	}
 	h := newAllocHarness(g, queryset.Of(gc.ids()...))
 	rows := map[queryset.QueryID][]string{}
-	h.sink.SetHandler(1, func(_ int, tp Tuple) {
+	h.onTuple = func(_ int, tp Tuple) {
 		for _, q := range tp.QS.IDs() {
 			rows[q] = append(rows[q], exactRow(tp.Row))
 		}
-	})
+	}
 	h.cycle(tasks, gc.ts, func(c *Cycle) {
 		for i := 0; i < len(joined); i += 5 {
 			g.Consume(c, &Batch{Stream: 3, Tuples: joined[i:min(i+5, len(joined))]})

@@ -156,9 +156,9 @@ func TestIndexJoinKeyOrderedEmission(t *testing.T) {
 			ij := &IndexJoinOp{Table: tab, Index: tc.ix, Outers: map[int]JoinOuter{1: cfg}}
 			h := newAllocHarness(ij, queryset.Of(1, 2, 3))
 			var got []emission
-			h.sink.SetHandler(1, func(_ int, tp Tuple) {
+			h.onTuple = func(_ int, tp Tuple) {
 				got = append(got, emission{tp.Row.String(), slices.Clone(tp.QS.IDs())})
-			})
+			}
 			for round := 0; round < 3; round++ { // scratch reused across batches and cycles
 				b1, b2 := batch(700, tc.key), batch(90, tc.key)
 				want := append(perTupleIndexJoin(tab, tc.ix, ts, cfg, b1), perTupleIndexJoin(tab, tc.ix, ts, cfg, b2)...)

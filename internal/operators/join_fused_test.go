@@ -97,9 +97,9 @@ func (fc fusedCase) qids() []queryset.QueryID {
 func (fc fusedCase) emissions(hj *HashJoinOp, tasks []Task, ts uint64, drive func(c *Cycle)) []string {
 	h := newAllocHarness(hj, queryset.Of(fc.qids()...))
 	var out []string
-	h.sink.SetHandler(1, func(stream int, tp Tuple) {
+	h.onTuple = func(stream int, tp Tuple) {
 		out = append(out, fmt.Sprintf("%d %v %s", stream, tp.Row, tp.QS))
-	})
+	}
 	h.cycle(tasks, ts, drive)
 	return out
 }

@@ -56,8 +56,10 @@ type allocHarness struct {
 	rowPool  *RowPool
 	em       emitter
 	c        Cycle
-	rows     int       // tuples the last cycle delivered
-	last     types.Row // a copy of the last delivered row
+	edges    []queryset.Set   // the op → sink edge's set, on every cycle
+	onTuple  func(int, Tuple) // the sink callback, on every cycle
+	rows     int              // tuples the last cycle delivered
+	last     types.Row        // a copy of the last delivered row
 }
 
 func newAllocHarness(op Operator, edgeQueries queryset.Set) *allocHarness {
@@ -65,19 +67,20 @@ func newAllocHarness(op Operator, edgeQueries queryset.Set) *allocHarness {
 	h.node = NewNode(0, "op", op)
 	h.node.SetPool(h.pool)
 	h.sinkNode = NewNode(1, "sink", h.sink)
-	Connect(h.node, h.sinkNode).SetQueries(1, edgeQueries)
-	h.sink.SetHandler(1, func(_ int, tp Tuple) {
+	Connect(h.node, h.sinkNode)
+	h.edges = []queryset.Set{edgeQueries}
+	h.onTuple = func(_ int, tp Tuple) {
 		h.rows++
 		h.last = append(h.last[:0], tp.Row...)
-	})
+	}
 	return h
 }
 
 // cycle runs Start, drive, Finish and drains the sink.
 func (h *allocHarness) cycle(tasks []Task, ts uint64, drive func(c *Cycle)) {
-	h.em.reset(h.node, 1)
+	h.em.reset(h.node, 1, h.edges)
 	arena := h.rowPool.NewArena()
-	h.c = Cycle{Gen: 1, TS: ts, Tasks: tasks, node: h.node, em: &h.em, rows: arena, retained: h.c.retained[:0]}
+	h.c = Cycle{Gen: 1, TS: ts, Tasks: tasks, node: h.node, em: &h.em, onTuple: h.onTuple, rows: arena, retained: h.c.retained[:0]}
 	c := &h.c
 	h.rows = 0
 	h.op.Start(c)

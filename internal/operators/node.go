@@ -40,45 +40,11 @@ type Node struct {
 	cycle Cycle
 }
 
-// Edge connects a producer node to a consumer node. Query routing state is
-// kept per generation: with pipelined execution several generations are in
-// flight at once, so the coordinator installs the query set for generation
-// G while earlier generations may still be traversing the edge. Producers
-// snapshot their consumer edges' sets for their own generation at cycle
-// start; the coordinator clears a generation's entries once its sink
-// drains.
+// Edge connects a producer node to a consumer node. It carries no routing
+// state: each generation's query set on an edge travels on the producer's
+// CycleStart (CycleStart.Edges), so overlapping generations never share it.
 type Edge struct {
 	From, To *Node
-
-	mu      sync.RWMutex
-	queries map[uint64]queryset.Set // generation → active query set
-}
-
-// SetQueries installs the active query set for generation gen.
-func (e *Edge) SetQueries(gen uint64, qs queryset.Set) {
-	e.mu.Lock()
-	if e.queries == nil {
-		e.queries = map[uint64]queryset.Set{}
-	}
-	e.queries[gen] = qs
-	e.mu.Unlock()
-}
-
-// QueriesFor returns the edge's active query set for generation gen (the
-// empty set if the edge serves no queries that generation).
-func (e *Edge) QueriesFor(gen uint64) queryset.Set {
-	e.mu.RLock()
-	qs := e.queries[gen]
-	e.mu.RUnlock()
-	return qs
-}
-
-// ClearQueries drops generation gen's routing state once the generation has
-// fully drained.
-func (e *Edge) ClearQueries(gen uint64) {
-	e.mu.Lock()
-	delete(e.queries, gen)
-	e.mu.Unlock()
 }
 
 // NewNode creates a node with the given operator behavior.
@@ -92,9 +58,9 @@ func (n *Node) SetPool(p *BatchPool) { n.pool = p }
 
 // newEmitter builds a fresh emitter for one cycle (test entry point; the
 // node's run loop reuses n.em via reset).
-func newEmitter(n *Node, gen uint64) *emitter {
+func newEmitter(n *Node, gen uint64, edges []queryset.Set) *emitter {
 	e := &emitter{}
-	e.reset(n, gen)
+	e.reset(n, gen, edges)
 	return e
 }
 
@@ -123,13 +89,20 @@ type CycleStart struct {
 	ActiveProducers int    // producer edges that will send EOS this cycle
 	OnDone          func() // optional completion callback (used by sinks)
 
+	// Edges is this generation's query set on each consumer edge,
+	// index-aligned with the node's Consumers; an empty set (or a missing
+	// entry) leaves the edge idle this generation.
+	Edges []queryset.Set
+	// OnTuple receives every tuple a sink node consumes this generation.
+	OnTuple func(stream int, t Tuple)
+
 	// Rows is the generation's row arena: Cycle.NewRow draws the rows this
 	// cycle builds from it (nil = allocate them, for hand-built test nodes).
 	Rows *RowArena
 
 	// CostObserve, when non-nil, receives the cycle's operator-active
 	// nanoseconds (time inside Start/Consume/EdgeEOS/Finish, excluding inbox
-	// waits) once the cycle drains — the engine's per-statement cost
+	// waits) once the cycle drains — the generation's per-statement cost
 	// attribution hook. Called on the node goroutine after Finish but before
 	// the cycle's EOS propagates downstream, so every node's report
 	// happens-before the generation's sink OnDone.
@@ -150,8 +123,9 @@ type Cycle struct {
 	TS    uint64
 	Tasks []Task
 
-	node *Node
-	em   *emitter
+	node    *Node
+	em      *emitter
+	onTuple func(stream int, t Tuple) // the generation's sink callback
 
 	// rows is the generation's arena and rowChunk the unused tail of the
 	// chunk this cycle is filling (see NewRow).
@@ -269,9 +243,9 @@ func (n *Node) run() {
 // returns messages and cycle starts belonging to future generations; ok is
 // false when the inbox closed mid-cycle (shutdown).
 func (n *Node) runCycle(cs *CycleStart, stash []Message, starts []*CycleStart) (future []Message, nextStarts []*CycleStart, ok bool) {
-	n.em.reset(n, cs.Gen)
+	n.em.reset(n, cs.Gen, cs.Edges)
 	c := &n.cycle
-	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, node: n, em: &n.em, rows: cs.Rows, retained: c.retained[:0]}
+	*c = Cycle{Gen: cs.Gen, TS: cs.TS, Tasks: cs.Tasks, node: n, em: &n.em, onTuple: cs.OnTuple, rows: cs.Rows, retained: c.retained[:0]}
 
 	// activeNs accumulates operator-busy time for the engine's per-statement
 	// cost attribution; timing only runs when someone is observing.

@@ -127,35 +127,41 @@ func (r *testRig) runGen(gen, ts uint64, tasks map[*Node][]Task, edgeQueries map
 	r.mu.Unlock()
 	r.done = make(chan struct{})
 
-	for e, qs := range edgeQueries {
-		e.SetQueries(gen, queryset.Of(qs...))
-	}
-	r.sop.SetHandler(gen, func(stream int, t Tuple) {
+	onTuple := func(stream int, t Tuple) {
 		r.mu.Lock()
 		for _, q := range t.QS.IDs() {
 			r.results[q] = append(r.results[q], t.Row)
 			r.streams[q] = stream
 		}
 		r.mu.Unlock()
-	})
+	}
 
 	activeProducers := func(n *Node) int {
 		c := 0
 		for _, e := range n.Producers {
-			if !e.QueriesFor(gen).Empty() {
+			if len(edgeQueries[e]) > 0 {
 				c++
 			}
 		}
 		return c
 	}
+	consumerSets := func(n *Node) []queryset.Set {
+		sets := make([]queryset.Set, len(n.Consumers))
+		for i, e := range n.Consumers {
+			sets[i] = queryset.Of(edgeQueries[e]...)
+		}
+		return sets
+	}
 	// activate sink first so it is waiting, then interior nodes, then roots
 	r.sink.Inbox().Push(Message{Ctrl: &CycleStart{
 		Gen: gen, TS: ts, ActiveProducers: activeProducers(r.sink),
-		OnDone: func() { close(r.done) },
+		OnTuple: onTuple,
+		OnDone:  func() { close(r.done) },
 	}})
 	for n, ntasks := range tasks {
 		n.Inbox().Push(Message{Ctrl: &CycleStart{
 			Gen: gen, TS: ts, Tasks: ntasks, ActiveProducers: activeProducers(n),
+			Edges: consumerSets(n),
 		}})
 	}
 	<-r.done

@@ -153,9 +153,9 @@ func finishAs(op *SortOp, c *Cycle, r regime) {
 func collect(op *SortOp, tc *sortLookupCase, batches []*Batch, r regime) []emission {
 	h := newAllocHarness(op, tc.queries())
 	var got []emission
-	h.sink.SetHandler(1, func(_ int, tp Tuple) {
+	h.onTuple = func(_ int, tp Tuple) {
 		got = append(got, emission{tp.Row.String(), slices.Clone(tp.QS.IDs())})
-	})
+	}
 	h.cycle(tc.tasks, tc.ts, func(c *Cycle) {
 		for _, b := range batches {
 			op.Consume(c, b)
@@ -171,9 +171,9 @@ func (tc *sortLookupCase) reference(r regime) []emission {
 	ij := &IndexJoinOp{Table: tc.tab, Index: tc.tab.PrimaryKey(), Outers: map[int]JoinOuter{1: lookupJoin}}
 	h := newAllocHarness(ij, tc.queries())
 	joined := &Batch{Stream: 3}
-	h.sink.SetHandler(1, func(_ int, tp Tuple) {
+	h.onTuple = func(_ int, tp Tuple) {
 		joined.Tuples = append(joined.Tuples, Tuple{Row: slices.Clone(tp.Row), QS: queryset.Of(tp.QS.IDs()...)})
-	})
+	}
 	h.cycle(tc.tasks, tc.ts, func(c *Cycle) {
 		for _, b := range tc.batches {
 			ij.Consume(c, b)

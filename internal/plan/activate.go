@@ -17,12 +17,14 @@ type Activation struct {
 	Params []types.Value
 }
 
-// RunGeneration executes one heartbeat of the global plan (paper §3.2):
-// every activation's tasks are queued at the operators along its path, edge
-// query-sets are installed for this generation, and all active nodes are
-// started for generation gen reading snapshot ts. onTuple receives every
-// tuple reaching the sink; onDone fires when the generation has fully
-// drained.
+// Run executes one heartbeat of the global plan (paper §3.2): every
+// activation's tasks are queued at the operators along its path, and every
+// active node is started for generation gen reading snapshot ts. A node's
+// CycleStart carries all it routes by: the generation's query set on each
+// of its consumer edges, and at the sink onTuple, which receives every tuple
+// reaching it. onDone fires when the generation has fully drained. cost,
+// when non-nil, receives each active node's tasks and operator-active time
+// as it drains the generation, before onDone; nil turns timing off.
 //
 // Tuple.Row is valid only during onTuple: rows built by operators (join
 // results, group-by output) live in the generation's row arena, whose chunks
@@ -34,21 +36,18 @@ type Activation struct {
 // or a hash join reads from the column mirror was fixed when each
 // statement compiled (its task spec carries the table and the scan
 // predicate, and it has no scan step or edge there). A generation only
-// queues each activation's tasks and sets each edge's query set; every
-// stateful node builds its state from its inputs each cycle.
+// queues each activation's tasks and hands each node its edges' query sets;
+// every stateful node builds its state from its inputs each cycle.
 //
-// The fourth parameter is ignored: bench/layers.go, which only a
-// benchmark-typed PR may change, still passes a nil write delta there.
-//
-// RunGeneration returns immediately; completion is signaled via onDone.
-// Generations pipeline: the caller may start generation N+1 while earlier
-// generations are still draining — routing state (edge query sets, the sink
-// handler) is keyed by generation, each node runs its cycles in generation
-// order, and messages carry their generation tag so overlapping generations
-// never observe each other's tuples. Generations must be dispatched in
-// increasing gen order, and plan mutation (Prepare) still requires all
-// generations to have drained.
-func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage.Delta, onTuple func(stream int, t operators.Tuple), onDone func()) {
+// Run returns immediately; completion is signaled via onDone. Generations
+// pipeline: the caller may start generation N+1 while earlier generations
+// are still draining — each generation's routing travels on its own
+// CycleStarts, each node runs its cycles in generation order, and messages
+// carry their generation tag so overlapping generations never observe each
+// other's tuples. Generations must be dispatched in increasing gen order,
+// and plan mutation (Prepare) still requires all generations to have
+// drained.
+func (p *GlobalPlan) Run(gen, ts uint64, acts []Activation, onTuple func(stream int, t operators.Tuple), onDone func(), cost func(tasks []operators.Task, activeNs int64)) {
 	p.mu.Lock()
 
 	if len(acts) == 0 {
@@ -67,48 +66,31 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 			edgeQ[e] = append(edgeQ[e], a.QID)
 		}
 	}
-	activated := make([]*operators.Edge, 0, len(edgeQ))
-	for e, ids := range edgeQ {
-		e.SetQueries(gen, queryset.Of(ids...))
-		activated = append(activated, e)
-	}
 
 	activeProducers := func(n *operators.Node) int {
 		c := 0
 		for _, e := range n.Producers {
-			if !e.QueriesFor(gen).Empty() {
+			if len(edgeQ[e]) > 0 {
 				c++
 			}
 		}
 		return c
 	}
 
-	// Per-generation cost attribution closure: node cycles report their
-	// operator-active time tagged with this generation (pipelined
-	// generations attribute independently). Every node drains a generation
-	// before the sink does, so by sink-OnDone the attribution is complete.
-	var costObserve func(tasks []operators.Task, activeNs int64)
-	if ob := p.costObserver; ob != nil {
-		costObserve = func(tasks []operators.Task, activeNs int64) { ob(gen, tasks, activeNs) }
-	}
-	p.SinkOp.SetHandler(gen, onTuple)
 	rows := p.rowPool.NewArena()
 	// The sink is the last node to finish a generation (every active node's
-	// EOS must reach it), so by the time its cycle completes every emitter
-	// has snapshotted this generation's edge sets and they can be dropped,
-	// and every operator has finished with the rows it built: the arena's
-	// chunks go back to the pool for the generations behind this one.
+	// EOS must reach it), so by the time its cycle completes every operator
+	// has finished with the rows it built: the arena's chunks go back to the
+	// pool for the generations behind this one.
 	done := func() {
-		for _, e := range activated {
-			e.ClearQueries(gen)
-		}
 		rows.Release()
 		onDone()
 	}
 	p.sink.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
 		Gen: gen, TS: ts,
 		ActiveProducers: activeProducers(p.sink),
-		CostObserve:     costObserve,
+		CostObserve:     cost,
+		OnTuple:         onTuple,
 		OnDone:          done,
 	}})
 	for n, nt := range tasks {
@@ -131,14 +113,36 @@ func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage
 				p.paths.ColAgg++
 			}
 		}
+		edges := make([]queryset.Set, len(n.Consumers))
+		for i, e := range n.Consumers {
+			edges[i] = queryset.Of(edgeQ[e]...)
+		}
 		n.Inbox().Push(operators.Message{Ctrl: &operators.CycleStart{
 			Gen: gen, TS: ts, Tasks: nt,
 			ActiveProducers: activeProducers(n),
-			CostObserve:     costObserve,
+			Edges:           edges,
+			CostObserve:     cost,
 			Rows:            rows,
 		}})
 	}
 	p.mu.Unlock()
+}
+
+// RunGeneration is Run reporting to the observer SetCostObserver installed,
+// tagged with gen; the write delta is ignored. It and SetCostObserver are
+// kept only for bench/layers.go, the benchmark's frozen replay.
+func (p *GlobalPlan) RunGeneration(gen, ts uint64, acts []Activation, _ *storage.Delta, onTuple func(stream int, t operators.Tuple), onDone func()) {
+	var cost func([]operators.Task, int64)
+	if ob := p.costObserver; ob != nil {
+		cost = func(tasks []operators.Task, ns int64) { ob(gen, tasks, ns) }
+	}
+	p.Run(gen, ts, acts, onTuple, onDone, cost)
+}
+
+// SetCostObserver sets the observer RunGeneration reports to; call it
+// before the generations it should observe.
+func (p *GlobalPlan) SetCostObserver(ob func(gen uint64, tasks []operators.Task, activeNs int64)) {
+	p.costObserver = ob
 }
 
 // readsMirror reports whether a task reads its node's input from the column

@@ -134,12 +134,11 @@ type GlobalPlan struct {
 	// "Memory discipline").
 	pool *operators.BatchPool
 	// rowPool is the plan-wide free list behind the per-generation row
-	// arenas RunGeneration hands to every cycle.
+	// arenas Run hands to every cycle.
 	rowPool *operators.RowPool
 
-	// costObserver, when set, receives every node cycle's operator-active
-	// time with the generation and the cycle's tasks — the engine's
-	// per-statement cost attribution feed (admission control).
+	// costObserver is the observer RunGeneration reports to
+	// (SetCostObserver).
 	costObserver func(gen uint64, tasks []operators.Task, activeNs int64)
 
 	// paths counts node cycles per always-on path (tests assert each path
@@ -165,13 +164,12 @@ type GlobalPlan struct {
 
 	edges map[[2]int]*operators.Edge // (fromID, toID) → edge
 
-	sink   *operators.Node
-	SinkOp *operators.SinkOp
+	sink *operators.Node
 
 	stmts []*Statement
 	// byText is the statement registry: SQL text → the statement Prepare
 	// compiled for it. It has its own lock so a lookup never waits behind
-	// p.mu, which RunGeneration holds; writers hold both.
+	// p.mu, which Run holds; writers hold both.
 	textMu sync.RWMutex
 	byText map[string]*Statement
 }
@@ -227,8 +225,7 @@ func New(db *storage.Database) *GlobalPlan {
 		pool:        operators.NewBatchPool(),
 		rowPool:     operators.NewRowPool(),
 	}
-	p.SinkOp = &operators.SinkOp{}
-	p.sink = operators.NewNode(p.allocNodeID(), "output", p.SinkOp)
+	p.sink = operators.NewNode(p.allocNodeID(), "output", &operators.SinkOp{})
 	p.sink.SetPool(p.pool)
 	return p
 }
@@ -269,17 +266,6 @@ func (p *GlobalPlan) edge(from, to *operators.Node) *operators.Edge {
 	e := operators.Connect(from, to)
 	p.edges[key] = e
 	return e
-}
-
-// SetCostObserver installs the engine's per-cycle cost attribution hook:
-// ob(gen, tasks, activeNs) is called from each node's goroutine when it
-// drains a generation, with the time spent inside the operator (excluding
-// inbox waits). Every node reports a generation before the sink's OnDone
-// for that generation fires. Nil disables timing entirely.
-func (p *GlobalPlan) SetCostObserver(ob func(gen uint64, tasks []operators.Task, activeNs int64)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.costObserver = ob
 }
 
 // SetColumnar does nothing: every scan reads the columnar mirror. It is

@@ -12,8 +12,8 @@
 // queries densely from 1, which keeps sets small and lets operators use
 // id-indexed slices. With pipelined generations the same ids are live in
 // several generations at once — isolation comes from generation-tagged
-// routing (every message, cycle and edge query-set carries its generation),
-// never from the id space itself.
+// routing (every message and cycle carries its generation, and a cycle's
+// edge query sets arrive with it), never from the id space itself.
 package queryset
 
 import (

@@ -26,9 +26,6 @@ type Scale struct {
 	Customers int // spec: 2880 per EB; scaled down for laptop runs
 }
 
-// DefaultScale is a laptop-sized population.
-func DefaultScale() Scale { return Scale{Items: 1000, Customers: 1440} }
-
 // Authors returns the author count (spec: items / 4).
 func (s Scale) Authors() int { return max(s.Items/4, 10) }
 
