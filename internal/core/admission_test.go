@@ -474,14 +474,18 @@ func TestBreakerQuarantinesSlowStatement(t *testing.T) {
 	e.adm.strikes, e.adm.cooldown = 2, 50*time.Millisecond
 	e.mu.Unlock()
 
-	heavy := mustPrepare(t, e, "SELECT b_id FROM big WHERE b_pad LIKE '%x%' ORDER BY b_val")
+	// Every submission binds a distinct b_val bound below every value, so
+	// each one runs: an identical read would be answered from the memo.
+	heavy := mustPrepare(t, e, "SELECT b_id FROM big WHERE b_pad LIKE '%x%' AND b_val > ? ORDER BY b_val")
+	bound := int64(0)
+	fresh := func() []types.Value { bound--; return []types.Value{types.NewInt(bound)} }
 	for i := 0; i < 2; i++ {
-		if err := e.Submit(heavy, nil).Wait(); err != nil {
+		if err := e.Submit(heavy, fresh()).Wait(); err != nil {
 			t.Fatalf("pre-trip generation %d: %v", i, err)
 		}
 	}
 	// Two consecutive over-SLO generations: quarantined.
-	err := e.Submit(heavy, nil).Wait()
+	err := e.Submit(heavy, fresh()).Wait()
 	if !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("statement must be quarantined after 2 slow generations, got %v", err)
 	}
@@ -496,7 +500,7 @@ func TestBreakerQuarantinesSlowStatement(t *testing.T) {
 		t.Fatal("re-preparing a registered text must return its handle")
 	}
 	rejected := e.Stats().Rejected
-	if err := e.Submit(heavyAdhoc, nil).Wait(); !errors.Is(err, dbapi.ErrOverloaded) {
+	if err := e.Submit(heavyAdhoc, fresh()).Wait(); !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("the re-prepared quarantined statement must reject, got %v", err)
 	}
 	if got := e.Stats().Rejected; got != rejected+1 {
@@ -505,13 +509,65 @@ func TestBreakerQuarantinesSlowStatement(t *testing.T) {
 	// After the cooldown a probe is admitted; it is still slow, so the
 	// breaker re-trips and the next submission rejects again.
 	time.Sleep(60 * time.Millisecond)
-	if err := e.Submit(heavy, nil).Wait(); err != nil {
+	if err := e.Submit(heavy, fresh()).Wait(); err != nil {
 		t.Fatalf("half-open probe must be admitted and answered: %v", err)
 	}
-	if err := e.Submit(heavy, nil).Wait(); !errors.Is(err, dbapi.ErrOverloaded) {
+	if err := e.Submit(heavy, fresh()).Wait(); !errors.Is(err, dbapi.ErrOverloaded) {
 		t.Fatalf("failed probe must re-quarantine, got %v", err)
 	}
 	if trips := e.Stats().BreakerTrips; trips != 2 {
 		t.Fatalf("BreakerTrips = %d, want 2", trips)
+	}
+}
+
+// TestAdmissionCostCountsExecutedRequests: a generation's per-request cost
+// sample divides its time by the requests it executed. One heavy read
+// co-batched with reads answered from the memo must sample about what it
+// samples alone, not its time spread over the reused reads.
+func TestAdmissionCostCountsExecutedRequests(t *testing.T) {
+	db, closeDB := bigTable(t, 20000)
+	defer closeDB()
+	e := New(db, plan.New(db), Config{MaxInFlightGenerations: 1})
+	defer e.Close()
+	heavy := mustPrepare(t, e, "SELECT b_id FROM big WHERE b_pad LIKE '%x%' AND b_val > ? ORDER BY b_val")
+	light := mustPrepare(t, e, "SELECT b_val FROM big WHERE b_id = ?")
+	const lights = 63
+	burst := func(bound int64, withLights bool) []Call {
+		calls := []Call{{Stmt: heavy, Params: []types.Value{types.NewInt(bound)}}}
+		for i := 0; withLights && i < lights; i++ {
+			calls = append(calls, Call{Stmt: light, Params: []types.Value{types.NewInt(int64(i))}})
+		}
+		return calls
+	}
+	// sample runs one burst as one generation from a zero cost estimate,
+	// so the estimate afterwards is exactly that generation's sample.
+	sample := func(calls []Call) float64 {
+		e.mu.Lock()
+		e.adm.costNs = 0
+		e.mu.Unlock()
+		gens := e.Stats().Generations
+		e.SubmitBatch(calls)
+		for _, c := range calls {
+			if err := c.Result.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := e.Stats().Generations - gens; got != 1 {
+			t.Fatalf("fixture: the burst took %d generations", got)
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.adm.costNs
+	}
+	sample(burst(-1, true)) // the light reads run and enter the memo
+	alone := sample(burst(-2, false))
+	before := e.Stats()
+	mixed := sample(burst(-3, true))
+	after := e.Stats()
+	if ran, reused := after.QueriesRun-before.QueriesRun, after.ReusedQueries-before.ReusedQueries; ran != 1 || reused != lights {
+		t.Fatalf("fixture: the mixed burst ran %d reads and reused %d, want 1 and %d", ran, reused, lights)
+	}
+	if mixed*4 < alone {
+		t.Fatalf("per-request cost %.0fns with %d reused reads, %.0fns alone: reused reads dilute the estimate", mixed, lights, alone)
 	}
 }

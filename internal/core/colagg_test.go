@@ -391,7 +391,7 @@ func TestBreakerSparesLightStatement(t *testing.T) {
 	db, closeDB := bigTable(t, 20000)
 	defer closeDB()
 	const (
-		heavySQL = "SELECT b_id FROM big WHERE b_pad LIKE '%x%' ORDER BY b_val"
+		heavySQL = "SELECT b_id FROM big WHERE b_pad LIKE '%x%' AND b_val > ? ORDER BY b_val"
 		lightSQL = "SELECT b_val FROM big WHERE b_id = ?"
 	)
 	e := New(db, plan.New(db), Config{
@@ -408,9 +408,11 @@ func TestBreakerSparesLightStatement(t *testing.T) {
 
 	for round := 0; round < 8; round++ {
 		// A plug occupies the single in-flight generation slot so the next
-		// two submissions queue up and co-batch into one generation.
-		plug := e.Submit(heavy, nil)
-		h := e.Submit(heavy, nil)
+		// two submissions queue up and co-batch into one generation. Each
+		// heavy submission binds its own b_val bound below every value, so
+		// none is answered from the memo of an earlier identical read.
+		plug := e.Submit(heavy, []types.Value{types.NewInt(int64(-2*round - 1))})
+		h := e.Submit(heavy, []types.Value{types.NewInt(int64(-2*round - 2))})
 		l := e.Submit(light, []types.Value{types.NewInt(int64(round))})
 		plug.Wait() // heavy is allowed (expected, eventually) to be rejected
 		h.Wait()

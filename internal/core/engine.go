@@ -88,15 +88,17 @@ type Config struct {
 	// queued, in arrival order, for a later generation. 0 = unlimited.
 	StatementQuota int
 
-	// NoFold is the reference switch: it queues every read as its own
-	// activation. The zero value is the production path: a read submission
-	// identical to a pending one (same statement, bit-identical parameters)
-	// attaches to the pending request's result instead of occupying its own
-	// queue slot and activation, and is charged once — by its lead —
-	// against QueueDepthLimit/StatementQuota and the cost EWMA. Writes and
-	// transaction commits never fold. NoFold exists for the differential
-	// suites and cmd/microbench's kernel records and is deliberately not on
-	// shareddb.Config or any command-line flag.
+	// NoFold is the reference switch: it queues and runs every read as its
+	// own activation. The zero value is the production path: a read
+	// submission identical to a pending one (same statement, bit-identical
+	// parameters) attaches to the pending request's result instead of
+	// occupying its own queue slot and activation, and is charged once — by
+	// its lead — against QueueDepthLimit/StatementQuota and the cost EWMA;
+	// and a drafted read whose last completed identical read no commit has
+	// touched the read set of since takes that read's rows without running.
+	// Writes and transaction commits never fold. NoFold exists for the
+	// differential suites and cmd/microbench's kernel records and is
+	// deliberately not on shareddb.Config or any command-line flag.
 	NoFold bool
 }
 
@@ -132,6 +134,9 @@ type Engine struct {
 	// window) and is rebuilt from the shed remainder after every batch
 	// formation. nil under Config.NoFold.
 	foldIdx map[uint64][]*Request
+	// memo answers a drafted read from its last completed identical read
+	// (fold.go); nil under Config.NoFold.
+	memo *readMemo
 
 	// Standing queries, guarded by mu. subsKick forces a generation even
 	// with an empty request queue so a fresh subscription gets its initial
@@ -144,6 +149,7 @@ type Engine struct {
 	queriesRun  uint64
 	writesRun   uint64
 	folded      uint64 // submissions folded into a pending duplicate
+	reused      uint64 // drafted reads answered from the memo
 	// subUpdates counts subscription updates handed to subscribers; deliver
 	// adds to it before the hand-off, so it needs no lock.
 	subUpdates atomic.Uint64
@@ -212,6 +218,7 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 	e.adm = newAdmission(cfg)
 	if !cfg.NoFold {
 		e.foldIdx = make(map[uint64][]*Request)
+		e.memo = &readMemo{entries: make(map[uint64]memoEntry)}
 	}
 	e.cond = sync.NewCond(&e.mu)
 	gp.Start()
@@ -274,6 +281,7 @@ func (e *Engine) Stats() dbapi.Stats {
 		QueriesRun:          e.queriesRun,
 		WritesApplied:       e.writesRun,
 		FoldedQueries:       e.folded,
+		ReusedQueries:       e.reused,
 		InFlightGenerations: e.inFlight,
 		QueueDepth:          len(e.pending) + e.reserved,
 		Shed:                e.adm.shed,

@@ -6,6 +6,11 @@
 // subscriber always receives exactly the rows its own activation would
 // have produced at that generation's snapshot.
 //
+// Behind the window, a drafted read folds into the last completed identical
+// read (readMemo) when no commit since that read's snapshot has stamped its
+// statement's read set: the rows it would produce now are the rows it
+// produced then.
+//
 // Fold identity is the statement handle plus bit-identical parameters:
 // Prepare registers one handle per SQL text, so identical texts share a
 // handle. Two requests fold when their fingerprints match AND they carry
@@ -18,8 +23,10 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
+	"shareddb/internal/plan"
 	"shareddb/internal/types"
 )
 
@@ -132,4 +139,56 @@ func (r *Result) Abandon(err error) bool {
 	}
 	r.abandoned.Store(true)
 	return false
+}
+
+// memoCap bounds the completed-read memo: past it, recording a new read
+// evicts an arbitrary one.
+const memoCap = 4096
+
+// memoEntry is a completed read: its statement, parameters and rows, and
+// the snapshot it ran at.
+type memoEntry struct {
+	stmt   *plan.Statement
+	params []types.Value
+	ts     uint64
+	rows   []types.Row
+}
+
+// readMemo holds the last completed read per fold identity. The sink
+// goroutine records and the dispatcher looks up, so it has its own lock.
+type readMemo struct {
+	mu      sync.Mutex
+	entries map[uint64]memoEntry // by fold fingerprint; a collision overwrites
+}
+
+// lookup returns the rows of r's last identical read if no commit has
+// stamped r's read set since that read's snapshot. A stale entry goes.
+func (m *readMemo) lookup(r *Request) ([]types.Row, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	en, ok := m.entries[r.fp]
+	if !ok || en.stmt != r.Stmt || !slices.Equal(en.params, r.Params) {
+		return nil, false
+	}
+	if r.Stmt.ChangedSince(en.ts) {
+		delete(m.entries, r.fp)
+		return nil, false
+	}
+	return en.rows, true
+}
+
+// record keeps each executed read's result at snapshot ts; cols[i] holds
+// the result of reads[i].
+func (m *readMemo) record(reads []*Request, ts uint64, cols []collector) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, r := range reads {
+		if _, ok := m.entries[r.fp]; !ok && len(m.entries) >= memoCap {
+			for fp := range m.entries {
+				delete(m.entries, fp)
+				break
+			}
+		}
+		m.entries[r.fp] = memoEntry{stmt: r.Stmt, params: slices.Clone(r.Params), ts: ts, rows: cols[i].rows}
+	}
 }

@@ -25,8 +25,9 @@ type generation struct {
 	start   time.Time       // dispatch start; admission's cycle time runs from here
 
 	written []*Request // bound and applied writes and commits, outcomes recorded
-	reads   []*Request
-	ts      uint64 // the pinned read snapshot
+	reads   []*Request // reads the plan runs; pin takes out the reused ones
+	reused  int        // reads answered from the memo at pin
+	ts      uint64     // the pinned read snapshot
 
 	// cols[qid-1] collects the result of the activation with dense query id
 	// qid: the standing queries first, then the batch's reads.
@@ -114,13 +115,15 @@ func (g *generation) completeWrites() {
 }
 
 // pin is the pin stage: take the post-write snapshot the generation's reads
-// run at and lay out one activation and one collector per dense,
-// generation-scoped query id — standing queries first (1..len(subs), in
-// registration order, so their ids are stable while the subscription set
-// is), then the batch's reads. Isolation between overlapping generations
-// comes from generation-tagged routing, not from the id space.
+// run at, answer the reads the memo can, and lay out one activation and one
+// collector per dense, generation-scoped query id — standing queries first
+// (1..len(subs), in registration order, so their ids are stable while the
+// subscription set is), then the reads left to run. Isolation between
+// overlapping generations comes from generation-tagged routing, not from
+// the id space.
 func (g *generation) pin() []plan.Activation {
 	g.ts = g.e.db.PinCurrentSnapshot()
+	g.reuse()
 	acts := make([]plan.Activation, 0, len(g.subs)+len(g.reads))
 	for _, s := range g.subs {
 		acts = append(acts, plan.Activation{QID: queryset.QueryID(len(acts) + 1), Stmt: s.stmt, Params: s.params})
@@ -138,6 +141,43 @@ func (g *generation) pin() []plan.Activation {
 		g.attribute()
 	}
 	return acts
+}
+
+// reuse completes every read whose last identical read the memo holds and
+// no commit has stamped the read set of since, with that read's rows at
+// this generation's snapshot, and takes it out of the reads the plan runs.
+// Each completes after it is counted in ReusedQueries, and before its
+// generation retires.
+func (g *generation) reuse() {
+	m := g.e.memo
+	if m == nil {
+		return
+	}
+	var reused []*Request
+	run := g.reads[:0]
+	for _, r := range g.reads {
+		rows, ok := m.lookup(r)
+		if !ok {
+			run = append(run, r)
+			continue
+		}
+		r.Result.Rows, r.Result.Schema, r.Result.SnapshotTS = rows, r.Stmt.OutSchema, g.ts
+		reused = append(reused, r)
+	}
+	g.reads = run
+	if len(reused) == 0 {
+		return
+	}
+	g.reused = len(reused)
+	g.e.mu.Lock()
+	g.e.reused += uint64(len(reused))
+	g.e.mu.Unlock()
+	for _, r := range reused {
+		r.Result.complete(nil)
+		if r.fold != nil {
+			r.fold.complete(r.Result)
+		}
+	}
 }
 
 // attribute opens the generation's cost ledger, one slot per activation,
@@ -201,8 +241,10 @@ func (g *generation) sink(_ int, t operators.Tuple) {
 }
 
 // sinkDone ends the sink stage once the plan has drained the generation:
-// release the snapshot, hand the standing queries their results, retire,
-// and then complete the reads and fan each one out to its fold subscribers.
+// release the snapshot, hand the standing queries their results, record the
+// reads in the memo, retire, and then complete the reads and fan each one
+// out to its fold subscribers. With every read reused and no standing
+// query, the plan ran nothing and this runs on the dispatcher.
 func (g *generation) sinkDone() {
 	g.e.db.UnpinSnapshot(g.ts)
 	// Subscription deliveries happen on the sink goroutine in generation
@@ -211,6 +253,9 @@ func (g *generation) sinkDone() {
 	// counted before its update can be received.
 	for i, s := range g.subs {
 		s.deliver(g.id, g.ts, g.cols[i].rows, &g.e.subUpdates)
+	}
+	if m := g.e.memo; m != nil && len(g.reads) > 0 {
+		m.record(g.reads, g.ts, g.cols[len(g.subs):])
 	}
 	g.retire()
 	for i, r := range g.reads {
@@ -233,7 +278,9 @@ func (g *generation) retire() {
 	costs := g.costs()
 	e.mu.Lock()
 	e.queriesRun += uint64(len(g.reads))
-	e.adm.recordGenerationCosts(g.admStmts, time.Since(g.start), len(g.batch), costs)
+	// Reused reads cost the generation nothing: the per-request cost the
+	// SLO sizes batches by counts only the requests it executed.
+	e.adm.recordGenerationCosts(g.admStmts, time.Since(g.start), len(g.batch)-g.reused, costs)
 	e.mu.Unlock()
 	e.generationDone()
 }

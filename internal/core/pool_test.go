@@ -23,8 +23,10 @@ func TestBatchPoolReuseAcrossGenerations(t *testing.T) {
 			e := New(db, gp, Config{MaxInFlightGenerations: 1})
 			defer e.Close()
 			s := mustPrepare(t, e, "SELECT i_id FROM item WHERE i_title LIKE ?")
+			// Distinct patterns, so that no generation is answered from the
+			// memo of an identical read.
 			for i := 0; i < 12; i++ {
-				run(t, e, s, types.NewString("%1%"))
+				run(t, e, s, types.NewString(fmt.Sprintf("%%%d%%", i)))
 			}
 			gets, reuses := gp.PoolStats()
 			if gets == 0 {

@@ -62,7 +62,8 @@ type Stats struct {
 	// Generations is the number of execution generations dispatched.
 	Generations uint64 `stat:"generations"`
 	// QueriesRun counts read activations the engine actually executed.
-	// Folded duplicates are excluded — they consumed no engine work.
+	// Folded duplicates and reused reads are excluded — they consumed no
+	// engine work.
 	QueriesRun uint64 `stat:"queries_run"`
 	// WritesApplied counts applied write statements and transaction
 	// commits.
@@ -91,6 +92,12 @@ type Stats struct {
 	// SubscriptionUpdates counts updates handed to subscribers: initial
 	// full results, per-generation deltas and lag resyncs.
 	SubscriptionUpdates uint64 `stat:"subscription_updates"`
+	// ReusedQueries counts reads answered with the rows of the last
+	// completed identical read, because no commit since had changed a
+	// column or row set that read depends on; they run no plan. A reused
+	// read completes before its generation retires: it is counted here
+	// first, and InFlightGenerations may still count its generation.
+	ReusedQueries uint64 `stat:"reused_queries"`
 }
 
 // StatNames lists the counters' STATS_OK names in field order; encode and

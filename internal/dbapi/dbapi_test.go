@@ -13,6 +13,7 @@ func TestStatNamesPinned(t *testing.T) {
 		"generations", "queries_run", "writes_applied", "folded_queries",
 		"in_flight_generations", "queue_depth", "shed", "rejected",
 		"breaker_trips", "subscriptions_active", "subscription_updates",
+		"reused_queries",
 	}
 	if !slices.Equal(StatNames, want) {
 		t.Fatalf("StatNames = %q, want %q", StatNames, want)

@@ -103,10 +103,12 @@ type compiled struct {
 	edges  []*operators.Edge
 }
 
-// compileSelect peels the top of the logical plan (Distinct → Project →
-// Limit → Sort), runs the rewrite rules over what is left (rewrite) and lays
-// the annotated plan out bottom-up as shared nodes.
+// compileSelect records the statement's read set, peels the top of the
+// logical plan (Distinct → Project → Limit → Sort), runs the rewrite rules
+// over what is left (rewrite) and lays the annotated plan out bottom-up as
+// shared nodes.
 func (p *GlobalPlan) compileSelect(s *Statement, lp sql.LogicalPlan) error {
+	s.ReadSet = readSet(p.db, lp)
 	if d, ok := lp.(*sql.Distinct); ok {
 		s.Distinct = true
 		lp = d.In

@@ -422,6 +422,9 @@ type Statement struct {
 	OutSchema      *types.Schema
 	Distinct       bool
 	SinkLimit      int // -1 none; applied at result assembly
+	// ReadSet is what the result depends on (readset.go): ChangedSince
+	// tests it against the tables' write stamps.
+	ReadSet []TableRead
 
 	// write side
 	Write *sql.WritePlan

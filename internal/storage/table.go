@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"shareddb/internal/btree"
 	"shareddb/internal/expr"
@@ -78,11 +79,32 @@ type Table struct {
 	// lastWriteTS is the commit timestamp of the newest mutation (guarded
 	// by mu): what a mirror attached now has not been told about.
 	lastWriteTS uint64
+
+	// Write stamps, stored under mu and read without it (ChangedSince):
+	// rowsTS is the commit timestamp of the newest insert or delete, and
+	// colTS[c] that of the newest update that changed column c bit for bit.
+	rowsTS atomic.Uint64
+	colTS  []atomic.Uint64
 }
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *types.Schema) *Table {
-	return &Table{name: name, schema: schema}
+	return &Table{name: name, schema: schema, colTS: make([]atomic.Uint64, len(schema.Cols))}
+}
+
+// ChangedSince reports whether a commit after ts inserted or deleted a row
+// of t or changed one of cols in place: a read of those columns at ts
+// answers for every later snapshot until this turns true.
+func (t *Table) ChangedSince(ts uint64, cols []int) bool {
+	if t.rowsTS.Load() > ts {
+		return true
+	}
+	for _, c := range cols {
+		if t.colTS[c].Load() > ts {
+			return true
+		}
+	}
+	return false
 }
 
 // Name returns the table name.
@@ -189,14 +211,23 @@ func (t *Table) insertLocked(row types.Row, ts uint64) RowID {
 	for _, ix := range t.indexes {
 		ix.tree.Insert(ix.KeyFor(row), rid)
 	}
+	t.rowsTS.Store(ts)
 	t.recordWrite(rid, ts)
 	return rid
 }
 
-// updateLocked installs a new version of rid visible from ts. Caller holds
-// mu and has verified visibility/conflicts.
+// updateLocked installs a new version of rid visible from ts and stamps
+// each column whose value it changes; Value == is bit identity, so -0.0
+// replacing 0.0 stamps and a write of the current value does not. (A head
+// with no row is a dead slot WAL replay padded in: every column changes.)
+// Caller holds mu and has verified visibility/conflicts.
 func (t *Table) updateLocked(rid RowID, newRow types.Row, ts uint64) {
 	head := t.slots[rid]
+	for c := range newRow {
+		if c >= len(head.row) || newRow[c] != head.row[c] {
+			t.colTS[c].Store(ts)
+		}
+	}
 	head.endTS = ts
 	t.slots[rid] = &version{row: newRow, beginTS: ts, endTS: TSMax, older: head}
 	for _, ix := range t.indexes {
@@ -212,6 +243,7 @@ func (t *Table) updateLocked(rid RowID, newRow types.Row, ts uint64) {
 // deleteLocked seals the head version of rid at ts. Caller holds mu.
 func (t *Table) deleteLocked(rid RowID, ts uint64) {
 	t.slots[rid].endTS = ts
+	t.rowsTS.Store(ts)
 	t.recordWrite(rid, ts)
 }
 

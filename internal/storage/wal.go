@@ -292,6 +292,7 @@ func (db *Database) Recover() error {
 				t.insertLocked(rec.Row, rec.TS)
 			} else {
 				t.slots[rec.RID] = &version{row: rec.Row, beginTS: rec.TS, endTS: TSMax}
+				t.rowsTS.Store(rec.TS)
 				for _, ix := range t.indexes {
 					ix.tree.Insert(ix.KeyFor(rec.Row), rec.RID)
 				}
@@ -376,6 +377,7 @@ func (db *Database) loadCheckpoint() (uint64, error) {
 				t.slots = append(t.slots, &version{beginTS: 0, endTS: 0})
 			}
 			t.slots = append(t.slots, &version{row: row, beginTS: ts, endTS: TSMax})
+			t.rowsTS.Store(ts)
 			for _, ix := range t.indexes {
 				ix.tree.Insert(ix.KeyFor(row), rid)
 			}

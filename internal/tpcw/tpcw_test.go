@@ -178,37 +178,8 @@ func TestSharedVsBaselineEveryReadStatement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cart with lines, so the cart statements read something.
-	for _, line := range [][]types.Value{{iv(7), iv(2), iv(11)}, {iv(7), iv(1), iv(12)}, {iv(8), iv(5), iv(11)}} {
-		if _, err := sx.Exec(StAddLine, line...); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	params := map[StmtID][][]types.Value{
-		StGetName:                 {{iv(5)}, {iv(0)}},
-		StGetBook:                 {{iv(17)}},
-		StGetCustomer:             {{sv("user000003")}},
-		StDoSubjectSearch:         {{sv("ARTS")}, {sv("HISTORY")}},
-		StDoTitleSearch:           {{sv("%e%")}, {sv("Title 0001%")}},
-		StDoAuthorSearch:          {{sv("Lastname000%")}},
-		StGetNewProducts:          {{sv("HISTORY")}},
-		StGetMaxOrderID:           {nil},
-		StGetBestSellers:          {{iv(0), sv("COOKING")}, {iv(20), sv("ARTS")}},
-		StGetRelated:              {{iv(9)}},
-		StGetUserName:             {{iv(5)}},
-		StGetPassword:             {{sv("user000003")}},
-		StGetMostRecentOrderID:    {{iv(3)}},
-		StGetMostRecentOrder:      {{iv(3)}},
-		StGetMostRecentOrderLines: {{iv(3)}},
-		StGetCartLine:             {{iv(7), iv(11)}},
-		StGetCart:                 {{iv(7)}, {iv(8)}},
-		StGetCDiscount:            {{iv(5)}},
-		StGetCAddr:                {{iv(5)}},
-		StGetCountryID:            {{sv("Canada")}},
-		StGetStock:                {{iv(17)}},
-		StGetLatestOrderID:        {{iv(3)}},
-	}
+	addCartLines(t, sx)
+	params := readParams()
 	shared, err := NewSharedSystem(db, core.Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -523,5 +494,44 @@ func TestDriverOverloadCountsShed(t *testing.T) {
 	}
 	if rate := m.ShedRate(); rate <= 0 || rate >= 1 {
 		t.Fatalf("shed rate %v, want in (0, 1)", rate)
+	}
+}
+
+// addCartLines gives carts 7 and 8 lines, so the cart statements read
+// something.
+func addCartLines(t *testing.T, sx *BaselineSystem) {
+	t.Helper()
+	for _, line := range [][]types.Value{{iv(7), iv(2), iv(11)}, {iv(7), iv(1), iv(12)}, {iv(8), iv(5), iv(11)}} {
+		if _, err := sx.Exec(StAddLine, line...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readParams holds one or more parameter sets for every read statement.
+func readParams() map[StmtID][][]types.Value {
+	return map[StmtID][][]types.Value{
+		StGetName:                 {{iv(5)}, {iv(0)}},
+		StGetBook:                 {{iv(17)}},
+		StGetCustomer:             {{sv("user000003")}},
+		StDoSubjectSearch:         {{sv("ARTS")}, {sv("HISTORY")}},
+		StDoTitleSearch:           {{sv("%e%")}, {sv("Title 0001%")}},
+		StDoAuthorSearch:          {{sv("Lastname000%")}},
+		StGetNewProducts:          {{sv("HISTORY")}},
+		StGetMaxOrderID:           {nil},
+		StGetBestSellers:          {{iv(0), sv("COOKING")}, {iv(20), sv("ARTS")}},
+		StGetRelated:              {{iv(9)}},
+		StGetUserName:             {{iv(5)}},
+		StGetPassword:             {{sv("user000003")}},
+		StGetMostRecentOrderID:    {{iv(3)}},
+		StGetMostRecentOrder:      {{iv(3)}},
+		StGetMostRecentOrderLines: {{iv(3)}},
+		StGetCartLine:             {{iv(7), iv(11)}},
+		StGetCart:                 {{iv(7)}, {iv(8)}},
+		StGetCDiscount:            {{iv(5)}},
+		StGetCAddr:                {{iv(5)}},
+		StGetCountryID:            {{sv("Canada")}},
+		StGetStock:                {{iv(17)}},
+		StGetLatestOrderID:        {{iv(3)}},
 	}
 }
