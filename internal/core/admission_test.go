@@ -564,8 +564,8 @@ func TestAdmissionCostCountsExecutedRequests(t *testing.T) {
 	before := e.Stats()
 	mixed := sample(burst(-3, true))
 	after := e.Stats()
-	if ran, reused := after.QueriesRun-before.QueriesRun, after.ReusedQueries-before.ReusedQueries; ran != 1 || reused != lights {
-		t.Fatalf("fixture: the mixed burst ran %d reads and reused %d, want 1 and %d", ran, reused, lights)
+	if ran, reused := after.QueriesRun-before.QueriesRun, after.ReusedQueries-before.ReusedQueries; ran != 1+lights || reused != lights {
+		t.Fatalf("fixture: the mixed burst answered %d reads and reused %d, want %d and %d", ran, reused, 1+lights, lights)
 	}
 	if mixed*4 < alone {
 		t.Fatalf("per-request cost %.0fns with %d reused reads, %.0fns alone: reused reads dilute the estimate", mixed, lights, alone)

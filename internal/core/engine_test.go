@@ -463,10 +463,9 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 		t.Error(err)
 	}
 	st := e.Stats()
-	// Identical concurrent reads fold, and a read of item, which no write
-	// here touches, may take an earlier identical read's rows, so client
-	// reads are executed activations plus fan-out deliveries plus reuses.
-	gens, queries, writes := st.Generations, st.QueriesRun+st.FoldedQueries+st.ReusedQueries, st.WritesApplied
+	// Identical concurrent reads fold, so client reads are executed
+	// activations plus fan-out deliveries.
+	gens, queries, writes := st.Generations, st.QueriesRun+st.FoldedQueries, st.WritesApplied
 	if queries != 300 || writes != 100 {
 		t.Errorf("stats: %d gens, %d queries (%d folded), %d writes", gens, queries, st.FoldedQueries, writes)
 	}

@@ -141,17 +141,25 @@ func (r *Result) Abandon(err error) bool {
 	return false
 }
 
-// memoCap bounds the completed-read memo: past it, recording a new read
-// evicts an arbitrary one.
-const memoCap = 4096
+// The memo's bound is in values, not entries: an entry costs one value for
+// itself plus one per parameter and per result value (rows × projected
+// columns), and the memo holds at most memoCap in all, so a few wide results
+// pin no more memory than the same budget of narrow ones. A result costing
+// over memoEntryCap is not kept; past memoCap, recording a read evicts
+// arbitrary entries until it fits.
+const (
+	memoCap      = 1 << 18
+	memoEntryCap = memoCap / 64
+)
 
-// memoEntry is a completed read: its statement, parameters and rows, and
-// the snapshot it ran at.
+// memoEntry is a completed read: its statement, parameters and rows, the
+// snapshot it ran at, and its cost against memoCap.
 type memoEntry struct {
 	stmt   *plan.Statement
 	params []types.Value
 	ts     uint64
 	rows   []types.Row
+	cost   int
 }
 
 // readMemo holds the last completed read per fold identity. The sink
@@ -159,6 +167,7 @@ type memoEntry struct {
 type readMemo struct {
 	mu      sync.Mutex
 	entries map[uint64]memoEntry // by fold fingerprint; a collision overwrites
+	held    int                  // the entries' summed cost
 }
 
 // lookup returns the rows of r's last identical read if no commit has
@@ -171,7 +180,7 @@ func (m *readMemo) lookup(r *Request) ([]types.Row, bool) {
 		return nil, false
 	}
 	if r.Stmt.ChangedSince(en.ts) {
-		delete(m.entries, r.fp)
+		m.drop(r.fp)
 		return nil, false
 	}
 	return en.rows, true
@@ -183,12 +192,27 @@ func (m *readMemo) record(reads []*Request, ts uint64, cols []collector) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, r := range reads {
-		if _, ok := m.entries[r.fp]; !ok && len(m.entries) >= memoCap {
-			for fp := range m.entries {
-				delete(m.entries, fp)
+		m.drop(r.fp)
+		rows := cols[i].rows
+		cost := 1 + len(r.Params) + len(rows)*len(r.Stmt.Project)
+		if cost > memoEntryCap {
+			continue
+		}
+		for fp := range m.entries {
+			if m.held+cost <= memoCap {
 				break
 			}
+			m.drop(fp)
 		}
-		m.entries[r.fp] = memoEntry{stmt: r.Stmt, params: slices.Clone(r.Params), ts: ts, rows: cols[i].rows}
+		m.entries[r.fp] = memoEntry{stmt: r.Stmt, params: slices.Clone(r.Params), ts: ts, rows: rows, cost: cost}
+		m.held += cost
+	}
+}
+
+// drop removes the entry under fp, if any. Caller holds mu.
+func (m *readMemo) drop(fp uint64) {
+	if en, ok := m.entries[fp]; ok {
+		m.held -= en.cost
+		delete(m.entries, fp)
 	}
 }

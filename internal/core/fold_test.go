@@ -76,11 +76,6 @@ func TestFoldCollapsesDuplicates(t *testing.T) {
 	// Warm generation: starts the heartbeat clock so the burst below pools
 	// in one fold window.
 	want := run(t, e, s, types.NewString("SCIENCE"))
-	// Retitling an item changes a column the read projects, so the burst
-	// runs instead of being answered from the warm read; the row count
-	// stays. The write's generation restarts the heartbeat clock.
-	retitle := mustPrepare(t, e, `UPDATE item SET i_title = ? WHERE i_id = ?`)
-	run(t, e, retitle, types.NewString("Retitled"), types.NewInt(1))
 	before := e.Stats()
 
 	const dup = 16

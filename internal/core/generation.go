@@ -146,23 +146,22 @@ func (g *generation) pin() []plan.Activation {
 // reuse completes every read whose last identical read the memo holds and
 // no commit has stamped the read set of since, with that read's rows at
 // this generation's snapshot, and takes it out of the reads the plan runs.
-// Each completes after it is counted in ReusedQueries, and before its
-// generation retires.
+// Each completes after it is counted in QueriesRun and ReusedQueries, and
+// before its generation retires.
 func (g *generation) reuse() {
 	m := g.e.memo
 	if m == nil {
 		return
 	}
 	var reused []*Request
+	var rows [][]types.Row
 	run := g.reads[:0]
 	for _, r := range g.reads {
-		rows, ok := m.lookup(r)
-		if !ok {
+		if rs, ok := m.lookup(r); ok {
+			reused, rows = append(reused, r), append(rows, rs)
+		} else {
 			run = append(run, r)
-			continue
 		}
-		r.Result.Rows, r.Result.Schema, r.Result.SnapshotTS = rows, r.Stmt.OutSchema, g.ts
-		reused = append(reused, r)
 	}
 	g.reads = run
 	if len(reused) == 0 {
@@ -170,13 +169,11 @@ func (g *generation) reuse() {
 	}
 	g.reused = len(reused)
 	g.e.mu.Lock()
+	g.e.queriesRun += uint64(len(reused))
 	g.e.reused += uint64(len(reused))
 	g.e.mu.Unlock()
-	for _, r := range reused {
-		r.Result.complete(nil)
-		if r.fold != nil {
-			r.fold.complete(r.Result)
-		}
+	for i, r := range reused {
+		g.completeRead(r, rows[i])
 	}
 }
 
@@ -259,12 +256,18 @@ func (g *generation) sinkDone() {
 	}
 	g.retire()
 	for i, r := range g.reads {
-		res := r.Result
-		res.Rows, res.Schema, res.SnapshotTS = g.cols[len(g.subs)+i].rows, r.Stmt.OutSchema, g.ts
-		res.complete(nil)
-		if r.fold != nil {
-			r.fold.complete(res)
-		}
+		g.completeRead(r, g.cols[len(g.subs)+i].rows)
+	}
+}
+
+// completeRead completes read r with rows at the generation's snapshot and
+// fans the result out to r's fold subscribers.
+func (g *generation) completeRead(r *Request, rows []types.Row) {
+	res := r.Result
+	res.Rows, res.Schema, res.SnapshotTS = rows, r.Stmt.OutSchema, g.ts
+	res.complete(nil)
+	if r.fold != nil {
+		r.fold.complete(res)
 	}
 }
 

@@ -58,12 +58,14 @@ func TestPipelinedGenerationsOverlap(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	var results []*Result
-	for {
+	for n := 0; ; {
 		// Back-to-back bursts keep a standing backlog: the dispatcher forms
 		// the next generation while the previous one's read phase is still
-		// draining in the plan.
+		// draining in the plan. Every pattern is new, so no read is
+		// answered from the memo of an identical one without a scan.
 		for i := 0; i < 8; i++ {
-			results = append(results, e.Submit(s, []types.Value{types.NewString("%1%")}))
+			n++
+			results = append(results, e.Submit(s, []types.Value{types.NewString(fmt.Sprintf("%%%d%%", n))}))
 			time.Sleep(50 * time.Microsecond) // let the dispatcher drain between submissions
 		}
 		if _, peak := e.InFlightGenerations(); peak > 1 {

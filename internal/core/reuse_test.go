@@ -70,8 +70,8 @@ func TestReuseInvalidation(t *testing.T) {
 				want := run(t, ref, rs, subject)
 				after := e.Stats()
 				ran, reused := after.QueriesRun-before.QueriesRun, after.ReusedQueries-before.ReusedQueries
-				if st.runs && (ran != 1 || reused != 0) || !st.runs && (ran != 0 || reused != 1) {
-					t.Errorf("%s: ran %d, reused %d; want it to run: %v", st.name, ran, reused, st.runs)
+				if ran != 1 || st.runs != (reused == 0) {
+					t.Errorf("%s: answered %d, reused %d; want it to run: %v", st.name, ran, reused, st.runs)
 				}
 				sameResult(t, want, got)
 				if got.SnapshotTS != want.SnapshotTS {
@@ -82,42 +82,60 @@ func TestReuseInvalidation(t *testing.T) {
 	}
 }
 
-// TestReuseMemoBound fills the memo past memoCap with distinct reads: it
-// never holds more than memoCap entries, and the read recorded last is
-// still answered from it.
+// TestReuseMemoBound fills the memo past memoCap with distinct reads of
+// about a thousand rows each: the entries' summed cost never exceeds
+// memoCap, the read recorded last is still answered from the memo, and a
+// result costing over memoEntryCap is never kept.
 func TestReuseMemoBound(t *testing.T) {
-	db, closeDB := bookstore(t)
+	db, closeDB := bigTable(t, 20000)
 	defer closeDB()
 	e := newEngine(t, db)
 	defer e.Close()
-	s := mustPrepare(t, e, "SELECT i_title FROM item WHERE i_id = ?")
-	const burstLen = 512
-	n := memoCap + burstLen/2
+	s := mustPrepare(t, e, "SELECT b_id, b_val FROM big WHERE b_id >= ? AND b_id < ? + 1000")
+	from := func(lo int) []types.Value {
+		return []types.Value{types.NewInt(int64(lo)), types.NewInt(int64(lo))}
+	}
+	const cost = 3 + 1000*2
+	n := 2*memoCap/cost + 1
+	const burstLen = 64
 	for lo := 0; lo < n; lo += burstLen {
 		calls := make([]Call, min(burstLen, n-lo))
 		for i := range calls {
-			calls[i] = Call{Stmt: s, Params: []types.Value{types.NewInt(int64(lo + i))}}
+			calls[i] = Call{Stmt: s, Params: from(lo + i)}
 		}
 		e.SubmitBatch(calls)
 		for _, c := range calls {
 			if err := c.Result.Wait(); err != nil {
 				t.Fatal(err)
 			}
+			if len(c.Result.Rows) != 1000 {
+				t.Fatalf("fixture: a read returned %d rows, want 1000", len(c.Result.Rows))
+			}
 		}
 		e.memo.mu.Lock()
-		held := len(e.memo.entries)
+		held, sum := e.memo.held, 0
+		for _, en := range e.memo.entries {
+			sum += en.cost
+		}
 		e.memo.mu.Unlock()
-		if held > memoCap {
-			t.Fatalf("after %d reads the memo holds %d entries, bound %d", lo+len(calls), held, memoCap)
+		if held != sum || held > memoCap {
+			t.Fatalf("after %d reads the memo holds cost %d (entries sum to %d), bound %d", lo+len(calls), held, sum, memoCap)
 		}
 	}
-	if got := e.Stats().QueriesRun; got != uint64(n) {
-		t.Fatalf("fixture: %d distinct reads ran %d activations", n, got)
+	if got := e.Stats().ReusedQueries; got != 0 {
+		t.Fatalf("fixture: %d distinct reads reused %d", n, got)
 	}
-	before := e.Stats().ReusedQueries
-	run(t, e, s, types.NewInt(int64(n-1)))
-	if e.Stats().ReusedQueries != before+1 {
+	run(t, e, s, from(n-1)...)
+	if e.Stats().ReusedQueries != 1 {
 		t.Fatal("the read recorded last is not answered from the memo")
+	}
+
+	wide := mustPrepare(t, e, "SELECT b_id, b_val, b_pad FROM big WHERE b_id < ?")
+	limit := types.NewInt(memoEntryCap / 3)
+	run(t, e, wide, limit)
+	run(t, e, wide, limit)
+	if e.Stats().ReusedQueries != 1 {
+		t.Fatal("a result costing over memoEntryCap was kept")
 	}
 }
 

@@ -61,9 +61,10 @@ func (e *OverloadError) Unwrap() error { return ErrOverloaded }
 type Stats struct {
 	// Generations is the number of execution generations dispatched.
 	Generations uint64 `stat:"generations"`
-	// QueriesRun counts read activations the engine actually executed.
-	// Folded duplicates and reused reads are excluded — they consumed no
-	// engine work.
+	// QueriesRun counts read activations the engine answered at a
+	// snapshot: executed, or taken from the last identical read
+	// (ReusedQueries, a subset). Folded duplicates are excluded — they
+	// rode on another activation.
 	QueriesRun uint64 `stat:"queries_run"`
 	// WritesApplied counts applied write statements and transaction
 	// commits.
@@ -92,10 +93,11 @@ type Stats struct {
 	// SubscriptionUpdates counts updates handed to subscribers: initial
 	// full results, per-generation deltas and lag resyncs.
 	SubscriptionUpdates uint64 `stat:"subscription_updates"`
-	// ReusedQueries counts reads answered with the rows of the last
-	// completed identical read, because no commit since had changed a
-	// column or row set that read depends on; they run no plan. A reused
-	// read completes before its generation retires: it is counted here
+	// ReusedQueries counts the QueriesRun answered with the rows of the
+	// last completed identical read, because no commit since had changed a
+	// column or row set that read depends on; they run no plan, so
+	// QueriesRun - ReusedQueries is the reads executed. A reused read
+	// completes before its generation retires: it is counted in both
 	// first, and InFlightGenerations may still count its generation.
 	ReusedQueries uint64 `stat:"reused_queries"`
 }

@@ -232,9 +232,9 @@ func (r *Router) Close() {
 
 // Stats sums the shard engines' counters; the gauges are sums of
 // per-shard values. QueriesRun, FoldedQueries and ReusedQueries count
-// per-shard activations: the router does not fold, each shard engine folds
-// the parts of reads that reach it, so one client scatter read counts once
-// per shard.
+// per-shard activations: the router neither folds nor reuses, each shard
+// engine does both for the parts of reads that reach it, so one client
+// scatter read counts once per shard.
 func (r *Router) Stats() dbapi.Stats {
 	var out dbapi.Stats
 	for _, e := range r.engines {

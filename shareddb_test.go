@@ -183,12 +183,11 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 	st := db.Stats()
-	// Identical concurrent reads fold, and a repeat of a completed read of
-	// the unchanged table takes its rows: the 320 client reads split between
-	// executed activations, fan-out deliveries and reuses.
-	gens, queries := st.Generations, st.QueriesRun+st.FoldedQueries+st.ReusedQueries
+	// Identical concurrent reads fold: the 320 client reads split between
+	// executed activations and fan-out deliveries.
+	gens, queries := st.Generations, st.QueriesRun+st.FoldedQueries
 	if queries != 320 {
-		t.Errorf("queries run %d + folded %d + reused %d, want 320", st.QueriesRun, st.FoldedQueries, st.ReusedQueries)
+		t.Errorf("queries run %d + folded %d, want 320", st.QueriesRun, st.FoldedQueries)
 	}
 	if gens >= queries {
 		t.Errorf("expected batching: %d generations for %d queries", gens, queries)

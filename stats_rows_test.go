@@ -60,8 +60,8 @@ func TestDBStatsCounters(t *testing.T) {
 	if st.WritesApplied != 5 {
 		t.Fatalf("WritesApplied = %d, want 5", st.WritesApplied)
 	}
-	if st.QueriesRun+st.FoldedQueries+st.ReusedQueries != 3 {
-		t.Fatalf("QueriesRun %d + FoldedQueries %d + ReusedQueries %d, want 3 total", st.QueriesRun, st.FoldedQueries, st.ReusedQueries)
+	if st.QueriesRun+st.FoldedQueries != 3 {
+		t.Fatalf("QueriesRun %d + FoldedQueries %d, want 3 total", st.QueriesRun, st.FoldedQueries)
 	}
 	if st.Generations == 0 {
 		t.Fatal("Generations = 0")
