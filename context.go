@@ -5,8 +5,8 @@
 // SharedDB submission is a subscription to a batch — cancelling one
 // subscriber must not slow down, reorder or resize the batch serving
 // everyone else. On ctx expiry the caller's wait is abandoned: a fold
-// subscriber detaches from its fan-out group (the lead and its other
-// subscribers are untouched), a still-queued request vacates the queue at
+// subscriber its lead has not delivered to yet completes with ctx.Err()
+// (the lead and its other subscribers are untouched), a still-queued request vacates the queue at
 // the next batch formation (releasing its queue-depth slot), and a request
 // already drafted into a generation completes normally, unobserved.
 package shareddb
@@ -37,7 +37,7 @@ func awaitResult(ctx context.Context, res *core.Result) error {
 
 // QueryContext is Stmt.Query with cancellation: on ctx expiry it abandons
 // the wait and returns ctx.Err() without disturbing the generation (or the
-// fold group) serving any other caller.
+// fold lead) serving any other caller.
 func (s *Stmt) QueryContext(ctx context.Context, args ...interface{}) (*Rows, error) {
 	if s.stmt.IsWrite() {
 		return nil, errors.New("shareddb: Query on a write statement")

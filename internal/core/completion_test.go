@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -193,6 +194,75 @@ func TestResultHookFiresOncePerCompletionPath(t *testing.T) {
 	})
 }
 
+// hookFunc adapts a function to CompletionHook.
+type hookFunc func(*Result)
+
+func (f hookFunc) Completed(r *Result) { f(r) }
+
+// TestFoldAbandonRacesCompletion abandons half of a lead's 32 subscribers
+// from goroutines the lead's own completion releases, so they race its
+// delivery to the rest. Every result completes exactly once: an abandoned
+// one with the caller's error, any other with the lead's rows and snapshot.
+func TestFoldAbandonRacesCompletion(t *testing.T) {
+	db, closeDB := bookstore(t)
+	defer closeDB()
+	e := newEngine(t, db)
+	defer e.Close()
+	s := mustPrepare(t, e, "SELECT i_id, i_title FROM item WHERE i_subject = ?")
+	const subs = 32
+	cancelled := errors.New("caller went away")
+	release := make(chan struct{})
+	var fired [subs + 1]atomic.Int32
+	calls := make([]Call, subs+1) // calls[0] leads
+	for i := range calls {
+		calls[i] = Call{Stmt: s, Params: []types.Value{types.NewString("ARTS")},
+			Result: NewHookedResult(hookFunc(func(*Result) {
+				if fired[i].Add(1) == 1 && i == 0 {
+					close(release)
+				}
+			}))}
+	}
+	before := e.Stats().FoldedQueries
+	e.SubmitBatch(calls)
+	abandoned := make([]bool, len(calls))
+	var wg sync.WaitGroup
+	for i := 2; i < len(calls); i += 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-release
+			abandoned[i] = calls[i].Result.Abandon(cancelled)
+		}()
+	}
+	wg.Wait()
+	lead := calls[0].Result
+	if err := lead.Wait(); err != nil || len(lead.Rows) == 0 {
+		t.Fatalf("lead: %v, %d rows", err, len(lead.Rows))
+	}
+	for i, c := range calls[1:] {
+		err := c.Result.Wait()
+		if abandoned[i+1] {
+			if err != cancelled || c.Result.Rows != nil {
+				t.Fatalf("abandoned subscriber %d: %v, %d rows", i+1, err, len(c.Result.Rows))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("subscriber %d: %v", i+1, err)
+		}
+		sameResult(t, lead, c.Result)
+	}
+	if got := e.Stats().FoldedQueries - before; got != subs {
+		t.Fatalf("folded %d, want %d", got, subs)
+	}
+	e.Close() // every delivery has finished
+	for i := range fired {
+		if n := fired[i].Load(); n != 1 {
+			t.Fatalf("result %d completed %d times", i, n)
+		}
+	}
+}
+
 // TestSubmitBatchLandsInOneGeneration pins what the burst buys: however many
 // calls it carries, a burst is drafted by one batch formation.
 func TestSubmitBatchLandsInOneGeneration(t *testing.T) {
@@ -239,5 +309,23 @@ func TestSubmitAllocations(t *testing.T) {
 	// engine allocates while they are counted.
 	if n := testing.AllocsPerRun(200, func() { e.Submit(s, params) }); n > 3 {
 		t.Fatalf("Submit allocates %.0f objects per call, want at most 3", n)
+	}
+}
+
+// TestFoldHitAllocations gates a fold hit: a duplicate that attaches to a
+// queued lead costs what any Submit does — the queue entry, the result and
+// its channel — and nothing for joining the lead.
+func TestFoldHitAllocations(t *testing.T) {
+	e := heldEngine(t, Config{})
+	s := mustPrepare(t, e, "SELECT i_title FROM item WHERE i_id = ?")
+	warm(t, e, s, types.NewInt(0))
+	params := []types.Value{types.NewInt(1)}
+	e.Submit(s, params) // the lead, held in the queue with its duplicates
+	before := e.Stats().FoldedQueries
+	if n := testing.AllocsPerRun(200, func() { e.Submit(s, params) }); n > 3 {
+		t.Fatalf("a fold hit allocates %.0f objects per Submit, want at most 3", n)
+	}
+	if e.Stats().FoldedQueries == before {
+		t.Fatal("fixture: no duplicate folded")
 	}
 }

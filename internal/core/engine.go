@@ -88,17 +88,18 @@ type Config struct {
 	// queued, in arrival order, for a later generation. 0 = unlimited.
 	StatementQuota int
 
-	// NoFold is the reference switch: it queues and runs every read as its
-	// own activation. The zero value is the production path: a read
-	// submission identical to a pending one (same statement, bit-identical
-	// parameters) attaches to the pending request's result instead of
-	// occupying its own queue slot and activation, and is charged once — by
-	// its lead — against QueueDepthLimit/StatementQuota and the cost EWMA;
-	// and a drafted read whose last completed identical read no commit has
-	// touched the read set of since takes that read's rows without running.
-	// Writes and transaction commits never fold. NoFold exists for the
-	// differential suites and cmd/microbench's kernel records and is
-	// deliberately not on shareddb.Config or any command-line flag.
+	// NoFold is the reference switch: it turns the fold table (fold.go)
+	// off and queues and runs every read as its own activation. The zero
+	// value is the production path: a read submission identical to a
+	// pending one (same statement, bit-identical parameters) attaches to
+	// the pending request's result instead of occupying its own queue slot
+	// and activation, and is charged once — by its lead — against
+	// QueueDepthLimit/StatementQuota and the cost EWMA; and a drafted read
+	// whose last completed identical read no commit has touched the read
+	// set of since takes that read's rows without running. Writes and
+	// transaction commits never fold. NoFold exists for the differential
+	// suites and cmd/microbench's kernel records and is deliberately not on
+	// shareddb.Config or any command-line flag.
 	NoFold bool
 }
 
@@ -129,14 +130,11 @@ type Engine struct {
 	preparers    int // Prepare calls waiting for / holding plan quiescence
 	loopDone     chan struct{}
 
-	// Fold state, guarded by mu: fingerprint → pending fold leads. The index
-	// covers exactly the foldable requests currently in pending (the fold
-	// window) and is rebuilt from the shed remainder after every batch
-	// formation. nil under Config.NoFold.
-	foldIdx map[uint64][]*Request
-	// memo answers a drafted read from its last completed identical read
-	// (fold.go); nil under Config.NoFold.
-	memo *readMemo
+	// folds is the fold table (fold.go): per fold identity, the lead
+	// queued in pending that duplicates attach to, and the last completed
+	// read that answers a drafted one. It has its own mutex, taken after
+	// mu; under Config.NoFold no request enters it.
+	folds *foldTable
 
 	// Standing queries, guarded by mu. subsKick forces a generation even
 	// with an empty request queue so a fresh subscription gets its initial
@@ -163,12 +161,12 @@ type Request struct {
 
 	Result *Result
 
-	// Fold state: fp is the fold fingerprint (computed once at Submit when
-	// foldable), fold the fan-out group duplicates have attached to (nil
-	// until the first fold).
-	fp       uint64
-	foldable bool
-	fold     *fanout
+	// Fold state: fp is the fold fingerprint of a read that may fold,
+	// computed once at Submit (0 for any other request), and subs a lead's
+	// subscribers, appended under Engine.mu while it is queued and fixed
+	// once it is drafted.
+	fp   uint64
+	subs []*Result
 }
 
 // Result is the client-visible outcome of a request. Wait blocks until the
@@ -186,11 +184,12 @@ type Result struct {
 	// timestamp for writes.
 	SnapshotTS uint64
 
-	// fold is set on results subscribed to a fan-out group (they complete
-	// via their lead's fan-out, not a generation); abandoned marks a
-	// cancelled waiter whose queued request should vacate at the next batch
-	// formation.
-	fold      *fanout
+	// lead is set on results subscribed to a fold lead: they complete with
+	// their lead or at Abandon, whichever claims them first. abandoned marks
+	// a cancelled waiter whose queued request should vacate at the next
+	// batch formation.
+	lead      *Request
+	claimed   atomic.Bool
 	abandoned atomic.Bool
 	// hook, when set (NewHookedResult), is called once by complete.
 	hook CompletionHook
@@ -216,10 +215,7 @@ func New(db *storage.Database, gp *plan.GlobalPlan, cfg Config) *Engine {
 		e.maxInFlight = 1
 	}
 	e.adm = newAdmission(cfg)
-	if !cfg.NoFold {
-		e.foldIdx = make(map[uint64][]*Request)
-		e.memo = &readMemo{entries: make(map[uint64]memoEntry)}
-	}
+	e.folds = &foldTable{entries: make(map[uint64]*foldEntry)}
 	e.cond = sync.NewCond(&e.mu)
 	gp.Start()
 	go e.loop()
@@ -240,7 +236,9 @@ func (e *Engine) Close() {
 	e.pending = nil
 	e.cond.Broadcast()
 	e.mu.Unlock()
-	failRequests(pending)
+	for _, r := range pending {
+		deliver(r.Result, r.subs, nil, nil, 0, errEngineClosed)
+	}
 	<-e.loopDone
 	// Wait out in-flight generations AND preparers: stopping the operator
 	// goroutines while either is touching the plan would strand them.
@@ -255,15 +253,6 @@ func (e *Engine) Close() {
 		s.Close()
 	}
 	e.plan.Stop()
-}
-
-func failRequests(reqs []*Request) {
-	for _, r := range reqs {
-		r.Result.complete(errEngineClosed)
-		if r.fold != nil {
-			r.fold.complete(r.Result)
-		}
-	}
 }
 
 // Stats reports the engine's typed counter snapshot.
@@ -326,7 +315,7 @@ func (e *Engine) SubmitCall(c Call) *Result {
 }
 
 // SubmitBatch enqueues a burst under one lock acquisition and one dispatcher
-// wake-up. The calls enter the queue — and the fold index — in order, so a
+// wake-up. The calls enter the queue — and the fold table — in order, so a
 // burst's duplicates fold against each other, and the dispatcher, which
 // cannot form a batch while the lock is held, drafts the whole burst into
 // one generation.
@@ -370,8 +359,7 @@ func (e *Engine) initRequest(req *Request, c Call) {
 		c.Result = NewPendingResult()
 	}
 	req.Stmt, req.Params, req.Result = c.Stmt, c.Params, c.Result
-	if e.foldIdx != nil && c.Stmt != nil && !c.Stmt.IsWrite() {
-		req.foldable = true
+	if !e.cfg.NoFold && c.Stmt != nil && !c.Stmt.IsWrite() {
 		req.fp = foldFingerprint(c.Stmt.ID, c.Params)
 	}
 }
@@ -461,41 +449,18 @@ func (e *Engine) enqueueLocked(req *Request, reserved bool) (queued bool, err er
 	if e.stopped {
 		return false, errEngineClosed
 	}
-	if req.foldable && e.tryFold(req) {
+	if req.fp != 0 && e.folds.join(req) {
+		e.folded++
 		return false, nil
 	}
 	if !reserved {
 		if err := e.adm.admit(req.Stmt, len(e.pending)+e.reserved); err != nil {
+			e.folds.close([]*Request{req}, false)
 			return false, err
 		}
 	}
 	e.pending = append(e.pending, req)
-	if req.foldable {
-		e.foldIdx[req.fp] = append(e.foldIdx[req.fp], req)
-	}
 	return true, nil
-}
-
-// tryFold collapses req into a pending identical lead, subscribing
-// req.Result to it. Called with e.mu held; false means req must queue as its
-// own lead.
-func (e *Engine) tryFold(req *Request) bool {
-	for _, lead := range e.foldIdx[req.fp] {
-		// Value == is bit identity, stricter than Value.Equal: INT 1 and
-		// FLOAT 1.0, or -0.0 and 0.0, project differently and must not fold.
-		if lead.Stmt != req.Stmt || !slices.Equal(lead.Params, req.Params) {
-			continue
-		}
-		if lead.fold == nil {
-			lead.fold = &fanout{}
-		}
-		if !lead.fold.attach(req.Result) {
-			continue
-		}
-		e.folded++
-		return true
-	}
-	return false
 }
 
 // loop is the heartbeat dispatcher: wait for work and pace, form the next
@@ -507,10 +472,7 @@ func (e *Engine) loop() {
 	for {
 		e.mu.Lock()
 		if !e.awaitDispatchLocked(lastStart) {
-			pending := e.pending
-			e.pending = nil
-			e.mu.Unlock()
-			failRequests(pending)
+			e.mu.Unlock() // Close failed what was pending
 			return
 		}
 		g := e.formLocked()
@@ -571,12 +533,7 @@ func (e *Engine) formLocked() *generation {
 	// queue before formation: they were never dispatched, so dropping them
 	// frees their queue-depth slot without touching any generation. A lead
 	// with fold subscribers left still runs — they need its result.
-	for _, r := range e.pending {
-		if r.Result.abandoned.Load() {
-			g.dropped = e.vacateAbandonedLocked()
-			break
-		}
-	}
+	g.dropped = e.vacateAbandonedLocked()
 	// Per-statement quotas and the SLO-predicted size cap shed the excess
 	// back to the queue, arrival order preserved.
 	g.batch, e.pending = e.adm.formBatch(e.pending)
@@ -584,14 +541,8 @@ func (e *Engine) formLocked() *generation {
 	// snapshot is about to pin, so it stops accepting subscribers. Shed
 	// requests stay foldable — a subscriber attached to a shed lead simply
 	// rides to the lead's later generation.
-	if e.foldIdx != nil {
-		clear(e.foldIdx)
-		for _, r := range e.pending {
-			if r.foldable {
-				e.foldIdx[r.fp] = append(e.foldIdx[r.fp], r)
-			}
-		}
-	}
+	e.folds.close(g.batch, true)
+	e.folds.close(g.dropped, false)
 	e.subsKick = false
 	g.subs = e.activeSubsLocked()
 	e.gen++
@@ -603,14 +554,14 @@ func (e *Engine) formLocked() *generation {
 }
 
 // vacateAbandonedLocked removes the abandoned requests from the pending
-// queue and returns them (e.mu held). A lead whose fold group still has
-// subscribers stays: they need its result. The group is judged once per
-// request — a subscriber may detach concurrently, and a request must end up
-// in exactly one of the two lists.
+// queue and returns them (e.mu held). A lead with a subscriber still
+// waiting stays: it needs the lead's result. Each lead is judged once — a
+// subscriber may be abandoned concurrently, and a request must end up in
+// exactly one of the two lists.
 func (e *Engine) vacateAbandonedLocked() (dropped []*Request) {
 	kept := e.pending[:0]
 	for _, r := range e.pending {
-		if r.Result.abandoned.Load() && (r.fold == nil || r.fold.empty()) {
+		if r.Result.abandoned.Load() && !slices.ContainsFunc(r.subs, waiting) {
 			dropped = append(dropped, r)
 		} else {
 			kept = append(kept, r)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"shareddb/internal/baseline"
+	"shareddb/internal/dbapi"
 	"shareddb/internal/operators"
 	"shareddb/internal/plan"
 	"shareddb/internal/storage"
@@ -225,11 +226,12 @@ func TestFoldWriteOrdering(t *testing.T) {
 
 func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 	cancelErr := errors.New("ctx cancelled")
-	fan := &fanout{}
-	lead := NewPendingResult()
-	s1, s2 := NewPendingResult(), NewPendingResult()
-	if !fan.attach(s1) || !fan.attach(s2) {
-		t.Fatal("attach to open fan-out failed")
+	tab := &foldTable{entries: make(map[uint64]*foldEntry)}
+	req := func() *Request { return &Request{Result: NewPendingResult(), fp: 1} }
+	leadReq, r1, r2 := req(), req(), req()
+	lead, s1, s2 := leadReq.Result, r1.Result, r2.Result
+	if tab.join(leadReq) || !tab.join(r1) || !tab.join(r2) {
+		t.Fatal("attach to open fold window failed")
 	}
 
 	// Abandoning a fold subscriber completes it immediately with the
@@ -247,10 +249,8 @@ func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 		t.Fatalf("abandoned subscriber err = %v", s1.Err)
 	}
 
-	lead.Rows = []types.Row{{types.NewInt(42)}}
-	lead.SnapshotTS = 7
-	lead.Complete(nil)
-	fan.complete(lead)
+	tab.close([]*Request{leadReq}, true)
+	deliver(lead, leadReq.subs, []types.Row{{types.NewInt(42)}}, nil, 7, nil)
 	if err := s2.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,8 +262,35 @@ func TestFoldAbandonDetachesSubscriber(t *testing.T) {
 	}
 
 	// The window is closed: no more subscribers.
-	if fan.attach(NewPendingResult()) {
+	if tab.join(req()) {
 		t.Fatal("attach succeeded after complete")
+	}
+}
+
+// TestFoldRejectedReadLeadsNothing: a read that admission rejects leaves no
+// lead behind. An identical read submitted next must not attach to it —
+// nothing would ever complete it — and meets admission itself.
+func TestFoldRejectedReadLeadsNothing(t *testing.T) {
+	e := heldEngine(t, Config{QueueDepthLimit: 1})
+	s := mustPrepare(t, e, "SELECT i_title FROM item WHERE i_id = ?")
+	warm(t, e, s, types.NewInt(0))
+	queued := e.Submit(s, []types.Value{types.NewInt(1)})
+	for i := 0; i < 2; i++ {
+		r := e.Submit(s, []types.Value{types.NewInt(2)})
+		select {
+		case <-r.Done():
+		case <-time.After(200 * time.Millisecond):
+			t.Fatalf("submission %d of a rejected read was not rejected at submit time", i+1)
+		}
+		if !errors.Is(r.Err, dbapi.ErrOverloaded) {
+			t.Fatalf("submission %d: %v, want ErrOverloaded", i+1, r.Err)
+		}
+	}
+	if err := queued.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if f := e.Stats().FoldedQueries; f != 0 {
+		t.Fatalf("folded %d reads, want 0", f)
 	}
 }
 

@@ -26,7 +26,6 @@ type generation struct {
 
 	written []*Request // bound and applied writes and commits, outcomes recorded
 	reads   []*Request // reads the plan runs; pin takes out the reused ones
-	reused  int        // reads answered from the memo at pin
 	ts      uint64     // the pinned read snapshot
 
 	// cols[qid-1] collects the result of the activation with dense query id
@@ -143,37 +142,23 @@ func (g *generation) pin() []plan.Activation {
 	return acts
 }
 
-// reuse completes every read whose last identical read the memo holds and
+// reuse completes every read whose last identical read the fold table holds
 // no commit has stamped the read set of since, with that read's rows at
 // this generation's snapshot, and takes it out of the reads the plan runs.
 // Each completes after it is counted in QueriesRun and ReusedQueries, and
 // before its generation retires.
 func (g *generation) reuse() {
-	m := g.e.memo
-	if m == nil {
-		return
-	}
 	var reused []*Request
-	var rows [][]types.Row
-	run := g.reads[:0]
-	for _, r := range g.reads {
-		if rs, ok := m.lookup(r); ok {
-			reused, rows = append(reused, r), append(rows, rs)
-		} else {
-			run = append(run, r)
-		}
-	}
-	g.reads = run
+	g.reads, reused = g.e.folds.answer(g.reads)
 	if len(reused) == 0 {
 		return
 	}
-	g.reused = len(reused)
 	g.e.mu.Lock()
 	g.e.queriesRun += uint64(len(reused))
 	g.e.reused += uint64(len(reused))
 	g.e.mu.Unlock()
-	for i, r := range reused {
-		g.completeRead(r, rows[i])
+	for _, r := range reused {
+		deliver(r.Result, r.subs, r.Result.Rows, r.Stmt.OutSchema, g.ts, nil)
 	}
 }
 
@@ -239,8 +224,8 @@ func (g *generation) sink(_ int, t operators.Tuple) {
 
 // sinkDone ends the sink stage once the plan has drained the generation:
 // release the snapshot, hand the standing queries their results, record the
-// reads in the memo, retire, and then complete the reads and fan each one
-// out to its fold subscribers. With every read reused and no standing
+// reads in the fold table, retire, and then complete the reads and fan each
+// one out to its fold subscribers. With every read reused and no standing
 // query, the plan ran nothing and this runs on the dispatcher.
 func (g *generation) sinkDone() {
 	g.e.db.UnpinSnapshot(g.ts)
@@ -251,23 +236,10 @@ func (g *generation) sinkDone() {
 	for i, s := range g.subs {
 		s.deliver(g.id, g.ts, g.cols[i].rows, &g.e.subUpdates)
 	}
-	if m := g.e.memo; m != nil && len(g.reads) > 0 {
-		m.record(g.reads, g.ts, g.cols[len(g.subs):])
-	}
+	g.e.folds.record(g.reads, g.ts, g.cols[len(g.subs):])
 	g.retire()
 	for i, r := range g.reads {
-		g.completeRead(r, g.cols[len(g.subs)+i].rows)
-	}
-}
-
-// completeRead completes read r with rows at the generation's snapshot and
-// fans the result out to r's fold subscribers.
-func (g *generation) completeRead(r *Request, rows []types.Row) {
-	res := r.Result
-	res.Rows, res.Schema, res.SnapshotTS = rows, r.Stmt.OutSchema, g.ts
-	res.complete(nil)
-	if r.fold != nil {
-		r.fold.complete(res)
+		deliver(r.Result, r.subs, g.cols[len(g.subs)+i].rows, r.Stmt.OutSchema, g.ts, nil)
 	}
 }
 
@@ -283,7 +255,7 @@ func (g *generation) retire() {
 	e.queriesRun += uint64(len(g.reads))
 	// Reused reads cost the generation nothing: the per-request cost the
 	// SLO sizes batches by counts only the requests it executed.
-	e.adm.recordGenerationCosts(g.admStmts, time.Since(g.start), len(g.batch)-g.reused, costs)
+	e.adm.recordGenerationCosts(g.admStmts, time.Since(g.start), len(g.written)+len(g.reads), costs)
 	e.mu.Unlock()
 	e.generationDone()
 }

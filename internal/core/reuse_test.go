@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -82,6 +83,38 @@ func TestReuseInvalidation(t *testing.T) {
 	}
 }
 
+// TestReuseKeepsCoercionEqualParams alternates a read between parameters
+// that compare equal in SQL but are distinct fold identities — INT 10 and
+// FLOAT 10.0, then 0.0 and -0.0 — with no write in between. Each identity
+// keeps its own completed read, so the third and fourth run of each
+// sequence are answered from it; every answer matches a NoFold engine's
+// rows and snapshot.
+func TestReuseKeepsCoercionEqualParams(t *testing.T) {
+	db, closeDB := bookstore(t)
+	defer closeDB()
+	e := newEngine(t, db)
+	defer e.Close()
+	ref := New(db, plan.New(db), Config{NoFold: true})
+	defer ref.Close()
+	const read = "SELECT i_id FROM item WHERE i_price > ?"
+	s, rs := mustPrepare(t, e, read), mustPrepare(t, ref, read)
+	for _, pair := range [][2]types.Value{
+		{types.NewInt(10), types.NewFloat(10)},
+		{types.NewFloat(0), types.NewFloat(math.Copysign(0, -1))},
+	} {
+		for i := 0; i < 4; i++ {
+			p := pair[i%2]
+			before := e.Stats().ReusedQueries
+			got := run(t, e, s, p)
+			want := run(t, ref, rs, p)
+			if reused := e.Stats().ReusedQueries - before; reused != uint64(i/2) {
+				t.Errorf("run %d with %v: reused %d, want %d", i+1, p, reused, i/2)
+			}
+			sameResult(t, want, got)
+		}
+	}
+}
+
 // TestReuseMemoBound fills the memo past memoCap with distinct reads of
 // about a thousand rows each: the entries' summed cost never exceeds
 // memoCap, the read recorded last is still answered from the memo, and a
@@ -112,12 +145,12 @@ func TestReuseMemoBound(t *testing.T) {
 				t.Fatalf("fixture: a read returned %d rows, want 1000", len(c.Result.Rows))
 			}
 		}
-		e.memo.mu.Lock()
-		held, sum := e.memo.held, 0
-		for _, en := range e.memo.entries {
+		e.folds.mu.Lock()
+		held, sum := e.folds.held, 0
+		for _, en := range e.folds.entries {
 			sum += en.cost
 		}
-		e.memo.mu.Unlock()
+		e.folds.mu.Unlock()
 		if held != sum || held > memoCap {
 			t.Fatalf("after %d reads the memo holds cost %d (entries sum to %d), bound %d", lo+len(calls), held, sum, memoCap)
 		}

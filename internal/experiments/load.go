@@ -70,7 +70,7 @@ func engineConfig(o Options) shareddb.Config {
 
 // LoadResult is one Load1k run: client-visible throughput and tail
 // latency, plus the engine-side counters that show whether the fan-in
-// actually fed the fold index.
+// actually fed the fold table.
 type LoadResult struct {
 	Clients int
 	Queries int64 // completed queries across all connections

@@ -275,7 +275,7 @@ func (c *conn) handlePrepare(m wire.Prepare) {
 // handleStmtCall is the pipelined hot path: resolve the handle, add the call
 // to the burst, and go straight back to decoding. A window of identical
 // queries therefore enters the engine in one SubmitBatch — which is what
-// lets the fold index collapse them into one activation.
+// lets the fold table collapse them into one activation.
 func (c *conn) handleStmtCall(m wire.StmtCall, isQuery bool) {
 	h, ok := c.stmts[m.Stmt]
 	if !ok {
